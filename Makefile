@@ -72,7 +72,7 @@ bench:
 # committed baseline. BENCHTIME must match the conditions the baseline
 # was recorded under (see EXPERIMENTS.md) or the comparison is unfair.
 BENCHTIME ?= 500ms
-BASELINE  ?= BENCH_10.json
+BASELINE  ?= BENCH_12.json
 
 benchreport:
 	$(GO) run ./cmd/benchreport -baseline $(BASELINE) -benchtime $(BENCHTIME)

@@ -1,4 +1,4 @@
-// Tests over the committed benchmark baseline: BENCH_10.json is not
+// Tests over the committed benchmark baseline: BENCH_12.json is not
 // just a drift reference for cmd/benchreport, it also carries the
 // performance claims this repo makes (DESIGN.md, EXPERIMENTS.md E5 and
 // E11). Re-measuring on every CI host would be flaky; asserting on the
@@ -26,9 +26,11 @@ type benchBaseline struct {
 
 // TestCommittedBaselineClaims pins the headline numbers of the
 // data-oriented simulator cores: the committed SimLoop/n=100k entry
-// must record at least 10M tasks/s and the OpenSimLoop/n=10k entry —
+// must record at least 10M tasks/s, the OpenSimLoop/n=10k entry —
 // the flat open-system engine, 100× over the event engine it replaced
-// in the benchmark — at least 1.5M tasks/s, both at zero steady-state
+// — at least 1.5M tasks/s, and OpenSimLoop/m=128 — race collapse on
+// two-word cohort masks, which the single-word version left on the
+// wheel loop — at least 500K tasks/s, all at zero steady-state
 // allocations. Scaling/Groups8 pins the group-placement validation
 // alloc fix (it was 10,015 allocs/op when validateGroups sorted a
 // fresh copy of every task's replica set). The flat-engine Scaling
@@ -36,13 +38,13 @@ type benchBaseline struct {
 // placement scoring, so beyond the Groups8 cap only their presence is
 // asserted here; benchreport gates their drift.
 func TestCommittedBaselineClaims(t *testing.T) {
-	data, err := os.ReadFile("BENCH_10.json")
+	data, err := os.ReadFile("BENCH_12.json")
 	if err != nil {
 		t.Fatalf("reading committed baseline: %v", err)
 	}
 	var base benchBaseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("parsing BENCH_10.json: %v", err)
+		t.Fatalf("parsing BENCH_12.json: %v", err)
 	}
 	found := map[string]bool{}
 	for _, m := range base.Benchmarks {
@@ -64,6 +66,14 @@ func TestCommittedBaselineClaims(t *testing.T) {
 				t.Errorf("OpenSimLoop/n=10k records %d allocs/op (%d B/op), want zero steady-state allocations",
 					m.AllocsPerOp, m.BytesPerOp)
 			}
+		case "OpenSimLoop/m=128":
+			if m.TasksPerSec < 500e3 {
+				t.Errorf("OpenSimLoop/m=128 records %.0f tasks/s, below the 500K floor", m.TasksPerSec)
+			}
+			if m.AllocsPerOp != 0 || m.BytesPerOp != 0 {
+				t.Errorf("OpenSimLoop/m=128 records %d allocs/op (%d B/op), want zero steady-state allocations",
+					m.AllocsPerOp, m.BytesPerOp)
+			}
 		case "Scaling/Groups8/n=10k":
 			if m.AllocsPerOp > 64 {
 				t.Errorf("Scaling/Groups8/n=10k records %d allocs/op, want the post-validateGroups-fix ≤ 64",
@@ -75,6 +85,7 @@ func TestCommittedBaselineClaims(t *testing.T) {
 		"SimLoop/n=100k",
 		"SimLoopEvent/n=100k",
 		"OpenSimLoop/n=10k",
+		"OpenSimLoop/m=128",
 		"OpenSimLoopEvent/n=10k",
 		"Scaling/NoReplication/n=100k",
 		"Scaling/Groups8/n=10k",

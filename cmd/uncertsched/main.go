@@ -183,11 +183,7 @@ func printTrace(in *task.Instance, a algo.Algorithm, limit int) error {
 	if err != nil {
 		return err
 	}
-	d, err := sim.NewListDispatcher(p, a.Order(in))
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(in, d, sim.Options{Trace: true})
+	res, err := sim.RunFlatSharded(in, p, a.Order(in), sim.FlatOptions{Trace: true}, 1)
 	if err != nil {
 		return err
 	}

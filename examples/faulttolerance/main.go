@@ -49,22 +49,23 @@ func main() {
 		}
 		order := p.algo.Order(in)
 
-		healthy, err := sim.RunWithFailures(in, pl, order, nil)
+		healthy, err := sim.RunFlatSharded(in, pl, order, sim.FlatOptions{}, 1)
 		if err != nil {
 			log.Fatalf("faulttolerance: healthy run: %v", err)
 		}
-		h := healthy.Makespan()
+		h := healthy.Schedule.Makespan()
 
 		// Machine 2 dies halfway through.
-		crashed, err := sim.RunWithFailures(in, pl, order,
-			[]sim.Failure{{Machine: 2, Time: h / 2}})
+		crashed, err := sim.RunFlatSharded(in, pl, order, sim.FlatOptions{
+			Failures: []sim.Failure{{Machine: 2, Time: h / 2}},
+		}, 1)
 		switch {
 		case errors.Is(err, sim.ErrUnsurvivable):
 			tb.AddRow(p.label, h, "n/a", "n/a", "NO: data lost")
 		case err != nil:
 			log.Fatalf("faulttolerance: crash run: %v", err)
 		default:
-			c := crashed.Makespan()
+			c := crashed.Schedule.Makespan()
 			tb.AddRow(p.label, h, c, fmt.Sprintf("%.2fx", c/h), "yes")
 		}
 	}

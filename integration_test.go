@@ -113,12 +113,13 @@ func TestStaticScheduleMatchesSimulatorForNoChoice(t *testing.T) {
 	}
 	// FromMapping executes each machine's tasks in ID order while the
 	// simulator follows LPT order: same sets, different summation
-	// order, so compare with a float tolerance.
+	// order, and the simulator's times are nanotick-quantized (≤ 0.5e-9 s
+	// per task), so compare within Verify's own relative tolerance.
 	if math.Abs(static.Makespan()-res.Makespan) > 1e-9*res.Makespan {
 		t.Fatalf("simulator %v != static %v", res.Makespan, static.Makespan())
 	}
 	for i, want := range static.Loads() {
-		if got := res.Schedule.Loads()[i]; math.Abs(got-want) > 1e-9 {
+		if got := res.Schedule.Loads()[i]; math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("machine %d load %v != %v", i, got, want)
 		}
 	}

@@ -95,10 +95,9 @@ func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 }
 
 // Scratch is reusable two-phase execution state: the phase-1 placement,
-// the priority order, the phase-2 dispatcher, and the simulator state
-// are all recycled between Execute calls, so a Scratch running
-// same-shaped trials in a loop performs near-zero steady-state heap
-// allocations.
+// the priority order, and the simulator state are all recycled between
+// Execute calls, so a Scratch running same-shaped trials in a loop
+// performs near-zero steady-state heap allocations.
 //
 // Ownership contract: the Result returned by Execute — its Placement
 // and Schedule included — is owned by the Scratch and valid only until
@@ -108,23 +107,14 @@ func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 // are identical to the package-level Execute: every reused buffer is
 // rebuilt from the inputs before use.
 type Scratch struct {
-	// Engine selects the phase-2 simulator: sim.EngineEvent (default)
-	// is the float64 event-heap reference; sim.EngineFlat is the
-	// data-oriented fixed-point core. The engines agree on every
-	// dispatch decision; flat times are nanotick-quantized (≤ 0.5e-9 s
-	// per duration, inside Verify's tolerance).
-	Engine sim.Engine
-	// SimWorkers is the shard worker count under sim.EngineFlat:
-	// 0 or 1 runs shards sequentially (the right default when trials
-	// are already parallel), < 0 selects GOMAXPROCS. Ignored by
-	// sim.EngineEvent.
+	// SimWorkers is the phase-2 simulator's shard worker count: 0 or 1
+	// runs shards sequentially (the right default when trials are
+	// already parallel), < 0 selects GOMAXPROCS. Results are
+	// byte-identical at every count.
 	SimWorkers int
 
-	runner     sim.Runner
 	flat       sim.FlatRunner
-	open       sim.OpenRunner
 	flatOpen   sim.FlatOpenRunner
-	disp       sim.ListDispatcher
 	place      placement.Placement
 	order      []int
 	placeOrder []int
@@ -176,26 +166,25 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 	return p, nil
 }
 
+// simWorkers resolves SimWorkers' zero value to sequential execution.
+func (s *Scratch) simWorkers() int {
+	if s.SimWorkers == 0 {
+		return 1
+	}
+	return s.SimWorkers
+}
+
 // Execute runs both phases of the algorithm reusing the Scratch's
-// buffers; semantics match the package-level Execute.
+// buffers; semantics match the package-level Execute. Phase 2 runs on
+// the flat simulator (sim.FlatRunner), so reported times are
+// nanotick-quantized: ≤ 0.5e-9 s per duration, inside Verify's
+// tolerance.
 func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 	p, err := s.plan(in, a)
 	if err != nil {
 		return nil, err
 	}
-	var res *sim.Result
-	if s.Engine == sim.EngineFlat {
-		workers := s.SimWorkers
-		if workers == 0 {
-			workers = 1
-		}
-		res, err = s.flat.RunSharded(in, p, s.order, sim.FlatOptions{}, workers)
-	} else {
-		if err := s.disp.Reset(p, s.order); err != nil {
-			return nil, fmt.Errorf("%s: phase 2: %w", a.Name(), err)
-		}
-		res, err = s.runner.Run(in, &s.disp, sim.Options{})
-	}
+	res, err := s.flat.RunSharded(in, p, s.order, sim.FlatOptions{}, s.simWorkers())
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", a.Name(), err)
 	}
@@ -212,15 +201,11 @@ func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 }
 
 // ExecuteOpen runs phase 1 of the algorithm and replays the arrival
-// stream through the open-system simulator, reusing the Scratch's
-// buffers. The Engine field selects the simulator exactly as in
-// Execute: sim.EngineFlat routes through the data-oriented
-// FlatOpenRunner (sharded by replica-set connectivity, SimWorkers
-// controlling parallelism), the default through the float64 event-heap
-// OpenRunner. The two agree on every dispatch decision; flat times are
-// nanotick-quantized. The schedule is not re-verified here: open-mode
-// durations may come from opts.Duration, which sched.Verify (actual
-// times only) cannot check.
+// stream through the flat open-system simulator (sim.FlatOpenRunner,
+// sharded by replica-set connectivity), reusing the Scratch's buffers.
+// The schedule is not re-verified here: open-mode durations may come
+// from opts.Duration, which sched.Verify (actual times only) cannot
+// check.
 //
 // Ownership matches Execute: the returned OpenResult is valid only
 // until the Scratch's next call.
@@ -230,16 +215,7 @@ func (s *Scratch) ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 	if err != nil {
 		return nil, err
 	}
-	var res *sim.OpenResult
-	if s.Engine == sim.EngineFlat {
-		workers := s.SimWorkers
-		if workers == 0 {
-			workers = 1
-		}
-		res, err = s.flatOpen.RunSharded(in, p, s.order, arrive, opts, workers)
-	} else {
-		res, err = s.open.Run(in, p, s.order, arrive, opts)
-	}
+	res, err := s.flatOpen.RunSharded(in, p, s.order, arrive, opts, s.simWorkers())
 	if err != nil {
 		return nil, fmt.Errorf("%s: open simulation: %w", a.Name(), err)
 	}

@@ -44,11 +44,13 @@ type Spec struct {
 	Run func(b *testing.B)
 }
 
-// scalingInstance builds the perturbed uniform instance the scaling
-// benchmarks share. Deterministic: fixed seeds.
-func scalingInstance(n int) *task.Instance {
+// scalingInstance builds the perturbed uniform 64-machine instance the
+// scaling benchmarks share. Deterministic: fixed seeds.
+func scalingInstance(n int) *task.Instance { return uniformInstance(n, 64) }
+
+func uniformInstance(n, m int) *task.Instance {
 	in := workload.MustNew(workload.Spec{
-		Name: "uniform", N: n, M: 64, Alpha: 1.5, Seed: 1,
+		Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: 1,
 	})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(2))
 	return in
@@ -113,10 +115,9 @@ func simLoopSpec(n int) Spec {
 	}
 }
 
-// simLoopEventSpec keeps the pre-refactor float event loop measured:
-// the reference engine still executes every analytic experiment and
-// the open-system path, so its regressions matter even after the flat
-// core took over the throughput-critical benchmarks.
+// simLoopEventSpec keeps the float event loop measured: it is the
+// differential reference for the flat engine and still executes e9's
+// StealingDispatcher.
 func simLoopEventSpec(n int) Spec {
 	return Spec{
 		Name:  "SimLoopEvent/n=100k",
@@ -156,9 +157,9 @@ func simLoopEventSpec(n int) Spec {
 // arrivals, replicate-everywhere placement, and cancel-on-completion
 // racing — the heaviest configuration (every machine queues every
 // task, and each completion scans for replicas to cancel).
-func openSimLoopInputs(b *testing.B, n int) (*task.Instance, *placement.Placement,
+func openSimLoopInputs(b *testing.B, n, m int) (*task.Instance, *placement.Placement,
 	[]int, []float64, sim.OpenOptions) {
-	in := scalingInstance(n)
+	in := uniformInstance(n, m)
 	a := algo.LPTNoRestriction()
 	p, err := a.Place(in)
 	if err != nil {
@@ -179,15 +180,16 @@ func openSimLoopInputs(b *testing.B, n int) (*task.Instance, *placement.Placemen
 // the timer, so the measured region is exactly state rebuild + wheel
 // replay (sequential workers, as in simLoopSpec, so the number is
 // per-core). Replicate-everywhere makes the whole cluster one uniform
-// shard — the shared-position-heap path — which is the ≥1.5M tasks/s,
-// 0 allocs/op target BENCH_10.json gates. The event-heap reference
-// keeps its own floor via OpenSimLoopEvent below.
-func openSimLoopSpec(n int) Spec {
+// shard on the race-collapse path: ≥1.5M tasks/s at m=64 and ≥500K at
+// m=128 (two-word cohort masks), both 0 allocs/op, are the floors the
+// committed baseline gates. The event-heap reference keeps its own
+// floor via OpenSimLoopEvent below.
+func openSimLoopSpec(name string, n, m int) Spec {
 	return Spec{
-		Name:  "OpenSimLoop/n=10k",
+		Name:  "OpenSimLoop/" + name,
 		Tasks: n,
 		Run: func(b *testing.B) {
-			in, p, order, arrive, opts := openSimLoopInputs(b, n)
+			in, p, order, arrive, opts := openSimLoopInputs(b, n, m)
 			var runner sim.FlatOpenRunner
 			// Untimed warm-up pass, as in simLoopSpec: grow the pooled
 			// buffers so the timed region measures the steady state.
@@ -216,7 +218,7 @@ func openSimLoopEventSpec(n int) Spec {
 		Name:  "OpenSimLoopEvent/n=10k",
 		Tasks: n,
 		Run: func(b *testing.B) {
-			in, p, order, arrive, opts := openSimLoopInputs(b, n)
+			in, p, order, arrive, opts := openSimLoopInputs(b, n, 64)
 			var runner sim.OpenRunner
 			if _, err := runner.Run(in, p, order, arrive, opts); err != nil {
 				b.Fatal(err)
@@ -274,23 +276,16 @@ func experimentSpec(id string) Spec {
 
 // Curated returns the benchmark set, in a fixed order.
 func Curated() []Spec {
-	// Scaling specs run the full two-phase pipeline on the flat
-	// simulator engine — the production configuration after the SoA
-	// refactor; SimLoopEvent keeps the float reference engine pinned.
 	return []Spec{
-		scalingSpec("NoReplication/n=1k", 1_000,
-			core.Config{Strategy: core.NoReplication, Engine: sim.EngineFlat}),
-		scalingSpec("NoReplication/n=10k", 10_000,
-			core.Config{Strategy: core.NoReplication, Engine: sim.EngineFlat}),
-		scalingSpec("NoReplication/n=100k", 100_000,
-			core.Config{Strategy: core.NoReplication, Engine: sim.EngineFlat}),
-		scalingSpec("Groups8/n=10k", 10_000,
-			core.Config{Strategy: core.Groups, Groups: 8, Engine: sim.EngineFlat}),
-		scalingSpec("Everywhere/n=10k", 10_000,
-			core.Config{Strategy: core.ReplicateEverywhere, Engine: sim.EngineFlat}),
+		scalingSpec("NoReplication/n=1k", 1_000, core.Config{Strategy: core.NoReplication}),
+		scalingSpec("NoReplication/n=10k", 10_000, core.Config{Strategy: core.NoReplication}),
+		scalingSpec("NoReplication/n=100k", 100_000, core.Config{Strategy: core.NoReplication}),
+		scalingSpec("Groups8/n=10k", 10_000, core.Config{Strategy: core.Groups, Groups: 8}),
+		scalingSpec("Everywhere/n=10k", 10_000, core.Config{Strategy: core.ReplicateEverywhere}),
 		simLoopSpec(100_000),
 		simLoopEventSpec(100_000),
-		openSimLoopSpec(10_000),
+		openSimLoopSpec("n=10k", 10_000, 64),
+		openSimLoopSpec("m=128", 10_000, 128),
 		openSimLoopEventSpec(10_000),
 		estimateWarmSpec(),
 		experimentSpec("e2"),

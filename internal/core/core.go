@@ -90,13 +90,9 @@ type Config struct {
 	// ExactLimit caps the instance size for which the outcome's
 	// optimum is computed exactly; 0 selects the default (20 tasks).
 	ExactLimit int
-	// Engine selects the phase-2 simulator implementation: the
-	// float64 event-heap reference (sim.EngineEvent, default) or the
-	// data-oriented fixed-point core (sim.EngineFlat). Dispatch
-	// decisions agree; flat times carry ≤ 0.5e-9 s quantization.
-	Engine sim.Engine
-	// SimWorkers is the shard worker count under sim.EngineFlat;
-	// 0 or 1 is sequential, < 0 selects GOMAXPROCS.
+	// SimWorkers is the phase-2 simulator's shard worker count; 0 or 1
+	// is sequential, < 0 selects GOMAXPROCS. Outcomes are byte-identical
+	// at every count.
 	SimWorkers int
 }
 
@@ -239,7 +235,7 @@ func (r *Runner) Run(in *task.Instance, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.scratch.Engine, r.scratch.SimWorkers = cfg.Engine, cfg.SimWorkers
+	r.scratch.SimWorkers = cfg.SimWorkers
 	res, err := r.scratch.Execute(in, a)
 	if err != nil {
 		return nil, err
@@ -250,7 +246,7 @@ func (r *Runner) Run(in *task.Instance, cfg Config) (*Outcome, error) {
 // Execute runs phase 2 of a previously planned placement, reusing the
 // Runner's buffers; the pooled sibling of Plan.Execute.
 func (r *Runner) Execute(pl *Plan, in *task.Instance) (*Outcome, error) {
-	r.scratch.Engine, r.scratch.SimWorkers = pl.cfg.Engine, pl.cfg.SimWorkers
+	r.scratch.SimWorkers = pl.cfg.SimWorkers
 	res, err := r.scratch.Execute(in, pl.algo)
 	if err != nil {
 		return nil, err
@@ -310,9 +306,8 @@ type OpenOutcome struct {
 }
 
 // RunOpenSystem plans a placement with the configured strategy and
-// serves the arrival stream through the open-system simulator
-// (cfg.Engine selects the event-heap reference or the flat
-// data-oriented engine). The returned OpenOutcome is freshly allocated
+// serves the arrival stream through the open-system simulator. The
+// returned OpenOutcome is freshly allocated
 // and caller-owned; trial loops should reuse a Runner.
 func RunOpenSystem(in *task.Instance, arrive []float64, cfg OpenConfig) (*OpenOutcome, error) {
 	var r Runner // fresh state: the returned Outcome is caller-owned
@@ -327,7 +322,7 @@ func (r *Runner) RunOpenSystem(in *task.Instance, arrive []float64, cfg OpenConf
 	if err != nil {
 		return nil, err
 	}
-	r.scratch.Engine, r.scratch.SimWorkers = cfg.Engine, cfg.SimWorkers
+	r.scratch.SimWorkers = cfg.SimWorkers
 	res, err := r.scratch.ExecuteOpen(in, a, arrive, sim.OpenOptions{
 		Policy:     cfg.Policy,
 		CancelCost: cfg.CancelCost,

@@ -5,17 +5,36 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/task"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-// TestOpenSystemEngines runs the open-system pipeline on both
-// simulator engines across strategies and cancellation policies:
-// winning machines and cancellation counts must be identical, response
-// times within the accumulated nanotick quantization, and the flat
-// engine byte-identical with itself at every worker count.
+// referencePlan resolves a configuration to the placement and priority
+// order its algorithm produces, the inputs the sim reference engines
+// take directly.
+func referencePlan(t *testing.T, in *task.Instance, cfg Config) (*placement.Placement, []int) {
+	t.Helper()
+	a, err := cfg.algorithm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := a.Place(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, a.Order(in)
+}
+
+// TestOpenSystemEngines holds the open-system pipeline against the
+// float event-heap reference (sim.RunOpen) across strategies and
+// cancellation policies: winning machines and cancellation counts must
+// be identical, response times within the accumulated nanotick
+// quantization, and the pipeline byte-identical with itself at every
+// worker count.
 func TestOpenSystemEngines(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "zipf", N: 80, M: 12, Alpha: 1.8, Seed: 5})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(55))
@@ -30,38 +49,37 @@ func TestOpenSystemEngines(t *testing.T) {
 	}
 	eps := 1e-9 * float64(in.N()+1)
 	for _, cfg := range cfgs {
-		want, err := RunOpenSystem(in, arrive, cfg)
+		p, order := referencePlan(t, in, cfg.Config)
+		want, err := sim.RunOpen(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost})
 		if err != nil {
-			t.Fatalf("%v/%v: event engine: %v", cfg.Strategy, cfg.Policy, err)
+			t.Fatalf("%v/%v: reference engine: %v", cfg.Strategy, cfg.Policy, err)
 		}
-		flatCfg := cfg
-		flatCfg.Engine = sim.EngineFlat
-		got, err := RunOpenSystem(in, arrive, flatCfg)
+		got, err := RunOpenSystem(in, arrive, cfg)
 		if err != nil {
-			t.Fatalf("%v/%v: flat engine: %v", cfg.Strategy, cfg.Policy, err)
+			t.Fatalf("%v/%v: %v", cfg.Strategy, cfg.Policy, err)
 		}
-		if got.Result.CancelledReplicas != want.Result.CancelledReplicas {
-			t.Fatalf("%v/%v: cancelled %d vs %d across engines", cfg.Strategy, cfg.Policy,
-				got.Result.CancelledReplicas, want.Result.CancelledReplicas)
+		if got.Result.CancelledReplicas != want.CancelledReplicas {
+			t.Fatalf("%v/%v: cancelled %d, reference %d", cfg.Strategy, cfg.Policy,
+				got.Result.CancelledReplicas, want.CancelledReplicas)
 		}
-		for j := range want.Result.Responses {
-			ga, wa := got.Result.Schedule.Assignments[j], want.Result.Schedule.Assignments[j]
+		for j := range want.Responses {
+			ga, wa := got.Result.Schedule.Assignments[j], want.Schedule.Assignments[j]
 			if ga.Machine != wa.Machine {
-				t.Fatalf("%v/%v: task %d machine %d vs %d across engines",
+				t.Fatalf("%v/%v: task %d machine %d, reference %d",
 					cfg.Strategy, cfg.Policy, j, ga.Machine, wa.Machine)
 			}
-			if math.Abs(got.Result.Responses[j]-want.Result.Responses[j]) > eps {
-				t.Fatalf("%v/%v: task %d response drifts beyond %v across engines",
+			if math.Abs(got.Result.Responses[j]-want.Responses[j]) > eps {
+				t.Fatalf("%v/%v: task %d response drifts beyond %v from the reference",
 					cfg.Strategy, cfg.Policy, j, eps)
 			}
 		}
-		if math.Abs(got.Result.WastedTime-want.Result.WastedTime) > eps*float64(in.N()) {
-			t.Fatalf("%v/%v: wasted time %v vs %v", cfg.Strategy, cfg.Policy,
-				got.Result.WastedTime, want.Result.WastedTime)
+		if math.Abs(got.Result.WastedTime-want.WastedTime) > eps*float64(in.N()) {
+			t.Fatalf("%v/%v: wasted time %v, reference %v", cfg.Strategy, cfg.Policy,
+				got.Result.WastedTime, want.WastedTime)
 		}
-		// Worker count must be invisible: byte-identical flat outcomes.
+		// Worker count must be invisible: byte-identical outcomes.
 		for _, workers := range []int{2, 8, -1} {
-			wcfg := flatCfg
+			wcfg := cfg
 			wcfg.SimWorkers = workers
 			wout, err := RunOpenSystem(in, arrive, wcfg)
 			if err != nil {
@@ -71,18 +89,18 @@ func TestOpenSystemEngines(t *testing.T) {
 				!reflect.DeepEqual(wout.Result.Schedule.Assignments, got.Result.Schedule.Assignments) ||
 				wout.Result.WastedTime != got.Result.WastedTime ||
 				wout.Result.CancelledReplicas != got.Result.CancelledReplicas {
-				t.Fatalf("%v/%v: SimWorkers=%d changes the flat open outcome",
+				t.Fatalf("%v/%v: SimWorkers=%d changes the open outcome",
 					cfg.Strategy, cfg.Policy, workers)
 			}
 		}
 	}
 }
 
-// TestFlatEngineMatchesEventEngine runs every strategy through the
-// full pipeline on both simulator engines: dispatch decisions must be
-// identical, times within the accumulated nanotick quantization, and
-// the flat engine must agree with itself exactly at every worker
-// count.
+// TestFlatEngineMatchesEventEngine holds the full pipeline against the
+// float event-heap reference (sim.Run under a ListDispatcher) for every
+// strategy: dispatch decisions must be identical, times within the
+// accumulated nanotick quantization, and the pipeline must agree with
+// itself exactly at every worker count.
 func TestFlatEngineMatchesEventEngine(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "zipf", N: 80, M: 12, Alpha: 1.8, Seed: 5})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(55))
@@ -95,39 +113,42 @@ func TestFlatEngineMatchesEventEngine(t *testing.T) {
 	}
 	eps := 1e-9 * float64(in.N()+1)
 	for _, cfg := range cfgs {
-		want, err := Run(in, cfg)
+		p, order := referencePlan(t, in, cfg)
+		d, err := sim.NewListDispatcher(p, order)
 		if err != nil {
-			t.Fatalf("%v: event engine: %v", cfg.Strategy, err)
+			t.Fatal(err)
 		}
-		flatCfg := cfg
-		flatCfg.Engine = sim.EngineFlat
-		got, err := Run(in, flatCfg)
+		want, err := sim.Run(in, d, sim.Options{})
 		if err != nil {
-			t.Fatalf("%v: flat engine: %v", cfg.Strategy, err)
+			t.Fatalf("%v: reference engine: %v", cfg.Strategy, err)
+		}
+		got, err := Run(in, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg.Strategy, err)
 		}
 		for j, ga := range got.Schedule.Assignments {
 			wa := want.Schedule.Assignments[j]
 			if ga.Machine != wa.Machine {
-				t.Fatalf("%v: task %d machine %d vs %d across engines",
+				t.Fatalf("%v: task %d machine %d, reference %d",
 					cfg.Strategy, j, ga.Machine, wa.Machine)
 			}
 			if math.Abs(ga.Start-wa.Start) > eps || math.Abs(ga.End-wa.End) > eps {
-				t.Fatalf("%v: task %d times drift beyond %v across engines", cfg.Strategy, j, eps)
+				t.Fatalf("%v: task %d times drift beyond %v from the reference", cfg.Strategy, j, eps)
 			}
 		}
-		if math.Abs(got.Makespan-want.Makespan) > eps {
-			t.Fatalf("%v: makespan %v vs %v", cfg.Strategy, got.Makespan, want.Makespan)
+		if wm := want.Schedule.Makespan(); math.Abs(got.Makespan-wm) > eps {
+			t.Fatalf("%v: makespan %v, reference %v", cfg.Strategy, got.Makespan, wm)
 		}
-		// Worker count must be invisible: byte-identical flat outcomes.
+		// Worker count must be invisible: byte-identical outcomes.
 		for _, workers := range []int{2, 8, -1} {
-			wcfg := flatCfg
+			wcfg := cfg
 			wcfg.SimWorkers = workers
 			wout, err := Run(in, wcfg)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", cfg.Strategy, workers, err)
 			}
 			if !reflect.DeepEqual(wout.Schedule.Assignments, got.Schedule.Assignments) {
-				t.Fatalf("%v: SimWorkers=%d changes the flat schedule", cfg.Strategy, workers)
+				t.Fatalf("%v: SimWorkers=%d changes the schedule", cfg.Strategy, workers)
 			}
 			if wout.Makespan != got.Makespan {
 				t.Fatalf("%v: SimWorkers=%d changes makespan", cfg.Strategy, workers)

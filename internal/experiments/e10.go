@@ -91,17 +91,18 @@ func (e10) Run(w io.Writer, opts Options) error {
 			}
 			order := v.algo.Order(in)
 
-			healthy, err := sim.RunWithFailures(in, p, order, nil)
+			healthy, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
 			if err != nil {
 				res.err = err
 				return res
 			}
-			res.variants[vi].healthy = healthy.Makespan()
+			healthyMakespan := healthy.Schedule.Makespan()
+			res.variants[vi].healthy = healthyMakespan
 
 			// Crash mid-run: halfway through the healthy makespan.
-			failTime := healthy.Makespan() / 2
-			crashed, err := sim.RunWithFailures(in, p, order,
-				[]sim.Failure{{Machine: failMachine, Time: failTime}})
+			crashed, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{
+				Failures: []sim.Failure{{Machine: failMachine, Time: healthyMakespan / 2}},
+			}, 1)
 			switch {
 			case errors.Is(err, sim.ErrUnsurvivable):
 				res.variants[vi].lost = true
@@ -109,7 +110,7 @@ func (e10) Run(w io.Writer, opts Options) error {
 				res.err = err
 				return res
 			default:
-				res.variants[vi].slowdown = crashed.Makespan() / healthy.Makespan()
+				res.variants[vi].slowdown = crashed.Schedule.Makespan() / healthyMakespan
 			}
 		}
 		return res

@@ -270,11 +270,7 @@ func ABO(in *task.Instance, cfg Config) (*Result, error) {
 	order := make([]int, 0, in.N())
 	order = append(order, s2...)
 	order = append(order, s1...)
-	d, err := sim.NewListDispatcher(p, order)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(in, d, sim.Options{})
+	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
 	if err != nil {
 		return nil, err
 	}

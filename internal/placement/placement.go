@@ -187,6 +187,16 @@ func (p *Placement) EstimatedLoads(in *task.Instance) []float64 {
 	return loads
 }
 
+// SameSet reports whether two non-empty replica sets are one slice —
+// same memory, hence same machines. Replica sets are read-only by
+// convention and tasks with equal sets share one (EverywhereInto hands
+// every task the same slice), so a pass over Sets can skip a set that is
+// the previous task's very slice instead of re-reading it. A false
+// answer says nothing: distinct slices may still hold equal machines.
+func SameSet(a, b []int) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
 // CheckSets validates a slice of replica sets against a machine count
 // m, independently of any instance: every set must be non-empty,
 // reference only machines in [0, m), and be strictly ascending (sorted
@@ -195,10 +205,15 @@ func (p *Placement) EstimatedLoads(in *task.Instance) []float64 {
 // the cluster dispatcher, which reuses the same set shape with
 // backends standing in for machines.
 func CheckSets(sets [][]int, m int) error {
+	var prev []int
 	for j, set := range sets {
 		if len(set) == 0 {
 			return fmt.Errorf("%w: task %d", ErrEmptySet, j)
 		}
+		if SameSet(set, prev) {
+			continue // checked a moment ago
+		}
+		prev = set
 		for idx, i := range set {
 			if i < 0 || i >= m {
 				return fmt.Errorf("%w: task %d machine %d", ErrBadMachine, j, i)

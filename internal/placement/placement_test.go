@@ -260,6 +260,10 @@ func TestPartitionGroupsProperty(t *testing.T) {
 // TestCheckSets exercises the raw-set validator the cluster layer uses
 // for replica sets over backends (no Placement struct involved).
 func TestCheckSets(t *testing.T) {
+	// Tasks with equal replica sets share one slice; the shared-slice
+	// skip must still check the first occurrence, and every distinct
+	// slice behind it.
+	shared, sharedBad := []int{0, 1}, []int{0, 5}
 	cases := []struct {
 		name string
 		sets [][]int
@@ -267,6 +271,10 @@ func TestCheckSets(t *testing.T) {
 		want error
 	}{
 		{"valid", [][]int{{0, 2}, {1}, {0, 1, 2}}, 3, nil},
+		{"shared valid", [][]int{shared, shared, shared}, 3, nil},
+		{"shared invalid", [][]int{sharedBad, sharedBad}, 3, ErrBadMachine},
+		{"invalid after shared", [][]int{shared, shared, {2, 1}, shared}, 3, ErrUnsorted},
+		{"shared prefix of a longer set", [][]int{shared, shared[:1], {4}}, 3, ErrBadMachine},
 		{"empty list", [][]int{}, 3, nil},
 		{"empty set", [][]int{{0}, {}}, 3, ErrEmptySet},
 		{"negative machine", [][]int{{-1}}, 3, ErrBadMachine},

@@ -83,11 +83,9 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	if err := p.Validate(req.Instance); err != nil {
 		return nil, err
 	}
-	d, err := sim.NewListDispatcher(p, a.Order(req.Instance))
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(req.Instance, d, sim.Options{Trace: true})
+	// The same engine, order and shard layout as RunSchedule's
+	// algo.Execute, so the two endpoints agree bit for bit.
+	res, err := sim.RunFlatSharded(req.Instance, p, a.Order(req.Instance), sim.FlatOptions{Trace: true}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
 	"repro/internal/rng"
 	"repro/internal/task"
+	"repro/internal/tick"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
@@ -218,19 +220,30 @@ func TestPropertySimulateAgreesWithSchedule(t *testing.T) {
 }
 
 // TestPropertyWireFloatsSurviveHTTP pushes awkward float shapes
-// (denormals, very large magnitudes) through the full HTTP path and
-// checks the echoed schedule still verifies locally.
+// (denormals, the largest magnitudes the simulator's nanotick range
+// holds) through the full HTTP path and checks the echoed schedule
+// still verifies locally. One tick past the range, the instance is
+// refused up front with the typed 422, on every endpoint that executes
+// it, never as a mid-simulation overflow.
 func TestPropertyWireFloatsSurviveHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	est := []float64{math.SmallestNonzeroFloat64 * 1e10, 1e-300, 1e300, 1, 3.141592653589793}
-	parts := make([]string, len(est))
-	for i, e := range est {
-		parts[i] = fmt.Sprintf("%g", e)
+	// 2^63 ns is the first unrepresentable duration; the float64 just
+	// below it is the largest in range. The two tiny tasks round to zero
+	// ticks, so the sums stay inside the range too.
+	const outOfRange = 9223372036.854775808
+	largest := math.Nextafter(outOfRange, 0)
+	body := func(est []float64) string {
+		parts := make([]string, len(est))
+		for i, e := range est {
+			parts[i] = strconv.FormatFloat(e, 'g', -1, 64)
+		}
+		return fmt.Sprintf(`{"algorithm":"ls-norestriction","instance":{"m":2,"alpha":1,"estimates":[%s]}}`,
+			strings.Join(parts, ","))
 	}
-	body := fmt.Sprintf(`{"algorithm":"ls-norestriction","instance":{"m":2,"alpha":1,"estimates":[%s]}}`,
-		strings.Join(parts, ","))
-	resp, data := post(t, ts, "/v1/schedule", body)
-	if resp.StatusCode != 200 {
+
+	est := []float64{math.SmallestNonzeroFloat64 * 1e10, 1e-300, largest, 1, 3.141592653589793}
+	resp, data := post(t, ts, "/v1/schedule", body(est))
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
 	var out ScheduleResponse
@@ -244,5 +257,23 @@ func TestPropertyWireFloatsSurviveHTTP(t *testing.T) {
 	if err := out.Schedule.Verify(in, out.Placement); err != nil {
 		t.Fatalf("round-tripped schedule fails verification: %v", err)
 	}
-	_ = http.StatusOK
+
+	// In-range durations whose makespan leaves the range: the run
+	// reports the overflow instead of a schedule clamped at the limit.
+	resp, data = post(t, ts, "/v1/schedule", body([]float64{largest, largest, 1}))
+	if resp.StatusCode != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(data), tick.ErrOverflow.Error()) {
+		t.Fatalf("saturating makespan: status %d, body %s; want 422 naming the overflow", resp.StatusCode, data)
+	}
+
+	for _, huge := range []float64{outOfRange, 1e300} {
+		for _, path := range []string{"/v1/schedule", "/v1/simulate"} {
+			resp, data := post(t, ts, path, body([]float64{1, huge}))
+			if resp.StatusCode != http.StatusUnprocessableEntity ||
+				!strings.Contains(string(data), task.ErrTickRange.Error()) {
+				t.Fatalf("%s with a %g s task: status %d, body %s; want 422 naming the tick range",
+					path, huge, resp.StatusCode, data)
+			}
+		}
+	}
 }

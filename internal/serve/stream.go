@@ -118,10 +118,10 @@ func (s *Server) RunSimulateOpen(req *SimulateOpenRequest) (*SimulateOpenRespons
 	if err := p.Validate(req.Instance); err != nil {
 		return nil, err
 	}
-	out, err := sim.RunOpen(req.Instance, p, a.Order(req.Instance), arrive, sim.OpenOptions{
+	out, err := sim.RunFlatOpenSharded(req.Instance, p, a.Order(req.Instance), arrive, sim.OpenOptions{
 		Policy:     policy,
 		CancelCost: req.CancelCost,
-	})
+	}, 1)
 	if err != nil {
 		return nil, err
 	}

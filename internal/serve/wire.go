@@ -280,14 +280,19 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // badRequest classifies a decode/validation error: oversized bodies
-// keep the 413 the MaxBytesReader implies, everything else is a 400.
+// keep the 413 the MaxBytesReader implies, a well-formed instance whose
+// durations the simulator's tick range cannot hold is a 422 like every
+// other request the pipeline cannot execute, everything else is a 400.
 func badRequest(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-		return
+	case errors.Is(err, task.ErrTickRange):
+		writeError(w, http.StatusUnprocessableEntity, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
 	}
-	writeError(w, http.StatusBadRequest, err.Error())
 }
 
 // ParseRetryAfter reads a delay-seconds Retry-After value; anything

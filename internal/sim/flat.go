@@ -18,26 +18,6 @@ var (
 	simFlatShards = obs.GetCounter("sim.flat_shards")
 )
 
-// Engine selects a phase-2 simulator implementation. The two engines
-// execute the same list-scheduling semantics; they differ in number
-// representation and memory layout, and therefore in speed and in the
-// last ulp of reported times.
-type Engine int
-
-const (
-	// EngineEvent is the float64 event-heap reference engine
-	// (Runner/ListDispatcher): pluggable Dispatcher interface, exact
-	// float arithmetic, the engine every analytic experiment and
-	// metamorphic anchor runs on.
-	EngineEvent Engine = iota
-	// EngineFlat is the data-oriented engine (FlatRunner): flat SoA
-	// state, int64 fixed-point time, and per-group sharded execution.
-	// Times are quantized to nanoticks (error ≤ 0.5e-9 s per duration,
-	// inside sched.Verify's tolerance); list-scheduling decisions match
-	// EngineEvent except on sub-nanotick ties.
-	EngineFlat
-)
-
 // FlatOptions configures a flat-engine run. It is the FlatRunner
 // counterpart of Options plus fail-stop crash injection.
 type FlatOptions struct {
@@ -252,6 +232,12 @@ func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	}
 	simFlatRuns.Inc()
 	simFlatShards.Add(int64(r.nShards))
+	var stats spanStats
+	for w := range r.scratch {
+		stats.add(r.scratch[w].stats)
+	}
+	simEventsPopped.Add(stats.popped)
+	stats.flushPaths()
 
 	// Merge: the error a sequential global event loop would hit first
 	// is the one with the minimum (time, machine) key across shards.
@@ -422,9 +408,12 @@ func (r *FlatRunner) ensureScratch(workers int) {
 		next := make([]flatScratch, workers)
 		copy(next, r.scratch[:cap(r.scratch)])
 		r.scratch = next
-		return
+	} else {
+		r.scratch = r.scratch[:workers]
 	}
-	r.scratch = r.scratch[:workers]
+	for w := range r.scratch {
+		r.scratch[w].stats = spanStats{}
+	}
 }
 
 // Slice-regrow helpers: retain capacity, reallocate only on growth.

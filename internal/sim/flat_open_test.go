@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -499,5 +501,190 @@ func TestSatAddScaled(t *testing.T) {
 		if got := satAddScaled(c.acc, c.each, c.cnt); got != want {
 			t.Errorf("satAddScaled(%d, %d, %d) = %d, want %d", c.acc, c.each, c.cnt, got, want)
 		}
+	}
+}
+
+// TestFlatOpenWideRaceMatchesWheelAndEvent is the differential for
+// race collapse past one mask word: on uniform CancelOnCompletion
+// shards of 65, 127, 128 and 192 machines the race path, the wheel
+// loop and the reference OpenRunner must be byte-identical — across
+// cancel costs, arrival shapes (a t=0 burst, a steady stream, a sparse
+// one that lets the whole shard go dormant between tasks) and worker
+// counts. Inputs are whole seconds, exact in float64 and in ticks. The
+// wheel loop is reached through an identity Duration hook, which
+// disqualifies race collapse without changing any duration; the
+// shards-by-path counter confirms which path each run took.
+func TestFlatOpenWideRaceMatchesWheelAndEvent(t *testing.T) {
+	raceShards := obs.GetCounter("sim.shards_race_collapse")
+	for _, m := range []int{65, 127, 128, 192} {
+		n := 3 * m
+		in := openExactInstance(t, n, m, uint64(m))
+		order := lptOrder(in)
+		identity := func(j, _ int) float64 { return in.Tasks[j].Actual }
+		placements := []struct {
+			name   string
+			p      *placement.Placement
+			shards int64
+		}{
+			{"all", placement.Everywhere(n, m), 1},
+		}
+		if m == 192 {
+			// Two uniform shards of 96 machines: two-word masks with a
+			// half-empty top word, and real shard parallelism.
+			placements = append(placements, struct {
+				name   string
+				p      *placement.Placement
+				shards int64
+			}{"group96", groupPlacement(t, n, m, 2, 7), 2})
+		}
+		for _, gap := range []int{1, 3, 40} {
+			r := rng.New(uint64(m + gap))
+			arrive := make([]float64, n)
+			at := 0.0
+			for i := range arrive {
+				at += float64(r.Intn(gap))
+				arrive[i] = at
+			}
+			for _, pc := range placements {
+				for _, cost := range []float64{1, 7} {
+					label := "m=" + itoa(m) + "/" + pc.name + "/gap<" + itoa(gap) + "/cost=" + itoa(int(cost))
+					opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: cost}
+					want, err := RunOpen(in, pc.p, order, arrive, opts)
+					if err != nil {
+						t.Fatalf("%s: event engine: %v", label, err)
+					}
+					hooked := opts
+					hooked.Duration = identity
+					before := raceShards.Load()
+					wheel, err := RunFlatOpenSharded(in, pc.p, order, arrive, hooked, 1)
+					if err != nil {
+						t.Fatalf("%s: wheel loop: %v", label, err)
+					}
+					if d := raceShards.Load() - before; d != 0 {
+						t.Fatalf("%s: hooked run took the race path on %d shards", label, d)
+					}
+					requireSameOpenResult(t, label+"/wheel", wheel, want)
+					for _, w := range flatWorkerCounts() {
+						before := raceShards.Load()
+						got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts, w)
+						if err != nil {
+							t.Fatalf("%s/workers=%d: race path: %v", label, w, err)
+						}
+						if d := raceShards.Load() - before; d != pc.shards {
+							t.Fatalf("%s/workers=%d: %d shards on the race path, want %d", label, w, d, pc.shards)
+						}
+						requireSameOpenResult(t, label+"/workers="+itoa(w), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlatOpenSaturationIsAnError pins the tick-range edge of the open
+// engine: in-range inputs whose end time or waste sum clamps at
+// tick.Max fail with the overflow error on every replay path instead
+// of reporting a schedule that ends at the limit.
+func TestFlatOpenSaturationIsAnError(t *testing.T) {
+	near := tick.Max.Seconds() * 0.75
+	in := &task.Instance{M: 2, Alpha: 1, Tasks: []task.Task{
+		{ID: 0, Estimate: near, Actual: near},
+		{ID: 1, Estimate: near, Actual: near},
+		{ID: 2, Estimate: near, Actual: near},
+	}}
+	mixed := placement.New(3, 2)
+	mixed.Sets[0], mixed.Sets[1], mixed.Sets[2] = []int{0, 1}, []int{0}, []int{0, 1}
+	for _, c := range []struct {
+		name string
+		p    *placement.Placement
+		opts OpenOptions
+	}{
+		{"uniform", placement.Everywhere(3, 2), OpenOptions{Policy: CancelOnStart}},
+		{"race", placement.Everywhere(3, 2), OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}},
+		{"general", mixed, OpenOptions{Policy: CancelOnStart}},
+	} {
+		_, err := RunFlatOpen(in, c.p, identityOrder(3), make([]float64, 3), c.opts)
+		if !errors.Is(err, tick.ErrOverflow) {
+			t.Errorf("%s: err = %v, want tick.ErrOverflow", c.name, err)
+		}
+	}
+}
+
+// TestFlatEnginesExportRunCounters checks the flat engines' obs output:
+// the run counters the event engines export (events popped, stale
+// entries skipped, cancelled replicas) move under the same names, and
+// every shard is attributed to exactly one replay path.
+func TestFlatEnginesExportRunCounters(t *testing.T) {
+	names := []string{
+		"sim.events_popped", "sim.open_events_popped", "sim.open_stale_skipped", "sim.open_cancelled_replicas",
+		"sim.shards_linear", "sim.shards_uniform", "sim.shards_race_collapse", "sim.shards_general",
+	}
+	delta := func(run func()) map[string]int64 {
+		before := make([]int64, len(names))
+		for i, name := range names {
+			before[i] = obs.GetCounter(name).Load()
+		}
+		run()
+		d := map[string]int64{}
+		for i, name := range names {
+			d[name] = obs.GetCounter(name).Load() - before[i]
+		}
+		return d
+	}
+	in := openExactInstance(t, 60, 6, 31)
+	order := lptOrder(in)
+	arrive := openExactArrivals(60, 32)
+
+	// Batch: four singleton shards replay linearly (no events), the
+	// two-machine shard pops one event per task plus one per retiring
+	// machine.
+	mixed := placement.New(60, 6)
+	pairTasks := 0
+	for j := 0; j < 60; j++ {
+		if j%3 == 0 {
+			mixed.AssignSet(j, []int{4, 5})
+			pairTasks++
+		} else {
+			mixed.Assign(j, j%4)
+		}
+	}
+	d := delta(func() {
+		if _, err := RunFlatSharded(in, mixed, order, FlatOptions{}, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d["sim.shards_linear"] != 4 || d["sim.shards_general"] != 1 || d["sim.events_popped"] != int64(pairTasks+2) {
+		t.Errorf("batch run: %v", d)
+	}
+
+	// Open, wheel loop: every cancelled replica leaves one stale entry.
+	var res *OpenResult
+	d = delta(func() {
+		var err error
+		res, err = RunFlatOpenSharded(in, placement.Everywhere(60, 6), order, arrive,
+			OpenOptions{Policy: CancelOnCompletion}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d["sim.shards_uniform"] != 1 || res.CancelledReplicas == 0 ||
+		d["sim.open_cancelled_replicas"] != int64(res.CancelledReplicas) ||
+		d["sim.open_stale_skipped"] != int64(res.CancelledReplicas) ||
+		d["sim.open_events_popped"] <= d["sim.open_stale_skipped"] {
+		t.Errorf("wheel-loop run (cancelled %d): %v", res.CancelledReplicas, d)
+	}
+
+	// Open, race collapse: one wheel event per task, nothing stale.
+	d = delta(func() {
+		var err error
+		res, err = RunFlatOpenSharded(in, placement.Everywhere(60, 6), order, arrive,
+			OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d["sim.shards_race_collapse"] != 1 || d["sim.open_events_popped"] != 60 ||
+		d["sim.open_stale_skipped"] != 0 || d["sim.open_cancelled_replicas"] != int64(res.CancelledReplicas) {
+		t.Errorf("race-collapse run (cancelled %d): %v", res.CancelledReplicas, d)
 	}
 }

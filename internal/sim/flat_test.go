@@ -13,6 +13,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
+	"repro/internal/tick"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
@@ -446,3 +447,40 @@ func TestFlatNoTraceByDefault(t *testing.T) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
+
+// TestFlatSaturationIsAnError pins the tick-range edge of the batch
+// engine: in-range durations whose completion time clamps at tick.Max
+// fail with the overflow error on the linear, heap and fail-stop paths
+// alike, at the same error for every worker count.
+func TestFlatSaturationIsAnError(t *testing.T) {
+	near := tick.Max.Seconds() * 0.75
+	in := &task.Instance{M: 2, Alpha: 1, Tasks: []task.Task{
+		{ID: 0, Estimate: near, Actual: near},
+		{ID: 1, Estimate: near, Actual: near},
+		{ID: 2, Estimate: near, Actual: near},
+	}}
+	single := placement.New(3, 2)
+	for j := 0; j < 3; j++ {
+		single.Assign(j, 0)
+	}
+	for _, c := range []struct {
+		name string
+		p    *placement.Placement
+		opts FlatOptions
+	}{
+		{"linear", single, FlatOptions{}},
+		{"heap", placement.Everywhere(3, 2), FlatOptions{}},
+		{"failures", placement.Everywhere(3, 2), FlatOptions{Failures: []Failure{{Machine: 1, Time: 1}}}},
+	} {
+		_, want := RunFlat(in, c.p, identityOrder(3), c.opts)
+		if !errors.Is(want, tick.ErrOverflow) {
+			t.Errorf("%s: err = %v, want tick.ErrOverflow", c.name, want)
+			continue
+		}
+		for _, w := range flatWorkerCounts() {
+			if _, err := RunFlatSharded(in, c.p, identityOrder(3), c.opts, w); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s/workers=%d: err = %v, want %v", c.name, w, err, want)
+			}
+		}
+	}
+}

@@ -74,8 +74,9 @@ import (
 // parked as per-tick machine bitmasks that rejoin the next race as a
 // block. That turns the replicate-everywhere benchmark configuration
 // from Θ(n·m) wheel events into Θ(n) — the difference between ~200k
-// and several million tasks/s at m=64. The path requires a uniform
-// shard of ≤ 64 machines (one mask word), CancelOnCompletion, no
+// and several million tasks/s at m=64. Cohort masks are ⌈machines/64⌉
+// words from the worker's parkSet, so the shard's width is no gate. The
+// path requires a uniform shard, CancelOnCompletion, no
 // Duration hook, strictly positive durations (a zero-duration race
 // could finish inside its own dispatch tick), and a strictly positive
 // cancel cost (at zero cost a cancelled loser re-wakes inside its
@@ -157,9 +158,8 @@ type FlatOpenRunner struct {
 	shardEnd       []tick.Tick
 	shardErrs      []spanError
 
-	// Per-worker event wheels and park scratch (race-collapse cohorts).
-	wheels []openWheel
-	parks  [][]parkGroup
+	// Per-worker event wheel, race-collapse cohorts and tallies.
+	workers []openScratch
 
 	// raceEnd[j] is the completion tick of task j's race, valid once
 	// started[j] under the race-collapse fast path (raceOK).
@@ -206,8 +206,7 @@ func (r *FlatOpenRunner) Reset(n, m int) {
 	r.shardWasted = r.shardWasted[:0]
 	r.shardEnd = r.shardEnd[:0]
 	r.shardErrs = r.shardErrs[:0]
-	r.wheels = r.wheels[:0] // backing entries (and their buffers) are reused
-	r.parks = r.parks[:0]   // likewise
+	r.workers = r.workers[:0] // backing entries (and their buffers) are reused
 	r.raceEnd = r.raceEnd[:0]
 	r.raceOK = false
 	r.order = nil
@@ -273,25 +272,32 @@ func (r *FlatOpenRunner) run(in *task.Instance, p *placement.Placement, order []
 	if workers < 1 {
 		workers = 1
 	}
-	r.ensureWheels(workers)
+	r.ensureWorkers(workers)
 	if workers <= 1 {
-		w := &r.wheels[0]
+		sc := &r.workers[0]
 		for s := 0; s < r.nShards; s++ {
-			r.replaySpan(p, s, w, &r.parks[0], opts)
+			r.replaySpan(p, s, sc, opts)
 		}
 	} else {
 		// Striped shard assignment, exactly as FlatRunner: ownership is
 		// deterministic but output-irrelevant.
 		par.Map(workers, workers, func(w int) struct{} {
-			wh := &r.wheels[w]
+			sc := &r.workers[w]
 			for s := w; s < r.nShards; s += workers {
-				r.replaySpan(p, s, wh, &r.parks[w], opts)
+				r.replaySpan(p, s, sc, opts)
 			}
 			return struct{}{}
 		})
 	}
 	flatOpenRuns.Inc()
 	flatOpenShards.Add(int64(r.nShards))
+	var stats spanStats
+	for w := range r.workers {
+		stats.add(r.workers[w].stats)
+	}
+	openEventsPopped.Add(stats.popped)
+	openStaleSkipped.Add(stats.stale)
+	stats.flushPaths()
 
 	// Merge. The error a sequential global event loop would hit first
 	// is the one with the minimum (time, machine) key across shards.
@@ -321,6 +327,12 @@ func (r *FlatOpenRunner) run(in *task.Instance, p *placement.Placement, order []
 	if completed != n {
 		return nil, fmt.Errorf("sim: %d of %d tasks never executed", n-completed, n)
 	}
+	// Every completion and wake-up time is ≤ end, so a clamped addition
+	// anywhere in the run shows here (or in the waste sum).
+	if end == tick.Max || wasted == tick.Max {
+		return nil, fmt.Errorf("sim: open run's end time or wasted time: %w", tick.ErrOverflow)
+	}
+	openCancellations.Add(int64(cancelled))
 	r.res.CancelledReplicas = cancelled
 	r.res.WastedTime = wasted.Seconds()
 	r.res.End = end.Seconds()
@@ -501,19 +513,21 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 // here must not allocate (the hotalloc rule enforces it).
 //
 //perf:hotpath
-func (r *FlatOpenRunner) replaySpan(p *placement.Placement, s int, w *openWheel,
-	parks *[]parkGroup, opts *OpenOptions) {
+func (r *FlatOpenRunner) replaySpan(p *placement.Placement, s int, sc *openScratch,
+	opts *OpenOptions) {
 	ms := r.shardMachines[r.shardOff[s]:r.shardOff[s+1]]
 	tasks := r.shardTasks[r.shardTaskOff[s]:r.shardTaskOff[s+1]]
-	w.reset(r.shift)
-	if r.uniform[s] {
-		if r.raceOK && len(ms) <= 64 {
-			r.replayUniformRace(s, ms, tasks, w, parks)
-		} else {
-			r.replayUniform(s, ms, tasks, w, opts)
-		}
-	} else {
-		r.replayGeneral(p, s, ms, tasks, w, opts)
+	sc.wheel.reset(r.shift)
+	switch {
+	case !r.uniform[s]:
+		sc.stats.general++
+		r.replayGeneral(p, s, ms, tasks, sc, opts)
+	case r.raceOK:
+		sc.stats.race++
+		r.replayUniformRace(s, ms, tasks, sc)
+	default:
+		sc.stats.uniform++
+		r.replayUniform(s, ms, tasks, sc, opts)
 	}
 }
 
@@ -612,7 +626,8 @@ func (r *FlatOpenRunner) openHookTick(s, j, machine int, now tick.Tick, opts *Op
 // policy-split rule from the file comment: CancelOnStart pops
 // (started ⇒ skipped-by-everyone), CancelOnCompletion peeks past done
 // entries so racing machines all see the front task.
-func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, w *openWheel, opts *OpenOptions) {
+func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, sc *openScratch, opts *OpenOptions) {
+	w := &sc.wheel
 	base := int(r.shardTaskOff[s])
 	hn := 0 // shared heap length
 	onStart := opts.Policy == CancelOnStart
@@ -639,8 +654,10 @@ func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, w *openWheel, o
 		}
 
 		ev := w.pop()
+		sc.stats.popped++
 		i := ev.m
 		if ev.seq != r.seq[i] {
+			sc.stats.stale++
 			continue // superseded by a cancellation re-schedule
 		}
 		now := ev.t
@@ -693,28 +710,84 @@ func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, w *openWheel, o
 	r.shardEnd[s] = end
 }
 
-// parkGroup is a cohort of shard-local machines (a bitmask) that
-// become free at the same tick: cancelled losers waiting out the
-// cancellation cost, or dormant machines woken by an arrival. Masks
-// are disjoint across a shard's live groups and ticks are unique
-// (parkAdd merges equal ticks), so at most 64 groups exist and the
-// linear scans below are trivially cheap next to the wheel traffic
-// they replace.
-type parkGroup struct {
-	t    tick.Tick
-	mask uint64
+// openScratch is one worker's private replay state: its event wheel,
+// its race-collapse cohorts, and its tally for the run's counters.
+// Each worker owns one, so shards running concurrently share nothing.
+type openScratch struct {
+	wheel openWheel
+	parks parkSet
+	stats spanStats
 }
 
-// parkAdd merges mask into the group at tick t, appending a new group
-// if none exists yet. The append reuses capacity across runs.
-func parkAdd(parks []parkGroup, t tick.Tick, mask uint64) []parkGroup {
-	for i := range parks {
-		if parks[i].t == t {
-			parks[i].mask |= mask
-			return parks
+// parkSet is the race-collapse path's machine bookkeeping. A machine
+// set is a bitmask over shard-local machine indices, ⌈machines/64⌉
+// words wide. A park group is a cohort of machines that become free at
+// the same tick: cancelled losers waiting out the cancellation cost, or
+// dormant machines woken by an arrival. Group masks are disjoint and
+// group ticks unique (add merges equal ticks), so at most one group per
+// machine exists and the linear scans over ticks are trivially cheap
+// next to the wheel traffic they replace. All four slices are regrown
+// by append only, so they keep their capacity across shards and runs.
+type parkSet struct {
+	ticks   []tick.Tick // ticks[k] is group k's free tick
+	masks   []uint64    // group k's machines at masks[k*nw : (k+1)*nw]
+	dormant []uint64    // idle machines with nothing to run
+	unit    []uint64    // the cohort being dispatched
+}
+
+// reset empties the set for a shard of m machines, all dormant, and
+// returns the mask width in words.
+func (ps *parkSet) reset(m int) int {
+	nw := (m + 63) / 64
+	ps.ticks = ps.ticks[:0]
+	ps.masks = ps.masks[:0]
+	ps.dormant = ps.dormant[:0]
+	ps.unit = ps.unit[:0]
+	for x := 0; x < nw; x++ {
+		ps.dormant = append(ps.dormant, ^uint64(0))
+		ps.unit = append(ps.unit, 0)
+	}
+	if rem := uint(m) % 64; rem != 0 {
+		ps.dormant[nw-1] = uint64(1)<<rem - 1
+	}
+	return nw
+}
+
+// add merges mask into the group at tick t, opening a new group if
+// none exists yet.
+func (ps *parkSet) add(t tick.Tick, mask []uint64) {
+	for k, gt := range ps.ticks {
+		if gt == t {
+			g := ps.masks[k*len(mask):]
+			for x, w := range mask {
+				g[x] |= w
+			}
+			return
 		}
 	}
-	return append(parks, parkGroup{t: t, mask: mask})
+	ps.ticks = append(ps.ticks, t)
+	ps.masks = append(ps.masks, mask...)
+}
+
+// remove drops group k, moving the last group into its slot.
+func (ps *parkSet) remove(k, nw int) {
+	last := len(ps.ticks) - 1
+	ps.ticks[k] = ps.ticks[last]
+	copy(ps.masks[k*nw:(k+1)*nw], ps.masks[last*nw:])
+	ps.ticks = ps.ticks[:last]
+	ps.masks = ps.masks[:last*nw]
+}
+
+// wordBelow is the mask of a word's bits below position b, for any b:
+// empty at b ≤ 0, full at b ≥ 64.
+func wordBelow(b int) uint64 {
+	switch {
+	case b <= 0:
+		return 0
+	case b >= 64:
+		return ^uint64(0)
+	}
+	return uint64(1)<<uint(b) - 1
 }
 
 // satAddScaled is acc + each×cnt with the saturation behaviour of cnt
@@ -738,34 +811,36 @@ func satAddScaled(acc, each tick.Tick, cnt int32) tick.Tick {
 // liveness seq, since a winner is never cancelled — and each later
 // joiner is accounted as a guaranteed loser in O(1) and parked in a
 // per-tick cohort bitmask until its cancellation cost is paid.
-func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWheel,
-	pp *[]parkGroup) {
+func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScratch) {
+	w, ps := &sc.wheel, &sc.parks
 	base := int(r.shardTaskOff[s])
 	hn := 0 // shared heap length
 	ti := 0
-	dormant := ^uint64(0) >> (64 - uint(len(ms)))
-	parks := (*pp)[:0]
+	nw := ps.reset(len(ms))
+	dormant, unit := ps.dormant, ps.unit
+	anyDormant := true
 	var completedCount, cancelled int32
+	var popped int64
 	var end, wasted tick.Tick
-	for ti < len(tasks) || !w.empty() || len(parks) > 0 {
+	for ti < len(tasks) || !w.empty() || len(ps.ticks) > 0 {
 		// Earliest machine event: wheel top vs parked-cohort minimum.
 		// Park ticks are unique, so the minimum is a single group.
 		evT := tick.Max
 		pi := -1
-		for k := range parks {
-			if parks[k].t < evT {
-				evT = parks[k].t
+		for k, t := range ps.ticks {
+			if pi < 0 || t < evT {
+				evT = t
 				pi = k
 			}
 		}
-		wi := int32(-1) // local index of the wheel-top winner if it ties evT
+		wi := -1 // local index of the wheel-top winner if it ties evT
 		if !w.empty() {
 			if wt := w.peek(); wt.t < evT {
 				evT = wt.t
 				pi = -1
-				wi = wt.m
+				wi = int(wt.m)
 			} else if wt.t == evT {
-				wi = wt.m
+				wi = int(wt.m)
 			}
 		}
 
@@ -776,9 +851,10 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 				ti++
 				posPush(r.sharedPos, base, hn, r.posOf[j])
 				hn++
-				if dormant != 0 {
-					parks = parkAdd(parks, at, dormant)
-					dormant = 0
+				if anyDormant {
+					ps.add(at, dormant)
+					clear(dormant)
+					anyDormant = false
 				}
 				continue
 			}
@@ -788,23 +864,27 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 		// The batch unit: parked machines below a tying winner wake
 		// before its completion (the reference pops equal-tick events in
 		// machine order); everything else waits for a later iteration.
-		var unit uint64
+		cnt := int32(0) // machines in the unit
 		if pi >= 0 {
-			unit = parks[pi].mask
-			if wi >= 0 {
-				unit &= uint64(1)<<uint(wi) - 1
-			}
-			if unit != 0 {
-				if parks[pi].mask &^= unit; parks[pi].mask == 0 {
-					last := len(parks) - 1
-					parks[pi] = parks[last]
-					parks = parks[:last]
+			g := ps.masks[pi*nw : (pi+1)*nw]
+			var rest uint64
+			for x, word := range g {
+				if wi >= 0 {
+					word &= wordBelow(wi - 64*x)
 				}
+				unit[x] = word
+				g[x] &^= word
+				rest |= g[x]
+				cnt += int32(bits.OnesCount64(word))
+			}
+			if cnt > 0 && rest == 0 {
+				ps.remove(pi, nw)
 			}
 		}
-		if unit == 0 {
+		if cnt == 0 {
 			// Winner completion; never stale, winners are never cancelled.
 			ev := w.pop()
+			popped++
 			i := ms[ev.m]
 			j := r.runTask[i]
 			r.runTask[i] = -1
@@ -817,7 +897,9 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 				Task: int(j), Machine: int(i), Start: r.runStart[i].Seconds(), End: now.Seconds(),
 			}
 			completedCount++
-			unit = uint64(1) << uint(ev.m)
+			clear(unit)
+			unit[ev.m>>6] = uint64(1) << uint(ev.m&63)
+			cnt = 1
 		}
 
 		// Dispatch the whole unit against the shared front. The front
@@ -837,13 +919,21 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 			break
 		}
 		if j < 0 {
-			dormant |= unit
+			for x, word := range unit {
+				dormant[x] |= word
+			}
+			anyDormant = true
 			continue
 		}
 		if !r.started[j] {
 			// New race: the lowest-indexed machine of the cohort starts
 			// first, wins, and is the only replica that ever completes.
-			l := bits.TrailingZeros64(unit)
+			x := 0
+			for unit[x] == 0 {
+				x++
+			}
+			b := bits.TrailingZeros64(unit[x])
+			l := 64*x + b
 			i := ms[l]
 			r.started[j] = true
 			r.runTask[i] = j
@@ -851,27 +941,27 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 			re := tick.SatAdd(now, r.durTick[j])
 			r.raceEnd[j] = re
 			w.push(wEvent{t: re, m: int32(l)})
-			unit &^= uint64(1) << uint(l)
+			unit[x] &^= uint64(1) << uint(b)
+			cnt--
 		}
-		if unit != 0 {
+		if cnt > 0 {
 			// Guaranteed losers: cancelled when the race ends, so their
 			// waste and wake-up are known now (see the file comment).
 			re := r.raceEnd[j]
-			cnt := int32(bits.OnesCount64(unit))
 			cancelled += cnt
 			wasted = satAddScaled(wasted, tick.SatAdd(re-now, r.cancelTick), cnt)
 			free := tick.SatAdd(re, r.cancelTick)
 			if end < free {
 				end = free
 			}
-			parks = parkAdd(parks, free, unit)
+			ps.add(free, unit)
 		}
 	}
 	r.shardDone[s] = completedCount
 	r.shardCancelled[s] = cancelled
 	r.shardWasted[s] = wasted
 	r.shardEnd[s] = end
-	*pp = parks // persist the grown capacity for the next shard or run
+	sc.stats.popped += popped
 }
 
 // replayGeneral is the shard event loop for mixed replica sets: each
@@ -880,7 +970,8 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, w *openWhee
 // identical eligibility semantics to the reference engine's sorted
 // queues, with O(log n) insertion instead of O(n) memmove.
 func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks []int32,
-	w *openWheel, opts *OpenOptions) {
+	sc *openScratch, opts *OpenOptions) {
+	w := &sc.wheel
 	onStart := opts.Policy == CancelOnStart
 	ti := 0
 	var completedCount, cancelled int32
@@ -904,8 +995,10 @@ func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks 
 		}
 
 		ev := w.pop()
+		sc.stats.popped++
 		i := ev.m
 		if ev.seq != r.seq[i] {
+			sc.stats.stale++
 			continue
 		}
 		now := ev.t
@@ -945,22 +1038,16 @@ func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks 
 	r.shardEnd[s] = end
 }
 
-func (r *FlatOpenRunner) ensureWheels(workers int) {
-	if cap(r.wheels) < workers {
-		next := make([]openWheel, workers)
-		copy(next, r.wheels[:cap(r.wheels)])
-		r.wheels = next
+func (r *FlatOpenRunner) ensureWorkers(workers int) {
+	if cap(r.workers) < workers {
+		next := make([]openScratch, workers)
+		copy(next, r.workers[:cap(r.workers)])
+		r.workers = next
 	} else {
-		r.wheels = r.wheels[:workers]
+		r.workers = r.workers[:workers]
 	}
-	// Park scratch per worker, same reuse discipline: the inner slices
-	// keep their ≤ 64-entry capacity across runs.
-	if cap(r.parks) < workers {
-		next := make([][]parkGroup, workers)
-		copy(next, r.parks[:cap(r.parks)])
-		r.parks = next
-	} else {
-		r.parks = r.parks[:workers]
+	for w := range r.workers {
+		r.workers[w].stats = spanStats{}
 	}
 }
 

@@ -1,9 +1,54 @@
 package sim
 
 import (
+	"fmt"
+
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tick"
 )
+
+// Shards by the replay path that executed them, over both flat engines:
+// the counters that say whether a run's shards reached a fast path or
+// fell to the general loop.
+var (
+	shardsLinear  = obs.GetCounter("sim.shards_linear")
+	shardsUniform = obs.GetCounter("sim.shards_uniform")
+	shardsRace    = obs.GetCounter("sim.shards_race_collapse")
+	shardsGeneral = obs.GetCounter("sim.shards_general")
+)
+
+// spanStats is one worker's tally over the shards it executed: plain
+// ints bumped by the span loops and flushed to obs once per run, so
+// the per-event cost is an increment, never an atomic.
+type spanStats struct {
+	popped, stale                  int64 // events popped; of those, superseded entries skipped
+	linear, uniform, race, general int64 // shards by path
+}
+
+func (a *spanStats) add(b spanStats) {
+	a.popped += b.popped
+	a.stale += b.stale
+	a.linear += b.linear
+	a.uniform += b.uniform
+	a.race += b.race
+	a.general += b.general
+}
+
+func (a *spanStats) flushPaths() {
+	shardsLinear.Add(a.linear)
+	shardsUniform.Add(a.uniform)
+	shardsRace.Add(a.race)
+	shardsGeneral.Add(a.general)
+}
+
+// errSaturated is the shard error for a completion time that hit
+// tick.SatAdd's clamp: the schedule past that point would be a
+// plausible-looking fiction, so the run fails instead.
+func errSaturated(j, machine int32) error {
+	//lint:ignore hotalloc tick-range overflow path: the run is over, allocation is fine
+	return fmt.Errorf("sim: completion of task %d on machine %d: %w", j, machine, tick.ErrOverflow)
+}
 
 // mEvent is a machine event (idle or crash) in fixed-point time: the
 // flat engine's replacement for idleEvent. Ordering is (tick, machine)
@@ -108,8 +153,13 @@ func (ss *shardSet) partition(p *placement.Placement) {
 	for i := range ss.parent {
 		ss.parent[i] = int32(i)
 	}
+	var prev []int
 	for j := 0; j < n; j++ {
 		set := p.Sets[j]
+		if placement.SameSet(set, prev) {
+			continue // united a moment ago
+		}
+		prev = set
 		root := ss.find(int32(set[0]))
 		for _, i := range set[1:] {
 			if ri := ss.find(int32(i)); ri != root {

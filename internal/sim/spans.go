@@ -15,6 +15,7 @@ type flatScratch struct {
 	heap    []mEvent
 	retry   []int32
 	crashes []mEvent
+	stats   spanStats
 }
 
 // runSpan executes shard s to completion, writing only task-, machine-
@@ -43,6 +44,7 @@ func (r *FlatRunner) runSpan(in *task.Instance, p *placement.Placement, s int,
 			}
 		}
 		if len(sc.crashes) > 0 {
+			sc.stats.general++
 			r.runSpanFailures(p, s, ms, sc)
 			return
 		}
@@ -50,9 +52,11 @@ func (r *FlatRunner) runSpan(in *task.Instance, p *placement.Placement, s int,
 		// plain list scheduling, and every started task completes.
 	}
 	if len(ms) == 1 {
+		sc.stats.linear++
 		r.replayLinear(s, ms[0], opts)
 		return
 	}
+	sc.stats.general++
 	r.runSpanHeap(s, ms, sc, opts)
 }
 
@@ -83,6 +87,11 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 			}
 		}
 		end := tick.SatAdd(now, d)
+		if end == tick.Max {
+			r.shardErrs[s] = spanError{key: mEvent{t: now, m: mach}, err: errSaturated(j, mach)}
+			r.shardStarted[s] = int32(k)
+			return
+		}
 		r.sched.Assignments[j] = sched.Assignment{
 			Task: int(j), Machine: mi, Start: now.Seconds(), End: end.Seconds(),
 		}
@@ -112,9 +121,11 @@ func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatO
 		trace = r.res.Trace[2*r.shardTaskOff[s]:]
 	}
 	started := int32(0)
+	popped := int64(0)
 	for len(h) > 0 {
 		var ev mEvent
 		h, ev = mPop(h)
+		popped++
 		i := ev.m
 		q := r.qTasks[r.qOff[i]:r.qOff[i+1]]
 		j := int32(-1)
@@ -141,6 +152,10 @@ func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatO
 			}
 		}
 		end := tick.SatAdd(ev.t, d)
+		if end == tick.Max {
+			r.shardErrs[s] = spanError{key: ev, err: errSaturated(j, i)}
+			break
+		}
 		r.sched.Assignments[j] = sched.Assignment{
 			Task: int(j), Machine: int(i), Start: ev.t.Seconds(), End: end.Seconds(),
 		}
@@ -152,6 +167,7 @@ func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatO
 		h = mPush(h, mEvent{t: end, m: i})
 	}
 	r.shardStarted[s] = started
+	sc.stats.popped += popped
 	sc.heap = h[:0]
 }
 
@@ -264,6 +280,7 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 		}
 		var ev mEvent
 		h, ev = mPop(h)
+		sc.stats.popped++
 		i := ev.m
 		if r.dead[i] {
 			continue
@@ -305,6 +322,10 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 			continue
 		}
 		end := tick.SatAdd(ev.t, r.durTick[j])
+		if end == tick.Max {
+			r.shardErrs[s] = spanError{key: ev, err: errSaturated(j, i)}
+			return completedCount, h, retry
+		}
 		r.runTask[i] = j
 		r.runEnd[i] = end
 		r.sched.Assignments[j] = sched.Assignment{

@@ -51,9 +51,8 @@ func wheelTime(r *rng.Source, base tick.Tick, shift uint) tick.Tick {
 // random op sequence, checking pop-order totality, the seq-liveness
 // rule, and size bookkeeping. Shared by the fuzz target and the
 // deterministic coverage test.
-func runWheelOps(t *testing.T, ops int, shift uint, seed uint64) {
+func runWheelOps(t *testing.T, ops int, shift uint, machines int, seed uint64) {
 	t.Helper()
-	const machines = 7
 	r := rng.New(seed)
 	var w openWheel
 	w.reset(shift)
@@ -61,8 +60,8 @@ func runWheelOps(t *testing.T, ops int, shift uint, seed uint64) {
 	// Caller-side sequence counters and the latest pushed event per
 	// machine: when a live event pops, it must be exactly the machine's
 	// most recent push (everything older was invalidated or popped).
-	var seqNow [machines]uint32
-	var last [machines]wEvent
+	seqNow := make([]uint32, machines)
+	last := make([]wEvent, machines)
 	var clock tick.Tick // lower bound for new pushes, as in the runner
 
 	for op := 0; op < ops; op++ {
@@ -121,6 +120,11 @@ func runWheelOps(t *testing.T, ops int, shift uint, seed uint64) {
 	}
 }
 
+// wheelFuzzMachines is the machine-count axis of the wheel fuzz: the
+// original seven, and counts on both sides of the 64- and 128-machine
+// word boundaries.
+var wheelFuzzMachines = [...]int{7, 65, 127, 128, 192}
+
 // FuzzOpenWheel fuzzes the calendar-queue invariants of the open
 // engine's event structure: pops follow the total (t, machine) order
 // across all three tiers (active heap, ring bucket, overflow heap —
@@ -133,10 +137,16 @@ func FuzzOpenWheel(f *testing.F) {
 	f.Add(uint16(200), uint8(20), uint64(0xfeed))
 	f.Add(uint16(500), uint8(4), uint64(42))
 	f.Add(uint16(31), uint8(62), uint64(7)) // max shift: every event in bucket 0
+	// Past 64 machines, as the multi-word race path's local winner
+	// indices reach the wheel: byte/24 picks the machine count.
+	f.Add(uint16(400), uint8(24+10), uint64(65))
+	f.Add(uint16(600), uint8(72+0), uint64(128))
+	f.Add(uint16(500), uint8(96+20), uint64(192))
 	f.Fuzz(func(t *testing.T, opsRaw uint16, shiftRaw uint8, seed uint64) {
 		ops := 1 + int(opsRaw)%600
 		shift := uint(shiftRaw) % 24
-		runWheelOps(t, ops, shift, seed)
+		machines := wheelFuzzMachines[int(shiftRaw/24)%len(wheelFuzzMachines)]
+		runWheelOps(t, ops, shift, machines, seed)
 	})
 }
 
@@ -145,7 +155,7 @@ func FuzzOpenWheel(f *testing.F) {
 func TestOpenWheelOrdering(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		for _, shift := range []uint{0, 3, 10, 20} {
-			runWheelOps(t, 400, shift, 1000+seed)
+			runWheelOps(t, 400, shift, wheelFuzzMachines[int(seed)%len(wheelFuzzMachines)], 1000+seed)
 		}
 	}
 }
@@ -177,9 +187,9 @@ func TestWheelShift(t *testing.T) {
 		want uint
 	}{
 		{0, 0},
-		{15, 0},  // mean/16 < 1: minimum bucket
-		{16, 0},  // w=1: still the minimum
-		{64, 2},  // w=4 → shift 2
+		{15, 0}, // mean/16 < 1: minimum bucket
+		{16, 0}, // w=1: still the minimum
+		{64, 2}, // w=4 → shift 2
 		{1 << 30, 26},
 		{tick.Max, 58}, // Max/16 = 2^59−1: halves to 1 after 58 shifts
 	}

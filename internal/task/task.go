@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/tick"
 )
 
 // Task is a single unit of work.
@@ -59,6 +61,7 @@ var (
 	ErrBadID       = errors.New("task: task ID must equal its index")
 	ErrActualUnset = errors.New("task: actual processing time not set")
 	ErrOverflow    = errors.New("task: processing times overflow float64")
+	ErrTickRange   = errors.New("task: actual time outside the simulator's nanotick range (under 2^63 ns, about 292 years)")
 )
 
 // CheckMachines centralizes the machine-count check (m ≥ 1) so that
@@ -94,6 +97,12 @@ func (in *Instance) N() int { return len(in.Tasks) }
 // α·p̃_j must be representable. Such instances would otherwise
 // propagate +Inf through load accounting, makespans, and optimum
 // estimates and surface as NaN comparisons deep inside the solvers.
+//
+// Checked actuals must also be representable in the simulator's
+// fixed-point time (tick.FromSeconds): phase 2 cannot execute a
+// duration it cannot express, and refusing it here gives every entry
+// point one typed error (ErrTickRange) instead of a mid-simulation
+// failure.
 func (in *Instance) Validate(withActuals bool) error {
 	if err := CheckMachines(in.M); err != nil {
 		return err
@@ -105,6 +114,7 @@ func (in *Instance) Validate(withActuals bool) error {
 		return err
 	}
 	sumEst, sumAct := 0.0, 0.0
+	longest := 0 // index of the largest actual
 	for i, t := range in.Tasks {
 		if t.ID != i {
 			return fmt.Errorf("%w: index %d has ID %d", ErrBadID, i, t.ID)
@@ -124,6 +134,9 @@ func (in *Instance) Validate(withActuals bool) error {
 				return err
 			}
 			sumAct += t.Actual
+			if t.Actual > in.Tasks[longest].Actual {
+				longest = i
+			}
 		}
 	}
 	if math.IsInf(sumEst, 0) {
@@ -131,6 +144,11 @@ func (in *Instance) Validate(withActuals bool) error {
 	}
 	if withActuals && math.IsInf(sumAct, 0) {
 		return fmt.Errorf("%w: total actual time is +Inf", ErrOverflow)
+	}
+	if withActuals {
+		if _, err := tick.FromSeconds(in.Tasks[longest].Actual); err != nil {
+			return fmt.Errorf("%w: task %d actual %v", ErrTickRange, longest, in.Tasks[longest].Actual)
+		}
 	}
 	return nil
 }

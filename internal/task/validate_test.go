@@ -73,6 +73,27 @@ func TestValidateOverflow(t *testing.T) {
 		}
 	})
 
+	t.Run("actual outside the tick range", func(t *testing.T) {
+		// 2^63 ns is the first duration the simulator cannot express;
+		// the float64 just below it is the last it can.
+		const outOfRange = 9223372036.854775808
+		for _, c := range []struct {
+			actual float64
+			ok     bool
+		}{{math.Nextafter(outOfRange, 0), true}, {outOfRange, false}, {1e300, false}} {
+			in := &Instance{M: 2, Alpha: 1, Tasks: []Task{
+				{ID: 0, Estimate: 1, Actual: 1},
+				{ID: 1, Estimate: c.actual, Actual: c.actual},
+			}}
+			if err := in.Validate(false); err != nil {
+				t.Fatalf("actual %g: estimates alone should pass: %v", c.actual, err)
+			}
+			if err := in.Validate(true); c.ok != (err == nil) || (!c.ok && !errors.Is(err, ErrTickRange)) {
+				t.Fatalf("actual %g: Validate = %v, want ok=%v / ErrTickRange", c.actual, err, c.ok)
+			}
+		}
+	})
+
 	t.Run("ordinary instance still accepted", func(t *testing.T) {
 		in, err := New(3, 1.5, []float64{1, 2, 3}, []float64{1.2, 2.5, 2.1})
 		if err != nil {
