@@ -72,7 +72,7 @@ bench:
 # committed baseline. BENCHTIME must match the conditions the baseline
 # was recorded under (see EXPERIMENTS.md) or the comparison is unfair.
 BENCHTIME ?= 500ms
-BASELINE  ?= BENCH_12.json
+BASELINE  ?= BENCH_14.json
 
 benchreport:
 	$(GO) run ./cmd/benchreport -baseline $(BASELINE) -benchtime $(BENCHTIME)
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTimeConv -fuzztime=30s ./internal/tick/
 	$(GO) test -fuzz=FuzzGroupPartition -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzOpenWheel -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzEstimateKernels -fuzztime=30s ./internal/opt/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/workload/
 	$(GO) test -fuzz=FuzzInstanceJSON -fuzztime=30s ./internal/task/
 	$(GO) test -fuzz=FuzzDecodeInstance -fuzztime=30s ./internal/serve/

@@ -1,4 +1,4 @@
-// Tests over the committed benchmark baseline: BENCH_12.json is not
+// Tests over the committed benchmark baseline: BENCH_14.json is not
 // just a drift reference for cmd/benchreport, it also carries the
 // performance claims this repo makes (DESIGN.md, EXPERIMENTS.md E5 and
 // E11). Re-measuring on every CI host would be flaky; asserting on the
@@ -12,6 +12,15 @@ import (
 	"os"
 	"testing"
 )
+
+// coldSolveParent is what the parent of the cold-solve rewrite measured
+// on the EstimateCold specs (same benchsuite code, same host, same
+// BENCHTIME), and the multiple of it the committed baseline must hold.
+var coldSolveParent = map[string]struct{ tasksPerSec, factor float64 }{
+	"EstimateCold/n=10k,m=64": {tasksPerSec: 385_281, factor: 3},
+	"EstimateCold/n=2k,m=512": {tasksPerSec: 101_963, factor: 3},
+	"EstimateCold/n=200,m=8":  {tasksPerSec: 1_303_525, factor: 1},
+}
 
 // benchBaseline mirrors the cmd/benchreport report schema.
 type benchBaseline struct {
@@ -36,15 +45,19 @@ type benchBaseline struct {
 // fresh copy of every task's replica set). The flat-engine Scaling
 // entries inherit the zero-allocation simulator but still allocate in
 // placement scoring, so beyond the Groups8 cap only their presence is
-// asserted here; benchreport gates their drift.
+// asserted here; benchreport gates their drift. EstimateCold pins the
+// near-linear cold optimum solve against the rates its parent commit
+// recorded for the same three specs on the same host (CHANGES.md, PR
+// 14): the two large shapes at ≥ 3× the parent's rate in ≤ 256 KB/op
+// (the dense kernels took 5.5 and 8.3 MB), the small one no slower.
 func TestCommittedBaselineClaims(t *testing.T) {
-	data, err := os.ReadFile("BENCH_12.json")
+	data, err := os.ReadFile("BENCH_14.json")
 	if err != nil {
 		t.Fatalf("reading committed baseline: %v", err)
 	}
 	var base benchBaseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("parsing BENCH_12.json: %v", err)
+		t.Fatalf("parsing BENCH_14.json: %v", err)
 	}
 	found := map[string]bool{}
 	for _, m := range base.Benchmarks {
@@ -74,6 +87,15 @@ func TestCommittedBaselineClaims(t *testing.T) {
 				t.Errorf("OpenSimLoop/m=128 records %d allocs/op (%d B/op), want zero steady-state allocations",
 					m.AllocsPerOp, m.BytesPerOp)
 			}
+		case "EstimateCold/n=10k,m=64", "EstimateCold/n=2k,m=512", "EstimateCold/n=200,m=8":
+			parent := coldSolveParent[m.Name]
+			if m.TasksPerSec < parent.factor*parent.tasksPerSec {
+				t.Errorf("%s records %.0f tasks/s, below %.0fx the parent's %.0f",
+					m.Name, m.TasksPerSec, parent.factor, parent.tasksPerSec)
+			}
+			if m.BytesPerOp > 256<<10 {
+				t.Errorf("%s records %d B/op, want a cold solve within 256 KB", m.Name, m.BytesPerOp)
+			}
 		case "Scaling/Groups8/n=10k":
 			if m.AllocsPerOp > 64 {
 				t.Errorf("Scaling/Groups8/n=10k records %d allocs/op, want the post-validateGroups-fix ≤ 64",
@@ -90,6 +112,9 @@ func TestCommittedBaselineClaims(t *testing.T) {
 		"Scaling/NoReplication/n=100k",
 		"Scaling/Groups8/n=10k",
 		"Scaling/Everywhere/n=10k",
+		"EstimateCold/n=10k,m=64",
+		"EstimateCold/n=2k,m=512",
+		"EstimateCold/n=200,m=8",
 	} {
 		if !found[name] {
 			t.Errorf("committed baseline is missing %s", name)

@@ -151,6 +151,17 @@ func BenchmarkEstimateCache(b *testing.B) {
 	})
 }
 
+// BenchmarkEstimateCold measures the cold optimum solve behind a memo
+// miss at the three shapes cmd/bench's workloads solve, via the curated
+// suite.
+func BenchmarkEstimateCold(b *testing.B) {
+	for _, s := range benchsuite.Curated() {
+		if rest, ok := strings.CutPrefix(s.Name, "EstimateCold/"); ok {
+			b.Run(rest, s.Run)
+		}
+	}
+}
+
 // BenchmarkScaling measures the end-to-end two-phase pipeline
 // (placement + simulation + scoring) per strategy and task count — the
 // data behind E5, via the curated suite.

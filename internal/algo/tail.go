@@ -58,7 +58,7 @@ func (r replicateTail) Place(in *task.Instance) (*placement.Placement, error) {
 	loads := make([]float64, in.M)
 	for pos, j := range order {
 		if pos >= cut {
-			p.AssignSet(j, all)
+			p.Sets[j] = all // one ascending set shared by the whole tail
 			continue
 		}
 		best := 0

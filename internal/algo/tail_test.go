@@ -1,9 +1,11 @@
 package algo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/opt"
+	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -181,5 +183,35 @@ func TestRegistryTail(t *testing.T) {
 		if _, err := New(bad); err == nil {
 			t.Errorf("New(%q) accepted", bad)
 		}
+	}
+}
+
+// TestReplicateTailSharesOneSet pins the tail's shared replica set: it
+// is element-wise what placement.AssignSet built per task, and every
+// tail task holds the same slice.
+func TestReplicateTailSharesOneSet(t *testing.T) {
+	in := workload.MustNew(workload.Spec{Name: "zipf", N: 30, M: 5, Alpha: 2, Seed: 3})
+	p, err := ReplicateTail(6).Place(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := placement.New(1, in.M)
+	want.AssignSet(0, []int{4, 2, 0, 1, 3, 2})
+	var first []int
+	for j, set := range p.Sets {
+		if len(set) == 1 {
+			continue
+		}
+		if !slices.Equal(set, want.Sets[0]) {
+			t.Fatalf("task %d: set %v, AssignSet built %v", j, set, want.Sets[0])
+		}
+		if first == nil {
+			first = set
+		} else if !placement.SameSet(set, first) {
+			t.Fatalf("task %d holds the all-machines set in its own slice", j)
+		}
+	}
+	if first == nil {
+		t.Fatal("no replicated task")
 	}
 }

@@ -8,8 +8,8 @@
 // The set is curated, not exhaustive: each entry pins one hot path
 // the performance work in this repo cares about — the end-to-end
 // two-phase pipeline per strategy and size, the bare simulator event
-// loop (the zero-allocation target), the memo-cache hit path, and one
-// solver-heavy experiment.
+// loop (the zero-allocation target), the memo-cache hit path and the
+// cold solve behind a miss, and one solver-heavy experiment.
 package benchsuite
 
 import (
@@ -255,6 +255,47 @@ func estimateWarmSpec() Spec {
 	}
 }
 
+// estimateColdSpec measures what a memo miss costs: the cold optimum
+// solve every fresh instance pays once before its scores become hits.
+// The inputs are a ring of distinct pre-generated instances and the
+// memo is emptied, timer stopped, once per lap, so every timed call is
+// a miss; EstimateCache/warm is the other half of the split. The three
+// shapes are the ones cmd/bench's workloads solve: pipeline-fresh
+// (n=10k, m=64), serve-solve (n=2k, m=512) and serve-fanout (n=200,
+// m=8).
+func estimateColdSpec(name string, n, m int) Spec {
+	return Spec{
+		Name:  "EstimateCold/" + name,
+		Tasks: n,
+		Run: func(b *testing.B) {
+			src := rng.New(14)
+			ring := make([][]float64, 16)
+			for k := range ring {
+				ring[k] = make([]float64, n)
+				for i := range ring[k] {
+					ring[k][i] = src.Uniform(1, 100)
+				}
+			}
+			// One untimed lap grows the pooled solve scratch to size.
+			for _, times := range ring {
+				opt.Estimate(times, m, 0)
+			}
+			opt.ResetCache()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%len(ring) == 0 {
+					b.StopTimer()
+					opt.ResetCache()
+					b.StartTimer()
+				}
+				opt.Estimate(ring[i%len(ring)], m, 0)
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+		},
+	}
+}
+
 func experimentSpec(id string) Spec {
 	return Spec{
 		Name: "Experiment/" + id + "-quick",
@@ -288,6 +329,9 @@ func Curated() []Spec {
 		openSimLoopSpec("m=128", 10_000, 128),
 		openSimLoopEventSpec(10_000),
 		estimateWarmSpec(),
+		estimateColdSpec("n=10k,m=64", 10_000, 64),
+		estimateColdSpec("n=2k,m=512", 2_000, 512),
+		estimateColdSpec("n=200,m=8", 200, 8),
 		experimentSpec("e2"),
 		frontTierSpec(32, 6),
 	}

@@ -53,7 +53,7 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 				best = g
 			}
 		}
-		p.AssignSet(j, groups[best])
+		p.Sets[j] = groups[best] // ascending already; shared by the group's tasks
 		loads[best] += in.Tasks[j].Estimate
 	}
 

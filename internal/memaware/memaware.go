@@ -251,17 +251,20 @@ func ABO(in *task.Instance, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	p := placement.New(in.N(), in.M)
+	// Every replicated task shares the one all-machines set, as
+	// placement.EverywhereInto's tasks do: replica sets are read-only, and
+	// a shared slice lets placement.SameSet skip the repeats.
+	all := make([]int, in.M)
+	for i := range all {
+		all[i] = i
+	}
 	var s1, s2 []int
 	for j := range in.Tasks {
 		if inS2[j] {
 			p.Assign(j, pi2[j])
 			s2 = append(s2, j)
 		} else {
-			all := make([]int, in.M)
-			for i := range all {
-				all[i] = i
-			}
-			p.AssignSet(j, all)
+			p.Sets[j] = all
 			s1 = append(s1, j)
 		}
 	}

@@ -2,11 +2,13 @@ package memaware
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bounds"
 	"repro/internal/opt"
+	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -289,6 +291,54 @@ func BenchmarkABO1e4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ABO(in, Config{Delta: 1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestReplicatedSetsAreSharedAndWhatAssignSetBuilt pins the shared
+// replica sets of ABO and GABO: every task's set is element-wise the
+// sorted, deduplicated copy placement.AssignSet used to build per task,
+// and tasks with the same set hold the same slice, so placement.SameSet
+// recognises the repeats.
+func TestReplicatedSetsAreSharedAndWhatAssignSetBuilt(t *testing.T) {
+	in := memInstance(t, 60, 8, 2, 9)
+	groups, err := placement.PartitionGroups(in.M, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abo, err := ABO(in, Config{Delta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gabo, err := GABO(in, Config{Delta: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []int{7, 3, 0, 1, 2, 6, 5, 4, 3} // AssignSet sorts and deduplicates
+	for name, res := range map[string]*Result{"ABO": abo, "GABO": gabo} {
+		if len(res.TimeIntensive) < 2 {
+			t.Fatalf("%s: want several replicated tasks, got %d", name, len(res.TimeIntensive))
+		}
+		want := placement.New(in.N(), in.M)
+		firstOf := map[int]int{} // first machine of a set -> first task holding it
+		for _, j := range res.TimeIntensive {
+			got := res.Placement.Sets[j]
+			if name == "ABO" {
+				want.AssignSet(j, all)
+			} else {
+				want.AssignSet(j, groups[got[0]/2])
+			}
+			if !slices.Equal(got, want.Sets[j]) {
+				t.Fatalf("%s task %d: set %v, AssignSet built %v", name, j, got, want.Sets[j])
+			}
+			if first, ok := firstOf[got[0]]; !ok {
+				firstOf[got[0]] = j
+			} else if !placement.SameSet(got, res.Placement.Sets[first]) {
+				t.Fatalf("%s tasks %d and %d hold equal sets in different slices", name, first, j)
+			}
+		}
+		if err := res.Placement.Validate(in); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

@@ -18,7 +18,6 @@ package opt
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/loadheap"
@@ -32,36 +31,50 @@ var (
 	estimateCalls = obs.GetCounter("opt.estimate_calls")
 	exactSolves   = obs.GetCounter("opt.exact_solves")
 	multifitRuns  = obs.GetCounter("opt.multifit_runs")
+
+	// What a memo miss costs and which kernel steps did the work; the
+	// counters are added once per solve from the scratch's own tallies.
+	solveTimer      = obs.GetTimer("opt.solve")
+	kkUnionMerges   = obs.GetCounter("opt.kk_union_merges")
+	kkOverlapMerges = obs.GetCounter("opt.kk_overlap_merges")
+	ffdProbes       = obs.GetCounter("opt.ffd_probes")
 )
 
-// solveScratch recycles the slices the bound computations sort and
-// pack into. The experiment harness calls PairLowerBound and MultiFit
-// on every scored trial from every worker; without pooling, each call
-// re-allocates an n-sized copy of the times (plus FFD bins) that dies
-// immediately after.
+// solveScratch recycles what a solve sorts, packs and differences in.
+// The experiment harness scores every trial from every worker; without
+// pooling, each miss re-allocates an n-sized copy of the times, the
+// first-fit index and the differencing slab, all dead on return.
 type solveScratch struct {
 	desc  []float64
-	bins  []float64
 	loads loadheap.Heap
+	ffd   ffdIndex
+	kk    ldm
 }
 
 var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
 
+// bracket sorts times into s.desc and returns the combinatorial lower
+// bound with the better of LPT and 24-step MULTIFIT: the interval the
+// exact search starts from.
+func (s *solveScratch) bracket(times []float64, m int) (lb, ub float64) {
+	s.desc = appendDesc(times, s.desc)
+	lb = lowerBoundDesc(times, s.desc, m)
+	ub = lptMakespanDesc(s.desc, m, &s.loads)
+	if mf := multiFitDesc(s.desc, m, 24, lb, ub, &s.ffd); mf < ub {
+		ub = mf
+	}
+	return lb, ub
+}
+
 // appendDesc overwrites buf with a descending-sorted copy of times and
-// returns it. The comparator puts NaNs last, matching the previous
-// sort.Reverse(sort.Float64Slice) order; equal float64 values are
-// interchangeable, so the unstable sort is deterministic.
+// returns it. slices.Sort orders NaNs first, so the reversal puts them
+// last; equal float64 values are interchangeable, so the unstable sort
+// is deterministic. Sorting ascending and reversing is twice as fast as
+// sorting descending through a comparison function.
 func appendDesc(times, buf []float64) []float64 {
 	buf = append(buf[:0], times...)
-	slices.SortFunc(buf, func(a, b float64) int {
-		switch {
-		case a > b || (math.IsNaN(b) && !math.IsNaN(a)):
-			return -1
-		case b > a || (math.IsNaN(a) && !math.IsNaN(b)):
-			return 1
-		}
-		return 0
-	})
+	slices.Sort(buf)
+	slices.Reverse(buf)
 	return buf
 }
 
@@ -103,15 +116,21 @@ func MaxLowerBound(times []float64) float64 {
 // so C* ≥ sum of the k+1 smallest of those, for every k ≥ 1 with
 // k·m+1 ≤ n.
 func PairLowerBound(times []float64, m int) float64 {
-	n := len(times)
-	if n <= m {
+	if len(times) <= m {
 		return 0
 	}
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
 	s.desc = appendDesc(times, s.desc)
-	desc := s.desc
+	return pairLowerBoundDesc(s.desc, m)
+}
 
+// pairLowerBoundDesc is PairLowerBound over descending-sorted times.
+func pairLowerBoundDesc(desc []float64, m int) float64 {
+	n := len(desc)
+	if n <= m {
+		return 0
+	}
 	best := 0.0
 	for k := 1; k*m+1 <= n; k++ {
 		// The k·m+1 largest are desc[:k*m+1]; the k+1 smallest of those
@@ -134,6 +153,20 @@ func LowerBound(times []float64, m int) float64 {
 		lb = v
 	}
 	if v := PairLowerBound(times, m); v > lb {
+		lb = v
+	}
+	return lb
+}
+
+// lowerBoundDesc is LowerBound given the descending-sorted copy of
+// times as well. The sum still runs over times in input order: float
+// addition does not commute with the sort.
+func lowerBoundDesc(times, desc []float64, m int) float64 {
+	lb := SumLowerBound(times, m)
+	if v := MaxLowerBound(times); v > lb {
+		lb = v
+	}
+	if v := pairLowerBoundDesc(desc, m); v > lb {
 		lb = v
 	}
 	return lb
@@ -169,32 +202,97 @@ func LPT(times []float64, m int) (float64, []int) {
 	return loads.MaxLoad(), mapping
 }
 
+// ffdIndex is first fit's view of which items are still unpacked:
+// next[i] is i while item i is unpacked and a later index once it is
+// packed, so following next from i ends at the first unpacked item at
+// or after i, or at n when none is left.
+type ffdIndex struct {
+	next   []int32
+	probes int64 // fit tests made, for the opt.ffd_probes counter
+}
+
+func (x *ffdIndex) reset(n int) {
+	if cap(x.next) < n+1 {
+		x.next = make([]int32, n+1)
+	}
+	x.next = x.next[:n+1]
+	for i := range x.next {
+		x.next[i] = int32(i)
+	}
+}
+
+// free returns the first unpacked item at or after i, halving the
+// path it walks.
+func (x *ffdIndex) free(i int) int {
+	next := x.next
+	for int(next[i]) != i {
+		next[i] = next[next[i]]
+		i = int(next[i])
+	}
+	return i
+}
+
 // ffdFits reports whether first-fit-decreasing packs the tasks into m
-// bins of the given capacity. desc must be sorted non-increasing;
-// binScratch is reusable storage with capacity ≥ m.
-func ffdFits(desc []float64, m int, capacity float64, binScratch []float64) bool {
+// bins of the given capacity. desc must be sorted non-increasing.
+//
+// First fit over a fixed item order can fill one bin at a time: what
+// lands in bin 0 is every item, in order, that fits bin 0 when its turn
+// comes, whatever the later bins hold; bin 1 is the same scan over the
+// items left, and so on. Each bin therefore adds its items in the same
+// order as the item-at-a-time loop and reaches the same float load.
+// Within a bin, "load+p fits" is monotone in p (rounding is), so over
+// the sorted items it is false on a prefix and true on the rest: when
+// the next unpacked item does not fit, a binary search finds the first
+// one that does.
+func ffdFits(desc []float64, m int, capacity float64, x *ffdIndex) bool {
 	const eps = 1e-12
-	bins := binScratch[:0]
-	for _, p := range desc {
-		placed := false
-		for i := range bins {
-			if bins[i]+p <= capacity*(1+eps) {
-				bins[i] += p
-				placed = true
-				break
-			}
+	limit := capacity * (1 + eps)
+	n := len(desc)
+	x.reset(n)
+	next := x.next
+	probes := int64(0)
+	fits := false
+	head := 0 // no item before head is unpacked
+	for bin := 0; ; bin++ {
+		for head < n && int(next[head]) != head {
+			head++
 		}
-		if !placed {
-			if len(bins) == m {
-				return false
+		if head == n {
+			fits = true
+			break
+		}
+		if bin == m || desc[head] > limit {
+			break
+		}
+		load := desc[head]
+		next[head] = int32(head + 1)
+		for i := head + 1; i < n; {
+			if int(next[i]) != i {
+				i = x.free(i)
+				continue
 			}
-			if p > capacity*(1+eps) {
-				return false
+			probes++
+			if load+desc[i] <= limit {
+				load += desc[i]
+				next[i] = int32(i + 1)
+				i++
+				continue
 			}
-			bins = append(bins, p)
+			lo, hi := i+1, n // the first item that fits is in [lo, hi]
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				probes++
+				if load+desc[mid] <= limit {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			i = lo // fits, unless it is packed already
 		}
 	}
-	return true
+	x.probes += probes
+	return fits
 }
 
 // MultiFit runs the MULTIFIT algorithm with the given number of
@@ -202,27 +300,29 @@ func ffdFits(desc []float64, m int, capacity float64, binScratch []float64) bool
 // and returns a makespan achievable by FFD packing, which is an upper
 // bound on C* within a factor 13/11.
 func MultiFit(times []float64, m int, iterations int) float64 {
-	multifitRuns.Inc()
 	if iterations <= 0 {
 		iterations = 20
 	}
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
 	s.desc = appendDesc(times, s.desc)
-	desc := s.desc
-	if cap(s.bins) < m {
-		s.bins = make([]float64, 0, m)
-	}
+	lo := lowerBoundDesc(times, s.desc, m)
+	hi := lptMakespanDesc(s.desc, m, &s.loads)
+	return multiFitDesc(s.desc, m, iterations, lo, hi, &s.ffd)
+}
 
-	lo := LowerBound(times, m)
-	hi := lptMakespanDesc(desc, m, &s.loads)
-	if ffdFits(desc, m, lo, s.bins) {
+// multiFitDesc is MultiFit over descending-sorted times, given the
+// lower bound to start the search from and the LPT makespan to end it
+// at.
+func multiFitDesc(desc []float64, m int, iterations int, lo, hi float64, x *ffdIndex) float64 {
+	multifitRuns.Inc()
+	if ffdFits(desc, m, lo, x) {
 		return lo
 	}
 	// Invariant: FFD fits at hi, does not fit at lo.
 	for it := 0; it < iterations; it++ {
 		mid := (lo + hi) / 2
-		if ffdFits(desc, m, mid, s.bins) {
+		if ffdFits(desc, m, mid, x) {
 			hi = mid
 		} else {
 			lo = mid
@@ -247,10 +347,11 @@ type Result struct {
 // C*_max experiments divide by.
 func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 
-// Estimate brackets C*_max. Instances with n ≤ exactLimit tasks (after
-// quick trivial checks) are solved exactly by branch-and-bound;
-// larger ones get [LowerBound, min(MultiFit, LPT)]. exactLimit ≤ 0
-// selects the default of 20.
+// Estimate brackets C*_max by [LowerBound, min(LPT, MultiFit,
+// KarmarkarKarp)] after quick trivial checks. When the ends do not
+// meet, instances with n ≤ exactLimit tasks are solved exactly by
+// branch-and-bound, and up to n = 60 DualApprox tightens the upper
+// end. exactLimit ≤ 0 selects the default of 20.
 //
 // Results for non-trivial instances are memoized in a concurrency-safe
 // content-addressed cache (Estimate is a pure function of its inputs),
@@ -287,25 +388,30 @@ func Estimate(times []float64, m int, exactLimit int) Result {
 	return res
 }
 
-// estimateUncached is the actual solve behind Estimate's memo cache.
+// estimateUncached is the actual solve behind Estimate's memo cache,
+// for n > m ≥ 2. It sorts the times once; the pair bound, LPT,
+// MULTIFIT, the differencing method and the exact search all read that
+// one descending copy.
 func estimateUncached(times []float64, m int, exactLimit int) Result {
+	defer solveTimer.Start()()
 	n := len(times)
-	lb := LowerBound(times, m)
 	s := solvePool.Get().(*solveScratch)
-	s.desc = appendDesc(times, s.desc)
-	ub := lptMakespanDesc(s.desc, m, &s.loads)
-	solvePool.Put(s)
-	if mf := MultiFit(times, m, 24); mf < ub {
-		ub = mf
-	}
-	if kk := KarmarkarKarp(times, m); kk < ub {
+	defer solvePool.Put(s)
+	s.ffd.probes = 0
+	lb, seed := s.bracket(times, m) // the exact search starts from LPT and MULTIFIT alone
+	desc, ub := s.desc, seed
+	if kk := s.kk.run(desc, m); kk < ub {
 		ub = kk
 	}
+	ffdProbes.Add(s.ffd.probes)
+	kkUnionMerges.Add(s.kk.unions)
+	kkOverlapMerges.Add(s.kk.overlaps)
 	if nearlyEqual(lb, ub) {
 		return Result{Lower: lb, Upper: lb, Exact: true, Method: "bounds"}
 	}
 	if n <= exactLimit {
-		if v, ok := Exact(times, m, 20_000_000); ok {
+		exactSolves.Inc()
+		if v, ok := exactDesc(desc, m, lb, seed, 20_000_000); ok {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}
 		}
 	}
@@ -336,23 +442,24 @@ func Exact(times []float64, m int, maxNodes int) (float64, bool) {
 	if m >= n {
 		return MaxLowerBound(times), true
 	}
-	desc := make([]float64, n)
-	copy(desc, times)
-	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	s := solvePool.Get().(*solveScratch)
+	defer solvePool.Put(s)
+	lb, best := s.bracket(times, m)
+	return exactDesc(s.desc, m, lb, best, maxNodes)
+}
 
+// exactDesc is Exact's search over descending-sorted times, n > m,
+// given the lower bound that proves optimality and the incumbent
+// min(LPT, MULTIFIT) to improve on.
+func exactDesc(desc []float64, m int, lb, best float64, maxNodes int) (float64, bool) {
+	if nearlyEqual(best, lb) {
+		return best, true
+	}
+	n := len(desc)
 	// Suffix sums let the search bound the remaining work.
 	suffix := make([]float64, n+1)
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + desc[i]
-	}
-	lb := LowerBound(times, m)
-	var lh loadheap.Heap
-	best := lptMakespanDesc(desc, m, &lh)
-	if mf := MultiFit(times, m, 24); mf < best {
-		best = mf
-	}
-	if nearlyEqual(best, lb) {
-		return best, true
 	}
 
 	loads := make([]float64, m)
