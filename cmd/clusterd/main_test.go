@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // bootBackends starts n in-process schedd instances for clusterd to
@@ -124,9 +125,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestSplitBackends(t *testing.T) {
-	got := splitBackends(" http://a:8080/ ,, http://b:8080 ,")
+	got := wire.SplitURLs(" http://a:8080/ ,, http://b:8080 ,")
 	want := []string{"http://a:8080", "http://b:8080"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("splitBackends = %v, want %v", got, want)
+		t.Fatalf("wire.SplitURLs = %v, want %v", got, want)
 	}
 }

@@ -29,19 +29,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/front"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -76,7 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := front.Config{
-		Shards:          splitShards(*shards),
+		Shards:          wire.SplitURLs(*shards),
 		VNodes:          *vnodes,
 		Workers:         *workers,
 		AdmitMax:        *admitMax,
@@ -113,22 +111,9 @@ func main() {
 	}
 }
 
-// splitShards parses the -shards list, dropping empty entries and
-// trailing slashes so "url/" and "url" name the same shard.
-func splitShards(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimRight(strings.TrimSpace(part), "/")
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// run serves until ctx is cancelled, then drains in-flight work for at
-// most drain. When ready is non-nil the bound address is sent on it
-// once the listener is up (tests listen on port 0).
+// run is the daemon minus flags and signals: build the tier, probe its
+// upstreams, and serve until ctx is cancelled, then drain in-flight
+// work for at most drain (see wire.ServeUntil for ready).
 func run(ctx context.Context, addr string, cfg front.Config, drain time.Duration, ready chan<- net.Addr) error {
 	f, err := front.New(cfg)
 	if err != nil {
@@ -136,37 +121,5 @@ func run(ctx context.Context, addr string, cfg front.Config, drain time.Duration
 	}
 	f.Start(ctx)
 	defer f.Close()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{
-		Handler:           f.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Detach from the cancelled signal context but keep its values:
-	// the drain window must outlive the trigger that started it.
-	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return wire.ServeUntil(ctx, addr, f.Handler(), drain, ready)
 }

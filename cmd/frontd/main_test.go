@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/front"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // bootShards starts n in-process clusterd shards (each over one
@@ -145,9 +146,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestSplitShards(t *testing.T) {
-	got := splitShards(" http://a:9090/ ,, http://b:9090 ,")
+	got := wire.SplitURLs(" http://a:9090/ ,, http://b:9090 ,")
 	want := []string{"http://a:9090", "http://b:9090"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("splitShards = %v, want %v", got, want)
+		t.Fatalf("wire.SplitURLs = %v, want %v", got, want)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/front"
 	"repro/internal/loadgen"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -169,15 +170,20 @@ func bootTier(ctx context.Context) (*tier, error) {
 	return t, nil
 }
 
-// listen mounts h on an ephemeral loopback port and returns its base
-// URL, registering the server's shutdown with the tier.
+// listen mounts h on an ephemeral loopback port through the daemons'
+// own serve loop and returns its base URL. The tier owns the server's
+// lifetime: it runs until tier.close stops and drains it.
 func (t *tier) listen(h http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	ctx, stop := context.WithCancel(context.Background())
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- wire.ServeUntil(ctx, "127.0.0.1:0", h, time.Second, ready) }()
+	select {
+	case addr := <-ready:
+		t.closers = append(t.closers, func() { stop(); <-done })
+		return "http://" + addr.String(), nil
+	case err := <-done:
+		stop()
 		return "", err
 	}
-	hs := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = hs.Serve(ln) }()
-	t.closers = append(t.closers, func() { _ = hs.Close() })
-	return "http://" + ln.Addr().String(), nil
 }

@@ -27,11 +27,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -39,6 +37,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -88,43 +87,9 @@ func main() {
 	}
 }
 
-// run serves until ctx is cancelled, then drains in-flight requests
-// for at most drain. When ready is non-nil the bound address is sent
-// on it once the listener is up (tests listen on port 0).
+// run is the daemon minus flags and signals: serve until ctx is
+// cancelled, then drain in-flight requests for at most drain (see
+// wire.ServeUntil for ready).
 func run(ctx context.Context, addr string, cfg serve.Config, drain time.Duration, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := serve.New(cfg)
-	hs := &http.Server{
-		Handler: srv.Handler(),
-		// Header reads are bounded independently of the solver
-		// deadline so idle connections cannot pin goroutines.
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Detach from the cancelled signal context but keep its values:
-	// the drain window must outlive the trigger that started it.
-	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return wire.ServeUntil(ctx, addr, serve.New(cfg).Handler(), drain, ready)
 }

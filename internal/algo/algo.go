@@ -107,12 +107,6 @@ func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 // are identical to the package-level Execute: every reused buffer is
 // rebuilt from the inputs before use.
 type Scratch struct {
-	// SimWorkers is the phase-2 simulator's shard worker count: 0 or 1
-	// runs shards sequentially (the right default when trials are
-	// already parallel), < 0 selects GOMAXPROCS. Results are
-	// byte-identical at every count.
-	SimWorkers int
-
 	flat       sim.FlatRunner
 	flatOpen   sim.FlatOpenRunner
 	place      placement.Placement
@@ -166,14 +160,6 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 	return p, nil
 }
 
-// simWorkers resolves SimWorkers' zero value to sequential execution.
-func (s *Scratch) simWorkers() int {
-	if s.SimWorkers == 0 {
-		return 1
-	}
-	return s.SimWorkers
-}
-
 // Execute runs both phases of the algorithm reusing the Scratch's
 // buffers; semantics match the package-level Execute. Phase 2 runs on
 // the flat simulator (sim.FlatRunner), so reported times are
@@ -184,7 +170,7 @@ func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.flat.RunSharded(in, p, s.order, sim.FlatOptions{}, s.simWorkers())
+	res, err := s.flat.RunSharded(in, p, s.order, sim.FlatOptions{}, 1)
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", a.Name(), err)
 	}
@@ -215,7 +201,7 @@ func (s *Scratch) ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.flatOpen.RunSharded(in, p, s.order, arrive, opts, s.simWorkers())
+	res, err := s.flatOpen.RunSharded(in, p, s.order, arrive, opts, 1)
 	if err != nil {
 		return nil, fmt.Errorf("%s: open simulation: %w", a.Name(), err)
 	}

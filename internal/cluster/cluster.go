@@ -27,22 +27,20 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
-// Cluster-wide metrics. Counters are monotone; per-backend gauges are
-// registered in newBackend.
+// Cluster-wide metrics. Counters are monotone; the per-backend gauges
+// (cluster.backend.<id>.inflight, cluster.backend.<id>.breaker) are
+// registered by wire.NewPool under backendNames.
 var (
 	mItems       = obs.GetCounter("cluster.items_total")
 	mDispatches  = obs.GetCounter("cluster.dispatches_total")
@@ -55,6 +53,15 @@ var (
 	tBatch       = obs.GetTimer("cluster.batch")
 	tStream      = obs.GetTimer("cluster.stream")
 )
+
+// backendNames is the cluster tier's vocabulary for its upstreams: a
+// schedd backend sits behind a circuit breaker.
+var backendNames = wire.UpstreamNames{
+	GaugePrefix: "cluster.backend",
+	StateGauge:  "breaker",
+	States:      [3]string{"closed", "open", "half-open"},
+	Opens:       mBreakOpens,
+}
 
 // Config parameterizes the dispatcher. The zero value of every field
 // except Backends selects the documented default.
@@ -183,14 +190,14 @@ func (c Config) withDefaults() Config {
 // Start for background health probing, and mount Handler (or call
 // RunBatch directly).
 type Cluster struct {
-	cfg      Config
-	strat    strategy
-	backends []*backend
+	cfg    Config
+	limits wire.Limits
+	strat  strategy
+	// backends is the pool's upstream list: one wire.Upstream per
+	// schedd, indexed by the ids replica sets use.
+	pool     *wire.Pool
+	backends []*wire.Upstream
 	lat      *latencyWindow
-
-	probeMu   sync.Mutex
-	probeStop context.CancelFunc
-	probeWG   sync.WaitGroup
 }
 
 // New validates the configuration (backend list and strategy) and
@@ -204,16 +211,20 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Transport: cfg.Transport}
-	c := &Cluster{cfg: cfg, strat: strat, lat: newLatencyWindow(256)}
-	for i, url := range cfg.Backends {
-		c.backends = append(c.backends, newBackend(i, url, client, breakerConfig{
-			Threshold:   cfg.BreakerThreshold,
-			BaseBackoff: cfg.BreakerBaseBackoff,
-			MaxBackoff:  cfg.BreakerMaxBackoff,
-		}))
-	}
-	return c, nil
+	pool := wire.NewPool(cfg.Backends, &http.Client{Transport: cfg.Transport}, wire.UpstreamConfig{
+		Threshold:     cfg.BreakerThreshold,
+		BaseBackoff:   cfg.BreakerBaseBackoff,
+		MaxBackoff:    cfg.BreakerMaxBackoff,
+		ProbeInterval: cfg.ProbeInterval,
+	}, &backendNames)
+	return &Cluster{
+		cfg:      cfg,
+		limits:   wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
+		strat:    strat,
+		pool:     pool,
+		backends: pool.Upstreams,
+		lat:      newLatencyWindow(256),
+	}, nil
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -223,59 +234,10 @@ func (c *Cluster) Config() Config { return c.cfg }
 // close the breaker of a recovered backend without waiting for a live
 // dispatch to discover it. The probes stop when ctx is cancelled or
 // when Close is called, whichever comes first.
-func (c *Cluster) Start(ctx context.Context) {
-	c.probeMu.Lock()
-	defer c.probeMu.Unlock()
-	if c.probeStop != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	c.probeStop = cancel
-	for _, b := range c.backends {
-		b := b
-		c.probeWG.Add(1)
-		go func() {
-			defer c.probeWG.Done()
-			c.probeLoop(ctx, b)
-		}()
-	}
-}
+func (c *Cluster) Start(ctx context.Context) { c.pool.Start(ctx) }
 
 // Close stops the health probes started by Start.
-func (c *Cluster) Close() {
-	c.probeMu.Lock()
-	stop := c.probeStop
-	c.probeStop = nil
-	c.probeMu.Unlock()
-	if stop != nil {
-		stop()
-		c.probeWG.Wait()
-	}
-}
-
-// probeLoop polls one backend's /healthz until ctx is done.
-func (c *Cluster) probeLoop(ctx context.Context, b *backend) {
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeInterval)
-		err := b.probe(pctx)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			b.recordFailure(time.Now())
-		} else {
-			b.recordSuccess()
-		}
-	}
-}
+func (c *Cluster) Close() { c.pool.Close() }
 
 // Handler returns the proxy's HTTP surface:
 //
@@ -301,22 +263,17 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := c.DecodeBatch(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, serve.ErrorResponse{Error: err.Error()})
+		wire.BadRequest(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
 	defer cancel()
 	resp, err := c.RunBatch(ctx, req)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, serve.ErrorResponse{Error: err.Error()})
+		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -324,7 +281,8 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{Status: "ok"}
 	live := 0
 	for _, b := range c.backends {
-		st := b.status(now)
+		st := BackendStatus{ID: b.ID, URL: b.URL}
+		st.Breaker, st.Inflight, st.ConsecutiveFailures = b.Health(now)
 		if st.Breaker != "open" {
 			live++
 		}
@@ -334,31 +292,7 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Every breaker open: the pool cannot place anything right now.
 		resp.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// jsonBufPool recycles response-encoding buffers, mirroring serve's
-// writer path. Oversized buffers are dropped instead of pooled.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const jsonBufMax = 1 << 20
-
-// writeJSON mirrors serve's writer byte-for-byte (json.Encoder with a
-// trailing newline), which the metamorphic byte-identity tests depend
-// on; the pooled staging buffer changes only the number of Write
-// calls, not the bytes.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= jsonBufMax {
-			buf.Reset()
-			jsonBufPool.Put(buf)
-		}
-	}()
-	_ = json.NewEncoder(buf).Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 var errNoBackend = fmt.Errorf("cluster: no live replica")

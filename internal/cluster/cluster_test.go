@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // testBackend wraps a real serve handler with fault injection: down
@@ -129,7 +130,7 @@ func testBatch(k int) *BatchRequest {
 			`{"algorithm":%q,"instance":{"m":4,"alpha":1.5,"estimates":[%d,3,9,1,7,5,2,8]}}`,
 			algos[i%len(algos)], i+1)
 		var r serve.ScheduleRequest
-		if err := serve.DecodeStrict(strings.NewReader(body), &r); err != nil {
+		if err := wire.DecodeStrict(strings.NewReader(body), &r); err != nil {
 			panic(err)
 		}
 		req.Requests = append(req.Requests, r)
@@ -262,63 +263,6 @@ func TestReplicaSetsStrategies(t *testing.T) {
 			t.Fatalf("strategy override ignored: %v", sets)
 		}
 	})
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := newBackend(0, "http://x", nil, breakerConfig{
-		Threshold:   2,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  300 * time.Millisecond,
-	})
-	t0 := time.Unix(1000, 0)
-	if b.state(t0) != breakerClosed {
-		t.Fatal("new backend not closed")
-	}
-	b.recordFailure(t0)
-	if b.state(t0) != breakerClosed {
-		t.Fatal("opened below threshold")
-	}
-	b.recordFailure(t0)
-	if b.state(t0) != breakerOpen {
-		t.Fatal("did not open at threshold")
-	}
-	if b.selectable(t0) {
-		t.Fatal("open breaker selectable")
-	}
-	// Window elapses -> half-open, selectable again.
-	t1 := t0.Add(150 * time.Millisecond)
-	if b.state(t1) != breakerHalfOpen || !b.selectable(t1) {
-		t.Fatal("breaker did not half-open after backoff")
-	}
-	// Failed trial doubles the window.
-	b.recordFailure(t1)
-	if b.state(t1) != breakerOpen {
-		t.Fatal("failed trial did not re-open")
-	}
-	if got := b.reopenAt(t1).Sub(t1); got != 200*time.Millisecond {
-		t.Fatalf("second window = %v, want 200ms", got)
-	}
-	// A straggling failure inside the window must not extend it.
-	b.recordFailure(t1.Add(50 * time.Millisecond))
-	if got := b.reopenAt(t1).Sub(t1); got != 200*time.Millisecond {
-		t.Fatalf("straggler extended window to %v", got)
-	}
-	// Another failed trial hits the cap.
-	t2 := t1.Add(250 * time.Millisecond)
-	b.recordFailure(t2)
-	if got := b.reopenAt(t2).Sub(t2); got != 300*time.Millisecond {
-		t.Fatalf("third window = %v, want capped 300ms", got)
-	}
-	// Success closes and resets.
-	b.recordSuccess()
-	if b.state(t2) != breakerClosed {
-		t.Fatal("success did not close breaker")
-	}
-	b.recordFailure(t2)
-	b.recordFailure(t2)
-	if got := b.reopenAt(t2).Sub(t2); got != 100*time.Millisecond {
-		t.Fatalf("backoff not reset after success: %v", got)
-	}
 }
 
 func TestDecodeBatchRejections(t *testing.T) {
@@ -600,14 +544,14 @@ func TestProbeReadmitsRestartedBackend(t *testing.T) {
 	})
 	c.Start(context.Background())
 	bs[0].down.Store(true)
-	c.backends[0].recordFailure(time.Now())
-	c.backends[0].recordFailure(time.Now())
-	if c.backends[0].state(time.Now()) != breakerOpen {
+	c.backends[0].RecordFailure(time.Now())
+	c.backends[0].RecordFailure(time.Now())
+	if c.backends[0].State(time.Now()) != wire.StateOpen {
 		t.Fatal("breaker not open")
 	}
 	bs[0].down.Store(false)
 	deadline := time.Now().Add(2 * time.Second)
-	for c.backends[0].state(time.Now()) != breakerClosed {
+	for c.backends[0].State(time.Now()) != wire.StateClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("probe never closed the breaker of a recovered backend")
 		}
@@ -631,21 +575,5 @@ func TestLatencyWindowQuantile(t *testing.T) {
 	w.observe(50 * time.Millisecond)
 	if q := w.quantile(1.0); q != 50*time.Millisecond {
 		t.Fatalf("post-wrap max = %v, want 50ms", q)
-	}
-}
-
-func TestParseRetryAfter(t *testing.T) {
-	cases := map[string]time.Duration{
-		"1":   time.Second,
-		"0":   0,
-		"":    0,
-		"x":   0,
-		"-5":  0,
-		" 2 ": 2 * time.Second,
-	}
-	for in, want := range cases {
-		if got := serve.ParseRetryAfter(in); got != want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", in, got, want)
-		}
 	}
 }

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +12,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // ItemHeader carries the batch index of a dispatched item to the
@@ -22,23 +20,11 @@ import (
 // executions per item); schedd ignores unknown headers.
 const ItemHeader = "X-Cluster-Item"
 
-// outcome kinds of one dispatch attempt.
-const (
-	oOK         = iota // 200: body is the response
-	oItemErr           // deterministic 4xx: the item itself is bad
-	oThrottled         // 429: honor Retry-After
-	oBackendErr        // 5xx: the backend is unhealthy
-	oTransport         // connection-level failure
-	oCancelled         // outer context done
-)
-
+// outcome is one replica's classified reply, tagged with the backend
+// that gave it.
 type outcome struct {
-	kind       int
-	backendID  int
-	body       []byte
-	errMsg     string
-	retryAfter time.Duration
-	err        error
+	wire.Reply
+	backendID int
 }
 
 // RunBatch dispatches every item of a validated batch across the
@@ -94,7 +80,7 @@ func (c *Cluster) dispatchItem(ctx context.Context, idx int, req *serve.Schedule
 			// Whole replica set unavailable: wait for the earliest
 			// breaker to half-open, then retry. A permanent loss
 			// surfaces as ctx expiry here.
-			if !sleepCtx(ctx, c.reopenDelay(set, time.Now())) {
+			if !wire.SleepCtx(ctx, c.pool.ReopenDelay(set, time.Now())) {
 				return Item{Index: idx, Error: errNoBackend.Error() +
 					": all of " + fmtSet(set) + " unavailable: " + ctx.Err().Error()}
 			}
@@ -104,26 +90,19 @@ func (c *Cluster) dispatchItem(ctx context.Context, idx int, req *serve.Schedule
 			mRedispatch.Inc()
 		}
 		out := c.runReplicas(ctx, idx, body, set, primary)
-		switch out.kind {
-		case oOK:
-			return Item{Index: idx, Response: json.RawMessage(out.body)}
-		case oItemErr:
-			return Item{Index: idx, Error: out.errMsg}
-		case oThrottled:
+		switch out.Kind {
+		case wire.ReplyOK:
+			return Item{Index: idx, Response: json.RawMessage(out.Body)}
+		case wire.ReplyItemErr:
+			return Item{Index: idx, Error: out.ErrMsg}
+		case wire.ReplyThrottled:
 			mRetry429.Inc()
-			d := out.retryAfter
-			if d <= 0 {
-				d = 100 * time.Millisecond
-			}
-			if d > c.cfg.RetryAfterCap {
-				d = c.cfg.RetryAfterCap
-			}
-			if !sleepCtx(ctx, d) {
+			if !wire.SleepCtx(ctx, wire.RetryDelay(out.RetryAfter, c.cfg.RetryAfterCap)) {
 				return Item{Index: idx, Error: "cancelled: " + ctx.Err().Error()}
 			}
-		case oCancelled:
+		case wire.ReplyCancelled:
 			return Item{Index: idx, Error: "cancelled: " + ctx.Err().Error()}
-			// oBackendErr/oTransport: loop re-dispatches.
+			// wire.ReplyUpstreamErr: loop re-dispatches.
 		}
 	}
 }
@@ -133,7 +112,7 @@ func (c *Cluster) dispatchItem(ctx context.Context, idx int, req *serve.Schedule
 // delay. The first decisive outcome (success or deterministic item
 // error) wins and cancels the duplicates via cctx; backend failures
 // are decisive only once every launched replica has failed.
-func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []int, primary *backend) outcome {
+func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []int, primary *wire.Upstream) outcome {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -141,7 +120,7 @@ func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []i
 	go c.send(cctx, primary, idx, body, ch)
 	outstanding := 1
 	hedged := map[int]bool{}
-	used := primary.id
+	used := primary.ID
 
 	var hedgeC <-chan time.Time
 	hedgesLeft := 0
@@ -157,25 +136,28 @@ func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []i
 		select {
 		case out := <-ch:
 			outstanding--
-			switch out.kind {
-			case oOK:
-				c.backends[out.backendID].recordSuccess()
+			switch out.Kind {
+			case wire.ReplyOK:
+				c.backends[out.backendID].RecordSuccess()
 				if hedged[out.backendID] {
 					mHedgeWins.Inc()
 				}
 				return out
-			case oItemErr:
+			case wire.ReplyItemErr:
 				// The backend answered authoritatively; it is healthy
 				// and the item is bad everywhere.
-				c.backends[out.backendID].recordSuccess()
+				c.backends[out.backendID].RecordSuccess()
 				return out
-			case oThrottled:
+			case wire.ReplyThrottled:
 				last = out
-			case oBackendErr, oTransport:
-				c.backends[out.backendID].recordFailure(time.Now())
-				if last.kind != oThrottled {
+			case wire.ReplyUpstreamErr:
+				c.backends[out.backendID].RecordFailure(time.Now())
+				if last.Kind != wire.ReplyThrottled {
 					last = out
 				}
+			case wire.ReplyCancelled:
+				// cctx is only ever done here because ctx is.
+				return out
 			}
 			if outstanding == 0 {
 				return last
@@ -184,7 +166,7 @@ func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []i
 			hedgeC = nil
 			if hedgesLeft > 0 {
 				if hb := c.pick(set, used, time.Now()); hb != nil {
-					hedged[hb.id] = true
+					hedged[hb.ID] = true
 					hedgesLeft--
 					outstanding++
 					mHedges.Inc()
@@ -192,95 +174,38 @@ func (c *Cluster) runReplicas(ctx context.Context, idx int, body []byte, set []i
 				}
 			}
 		case <-ctx.Done():
-			return outcome{kind: oCancelled}
+			return outcome{Reply: wire.Reply{Kind: wire.ReplyCancelled}}
 		}
 	}
 }
 
-// send posts one item to one backend and classifies the result.
-func (c *Cluster) send(ctx context.Context, b *backend, idx int, body []byte, ch chan<- outcome) {
-	b.inflight.Add(1)
-	b.gInflight.Inc()
-	defer func() {
-		b.inflight.Add(-1)
-		b.gInflight.Dec()
-	}()
+// send posts one item to one backend's /v1/schedule and reports the
+// classified reply; a 200's round trip feeds the hedge-delay quantile.
+func (c *Cluster) send(ctx context.Context, b *wire.Upstream, idx int, body []byte, ch chan<- outcome) {
 	mDispatches.Inc()
-
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/schedule", bytes.NewReader(body))
-	if err != nil {
-		ch <- outcome{kind: oTransport, backendID: b.id, err: err}
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ItemHeader, strconv.Itoa(idx))
-	resp, err := b.client.Do(req)
-	if err != nil {
-		ch <- outcome{kind: oTransport, backendID: b.id, err: err}
-		return
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		ch <- outcome{kind: oTransport, backendID: b.id, err: err}
-		return
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	reply := b.Post(ctx, "/v1/schedule", ItemHeader, idx, body)
+	if reply.Kind == wire.ReplyOK {
 		c.lat.observe(time.Since(start))
-		ch <- outcome{kind: oOK, backendID: b.id, body: data}
-	case resp.StatusCode == http.StatusTooManyRequests:
-		ch <- outcome{kind: oThrottled, backendID: b.id,
-			retryAfter: serve.ParseRetryAfter(resp.Header.Get("Retry-After"))}
-	case resp.StatusCode >= 500:
-		ch <- outcome{kind: oBackendErr, backendID: b.id}
-	default:
-		// Deterministic 4xx: surface the backend's error envelope
-		// verbatim so proxied errors match direct ones.
-		msg := strings.TrimSpace(string(data))
-		var e serve.ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		ch <- outcome{kind: oItemErr, backendID: b.id, errMsg: msg}
 	}
+	ch <- outcome{Reply: reply, backendID: b.ID}
 }
 
 // pick returns the selectable replica-set member with the fewest
 // in-flight dispatches (ties to the lowest id), skipping the exclude
 // id; nil when every member's breaker is open.
-func (c *Cluster) pick(set []int, exclude int, now time.Time) *backend {
-	var best *backend
+func (c *Cluster) pick(set []int, exclude int, now time.Time) *wire.Upstream {
+	var best *wire.Upstream
 	for _, i := range set {
 		b := c.backends[i]
-		if b.id == exclude || !b.selectable(now) {
+		if b.ID == exclude || !b.Selectable(now) {
 			continue
 		}
-		if best == nil || b.inflight.Load() < best.inflight.Load() {
+		if best == nil || b.Inflight() < best.Inflight() {
 			best = b
 		}
 	}
 	return best
-}
-
-// reopenDelay returns how long to wait before some member of the set
-// becomes selectable again, clamped to keep the retry loop responsive
-// to restarts the breaker horizon does not know about.
-func (c *Cluster) reopenDelay(set []int, now time.Time) time.Duration {
-	const floor, ceil = time.Millisecond, 100 * time.Millisecond
-	d := ceil
-	for _, i := range set {
-		if at := c.backends[i].reopenAt(now); !at.IsZero() {
-			if until := at.Sub(now); until < d {
-				d = until
-			}
-		}
-	}
-	if d < floor {
-		d = floor
-	}
-	return d
 }
 
 // hedgeDelay derives the duplicate-dispatch delay from the observed
@@ -337,19 +262,6 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 	}
 	sort.Float64s(sorted)
 	return time.Duration(stats.Quantile(sorted, q) * float64(time.Second))
-}
-
-// sleepCtx sleeps d or until ctx is done; it reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 func fmtSet(set []int) string {

@@ -1,25 +1,22 @@
-// Streaming dispatch: the open-system counterpart of /v1/batch. The
-// proxy reads newline-delimited schedule requests, places each item on
-// a replica set the moment it arrives (online greedy, the streaming
-// analogue of replicaSets' batch greedy), dispatches items
-// concurrently under a bounded window, and emits one NDJSON result
-// line per item in input order, flushed as each completes. The window
-// is the backpressure: when Workers items are in flight the reader
-// stops consuming the request body, so a fast client is throttled to
-// the pool's service rate by TCP flow control alone.
+// Streaming dispatch: the open-system counterpart of /v1/batch, on the
+// shared stream pump (wire.Pump). Each line is placed on a replica set
+// the moment it arrives (online greedy, the streaming analogue of
+// replicaSets' batch greedy) and dispatched concurrently; the pump
+// emits one NDJSON result line per item in input order. Its window of
+// Workers pending results is the backpressure: when it is full the
+// reader stops consuming the request body, so a fast client is
+// throttled to the pool's service rate by TCP flow control alone.
 
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"repro/internal/placement"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // streamPlacer assigns replica sets to items as they arrive. For
@@ -87,106 +84,37 @@ func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 	if qs := r.URL.Query().Get("strategy"); qs != "" {
 		var err error
 		if strat, err = parseStrategy(qs, len(c.backends)); err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	placer, err := c.newStreamPlacer(strat)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.StreamTimeout)
 	defer cancel()
 
-	// The stream reads the request body while writing response lines;
-	// without full-duplex mode the HTTP/1.x server closes the unread
-	// body at the first response write, truncating any stream longer
-	// than the server's read-ahead. Errors mean the transport cannot do
-	// full-duplex; the short-stream behavior is unchanged then.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-
-	// The reader goroutine turns lines into single-use future channels
-	// and enqueues them in input order; items needing a backend are
-	// dispatched concurrently, invalid ones resolve immediately. The
-	// bounded queue is both the ordering buffer and the in-flight
-	// window.
-	futures := make(chan chan Item, c.cfg.Workers)
-	go func() {
-		defer close(futures)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), int(c.cfg.MaxBodyBytes))
-		idx := 0
-		emit := func(fut chan Item) bool {
-			select {
-			case futures <- fut:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			fut := make(chan Item, 1)
-			if idx >= c.cfg.MaxStreamItems {
-				fut <- Item{Index: idx, Error: fmt.Sprintf("stream exceeds %d items", c.cfg.MaxStreamItems)}
-				emit(fut)
-				return
-			}
-			if ctx.Err() != nil {
-				return
-			}
+	// Items needing a backend are dispatched concurrently under the
+	// pump's Workers-wide window; invalid ones resolve immediately.
+	wire.Pump(ctx, w, r.Body,
+		wire.Stream{MaxLineBytes: c.cfg.MaxBodyBytes, MaxItems: c.cfg.MaxStreamItems, Window: c.cfg.Workers},
+		failedItem,
+		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
 			var req serve.ScheduleRequest
-			if err := serve.DecodeStrict(bytes.NewReader(line), &req); err != nil {
-				fut <- Item{Index: idx, Error: err.Error()}
-			} else if err := c.checkItem(&req); err != nil {
-				fut <- Item{Index: idx, Error: err.Error()}
-			} else {
-				set := placer.place(&req)
-				i, r := idx, req
-				go func() { fut <- c.dispatchItem(ctx, i, &r, set) }()
+			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
+				return failedItem(idx, err.Error()), nil
 			}
-			if !emit(fut) {
-				return
+			if err := req.Check(c.limits); err != nil {
+				return failedItem(idx, err.Error()), nil
 			}
-			idx++
-		}
-		if err := sc.Err(); err != nil {
-			fut := make(chan Item, 1)
-			fut <- Item{Index: idx, Error: "stream read: " + err.Error()}
-			emit(fut)
-		}
-	}()
-
-	// Drain in order. Every future receives exactly one Item —
-	// dispatchItem returns promptly once ctx expires — so this loop
-	// terminates even when the deadline cuts the stream short.
-	for fut := range futures {
-		item := <-fut
-		writeNDJSON(w, flusher, item)
-	}
+			set := placer.place(&req)
+			return Item{}, func() Item { return c.dispatchItem(ctx, idx, &req, set) }
+		})
 }
 
-// writeNDJSON emits one result line through the pooled-buffer path and
-// flushes it, so the client observes each item as it completes.
-func writeNDJSON(w http.ResponseWriter, flusher http.Flusher, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= jsonBufMax {
-			buf.Reset()
-			jsonBufPool.Put(buf)
-		}
-	}()
-	_ = json.NewEncoder(buf).Encode(v)
-	_, _ = w.Write(buf.Bytes())
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
+// failedItem is the result line of an item that never reached a
+// backend.
+func failedItem(idx int, msg string) Item { return Item{Index: idx, Error: msg} }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/placement"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // BatchRequest is clusterd's /v1/batch body. It is a strict superset
@@ -70,53 +71,18 @@ type BackendStatus struct {
 // re-encoding — the fuzz target enforces that).
 func (c *Cluster) DecodeBatch(r io.Reader) (*BatchRequest, error) {
 	var req BatchRequest
-	if err := serve.DecodeStrict(r, &req); err != nil {
+	if err := wire.DecodeStrict(r, &req); err != nil {
 		return nil, err
 	}
-	if err := c.validateBatch(&req); err != nil {
+	if err := serve.CheckBatch(req.Requests, c.limits); err != nil {
 		return nil, err
-	}
-	return &req, nil
-}
-
-func (c *Cluster) validateBatch(req *BatchRequest) error {
-	if len(req.Requests) == 0 {
-		return errors.New("empty batch")
-	}
-	if len(req.Requests) > c.cfg.MaxBatch {
-		return fmt.Errorf("batch has %d items, limit %d", len(req.Requests), c.cfg.MaxBatch)
-	}
-	for i := range req.Requests {
-		if err := c.checkItem(&req.Requests[i]); err != nil {
-			return fmt.Errorf("item %d: %w", i, err)
-		}
 	}
 	if req.Placement != nil {
 		if err := c.validatePlacementSpec(req.Placement, len(req.Requests)); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// checkItem applies the proxy's per-item limits and the centralized
-// instance validation to one work item. Shared by the batch and
-// streaming paths so both admit exactly the same items.
-func (c *Cluster) checkItem(req *serve.ScheduleRequest) error {
-	if req.Algorithm == "" {
-		return errors.New("missing algorithm")
-	}
-	in := req.Instance
-	if in == nil {
-		return errors.New("missing instance")
-	}
-	if in.N() > c.cfg.MaxTasks {
-		return fmt.Errorf("instance has %d tasks, limit %d", in.N(), c.cfg.MaxTasks)
-	}
-	if in.M > c.cfg.MaxMachines {
-		return fmt.Errorf("instance has %d machines, limit %d", in.M, c.cfg.MaxMachines)
-	}
-	return in.Validate(true)
+	return &req, nil
 }
 
 func (c *Cluster) validatePlacementSpec(spec *PlacementSpec, n int) error {

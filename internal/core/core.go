@@ -90,10 +90,6 @@ type Config struct {
 	// ExactLimit caps the instance size for which the outcome's
 	// optimum is computed exactly; 0 selects the default (20 tasks).
 	ExactLimit int
-	// SimWorkers is the phase-2 simulator's shard worker count; 0 or 1
-	// is sequential, < 0 selects GOMAXPROCS. Outcomes are byte-identical
-	// at every count.
-	SimWorkers int
 }
 
 // ErrBadConfig reports an invalid configuration.
@@ -235,7 +231,6 @@ func (r *Runner) Run(in *task.Instance, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.scratch.SimWorkers = cfg.SimWorkers
 	res, err := r.scratch.Execute(in, a)
 	if err != nil {
 		return nil, err
@@ -246,7 +241,6 @@ func (r *Runner) Run(in *task.Instance, cfg Config) (*Outcome, error) {
 // Execute runs phase 2 of a previously planned placement, reusing the
 // Runner's buffers; the pooled sibling of Plan.Execute.
 func (r *Runner) Execute(pl *Plan, in *task.Instance) (*Outcome, error) {
-	r.scratch.SimWorkers = pl.cfg.SimWorkers
 	res, err := r.scratch.Execute(in, pl.algo)
 	if err != nil {
 		return nil, err
@@ -322,7 +316,6 @@ func (r *Runner) RunOpenSystem(in *task.Instance, arrive []float64, cfg OpenConf
 	if err != nil {
 		return nil, err
 	}
-	r.scratch.SimWorkers = cfg.SimWorkers
 	res, err := r.scratch.ExecuteOpen(in, a, arrive, sim.OpenOptions{
 		Policy:     cfg.Policy,
 		CancelCost: cfg.CancelCost,

@@ -2,6 +2,7 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -60,7 +61,7 @@ func TestAdmissionBatchShedsWith429(t *testing.T) {
 	if got := mShed.Load() - shedBefore; got != n {
 		t.Fatalf("front.shed moved by %d, want %d", got, n)
 	}
-	if got := f.admitted.load(); got != 0 {
+	if got := f.admitted.Load(); got != 0 {
 		t.Fatalf("admission level %d after shed, want 0", got)
 	}
 }
@@ -97,7 +98,7 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 				return
 			default:
 			}
-			if v := f.admitted.load(); v > maxSeen {
+			if v := f.admitted.Load(); v > maxSeen {
 				maxSeen = v
 			}
 			time.Sleep(500 * time.Microsecond)
@@ -154,7 +155,7 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 		t.Fatalf("front.shed moved by %d, %d shed responses observed", got, shed)
 	}
 	// Drain: every level and gauge back where it started.
-	if got := f.admitted.load(); got != 0 {
+	if got := f.admitted.Load(); got != 0 {
 		t.Fatalf("admission level %d after drain", got)
 	}
 	if got := gInflight.Load(); got != inflightBefore {
@@ -164,7 +165,7 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 		t.Fatalf("front.shard_inflight %d after drain, started at %d", got, shardTotalBefore)
 	}
 	for i, s := range f.shards {
-		if got := s.inflight.Load(); got != 0 {
+		if got := s.Inflight(); got != 0 {
 			t.Fatalf("shard %d inflight %d after drain", i, got)
 		}
 	}
@@ -232,7 +233,7 @@ func TestAdmissionStreamShedsInBand(t *testing.T) {
 	if got := mShed.Load() - shedBefore; got != int64(shed) {
 		t.Fatalf("front.shed moved by %d, %d shed lines observed", got, shed)
 	}
-	if got := f.admitted.load(); got != 0 {
+	if got := f.admitted.Load(); got != 0 {
 		t.Fatalf("admission level %d after stream drained", got)
 	}
 }
@@ -242,11 +243,21 @@ func TestAdmissionStreamShedsInBand(t *testing.T) {
 // item (capacity does not re-route), and the error names the shard and
 // the hint.
 func TestShardInflightCapSheds(t *testing.T) {
-	_, urls := newTestShards(t, 1)
+	shards, urls := newTestShards(t, 1)
 	f := mustFront(t, Config{Shards: urls, ShardInflight: 1})
-	// Pin the only shard at its cap artificially.
-	f.shards[0].inflight.Add(1)
-	defer f.shards[0].inflight.Add(-1)
+	// Pin the only shard at its cap with one slow item in flight (the
+	// delay also bounds how long the test server's Close waits).
+	shards[0].delay.Store(int64(500 * time.Millisecond))
+	ctx, cancel := context.WithCancel(context.Background())
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		_, _ = f.RunBatch(ctx, frontBatch(1))
+	}()
+	defer func() { cancel(); <-held }()
+	for f.shards[0].Inflight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 
 	shedBefore := mShed.Load()
 	req := frontBatch(1)

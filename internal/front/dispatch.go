@@ -1,37 +1,19 @@
 package front
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
-	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // ItemHeader carries the front-tier batch index of a dispatched item
 // to the shard. Purely observational (the chaos tests use it to map
 // sub-requests back to items); clusterd ignores unknown headers.
 const ItemHeader = "X-Front-Item"
-
-// outcome kinds of one shard dispatch attempt.
-const (
-	oOK        = iota // 200: item holds the shard's result
-	oReject           // deterministic 4xx: the item itself is bad
-	oThrottled        // 429: honor Retry-After
-	oShardErr         // 5xx or transport: the shard is unhealthy
-	oCancelled        // outer context done
-)
-
-type outcome struct {
-	kind       int
-	item       Item
-	errMsg     string
-	retryAfter time.Duration
-}
 
 // dispatchItem runs one work item to completion: hash it to its home
 // shard, forward it as a single-item clusterd batch, and on shard
@@ -60,48 +42,42 @@ func (f *Front) dispatchItem(ctx context.Context, idx int, req *serve.ScheduleRe
 		s, shed := f.pick(order, time.Now())
 		if shed {
 			mShed.Inc()
-			return Item{Index: idx, Error: "shed: shard " + strconv.Itoa(s.id) +
+			return Item{Index: idx, Error: "shed: shard " + strconv.Itoa(s.ID) +
 				" at in-flight cap; retry after " + f.retryAfterValue() + "s"}
 		}
 		if s == nil {
 			// Whole ring dead: wait for the earliest readmission window,
 			// then retry. A permanent loss surfaces as ctx expiry here.
-			if !sleepCtx(ctx, f.readmitDelay(order, time.Now())) {
+			if !wire.SleepCtx(ctx, f.pool.ReopenDelay(order, time.Now())) {
 				return Item{Index: idx, Error: "front: no live shard: " + ctx.Err().Error()}
 			}
 			continue
 		}
-		if s.id != order[0] {
+		if s.ID != order[0] {
 			mRerouted.Inc()
 		}
-		out := f.send(ctx, s, idx, body)
-		switch out.kind {
-		case oOK:
-			s.recordSuccess()
-			out.item.Index = idx
-			return out.item
-		case oReject:
+		item, reply := f.send(ctx, s, idx, body)
+		switch reply.Kind {
+		case wire.ReplyOK:
+			s.RecordSuccess()
+			item.Index = idx
+			return item
+		case wire.ReplyItemErr:
 			// The shard answered authoritatively; it is healthy and the
-			// item is bad everywhere.
-			s.recordSuccess()
-			return Item{Index: idx, Error: out.errMsg}
-		case oThrottled:
+			// item is bad everywhere. The front validated the item with
+			// the same rules, so this is the rare limit mismatch.
+			s.RecordSuccess()
+			return Item{Index: idx, Error: reply.ErrMsg}
+		case wire.ReplyThrottled:
 			mRetry429.Inc()
-			d := out.retryAfter
-			if d <= 0 {
-				d = 100 * time.Millisecond
-			}
-			if d > f.cfg.RetryAfterCap {
-				d = f.cfg.RetryAfterCap
-			}
-			if !sleepCtx(ctx, d) {
+			if !wire.SleepCtx(ctx, wire.RetryDelay(reply.RetryAfter, f.cfg.RetryAfterCap)) {
 				return Item{Index: idx, Error: "cancelled: " + ctx.Err().Error()}
 			}
-		case oShardErr:
-			s.recordFailure(time.Now())
+		case wire.ReplyUpstreamErr:
+			s.RecordFailure(time.Now())
 			// Loop: the next pick walks past the (possibly now-dead)
 			// shard to its ring successor.
-		case oCancelled:
+		case wire.ReplyCancelled:
 			return Item{Index: idx, Error: "cancelled: " + ctx.Err().Error()}
 		}
 	}
@@ -114,11 +90,11 @@ func (f *Front) dispatchItem(ctx context.Context, idx int, req *serve.ScheduleRe
 func (f *Front) pick(order []int, now time.Time) (s *shard, shed bool) {
 	for _, i := range order {
 		sh := f.shards[i]
-		if !sh.selectable(now) {
+		if !sh.Selectable(now) {
 			continue
 		}
 		if !f.cfg.DisableShedding && f.cfg.ShardInflight > 0 &&
-			sh.inflight.Load() >= int64(f.cfg.ShardInflight) {
+			sh.Inflight() >= int64(f.cfg.ShardInflight) {
 			return sh, true
 		}
 		return sh, false
@@ -126,95 +102,21 @@ func (f *Front) pick(order []int, now time.Time) (s *shard, shed bool) {
 	return nil, false
 }
 
-// readmitDelay returns how long to wait before some shard on the walk
-// becomes selectable again, clamped to keep the retry loop responsive
-// to restarts the backoff horizon does not know about.
-func (f *Front) readmitDelay(order []int, now time.Time) time.Duration {
-	const floor, ceil = time.Millisecond, 100 * time.Millisecond
-	d := ceil
-	for _, i := range order {
-		if at := f.shards[i].readmitAt(now); !at.IsZero() {
-			if until := at.Sub(now); until < d {
-				d = until
-			}
-		}
-	}
-	if d < floor {
-		d = floor
-	}
-	return d
-}
-
-// send posts one single-item sub-batch to one shard and classifies the
-// result.
-func (f *Front) send(ctx context.Context, s *shard, idx int, body []byte) outcome {
-	s.inflight.Add(1)
-	s.gInflight.Inc()
+// send posts one single-item sub-batch to one shard's /v1/batch. On a
+// 200 it unwraps the one result the sub-batch carries; a malformed
+// success body is a shard fault, not an item fault, so it is
+// reclassified for the caller to try elsewhere.
+func (f *Front) send(ctx context.Context, s *shard, idx int, body []byte) (Item, wire.Reply) {
 	gShardTotal.Inc()
-	defer func() {
-		s.inflight.Add(-1)
-		s.gInflight.Dec()
-		gShardTotal.Dec()
-	}()
+	defer gShardTotal.Dec()
 	mDispatches.Inc()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/batch", bytes.NewReader(body))
-	if err != nil {
-		return outcome{kind: oShardErr}
+	reply := s.Post(ctx, "/v1/batch", ItemHeader, idx, body)
+	if reply.Kind != wire.ReplyOK {
+		return Item{}, reply
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ItemHeader, strconv.Itoa(idx))
-	resp, err := s.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return outcome{kind: oCancelled}
-		}
-		return outcome{kind: oShardErr}
+	var sub BatchResponse
+	if err := json.Unmarshal(reply.Body, &sub); err != nil || len(sub.Results) != 1 {
+		return Item{}, wire.Reply{Kind: wire.ReplyUpstreamErr}
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ctx.Err() != nil {
-			return outcome{kind: oCancelled}
-		}
-		return outcome{kind: oShardErr}
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var sub BatchResponse
-		if err := json.Unmarshal(data, &sub); err != nil || len(sub.Results) != 1 {
-			// A malformed success body is a shard fault, not an item
-			// fault: try elsewhere.
-			return outcome{kind: oShardErr}
-		}
-		return outcome{kind: oOK, item: sub.Results[0]}
-	case resp.StatusCode == http.StatusTooManyRequests:
-		return outcome{kind: oThrottled,
-			retryAfter: serve.ParseRetryAfter(resp.Header.Get("Retry-After"))}
-	case resp.StatusCode >= 500:
-		return outcome{kind: oShardErr}
-	default:
-		// Deterministic 4xx: surface the shard's error envelope. The
-		// front validated the item with the same rules, so this is the
-		// rare limit mismatch; strip the sub-batch prefix clusterd adds.
-		msg := string(bytes.TrimSpace(data))
-		var e serve.ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return outcome{kind: oReject, errMsg: msg}
-	}
-}
-
-// sleepCtx sleeps d or until ctx is done; it reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return sub.Results[0], reply
 }

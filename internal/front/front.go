@@ -29,19 +29,16 @@
 package front
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Front-tier metrics. Counters are monotone; gauges mirror live
@@ -59,6 +56,31 @@ var (
 	tBatch       = obs.GetTimer("front.batch")
 	tStream      = obs.GetTimer("front.stream")
 )
+
+// Shard health states in the front tier's vocabulary, also the values
+// of the per-shard front.shard.<id>.dead gauge: a clusterd shard is
+// live, dead, or (wire.StateHalfOpen) probing. The mechanics are
+// wire.Upstream's breaker — the same ones internal/cluster runs one
+// layer down.
+const (
+	shardLive = wire.StateClosed
+	shardDead = wire.StateOpen
+)
+
+var shardNames = wire.UpstreamNames{
+	GaugePrefix: "front.shard",
+	StateGauge:  "dead",
+	States:      [3]string{"live", "dead", "probing"},
+	Opens:       mShardDeaths,
+}
+
+// shard is one clusterd instance behind the front tier: a
+// wire.Upstream whose in-flight count feeds the per-shard admission
+// cap and whose fail-stop detection keeps a dead shard off the ring
+// walk until a probe (or an elapsed backoff window) readmits it.
+type shard struct{ *wire.Upstream }
+
+func (s *shard) state(now time.Time) int { return s.State(now) }
 
 // maxShards bounds the shard list; the ring's successor walk uses a
 // 64-bit shard mask, and a front tier wider than this wants a second
@@ -193,17 +215,14 @@ func (c Config) withDefaults() Config {
 // RunBatch directly).
 type Front struct {
 	cfg    Config
+	limits wire.Limits
 	ring   *Ring
-	shards []*shard
+	pool   *wire.Pool
+	shards []*shard // pool.Upstreams, indexed by ring shard id
 
-	// admitted is the global admission level; admit/release move it
-	// under AdmitMax all-or-nothing, so a batch is admitted whole or
-	// shed whole.
-	admitted capLevel
-
-	probeMu   sync.Mutex
-	probeStop context.CancelFunc
-	probeWG   sync.WaitGroup
+	// admitted is the global admission level under AdmitMax: a batch is
+	// admitted whole or shed whole. The front.inflight gauge mirrors it.
+	admitted *wire.Level
 }
 
 // New validates the configuration (shard list and ring shape) and
@@ -220,10 +239,20 @@ func New(cfg Config) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Transport: cfg.Transport}
-	f := &Front{cfg: cfg, ring: ring}
-	for i, url := range cfg.Shards {
-		f.shards = append(f.shards, newShard(i, url, client, cfg))
+	f := &Front{
+		cfg:    cfg,
+		limits: wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
+		ring:   ring,
+		pool: wire.NewPool(cfg.Shards, &http.Client{Transport: cfg.Transport}, wire.UpstreamConfig{
+			Threshold:     cfg.FailThreshold,
+			BaseBackoff:   cfg.FailBaseBackoff,
+			MaxBackoff:    cfg.FailMaxBackoff,
+			ProbeInterval: cfg.ProbeInterval,
+		}, &shardNames),
+		admitted: wire.NewLevel(cfg.AdmitMax, gInflight),
+	}
+	for _, u := range f.pool.Upstreams {
+		f.shards = append(f.shards, &shard{u})
 	}
 	return f, nil
 }
@@ -239,59 +268,10 @@ func (f *Front) Ring() *Ring { return f.ring }
 // restarted shard is readmitted to the ring rotation without waiting
 // for a live dispatch to discover it. Probes stop when ctx is
 // cancelled or Close is called, whichever comes first.
-func (f *Front) Start(ctx context.Context) {
-	f.probeMu.Lock()
-	defer f.probeMu.Unlock()
-	if f.probeStop != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	f.probeStop = cancel
-	for _, s := range f.shards {
-		s := s
-		f.probeWG.Add(1)
-		go func() {
-			defer f.probeWG.Done()
-			f.probeLoop(ctx, s)
-		}()
-	}
-}
+func (f *Front) Start(ctx context.Context) { f.pool.Start(ctx) }
 
 // Close stops the shard probes started by Start.
-func (f *Front) Close() {
-	f.probeMu.Lock()
-	stop := f.probeStop
-	f.probeStop = nil
-	f.probeMu.Unlock()
-	if stop != nil {
-		stop()
-		f.probeWG.Wait()
-	}
-}
-
-// probeLoop polls one shard's /healthz until ctx is done.
-func (f *Front) probeLoop(ctx context.Context, s *shard) {
-	t := time.NewTicker(f.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeInterval)
-		err := s.probe(pctx)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			s.recordFailure(time.Now())
-		} else {
-			s.recordSuccess()
-		}
-	}
-}
+func (f *Front) Close() { f.pool.Close() }
 
 // Handler returns the front tier's HTTP surface:
 //
@@ -316,35 +296,29 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := f.DecodeBatch(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, serve.ErrorResponse{Error: err.Error()})
+		wire.BadRequest(w, err)
 		return
 	}
 	n := len(req.Requests)
-	if !f.cfg.DisableShedding && !f.admit(n) {
-		// Shed before queue: the whole batch is rejected now, with a
-		// retry hint, rather than buffered behind the admission cap.
-		mShed.Add(int64(n))
-		w.Header().Set("Retry-After", f.retryAfterValue())
-		writeJSON(w, http.StatusTooManyRequests,
-			serve.ErrorResponse{Error: "front saturated: admission cap reached"})
-		return
-	}
 	if !f.cfg.DisableShedding {
-		defer f.release(n)
+		if !f.admitted.TryAdd(n) {
+			// Shed before queue: the whole batch is rejected now, with a
+			// retry hint, rather than buffered behind the admission cap.
+			mShed.Add(int64(n))
+			w.Header().Set("Retry-After", f.retryAfterValue())
+			wire.WriteError(w, http.StatusTooManyRequests, "front saturated: admission cap reached")
+			return
+		}
+		defer f.admitted.Sub(n)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	defer cancel()
 	resp, err := f.runAdmitted(ctx, req)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, serve.ErrorResponse{Error: err.Error()})
+		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // RunBatch dispatches a validated batch across the shard fleet and
@@ -381,10 +355,11 @@ func (f *Front) runAdmitted(ctx context.Context, req *BatchRequest) (*BatchRespo
 
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
-	resp := HealthResponse{Status: "ok", Admitted: f.admitted.load(), AdmitMax: f.cfg.AdmitMax}
+	resp := HealthResponse{Status: "ok", Admitted: f.admitted.Load(), AdmitMax: f.cfg.AdmitMax}
 	live := 0
 	for _, s := range f.shards {
-		st := s.status(now)
+		st := ShardStatus{ID: s.ID, URL: s.URL}
+		st.State, st.Inflight, st.ConsecutiveFailures = s.Health(now)
 		if st.State != "dead" {
 			live++
 		}
@@ -394,7 +369,7 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Every shard dead: the tier cannot place anything right now.
 		resp.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // retryAfterValue renders the configured shed hint as whole seconds
@@ -405,74 +380,4 @@ func (f *Front) retryAfterValue() string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// admit reserves n admission slots if the cap allows all of them,
-// without blocking; release returns them. The front.inflight gauge
-// mirrors the level.
-func (f *Front) admit(n int) bool {
-	if !f.admitted.tryAdd(int64(n), int64(f.cfg.AdmitMax)) {
-		return false
-	}
-	gInflight.Add(int64(n))
-	return true
-}
-
-func (f *Front) release(n int) {
-	f.admitted.sub(int64(n))
-	gInflight.Add(int64(-n))
-}
-
-// capLevel is a bounded counter: tryAdd succeeds only when the
-// whole increment fits under the cap, so admission is all-or-nothing
-// per batch and never overshoots under concurrency.
-type capLevel struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *capLevel) tryAdd(n, cap int64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.v+n > cap {
-		return false
-	}
-	a.v += n
-	return true
-}
-
-func (a *capLevel) sub(n int64) {
-	a.mu.Lock()
-	a.v -= n
-	a.mu.Unlock()
-}
-
-func (a *capLevel) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
-}
-
-// jsonBufPool recycles response-encoding buffers, mirroring the
-// serve/cluster writer paths. Oversized buffers are dropped instead of
-// pooled.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const jsonBufMax = 1 << 20
-
-// writeJSON mirrors serve's writer byte-for-byte (json.Encoder with a
-// trailing newline), which the metamorphic byte-identity tests depend
-// on.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= jsonBufMax {
-			buf.Reset()
-			jsonBufPool.Put(buf)
-		}
-	}()
-	_ = json.NewEncoder(buf).Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
 }

@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/task"
+	"repro/internal/wire"
 )
 
 // testShard wraps a full clusterd-over-schedd stack with fault
@@ -141,7 +143,7 @@ func frontBatch(k int) *BatchRequest {
 			`{"algorithm":%q,"instance":{"m":4,"alpha":1.5,"estimates":[%d,3,9,1,7,5,2,8]}}`,
 			algos[i%len(algos)], i+1)
 		var r serve.ScheduleRequest
-		if err := serve.DecodeStrict(strings.NewReader(body), &r); err != nil {
+		if err := wire.DecodeStrict(strings.NewReader(body), &r); err != nil {
 			panic(err)
 		}
 		req.Requests = append(req.Requests, r)
@@ -266,29 +268,59 @@ func TestBatchThroughFront(t *testing.T) {
 	}
 }
 
+// TestBadRequestStatusCodes posts the same bodies to /v1/batch on all
+// three tiers: the status (and the error envelope) of a rejected
+// request comes from the one shared classifier, so it cannot differ by
+// tier. The tick-range row failed on clusterd and frontd (400) before
+// the classifier was shared.
 func TestBadRequestStatusCodes(t *testing.T) {
-	_, urls := newTestShards(t, 1)
-	f := mustFront(t, Config{Shards: urls, MaxBodyBytes: 256})
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"requests":[]}`))
+	schedd := httptest.NewServer(serve.New(serve.Config{MaxBodyBytes: 256}).Handler())
+	t.Cleanup(schedd.Close)
+	c, err := cluster.New(cluster.Config{Backends: []string{schedd.URL}, MaxBodyBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", resp.StatusCode)
+	clusterd := httptest.NewServer(c.Handler())
+	t.Cleanup(clusterd.Close)
+	frontd := httptest.NewServer(mustFront(t, Config{Shards: []string{clusterd.URL}, MaxBodyBytes: 256}).Handler())
+	t.Cleanup(frontd.Close)
+	tiers := []struct{ name, url string }{
+		{"schedd", schedd.URL}, {"clusterd", clusterd.URL}, {"frontd", frontd.URL},
 	}
-
-	big := `{"requests":[` + strings.Repeat(" ", 300) + `]}`
-	resp, err = http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, body string
+		status     int
+		errHas     string
+	}{
+		{"empty batch", `{"requests":[]}`, http.StatusBadRequest, "empty batch"},
+		{"oversized body", `{"requests":[` + strings.Repeat(" ", 300) + `]}`,
+			http.StatusRequestEntityTooLarge, "request body too large"},
+		// 1e10 s is past the simulator's 2^63 ns tick range.
+		{"out of tick range", `{"requests":[{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1e10]}}]}`,
+			http.StatusUnprocessableEntity, task.ErrTickRange.Error()},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d", resp.StatusCode)
+	for _, tc := range cases {
+		var first string
+		for _, tier := range tiers {
+			resp, err := http.Post(tier.url+"/v1/batch", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e wire.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s on %s: status %d, want %d", tc.name, tier.name, resp.StatusCode, tc.status)
+			}
+			if err != nil || !strings.Contains(e.Error, tc.errHas) {
+				t.Errorf("%s on %s: envelope %q (decode: %v), want it to name %q", tc.name, tier.name, e.Error, err, tc.errHas)
+			}
+			if first == "" {
+				first = e.Error
+			} else if e.Error != first {
+				t.Errorf("%s: %s says %q, schedd says %q", tc.name, tier.name, e.Error, first)
+			}
+		}
 	}
 }
 
@@ -316,7 +348,7 @@ func TestHealthzDegradedWhenAllShardsDead(t *testing.T) {
 		t.Fatalf("healthy tier: %+v", h)
 	}
 	for i := range shards {
-		f.shards[i].recordFailure(time.Now())
+		f.shards[i].RecordFailure(time.Now())
 	}
 	if h := getHealth(); h.Status != "degraded" {
 		t.Fatalf("all-dead tier still %q", h.Status)
@@ -364,23 +396,6 @@ func TestRetryAfterValue(t *testing.T) {
 	f2 := mustFront(t, Config{Shards: []string{"http://a"}, RetryAfterHint: 100 * time.Millisecond})
 	if got := f2.retryAfterValue(); got != "1" {
 		t.Fatalf("sub-second hint rendered %q, want the 1s floor", got)
-	}
-}
-
-func TestCapLevel(t *testing.T) {
-	var l capLevel
-	if !l.tryAdd(3, 4) {
-		t.Fatal("tryAdd under cap failed")
-	}
-	if l.tryAdd(2, 4) {
-		t.Fatal("tryAdd overshot the cap")
-	}
-	if !l.tryAdd(1, 4) {
-		t.Fatal("tryAdd at exactly cap failed")
-	}
-	l.sub(4)
-	if got := l.load(); got != 0 {
-		t.Fatalf("level = %d after drain", got)
 	}
 }
 

@@ -1,24 +1,21 @@
-// Streaming entry: the open-system face of the front tier. The reader
-// turns NDJSON lines into single-use future channels in input order;
-// each valid, admitted item is dispatched to its ring shard
-// concurrently, shed items resolve immediately, and the writer drains
-// futures in order, flushing each result line as it completes. The
-// bounded futures queue is the backpressure: with Workers items in
-// flight the reader stops consuming the request body, so a fast client
-// is throttled to the fleet's service rate by TCP flow control —
-// admission control sheds what even that window cannot hold.
+// Streaming entry: the open-system face of the front tier, on the
+// shared stream pump (wire.Pump). Each valid, admitted line is
+// dispatched to its ring shard concurrently, shed and invalid lines
+// resolve on the spot, and the pump emits results in input order. Its
+// bounded window is the backpressure — with Workers results pending the
+// reader stops consuming the body, so a fast client is throttled to the
+// fleet's service rate by TCP flow control — and admission control
+// sheds what even that window cannot hold.
 
 package front
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -29,100 +26,33 @@ func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.StreamTimeout)
 	defer cancel()
 
-	// The stream reads the request body while writing response lines;
-	// without full-duplex mode the HTTP/1.x server closes the unread
-	// body at the first response write, truncating any stream longer
-	// than the server's read-ahead. Errors mean the transport cannot do
-	// full-duplex; the short-stream behavior is unchanged then.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-
-	futures := make(chan chan Item, f.cfg.Workers)
-	go func() {
-		defer close(futures)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), int(f.cfg.MaxBodyBytes))
-		idx := 0
-		emit := func(fut chan Item) bool {
-			select {
-			case futures <- fut:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			fut := make(chan Item, 1)
-			if idx >= f.cfg.MaxStreamItems {
-				fut <- Item{Index: idx, Error: fmt.Sprintf("stream exceeds %d items", f.cfg.MaxStreamItems)}
-				emit(fut)
-				return
-			}
-			if ctx.Err() != nil {
-				return
-			}
+	wire.Pump(ctx, w, r.Body,
+		wire.Stream{MaxLineBytes: f.cfg.MaxBodyBytes, MaxItems: f.cfg.MaxStreamItems, Window: f.cfg.Workers},
+		failedItem,
+		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
 			var req serve.ScheduleRequest
-			if err := serve.DecodeStrict(bytes.NewReader(line), &req); err != nil {
-				fut <- Item{Index: idx, Error: err.Error()}
-			} else if err := f.checkItem(&req); err != nil {
-				fut <- Item{Index: idx, Error: err.Error()}
-			} else if !f.cfg.DisableShedding && !f.admit(1) {
+			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
+				return failedItem(idx, err.Error()), nil
+			}
+			if err := f.checkItem(&req); err != nil {
+				return failedItem(idx, err.Error()), nil
+			}
+			if !f.cfg.DisableShedding && !f.admitted.TryAdd(1) {
 				// Shed before queue, per item: the stream stays up and
 				// ordered, the overload is reported in-band.
 				mShed.Inc()
-				fut <- Item{Index: idx, Error: "shed: admission cap reached; retry after " +
-					f.retryAfterValue() + "s"}
-			} else {
-				i, r := idx, req
-				go func() {
-					item := f.dispatchItem(ctx, i, &r)
-					if !f.cfg.DisableShedding {
-						f.release(1)
-					}
-					fut <- item
-				}()
+				return failedItem(idx, "shed: admission cap reached; retry after "+f.retryAfterValue()+"s"), nil
 			}
-			if !emit(fut) {
-				return
+			return Item{}, func() Item {
+				item := f.dispatchItem(ctx, idx, &req)
+				if !f.cfg.DisableShedding {
+					f.admitted.Sub(1)
+				}
+				return item
 			}
-			idx++
-		}
-		if err := sc.Err(); err != nil {
-			fut := make(chan Item, 1)
-			fut <- Item{Index: idx, Error: "stream read: " + err.Error()}
-			emit(fut)
-		}
-	}()
-
-	// Drain in order. Every future receives exactly one Item —
-	// dispatchItem returns promptly once ctx expires — so this loop
-	// terminates even when the deadline cuts the stream short.
-	for fut := range futures {
-		item := <-fut
-		writeNDJSON(w, flusher, item)
-	}
+		})
 }
 
-// writeNDJSON emits one result line through the pooled-buffer path and
-// flushes it, so the client observes each item as it completes.
-func writeNDJSON(w http.ResponseWriter, flusher http.Flusher, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= jsonBufMax {
-			buf.Reset()
-			jsonBufPool.Put(buf)
-		}
-	}()
-	_ = json.NewEncoder(buf).Encode(v)
-	_, _ = w.Write(buf.Bytes())
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
+// failedItem is the result line of an item that never reached a shard.
+func failedItem(idx int, msg string) Item { return Item{Index: idx, Error: msg} }

@@ -1,12 +1,11 @@
 package front
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Item is the outcome of one work item. It is clusterd's Item type
@@ -53,39 +52,16 @@ type ShardStatus struct {
 // — the fuzz target enforces that).
 func (f *Front) DecodeBatch(r io.Reader) (*BatchRequest, error) {
 	var req BatchRequest
-	if err := serve.DecodeStrict(r, &req); err != nil {
+	if err := wire.DecodeStrict(r, &req); err != nil {
 		return nil, err
 	}
-	if len(req.Requests) == 0 {
-		return nil, errors.New("empty batch")
-	}
-	if len(req.Requests) > f.cfg.MaxBatch {
-		return nil, fmt.Errorf("batch has %d items, limit %d", len(req.Requests), f.cfg.MaxBatch)
-	}
-	for i := range req.Requests {
-		if err := f.checkItem(&req.Requests[i]); err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
-		}
+	if err := serve.CheckBatch(req.Requests, f.limits); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
 
 // checkItem applies the front's per-item limits and the centralized
-// instance validation to one work item. Shared by the batch and
-// streaming paths so both admit exactly the same items.
-func (f *Front) checkItem(req *serve.ScheduleRequest) error {
-	if req.Algorithm == "" {
-		return errors.New("missing algorithm")
-	}
-	in := req.Instance
-	if in == nil {
-		return errors.New("missing instance")
-	}
-	if in.N() > f.cfg.MaxTasks {
-		return fmt.Errorf("instance has %d tasks, limit %d", in.N(), f.cfg.MaxTasks)
-	}
-	if in.M > f.cfg.MaxMachines {
-		return fmt.Errorf("instance has %d machines, limit %d", in.M, f.cfg.MaxMachines)
-	}
-	return in.Validate(true)
-}
+// instance validation to one work item — what DecodeBatch applies to
+// every batch entry and the stream to every line.
+func (f *Front) checkItem(req *serve.ScheduleRequest) error { return req.Check(f.limits) }

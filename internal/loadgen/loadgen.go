@@ -38,6 +38,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/task"
+	"repro/internal/wire"
 )
 
 // Mode names the two loop disciplines.
@@ -270,7 +271,7 @@ func runOpen(ctx context.Context, cfg Config, client *http.Client, col *collecto
 	issued := 0
 	for cfg.Requests <= 0 || issued < cfg.Requests {
 		wait := time.Duration(r.Exp(cfg.QPS) * float64(time.Second))
-		if !sleepCtx(ctx, wait) {
+		if !wire.SleepCtx(ctx, wait) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -367,20 +368,4 @@ func buildReport(cfg Config, col *collector, elapsed time.Duration) *Report {
 		}
 	}
 	return rep
-}
-
-// sleepCtx sleeps d or until ctx is done; it reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // boundTol absorbs floating-point rounding in the guarantee check.
@@ -152,42 +153,42 @@ func (s *Server) RunBatch(ctx context.Context, req *BatchRequest, workers int) *
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeScheduleRequest(r.Body)
 	if err != nil {
-		badRequest(w, err)
+		wire.BadRequest(w, err)
 		return
 	}
 	resp, err := s.RunSchedule(req)
 	if err != nil {
 		// The request was well-formed JSON but the solver pipeline
 		// rejected it (unknown algorithm, k not dividing m, ...).
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeSimulateRequest(r.Body)
 	if err != nil {
-		badRequest(w, err)
+		wire.BadRequest(w, err)
 		return
 	}
 	resp, err := s.RunSimulate(req)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeBatchRequest(r.Body)
 	if err != nil {
-		badRequest(w, err)
+		wire.BadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.RunBatch(r.Context(), req, 0))
+	wire.WriteJSON(w, http.StatusOK, s.RunBatch(r.Context(), req, 0))
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, AlgorithmsResponse{Algorithms: algo.Names()})
+	wire.WriteJSON(w, http.StatusOK, AlgorithmsResponse{Algorithms: algo.Names()})
 }

@@ -38,11 +38,13 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Service metrics. Counters are monotone (the stress tests assert
@@ -135,8 +137,11 @@ func (c Config) withDefaults() Config {
 // Server is the scheduling service. Create one with New and mount
 // Handler on an http.Server.
 type Server struct {
-	cfg   Config
-	sem   chan struct{}
+	cfg    Config
+	limits wire.Limits
+	// slots is the solver semaphore: MaxInflight slots, taken one per
+	// gated request without ever waiting.
+	slots *wire.Level
 	start time.Time
 }
 
@@ -145,9 +150,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:   cfg,
-		sem:   make(chan struct{}, cfg.MaxInflight),
-		start: time.Now(),
+		cfg:    cfg,
+		limits: wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
+		slots:  wire.NewLevel(cfg.MaxInflight, mInflight),
+		start:  time.Now(),
 	}
 }
 
@@ -218,20 +224,14 @@ func (s *Server) gated(timer *obs.Timer, h http.HandlerFunc) http.HandlerFunc {
 // semaphore slot for the whole stream.
 func (s *Server) gatedFor(timer *obs.Timer, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-			mInflight.Inc()
-			defer func() {
-				mInflight.Dec()
-				<-s.sem
-			}()
-		default:
+		if !s.slots.TryAdd(1) {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server saturated: all solver slots busy")
+			wire.WriteError(w, http.StatusTooManyRequests, "server saturated: all solver slots busy")
 			return
 		}
+		defer s.slots.Sub(1)
 		defer timer.Start()()
-		ctx, cancel := contextWithTimeout(r, timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
@@ -275,7 +275,7 @@ func (w *statusWriter) status() int {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthResponse{
+	wire.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		Inflight:      mInflight.Load(),
 		MaxInflight:   s.cfg.MaxInflight,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bounds"
+	"repro/internal/wire"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -93,7 +94,7 @@ func TestScheduleRejections(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
 			}
-			var e errorResponse
+			var e wire.ErrorResponse
 			if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 				t.Fatalf("error envelope missing: %s", data)
 			}
@@ -188,7 +189,7 @@ func TestHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out healthResponse
+	var out HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +204,10 @@ func TestHealthz(t *testing.T) {
 func TestSaturatedReturns429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	// Occupy the single slot deterministically.
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
+	if !s.slots.TryAdd(1) {
+		t.Fatal("fresh server has no free slot")
+	}
+	defer s.slots.Sub(1)
 
 	batch := `{"requests":[` + validSchedule + `]}`
 	for _, path := range []string{"/v1/batch", "/v1/schedule", "/v1/simulate"} {

@@ -11,10 +11,8 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"context"
 	"net/http"
 
 	"repro/internal/algo"
@@ -22,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -152,13 +151,10 @@ func (s *Server) RunSimulateOpen(req *SimulateOpenRequest) (*SimulateOpenRespons
 // every endpoint checks are enforced here.
 func (s *Server) decodeSimulateOpenRequest(r *http.Request) (*SimulateOpenRequest, error) {
 	var req SimulateOpenRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
+	if err := wire.DecodeStrict(r.Body, &req); err != nil {
 		return nil, err
 	}
-	if req.Algorithm == "" {
-		return nil, fmt.Errorf("missing algorithm")
-	}
-	if err := s.checkInstance(req.Instance); err != nil {
+	if err := s.limits.CheckItem(req.Algorithm, req.Instance); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -167,84 +163,43 @@ func (s *Server) decodeSimulateOpenRequest(r *http.Request) (*SimulateOpenReques
 func (s *Server) handleSimulateOpen(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeSimulateOpenRequest(r)
 	if err != nil {
-		badRequest(w, err)
+		wire.BadRequest(w, err)
 		return
 	}
 	resp, err := s.RunSimulateOpen(req)
 	if err != nil {
 		// Well-formed JSON rejected by the pipeline: unknown algorithm,
 		// bad arrival parameters, bad policy, NaN cancel cost, ...
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleStream serves POST /v1/stream: newline-delimited JSON in, one
-// result line out per item, in input order, flushed per item. Items
-// are processed sequentially in the request goroutine, so the body is
-// consumed at processing speed — the connection itself is the
-// backpressure, and a slow client cannot force unbounded buffering.
-// Per-item failures (bad JSON, bad instance, solver rejection) are
-// reported on that item's line and the stream continues; only a
-// transport-level read error, the item cap, or the deadline end it.
+// handleStream serves POST /v1/stream on the shared pump (wire.Pump)
+// with a window of one and every line resolved on the spot: items are
+// solved sequentially in the pump's reader, so the body is consumed at
+// processing speed and the stream never runs more than the one solve
+// its semaphore slot paid for. Per-item failures (bad JSON, bad
+// instance, solver rejection) are reported on that item's line and the
+// stream continues.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	// The stream reads the request body while writing response lines;
-	// without full-duplex mode the HTTP/1.x server closes the unread
-	// body at the first response write, truncating any stream longer
-	// than the server's read-ahead. Errors mean the transport cannot do
-	// full-duplex; the short-stream behavior is unchanged then.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sc := bufio.NewScanner(r.Body)
-	// One line must hold a whole request, so the line cap is the body
-	// cap (MaxBytesReader has already bounded the total).
-	sc.Buffer(make([]byte, 0, 64<<10), int(s.cfg.MaxBodyBytes))
-	idx := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if idx >= s.cfg.MaxStreamItems {
-			writeNDJSON(w, flusher, StreamItem{Index: idx,
-				Error: fmt.Sprintf("stream exceeds %d items", s.cfg.MaxStreamItems)})
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			writeNDJSON(w, flusher, StreamItem{Index: idx, Error: "cancelled: " + err.Error()})
-			return
-		}
-		mStreamItem.Inc()
-		item := StreamItem{Index: idx}
-		var req ScheduleRequest
-		if err := DecodeStrict(bytes.NewReader(line), &req); err != nil {
-			item.Error = err.Error()
-		} else if err := s.validateScheduleRequest(&req); err != nil {
-			item.Error = err.Error()
-		} else if resp, err := s.RunSchedule(&req); err != nil {
-			item.Error = err.Error()
-		} else {
-			item.Response = resp
-		}
-		writeNDJSON(w, flusher, item)
-		idx++
-	}
-	if err := sc.Err(); err != nil {
-		writeNDJSON(w, flusher, StreamItem{Index: idx, Error: "stream read: " + err.Error()})
-	}
-}
-
-// writeNDJSON emits one result line through the pooled-buffer path and
-// flushes it to the client, so each line is observable before the next
-// item is computed.
-func writeNDJSON(w http.ResponseWriter, flusher http.Flusher, v any) {
-	buf := getJSONBuf()
-	defer putJSONBuf(buf)
-	_ = json.NewEncoder(buf).Encode(v)
-	_, _ = w.Write(buf.Bytes())
-	if flusher != nil {
-		flusher.Flush()
-	}
+	wire.Pump(r.Context(), w, r.Body,
+		wire.Stream{MaxLineBytes: s.cfg.MaxBodyBytes, MaxItems: s.cfg.MaxStreamItems, Window: 1},
+		func(idx int, msg string) StreamItem { return StreamItem{Index: idx, Error: msg} },
+		func(_ context.Context, idx int, line []byte) (StreamItem, func() StreamItem) {
+			mStreamItem.Inc()
+			item := StreamItem{Index: idx}
+			var req ScheduleRequest
+			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
+				item.Error = err.Error()
+			} else if err := req.Check(s.limits); err != nil {
+				item.Error = err.Error()
+			} else if resp, err := s.RunSchedule(&req); err != nil {
+				item.Error = err.Error()
+			} else {
+				item.Response = resp
+			}
+			return item, nil
+		})
 }

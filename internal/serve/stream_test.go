@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // postNDJSON submits body to path and returns the decoded result
@@ -193,7 +195,7 @@ func TestSimulateOpenRejections(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
 			}
-			var e errorResponse
+			var e wire.ErrorResponse
 			if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 				t.Fatalf("error envelope missing: %s", data)
 			}
