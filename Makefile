@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check cover cover-floors bench benchreport bench-update bench-smoke figs fuzz stress chaos loadtest clean
+.PHONY: all build test race lint check cover cover-floors bench benchreport bench-update bench-smoke bench-pair figs fuzz stress chaos loadtest clean
 
 all: build test
 
@@ -68,7 +68,7 @@ bench:
 # committed baseline. BENCHTIME must match the conditions the baseline
 # was recorded under (see EXPERIMENTS.md) or the comparison is unfair.
 BENCHTIME ?= 500ms
-BASELINE  ?= BENCH_14.json
+BASELINE  ?= BENCH_17.json
 
 benchreport:
 	$(GO) run ./cmd/benchreport -baseline $(BASELINE) -benchtime $(BENCHTIME)
@@ -83,6 +83,17 @@ bench-update:
 # 1.3 because shared CI machines are noisier than the baseline host.
 bench-smoke:
 	$(GO) run ./cmd/benchreport -baseline $(BASELINE) -benchtime $(BENCHTIME) -tolerance 1.5
+
+# "Is it faster": cmd/bench built from BASE and from the working tree,
+# PAIRS alternating pairs on workload W, a seed per pair; prints each
+# end-to-end metric's medians, quartiles, wins and verdict (cmd/bench
+# README, "Comparing two commits"). Everything lands in .bench_build/.
+BASE  ?= HEAD
+W     ?= pipeline-fresh
+PAIRS ?= 10
+
+bench-pair:
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(W) -pairs $(PAIRS)
 
 # Regenerate every paper table/figure plus extension experiments into out/.
 figs:

@@ -28,8 +28,8 @@ package algo
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/keysort"
 	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/sched"
@@ -107,39 +107,66 @@ func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 // are identical to the package-level Execute: every reused buffer is
 // rebuilt from the inputs before use.
 type Scratch struct {
-	flat       sim.FlatRunner
-	flatOpen   sim.FlatOpenRunner
-	place      placement.Placement
-	order      []int
-	placeOrder []int
-	res        Result
-	openRes    OpenResult
+	flat     sim.FlatRunner
+	flatOpen sim.FlatOpenRunner
+	place    placement.Placement
+	order    []int
+	lpt      lptSorter
+	res      Result
+	openRes  OpenResult
+}
+
+// lptSorter computes LPT orders — (key descending, ID ascending), the
+// key an estimate or, for the clairvoyant oracle, an actual time — in
+// buffers it keeps between calls. The zero value is ready to use.
+type lptSorter struct {
+	keys  []float64
+	sort  keysort.Scratch
+	order []int // Oracle-LPT's phase-1 visiting order, the one that is not its phase-2 order
+}
+
+// byEstimate writes the LPT priority order into buf (reused when its
+// capacity allows) and returns it.
+func (l *lptSorter) byEstimate(in *task.Instance, buf []int) []int {
+	l.keys = in.AppendEstimates(l.keys[:0])
+	return l.sort.OrderDesc(l.keys, buf)
+}
+
+// byActual is byEstimate over the actual times.
+func (l *lptSorter) byActual(in *task.Instance, buf []int) []int {
+	l.keys = in.AppendActuals(l.keys[:0])
+	return l.sort.OrderDesc(l.keys, buf)
 }
 
 // intoPlacer is implemented by algorithms whose phase-1 decision can
-// be written into a reusable placement. orderBuf is scratch for the
-// phase-1 visiting order; implementations return it (possibly regrown)
-// so the caller can keep recycling it. Algorithms without the
-// interface fall back to Place, which allocates.
+// be written into a reusable placement. order is the algorithm's own
+// phase-2 priority order, already computed: every list-scheduling
+// placement here but the oracle's visits tasks in exactly that order,
+// so a plan sorts once. l is scratch for an algorithm that needs
+// another order. Algorithms without the interface fall back to Place,
+// which allocates.
 type intoPlacer interface {
-	placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error)
+	placeInto(in *task.Instance, p *placement.Placement, order []int, l *lptSorter) error
 }
 
 // orderAppender is implemented by algorithms whose phase-2 priority
 // order can be written into a reusable buffer.
 type orderAppender interface {
-	appendOrder(in *task.Instance, buf []int) []int
+	appendOrder(in *task.Instance, l *lptSorter, buf []int) []int
 }
 
-// plan runs phase 1 (placement, validated) and materializes the
-// phase-2 priority order into the Scratch's buffers. It is the shared
+// plan materializes the phase-2 priority order and runs phase 1
+// (placement, validated) into the Scratch's buffers. It is the shared
 // front half of Execute and ExecuteOpen.
 func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, error) {
+	if oa, ok := a.(orderAppender); ok {
+		s.order = oa.appendOrder(in, &s.lpt, s.order[:0])
+	} else {
+		s.order = a.Order(in)
+	}
 	p := &s.place
 	if ip, ok := a.(intoPlacer); ok {
-		buf, err := ip.placeInto(in, p, s.placeOrder[:0])
-		s.placeOrder = buf
-		if err != nil {
+		if err := ip.placeInto(in, p, s.order, &s.lpt); err != nil {
 			return nil, fmt.Errorf("%s: phase 1: %w", a.Name(), err)
 		}
 	} else {
@@ -151,11 +178,6 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 	}
 	if err := p.Validate(in); err != nil {
 		return nil, fmt.Errorf("%s: invalid placement: %w", a.Name(), err)
-	}
-	if oa, ok := a.(orderAppender); ok {
-		s.order = oa.appendOrder(in, s.order[:0])
-	} else {
-		s.order = a.Order(in)
 	}
 	return p, nil
 }
@@ -216,29 +238,8 @@ func (s *Scratch) ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 // lptOrder returns task IDs sorted by non-increasing estimate, ties
 // broken by ID for determinism.
 func lptOrder(in *task.Instance) []int {
-	return appendLPTOrder(in, nil)
-}
-
-// appendLPTOrder writes the LPT priority order into buf (reused when
-// its capacity allows) and returns it. The comparator (estimate
-// descending, ID ascending) is a strict total order, so the unstable
-// slices.SortFunc yields exactly the permutation the previous
-// sort.SliceStable produced — minus the reflection-based element swaps
-// that dominated the placement profile.
-func appendLPTOrder(in *task.Instance, buf []int) []int {
-	order := appendListOrder(in, buf)
-	tasks := in.Tasks
-	slices.SortFunc(order, func(a, b int) int {
-		ea, eb := tasks[a].Estimate, tasks[b].Estimate
-		if ea != eb {
-			if ea > eb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	return order
+	var l lptSorter
+	return l.byEstimate(in, nil)
 }
 
 // listOrder returns task IDs in input order (Graham's list order).

@@ -37,6 +37,11 @@ func FuzzExecute(f *testing.F) {
 	f.Add([]byte(`{"m":1,"alpha":1,"estimates":[1]}`))
 	f.Add([]byte(`{"m":4,"alpha":1.25,"estimates":[0.5,8,3,3,3,0.1,9,2],"actuals":[0.625,6.4,3,3.75,2.4,0.125,11.25,1.6]}`))
 	f.Add([]byte(`{"m":6,"alpha":3,"estimates":[1e-9,1e9,7,7,7,7,7]}`))
+	// Pinned and shard-wide tasks in one shard (tail:1, tail:2): machines
+	// drain their own queues at different times, then share the tail's
+	// list; in the second every estimate ties, so ids decide both orders.
+	f.Add([]byte(`{"m":3,"alpha":2,"estimates":[9,8,7,6,5,1,1],"actuals":[18,4,7,12,2.5,2,0.5]}`))
+	f.Add([]byte(`{"m":2,"alpha":1.5,"estimates":[3,3,3,3,3,3],"actuals":[2.25,4.5,3,2.25,4.5,3]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var in task.Instance
 		if err := json.Unmarshal(data, &in); err != nil {

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/loadheap"
 	"repro/internal/placement"
@@ -22,18 +21,17 @@ func (lptNoChoice) Place(in *task.Instance) (*placement.Placement, error) {
 	return minLoadPlacement(in, lptOrder(in)), nil
 }
 
-func (lptNoChoice) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
-	order := appendLPTOrder(in, orderBuf)
+func (lptNoChoice) placeInto(in *task.Instance, p *placement.Placement, order []int, _ *lptSorter) error {
 	minLoadPlacementInto(in, order, p)
-	return order, nil
+	return nil
 }
 
 // Order is irrelevant for singleton replica sets (each machine simply
 // drains its own queue), but LPT order keeps traces intuitive.
 func (lptNoChoice) Order(in *task.Instance) []int { return lptOrder(in) }
 
-func (lptNoChoice) appendOrder(in *task.Instance, buf []int) []int {
-	return appendLPTOrder(in, buf)
+func (lptNoChoice) appendOrder(in *task.Instance, l *lptSorter, buf []int) []int {
+	return l.byEstimate(in, buf)
 }
 
 // lsNoChoice is the List Scheduling baseline without replication.
@@ -50,15 +48,14 @@ func (lsNoChoice) Place(in *task.Instance) (*placement.Placement, error) {
 	return minLoadPlacement(in, listOrder(in)), nil
 }
 
-func (lsNoChoice) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
-	order := appendListOrder(in, orderBuf)
+func (lsNoChoice) placeInto(in *task.Instance, p *placement.Placement, order []int, _ *lptSorter) error {
 	minLoadPlacementInto(in, order, p)
-	return order, nil
+	return nil
 }
 
 func (lsNoChoice) Order(in *task.Instance) []int { return listOrder(in) }
 
-func (lsNoChoice) appendOrder(in *task.Instance, buf []int) []int {
+func (lsNoChoice) appendOrder(in *task.Instance, _ *lptSorter, buf []int) []int {
 	return appendListOrder(in, buf)
 }
 
@@ -75,15 +72,15 @@ func (lptNoRestriction) Place(in *task.Instance) (*placement.Placement, error) {
 	return placement.Everywhere(in.N(), in.M), nil
 }
 
-func (lptNoRestriction) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
+func (lptNoRestriction) placeInto(in *task.Instance, p *placement.Placement, _ []int, _ *lptSorter) error {
 	placement.EverywhereInto(in.N(), in.M, p)
-	return orderBuf, nil
+	return nil
 }
 
 func (lptNoRestriction) Order(in *task.Instance) []int { return lptOrder(in) }
 
-func (lptNoRestriction) appendOrder(in *task.Instance, buf []int) []int {
-	return appendLPTOrder(in, buf)
+func (lptNoRestriction) appendOrder(in *task.Instance, l *lptSorter, buf []int) []int {
+	return l.byEstimate(in, buf)
 }
 
 // lsNoRestriction is Graham's online List Scheduling with full
@@ -100,14 +97,14 @@ func (lsNoRestriction) Place(in *task.Instance) (*placement.Placement, error) {
 	return placement.Everywhere(in.N(), in.M), nil
 }
 
-func (lsNoRestriction) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
+func (lsNoRestriction) placeInto(in *task.Instance, p *placement.Placement, _ []int, _ *lptSorter) error {
 	placement.EverywhereInto(in.N(), in.M, p)
-	return orderBuf, nil
+	return nil
 }
 
 func (lsNoRestriction) Order(in *task.Instance) []int { return listOrder(in) }
 
-func (lsNoRestriction) appendOrder(in *task.Instance, buf []int) []int {
+func (lsNoRestriction) appendOrder(in *task.Instance, _ *lptSorter, buf []int) []int {
 	return appendListOrder(in, buf)
 }
 
@@ -154,34 +151,32 @@ func (g group) Order(in *task.Instance) []int {
 	return listOrder(in)
 }
 
-func (g group) appendOrder(in *task.Instance, buf []int) []int {
+func (g group) appendOrder(in *task.Instance, l *lptSorter, buf []int) []int {
 	if g.lpt {
-		return appendLPTOrder(in, buf)
+		return l.byEstimate(in, buf)
 	}
 	return appendListOrder(in, buf)
 }
 
 func (g group) Place(in *task.Instance) (*placement.Placement, error) {
 	p := placement.New(in.N(), in.M)
-	if _, err := g.placeInto(in, p, nil); err != nil {
+	if err := g.placeInto(in, p, g.Order(in), nil); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (g group) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
+func (g group) placeInto(in *task.Instance, p *placement.Placement, order []int, _ *lptSorter) error {
 	partition := placement.PartitionGroups
 	if g.balanced {
 		partition = placement.PartitionGroupsBalanced
 	}
 	groups, err := partition(in.M, g.k)
 	if err != nil {
-		return orderBuf, err
+		return err
 	}
 	p.Reset(in.N(), in.M)
-	p.Groups = groups
-	p.GroupOf = make([]int, in.N())
-	order := g.appendOrder(in, orderBuf)
+	p.SetGroups(groups)
 	var loads loadheap.Heap
 	loads.Reset(g.k)
 	for _, j := range order {
@@ -192,7 +187,7 @@ func (g group) placeInto(in *task.Instance, p *placement.Placement, orderBuf []i
 		p.Sets[j] = groups[best]
 		loads.AddToMin(in.Tasks[j].Estimate)
 	}
-	return order, nil
+	return nil
 }
 
 // oracleLPT is a clairvoyant baseline: LPT on the *actual* times. It
@@ -209,40 +204,24 @@ func (oracleLPT) Name() string { return "Oracle-LPT" }
 
 func (oracleLPT) Place(in *task.Instance) (*placement.Placement, error) {
 	p := placement.New(in.N(), in.M)
-	if _, err := (oracleLPT{}).placeInto(in, p, nil); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p, (oracleLPT{}).placeInto(in, p, nil, new(lptSorter))
 }
 
-func (oracleLPT) placeInto(in *task.Instance, p *placement.Placement, orderBuf []int) ([]int, error) {
-	order := appendListOrder(in, orderBuf)
-	// Sort by actual time, not estimate: this baseline is omniscient.
-	// (Actual descending, ID ascending) is a strict total order, so the
-	// unstable sort reproduces the stable sort's permutation exactly.
-	tasks := in.Tasks
-	slices.SortFunc(order, func(a, b int) int {
-		pa, pb := tasks[a].Actual, tasks[b].Actual
-		if pa != pb {
-			if pa > pb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
+func (oracleLPT) placeInto(in *task.Instance, p *placement.Placement, _ []int, l *lptSorter) error {
+	// Visit by actual time, not estimate: this baseline is omniscient.
+	l.order = l.byActual(in, l.order)
 	p.Reset(in.N(), in.M)
 	var loads loadheap.Heap
 	loads.Reset(in.M)
-	for _, j := range order {
+	for _, j := range l.order {
 		p.Assign(j, loads.MinID())
-		loads.AddToMin(tasks[j].Actual)
+		loads.AddToMin(in.Tasks[j].Actual)
 	}
-	return order, nil
+	return nil
 }
 
 func (oracleLPT) Order(in *task.Instance) []int { return lptOrder(in) }
 
-func (oracleLPT) appendOrder(in *task.Instance, buf []int) []int {
-	return appendLPTOrder(in, buf)
+func (oracleLPT) appendOrder(in *task.Instance, l *lptSorter, buf []int) []int {
+	return l.byEstimate(in, buf)
 }

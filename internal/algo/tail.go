@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 
+	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/task"
 )
@@ -40,40 +41,41 @@ func (r replicateTail) Name() string {
 }
 
 func (r replicateTail) Place(in *task.Instance) (*placement.Placement, error) {
-	if r.count < 0 {
-		return nil, fmt.Errorf("algo: tail count %d negative", r.count)
-	}
-	order := lptOrder(in)
-	cut := in.N() - r.count
-	if cut < 0 {
-		cut = 0
-	}
-
 	p := placement.New(in.N(), in.M)
+	if err := r.placeInto(in, p, lptOrder(in), nil); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func (r replicateTail) placeInto(in *task.Instance, p *placement.Placement, order []int, _ *lptSorter) error {
+	if r.count < 0 {
+		return fmt.Errorf("algo: tail count %d negative", r.count)
+	}
+	cut := max(in.N()-r.count, 0)
+	p.Reset(in.N(), in.M)
+	// Pin the head by LPT over the estimates; replicate the tail.
+	var loads loadheap.Heap
+	loads.Reset(in.M)
+	for _, j := range order[:cut] {
+		p.Assign(j, loads.MinID())
+		loads.AddToMin(in.Tasks[j].Estimate)
+	}
 	all := make([]int, in.M)
 	for i := range all {
 		all[i] = i
 	}
-	// Pin the head by LPT over the estimates; replicate the tail.
-	loads := make([]float64, in.M)
-	for pos, j := range order {
-		if pos >= cut {
-			p.Sets[j] = all // one ascending set shared by the whole tail
-			continue
-		}
-		best := 0
-		for i := 1; i < in.M; i++ {
-			if loads[i] < loads[best] {
-				best = i
-			}
-		}
-		p.Assign(j, best)
-		loads[best] += in.Tasks[j].Estimate
+	for _, j := range order[cut:] {
+		p.Sets[j] = all // one ascending set shared by the whole tail
 	}
-	return p, nil
+	return nil
 }
 
 // Order is plain LPT order: pinned head tasks have the larger
 // estimates and therefore drain first on their machines; the
 // replicated tail follows as machines become idle.
 func (replicateTail) Order(in *task.Instance) []int { return lptOrder(in) }
+
+func (replicateTail) appendOrder(in *task.Instance, l *lptSorter, buf []int) []int {
+	return l.byEstimate(in, buf)
+}

@@ -19,6 +19,8 @@ import (
 	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/keysort"
+	"repro/internal/memaware"
 	"repro/internal/opt"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -79,23 +81,29 @@ func scalingSpec(name string, n int, cfg core.Config) Spec {
 // placement and priority order are computed once outside the timer, so
 // the measured region is exactly state rebuild + shard execution
 // (sequential workers so the number is per-core and stable across
-// hosts). Under the no-replication placement every machine is an
-// independent singleton shard, which is the engine's heap-free linear
-// replay path — the ≥10M tasks/s, 0 allocs/op target BENCH_8.json
-// gates. The event-heap reference engine keeps its own floor via
-// SimLoopEvent below.
-func simLoopSpec(n int) Spec {
+// hosts). Three shapes, all at 0 allocs/op:
+//
+//   - n=100k, no replication: every machine is an independent singleton
+//     shard, the engine's heap-free linear replay path — the ≥10M
+//     tasks/s target BENCH_8.json gates;
+//   - everywhere (LPT-No Restriction): every task on its shard's one
+//     list, no queue entry built;
+//   - abo (ABO_Δ at Δ=1): the pinned S2 in per-machine queues, ranked
+//     before the replicated S1 on the shard list.
+//
+// The last two attribute pipeline-fresh's `everywhere` and `abo`
+// classes to the engine's dispatch structure. The event-heap reference
+// engine keeps its own floor via SimLoopEvent below.
+func simLoopSpec(name string, n int, shape func(*task.Instance) (*placement.Placement, []int, error)) Spec {
 	return Spec{
-		Name:  "SimLoop/n=100k",
+		Name:  "SimLoop/" + name,
 		Tasks: n,
 		Run: func(b *testing.B) {
 			in := scalingInstance(n)
-			a := algo.LPTNoChoice()
-			p, err := a.Place(in)
+			p, order, err := shape(in)
 			if err != nil {
 				b.Fatal(err)
 			}
-			order := a.Order(in)
 			var runner sim.FlatRunner
 			// One untimed pass grows every pooled buffer to size so the
 			// timed region measures the steady state (the 0 allocs/op
@@ -109,6 +117,47 @@ func simLoopSpec(n int) Spec {
 				if _, err := runner.RunSharded(in, p, order, sim.FlatOptions{}, 1); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+		},
+	}
+}
+
+func noneShape(in *task.Instance) (*placement.Placement, []int, error) {
+	a := algo.LPTNoChoice()
+	p, err := a.Place(in)
+	return p, a.Order(in), err
+}
+
+func everywhereShape(in *task.Instance) (*placement.Placement, []int, error) {
+	a := algo.LPTNoRestriction()
+	p, err := a.Place(in)
+	return p, a.Order(in), err
+}
+
+func aboShape(in *task.Instance) (*placement.Placement, []int, error) {
+	res, err := memaware.ABO(in, memaware.Config{Delta: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Placement, append(append([]int(nil), res.MemoryIntensive...), res.TimeIntensive...), nil
+}
+
+// lptOrderSpec measures the one sort an LPT plan makes: the (estimate
+// descending, id ascending) order of a pipeline-fresh instance from a
+// reused scratch, as algo.Scratch.plan runs it.
+func lptOrderSpec(n int) Spec {
+	return Spec{
+		Name:  "LPTOrder/n=10k",
+		Tasks: n,
+		Run: func(b *testing.B) {
+			keys := scalingInstance(n).Estimates()
+			var ks keysort.Scratch
+			order := ks.OrderDesc(keys, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				order = ks.OrderDesc(keys, order)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 		},
@@ -323,7 +372,10 @@ func Curated() []Spec {
 		scalingSpec("NoReplication/n=100k", 100_000, core.Config{Strategy: core.NoReplication}),
 		scalingSpec("Groups8/n=10k", 10_000, core.Config{Strategy: core.Groups, Groups: 8}),
 		scalingSpec("Everywhere/n=10k", 10_000, core.Config{Strategy: core.ReplicateEverywhere}),
-		simLoopSpec(100_000),
+		simLoopSpec("n=100k", 100_000, noneShape),
+		simLoopSpec("everywhere/n=10k,m=64", 10_000, everywhereShape),
+		simLoopSpec("abo/n=10k,m=64", 10_000, aboShape),
+		lptOrderSpec(10_000),
 		simLoopEventSpec(100_000),
 		openSimLoopSpec("n=10k", 10_000, 64),
 		openSimLoopSpec("m=128", 10_000, 128),

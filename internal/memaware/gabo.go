@@ -3,6 +3,7 @@ package memaware
 import (
 	"fmt"
 
+	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -45,16 +46,11 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 	}
 	// Assign time-intensive tasks to groups by estimated load (list
 	// scheduling over groups, LS-Group's phase 1).
-	loads := make([]float64, k)
+	var loads loadheap.Heap
+	loads.Reset(k)
 	for _, j := range s1 {
-		best := 0
-		for g := 1; g < k; g++ {
-			if loads[g] < loads[best] {
-				best = g
-			}
-		}
-		p.Sets[j] = groups[best] // ascending already; shared by the group's tasks
-		loads[best] += in.Tasks[j].Estimate
+		p.Sets[j] = groups[loads.MinID()] // ascending already; shared by the group's tasks
+		loads.AddToMin(in.Tasks[j].Estimate)
 	}
 
 	// Phase 2: pinned memory tasks first, then the group-replicated

@@ -26,8 +26,8 @@ package memaware
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"repro/internal/keysort"
 	"repro/internal/opt"
 	"repro/internal/placement"
 	"repro/internal/sched"
@@ -58,11 +58,8 @@ func ExactMapping(weights []float64, m int) []int {
 	}
 	// Reconstruct an assignment achieving the target via DFS.
 	n := len(weights)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+	var ks keysort.Scratch
+	order := ks.OrderDesc(weights, nil) // weight descending, index ascending
 	loads := make([]float64, m)
 	mapping := make([]int, n)
 	const tol = 1e-9

@@ -18,10 +18,17 @@ import (
 // The cache is keyed by a content hash of the processing-time
 // multiset-in-order plus (m, exactLimit); hash buckets store the full
 // key (a private copy of times) and compare element-wise, so hash
-// collisions can never return a wrong bracket. It is bounded: when a
-// shard reaches its entry quota its table is dropped wholesale — the
-// access pattern is bursts of repeats within an experiment, for which
-// a periodic full flush loses little.
+// collisions can never return a wrong bracket. It is bounded twice: by
+// entry count, which is what many small instances cost (a map slot and
+// a few headers each), and by the floats of those key copies, which is
+// what large ones cost — 80 KB an entry at n=10,000, so a count alone
+// let the memory held grow with the number of large instances scored
+// between flushes, that is with throughput. When a shard reaches either
+// quota its table is dropped wholesale — the access pattern is bursts
+// of repeats within an experiment, for which a periodic full flush
+// loses little. An input longer than a shard's float quota is still
+// memoized, alone in its shard: the float bound is the larger of
+// cacheMaxFloats and cacheShards such inputs.
 //
 // The table is sharded by the top bits of the content hash with one
 // RWMutex per shard: the parallel trial loops hit the cache from every
@@ -33,8 +40,10 @@ import (
 const (
 	// cacheShards is the lock-striping factor; a power of two.
 	cacheShards = 16
-	// cacheMaxEntries bounds the memo table's total size across shards.
+	// cacheMaxEntries and cacheMaxFloats bound the memo table's total
+	// size across shards: 4096 entries, and 8 MB of key copies.
 	cacheMaxEntries = 4096
+	cacheMaxFloats  = 1 << 20
 )
 
 type cacheKey struct {
@@ -53,6 +62,7 @@ type cacheShard struct {
 	sync.RWMutex
 	entries map[cacheKey][]cacheEntry
 	size    int
+	floats  int // summed len(times) over entries
 }
 
 var cache [cacheShards]cacheShard
@@ -131,9 +141,9 @@ func cacheStore(key cacheKey, times []float64, res Result) {
 	s := shardFor(key.hash)
 	s.Lock()
 	defer s.Unlock()
-	if s.size >= cacheMaxEntries/cacheShards {
+	if s.size >= cacheMaxEntries/cacheShards || s.size > 0 && s.floats+len(cp) > cacheMaxFloats/cacheShards {
 		s.entries = map[cacheKey][]cacheEntry{}
-		s.size = 0
+		s.size, s.floats = 0, 0
 	}
 	for _, e := range s.entries[key] {
 		if timesEqual(e.times, times) {
@@ -142,6 +152,7 @@ func cacheStore(key cacheKey, times []float64, res Result) {
 	}
 	s.entries[key] = append(s.entries[key], cacheEntry{times: cp, res: res})
 	s.size++
+	s.floats += len(cp)
 }
 
 // CacheStats reports the memo cache's lifetime hit and miss counts.
@@ -155,7 +166,7 @@ func ResetCache() {
 		s := &cache[i]
 		s.Lock()
 		s.entries = map[cacheKey][]cacheEntry{}
-		s.size = 0
+		s.size, s.floats = 0, 0
 		s.Unlock()
 	}
 	cacheHits.Add(-cacheHits.Load())

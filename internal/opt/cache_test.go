@@ -107,3 +107,46 @@ func TestHashTimesSensitivity(t *testing.T) {
 		t.Fatal("hash not content-deterministic")
 	}
 }
+
+// TestCacheIsBoundedTwice: the memo holds at most cacheMaxFloats floats
+// of key copies however large the instances scored — a bound on entries
+// alone let 4,096 of them weigh 80 KB each at n=10,000 — and at most
+// cacheMaxEntries entries however small. An input longer than a shard's
+// whole float quota is kept, but alone in its shard.
+func TestCacheIsBoundedTwice(t *testing.T) {
+	defer ResetCache()
+	const oversize = cacheMaxFloats/cacheShards + 1
+	for _, c := range []struct{ n, stores, maxFloats int }{
+		{10_000, 400, cacheMaxFloats},
+		{6, 20_000, cacheMaxFloats},
+		{oversize, 64, cacheShards * oversize},
+	} {
+		ResetCache()
+		for i := 0; i < c.stores; i++ {
+			times := randomTimes(c.n, 100+uint64(i))
+			cacheStore(cacheKey{hash: hashTimes(times), n: c.n, m: 4, exactLimit: 20}, times, Result{})
+		}
+		entries, floats := 0, 0
+		for i := range cache {
+			shardFloats := 0
+			for _, bucket := range cache[i].entries {
+				for _, e := range bucket {
+					entries++
+					shardFloats += len(e.times)
+				}
+			}
+			if shardFloats != cache[i].floats {
+				t.Errorf("n=%d: shard %d counts %d floats, holds %d", c.n, i, cache[i].floats, shardFloats)
+			}
+			floats += shardFloats
+		}
+		if entries > cacheMaxEntries || floats > c.maxFloats {
+			t.Errorf("after %d stores of n=%d the memo holds %d entries, %d floats; bounds %d, %d",
+				c.stores, c.n, entries, floats, cacheMaxEntries, c.maxFloats)
+		}
+		if 4*entries < cacheMaxEntries && 4*floats < cacheMaxFloats {
+			t.Errorf("after %d stores of n=%d the memo holds %d entries, %d floats: neither budget is in use",
+				c.stores, c.n, entries, floats)
+		}
+	}
+}

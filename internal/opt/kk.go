@@ -31,7 +31,7 @@ func KarmarkarKarp(times []float64, m int) float64 {
 	}
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
-	s.desc = appendDesc(times, s.desc)
+	s.sortDesc(times)
 	return s.kk.run(s.desc, m)
 }
 

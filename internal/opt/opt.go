@@ -17,9 +17,9 @@ package opt
 
 import (
 	"math"
-	"slices"
 	"sync"
 
+	"repro/internal/keysort"
 	"repro/internal/loadheap"
 	"repro/internal/obs"
 )
@@ -46,6 +46,8 @@ var (
 // first-fit index and the differencing slab, all dead on return.
 type solveScratch struct {
 	desc  []float64
+	order []int // LPT's visiting order
+	sort  keysort.Scratch
 	loads loadheap.Heap
 	ffd   ffdIndex
 	kk    ldm
@@ -57,7 +59,7 @@ var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
 // bound with the better of LPT and 24-step MULTIFIT: the interval the
 // exact search starts from.
 func (s *solveScratch) bracket(times []float64, m int) (lb, ub float64) {
-	s.desc = appendDesc(times, s.desc)
+	s.sortDesc(times)
 	lb = lowerBoundDesc(times, s.desc, m)
 	ub = lptMakespanDesc(s.desc, m, &s.loads)
 	if mf := multiFitDesc(s.desc, m, 24, lb, ub, &s.ffd); mf < ub {
@@ -66,16 +68,11 @@ func (s *solveScratch) bracket(times []float64, m int) (lb, ub float64) {
 	return lb, ub
 }
 
-// appendDesc overwrites buf with a descending-sorted copy of times and
-// returns it. slices.Sort orders NaNs first, so the reversal puts them
-// last; equal float64 values are interchangeable, so the unstable sort
-// is deterministic. Sorting ascending and reversing is twice as fast as
-// sorting descending through a comparison function.
-func appendDesc(times, buf []float64) []float64 {
-	buf = append(buf[:0], times...)
-	slices.Sort(buf)
-	slices.Reverse(buf)
-	return buf
+// sortDesc overwrites s.desc with a descending-sorted copy of times,
+// NaNs last (keysort.SortDesc: slices.Sort then slices.Reverse, by
+// radix passes from a thousand times up).
+func (s *solveScratch) sortDesc(times []float64) {
+	s.desc = s.sort.SortDesc(times, s.desc)
 }
 
 // lptMakespanDesc returns the LPT makespan for descending-sorted
@@ -121,7 +118,7 @@ func PairLowerBound(times []float64, m int) float64 {
 	}
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
-	s.desc = appendDesc(times, s.desc)
+	s.sortDesc(times)
 	return pairLowerBoundDesc(s.desc, m)
 }
 
@@ -177,29 +174,16 @@ func lowerBoundDesc(times, desc []float64, m int) float64 {
 // (4/3 − 1/(3m))-approximation, so its makespan is a certified upper
 // bound on C*.
 func LPT(times []float64, m int) (float64, []int) {
-	order := make([]int, len(times))
-	for i := range order {
-		order[i] = i
-	}
-	// (time descending, index ascending) is a strict total order, so the
-	// unstable sort reproduces the stable sort's permutation exactly.
-	slices.SortFunc(order, func(a, b int) int {
-		if times[a] != times[b] {
-			if times[a] > times[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	var loads loadheap.Heap
-	loads.Reset(m)
+	s := solvePool.Get().(*solveScratch)
+	defer solvePool.Put(s)
+	s.order = s.sort.OrderDesc(times, s.order) // time descending, index ascending
+	s.loads.Reset(m)
 	mapping := make([]int, len(times))
-	for _, j := range order {
-		mapping[j] = loads.MinID()
-		loads.AddToMin(times[j])
+	for _, j := range s.order {
+		mapping[j] = s.loads.MinID()
+		s.loads.AddToMin(times[j])
 	}
-	return loads.MaxLoad(), mapping
+	return s.loads.MaxLoad(), mapping
 }
 
 // ffdIndex is first fit's view of which items are still unpacked:
@@ -305,7 +289,7 @@ func MultiFit(times []float64, m int, iterations int) float64 {
 	}
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
-	s.desc = appendDesc(times, s.desc)
+	s.sortDesc(times)
 	lo := lowerBoundDesc(times, s.desc, m)
 	hi := lptMakespanDesc(s.desc, m, &s.loads)
 	return multiFitDesc(s.desc, m, iterations, lo, hi, &s.ffd)

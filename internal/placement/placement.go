@@ -37,6 +37,9 @@ type Placement struct {
 	// []int per task (previously n allocations for a no-replication
 	// placement). Invisible to JSON and to readers of Sets.
 	backing []int
+	// groupBuf is the array SetGroups carves GroupOf from, kept across
+	// Reset so a reused placement does not allocate n ints per trial.
+	groupBuf []int
 }
 
 // Validation errors.
@@ -60,9 +63,9 @@ func (p *Placement) N() int { return len(p.Sets) }
 
 // Reset re-initializes the placement as an empty n-task, m-machine
 // decision, reusing the Sets and backing buffers. Every field is
-// rebuilt or cleared — Groups and GroupOf are dropped, all replica
-// sets are nil — so a pooled Placement cannot leak sets from a
-// previous trial.
+// rebuilt or cleared — Groups and GroupOf are dropped (SetGroups
+// brings GroupOf back zeroed), all replica sets are nil — so a pooled
+// Placement cannot leak sets from a previous trial.
 func (p *Placement) Reset(n, m int) {
 	p.M = m
 	if cap(p.Sets) < n {
@@ -74,6 +77,20 @@ func (p *Placement) Reset(n, m int) {
 	p.Groups = nil
 	p.GroupOf = nil
 	p.backing = p.backing[:0]
+	p.groupBuf = p.groupBuf[:0]
+}
+
+// SetGroups records the partition of machines into groups and sizes
+// GroupOf to one zeroed entry per task, for the caller to fill.
+func (p *Placement) SetGroups(groups [][]int) {
+	p.Groups = groups
+	n := len(p.Sets)
+	if cap(p.groupBuf) < n {
+		p.groupBuf = make([]int, n)
+	}
+	p.groupBuf = p.groupBuf[:n]
+	clear(p.groupBuf)
+	p.GroupOf = p.groupBuf
 }
 
 // Assign sets task j's replica set to exactly machine i.
@@ -213,7 +230,9 @@ func CheckSets(sets [][]int, m int) error {
 		if SameSet(set, prev) {
 			continue // checked a moment ago
 		}
-		prev = set
+		if len(set) > 1 {
+			prev = set // kept across the pinned tasks an ABO placement interleaves
+		}
 		for idx, i := range set {
 			if i < 0 || i >= m {
 				return fmt.Errorf("%w: task %d machine %d", ErrBadMachine, j, i)

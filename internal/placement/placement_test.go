@@ -257,6 +257,34 @@ func TestPartitionGroupsProperty(t *testing.T) {
 	}
 }
 
+// TestSetGroupsReusesGroupOf: Reset drops the group bookkeeping and
+// SetGroups brings GroupOf back at the new task count, zeroed, from the
+// array the previous trial used.
+func TestSetGroupsReusesGroupOf(t *testing.T) {
+	groups, err := PartitionGroups(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(5, 4)
+	p.SetGroups(groups)
+	for j := range p.GroupOf {
+		p.GroupOf[j] = 1
+	}
+	p.Reset(3, 4)
+	if p.Groups != nil || p.GroupOf != nil {
+		t.Fatalf("Reset kept groups %v / GroupOf %v", p.Groups, p.GroupOf)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		p.Reset(3, 4)
+		p.SetGroups(groups)
+	}); avg != 0 {
+		t.Errorf("Reset + SetGroups on a used placement: %v allocs, want 0", avg)
+	}
+	if len(p.GroupOf) != 3 || p.GroupOf[0]|p.GroupOf[1]|p.GroupOf[2] != 0 {
+		t.Errorf("GroupOf = %v, want three zeros", p.GroupOf)
+	}
+}
+
 // TestCheckSets exercises the raw-set validator the cluster layer uses
 // for replica sets over backends (no Placement struct involved).
 func TestCheckSets(t *testing.T) {
@@ -275,6 +303,8 @@ func TestCheckSets(t *testing.T) {
 		{"shared invalid", [][]int{sharedBad, sharedBad}, 3, ErrBadMachine},
 		{"invalid after shared", [][]int{shared, shared, {2, 1}, shared}, 3, ErrUnsorted},
 		{"shared prefix of a longer set", [][]int{shared, shared[:1], {4}}, 3, ErrBadMachine},
+		{"pinned between shared", [][]int{shared, {2}, shared, {1}, shared}, 3, nil},
+		{"invalid pinned between shared", [][]int{shared, {2}, shared, {5}, shared}, 3, ErrBadMachine},
 		{"empty list", [][]int{}, 3, nil},
 		{"empty set", [][]int{{0}, {}}, 3, ErrEmptySet},
 		{"negative machine", [][]int{{-1}}, 3, ErrBadMachine},

@@ -59,13 +59,26 @@ type spanError struct {
 // Layout:
 //
 //	tasks    durTick[j]            executed ticks (no Duration hook)
-//	         started[j]            handed out yet?
+//	         priorityOf[j]         position in the priority order
+//	         started[j]            queued task handed out yet?
 //	         taskShard[j]          owning shard
-//	machines qTasks[qOff[i]:qOff[i+1]]  per-machine queue: eligible
-//	                               task IDs in priority order (CSR)
-//	         head[i]               queue scan position
 //	shards   shardMachines[shardOff[s]:shardOff[s+1]]  member machines
 //	         shardTaskOff[s]       prefix sums of per-shard task counts
+//	         wideTasks[shardTaskOff[s]:][:wideLen[s]]  the shard list:
+//	                               tasks whose replica set is the whole
+//	                               shard, in priority order, each once
+//	         wideHead[s]           the list's cursor
+//	machines qTasks[qOff[i]:qOff[i+1]]  per-machine queue: the other
+//	                               tasks eligible on i, in priority
+//	                               order, one copy per replica (CSR)
+//	         head[i]               queue scan position
+//
+// A machine's eligible tasks are its shard's list plus its own queue,
+// and pick hands it the earlier-in-order of the two heads. List tasks
+// start in list order — any machine of the shard that takes one takes
+// the first left — so a cursor replaces the started-skip, and build
+// plus run cost O(n + Σ|M_j| over non-wide tasks) + O(n log m), where
+// one queue copy per replica cost Σ|M_j| = n·m under full replication.
 //
 // Because tasks never cross shards, every Assignment, trace region,
 // and started flag a shard writes is disjoint from every other
@@ -83,12 +96,11 @@ type FlatRunner struct {
 	// SoA task state.
 	durTick    []tick.Tick
 	started    []bool
-	priorityOf []int32 // failure mode: position of task in the order
+	priorityOf []int32
 
-	// CSR per-machine queues.
-	qTasks []int32
-	qOff   []int32
-	head   []int32
+	// Per-shard lists and CSR per-machine queues (see Layout).
+	wideTasks, wideLen, wideHead []int32
+	qTasks, qOff, head           []int32
 
 	// Shard decomposition (shardOf, shardMachines, taskShard, …),
 	// shared with FlatOpenRunner.
@@ -128,6 +140,9 @@ func (r *FlatRunner) Reset(n, m int) {
 	r.durTick = r.durTick[:0]
 	r.started = r.started[:0]
 	r.priorityOf = r.priorityOf[:0]
+	r.wideTasks = r.wideTasks[:0]
+	r.wideLen = r.wideLen[:0]
+	r.wideHead = r.wideHead[:0]
 	r.qTasks = r.qTasks[:0]
 	r.qOff = r.qOff[:0]
 	r.head = r.head[:0]
@@ -236,6 +251,10 @@ func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	for w := range r.scratch {
 		stats.add(r.scratch[w].stats)
 	}
+	stats.queued = int64(len(r.qTasks))
+	for _, c := range r.wideHead {
+		stats.shared += int64(c)
+	}
 	simEventsPopped.Add(stats.popped)
 	stats.flushPaths()
 
@@ -291,7 +310,7 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 
 	// Permutation check; started doubles as the seen-scratch, exactly
 	// as in ListDispatcher.Reset.
-	r.started = growBoolZero(r.started, n)
+	r.started = growZero(r.started, n)
 	for _, j := range order {
 		if j < 0 || j >= n || r.started[j] {
 			return fmt.Errorf("sim: priority order is not a permutation (task %d)", j)
@@ -303,7 +322,7 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	// Executed durations in ticks. Under a Duration hook the executed
 	// time depends on the machine and is converted at dispatch instead.
 	if opts.Duration == nil {
-		r.durTick = growTick(r.durTick, n)
+		r.durTick = grow(r.durTick, n)
 		for j := 0; j < n; j++ {
 			t, err := tick.FromSeconds(in.Tasks[j].Actual)
 			if err != nil {
@@ -316,53 +335,67 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 		}
 	}
 
-	// CSR queues: queue of machine i is qTasks[qOff[i]:qOff[i+1]],
-	// task IDs in priority order — ListDispatcher's [][]int flattened
-	// into two slabs.
-	r.qOff = growI32Zero(r.qOff, m+1)
-	for j := 0; j < n; j++ {
-		for _, i := range p.Sets[j] {
-			r.qOff[i+1]++
-		}
-	}
-	for i := 0; i < m; i++ {
-		r.qOff[i+1] += r.qOff[i]
-	}
-	r.qTasks = growI32(r.qTasks, int(r.qOff[m]))
-	r.head = growI32Zero(r.head, m) // fill cursors here, scan positions during the run
-	for _, j := range order {
-		for _, i := range p.Sets[j] {
-			r.qTasks[r.qOff[i]+r.head[i]] = int32(j)
-			r.head[i]++
-		}
-	}
-	clear(r.head)
-
 	if sharded {
 		r.partition(p)
 	} else {
 		r.partitionTrivial(n, m)
 	}
 
-	// Per-shard task counts → trace regions and (failure mode) task
-	// lists.
+	// Per-shard task counts → shard-list and trace regions and (failure
+	// mode) task lists.
 	r.buildTaskOffsets(n)
-	r.shardStarted = growI32Zero(r.shardStarted, r.nShards)
-	r.shardErrs = growSpanErr(r.shardErrs, r.nShards)
+	r.shardStarted = growZero(r.shardStarted, r.nShards)
+	r.shardErrs = growZero(r.shardErrs, r.nShards)
+
+	// Dispatch lists: a counting pass sizes the queues, then one pass
+	// over the order appends each task to its shard's list, or — when
+	// its replica set is narrower than the shard — to the queue of every
+	// machine holding a replica.
+	r.qOff = growZero(r.qOff, m+1)
+	for j, set := range p.Sets {
+		if !r.wide(r.taskShard[j], set) {
+			for _, i := range set {
+				r.qOff[i+1]++
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		r.qOff[i+1] += r.qOff[i]
+	}
+	r.qTasks = grow(r.qTasks, int(r.qOff[m]))
+	r.head = growZero(r.head, m) // fill cursors here, scan positions during the run
+	r.wideTasks = grow(r.wideTasks, n)
+	r.wideLen = growZero(r.wideLen, r.nShards)
+	r.wideHead = growZero(r.wideHead, r.nShards)
+	r.priorityOf = grow(r.priorityOf, n)
+	for pos, j := range order {
+		r.priorityOf[j] = int32(pos)
+		s, set := r.taskShard[j], p.Sets[j]
+		if r.wide(s, set) {
+			r.wideTasks[r.shardTaskOff[s]+r.wideLen[s]] = int32(j)
+			r.wideLen[s]++
+			continue
+		}
+		for _, i := range set {
+			r.qTasks[r.qOff[i]+r.head[i]] = int32(j)
+			r.head[i]++
+		}
+	}
+	clear(r.head)
 
 	if opts.Trace {
-		r.res.Trace = growEvent(r.res.Trace, 2*n)
+		r.res.Trace = grow(r.res.Trace, 2*n)
 	}
 
 	if len(opts.Failures) > 0 {
-		if err := r.prepareFailures(in, order, opts); err != nil {
+		if err := r.prepareFailures(in, opts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *FlatRunner) prepareFailures(in *task.Instance, order []int, opts *FlatOptions) error {
+func (r *FlatRunner) prepareFailures(in *task.Instance, opts *FlatOptions) error {
 	n, m := in.N(), in.M
 	r.crashes = r.crashes[:0]
 	for _, f := range opts.Failures {
@@ -383,23 +416,19 @@ func (r *FlatRunner) prepareFailures(in *task.Instance, order []int, opts *FlatO
 	// second is a no-op on an already-dead machine.
 	sort.Slice(r.crashes, func(a, b int) bool { return mLess(r.crashes[a], r.crashes[b]) })
 
-	r.priorityOf = growI32(r.priorityOf, n)
-	for pos, j := range order {
-		r.priorityOf[j] = int32(pos)
-	}
 	// shardTasks: tasks grouped by shard (CSR with shardTaskOff), for
 	// the per-crash strand checks.
 	r.buildTaskLists(n)
 
-	r.dead = growBoolZero(r.dead, m)
-	r.dormant = growBoolZero(r.dormant, m)
-	r.dormantAt = growTickZero(r.dormantAt, m)
-	r.runTask = growI32(r.runTask, m)
+	r.dead = growZero(r.dead, m)
+	r.dormant = growZero(r.dormant, m)
+	r.dormantAt = growZero(r.dormantAt, m)
+	r.runTask = grow(r.runTask, m)
 	for i := range r.runTask {
 		r.runTask[i] = -1
 	}
-	r.runEnd = growTickZero(r.runEnd, m)
-	r.completed = growBoolZero(r.completed, n)
+	r.runEnd = growZero(r.runEnd, m)
+	r.completed = growZero(r.completed, n)
 	return nil
 }
 
@@ -416,70 +445,19 @@ func (r *FlatRunner) ensureScratch(workers int) {
 	}
 }
 
-// Slice-regrow helpers: retain capacity, reallocate only on growth.
-// The Zero variants clear the live region; the plain variants are for
-// slices every element of which is overwritten before being read.
-
-func growI32(s []int32, n int) []int32 {
+// grow returns s at length n, retaining capacity and reallocating only
+// on growth, for a slice every element of which is overwritten before
+// it is read.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI32Zero(s []int32, n int) []int32 {
-	s = growI32(s, n)
+// growZero is grow with the live region cleared.
+func growZero[T any](s []T, n int) []T {
+	s = grow(s, n)
 	clear(s)
 	return s
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growBoolZero(s []bool, n int) []bool {
-	s = growBool(s, n)
-	clear(s)
-	return s
-}
-
-func growU32Zero(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func growTick(s []tick.Tick, n int) []tick.Tick {
-	if cap(s) < n {
-		return make([]tick.Tick, n)
-	}
-	return s[:n]
-}
-
-func growTickZero(s []tick.Tick, n int) []tick.Tick {
-	s = growTick(s, n)
-	clear(s)
-	return s
-}
-
-func growSpanErr(s []spanError, n int) []spanError {
-	if cap(s) < n {
-		return make([]spanError, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func growEvent(s []Event, n int) []Event {
-	if cap(s) < n {
-		return make([]Event, n)
-	}
-	return s[:n]
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -77,7 +78,7 @@ func groupPlacement(t *testing.T, n, m, k int, seed uint64) *placement.Placement
 // mixedPlacement mixes singleton, group, and everywhere sets in one
 // instance so a single run exercises replayLinear and runSpanHeap
 // shards side by side (plus the big component they all merge into for
-// the tasks placed everywhere — exercised in its own case instead).
+// the tasks placed everywhere — exercised by sharedCases instead).
 func mixedPlacement(n, m int, seed uint64) *placement.Placement {
 	p := placement.New(n, m)
 	r := rng.New(seed)
@@ -101,8 +102,106 @@ func mixedPlacement(n, m int, seed uint64) *placement.Placement {
 	return p
 }
 
-// flatCases builds the none/group:k/all/mixed matrix over a few
-// shapes, with perturbed (continuous) durations.
+// sharedCases builds the placements in which one shard holds both
+// kinds of task the batch engine files differently — replicated on the
+// whole shard (one entry on the shard's list) and on fewer machines (a
+// copy in each replica's queue) — so every idle machine makes pick
+// choose between the list's head and its own queue's:
+//
+//   - abo: each task pinned to one machine or replicated everywhere,
+//     ABO_Δ's S2 and S1;
+//   - gabo: pinned or replicated on one of the k groups, GABO's
+//     shape, plus one pair set bridging the first two groups — which
+//     merges them into one shard that neither group's sets span, so
+//     those travel in queues while the other groups' stay on lists;
+//   - tail: the larger half by estimate pinned, the rest everywhere,
+//     ReplicateTail's shape.
+//
+// Each runs under three orders: replicated tasks all ranked before the
+// others, all after, and alternating with them.
+func sharedCases(t *testing.T, in *task.Instance, k int, seed uint64) []flatCase {
+	t.Helper()
+	n, m := in.N(), in.M
+	lpt := lptOrder(in)
+	groups, err := placement.PartitionGroups(m, k)
+	if err != nil {
+		t.Fatalf("PartitionGroups(%d,%d): %v", m, k, err)
+	}
+	all := placement.Everywhere(1, m).Sets[0]
+	r := rng.New(seed ^ 0xab0)
+	build := func(replicate func(j int) []int) (*placement.Placement, []bool) {
+		p := placement.New(n, m)
+		shared := make([]bool, n)
+		for j := 0; j < n; j++ {
+			if set := replicate(j); set != nil {
+				p.Sets[j], shared[j] = set, true
+			} else {
+				p.Assign(j, r.Intn(m))
+			}
+		}
+		return p, shared
+	}
+	abo, aboShared := build(func(int) []int {
+		if r.Intn(2) == 0 {
+			return all
+		}
+		return nil
+	})
+	gabo, gaboShared := build(func(j int) []int {
+		switch {
+		case j == 0 && len(groups) > 1:
+			g0 := groups[0]
+			return []int{g0[len(g0)-1], groups[1][0]}
+		case r.Intn(2) == 0:
+			return groups[r.Intn(len(groups))]
+		}
+		return nil
+	})
+	rank := make([]int, n)
+	for pos, j := range lpt {
+		rank[j] = pos
+	}
+	tail, tailShared := build(func(j int) []int {
+		if rank[j] >= n/2 {
+			return all
+		}
+		return nil
+	})
+
+	var cases []flatCase
+	for _, c := range []struct {
+		name   string
+		p      *placement.Placement
+		shared []bool
+	}{{"abo", abo, aboShared}, {"gabo", gabo, gaboShared}, {"tail", tail, tailShared}} {
+		var first, rest []int // replicated tasks and the others, each in LPT order
+		for _, j := range lpt {
+			if c.shared[j] {
+				first = append(first, j)
+			} else {
+				rest = append(rest, j)
+			}
+		}
+		var alternate []int
+		for i := 0; i < len(first) || i < len(rest); i++ {
+			if i < len(first) {
+				alternate = append(alternate, first[i])
+			}
+			if i < len(rest) {
+				alternate = append(alternate, rest[i])
+			}
+		}
+		cases = append(cases,
+			flatCase{c.name + "/shared-first", in, c.p, append(append([]int(nil), first...), rest...)},
+			flatCase{c.name + "/shared-last", in, c.p, append(append([]int(nil), rest...), first...)},
+			flatCase{c.name + "/alternating", in, c.p, alternate},
+		)
+	}
+	return cases
+}
+
+// flatCases builds the none/group:k/all/mixed matrix and sharedCases
+// over a few shapes, with perturbed (continuous) durations.
 func flatCases(t *testing.T) []flatCase {
 	t.Helper()
 	var cases []flatCase
@@ -127,6 +226,7 @@ func flatCases(t *testing.T) []flatCase {
 			flatCase{"all", in, placement.Everywhere(s.n, s.m), order},
 			flatCase{"mixed", in, mixedPlacement(s.n, s.m, s.seed), order},
 		)
+		cases = append(cases, sharedCases(t, in, s.k, s.seed)...)
 	}
 	return cases
 }
@@ -220,25 +320,25 @@ func TestFlatMatchesEventEngineExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := lptOrder(in)
-		for _, p := range []*placement.Placement{
-			nonePlacement(s.n, s.m, s.seed),
-			groupPlacement(t, s.n, s.m, s.k, s.seed),
-			placement.Everywhere(s.n, s.m),
-		} {
-			d, err := NewListDispatcher(p, order)
+		for _, c := range append([]flatCase{
+			{"none", in, nonePlacement(s.n, s.m, s.seed), order},
+			{"group", in, groupPlacement(t, s.n, s.m, s.k, s.seed), order},
+			{"all", in, placement.Everywhere(s.n, s.m), order},
+		}, sharedCases(t, in, s.k, s.seed)...) {
+			d, err := NewListDispatcher(c.p, c.order)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, err := Run(in, d, Options{Trace: true})
 			if err != nil {
-				t.Fatalf("event engine: %v", err)
+				t.Fatalf("%s: event engine: %v", c.name, err)
 			}
 			for _, w := range flatWorkerCounts() {
-				got, err := RunFlatSharded(in, p, order, FlatOptions{Trace: true}, w)
+				got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true}, w)
 				if err != nil {
-					t.Fatalf("flat workers=%d: %v", w, err)
+					t.Fatalf("%s: flat workers=%d: %v", c.name, w, err)
 				}
-				requireSameResult(t, "cross-engine/workers="+itoa(w), got, want)
+				requireSameResult(t, c.name+"/cross-engine/workers="+itoa(w), got, want)
 			}
 		}
 	}
@@ -319,13 +419,14 @@ func TestFlatFailuresMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := lptOrder(in)
-		placements := []*placement.Placement{
-			groupPlacement(t, s.n, s.m, s.k, s.seed),
-			placement.Everywhere(s.n, s.m),
-			nonePlacement(s.n, s.m, s.seed), // mostly unsurvivable: error paths
-		}
-		for pi, p := range placements {
+		lpt := lptOrder(in)
+		cases := append([]flatCase{
+			{"group", in, groupPlacement(t, s.n, s.m, s.k, s.seed), lpt},
+			{"all", in, placement.Everywhere(s.n, s.m), lpt},
+			{"none", in, nonePlacement(s.n, s.m, s.seed), lpt}, // mostly unsurvivable: error paths
+		}, sharedCases(t, in, s.k, s.seed)...) // pinned tasks die with their machine; the rest retry
+		for pi, c := range cases {
+			p, order := c.p, c.order
 			for round := uint64(0); round < 4; round++ {
 				failures := crashPlan(p, s.seed*101+round, int(round)+1)
 				wantSched, wantErr := RunWithFailures(in, p, order, failures)
@@ -378,23 +479,89 @@ func TestFlatFailureBoundaryCrash(t *testing.T) {
 	}
 }
 
+// TestFlatCrashLosesShardListTask crashes a machine in the middle of a
+// task it took from the shard list: the task is re-offered and runs on
+// the survivor, which meanwhile chose between its own queue and the
+// list — RunWithFailures' schedule, at every worker count.
+func TestFlatCrashLosesShardListTask(t *testing.T) {
+	in := inst(t, 2, 1, 4, 4)
+	p := placement.Everywhere(3, 2)
+	p.Assign(0, 0) // pinned and ranked first; tasks 1 and 2 form the list
+	order := identityOrder(3)
+	failures := []Failure{{Machine: 1, Time: 2}} // machine 1 is two seconds into task 1
+	want, err := RunWithFailures(in, p, order, failures)
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	if a := want.Assignments[1]; a.Machine != 0 || a.Start != 5 {
+		t.Fatalf("task 1 = %+v, want a retry on machine 0 at t=5", a)
+	}
+	for _, w := range flatWorkerCounts() {
+		got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
+			t.Errorf("workers=%d: schedule %+v, want %+v", w, got.Schedule.Assignments, want.Assignments)
+		}
+	}
+}
+
+// TestFlatDispatchCounters pins what sim.queue_entries and
+// sim.shared_dispatches say about a run: placements whose every replica
+// set is its whole shard — none, groups, everywhere — build no
+// per-machine queue entry and hand every task out from a shard list;
+// the ABO shape builds one entry per replica of a task that is not
+// replicated shard-wide, Σ|M_j| over those, and nothing for the rest.
+func TestFlatDispatchCounters(t *testing.T) {
+	const n, m = 60, 6
+	in := openExactInstance(t, n, m, 41)
+	order := lptOrder(in)
+	queued, shared := obs.GetCounter("sim.queue_entries"), obs.GetCounter("sim.shared_dispatches")
+	run := func(name string, p *placement.Placement, wantQueued int64) {
+		t.Helper()
+		q0, s0 := queued.Load(), shared.Load()
+		if _, err := RunFlatSharded(in, p, order, FlatOptions{}, 2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if q, s := queued.Load()-q0, shared.Load()-s0; q != wantQueued || s != n-wantQueued {
+			t.Errorf("%s: %d queue entries, %d shard-list dispatches; want %d, %d",
+				name, q, s, wantQueued, n-wantQueued)
+		}
+	}
+	run("none", nonePlacement(n, m, 41), 0)
+	run("groups", groupPlacement(t, n, m, 3, 41), 0)
+	run("everywhere", placement.Everywhere(n, m), 0)
+
+	abo := placement.Everywhere(n, m)
+	pinned := int64(0)
+	for j := 0; j < n; j += 3 {
+		abo.Assign(j, j%m)
+		pinned++
+	}
+	run("abo", abo, pinned)
+}
+
 // TestFlatRunnerReuseMatchesFresh carries one FlatRunner dirty across
 // instances of varying shape (the pool_test pattern): reuse must be
 // invisible in the output.
 func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 	var reused FlatRunner
 	for ci, in := range poolCases(t) {
-		p := groupPlacement(t, in.N(), in.M, 2, uint64(ci)+7)
-		order := lptOrder(in)
-		got, err := reused.RunSharded(in, p, order, FlatOptions{Trace: true}, 2)
-		if err != nil {
-			t.Fatalf("case %d: reused: %v", ci, err)
+		seed := uint64(ci) + 7
+		cases := append([]flatCase{{"group", in, groupPlacement(t, in.N(), in.M, 2, seed), lptOrder(in)}},
+			sharedCases(t, in, 2, seed)...) // lists and queues both shrink and grow between runs
+		for _, c := range cases {
+			got, err := reused.RunSharded(in, c.p, c.order, FlatOptions{Trace: true}, 2)
+			if err != nil {
+				t.Fatalf("case %d %s: reused: %v", ci, c.name, err)
+			}
+			want, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true}, 2)
+			if err != nil {
+				t.Fatalf("case %d %s: fresh: %v", ci, c.name, err)
+			}
+			requireSameResult(t, "reuse case "+itoa(ci)+" "+c.name, got, want)
 		}
-		want, err := RunFlatSharded(in, p, order, FlatOptions{Trace: true}, 2)
-		if err != nil {
-			t.Fatalf("case %d: fresh: %v", ci, err)
-		}
-		requireSameResult(t, "reuse case "+itoa(ci), got, want)
 	}
 }
 

@@ -370,7 +370,7 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 		return fmt.Errorf("sim: unknown cancel policy %d", opts.Policy)
 	}
 
-	r.arrTick = growTick(r.arrTick, n)
+	r.arrTick = grow(r.arrTick, n)
 	prev := 0.0
 	for j, t := range arrive {
 		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
@@ -388,7 +388,7 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	}
 
 	// Permutation check, reusing done as scratch (cleared again below).
-	r.done = growBoolZero(r.done, n)
+	r.done = growZero(r.done, n)
 	for _, j := range order {
 		if j < 0 || j >= n || r.done[j] {
 			return fmt.Errorf("sim: priority order is not a permutation (task %d)", j)
@@ -397,11 +397,11 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	}
 	clear(r.done)
 	r.order = order
-	r.posOf = growI32(r.posOf, n)
+	r.posOf = grow(r.posOf, n)
 	for pos, j := range order {
 		r.posOf[j] = int32(pos)
 	}
-	r.started = growBoolZero(r.started, n)
+	r.started = growZero(r.started, n)
 
 	// Executed durations in ticks; under a Duration hook the executed
 	// time depends on the machine and is converted at dispatch. The
@@ -410,7 +410,7 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	var sumDur tick.Tick
 	minDur := tick.Max
 	if opts.Duration == nil {
-		r.durTick = growTick(r.durTick, n)
+		r.durTick = grow(r.durTick, n)
 		for j := 0; j < n; j++ {
 			t, err := tick.FromSeconds(in.Tasks[j].Actual)
 			if err != nil {
@@ -429,16 +429,16 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	r.raceOK = opts.Policy == CancelOnCompletion && opts.Duration == nil &&
 		minDur > 0 && r.cancelTick > 0
 	if r.raceOK {
-		r.raceEnd = growTick(r.raceEnd, n) // written at race start before any read
+		r.raceEnd = grow(r.raceEnd, n) // written at race start before any read
 	}
 
-	r.seq = growU32Zero(r.seq, m)
-	r.activeM = growBoolZero(r.activeM, m)
-	r.runTask = growI32(r.runTask, m)
+	r.seq = growZero(r.seq, m)
+	r.activeM = growZero(r.activeM, m)
+	r.runTask = grow(r.runTask, m)
 	for i := range r.runTask {
 		r.runTask[i] = -1
 	}
-	r.runStart = growTickZero(r.runStart, m)
+	r.runStart = growZero(r.runStart, m)
 
 	if sharded {
 		r.partition(p)
@@ -450,26 +450,23 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 
 	// Uniform detection: a shard where every replica set is the whole
 	// shard shares one pending heap (see the file comment).
-	r.uniform = growBool(r.uniform, r.nShards)
+	r.uniform = grow(r.uniform, r.nShards)
 	for s := range r.uniform {
 		r.uniform[s] = true
 	}
 	anyGeneral := false
 	for j := 0; j < n; j++ {
-		s := r.taskShard[j]
-		if len(p.Sets[j]) != int(r.shardOff[s+1]-r.shardOff[s]) {
-			if r.uniform[s] {
-				r.uniform[s] = false
-				anyGeneral = true
-			}
+		if s := r.taskShard[j]; r.uniform[s] && !r.wide(s, p.Sets[j]) {
+			r.uniform[s] = false
+			anyGeneral = true
 		}
 	}
-	r.sharedPos = growI32(r.sharedPos, n)
-	r.sharedLen = growI32Zero(r.sharedLen, r.nShards)
+	r.sharedPos = grow(r.sharedPos, n)
+	r.sharedLen = growZero(r.sharedLen, r.nShards)
 
 	// Per-machine heap slab, only for machines of non-uniform shards
 	// (slots of uniform-shard machines stay zero-capacity).
-	r.qOff = growI32Zero(r.qOff, m+1)
+	r.qOff = growZero(r.qOff, m+1)
 	if anyGeneral {
 		for j := 0; j < n; j++ {
 			if r.uniform[r.taskShard[j]] {
@@ -482,15 +479,15 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 		for i := 0; i < m; i++ {
 			r.qOff[i+1] += r.qOff[i]
 		}
-		r.qPos = growI32(r.qPos, int(r.qOff[m]))
+		r.qPos = grow(r.qPos, int(r.qOff[m]))
 	}
-	r.qLen = growI32Zero(r.qLen, m)
+	r.qLen = growZero(r.qLen, m)
 
-	r.shardDone = growI32Zero(r.shardDone, r.nShards)
-	r.shardCancelled = growI32Zero(r.shardCancelled, r.nShards)
-	r.shardWasted = growTickZero(r.shardWasted, r.nShards)
-	r.shardEnd = growTickZero(r.shardEnd, r.nShards)
-	r.shardErrs = growSpanErr(r.shardErrs, r.nShards)
+	r.shardDone = growZero(r.shardDone, r.nShards)
+	r.shardCancelled = growZero(r.shardCancelled, r.nShards)
+	r.shardWasted = growZero(r.shardWasted, r.nShards)
+	r.shardEnd = growZero(r.shardEnd, r.nShards)
+	r.shardErrs = growZero(r.shardErrs, r.nShards)
 
 	// Wheel bucket width from the mean executed duration; under a
 	// Duration hook (durations unknown until dispatch) the mean arrival

@@ -10,12 +10,17 @@ import (
 
 // Shards by the replay path that executed them, over both flat engines:
 // the counters that say whether a run's shards reached a fast path or
-// fell to the general loop.
+// fell to the general loop. The last two are the batch engine's
+// dispatch structure: per-machine queue entries built (the Σ|M_j| term,
+// 0 when every replica set is its whole shard) and tasks handed out
+// from a shard list.
 var (
-	shardsLinear  = obs.GetCounter("sim.shards_linear")
-	shardsUniform = obs.GetCounter("sim.shards_uniform")
-	shardsRace    = obs.GetCounter("sim.shards_race_collapse")
-	shardsGeneral = obs.GetCounter("sim.shards_general")
+	shardsLinear     = obs.GetCounter("sim.shards_linear")
+	shardsUniform    = obs.GetCounter("sim.shards_uniform")
+	shardsRace       = obs.GetCounter("sim.shards_race_collapse")
+	shardsGeneral    = obs.GetCounter("sim.shards_general")
+	queueEntries     = obs.GetCounter("sim.queue_entries")
+	sharedDispatches = obs.GetCounter("sim.shared_dispatches")
 )
 
 // spanStats is one worker's tally over the shards it executed: plain
@@ -24,6 +29,7 @@ var (
 type spanStats struct {
 	popped, stale                  int64 // events popped; of those, superseded entries skipped
 	linear, uniform, race, general int64 // shards by path
+	queued, shared                 int64 // batch: queue entries built, shard-list dispatches
 }
 
 func (a *spanStats) add(b spanStats) {
@@ -33,6 +39,8 @@ func (a *spanStats) add(b spanStats) {
 	a.uniform += b.uniform
 	a.race += b.race
 	a.general += b.general
+	a.queued += b.queued
+	a.shared += b.shared
 }
 
 func (a *spanStats) flushPaths() {
@@ -40,6 +48,8 @@ func (a *spanStats) flushPaths() {
 	shardsUniform.Add(a.uniform)
 	shardsRace.Add(a.race)
 	shardsGeneral.Add(a.general)
+	queueEntries.Add(a.queued)
+	sharedDispatches.Add(a.shared)
 }
 
 // errSaturated is the shard error for a completion time that hit
@@ -149,15 +159,15 @@ func (ss *shardSet) reset() {
 // alone. Within a shard, shardMachines is ascending.
 func (ss *shardSet) partition(p *placement.Placement) {
 	n, m := p.N(), p.M
-	ss.parent = growI32(ss.parent, m)
+	ss.parent = grow(ss.parent, m)
 	for i := range ss.parent {
 		ss.parent[i] = int32(i)
 	}
 	var prev []int
 	for j := 0; j < n; j++ {
 		set := p.Sets[j]
-		if placement.SameSet(set, prev) {
-			continue // united a moment ago
+		if len(set) == 1 || placement.SameSet(set, prev) {
+			continue // nothing to unite, or united at the last shared set
 		}
 		prev = set
 		root := ss.find(int32(set[0]))
@@ -172,7 +182,7 @@ func (ss *shardSet) partition(p *placement.Placement) {
 	// roots, pass 2 propagates the root's label to every member (a
 	// member's slot is only ever written once, and a root's slot only
 	// with its own label, so reads and writes cannot collide).
-	ss.shardOf = growI32(ss.shardOf, m)
+	ss.shardOf = grow(ss.shardOf, m)
 	for i := range ss.shardOf {
 		ss.shardOf[i] = -1
 	}
@@ -190,7 +200,7 @@ func (ss *shardSet) partition(p *placement.Placement) {
 
 	// CSR of shard members. parent has served its purpose, so its
 	// prefix is recycled as the per-shard fill cursor.
-	ss.shardOff = growI32Zero(ss.shardOff, ss.nShards+1)
+	ss.shardOff = growZero(ss.shardOff, ss.nShards+1)
 	for i := 0; i < m; i++ {
 		ss.shardOff[ss.shardOf[i]+1]++
 	}
@@ -199,17 +209,25 @@ func (ss *shardSet) partition(p *placement.Placement) {
 	}
 	cur := ss.parent[:ss.nShards]
 	clear(cur)
-	ss.shardMachines = growI32(ss.shardMachines, m)
+	ss.shardMachines = grow(ss.shardMachines, m)
 	for i := 0; i < m; i++ {
 		s := ss.shardOf[i]
 		ss.shardMachines[ss.shardOff[s]+cur[s]] = int32(i)
 		cur[s]++
 	}
 
-	ss.taskShard = growI32(ss.taskShard, n)
+	ss.taskShard = grow(ss.taskShard, n)
 	for j := 0; j < n; j++ {
 		ss.taskShard[j] = ss.shardOf[p.Sets[j][0]]
 	}
+}
+
+// wide reports whether set, a replica set of shard s, is the whole
+// shard: a set holds distinct machines of one shard, so it is exactly
+// when the sizes agree. Tasks with wide sets are interchangeable to
+// the shard's dispatcher — one list serves every machine.
+func (ss *shardSet) wide(s int32, set []int) bool {
+	return len(set) == int(ss.shardOff[s+1]-ss.shardOff[s])
 }
 
 // find is union-find root lookup with path compression over parent.
@@ -230,21 +248,21 @@ func (ss *shardSet) find(x int32) int32 {
 // against.
 func (ss *shardSet) partitionTrivial(n, m int) {
 	ss.nShards = 1
-	ss.shardOf = growI32Zero(ss.shardOf, m)
-	ss.shardMachines = growI32(ss.shardMachines, m)
+	ss.shardOf = growZero(ss.shardOf, m)
+	ss.shardMachines = grow(ss.shardMachines, m)
 	for i := range ss.shardMachines {
 		ss.shardMachines[i] = int32(i)
 	}
-	ss.shardOff = growI32(ss.shardOff, 2)
+	ss.shardOff = grow(ss.shardOff, 2)
 	ss.shardOff[0], ss.shardOff[1] = 0, int32(m)
-	ss.taskShard = growI32Zero(ss.taskShard, n)
+	ss.taskShard = growZero(ss.taskShard, n)
 }
 
 // buildTaskOffsets fills shardTaskOff with per-shard task-count prefix
 // sums: shard s owns tasks [shardTaskOff[s], shardTaskOff[s+1]) of any
 // shard-grouped task CSR. Requires taskShard to be populated.
 func (ss *shardSet) buildTaskOffsets(n int) {
-	ss.shardTaskOff = growI32Zero(ss.shardTaskOff, ss.nShards+1)
+	ss.shardTaskOff = growZero(ss.shardTaskOff, ss.nShards+1)
 	for j := 0; j < n; j++ {
 		ss.shardTaskOff[ss.taskShard[j]+1]++
 	}
@@ -260,9 +278,9 @@ func (ss *shardSet) buildTaskOffsets(n int) {
 // stream. The parent prefix is recycled as the fill cursor (the
 // union-find is never consulted again after partition).
 func (ss *shardSet) buildTaskLists(n int) {
-	cur := growI32Zero(ss.parent, ss.nShards)
+	cur := growZero(ss.parent, ss.nShards)
 	ss.parent = cur[:0]
-	ss.shardTasks = growI32(ss.shardTasks, n)
+	ss.shardTasks = grow(ss.shardTasks, n)
 	for j := 0; j < n; j++ {
 		s := ss.taskShard[j]
 		ss.shardTasks[ss.shardTaskOff[s]+cur[s]] = int32(j)

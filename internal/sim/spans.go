@@ -22,9 +22,9 @@ type flatScratch struct {
 // and shard-indexed state no other shard touches. Three paths:
 //
 //   - replayLinear: a one-machine shard with no crashes has no
-//     contention at all — its tasks are, provably, exactly its queue in
-//     priority order, so execution is a linear replay with a running
-//     tick sum and no heap (the none-placement fast path);
+//     contention at all — its tasks are, provably, exactly its shard
+//     list, so execution is a linear replay with a running tick sum and
+//     no heap (the none-placement fast path);
 //   - runSpanHeap: the general event loop over the shard's machines;
 //   - runSpanFailures: the fail-stop port of RunWithFailures, used only
 //     for shards that actually contain crashes.
@@ -60,14 +60,18 @@ func (r *FlatRunner) runSpan(in *task.Instance, p *placement.Placement, s int,
 	r.runSpanHeap(s, ms, sc, opts)
 }
 
-// replayLinear executes a one-machine shard without a heap. The
-// machine's CSR queue holds its eligible tasks in priority order; a
-// singleton shard means every one of those tasks is placed only here
-// (any second replica would have merged that machine into a larger
-// component), so each is unstarted when scanned and the whole run is
-// one pass accumulating a tick clock.
+// replayLinear executes a one-machine shard without a heap. A replica
+// set inside a one-machine shard is that machine (any second replica
+// would have merged it into a larger component), so the shard list
+// holds every task of the shard and the whole run is one pass over it
+// accumulating a tick clock. Who pays for this path: the `none` class
+// of pipeline-fresh and SimLoop/n=100k, whose shards are all of this
+// kind. Sent through runSpanHeap instead they pop an event per task
+// (sim.events_per_task on pipeline-fresh 0.7548 → 1.0064), `none` falls
+// from 2.90M to 2.59M tasks/s and SimLoop from 14.7M to 9.5M, under its
+// 10M floor (alternating runs, CHANGES.md PR 17).
 func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
-	q := r.qTasks[r.qOff[mach]:r.qOff[mach+1]]
+	q := r.wideTasks[r.shardTaskOff[s]:][:r.wideLen[s]]
 	var trace []Event
 	tr := 0
 	if opts.Trace {
@@ -82,14 +86,14 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 		} else {
 			var ok bool
 			if d, ok = r.hookTick(s, int(j), mi, mEvent{t: now, m: mach}, opts); !ok {
-				r.shardStarted[s] = int32(k)
+				r.shardStarted[s], r.wideHead[s] = int32(k), int32(k)
 				return
 			}
 		}
 		end := tick.SatAdd(now, d)
 		if end == tick.Max {
 			r.shardErrs[s] = spanError{key: mEvent{t: now, m: mach}, err: errSaturated(j, mach)}
-			r.shardStarted[s] = int32(k)
+			r.shardStarted[s], r.wideHead[s] = int32(k), int32(k)
 			return
 		}
 		r.sched.Assignments[j] = sched.Assignment{
@@ -102,14 +106,41 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 		}
 		now = end
 	}
-	r.shardStarted[s] = int32(len(q))
+	r.shardStarted[s], r.wideHead[s] = r.wideLen[s], r.wideLen[s]
+}
+
+// pick hands machine i of shard s the highest-priority unstarted task
+// it holds a replica of, or -1 when none is left: the earlier-in-order
+// of the shard list's head and the first unstarted entry of its own
+// queue. That is ListDispatcher's started-skip scan over the one queue
+// that held both: list tasks start in list order (whichever machine
+// takes one takes the first left), so the cursor is never behind an
+// unstarted list task, and queue entries are skipped once another
+// replica's machine has started them.
+func (r *FlatRunner) pick(s int, i int32) int32 {
+	q := r.qTasks[r.qOff[i]:r.qOff[i+1]]
+	h := r.head[i]
+	for int(h) < len(q) && r.started[q[h]] {
+		h++
+	}
+	r.head[i] = h
+	if c := r.wideHead[s]; c < r.wideLen[s] {
+		if j := r.wideTasks[r.shardTaskOff[s]+c]; int(h) == len(q) || r.priorityOf[j] < r.priorityOf[q[h]] {
+			r.wideHead[s] = c + 1
+			return j
+		}
+	}
+	if int(h) == len(q) {
+		return -1
+	}
+	r.started[q[h]] = true
+	return q[h]
 }
 
 // runSpanHeap is the general shard event loop: pop the earliest idle
-// machine, hand it the highest-priority unstarted task from its queue,
-// push its completion back. Identical decisions to Runner.Run with a
-// ListDispatcher — same (time, machine) pop order, same started-skip
-// queue scan — just over ticks and flat state.
+// machine, pick its task, push its completion back. Identical decisions
+// to Runner.Run with a ListDispatcher — same (time, machine) pop order,
+// same task per idle machine — just over ticks and flat state.
 func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatOptions) {
 	h := sc.heap[:0]
 	for _, i := range ms {
@@ -127,20 +158,10 @@ func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatO
 		h, ev = mPop(h)
 		popped++
 		i := ev.m
-		q := r.qTasks[r.qOff[i]:r.qOff[i+1]]
-		j := int32(-1)
-		for int(r.head[i]) < len(q) {
-			cand := q[r.head[i]]
-			r.head[i]++
-			if !r.started[cand] {
-				j = cand
-				break
-			}
-		}
+		j := r.pick(s, i)
 		if j < 0 {
-			continue // queue exhausted: the machine retires
+			continue // nothing left it may run: the machine retires
 		}
-		r.started[j] = true
 		started++
 		var d tick.Tick
 		if opts.Duration == nil {
@@ -291,7 +312,7 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 			r.runTask[i] = -1
 		}
 		// Dispatch: lost tasks first (highest priority among those
-		// eligible here), then the regular queue.
+		// eligible here), then the shard list and the machine's queue.
 		j := int32(-1)
 		bestIdx := -1
 		for idx, cand := range retry {
@@ -305,16 +326,7 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 			retry[bestIdx] = retry[len(retry)-1]
 			retry = retry[:len(retry)-1]
 		} else {
-			q := r.qTasks[r.qOff[i]:r.qOff[i+1]]
-			for int(r.head[i]) < len(q) {
-				cand := q[r.head[i]]
-				r.head[i]++
-				if !r.started[cand] {
-					j = cand
-					r.started[cand] = true
-					break
-				}
-			}
+			j = r.pick(s, i)
 		}
 		if j < 0 {
 			r.dormant[i] = true

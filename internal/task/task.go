@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tick"
 )
@@ -253,11 +254,17 @@ func NewEstimated(m int, alpha float64, estimates []float64) (*Instance, error) 
 
 // Estimates returns a fresh slice of the estimated processing times.
 func (in *Instance) Estimates() []float64 {
-	out := make([]float64, len(in.Tasks))
-	for i, t := range in.Tasks {
-		out[i] = t.Estimate
+	return in.AppendEstimates(make([]float64, 0, len(in.Tasks)))
+}
+
+// AppendEstimates appends the estimated processing times to buf and
+// returns it, as AppendActuals does for the actual ones.
+func (in *Instance) AppendEstimates(buf []float64) []float64 {
+	buf = slices.Grow(buf, len(in.Tasks))
+	for _, t := range in.Tasks {
+		buf = append(buf, t.Estimate)
 	}
-	return out
+	return buf
 }
 
 // Actuals returns a fresh slice of the actual processing times.
