@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check cover cover-floors bench benchreport bench-update bench-smoke bench-pair figs fuzz stress chaos loadtest clean
+.PHONY: all build test race lint check cover cover-floors bench benchreport bench-update bench-smoke bench-pair figs figs-check fuzz stress chaos loadtest clean
 
 all: build test
 
@@ -34,7 +34,8 @@ lint:
 
 # Full gate: what CI runs. Vet, build, uncertlint, the whole test
 # suite under the race detector with shuffled order, the cluster chaos
-# layer, and the per-package coverage floors.
+# layer, the per-package coverage floors, and the committed experiment
+# outputs against a fresh regeneration.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -42,6 +43,7 @@ check:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 ./internal/cluster/ ./internal/front/
 	$(MAKE) cover-floors
+	$(MAKE) figs-check
 
 # Per-package statement-coverage floors, one loop for the Makefile and
 # CI alike: every package on the list must test at COVER_FLOOR% or
@@ -99,6 +101,15 @@ bench-pair:
 figs:
 	$(GO) run ./cmd/paperfigs -exp all -out out/
 
+# Did a change move any committed result? Regenerate everything into a
+# temporary directory and compare it with out/ byte for byte, in both
+# directions (a file on one side only fails too). e5.txt is skipped: its
+# columns are wall-clock times.
+figs-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	  $(GO) run ./cmd/paperfigs -exp all -out "$$tmp" >/dev/null && \
+	  diff -rq -x e5.txt out "$$tmp" && echo "out/ matches a fresh regeneration (e5.txt skipped)"
+
 fuzz:
 	$(GO) test -fuzz=FuzzTimeConv -fuzztime=30s ./internal/tick/
 	$(GO) test -fuzz=FuzzGroupPartition -fuzztime=30s ./internal/sim/
@@ -131,6 +142,7 @@ loadtest:
 	$(GO) run ./cmd/loadgen -selftest -mode closed -requests 200 -workers 8
 	$(GO) run ./cmd/loadgen -selftest -mode open -qps 400 -duration 1s
 
+# Removes only what the tree ignores (.gitignore); out/ is tracked.
 clean:
-	rm -rf out/ $(addsuffix .cov,$(COVER_PKGS))
+	rm -rf *.cov .bench_build/ bench
 	$(GO) clean -testcache

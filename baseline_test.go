@@ -111,8 +111,6 @@ func TestCommittedBaselineClaims(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"SimLoopEvent/n=100k",
-		"OpenSimLoopEvent/n=10k",
 		"Scaling/NoReplication/n=100k",
 		"Scaling/Groups8/n=10k",
 		"Scaling/Everywhere/n=10k",

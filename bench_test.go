@@ -184,16 +184,6 @@ func BenchmarkSimLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkSimLoopEvent measures the float event-heap reference
-// engine on the same workload, keeping the pre-refactor loop pinned.
-func BenchmarkSimLoopEvent(b *testing.B) {
-	for _, s := range benchsuite.Curated() {
-		if rest, ok := strings.CutPrefix(s.Name, "SimLoopEvent/"); ok {
-			b.Run(rest, s.Run)
-		}
-	}
-}
-
 // BenchmarkOpenSimLoop measures the flat-engine open-system loop —
 // Poisson arrivals, replicate-everywhere placement, cancel-on-completion
 // racing — with everything but the pooled replay precomputed, via the
@@ -201,16 +191,6 @@ func BenchmarkSimLoopEvent(b *testing.B) {
 func BenchmarkOpenSimLoop(b *testing.B) {
 	for _, s := range benchsuite.Curated() {
 		if rest, ok := strings.CutPrefix(s.Name, "OpenSimLoop/"); ok {
-			b.Run(rest, s.Run)
-		}
-	}
-}
-
-// BenchmarkOpenSimLoopEvent measures the float event-heap open-system
-// reference on the same workload, keeping the pre-refactor loop pinned.
-func BenchmarkOpenSimLoopEvent(b *testing.B) {
-	for _, s := range benchsuite.Curated() {
-		if rest, ok := strings.CutPrefix(s.Name, "OpenSimLoopEvent/"); ok {
 			b.Run(rest, s.Run)
 		}
 	}

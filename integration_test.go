@@ -45,11 +45,7 @@ func TestPlacementSerializationPreservesSchedule(t *testing.T) {
 	}
 
 	run := func(pl *placement.Placement) float64 {
-		d, err := sim.NewListDispatcher(pl, a.Order(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(in, d, sim.Options{})
+		res, err := sim.RunFlat(in, pl, a.Order(in), sim.FlatOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

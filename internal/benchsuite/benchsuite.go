@@ -92,8 +92,7 @@ func scalingSpec(name string, n int, cfg core.Config) Spec {
 //     before the replicated S1 on the shard list.
 //
 // The last two attribute pipeline-fresh's `everywhere` and `abo`
-// classes to the engine's dispatch structure. The event-heap reference
-// engine keeps its own floor via SimLoopEvent below.
+// classes to the engine's dispatch structure.
 func simLoopSpec(name string, n int, shape func(*task.Instance) (*placement.Placement, []int, error)) Spec {
 	return Spec{
 		Name:  "SimLoop/" + name,
@@ -164,45 +163,7 @@ func lptOrderSpec(n int) Spec {
 	}
 }
 
-// simLoopEventSpec keeps the float event loop measured: it is the
-// differential reference for the flat engine and still executes e9's
-// StealingDispatcher.
-func simLoopEventSpec(n int) Spec {
-	return Spec{
-		Name:  "SimLoopEvent/n=100k",
-		Tasks: n,
-		Run: func(b *testing.B) {
-			in := scalingInstance(n)
-			a := algo.LPTNoChoice()
-			p, err := a.Place(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			order := a.Order(in)
-			var disp sim.ListDispatcher
-			var runner sim.Runner
-			if err := disp.Reset(p, order); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := runner.Run(in, &disp, sim.Options{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := disp.Reset(p, order); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := runner.Run(in, &disp, sim.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
-		},
-	}
-}
-
-// openSimLoopInputs builds the shared open-system workload: Poisson
+// openSimLoopInputs builds the open-system workload: Poisson
 // arrivals, replicate-everywhere placement, and cancel-on-completion
 // racing — the heaviest configuration (every machine queues every
 // task, and each completion scans for replicas to cancel).
@@ -231,8 +192,7 @@ func openSimLoopInputs(b *testing.B, n, m int) (*task.Instance, *placement.Place
 // per-core). Replicate-everywhere makes the whole cluster one uniform
 // shard on the race-collapse path: ≥1.5M tasks/s at m=64 and ≥500K at
 // m=128 (two-word cohort masks), both 0 allocs/op, are the floors the
-// committed baseline gates. The event-heap reference keeps its own
-// floor via OpenSimLoopEvent below.
+// committed baseline gates.
 func openSimLoopSpec(name string, n, m int) Spec {
 	return Spec{
 		Name:  "OpenSimLoop/" + name,
@@ -249,33 +209,6 @@ func openSimLoopSpec(name string, n, m int) Spec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := runner.RunSharded(in, p, order, arrive, opts, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
-		},
-	}
-}
-
-// openSimLoopEventSpec keeps the float event-heap open loop measured:
-// OpenRunner remains the differential reference for the flat open
-// engine, so its regressions still matter. Same inputs as OpenSimLoop;
-// the per-machine sorted-insert position queues make it quadratic in
-// queue depth, which is exactly the gap the flat engine closes.
-func openSimLoopEventSpec(n int) Spec {
-	return Spec{
-		Name:  "OpenSimLoopEvent/n=10k",
-		Tasks: n,
-		Run: func(b *testing.B) {
-			in, p, order, arrive, opts := openSimLoopInputs(b, n, 64)
-			var runner sim.OpenRunner
-			if _, err := runner.Run(in, p, order, arrive, opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(in, p, order, arrive, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -376,10 +309,8 @@ func Curated() []Spec {
 		simLoopSpec("everywhere/n=10k,m=64", 10_000, everywhereShape),
 		simLoopSpec("abo/n=10k,m=64", 10_000, aboShape),
 		lptOrderSpec(10_000),
-		simLoopEventSpec(100_000),
 		openSimLoopSpec("n=10k", 10_000, 64),
 		openSimLoopSpec("m=128", 10_000, 128),
-		openSimLoopEventSpec(10_000),
 		estimateWarmSpec(),
 		estimateColdSpec("n=10k,m=64", 10_000, 64),
 		estimateColdSpec("n=2k,m=512", 2_000, 512),

@@ -15,8 +15,8 @@ import (
 // whose fault injectors are flipped mid-batch. Run with -race; the
 // dispatcher, probers, hedges, and the kill goroutine all interleave.
 //
-// Invariants asserted, mirroring sim.RunWithFailures at the network
-// layer:
+// Invariants asserted, mirroring sim.FlatOptions.Failures at the
+// network layer:
 //
 //  1. exactly-once completion — no item is *executed* to a 200 more
 //     than once across the pool (hedging is off, so duplicates could

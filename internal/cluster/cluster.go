@@ -8,7 +8,7 @@
 // are hedged after a quantile-based delay (the tail-at-scale trick the
 // paper's replication theorems justify analytically).
 //
-// Robustness mirrors sim.RunWithFailures at the network layer:
+// Robustness mirrors sim.FlatOptions.Failures at the network layer:
 //
 //   - per-backend health probes against /healthz re-admit restarted
 //     backends quickly;

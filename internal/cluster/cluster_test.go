@@ -41,7 +41,7 @@ func (tb *testBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(time.Duration(d))
 	}
 	// A crash that lands mid-work loses the in-flight request, like a
-	// machine failure in sim.RunWithFailures loses the running task.
+	// machine failure under sim.FlatOptions.Failures loses the running task.
 	if tb.down.Load() {
 		hijackClose(w)
 		return

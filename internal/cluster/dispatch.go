@@ -63,7 +63,7 @@ func (c *Cluster) RunBatch(ctx context.Context, req *BatchRequest) (*BatchRespon
 // selectable replica, attempt (with hedging), and on backend failure
 // re-dispatch to another member of the replica set. It gives up only
 // on a deterministic item error or when ctx expires — mirroring
-// sim.RunWithFailures, where a task is lost solely when its whole
+// sim.FlatOptions.Failures, where a task is lost solely when its whole
 // replica set is dead.
 func (c *Cluster) dispatchItem(ctx context.Context, idx int, req *serve.ScheduleRequest, set []int) Item {
 	body, err := json.Marshal(req)

@@ -112,17 +112,20 @@ func (e9) Run(w io.Writer, opts Options) error {
 			return in.Tasks[order[a]].Estimate > in.Tasks[order[b]].Estimate
 		})
 		for pi, phi := range phis {
-			d, err := sim.NewStealingDispatcher(pinned, order, phi)
+			r, err := sim.RunFlat(in, pinned, order, sim.FlatOptions{FetchPenalty: phi})
 			if err != nil {
 				res.err = err
 				return res
 			}
-			r, err := sim.Run(in, d, sim.Options{Duration: d.DurationOf(in)})
-			if err != nil {
-				res.err = err
-				return res
+			// A pinned task ran remotely wherever it did not run on its
+			// one machine, for φ times its actual time.
+			penalized := func(taskID, machine int) float64 {
+				if pinned.Sets[taskID][0] == machine {
+					return in.Tasks[taskID].Actual
+				}
+				return in.Tasks[taskID].Actual * phi
 			}
-			if err := r.Schedule.VerifyDurations(in, pinned, d.DurationOf(in)); err != nil {
+			if err := r.Schedule.VerifyDurations(in, pinned, penalized); err != nil {
 				res.err = fmt.Errorf("stealing schedule infeasible: %w", err)
 				return res
 			}

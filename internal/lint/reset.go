@@ -6,7 +6,7 @@ import (
 )
 
 // newReset builds the reset analyzer. The repo pools run state
-// (sim.Runner, sched.Schedule, placement.Placement, …) and the byte-
+// (sim.FlatRunner, sched.Schedule, placement.Placement, …) and the byte-
 // identity guarantee rests on each type's Reset method re-initializing
 // every field: a field Reset forgets keeps its value from the previous
 // pooled use, and whether that stale value reaches the output depends

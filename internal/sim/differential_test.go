@@ -1,57 +1,21 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/placement"
 	"repro/internal/rng"
-	"repro/internal/sched"
-	"repro/internal/task"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-// referenceRun is an independent, deliberately naive implementation of
-// the phase-2 semantics: keep per-machine clocks, repeatedly give the
-// machine with the smallest clock (ties to the lowest index) its next
-// task. It exists only to differentially test the event-heap
-// simulator.
-func referenceRun(in *task.Instance, d Dispatcher) (*sched.Schedule, error) {
-	s := sched.New(in.N(), in.M)
-	clocks := make([]float64, in.M)
-	active := make([]bool, in.M)
-	for i := range active {
-		active[i] = true
-	}
-	for {
-		best := -1
-		for i := 0; i < in.M; i++ {
-			if !active[i] {
-				continue
-			}
-			if best == -1 || clocks[i] < clocks[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		j, ok := d.Next(best, clocks[best])
-		if !ok {
-			active[best] = false
-			continue
-		}
-		start := clocks[best]
-		end := start + in.Tasks[j].Actual
-		s.Assignments[j] = sched.Assignment{Task: j, Machine: best, Start: start, End: end}
-		d.Completed(j, best, end, in.Tasks[j].Actual)
-		clocks[best] = end
-	}
-	return s, nil
-}
-
+// TestEventSimulatorMatchesReference sweeps random seeds, placement
+// styles and priority orders: the engine's event heap and the oracle's
+// clock scan must agree on every assignment (continuous durations, so
+// times within the quantization bound).
 func TestEventSimulatorMatchesReference(t *testing.T) {
 	f := func(seed uint64, kRaw, orderKind uint8) bool {
 		const m = 6
@@ -94,30 +58,12 @@ func TestEventSimulatorMatchesReference(t *testing.T) {
 			})
 		}
 
-		d1, err := NewListDispatcher(p, order)
+		eventRes, err := RunFlatSharded(in, p, order, FlatOptions{}, 2)
 		if err != nil {
 			return false
 		}
-		eventRes, err := Run(in, d1, Options{})
-		if err != nil {
-			return false
-		}
-		d2, err := NewListDispatcher(p, order)
-		if err != nil {
-			return false
-		}
-		refSched, err := referenceRun(in, d2)
-		if err != nil {
-			return false
-		}
-		// The two implementations must agree on every assignment.
-		for j := range eventRes.Schedule.Assignments {
-			a, b := eventRes.Schedule.Assignments[j], refSched.Assignments[j]
-			if a.Machine != b.Machine || a.Start != b.Start || a.End != b.End {
-				t.Logf("task %d: event %+v vs reference %+v", j, a, b)
-				return false
-			}
-		}
+		requireCloseSchedule(t, fmt.Sprintf("seed %d, style %d", seed, kRaw%3), in.N(), eventRes.Schedule,
+			oracleRun(in, p, order, FlatOptions{}).Schedule)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

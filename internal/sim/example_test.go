@@ -8,15 +8,14 @@ import (
 	"repro/internal/task"
 )
 
-// ExampleRun schedules three fully replicated tasks on two machines
+// ExampleRunFlat schedules three fully replicated tasks on two machines
 // with Graham-style list dispatch.
-func ExampleRun() {
+func ExampleRunFlat() {
 	est := []float64{3, 2, 2}
 	in, _ := task.New(2, 1, est, est)
 	p := placement.Everywhere(3, 2)
-	d, _ := sim.NewListDispatcher(p, []int{0, 1, 2})
 
-	res, _ := sim.Run(in, d, sim.Options{})
+	res, _ := sim.RunFlat(in, p, []int{0, 1, 2}, sim.FlatOptions{})
 	fmt.Printf("makespan: %g\n", res.Schedule.Makespan())
 	for _, a := range res.Schedule.Assignments {
 		fmt.Printf("task %d on machine %d at t=%g\n", a.Task, a.Machine, a.Start)
@@ -28,28 +27,30 @@ func ExampleRun() {
 	// task 2 on machine 1 at t=2
 }
 
-// ExampleRunWithFailures shows a crash losing in-flight work that a
-// replica elsewhere absorbs.
-func ExampleRunWithFailures() {
+// ExampleFailure shows a crash losing in-flight work that a replica
+// elsewhere absorbs.
+func ExampleFailure() {
 	est := []float64{10, 1}
 	in, _ := task.New(2, 1, est, est)
 	p := placement.Everywhere(2, 2)
 
-	s, err := sim.RunWithFailures(in, p, []int{0, 1},
-		[]sim.Failure{{Machine: 0, Time: 5}})
+	res, err := sim.RunFlat(in, p, []int{0, 1}, sim.FlatOptions{
+		Failures: []sim.Failure{{Machine: 0, Time: 5}},
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	a := s.Assignments[0]
+	a := res.Schedule.Assignments[0]
 	fmt.Printf("task 0 re-ran on machine %d from t=%g to t=%g\n", a.Machine, a.Start, a.End)
 	// Output:
 	// task 0 re-ran on machine 1 from t=5 to t=15
 }
 
-// ExampleStealingDispatcher prices remote execution: machine 1 steals
-// a pinned task at double duration once its own queue drains.
-func ExampleStealingDispatcher() {
+// ExampleFlatOptions_fetchPenalty prices remote execution: machine 1
+// takes a task pinned to machine 0 at double duration once its own
+// queue drains.
+func ExampleFlatOptions_fetchPenalty() {
 	est := []float64{4, 4, 1}
 	in, _ := task.New(2, 1, est, est)
 	p := placement.New(3, 2)
@@ -57,8 +58,7 @@ func ExampleStealingDispatcher() {
 	p.Assign(1, 0)
 	p.Assign(2, 1)
 
-	d, _ := sim.NewStealingDispatcher(p, []int{0, 1, 2}, 2)
-	res, _ := sim.Run(in, d, sim.Options{Duration: d.DurationOf(in)})
+	res, _ := sim.RunFlat(in, p, []int{0, 1, 2}, sim.FlatOptions{FetchPenalty: 2})
 	a := res.Schedule.Assignments[1]
 	fmt.Printf("stolen task 1 ran on machine %d for %g time units\n",
 		a.Machine, a.End-a.Start)

@@ -2,32 +2,46 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
+// runWithFailures is the production fail-stop run the hand-computed
+// tests below pin: the flat engine through its shard decomposition.
+func runWithFailures(in *task.Instance, p *placement.Placement, order []int,
+	failures []Failure) (*sched.Schedule, error) {
+	res, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, 2)
+	if err != nil {
+		return nil, err
+	}
+	return res.Schedule, nil
+}
+
 func TestFailureNoFailuresMatchesPlainRun(t *testing.T) {
+	// A crash after the last completion sends the run through the
+	// fail-stop loop with nothing to lose: the plain run's schedule.
 	in := workload.MustNew(workload.Spec{Name: "uniform", N: 30, M: 4, Alpha: 1.5, Seed: 3})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(4))
 	p := placement.Everywhere(30, 4)
 	order := identityOrder(30)
 
-	s, err := RunWithFailures(in, p, order, nil)
+	want, err := RunFlat(in, p, order, FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := NewListDispatcher(p, order)
-	want, err := Run(in, d, Options{})
+	s, err := runWithFailures(in, p, order, []Failure{{Machine: 2, Time: want.Schedule.Makespan() + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Makespan() != want.Schedule.Makespan() {
+	if !reflect.DeepEqual(s.Assignments, want.Schedule.Assignments) {
 		t.Fatalf("failure-free run %v != plain run %v", s.Makespan(), want.Schedule.Makespan())
 	}
 	if err := s.Verify(in, p); err != nil {
@@ -44,7 +58,7 @@ func TestFailureLosesInFlightWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := placement.Everywhere(3, 2)
-	s, err := RunWithFailures(in, p, identityOrder(3), []Failure{{Machine: 0, Time: 5}})
+	s, err := runWithFailures(in, p, identityOrder(3), []Failure{{Machine: 0, Time: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +82,7 @@ func TestFailureUnsurvivableWithoutReplication(t *testing.T) {
 	p := placement.New(2, 2)
 	p.Assign(0, 0)
 	p.Assign(1, 1)
-	_, err = RunWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 1}})
+	_, err = runWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 1}})
 	if !errors.Is(err, ErrUnsurvivable) {
 		t.Fatalf("got %v, want ErrUnsurvivable", err)
 	}
@@ -89,7 +103,7 @@ func TestFailureSurvivableWithGroups(t *testing.T) {
 		p.GroupOf[j] = g
 		p.AssignSet(j, groups[g])
 	}
-	s, err := RunWithFailures(in, p, identityOrder(24), []Failure{{Machine: 1, Time: 3}})
+	s, err := runWithFailures(in, p, identityOrder(24), []Failure{{Machine: 1, Time: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +127,7 @@ func TestFailureAfterCompletionIsHarmless(t *testing.T) {
 	p := placement.New(2, 2)
 	p.Assign(0, 0)
 	p.Assign(1, 1)
-	s, err := RunWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 50}})
+	s, err := runWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestFailureAtTaskBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := placement.Everywhere(3, 2)
-	s, err := RunWithFailures(in, p, identityOrder(3), []Failure{{Machine: 0, Time: 4}})
+	s, err := runWithFailures(in, p, identityOrder(3), []Failure{{Machine: 0, Time: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +164,7 @@ func TestFailureMultipleCrashes(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "uniform", N: 40, M: 6, Alpha: 1.5, Seed: 9})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(10))
 	p := placement.Everywhere(40, 6)
-	s, err := RunWithFailures(in, p, identityOrder(40),
+	s, err := runWithFailures(in, p, identityOrder(40),
 		[]Failure{{Machine: 0, Time: 10}, {Machine: 3, Time: 25}})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +192,7 @@ func TestFailureDormantMachineWakesForRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := placement.Everywhere(2, 2)
-	s, err := RunWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 5}})
+	s, err := runWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +227,13 @@ func TestFailurePropertyReplicatedAlwaysSurvives(t *testing.T) {
 			p.AssignSet(j, groups[g])
 		}
 		order := identityOrder(n)
-		healthy, err := RunWithFailures(in, p, order, nil)
+		healthy, err := runWithFailures(in, p, order, nil)
 		if err != nil {
 			return false
 		}
 		failMachine := int(failMachineRaw) % m
 		failTime := healthy.Makespan() * float64(fracRaw%100) / 100
-		crashed, err := RunWithFailures(in, p, order,
+		crashed, err := runWithFailures(in, p, order,
 			[]Failure{{Machine: failMachine, Time: failTime}})
 		if err != nil {
 			return false
@@ -242,13 +256,13 @@ func TestFailurePropertyReplicatedAlwaysSurvives(t *testing.T) {
 func TestFailureInvalidArgs(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "unit", N: 2, M: 2, Alpha: 1, Seed: 1})
 	p := placement.Everywhere(2, 2)
-	if _, err := RunWithFailures(in, p, []int{0}, nil); err == nil {
+	if _, err := runWithFailures(in, p, []int{0}, nil); err == nil {
 		t.Error("short order accepted")
 	}
-	if _, err := RunWithFailures(in, p, identityOrder(2), []Failure{{Machine: 9, Time: 1}}); err == nil {
+	if _, err := runWithFailures(in, p, identityOrder(2), []Failure{{Machine: 9, Time: 1}}); err == nil {
 		t.Error("invalid machine accepted")
 	}
-	if _, err := RunWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: -1}}); err == nil {
+	if _, err := runWithFailures(in, p, identityOrder(2), []Failure{{Machine: 0, Time: -1}}); err == nil {
 		t.Error("negative time accepted")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 
@@ -18,22 +19,33 @@ var (
 	simFlatShards = obs.GetCounter("sim.flat_shards")
 )
 
-// FlatOptions configures a flat-engine run. It is the FlatRunner
-// counterpart of Options plus fail-stop crash injection.
+// FlatOptions configures a batch run: the policies a caller may attach
+// to the one list-scheduling event loop.
 type FlatOptions struct {
-	// Trace records start/finish events, exactly as Options.Trace.
+	// Trace records start/finish events when true.
 	Trace bool
 	// Duration, when non-nil, overrides the executed duration of a task
-	// on a machine, under the same contract as Options.Duration
-	// (deterministic, non-negative, exactly once per started task on a
-	// successful run; on an error return, shards that were still
-	// running may have invoked it for tasks the sequential engine would
-	// not have reached).
+	// on a machine (default: the task's actual time). Its value is how
+	// long the machine is busy — clock advance and recorded Assignment —
+	// and nothing else. It must be deterministic and non-negative, and
+	// is called exactly once per started task on a successful run; on an
+	// error return, shards that were still running may have invoked it
+	// for tasks a sequential run would not have reached.
 	Duration func(taskID, machine int) float64
-	// Failures injects fail-stop machine crashes with RunWithFailures
-	// semantics. Incompatible with Trace and Duration, as in the
-	// reference engine (RunWithFailures exposes neither).
+	// Failures injects fail-stop machine crashes: a task running across
+	// a crash is lost and re-offered, ahead of the queues, to the other
+	// machines holding a replica; the schedule records each task's final
+	// execution, and a crash that strands a task fails the run with
+	// ErrUnsurvivable. Incompatible with Trace and Duration.
 	Failures []Failure
+	// FetchPenalty, when non-zero, lets a machine run tasks it holds no
+	// replica of — the alternative to replication the paper dismisses as
+	// prohibitive, priced by experiment e9: a machine whose local work
+	// has run out takes the highest-priority unstarted task from anywhere
+	// and is busy FetchPenalty times its actual time. Must be finite and
+	// at least 1; incompatible with Duration and Failures (no caller
+	// combines them). The schedule verifies under VerifyDurations.
+	FetchPenalty float64
 }
 
 // spanError is a shard-local error together with the (time, machine)
@@ -72,6 +84,8 @@ type spanError struct {
 //	                               tasks eligible on i, in priority
 //	                               order, one copy per replica (CSR)
 //	         head[i]               queue scan position
+//	stealing order, stealHead      FetchPenalty only: the caller's
+//	                               priority order and a cursor over it
 //
 // A machine's eligible tasks are its shard's list plus its own queue,
 // and pick hands it the earlier-in-order of the two heads. List tasks
@@ -88,10 +102,10 @@ type spanError struct {
 // rounding-order-dependent floats. The differential suite in
 // flat_test.go pins that equivalence at every worker count.
 //
-// The zero value is ready to use. Like Runner, a FlatRunner owns the
-// Result it returns (valid until the next call), performs zero
-// steady-state allocations across same-shaped runs, and is not safe
-// for concurrent use.
+// The zero value is ready to use. A FlatRunner owns the Result it
+// returns (valid until the next call; RunFlat and RunFlatSharded return
+// caller-owned state), performs zero steady-state allocations across
+// same-shaped runs, and is not safe for concurrent use.
 type FlatRunner struct {
 	// SoA task state.
 	durTick    []tick.Tick
@@ -101,6 +115,11 @@ type FlatRunner struct {
 	// Per-shard lists and CSR per-machine queues (see Layout).
 	wideTasks, wideLen, wideHead []int32
 	qTasks, qOff, head           []int32
+
+	// FetchPenalty runs only (order nil otherwise): a machine with no
+	// local work left scans order from stealHead for an unstarted task.
+	order     []int
+	stealHead int
 
 	// Shard decomposition (shardOf, shardMachines, taskShard, …),
 	// shared with FlatOpenRunner.
@@ -146,6 +165,8 @@ func (r *FlatRunner) Reset(n, m int) {
 	r.qTasks = r.qTasks[:0]
 	r.qOff = r.qOff[:0]
 	r.head = r.head[:0]
+	r.order = nil
+	r.stealHead = 0
 	r.shardSet.reset()
 	r.shardStarted = r.shardStarted[:0]
 	r.shardErrs = r.shardErrs[:0]
@@ -203,7 +224,7 @@ func (r *FlatRunner) RunSharded(in *task.Instance, p *placement.Placement, order
 
 func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	o FlatOptions, workers int, sharded bool) (*Result, error) {
-	defer func() { r.opts = FlatOptions{} }()
+	defer func() { r.opts, r.order = FlatOptions{}, nil }()
 	n, m := in.N(), in.M
 	r.Reset(n, m)
 	// Copy the options into the reused field instead of taking &o: the
@@ -307,9 +328,18 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	if len(opts.Failures) > 0 && (opts.Trace || opts.Duration != nil) {
 		return fmt.Errorf("sim: failures cannot be combined with Trace or Duration")
 	}
+	steal := opts.FetchPenalty != 0
+	if steal {
+		if !(opts.FetchPenalty >= 1) || math.IsInf(opts.FetchPenalty, 1) {
+			return fmt.Errorf("sim: fetch penalty %v (want finite, at least 1)", opts.FetchPenalty)
+		}
+		if len(opts.Failures) > 0 || opts.Duration != nil {
+			return fmt.Errorf("sim: a fetch penalty cannot be combined with Failures or Duration")
+		}
+		r.order = order
+	}
 
-	// Permutation check; started doubles as the seen-scratch, exactly
-	// as in ListDispatcher.Reset.
+	// Permutation check; started doubles as the seen-scratch.
 	r.started = growZero(r.started, n)
 	for _, j := range order {
 		if j < 0 || j >= n || r.started[j] {
@@ -335,7 +365,9 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 		}
 	}
 
-	if sharded {
+	// Under a fetch penalty any machine may run any task: one shard, and
+	// every task filed in queues so started[] records what is left.
+	if sharded && !steal {
 		r.partition(p)
 	} else {
 		r.partitionTrivial(n, m)
@@ -353,7 +385,7 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	// machine holding a replica.
 	r.qOff = growZero(r.qOff, m+1)
 	for j, set := range p.Sets {
-		if !r.wide(r.taskShard[j], set) {
+		if steal || !r.wide(r.taskShard[j], set) {
 			for _, i := range set {
 				r.qOff[i+1]++
 			}
@@ -371,7 +403,7 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	for pos, j := range order {
 		r.priorityOf[j] = int32(pos)
 		s, set := r.taskShard[j], p.Sets[j]
-		if r.wide(s, set) {
+		if !steal && r.wide(s, set) {
 			r.wideTasks[r.shardTaskOff[s]+r.wideLen[s]] = int32(j)
 			r.wideLen[s]++
 			continue

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/tick"
 	"repro/internal/uncertainty"
@@ -231,6 +232,28 @@ func flatCases(t *testing.T) []flatCase {
 	return cases
 }
 
+// requireCloseSchedule is the continuous-duration comparison against
+// the float-time oracle: ticks quantize, so dispatch decisions must
+// still agree (the seeds hit no sub-nanotick ties) and every start/end
+// must sit within the accumulated quantization bound — ≤ 0.5e-9 per
+// task in a machine's chain of at most n tasks, plus float slack for
+// the oracle's own sums.
+func requireCloseSchedule(t *testing.T, label string, n int, got, want *sched.Schedule) {
+	t.Helper()
+	eps := 1e-9 * float64(n+1)
+	for j, ga := range got.Assignments {
+		wa := want.Assignments[j]
+		if ga.Machine != wa.Machine {
+			t.Fatalf("%s: task %d on machine %d, oracle chose %d",
+				label, j, ga.Machine, wa.Machine)
+		}
+		if math.Abs(ga.Start-wa.Start) > eps || math.Abs(ga.End-wa.End) > eps {
+			t.Fatalf("%s: task %d times (%v,%v) drift from (%v,%v) beyond %v",
+				label, j, ga.Start, ga.End, wa.Start, wa.End, eps)
+		}
+	}
+}
+
 func requireSameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
@@ -273,8 +296,9 @@ func TestFlatShardedMatchesRun(t *testing.T) {
 }
 
 // TestFlatShardedMatchesRunWithDuration repeats the differential under
-// a Duration override (the remote-fetch penalty path). The hook is
-// pure, as the concurrency contract requires.
+// a Duration override, and holds the sequential run to the oracle under
+// the same hook. The hook is pure, as the concurrency contract
+// requires.
 func TestFlatShardedMatchesRunWithDuration(t *testing.T) {
 	for _, c := range flatCases(t) {
 		in := c.in
@@ -288,6 +312,8 @@ func TestFlatShardedMatchesRunWithDuration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Run: %v", c.name, err)
 		}
+		requireCloseSchedule(t, c.name+"/hooked", in.N(), want.Schedule,
+			oracleRun(in, c.p, c.order, FlatOptions{Duration: dur}).Schedule)
 		for _, w := range flatWorkerCounts() {
 			got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true, Duration: dur}, w)
 			if err != nil {
@@ -299,8 +325,8 @@ func TestFlatShardedMatchesRunWithDuration(t *testing.T) {
 }
 
 // TestFlatMatchesEventEngineExact pins the flat engine to the
-// pre-refactor float engine byte-for-byte on integer durations, where
-// tick quantization is exact: same dispatch decisions, same start/end
+// float-time oracle byte-for-byte on integer durations, where tick
+// quantization is exact: same dispatch decisions, same start/end
 // floats, same trace. This is the cross-engine golden equivalence.
 func TestFlatMatchesEventEngineExact(t *testing.T) {
 	shapes := []struct {
@@ -325,14 +351,7 @@ func TestFlatMatchesEventEngineExact(t *testing.T) {
 			{"group", in, groupPlacement(t, s.n, s.m, s.k, s.seed), order},
 			{"all", in, placement.Everywhere(s.n, s.m), order},
 		}, sharedCases(t, in, s.k, s.seed)...) {
-			d, err := NewListDispatcher(c.p, c.order)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Run(in, d, Options{Trace: true})
-			if err != nil {
-				t.Fatalf("%s: event engine: %v", c.name, err)
-			}
+			want := oracleRun(in, c.p, c.order, FlatOptions{Trace: true})
 			for _, w := range flatWorkerCounts() {
 				got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true}, w)
 				if err != nil {
@@ -344,21 +363,14 @@ func TestFlatMatchesEventEngineExact(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesEventEngineEpsilon compares the engines on continuous
-// durations, where ticks quantize: dispatch decisions must still agree
-// (the seeds hit no sub-nanotick ties) and every start/end must sit
-// within the accumulated quantization bound of half a tick per task in
-// the machine's chain.
+// TestFlatMatchesEventEngineEpsilon compares the engine with the oracle
+// on continuous durations, where ticks quantize: dispatch decisions
+// must still agree (the seeds hit no sub-nanotick ties) and every
+// start/end must sit within the accumulated quantization bound of half
+// a tick per task in the machine's chain.
 func TestFlatMatchesEventEngineEpsilon(t *testing.T) {
 	for _, c := range flatCases(t) {
-		d, err := NewListDispatcher(c.p, c.order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(c.in, d, Options{})
-		if err != nil {
-			t.Fatalf("%s: event engine: %v", c.name, err)
-		}
+		want := oracleRun(c.in, c.p, c.order, FlatOptions{})
 		got, err := RunFlat(c.in, c.p, c.order, FlatOptions{})
 		if err != nil {
 			t.Fatalf("%s: flat engine: %v", c.name, err)
@@ -366,20 +378,7 @@ func TestFlatMatchesEventEngineEpsilon(t *testing.T) {
 		if err := got.Schedule.Verify(c.in, c.p); err != nil {
 			t.Fatalf("%s: flat schedule fails Verify: %v", c.name, err)
 		}
-		// ≤ 0.5e-9 quantization per task in a chain of at most n tasks,
-		// plus float slack for the reference's own sums.
-		eps := 1e-9 * float64(c.in.N()+1)
-		for j, ga := range got.Schedule.Assignments {
-			wa := want.Schedule.Assignments[j]
-			if ga.Machine != wa.Machine {
-				t.Fatalf("%s: task %d on machine %d, event engine chose %d",
-					c.name, j, ga.Machine, wa.Machine)
-			}
-			if math.Abs(ga.Start-wa.Start) > eps || math.Abs(ga.End-wa.End) > eps {
-				t.Fatalf("%s: task %d times (%v,%v) drift from (%v,%v) beyond %v",
-					c.name, j, ga.Start, ga.End, wa.Start, wa.End, eps)
-			}
-		}
+		requireCloseSchedule(t, c.name, c.in.N(), got.Schedule, want.Schedule)
 	}
 }
 
@@ -399,9 +398,8 @@ func crashPlan(p *placement.Placement, seed uint64, count int) []Failure {
 }
 
 // TestFlatFailuresMatchSequential differentially tests the fail-stop
-// port: flat Run with Failures must match RunWithFailures — same
-// surviving schedule or the very same error — and RunSharded must
-// match both at every worker count.
+// loop: a run with Failures must match oracleRunFailures — same
+// surviving schedule or the very same error — at every worker count.
 func TestFlatFailuresMatchSequential(t *testing.T) {
 	shapes := []struct {
 		n, m, k int
@@ -429,7 +427,7 @@ func TestFlatFailuresMatchSequential(t *testing.T) {
 			p, order := c.p, c.order
 			for round := uint64(0); round < 4; round++ {
 				failures := crashPlan(p, s.seed*101+round, int(round)+1)
-				wantSched, wantErr := RunWithFailures(in, p, order, failures)
+				wantSched, wantErr := oracleRunFailures(in, p, order, failures)
 				for _, w := range flatWorkerCounts() {
 					got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
 					if (err == nil) != (wantErr == nil) {
@@ -447,7 +445,7 @@ func TestFlatFailuresMatchSequential(t *testing.T) {
 						continue
 					}
 					if !reflect.DeepEqual(got.Schedule.Assignments, wantSched.Assignments) {
-						t.Fatalf("p%d round %d workers=%d: schedule diverges from RunWithFailures",
+						t.Fatalf("p%d round %d workers=%d: schedule diverges from the oracle",
 							pi, round, w)
 					}
 				}
@@ -457,16 +455,16 @@ func TestFlatFailuresMatchSequential(t *testing.T) {
 }
 
 // TestFlatFailureBoundaryCrash pins the exact-boundary branch: a crash
-// at precisely a task's completion instant completes the task in both
-// engines instead of losing it.
+// at precisely a task's completion instant completes the task, in the
+// engine and the oracle alike, instead of losing it.
 func TestFlatFailureBoundaryCrash(t *testing.T) {
 	in := inst(t, 2, 3, 1, 1, 1)
 	p := placement.Everywhere(4, 2)
 	order := identityOrder(4)
 	failures := []Failure{{Machine: 0, Time: 3}}
-	want, err := RunWithFailures(in, p, order, failures)
+	want, err := oracleRunFailures(in, p, order, failures)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("oracle: %v", err)
 	}
 	for _, w := range flatWorkerCounts() {
 		got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
@@ -482,16 +480,16 @@ func TestFlatFailureBoundaryCrash(t *testing.T) {
 // TestFlatCrashLosesShardListTask crashes a machine in the middle of a
 // task it took from the shard list: the task is re-offered and runs on
 // the survivor, which meanwhile chose between its own queue and the
-// list — RunWithFailures' schedule, at every worker count.
+// list — the oracle's schedule, at every worker count.
 func TestFlatCrashLosesShardListTask(t *testing.T) {
 	in := inst(t, 2, 1, 4, 4)
 	p := placement.Everywhere(3, 2)
 	p.Assign(0, 0) // pinned and ranked first; tasks 1 and 2 form the list
 	order := identityOrder(3)
 	failures := []Failure{{Machine: 1, Time: 2}} // machine 1 is two seconds into task 1
-	want, err := RunWithFailures(in, p, order, failures)
+	want, err := oracleRunFailures(in, p, order, failures)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("oracle: %v", err)
 	}
 	if a := want.Assignments[1]; a.Machine != 0 || a.Start != 5 {
 		t.Fatalf("task 1 = %+v, want a retry on machine 0 at t=5", a)
@@ -543,8 +541,8 @@ func TestFlatDispatchCounters(t *testing.T) {
 }
 
 // TestFlatRunnerReuseMatchesFresh carries one FlatRunner dirty across
-// instances of varying shape (the pool_test pattern): reuse must be
-// invisible in the output.
+// instances of varying shape, a stealing run between the plain ones:
+// reuse must be invisible in the output.
 func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 	var reused FlatRunner
 	for ci, in := range poolCases(t) {
@@ -552,21 +550,22 @@ func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 		cases := append([]flatCase{{"group", in, groupPlacement(t, in.N(), in.M, 2, seed), lptOrder(in)}},
 			sharedCases(t, in, 2, seed)...) // lists and queues both shrink and grow between runs
 		for _, c := range cases {
-			got, err := reused.RunSharded(in, c.p, c.order, FlatOptions{Trace: true}, 2)
-			if err != nil {
-				t.Fatalf("case %d %s: reused: %v", ci, c.name, err)
+			for _, opts := range []FlatOptions{{Trace: true}, {Trace: true, FetchPenalty: 2}} {
+				got, err := reused.RunSharded(in, c.p, c.order, opts, 2)
+				if err != nil {
+					t.Fatalf("case %d %s: reused: %v", ci, c.name, err)
+				}
+				want, err := RunFlatSharded(in, c.p, c.order, opts, 2)
+				if err != nil {
+					t.Fatalf("case %d %s: fresh: %v", ci, c.name, err)
+				}
+				requireSameResult(t, "reuse case "+itoa(ci)+" "+c.name, got, want)
 			}
-			want, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true}, 2)
-			if err != nil {
-				t.Fatalf("case %d %s: fresh: %v", ci, c.name, err)
-			}
-			requireSameResult(t, "reuse case "+itoa(ci)+" "+c.name, got, want)
 		}
 	}
 }
 
-// TestFlatValidation covers the flat engine's input rejection, with
-// messages matching the event engine where the checks coincide.
+// TestFlatValidation covers the flat engine's input rejection.
 func TestFlatValidation(t *testing.T) {
 	in := inst(t, 2, 1, 2, 3)
 	p := placement.Everywhere(3, 2)
@@ -600,8 +599,8 @@ func TestFlatValidation(t *testing.T) {
 		FlatOptions{Duration: func(int, int) float64 { return -1 }}, in)
 }
 
-// TestFlatNoTraceByDefault mirrors TestNoTraceByDefault for the flat
-// engine.
+// TestFlatNoTraceByDefault: an untraced run through a placement with
+// two shards records no event.
 func TestFlatNoTraceByDefault(t *testing.T) {
 	in := inst(t, 2, 1, 2)
 	res, err := RunFlat(in, placement.Everywhere(2, 2), identityOrder(2), FlatOptions{})
@@ -617,7 +616,8 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 // TestFlatSaturationIsAnError pins the tick-range edge of the batch
 // engine: in-range durations whose completion time clamps at tick.Max
-// fail with the overflow error on the linear, heap and fail-stop paths
+// — or whose fetch-penalized duration is itself past the range — fail
+// with the overflow error on the linear, heap and fail-stop paths
 // alike, at the same error for every worker count.
 func TestFlatSaturationIsAnError(t *testing.T) {
 	near := tick.Max.Seconds() * 0.75
@@ -638,6 +638,7 @@ func TestFlatSaturationIsAnError(t *testing.T) {
 		{"linear", single, FlatOptions{}},
 		{"heap", placement.Everywhere(3, 2), FlatOptions{}},
 		{"failures", placement.Everywhere(3, 2), FlatOptions{Failures: []Failure{{Machine: 1, Time: 1}}}},
+		{"stealing", single, FlatOptions{FetchPenalty: 2}}, // machine 1 takes task 1 at twice 0.75·Max
 	} {
 		_, want := RunFlat(in, c.p, identityOrder(3), c.opts)
 		if !errors.Is(want, tick.ErrOverflow) {

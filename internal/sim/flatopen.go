@@ -14,14 +14,25 @@ import (
 	"repro/internal/tick"
 )
 
-// This file ports the open-system streaming mode (open.go) to the
-// data-oriented flat architecture: flat SoA task/machine state on
-// tick.Tick fixed-point time, the two-level tick wheel of wheel.go as
-// the event structure, and the same per-replica-group shard
-// decomposition the batch FlatRunner runs on. The reference OpenRunner
-// stays as the differential oracle; flat_open_test.go pins the
-// equivalence (exact on tick-exact inputs, byte-identical across
-// worker counts).
+// This file implements the open-system streaming mode: tasks arrive
+// over time instead of all being released at t=0, the metric is the
+// per-task response-time distribution instead of makespan, and
+// replicated tasks interact through an explicit CancelPolicy. It is
+// built on the flat architecture of the batch FlatRunner — SoA state on
+// tick.Tick fixed-point time, the same shard decomposition — with the
+// two-level tick wheel of wheel.go as the event structure.
+// oracleRunOpen (oracle_test.go) states the same semantics naively;
+// flat_open_test.go pins the equivalence.
+//
+// # Event model
+//
+// Two deterministic streams drive a shard's loop: the arrival times
+// (indexed by task ID, non-decreasing) and the machine events
+// (completions and wake-ups) in (time, machine index) order, each
+// carrying a per-machine sequence number so that a cancellation can
+// invalidate a scheduled completion without deleting it (the stale
+// entry is skipped when popped). At equal times arrivals go first, so a
+// machine going idle at t sees every task that arrived at t.
 //
 // # Why the union-find partition carries over
 //
@@ -40,9 +51,9 @@ import (
 //
 // # Why the per-machine queues became heaps
 //
-// The reference engine keeps each machine's arrived-eligible tasks as
-// a position-sorted slice and inserts by memmove; under replicate-all
-// that is O(n) per insertion per machine — O(n²·m) total, and the
+// Keeping each machine's arrived-eligible tasks as a position-sorted
+// slice with memmove insertion (the oracle's way) is, under
+// replicate-all, O(n) per insertion per machine — O(n²·m) total, a
 // measured 1000× gap to the batch engine. Here a machine's pending
 // positions are a binary min-heap in a CSR slab (O(log n) insert), and
 // a shard whose every replica set is the whole shard — the
@@ -106,16 +117,13 @@ func RunFlatOpenSharded(in *task.Instance, p *placement.Placement, order []int,
 	return r.RunSharded(in, p, order, arrive, opts, workers)
 }
 
-// FlatOpenRunner is the data-oriented open-system simulator: the
-// streaming counterpart of FlatRunner and the flat counterpart of
-// OpenRunner. Semantics are OpenRunner's exactly — same arrival
-// admission rule (arrivals before machine events at equal times), same
-// cancellation policies, same dispatch priority — over fixed-point
-// time, so times are quantized to nanoticks (error ≤ 0.5e-9 s per
-// duration) and list decisions can differ from the float engine only
-// on sub-nanotick ties.
+// FlatOpenRunner is the data-oriented open-system simulator, the
+// streaming counterpart of FlatRunner. Time is fixed-point, so times
+// are quantized to nanoticks (error ≤ 0.5e-9 s per duration) and list
+// decisions can differ from the float-time oracle only on sub-nanotick
+// ties.
 //
-// The zero value is ready to use. Like the other runners, it owns the
+// The zero value is ready to use. Like FlatRunner, it owns the
 // OpenResult it returns (valid until the next call), performs zero
 // steady-state allocations across same-shaped runs, and is not safe
 // for concurrent use.
@@ -225,11 +233,11 @@ func (r *FlatOpenRunner) Reset(n, m int) {
 
 // Run executes an open-system simulation on the flat engine as a
 // single global event loop — the sequential reference the sharded
-// path is differentially tested against. Inputs follow
-// OpenRunner.Run's contract, with the flat engine's additions: replica
-// sets must satisfy placement.CheckSets (the shard decomposition
-// requires it), and arrivals, durations and CancelCost must be
-// tick-representable.
+// path is differentially tested against. Tasks arrive at the given
+// times (indexed by task ID, non-decreasing, non-negative and finite);
+// replica sets must satisfy placement.CheckSets (the shard
+// decomposition requires it), and arrivals, durations and CancelCost
+// must be tick-representable.
 func (r *FlatOpenRunner) Run(in *task.Instance, p *placement.Placement, order []int,
 	arrive []float64, opts OpenOptions) (*OpenResult, error) {
 	return r.run(in, p, order, arrive, opts, 1, false)
@@ -622,7 +630,12 @@ func (r *FlatOpenRunner) openHookTick(s, j, machine int, now tick.Tick, opts *Op
 // push one entry instead of |set| entries, and dispatch follows the
 // policy-split rule from the file comment: CancelOnStart pops
 // (started ⇒ skipped-by-everyone), CancelOnCompletion peeks past done
-// entries so racing machines all see the front task.
+// entries so racing machines all see the front task. Who pays for this
+// path: open-replay's `ev-cos` and `g8-coc0` classes (every shard on
+// sim.shards_uniform). Sent through replayGeneral instead, `ev-cos`
+// falls from 3.23–3.34M to 0.14–0.15M tasks/s (each arrival pushed into
+// 64 heaps) and `g8-coc0` from 1.40M to 0.91–0.94M (alternating traced
+// runs, CHANGES.md PR 18).
 func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, sc *openScratch, opts *OpenOptions) {
 	w := &sc.wheel
 	base := int(r.shardTaskOff[s])
@@ -673,7 +686,7 @@ func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, sc *openScratch
 				hn--
 				cand := r.order[pos]
 				// done ⇒ started, so one flag check covers the
-				// reference's done-or-started skip.
+				// done-or-started skip.
 				if r.started[cand] {
 					continue
 				}
@@ -789,8 +802,8 @@ func wordBelow(b int) uint64 {
 
 // satAddScaled is acc + each×cnt with the saturation behaviour of cnt
 // repeated tick.SatAdds of each (clamp at tick.Max and stay there), so
-// cohort-batched waste accounting is bit-identical to the reference's
-// per-loser accumulation.
+// cohort-batched waste accounting is bit-identical to per-loser
+// accumulation.
 func satAddScaled(acc, each tick.Tick, cnt int32) tick.Tick {
 	if each <= 0 || cnt <= 0 {
 		return acc
@@ -807,7 +820,12 @@ func satAddScaled(acc, each tick.Tick, cnt int32) tick.Tick {
 // completions ride the wheel — carrying local machine indices and no
 // liveness seq, since a winner is never cancelled — and each later
 // joiner is accounted as a guaranteed loser in O(1) and parked in a
-// per-tick cohort bitmask until its cancellation cost is paid.
+// per-tick cohort bitmask until its cancellation cost is paid. Who pays
+// for this path: open-replay's `ev-coc`, `ev-coc-m128` and `g8-coc`
+// classes (every shard on sim.shards_race_collapse). Sent through
+// replayUniform instead they fall from 2.9–3.1M tasks/s to 0.17M, 0.08M
+// and 1.35M, and the workload's sim.events_per_task rises from 2.5 to
+// 15.4 (alternating traced runs, CHANGES.md PR 18).
 func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScratch) {
 	w, ps := &sc.wheel, &sc.parks
 	base := int(r.shardTaskOff[s])
@@ -859,8 +877,8 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 		now := evT
 
 		// The batch unit: parked machines below a tying winner wake
-		// before its completion (the reference pops equal-tick events in
-		// machine order); everything else waits for a later iteration.
+		// before its completion (equal-tick events go in machine order);
+		// everything else waits for a later iteration.
 		cnt := int32(0) // machines in the unit
 		if pi >= 0 {
 			g := ps.masks[pi*nw : (pi+1)*nw]
@@ -964,8 +982,8 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 // replayGeneral is the shard event loop for mixed replica sets: each
 // machine owns a pending-position min-heap in the qPos CSR slab, and
 // an arrival pushes its position into every machine of its set —
-// identical eligibility semantics to the reference engine's sorted
-// queues, with O(log n) insertion instead of O(n) memmove.
+// the eligibility semantics of per-machine sorted queues, with
+// O(log n) insertion instead of O(n) memmove.
 func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks []int32,
 	sc *openScratch, opts *OpenOptions) {
 	w := &sc.wheel
@@ -1005,11 +1023,10 @@ func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks 
 			end, wasted, cancelled = r.complete(w, ms, i, j, now, onStart, end, wasted, cancelled)
 		}
 
-		// Dispatch. Popping every examined entry matches the reference
-		// head-advance: skipped entries are dead permanently (done, or
-		// started under CancelOnStart), and the dispatched entry is
-		// consumed — under CancelOnCompletion other machines race via
-		// their own heap entries.
+		// Dispatch. Every examined entry is popped: skipped entries are
+		// dead permanently (done, or started under CancelOnStart), and
+		// the dispatched entry is consumed — under CancelOnCompletion
+		// other machines race via their own heap entries.
 		j := int32(-1)
 		for r.qLen[i] > 0 {
 			pos := posPop(r.qPos, int(r.qOff[i]), int(r.qLen[i]))

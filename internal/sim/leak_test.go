@@ -6,78 +6,6 @@ import (
 	"testing"
 )
 
-// TestCompletedObservesTrueActualUnderDurationOverride is the
-// regression test for the semi-clairvoyant information leak: with a
-// remote-execution Duration hook in place, the dispatcher must still
-// be told the task's true processing time p_j at completion — not the
-// penalty-inflated executed duration — while the clock and the
-// recorded assignment do use the executed duration.
-func TestCompletedObservesTrueActualUnderDurationOverride(t *testing.T) {
-	// One machine, two tasks with distinct actual times; every task
-	// pays a 3x remote-fetch penalty.
-	in := inst(t, 1, 2, 5)
-	const penalty = 3.0
-
-	next := 0
-	type completion struct {
-		task        int
-		now, actual float64
-	}
-	var got []completion
-	d := &FuncDispatcher{
-		NextFunc: func(machine int, now float64) (int, bool) {
-			if next >= in.N() {
-				return 0, false
-			}
-			j := next
-			next++
-			return j, true
-		},
-		CompletedFunc: func(taskID, machine int, now, actual float64) {
-			got = append(got, completion{taskID, now, actual})
-		},
-	}
-	res, err := Run(in, d, Options{
-		Duration: func(taskID, machine int) float64 {
-			return in.Tasks[taskID].Actual * penalty
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != 2 {
-		t.Fatalf("Completed called %d times, want 2", len(got))
-	}
-	// The dispatcher observes p_j — the information model the paper's
-	// guarantees assume.
-	for _, c := range got {
-		if want := in.Tasks[c.task].Actual; c.actual != want {
-			t.Errorf("Completed(task %d) revealed %v, want true actual %v",
-				c.task, c.actual, want)
-		}
-	}
-	// Completion times and assignments reflect the executed (penalized)
-	// duration: task0 finishes at 6, task1 at 6+15=21.
-	if got[0].now != 6 || got[1].now != 21 {
-		t.Errorf("completion times = (%v, %v), want (6, 21)", got[0].now, got[1].now)
-	}
-	a1 := res.Schedule.Assignments[1]
-	if a1.Start != 6 || a1.End != 21 {
-		t.Errorf("task 1 assignment [%v,%v], want [6,21]", a1.Start, a1.End)
-	}
-	// VerifyDurations accepts the schedule under the same hook and
-	// rejects it under the raw-actual contract, so the conflation
-	// cannot sneak back in through verification either.
-	hook := func(taskID, machine int) float64 { return in.Tasks[taskID].Actual * penalty }
-	if err := res.Schedule.VerifyDurations(in, nil, hook); err != nil {
-		t.Errorf("VerifyDurations with the hook rejected the schedule: %v", err)
-	}
-	if err := res.Schedule.Verify(in, nil); err == nil {
-		t.Error("plain Verify accepted a penalized schedule; durations conflated somewhere")
-	}
-}
-
 // TestSortTraceAdversarial checks correctness of the trace sort on the
 // worst case for the old insertion sort: a large block of equal-time
 // events appended in reverse machine order.

@@ -29,6 +29,13 @@ var openShapes = []struct {
 	{"all 7x3", 7, 3, algo.LPTNoRestriction()},
 }
 
+// runOpen is the production open-system run the hand-computed tests
+// below pin: the flat engine through its shard decomposition.
+func runOpen(in *task.Instance, p *placement.Placement, order []int, arrive []float64,
+	opts sim.OpenOptions) (*sim.OpenResult, error) {
+	return sim.RunFlatOpenSharded(in, p, order, arrive, opts, 2)
+}
+
 func openInstance(t *testing.T, n, m int, seed uint64) *task.Instance {
 	t.Helper()
 	in := workload.MustNew(workload.Spec{
@@ -38,10 +45,12 @@ func openInstance(t *testing.T, n, m int, seed uint64) *task.Instance {
 	return in
 }
 
-// TestOpenMatchesBatch is the metamorphic anchor of the open mode:
-// with every arrival at t=0 and sim.CancelOnStart, the open simulator must
-// reproduce the batch simulator's schedule byte-for-byte across
-// placement strategies.
+// TestOpenMatchesBatch is the metamorphic anchor of the open mode,
+// held on the oracle (TestFlatOpenMatchesBatch holds it on the
+// engines): with every arrival at t=0 and sim.CancelOnStart, the open
+// loop must reproduce the batch clock scan's schedule byte-for-byte
+// across placement strategies — batch is the all-arrivals-at-zero
+// corner of the one queueing model.
 func TestOpenMatchesBatch(t *testing.T) {
 	for _, shape := range openShapes {
 		shape := shape
@@ -54,19 +63,8 @@ func TestOpenMatchesBatch(t *testing.T) {
 				}
 				order := shape.algo.Order(in)
 
-				d, err := sim.NewListDispatcher(p, order)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batch, err := sim.Run(in, d, sim.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				open, err := sim.RunOpen(in, p, order, make([]float64, in.N()), sim.OpenOptions{Policy: sim.CancelOnStart})
-				if err != nil {
-					t.Fatal(err)
-				}
+				batch := sim.OracleRun(in, p, order, sim.FlatOptions{})
+				open := sim.OracleRunOpen(in, p, order, make([]float64, in.N()), sim.OpenOptions{Policy: sim.CancelOnStart})
 				if !reflect.DeepEqual(open.Schedule.Assignments, batch.Schedule.Assignments) {
 					t.Fatalf("seed %d: open schedule diverged from batch\n open: %+v\nbatch: %+v",
 						seed, open.Schedule.Assignments, batch.Schedule.Assignments)
@@ -99,7 +97,7 @@ func TestOpenResponseTimesHandComputed(t *testing.T) {
 		p.Sets[j] = []int{0, 1}
 	}
 	arrive := []float64{0, 1, 2}
-	res, err := sim.RunOpen(in, p, []int{0, 1, 2}, arrive, sim.OpenOptions{Policy: sim.CancelOnStart})
+	res, err := runOpen(in, p, []int{0, 1, 2}, arrive, sim.OpenOptions{Policy: sim.CancelOnStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +131,13 @@ func TestOpenCancelPoliciesDiverge(t *testing.T) {
 		}
 		return 10
 	}
-	slow, err := sim.RunOpen(in, p, []int{0}, []float64{0}, sim.OpenOptions{
+	slow, err := runOpen(in, p, []int{0}, []float64{0}, sim.OpenOptions{
 		Policy: sim.CancelOnStart, Duration: dur,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := sim.RunOpen(in, p, []int{0}, []float64{0}, sim.OpenOptions{
+	fast, err := runOpen(in, p, []int{0}, []float64{0}, sim.OpenOptions{
 		Policy: sim.CancelOnCompletion, CancelCost: 0.5, Duration: dur,
 	})
 	if err != nil {
@@ -185,7 +183,7 @@ func TestOpenCancelledMachineResumes(t *testing.T) {
 	// 1 fast at 2). Task 1 arrives at t=1, eligible only on busy machine
 	// 0. t=2: machine 1 completes task 0; machine 0's replica cancelled,
 	// free at 3 after CancelCost=1; t=3 it starts task 1, ends 7.
-	res, err := sim.RunOpen(in, p, []int{0, 1}, []float64{0, 1}, sim.OpenOptions{
+	res, err := runOpen(in, p, []int{0, 1}, []float64{0, 1}, sim.OpenOptions{
 		Policy: sim.CancelOnCompletion, CancelCost: 1, Duration: dur,
 	})
 	if err != nil {
@@ -216,7 +214,7 @@ func TestOpenLatePriorityArrival(t *testing.T) {
 	// Priority order: 2 ≻ 1 ≻ 0. Task 0 arrives first and runs; tasks 1
 	// then 2 arrive while the machine is busy; at t=5 the machine must
 	// pick task 2 (higher priority) despite task 1 arriving earlier.
-	res, err := sim.RunOpen(in, p, []int{2, 1, 0}, []float64{0, 1, 2}, sim.OpenOptions{Policy: sim.CancelOnStart})
+	res, err := runOpen(in, p, []int{2, 1, 0}, []float64{0, 1, 2}, sim.OpenOptions{Policy: sim.CancelOnStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +225,11 @@ func TestOpenLatePriorityArrival(t *testing.T) {
 }
 
 // TestOpenRunnerPoolingDifferential runs the same trials through one
-// reused sim.OpenRunner and through fresh package-level calls; results
-// must be deeply equal even as shapes vary between runs.
+// reused sim.FlatOpenRunner (its unsharded Run; TestFlatOpenReuseMatchesFresh
+// reuses one across RunSharded calls) and through fresh package-level
+// calls; results must be deeply equal even as shapes vary between runs.
 func TestOpenRunnerPoolingDifferential(t *testing.T) {
-	var pooled sim.OpenRunner
+	var pooled sim.FlatOpenRunner
 	for trial := 0; trial < 12; trial++ {
 		shape := openShapes[trial%len(openShapes)]
 		in := openInstance(t, shape.n, shape.m, 500+uint64(trial))
@@ -246,7 +245,7 @@ func TestOpenRunnerPoolingDifferential(t *testing.T) {
 		if trial%2 == 0 {
 			opts = sim.OpenOptions{Policy: sim.CancelOnStart}
 		}
-		fresh, err := sim.RunOpen(in, p, order, arrive, opts)
+		fresh, err := sim.RunFlatOpen(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +284,7 @@ func TestOpenReplicationHelpsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rNone, err := sim.RunOpen(in, pNone, none.Order(in), arrive, sim.OpenOptions{Policy: sim.CancelOnStart, Duration: dur})
+	rNone, err := runOpen(in, pNone, none.Order(in), arrive, sim.OpenOptions{Policy: sim.CancelOnStart, Duration: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestOpenReplicationHelpsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rAll, err := sim.RunOpen(in, pAll, all.Order(in), arrive, sim.OpenOptions{Policy: sim.CancelOnCompletion, Duration: dur})
+	rAll, err := runOpen(in, pAll, all.Order(in), arrive, sim.OpenOptions{Policy: sim.CancelOnCompletion, Duration: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,35 +331,35 @@ func TestOpenRunValidation(t *testing.T) {
 	}{
 		{"placement shape", func() error {
 			bad := placement.New(3, 2)
-			_, err := sim.RunOpen(in, bad, order, arrive, sim.OpenOptions{})
+			_, err := runOpen(in, bad, order, arrive, sim.OpenOptions{})
 			return err
 		}, "placement shape"},
 		{"order length", func() error {
-			_, err := sim.RunOpen(in, pl, []int{0, 1}, arrive, sim.OpenOptions{})
+			_, err := runOpen(in, pl, []int{0, 1}, arrive, sim.OpenOptions{})
 			return err
 		}, "priority order"},
 		{"order not permutation", func() error {
-			_, err := sim.RunOpen(in, pl, []int{0, 1, 2, 2}, arrive, sim.OpenOptions{})
+			_, err := runOpen(in, pl, []int{0, 1, 2, 2}, arrive, sim.OpenOptions{})
 			return err
 		}, "not a permutation"},
 		{"arrive length", func() error {
-			_, err := sim.RunOpen(in, pl, order, []float64{0}, sim.OpenOptions{})
+			_, err := runOpen(in, pl, order, []float64{0}, sim.OpenOptions{})
 			return err
 		}, "arrival times"},
 		{"arrive NaN", func() error {
-			_, err := sim.RunOpen(in, pl, order, []float64{0, math.NaN(), 1, 2}, sim.OpenOptions{})
+			_, err := runOpen(in, pl, order, []float64{0, math.NaN(), 1, 2}, sim.OpenOptions{})
 			return err
 		}, "finite"},
 		{"arrive unsorted", func() error {
-			_, err := sim.RunOpen(in, pl, order, []float64{3, 1, 2, 4}, sim.OpenOptions{})
+			_, err := runOpen(in, pl, order, []float64{3, 1, 2, 4}, sim.OpenOptions{})
 			return err
 		}, "not sorted"},
 		{"negative cancel cost", func() error {
-			_, err := sim.RunOpen(in, pl, order, arrive, sim.OpenOptions{CancelCost: -1})
+			_, err := runOpen(in, pl, order, arrive, sim.OpenOptions{CancelCost: -1})
 			return err
 		}, "cancel cost"},
 		{"unknown policy", func() error {
-			_, err := sim.RunOpen(in, pl, order, arrive, sim.OpenOptions{Policy: sim.CancelPolicy(9)})
+			_, err := runOpen(in, pl, order, arrive, sim.OpenOptions{Policy: sim.CancelPolicy(9)})
 			return err
 		}, "cancel policy"},
 		{"starved task", func() error {
@@ -369,9 +368,9 @@ func TestOpenRunValidation(t *testing.T) {
 				bad.Sets[j] = []int{0}
 			}
 			bad.Sets[3] = nil // never eligible anywhere
-			_, err := sim.RunOpen(in, bad, order, arrive, sim.OpenOptions{})
+			_, err := runOpen(in, bad, order, arrive, sim.OpenOptions{})
 			return err
-		}, "never executed"},
+		}, "task 3"},
 	}
 	for _, tc := range cases {
 		tc := tc

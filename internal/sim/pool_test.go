@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -14,10 +14,18 @@ import (
 	"repro/internal/workload"
 )
 
-// poolCase builds one (instance, dispatcher inputs) pair for the
-// reuse tests. Shapes deliberately vary — n and m both grow and
-// shrink across consecutive cases — so a reused Runner's buffers are
-// alternately too small and too large, exercising both Reset branches.
+// The pooling contract of the runner production code reuses
+// (algo.Scratch keeps a FlatRunner per pooled scratch): a runner carried
+// dirty from run to run is indistinguishable from a fresh one, and the
+// Result it returns is its own, valid until its next run. These tests
+// go through the unsharded Run over an everywhere placement;
+// TestFlatRunnerReuseMatchesFresh carries a runner across RunSharded
+// calls over the placements that shard.
+
+// poolCases builds instances whose shapes deliberately vary — n and m
+// both grow and shrink across consecutive cases — so a reused runner's
+// buffers are alternately too small and too large, exercising both
+// branches of every grow.
 func poolCases(t *testing.T) []*task.Instance {
 	t.Helper()
 	shapes := []struct {
@@ -37,139 +45,106 @@ func poolCases(t *testing.T) []*task.Instance {
 	return ins
 }
 
-// lptInputs builds an LPT-No Restriction phase 2 directly (everywhere
-// placement, tasks by non-increasing estimate) — the algo package
-// cannot be imported here (it imports sim).
-func lptInputs(t *testing.T, in *task.Instance) (Dispatcher, func() Dispatcher) {
-	t.Helper()
-	p := placement.Everywhere(in.N(), in.M)
-	order := make([]int, in.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Tasks[order[a]].Estimate > in.Tasks[order[b]].Estimate
-	})
-	mk := func() Dispatcher {
-		d, err := NewListDispatcher(p, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	return mk(), mk
+func everywhereLPT(in *task.Instance) (*placement.Placement, []int) {
+	return placement.Everywhere(in.N(), in.M), lptOrder(in)
 }
 
-// TestRunnerReuseMatchesFreshRun is the pooling differential test:
-// one Runner carried dirty across instances of varying shape must
-// produce exactly the schedule and trace of a fresh package-level Run
-// — assignment by assignment, event by event. Any field Reset misses
-// would surface here as a difference on the first shrink-then-grow
-// transition.
+// TestRunnerReuseMatchesFreshRun: one runner carried dirty across
+// instances of varying shape must produce exactly the schedule and
+// trace of a fresh run — assignment by assignment, event by event. Any
+// field Reset misses would surface here as a difference on the first
+// shrink-then-grow transition.
 func TestRunnerReuseMatchesFreshRun(t *testing.T) {
-	var reused Runner
+	var reused FlatRunner
 	for ci, in := range poolCases(t) {
-		d1, mk := lptInputs(t, in)
-		got, err := reused.Run(in, d1, Options{Trace: true})
+		p, order := everywhereLPT(in)
+		got, err := reused.Run(in, p, order, FlatOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("case %d: reused runner: %v", ci, err)
 		}
-		want, err := Run(in, mk(), Options{Trace: true})
+		want, err := RunFlat(in, p, order, FlatOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("case %d: fresh run: %v", ci, err)
 		}
-		if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
-			t.Errorf("case %d: reused runner schedule diverges from fresh run", ci)
-		}
-		if got.Schedule.M != want.Schedule.M {
-			t.Errorf("case %d: M = %d, want %d", ci, got.Schedule.M, want.Schedule.M)
-		}
-		if !reflect.DeepEqual(got.Trace, want.Trace) {
-			t.Errorf("case %d: reused runner trace diverges from fresh run (%d vs %d events)",
-				ci, len(got.Trace), len(want.Trace))
-		}
+		requireSameResult(t, "case "+itoa(ci), got, want)
 	}
 }
 
 // TestRunnerReuseMatchesFreshRunWithDuration repeats the differential
-// check under a Duration override (the remote-fetch penalty hook),
-// the one path where executed time and actual time differ.
+// with every other run under a Duration override — the path that
+// leaves the precomputed tick durations unbuilt, so a stale buffer from
+// the run before would show.
 func TestRunnerReuseMatchesFreshRunWithDuration(t *testing.T) {
-	penalty := func(taskID, machine int) float64 {
-		if (taskID+machine)%3 == 0 {
-			return 2.5
-		}
-		return 1.0
-	}
-	var reused Runner
+	var reused FlatRunner
 	for ci, in := range poolCases(t) {
-		dur := func(j, i int) float64 { return in.Tasks[j].Actual * penalty(j, i) }
-		d1, mk := lptInputs(t, in)
-		got, err := reused.Run(in, d1, Options{Trace: true, Duration: dur})
+		opts := FlatOptions{Trace: true}
+		if ci%2 == 0 {
+			opts.Duration = func(j, i int) float64 {
+				if (j+i)%3 == 0 {
+					return in.Tasks[j].Actual * 2.5
+				}
+				return in.Tasks[j].Actual
+			}
+		}
+		p, order := everywhereLPT(in)
+		got, err := reused.Run(in, p, order, opts)
 		if err != nil {
 			t.Fatalf("case %d: reused runner: %v", ci, err)
 		}
-		want, err := Run(in, mk(), Options{Trace: true, Duration: dur})
+		want, err := RunFlat(in, p, order, opts)
 		if err != nil {
 			t.Fatalf("case %d: fresh run: %v", ci, err)
 		}
-		if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
-			t.Errorf("case %d: reused runner schedule diverges under Duration hook", ci)
-		}
-		if !reflect.DeepEqual(got.Trace, want.Trace) {
-			t.Errorf("case %d: reused runner trace diverges under Duration hook", ci)
-		}
+		requireSameResult(t, "case "+itoa(ci), got, want)
 	}
 }
 
-// TestRunnerResultInvalidatedByNextRun pins the ownership contract:
-// the Result returned by Runner.Run aliases the Runner's internal
+// TestRunnerResultInvalidatedByNextRun pins the ownership contract: the
+// Result returned by FlatRunner.Run aliases the runner's internal
 // state, so callers must copy anything they keep. The test documents
 // the aliasing rather than fighting it — if this ever fails, the
-// contract comment on Runner is stale, not the code.
+// contract comment on FlatRunner is stale, not the code.
 func TestRunnerResultInvalidatedByNextRun(t *testing.T) {
 	ins := poolCases(t)
-	var r Runner
-	d1, _ := lptInputs(t, ins[0])
-	first, err := r.Run(ins[0], d1, Options{})
+	var r FlatRunner
+	p, order := everywhereLPT(ins[0])
+	first, err := r.Run(ins[0], p, order, FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstSched := first.Schedule
-	d2, _ := lptInputs(t, ins[1])
-	second, err := r.Run(ins[1], d2, Options{})
+	p, order = everywhereLPT(ins[1])
+	second, err := r.Run(ins[1], p, order, FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if firstSched != second.Schedule {
-		t.Fatalf("Runner.Run returned a different *Schedule across calls; the pooling contract assumes reuse")
+		t.Fatalf("FlatRunner.Run returned a different *Schedule across calls; the pooling contract assumes reuse")
 	}
 }
 
-// TestRunnerPoolSharedAcrossGoroutines hammers one sync.Pool of
-// Runners from many goroutines under -race: every goroutine runs the
-// full case list through pooled runners and checks each schedule
-// against the precomputed fresh-run makespans. The race detector
-// verifies Get/Put hygiene; the makespan check verifies results are
-// not cross-contaminated between goroutines.
+// TestRunnerPoolSharedAcrossGoroutines hammers one sync.Pool of runners
+// from many goroutines under -race: every goroutine runs the full case
+// list through pooled runners and checks each makespan against the
+// precomputed fresh-run value. The race detector verifies Get/Put
+// hygiene; the makespan check verifies results are not
+// cross-contaminated between goroutines.
 func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 	ins := poolCases(t)
+	ps := make([]*placement.Placement, len(ins))
+	orders := make([][]int, len(ins))
 	want := make([]float64, len(ins))
-	mks := make([]func() Dispatcher, len(ins))
 	for i, in := range ins {
-		var mk func() Dispatcher
-		_, mk = lptInputs(t, in)
-		mks[i] = mk
-		res, err := Run(in, mk(), Options{})
+		ps[i], orders[i] = everywhereLPT(in)
+		res, err := RunFlat(in, ps[i], orders[i], FlatOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res.Schedule.Makespan()
 	}
 
-	pool := sync.Pool{New: func() any { return new(Runner) }}
-	const goroutines = 8
-	const rounds = 20
+	pool := sync.Pool{New: func() any { return new(FlatRunner) }}
+	const goroutines, rounds = 8, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -178,17 +153,16 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for i, in := range ins {
-					r := pool.Get().(*Runner)
-					res, err := r.Run(in, mks[i](), Options{})
+					r := pool.Get().(*FlatRunner)
+					res, err := r.Run(in, ps[i], orders[i], FlatOptions{})
+					if err == nil {
+						if got := res.Schedule.Makespan(); got != want[i] {
+							err = fmt.Errorf("pooled runner on case %d: makespan %v, want %v", i, got, want[i])
+						}
+					}
+					pool.Put(r)
 					if err != nil {
 						errs <- err
-						pool.Put(r)
-						return
-					}
-					got := res.Schedule.Makespan()
-					pool.Put(r)
-					if got != want[i] {
-						errs <- errMakespan{i, got, want[i]}
 						return
 					}
 				}
@@ -202,24 +176,14 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-type errMakespan struct {
-	caseIdx   int
-	got, want float64
-}
-
-func (e errMakespan) Error() string {
-	return "pooled runner makespan mismatch on case " +
-		string(rune('0'+e.caseIdx)) + ": got != want"
-}
-
-// TestRunnerResetZeroesSchedule locks the Reset contract the reset
-// lint rule enforces structurally: after Reset(n, m), no assignment
-// from a previous, larger run is visible.
+// TestRunnerResetZeroesSchedule locks the Reset contract the reset lint
+// rule enforces structurally: after Reset(n, m), no assignment, trace
+// event or stealing state from a previous, larger run is visible.
 func TestRunnerResetZeroesSchedule(t *testing.T) {
-	var r Runner
+	var r FlatRunner
 	in := poolCases(t)[0]
-	d, _ := lptInputs(t, in)
-	if _, err := r.Run(in, d, Options{Trace: true}); err != nil {
+	p, order := everywhereLPT(in)
+	if _, err := r.Run(in, p, order, FlatOptions{Trace: true, FetchPenalty: 2}); err != nil {
 		t.Fatal(err)
 	}
 	r.Reset(3, 2)
@@ -230,14 +194,11 @@ func TestRunnerResetZeroesSchedule(t *testing.T) {
 		t.Fatalf("Reset shaped schedule as (%d tasks, M=%d), want (3, 2)",
 			len(r.sched.Assignments), r.sched.M)
 	}
-	for j, a := range r.sched.Assignments {
-		if a != (sched.Assignment{}) {
-			t.Errorf("assignment %d not zeroed after Reset: %+v", j, a)
-		}
+	if !reflect.DeepEqual(r.sched.Assignments, make([]sched.Assignment, 3)) {
+		t.Errorf("assignments not zeroed after Reset: %+v", r.sched.Assignments)
 	}
-	for _, started := range r.started {
-		if started {
-			t.Error("started bitset not cleared by Reset")
-		}
+	if len(r.started) != 0 || r.order != nil || r.stealHead != 0 {
+		t.Errorf("Reset left dispatch state: %d started flags, order %v, cursor %d",
+			len(r.started), r.order, r.stealHead)
 	}
 }

@@ -60,9 +60,9 @@ func errSaturated(j, machine int32) error {
 	return fmt.Errorf("sim: completion of task %d on machine %d: %w", j, machine, tick.ErrOverflow)
 }
 
-// mEvent is a machine event (idle or crash) in fixed-point time: the
-// flat engine's replacement for idleEvent. Ordering is (tick, machine)
-// — two int64-comparable fields, no float compares on the hot loop.
+// mEvent is a machine event (idle or crash) in fixed-point time.
+// Ordering is (tick, machine) — two int64-comparable fields, no float
+// compares on the hot loop.
 type mEvent struct {
 	t tick.Tick
 	m int32
@@ -75,10 +75,11 @@ func mLess(a, b mEvent) bool {
 	return a.m < b.m
 }
 
-// mPush inserts ev into the binary min-heap h and returns the heap.
-// Same specialized sift as eventQueue.push; as there, keys are unique
-// (at most one pending event per machine), so pop order is the total
-// (tick, machine) order regardless of heap internals.
+// mPush inserts ev into the binary min-heap h and returns the heap. The
+// sift is specialized to mEvent (container/heap's interface{}-typed
+// Push/Pop box every event); keys are unique (at most one pending event
+// per machine), so pop order is the total (tick, machine) order
+// regardless of heap internals.
 func mPush(h []mEvent, ev mEvent) []mEvent {
 	h = append(h, ev)
 	i := len(h) - 1

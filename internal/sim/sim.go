@@ -1,69 +1,66 @@
-// Package sim implements the paper's phase-2 execution model: an
-// event-driven simulator of m identical machines executing tasks
-// online and semi-clairvoyantly. The dispatcher sees only estimated
-// processing times and learns a task's actual time when it completes
-// (i.e. when the machine becomes idle again); the simulator advances
-// the clock with the actual times.
+// Package sim implements the paper's phase-2 execution model: m
+// identical machines executing tasks online and semi-clairvoyantly.
+// Phase 2 is List Scheduling from a fixed priority order over the
+// replica sets of phase 1: an idle machine takes the highest-priority
+// unstarted task it holds a replica of, sees only estimated processing
+// times, and learns a task's actual time when the task completes; the
+// clock advances with the actual times. "The first machine that becomes
+// available" is deterministic — events are ordered by (time, machine
+// index), ties toward the lower index, the usual List Scheduling
+// convention.
 //
-// The simulator pops machine-idle events from a priority queue ordered
-// by (time, machine index) — so "the first machine that becomes
-// available" is deterministic, with ties broken toward lower machine
-// indices, matching the usual List Scheduling convention.
+// There is one simulator, with two entry points that share a shard
+// decomposition (shard.go) and fixed-point time (internal/tick):
+//
+//   - FlatRunner (flat.go, spans.go): the batch model, every task
+//     released at time zero. FlatOptions attaches what a caller may
+//     vary — an execution trace, a per-(task, machine) duration hook,
+//     fail-stop crashes with loss and retry, remote execution at a
+//     fetch penalty — as values on the one event loop;
+//   - FlatOpenRunner (flatopen.go, wheel.go): the open system, tasks
+//     arriving over time, response times instead of makespan, replicas
+//     racing under a CancelPolicy. Batch is its corner with every
+//     arrival at zero and CancelOnStart (TestFlatOpenMatchesBatch).
+//
+// This file holds what both share: result and option types and the
+// replica-set predicates. The engines are checked against the oracle in
+// oracle_test.go, a deliberately naive float-time statement of the same
+// semantics (a clock scan for the batch model, the fail-stop rules, an
+// open loop with both cancel policies): the differential suites hold
+// them to it byte for byte on inputs that are exact in ticks and within
+// the quantization bound elsewhere.
 //
 // # Information model under duration overrides
 //
-// Options.Duration decouples what a machine spends executing a task
-// from what the task's processing time is: the remote-execution model
-// charges a fetch-penalized executed duration while the task's true
-// processing time p_j stays what it was. The two quantities feed
-// different consumers and must not be conflated:
-//
-//   - the executed duration (the hook's value) drives the simulation
-//     clock and the recorded Assignment — it is what the machine was
-//     busy for;
-//   - Dispatcher.Completed receives the task's *true* actual time
-//     p_j = in.Tasks[j].Actual, because completion is the moment the
-//     semi-clairvoyant model reveals p_j, and a dispatcher learning a
-//     penalty-inflated value instead would be reasoning under a
-//     corrupted information model (the guarantees are proved for
-//     dispatchers that observe p_j, nothing else). The completion
-//     *time* already reflects the penalty through the event clock.
-//
-// Schedules executed under a non-nil Duration verify against the same
-// hook via Schedule.VerifyDurations; plain Verify expects raw actual
-// times and would reject penalized assignments.
+// A Duration hook or a FetchPenalty decouples what a machine spends
+// executing a task from the task's processing time p_j: remote
+// execution charges a fetch-penalized duration while p_j stays what it
+// was. The executed duration drives the clock and the recorded
+// Assignment and nothing else — list scheduling decides from the
+// priority order alone, so no inflated value can reach a decision the
+// guarantees are proved for. Such schedules verify against the same
+// duration function via Schedule.VerifyDurations; plain Verify expects
+// raw actual times and rejects them.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/placement"
 	"repro/internal/sched"
-	"repro/internal/task"
 )
 
-// Hot-loop metrics, accumulated locally per Run and flushed once so
+// Hot-loop metrics, accumulated locally per run and flushed once so
 // the per-event cost is a plain increment (see internal/obs).
 var (
-	simEventsPopped  = obs.GetCounter("sim.events_popped")
-	simDispatchCalls = obs.GetCounter("sim.dispatch_calls")
-	simRuns          = obs.GetCounter("sim.runs")
+	simEventsPopped   = obs.GetCounter("sim.events_popped")
+	openEventsPopped  = obs.GetCounter("sim.open_events_popped")
+	openStaleSkipped  = obs.GetCounter("sim.open_stale_skipped")
+	openCancellations = obs.GetCounter("sim.open_cancelled_replicas")
 )
-
-// Dispatcher selects work for idle machines. Implementations must be
-// semi-clairvoyant: they may consult estimates and the identity of
-// completed tasks, but never an unfinished task's actual time.
-type Dispatcher interface {
-	// Next returns the task to start on the given idle machine at time
-	// now, or ok=false if the machine should stay idle. A machine that
-	// returns ok=false receives no further Next calls: all tasks are
-	// released at time zero, so no new work can appear later.
-	Next(machine int, now float64) (taskID int, ok bool)
-	// Completed notifies the dispatcher that a task finished at time
-	// now; actual is its revealed processing time.
-	Completed(taskID int, machine int, now, actual float64)
-}
 
 // Event is one entry of an execution trace.
 type Event struct {
@@ -84,206 +81,6 @@ type Result struct {
 	// Trace holds start/finish events in time order when tracing was
 	// requested, nil otherwise.
 	Trace []Event
-}
-
-// idleEvent is a machine becoming idle at a given time.
-type idleEvent struct {
-	time    float64
-	machine int
-}
-
-// eventQueue is a specialized binary min-heap of idle events ordered
-// by (time, machine index). The specialization replaces the previous
-// container/heap implementation, whose interface{}-typed Push/Pop
-// boxed every event — two heap allocations per dispatched task on the
-// hottest loop in the repo. Keys are unique (a machine has at most one
-// pending idle event), so the pop order is the total (time, machine)
-// order regardless of heap internals, and swapping implementations
-// cannot change simulation results.
-type eventQueue []idleEvent
-
-func eventLess(a, b idleEvent) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.machine < b.machine
-}
-
-// push inserts ev, reusing the queue's capacity.
-func (q *eventQueue) push(ev idleEvent) {
-	*q = append(*q, ev)
-	h := *q
-	// Sift up.
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() idleEvent {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	*q = h
-	// Sift down.
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= last {
-			break
-		}
-		next := left
-		if right := left + 1; right < last && eventLess(h[right], h[left]) {
-			next = right
-		}
-		if !eventLess(h[next], h[i]) {
-			break
-		}
-		h[i], h[next] = h[next], h[i]
-		i = next
-	}
-	return top
-}
-
-// Options configures a simulation run.
-type Options struct {
-	// Trace records start/finish events when true.
-	Trace bool
-	// Duration, when non-nil, overrides the executed duration of a
-	// task on a machine. The default is the task's actual processing
-	// time; the remote-execution model uses this hook to charge a data
-	// fetch penalty on machines outside the task's replica set.
-	//
-	// Contract: the hook's value determines how long the machine is
-	// busy (clock advance and the recorded Assignment); it does NOT
-	// change the task's processing time — Dispatcher.Completed is
-	// always told the true in.Tasks[j].Actual. The hook must be
-	// deterministic and non-negative, and is called exactly once per
-	// started task.
-	Duration func(taskID, machine int) float64
-}
-
-// Run executes the instance under the dispatcher and returns the
-// resulting schedule. It returns an error if the dispatcher starts a
-// task twice, references an unknown task, or leaves tasks unexecuted.
-// The returned Result is freshly allocated and owned by the caller;
-// hot loops that run many simulations should reuse a Runner instead.
-func Run(in *task.Instance, d Dispatcher, opts Options) (*Result, error) {
-	var r Runner // fresh state: the returned buffers are caller-owned
-	return r.Run(in, d, opts)
-}
-
-// Runner is reusable simulation state. The zero value is ready to use;
-// each call to Run recycles the event queue, the started bitset, the
-// trace buffer, and the result schedule from the previous call, so a
-// Runner executing same-shaped instances in a loop performs zero
-// steady-state heap allocations.
-//
-// Ownership contract: the Result (schedule and trace included)
-// returned by Run is owned by the Runner and valid only until its next
-// Run call. Callers that retain results across iterations must copy
-// them — or use the package-level Run, which returns caller-owned
-// state. A Runner is not safe for concurrent use; pool Runners (e.g.
-// sync.Pool) to share across goroutines. Results are byte-identical to
-// the package-level Run: every field of the reused state is
-// re-initialized from the inputs before the event loop starts.
-type Runner struct {
-	q       eventQueue
-	started []bool
-	sched   sched.Schedule
-	res     Result
-}
-
-// Reset re-initializes every field of the Runner's reusable state for
-// an n-task, m-machine run, retaining capacity. Run calls it
-// internally; it is exported only so tests and the reset linter can
-// assert the pooling contract directly.
-func (r *Runner) Reset(n, m int) {
-	r.q = r.q[:0]
-	if cap(r.started) < n {
-		r.started = make([]bool, n)
-	} else {
-		r.started = r.started[:n]
-		clear(r.started)
-	}
-	r.sched.Reset(n, m)
-	r.res = Result{Schedule: &r.sched, Trace: r.res.Trace[:0]}
-}
-
-// Run executes the instance under the dispatcher, reusing the Runner's
-// buffers. Semantics are identical to the package-level Run; see the
-// Runner ownership contract for the lifetime of the returned Result.
-func (r *Runner) Run(in *task.Instance, d Dispatcher, opts Options) (*Result, error) {
-	n := in.N()
-	r.Reset(n, in.M)
-	startedCount := 0
-
-	// Machines 0..m-1 all become idle at time zero: pushing them in
-	// index order yields an already-valid heap (equal times, machine
-	// ascending), so no sift is needed.
-	for i := 0; i < in.M; i++ {
-		r.q = append(r.q, idleEvent{time: 0, machine: i})
-	}
-
-	popped, dispatched := 0, 0
-	for len(r.q) > 0 {
-		ev := r.q.pop()
-		popped++
-		j, ok := d.Next(ev.machine, ev.time)
-		dispatched++
-		if !ok {
-			continue // machine retires
-		}
-		if j < 0 || j >= n {
-			return nil, fmt.Errorf("sim: dispatcher returned invalid task %d", j)
-		}
-		if r.started[j] {
-			return nil, fmt.Errorf("sim: dispatcher started task %d twice", j)
-		}
-		r.started[j] = true
-		startedCount++
-		// executed is what the machine is busy for; actual is the task's
-		// true processing time p_j. They differ only under a Duration
-		// override (e.g. a remote-fetch penalty), and only executed may
-		// drive the clock — while only actual may be revealed to the
-		// semi-clairvoyant dispatcher below.
-		actual := in.Tasks[j].Actual
-		executed := actual
-		if opts.Duration != nil {
-			executed = opts.Duration(j, ev.machine)
-		}
-		end := ev.time + executed
-		r.sched.Assignments[j] = sched.Assignment{
-			Task: j, Machine: ev.machine, Start: ev.time, End: end,
-		}
-		if opts.Trace {
-			r.res.Trace = append(r.res.Trace,
-				Event{Time: ev.time, Machine: ev.machine, Task: j, Kind: "start"},
-				Event{Time: end, Machine: ev.machine, Task: j, Kind: "finish"},
-			)
-		}
-		d.Completed(j, ev.machine, end, actual)
-		r.q.push(idleEvent{time: end, machine: ev.machine})
-	}
-	simEventsPopped.Add(int64(popped))
-	simDispatchCalls.Add(int64(dispatched))
-	simRuns.Inc()
-
-	if startedCount != n {
-		return nil, fmt.Errorf("sim: %d of %d tasks never executed", n-startedCount, n)
-	}
-	if opts.Trace {
-		sortTrace(r.res.Trace)
-	}
-	return &r.res, nil
 }
 
 // sortTrace orders events by time, finishes before starts at equal
@@ -307,4 +104,130 @@ func traceLess(a, b Event) bool {
 		return a.Kind == "finish"
 	}
 	return a.Machine < b.Machine
+}
+
+// Failure describes a fail-stop machine crash: the machine accepts no
+// work at or after Time, and a task running across Time is lost and
+// must be re-executed from scratch on another machine holding a
+// replica of its data. This models the paper's Hadoop motivation —
+// "most Hadoop systems replicate the data for the purpose of
+// tolerating hardware faults" — inside the same two-phase model: a
+// crash is survivable only if every affected task has a replica
+// elsewhere.
+type Failure struct {
+	// Machine is the crashing machine.
+	Machine int
+	// Time is the crash instant.
+	Time float64
+}
+
+// ErrUnsurvivable reports that some task's data lived only on crashed
+// machines, so the workload cannot complete.
+var ErrUnsurvivable = errors.New("sim: task data lost in crash; no surviving replica")
+
+// machineEligible reports whether machine holds a replica of task j.
+func machineEligible(p *placement.Placement, j, machine int) bool {
+	for _, i := range p.Sets[j] {
+		if i == machine {
+			return true
+		}
+	}
+	return false
+}
+
+// survivable reports whether task j has a replica on a live machine.
+func survivable(p *placement.Placement, j int, dead []bool) bool {
+	for _, i := range p.Sets[j] {
+		if !dead[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// CancelPolicy selects how redundant replicas of a task are retired in
+// the open system — the setting of Wang/Joshi/Wornell (arXiv:1404.1328)
+// and Sun/Koksal/Shroff (arXiv:1603.07322) applied to the paper's
+// phase-1 placements, where whether replication helps or hurts the tail
+// depends on the cancellation policy and the service-time shape.
+type CancelPolicy uint8
+
+const (
+	// CancelOnStart cancels a task's queued siblings the moment one
+	// replica starts executing: at most one copy of a task ever runs,
+	// replication only widens the choice of which machine runs it.
+	CancelOnStart CancelPolicy = iota
+	// CancelOnCompletion lets every machine in the replica set start
+	// its own copy as it frees up; the first completion wins and the
+	// other running copies are cancelled, each costing CancelCost extra
+	// machine time. This trades wasted capacity for tail latency — the
+	// regime studied by the cited open-system papers.
+	CancelOnCompletion
+)
+
+// String returns the policy's experiment-output name.
+func (p CancelPolicy) String() string {
+	switch p {
+	case CancelOnStart:
+		return "cancel-on-start"
+	case CancelOnCompletion:
+		return "cancel-on-completion"
+	default:
+		return fmt.Sprintf("CancelPolicy(%d)", uint8(p))
+	}
+}
+
+// ParseCancelPolicy resolves a policy's String() name (the wire and
+// flag spelling). The empty string selects CancelOnStart, the
+// zero-waste default.
+func ParseCancelPolicy(s string) (CancelPolicy, error) {
+	switch s {
+	case "", "cancel-on-start":
+		return CancelOnStart, nil
+	case "cancel-on-completion":
+		return CancelOnCompletion, nil
+	default:
+		return 0, fmt.Errorf("sim: unknown cancellation policy %q (want cancel-on-start or cancel-on-completion)", s)
+	}
+}
+
+// OpenOptions configures an open-system run.
+type OpenOptions struct {
+	// Policy selects the replica cancellation policy.
+	Policy CancelPolicy
+	// CancelCost is the machine-time penalty paid by each machine whose
+	// running replica is cancelled (it becomes idle at cancel time +
+	// CancelCost). Must be non-negative and finite. Only
+	// CancelOnCompletion incurs it: CancelOnStart never cancels a
+	// running replica.
+	CancelCost float64
+	// Duration, when non-nil, overrides the executed duration of a
+	// replica of a task on a machine; the default is the task's actual
+	// processing time. Same contract as FlatOptions.Duration:
+	// deterministic, non-negative, drives only the clock. Under
+	// CancelOnCompletion it is called once per started replica, and
+	// per-(task,machine) variation is what makes racing replicas
+	// meaningful — identical durations make the extra copies pure waste.
+	Duration func(taskID, machine int) float64
+}
+
+// OpenResult bundles the outcome of an open-system run. A
+// FlatOpenRunner owns the result it returns (valid until its next
+// call); the package-level entry points return caller-owned state.
+type OpenResult struct {
+	// Schedule records the winning replica of every task (the copy
+	// whose completion defined the task's response time). Cancelled
+	// replicas do not appear; their cost shows up in WastedTime.
+	Schedule *sched.Schedule
+	// Responses is indexed by task ID: completion time − arrival time.
+	Responses []float64
+	// CancelledReplicas counts replica executions that were cancelled
+	// mid-run (always 0 under CancelOnStart).
+	CancelledReplicas int
+	// WastedTime is the machine time burned on cancelled replicas,
+	// including the per-cancellation CancelCost.
+	WastedTime float64
+	// End is the time the system drains: the last instant any machine
+	// is busy (including cancellation penalties).
+	End float64
 }

@@ -37,11 +37,7 @@ func TestListDispatcherFullReplication(t *testing.T) {
 	// task0 on m0, task1 on m1, task2 on m1 (first idle at t=2).
 	in := inst(t, 2, 3, 2, 2)
 	p := placement.Everywhere(3, 2)
-	d, err := NewListDispatcher(p, identityOrder(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, p, identityOrder(3), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +59,7 @@ func TestListDispatcherRespectsReplicaSets(t *testing.T) {
 	p := placement.New(2, 2)
 	p.Assign(0, 1)
 	p.Assign(1, 0)
-	d, err := NewListDispatcher(p, identityOrder(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, p, identityOrder(2), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +78,7 @@ func TestRunUsesActualTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := placement.Everywhere(2, 1)
-	d, _ := NewListDispatcher(p, identityOrder(2))
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, placement.Everywhere(2, 1), identityOrder(2), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +89,7 @@ func TestRunUsesActualTimes(t *testing.T) {
 
 func TestTieBreakTowardLowerMachine(t *testing.T) {
 	in := inst(t, 3, 1)
-	p := placement.Everywhere(1, 3)
-	d, _ := NewListDispatcher(p, identityOrder(1))
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, placement.Everywhere(1, 3), identityOrder(1), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +100,7 @@ func TestTieBreakTowardLowerMachine(t *testing.T) {
 
 func TestTraceOrdering(t *testing.T) {
 	in := inst(t, 2, 2, 1, 1)
-	p := placement.Everywhere(3, 2)
-	d, _ := NewListDispatcher(p, identityOrder(3))
-	res, err := Run(in, d, Options{Trace: true})
+	res, err := RunFlat(in, placement.Everywhere(3, 2), identityOrder(3), FlatOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,75 +125,37 @@ func TestTraceOrdering(t *testing.T) {
 
 func TestNoTraceByDefault(t *testing.T) {
 	in := inst(t, 1, 1)
-	p := placement.Everywhere(1, 1)
-	d, _ := NewListDispatcher(p, identityOrder(1))
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, placement.Everywhere(1, 1), identityOrder(1), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace != nil {
-		t.Fatal("trace recorded without Options.Trace")
+		t.Fatal("trace recorded without FlatOptions.Trace")
 	}
 }
 
 func TestNewListDispatcherRejectsBadOrder(t *testing.T) {
+	in := inst(t, 2, 1, 1, 1)
 	p := placement.Everywhere(3, 2)
-	if _, err := NewListDispatcher(p, []int{0, 1}); err == nil {
+	if _, err := RunFlat(in, p, []int{0, 1}, FlatOptions{}); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := NewListDispatcher(p, []int{0, 1, 1}); err == nil {
+	if _, err := RunFlat(in, p, []int{0, 1, 1}, FlatOptions{}); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if _, err := NewListDispatcher(p, []int{0, 1, 9}); err == nil {
+	if _, err := RunFlat(in, p, []int{0, 1, 9}, FlatOptions{}); err == nil {
 		t.Fatal("out-of-range order accepted")
 	}
 }
 
 func TestRunDetectsUnexecutedTasks(t *testing.T) {
+	// A task with no replica anywhere could never execute; the run is
+	// refused rather than returned short.
 	in := inst(t, 1, 1, 1)
-	d := &FuncDispatcher{NextFunc: func(int, float64) (int, bool) { return 0, false }}
-	if _, err := Run(in, d, Options{}); err == nil {
-		t.Fatal("unexecuted tasks not detected")
-	}
-}
-
-func TestRunDetectsDoubleStart(t *testing.T) {
-	in := inst(t, 2, 1, 1)
-	d := &FuncDispatcher{NextFunc: func(int, float64) (int, bool) { return 0, true }}
-	if _, err := Run(in, d, Options{}); err == nil {
-		t.Fatal("double start not detected")
-	}
-}
-
-func TestRunDetectsInvalidTaskID(t *testing.T) {
-	in := inst(t, 1, 1)
-	d := &FuncDispatcher{NextFunc: func(int, float64) (int, bool) { return 42, true }}
-	if _, err := Run(in, d, Options{}); err == nil {
-		t.Fatal("invalid task ID not detected")
-	}
-}
-
-func TestCompletedCallbackSeesActuals(t *testing.T) {
-	est := []float64{2}
-	act := []float64{3}
-	in, err := task.New(1, 1.5, est, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotActual, gotNow float64
-	p := placement.Everywhere(1, 1)
-	ld, _ := NewListDispatcher(p, identityOrder(1))
-	d := &FuncDispatcher{
-		NextFunc: ld.Next,
-		CompletedFunc: func(_, _ int, now, actual float64) {
-			gotNow, gotActual = now, actual
-		},
-	}
-	if _, err := Run(in, d, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if gotActual != 3 || gotNow != 3 {
-		t.Fatalf("Completed(now=%v, actual=%v), want 3, 3", gotNow, gotActual)
+	p := placement.Everywhere(2, 1)
+	p.Sets[1] = nil
+	if _, err := RunFlat(in, p, identityOrder(2), FlatOptions{}); err == nil {
+		t.Fatal("unexecutable task not detected")
 	}
 }
 
@@ -224,11 +172,7 @@ func TestGreedyDominanceProperty(t *testing.T) {
 		sort.Slice(order, func(a, b int) bool {
 			return in.Tasks[order[a]].Estimate > in.Tasks[order[b]].Estimate
 		})
-		d, err := NewListDispatcher(p, order)
-		if err != nil {
-			return false
-		}
-		res, err := Run(in, d, Options{})
+		res, err := RunFlat(in, p, order, FlatOptions{})
 		if err != nil {
 			return false
 		}
@@ -260,8 +204,7 @@ func TestGroupPlacementStaysInGroup(t *testing.T) {
 	if err := p.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := NewListDispatcher(p, identityOrder(40))
-	res, err := Run(in, d, Options{})
+	res, err := RunFlatSharded(in, p, identityOrder(40), FlatOptions{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

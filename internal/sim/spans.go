@@ -25,9 +25,11 @@ type flatScratch struct {
 //     contention at all — its tasks are, provably, exactly its shard
 //     list, so execution is a linear replay with a running tick sum and
 //     no heap (the none-placement fast path);
-//   - runSpanHeap: the general event loop over the shard's machines;
-//   - runSpanFailures: the fail-stop port of RunWithFailures, used only
-//     for shards that actually contain crashes.
+//   - runSpanHeap: the general event loop over the shard's machines,
+//     and the only one a fetch-penalty run takes (its tasks sit in the
+//     queues, not on the shard list);
+//   - runSpanFailures: the fail-stop loop, used only for shards that
+//     actually contain crashes.
 //
 // This is the benchmarked FlatRunner event loop: everything statically
 // reachable from here must not allocate (the hotalloc rule enforces it).
@@ -51,13 +53,13 @@ func (r *FlatRunner) runSpan(in *task.Instance, p *placement.Placement, s int,
 		// No crashes reach this shard: fail-stop semantics reduce to
 		// plain list scheduling, and every started task completes.
 	}
-	if len(ms) == 1 {
+	if len(ms) == 1 && opts.FetchPenalty == 0 {
 		sc.stats.linear++
 		r.replayLinear(s, ms[0], opts)
 		return
 	}
 	sc.stats.general++
-	r.runSpanHeap(s, ms, sc, opts)
+	r.runSpanHeap(in, s, ms, sc, opts)
 }
 
 // replayLinear executes a one-machine shard without a heap. A replica
@@ -112,12 +114,18 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 // pick hands machine i of shard s the highest-priority unstarted task
 // it holds a replica of, or -1 when none is left: the earlier-in-order
 // of the shard list's head and the first unstarted entry of its own
-// queue. That is ListDispatcher's started-skip scan over the one queue
-// that held both: list tasks start in list order (whichever machine
-// takes one takes the first left), so the cursor is never behind an
-// unstarted list task, and queue entries are skipped once another
-// replica's machine has started them.
-func (r *FlatRunner) pick(s int, i int32) int32 {
+// queue. That is a started-skip scan over one queue holding both: list
+// tasks start in list order (whichever machine takes one takes the
+// first left), so the cursor is never behind an unstarted list task,
+// and queue entries are skipped once another replica's machine has
+// started them.
+//
+// Under FlatOptions.FetchPenalty (order non-nil, nothing on the list) a
+// machine whose own queue has run out takes the first unstarted task of
+// the whole order instead, and remote reports it: the task was in no
+// queue of i, so i holds no replica of it. Tasks only ever become
+// started, so the cursor never passes one that is still to run.
+func (r *FlatRunner) pick(s int, i int32) (j int32, remote bool) {
 	q := r.qTasks[r.qOff[i]:r.qOff[i+1]]
 	h := r.head[i]
 	for int(h) < len(q) && r.started[q[h]] {
@@ -127,21 +135,26 @@ func (r *FlatRunner) pick(s int, i int32) int32 {
 	if c := r.wideHead[s]; c < r.wideLen[s] {
 		if j := r.wideTasks[r.shardTaskOff[s]+c]; int(h) == len(q) || r.priorityOf[j] < r.priorityOf[q[h]] {
 			r.wideHead[s] = c + 1
-			return j
+			return j, false
 		}
 	}
 	if int(h) == len(q) {
-		return -1
+		for ; r.stealHead < len(r.order); r.stealHead++ {
+			if j := r.order[r.stealHead]; !r.started[j] {
+				r.started[j] = true
+				return int32(j), true
+			}
+		}
+		return -1, false
 	}
 	r.started[q[h]] = true
-	return q[h]
+	return q[h], false
 }
 
 // runSpanHeap is the general shard event loop: pop the earliest idle
-// machine, pick its task, push its completion back. Identical decisions
-// to Runner.Run with a ListDispatcher — same (time, machine) pop order,
-// same task per idle machine — just over ticks and flat state.
-func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatOptions) {
+// machine in (time, machine) order, pick its task, push its completion
+// back.
+func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatScratch, opts *FlatOptions) {
 	h := sc.heap[:0]
 	for _, i := range ms {
 		h = append(h, mEvent{t: 0, m: i}) // ascending machines at t=0: already a valid heap
@@ -158,13 +171,21 @@ func (r *FlatRunner) runSpanHeap(s int, ms []int32, sc *flatScratch, opts *FlatO
 		h, ev = mPop(h)
 		popped++
 		i := ev.m
-		j := r.pick(s, i)
+		j, remote := r.pick(s, i)
 		if j < 0 {
 			continue // nothing left it may run: the machine retires
 		}
 		started++
 		var d tick.Tick
-		if opts.Duration == nil {
+		if remote {
+			// The data is fetched first: FetchPenalty times the actual
+			// time. A product past the tick range saturates the
+			// completion below, which fails the run.
+			var err error
+			if d, err = tick.FromSeconds(in.Tasks[j].Actual * opts.FetchPenalty); err != nil {
+				d = tick.Max
+			}
+		} else if opts.Duration == nil {
 			d = r.durTick[j]
 		} else {
 			var ok bool
@@ -215,15 +236,18 @@ func (r *FlatRunner) hookTick(s, j, machine int, ev mEvent, opts *FlatOptions) (
 	return d, true
 }
 
-// runSpanFailures is the shard-local port of RunWithFailures: same
-// retry-ahead-of-queue dispatch, dormant tracking, crash-before-
-// equal-time-events interleaving, and strand checks — restricted to
-// the shard's machines, tasks, and crashes. The restriction is
-// equivalence-preserving: a crash can only strand or free tasks whose
-// replicas live in the crashing machine's shard, and waking another
-// shard's dormant machine is output-neutral (it finds no work and goes
-// dormant again). Trace and Duration are rejected in prepare, so this
-// path never consults them.
+// runSpanFailures is the shard-local fail-stop loop: list scheduling
+// with lost tasks re-offered ahead of the queues, machines that found
+// no work kept dormant until a loss gives them some, crashes processed
+// before machine events of the same instant, and a strand check per
+// crash — restricted to the shard's machines, tasks, and crashes. The
+// restriction preserves the global semantics (oracleRunFailures in
+// oracle_test.go states them without shards): a crash can only strand
+// or free tasks whose replicas live in the crashing machine's shard,
+// and waking another shard's dormant machine is output-neutral (it
+// finds no work and goes dormant again). Trace, Duration and
+// FetchPenalty are rejected in prepare, so this path never consults
+// them.
 func (r *FlatRunner) runSpanFailures(p *placement.Placement, s int, ms []int32, sc *flatScratch) {
 	h := sc.heap[:0]
 	for _, i := range ms {
@@ -326,7 +350,7 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 			retry[bestIdx] = retry[len(retry)-1]
 			retry = retry[:len(retry)-1]
 		} else {
-			j = r.pick(s, i)
+			j, _ = r.pick(s, i) // never remote: prepare rejects Failures with a fetch penalty
 		}
 		if j < 0 {
 			r.dormant[i] = true

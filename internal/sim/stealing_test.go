@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/placement"
@@ -19,11 +22,7 @@ func TestStealingPrefersLocal(t *testing.T) {
 	p.Assign(0, 0)
 	p.Assign(1, 0)
 	p.Assign(2, 1)
-	d, err := NewStealingDispatcher(p, identityOrder(3), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, d, Options{Duration: d.DurationOf(in)})
+	res, err := RunFlat(in, p, identityOrder(3), FlatOptions{FetchPenalty: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +52,12 @@ func TestStealingPenaltyOneEqualsFullReplication(t *testing.T) {
 	for j := 0; j < 5; j++ {
 		p.Assign(j, 0)
 	}
-	d, err := NewStealingDispatcher(p, identityOrder(5), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, d, Options{Duration: d.DurationOf(in)})
+	res, err := RunFlat(in, p, identityOrder(5), FlatOptions{FetchPenalty: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	full := placement.Everywhere(5, 2)
-	ld, _ := NewListDispatcher(full, identityOrder(5))
-	want, err := Run(in, ld, Options{})
+	want, err := RunFlat(in, placement.Everywhere(5, 2), identityOrder(5), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +82,7 @@ func TestStealingHighPenaltyDiscourages(t *testing.T) {
 	p.Assign(1, 0)
 	p.Assign(2, 1)
 	p.Assign(3, 1)
-	d, err := NewStealingDispatcher(p, identityOrder(4), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(in, d, Options{Duration: d.DurationOf(in)})
+	res, err := RunFlat(in, p, identityOrder(4), FlatOptions{FetchPenalty: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,25 +93,87 @@ func TestStealingHighPenaltyDiscourages(t *testing.T) {
 	}
 }
 
+// TestStealingRejectsBadPenalty covers the fetch penalty's validation:
+// a value below 1 or not finite, and the combinations no caller uses.
 func TestStealingRejectsBadPenalty(t *testing.T) {
-	p := placement.New(1, 1)
-	p.Assign(0, 0)
-	if _, err := NewStealingDispatcher(p, []int{0}, 0.5); err == nil {
-		t.Fatal("penalty < 1 accepted")
+	in := inst(t, 2, 1, 1)
+	p := placement.Everywhere(2, 2)
+	for _, c := range []struct {
+		name, wantSub string
+		opts          FlatOptions
+	}{
+		{"below 1", "fetch penalty", FlatOptions{FetchPenalty: 0.5}},
+		{"negative", "fetch penalty", FlatOptions{FetchPenalty: -2}},
+		{"NaN", "fetch penalty", FlatOptions{FetchPenalty: math.NaN()}},
+		{"infinite", "fetch penalty", FlatOptions{FetchPenalty: math.Inf(1)}},
+		{"with Failures", "cannot be combined", FlatOptions{FetchPenalty: 2, Failures: []Failure{{Machine: 0, Time: 1}}}},
+		{"with Duration", "cannot be combined", FlatOptions{FetchPenalty: 2, Duration: func(int, int) float64 { return 1 }}},
+	} {
+		for _, workers := range []int{1, 2} {
+			_, err := RunFlatSharded(in, p, identityOrder(2), c.opts, workers)
+			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantSub)
+			}
+		}
+	}
+}
+
+// TestStealingMatchesOracle is the fetch-penalty differential: over
+// pinned, group, mixed and ABO-shaped placements and a sweep of φ, the
+// flat engine runs every task on the oracle's machine — byte for byte,
+// trace included, on whole-second durations (exact in ticks under
+// every φ of the sweep), within the quantization bound on continuous
+// ones — at every worker count, and its schedule verifies under the
+// penalized durations.
+func TestStealingMatchesOracle(t *testing.T) {
+	whole := openExactInstance(t, 48, 6, 71)
+	order := lptOrder(whole)
+	exact := append([]flatCase{
+		{"none", whole, nonePlacement(48, 6, 71), order},
+		{"group", whole, groupPlacement(t, 48, 6, 2, 71), order},
+		{"mixed", whole, mixedPlacement(48, 6, 71), order},
+		{"one-machine", inst(t, 1, 3, 1, 2), placement.Everywhere(3, 1), identityOrder(3)},
+	}, sharedCases(t, whole, 2, 71)...)
+	continuous := flatCases(t)
+	for ci, c := range append(exact, continuous...) {
+		for _, phi := range []float64{1, 1.5, 2, 4, 16} {
+			label := c.name + "/phi=" + strconv.FormatFloat(phi, 'g', -1, 64)
+			opts := FlatOptions{Trace: true, FetchPenalty: phi}
+			want := oracleRun(c.in, c.p, c.order, opts)
+			for _, w := range flatWorkerCounts() {
+				got, err := RunFlatSharded(c.in, c.p, c.order, opts, w)
+				if err != nil {
+					t.Fatalf("%s/workers=%d: %v", label, w, err)
+				}
+				if ci < len(exact) {
+					requireSameResult(t, label+"/workers="+itoa(w), got, want)
+				} else {
+					requireCloseSchedule(t, label+"/workers="+itoa(w), c.in.N(), got.Schedule, want.Schedule)
+				}
+				in, p := c.in, c.p
+				penalized := func(j, i int) float64 {
+					if machineEligible(p, j, i) {
+						return in.Tasks[j].Actual
+					}
+					return in.Tasks[j].Actual * phi
+				}
+				if err := got.Schedule.VerifyDurations(in, p, penalized); err != nil {
+					t.Fatalf("%s/workers=%d: schedule fails VerifyDurations: %v", label, w, err)
+				}
+			}
+		}
 	}
 }
 
 func TestDurationHookDefault(t *testing.T) {
-	// Without Options.Duration the simulator charges actual times.
+	// Without FlatOptions.Duration the simulator charges actual times.
 	est := []float64{2}
 	act := []float64{3}
 	in, err := task.New(1, 1.5, est, act)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := placement.Everywhere(1, 1)
-	d, _ := NewListDispatcher(p, identityOrder(1))
-	res, err := Run(in, d, Options{})
+	res, err := RunFlat(in, placement.Everywhere(1, 1), identityOrder(1), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

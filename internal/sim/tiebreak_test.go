@@ -10,40 +10,49 @@ import (
 	"repro/internal/tick"
 )
 
-// TestEventQueueTiedPopOrder is the satellite-4 audit regression for
-// the float event queue: events pushed in adversarial order — many
-// exact time ties across machines — must pop in the total
-// (time, machine) order. Per-machine keys are unique in real runs (one
-// pending event per machine), so this total order is the full
-// determinism claim; a sift change that broke tie handling would
-// reorder the equal-time block and fail here.
+// TestEventQueueTiedPopOrder audits the oracle's event order: its
+// "queue" is the earliest scan over one pending time per machine, and
+// with many exact time ties across machines the scan must hand the
+// machines out in the total (time, machine) order the engines' heaps
+// are held to below.
 func TestEventQueueTiedPopOrder(t *testing.T) {
 	r := rng.New(99)
-	var events []idleEvent
-	for machine := 0; machine < 16; machine++ {
-		events = append(events, idleEvent{time: float64(r.Intn(4)), machine: machine})
+	at := make([]float64, 16)
+	on := make([]bool, len(at))
+	type event struct {
+		time    float64
+		machine int
 	}
-	// Shuffle the push order with a seeded permutation.
-	for i := len(events) - 1; i > 0; i-- {
-		k := r.Intn(i + 1)
-		events[i], events[k] = events[k], events[i]
+	var want []event
+	for i := range at {
+		at[i], on[i] = float64(r.Intn(4)), true
+		want = append(want, event{at[i], i})
 	}
-	var q eventQueue
-	for _, ev := range events {
-		q.push(ev)
-	}
-	want := append([]idleEvent(nil), events...)
-	sort.Slice(want, func(a, b int) bool { return eventLess(want[a], want[b]) })
-	for i, w := range want {
-		if got := q.pop(); got != w {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].time != want[b].time {
+			return want[a].time < want[b].time
 		}
+		return want[a].machine < want[b].machine
+	})
+	for k, w := range want {
+		i := earliest(at, on)
+		if i != w.machine {
+			t.Fatalf("pick %d = machine %d, want %+v", k, i, w)
+		}
+		on[i] = false
+	}
+	if i := earliest(at, on); i != -1 {
+		t.Fatalf("empty scan returned machine %d", i)
 	}
 }
 
-// TestTickHeapTiedPopOrder is the same audit for the flat engine's
-// mEvent heap: ticks tie exactly (int64 equality, no float fuzz), and
-// the machine index must fully resolve the order.
+// TestTickHeapTiedPopOrder audits the batch engine's mEvent heap:
+// events pushed in adversarial order — many exact tick ties across
+// machines (int64 equality, no float fuzz) — must pop in the total
+// (tick, machine) order. Per-machine keys are unique in real runs (one
+// pending event per machine), so this total order is the full
+// determinism claim; a sift change that broke tie handling would
+// reorder the equal-tick block and fail here.
 func TestTickHeapTiedPopOrder(t *testing.T) {
 	r := rng.New(77)
 	var events []mEvent
@@ -69,11 +78,12 @@ func TestTickHeapTiedPopOrder(t *testing.T) {
 	}
 }
 
-// TestFailureCrashOrderIndependentOfInput pins the crashQ tie-break
-// fix: two same-instant crashes handed to RunWithFailures in either
-// caller order must yield the same outcome — previously a Time-only
-// sort let the caller's slice order leak into which machine died
-// first, and with it which ErrUnsurvivable a doomed run reported.
+// TestFailureCrashOrderIndependentOfInput pins the crash tie-break:
+// two same-instant crashes handed over in either caller order must
+// yield the same outcome, in the oracle and in the engine — a
+// Time-only sort would let the caller's slice order leak into which
+// machine died first, and with it which ErrUnsurvivable a doomed run
+// reported.
 func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	in := inst(t, 4, 5, 5, 5, 5, 1, 1)
 	p := placement.New(6, 4)
@@ -89,8 +99,8 @@ func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	// way, and the reported task/machine must not depend on input order.
 	fwd := []Failure{{Machine: 0, Time: 2}, {Machine: 1, Time: 2}, {Machine: 2, Time: 2}, {Machine: 3, Time: 2}}
 	rev := []Failure{{Machine: 3, Time: 2}, {Machine: 2, Time: 2}, {Machine: 1, Time: 2}, {Machine: 0, Time: 2}}
-	_, errFwd := RunWithFailures(in, p, order, fwd)
-	_, errRev := RunWithFailures(in, p, order, rev)
+	_, errFwd := oracleRunFailures(in, p, order, fwd)
+	_, errRev := oracleRunFailures(in, p, order, rev)
 	if errFwd == nil || errRev == nil {
 		t.Fatalf("expected unsurvivable errors, got %v / %v", errFwd, errRev)
 	}
@@ -99,20 +109,19 @@ func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	}
 
 	// Survivable same-instant ties: schedules must match exactly too,
-	// in the sequential engine and the flat engine at several worker
-	// counts.
+	// in the oracle and in the engine at several worker counts.
 	sfwd := []Failure{{Machine: 1, Time: 2}, {Machine: 3, Time: 2}}
 	srev := []Failure{{Machine: 3, Time: 2}, {Machine: 1, Time: 2}}
-	wantSched, err := RunWithFailures(in, p, order, sfwd)
+	wantSched, err := oracleRunFailures(in, p, order, sfwd)
 	if err != nil {
 		t.Fatalf("survivable fwd: %v", err)
 	}
-	gotSched, err := RunWithFailures(in, p, order, srev)
+	gotSched, err := oracleRunFailures(in, p, order, srev)
 	if err != nil {
 		t.Fatalf("survivable rev: %v", err)
 	}
 	if !reflect.DeepEqual(gotSched.Assignments, wantSched.Assignments) {
-		t.Fatal("sequential schedule depends on crash input order")
+		t.Fatal("oracle schedule depends on crash input order")
 	}
 	for _, w := range []int{1, 2, 8} {
 		for _, fs := range [][]Failure{sfwd, srev} {

@@ -70,8 +70,7 @@ func wLess(a, b wEvent) bool {
 // Keys are not unique here — a stale entry can share (t, m) with its
 // replacement — but at most one entry per machine is live, so the pop
 // order of live events is still the total (t, machine) order and heap
-// internals cannot change simulation results (same argument as
-// openQueue).
+// internals cannot change simulation results.
 func wPush(h []wEvent, ev wEvent) []wEvent {
 	h = append(h, ev)
 	i := len(h) - 1
@@ -209,7 +208,7 @@ func (w *openWheel) settle() {
 // peek returns the earliest entry (live or stale) without removing it.
 // The wheel must be non-empty. The open loop uses the peeked time to
 // interleave the arrival stream: arrivals at or before the next event
-// are admitted first, matching the reference engine's tie rule.
+// are admitted first (the event model's tie rule, flatopen.go).
 func (w *openWheel) peek() wEvent {
 	w.settle()
 	return w.active[0]
