@@ -3,23 +3,21 @@
 // report — throughput, latency quantiles, shed rate — to stdout. See
 // internal/loadgen and FRONTIER.md.
 //
-// Two loop disciplines:
+//	loadgen -url http://localhost:9900 -requests 2000 -workers 16
 //
-//	loadgen -url http://localhost:9900 -mode closed -requests 2000 -workers 16
-//	loadgen -url http://localhost:9900 -mode open -qps 500 -duration 10s
-//
-// The closed loop keeps -workers requests in flight until -requests
-// complete (sustainable-capacity measurement); the open loop fires
-// Poisson arrivals at -qps regardless of completions (the open-system
-// model, exposing shedding under overload). Both issue a deterministic
-// request stream from -seed.
+// The loop is closed: -workers requests stay in flight until -requests
+// complete (sustainable-capacity measurement), issuing a deterministic
+// request stream from -seed. It is a smoke test and a capacity probe,
+// not the benchmark: latency under arrivals — an absolute Poisson
+// schedule, timed from the due time — is cmd/bench's serve-open
+// workload, which boots this same stack.
 //
 // -selftest boots a full in-process tier — two schedd instances, two
 // clusterd shards over them, one frontd over the shards — and runs the
 // configured load against it, so the whole stack is exercised with no
 // external setup:
 //
-//	loadgen -selftest -mode closed -requests 200 -workers 8
+//	loadgen -selftest -requests 200 -workers 8
 package main
 
 import (
@@ -44,11 +42,8 @@ import (
 func main() {
 	var (
 		url       = flag.String("url", "", "target base URL (required unless -selftest)")
-		mode      = flag.String("mode", loadgen.ModeClosed, "loop discipline: open or closed")
-		qps       = flag.Float64("qps", 100, "open-loop average arrival rate")
-		duration  = flag.Duration("duration", time.Second, "open-loop arrival window")
-		workers   = flag.Int("workers", 8, "closed-loop concurrency / open-loop in-flight cap")
-		requests  = flag.Int("requests", 0, "closed-loop request count (optional arrival cap in open mode)")
+		workers   = flag.Int("workers", 8, "requests kept in flight")
+		requests  = flag.Int("requests", 0, "total request count (required)")
 		seed      = flag.Uint64("seed", 1, "deterministic request-stream seed")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		algorithm = flag.String("algorithm", "lpt-norestriction", "algorithm each request asks for")
@@ -78,10 +73,7 @@ func main() {
 	}
 
 	rep, err := loadgen.Run(ctx, loadgen.Config{
-		Mode:      *mode,
 		URL:       target,
-		QPS:       *qps,
-		Duration:  *duration,
 		Workers:   *workers,
 		Requests:  *requests,
 		Seed:      *seed,

@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// hotalloc is the static counterpart of the 0-allocs/op benchmark
-// gate: functions annotated //perf:hotpath in their doc comment, and
-// everything statically reachable from them through the call graph,
-// must be free of allocating constructs. Where the bench gate says
-// "this run allocated", hotalloc names the line that would.
+// hotalloc is the static counterpart of the live allocation gate (the
+// root package's TestKernelAllocations): functions annotated
+// //perf:hotpath in their doc comment, and everything statically
+// reachable from them through the call graph, must be free of
+// allocating constructs. Where the test says "this run allocated",
+// hotalloc names the line that would.
 //
 // The deny list covers the constructs that always (or almost always)
 // hit the allocator:
@@ -25,13 +26,13 @@ import (
 //
 // Deliberately allowed: append (the repo's hot loops append into
 // capacity grown during prepare; amortized growth is pinned by the
-// benchmark gate, which this rule complements rather than replaces),
+// allocation test, which this rule complements rather than replaces),
 // and by-value struct literals (stack-allocated).
 //
 // Blind spots: calls through function values and interface methods
 // have no static callee, so their targets are not checked — the
-// bench gate remains the backstop for those — and implicit interface
-// boxing at call boundaries is not modeled.
+// allocation test remains the backstop for those — and implicit
+// interface boxing at call boundaries is not modeled.
 func newHotAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",

@@ -3,22 +3,18 @@
 // reports throughput, latency quantiles, and shed rate in a
 // machine-readable form.
 //
-// Two loop disciplines cover the classic load-testing split:
+// The loop is closed: exactly Workers requests are in flight, the next
+// issued as soon as one completes — the discipline that measures
+// sustainable capacity (throughput at full pipeline). There is no open
+// loop here. Response time under arrivals is measured from the arrival
+// (Wang/Joshi/Wornell, arXiv:1404.1328), which needs an absolute
+// schedule and latency taken from the due time; cmd/bench's serve-open
+// workload is that measurement, and the only one.
 //
-//   - the open loop fires requests at a fixed average rate with
-//     Poisson (exponential) interarrivals, independent of how fast the
-//     system answers — the arrival process of the paper's open-system
-//     model, and the one that exposes shedding: when the tier cannot
-//     keep up, work piles into 429s instead of silently stretching the
-//     measurement;
-//   - the closed loop keeps exactly Workers requests in flight,
-//     issuing the next as soon as one completes — the discipline that
-//     measures sustainable capacity (throughput at full pipeline).
-//
-// All randomness (interarrivals, per-request instance jitter) comes
-// from internal/rng seeded by Config.Seed, so two runs against the
-// same system issue byte-identical request sequences on identical
-// schedules.
+// All randomness (per-request instance jitter) comes from internal/rng
+// seeded by Config.Seed: request i is a function of (Seed, i) alone, so
+// two runs against the same system issue byte-identical request sets
+// whatever their concurrency.
 package loadgen
 
 import (
@@ -38,34 +34,16 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/task"
-	"repro/internal/wire"
-)
-
-// Mode names the two loop disciplines.
-const (
-	ModeOpen   = "open"
-	ModeClosed = "closed"
 )
 
 // Config parameterizes one load-generation run.
 type Config struct {
-	// Mode selects the loop discipline: ModeOpen or ModeClosed.
-	// Default: ModeClosed.
-	Mode string
 	// URL is the base URL of the target tier (required); requests go to
 	// URL + "/v1/batch".
 	URL string
-	// QPS is the open loop's average arrival rate. Default: 100.
-	QPS float64
-	// Duration bounds the open loop's arrival window. Default: 1s.
-	Duration time.Duration
-	// Workers is the closed loop's concurrency (and the open loop's
-	// in-flight cap, so a stalled target cannot spawn unbounded
-	// goroutines). Default: 8.
+	// Workers is the number of requests kept in flight. Default: 8.
 	Workers int
-	// Requests is the closed loop's total request count (required in
-	// closed mode). In open mode it optionally caps arrivals; 0 means
-	// arrivals are bounded by Duration alone.
+	// Requests is the total request count (required).
 	Requests int
 	// Seed seeds the deterministic request stream. Default: 1.
 	Seed uint64
@@ -84,15 +62,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Mode == "" {
-		c.Mode = ModeClosed
-	}
-	if c.QPS <= 0 {
-		c.QPS = 100
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
@@ -125,7 +94,6 @@ type Latency struct {
 // Report is the machine-readable outcome of one run. Counts partition:
 // Requests = OK + Shed + Errors.
 type Report struct {
-	Mode            string  `json:"mode"`
 	Seed            uint64  `json:"seed"`
 	Requests        int     `json:"requests"`
 	OK              int     `json:"ok"`
@@ -151,24 +119,24 @@ const (
 	outErr
 )
 
-// gen builds the deterministic request stream: request i is a function
-// of (seed, i) alone. Instances are jittered per request so the front
-// tier's content-hash sharding spreads them across the ring — a
-// constant body would pin the whole run to one shard.
-type gen struct {
-	cfg Config
-}
-
-// body renders the i-th single-item batch body.
-func (g gen) body(r *rng.Source) []byte {
-	tasks := make([]task.Task, g.cfg.Tasks)
+// body renders the i-th single-item batch body of the deterministic
+// request stream, a function of (seed, i) alone: its draws come from a
+// stream seeded by the two folded through two SplitMix64 steps, so
+// neighbouring indices and neighbouring seeds give unrelated streams
+// and no body depends on which worker issues it. Instances are jittered
+// per request so the front tier's content-hash sharding spreads them
+// across the ring — a constant body would pin the whole run to one
+// shard.
+func body(cfg Config, i int) []byte {
+	r := rng.New(rng.New(rng.New(cfg.Seed).Uint64() ^ uint64(i)).Uint64())
+	tasks := make([]task.Task, cfg.Tasks)
 	for j := range tasks {
 		e := 1 + float64(r.Intn(97))
 		tasks[j] = task.Task{ID: j, Estimate: e, Actual: e}
 	}
 	req := serve.BatchRequest{Requests: []serve.ScheduleRequest{{
-		Algorithm: g.cfg.Algorithm,
-		Instance:  &task.Instance{M: g.cfg.Machines, Alpha: 1.5, Tasks: tasks},
+		Algorithm: cfg.Algorithm,
+		Instance:  &task.Instance{M: cfg.Machines, Alpha: 1.5, Tasks: tasks},
 	}}}
 	b, err := json.Marshal(&req)
 	if err != nil {
@@ -205,31 +173,21 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.URL == "" {
 		return nil, errors.New("loadgen: URL is required")
 	}
-	if cfg.Mode != ModeOpen && cfg.Mode != ModeClosed {
-		return nil, fmt.Errorf("loadgen: unknown mode %q (want %q or %q)", cfg.Mode, ModeOpen, ModeClosed)
-	}
-	if cfg.Mode == ModeClosed && cfg.Requests <= 0 {
-		return nil, errors.New("loadgen: closed mode requires Requests > 0")
+	if cfg.Requests <= 0 {
+		return nil, errors.New("loadgen: Requests must be positive")
 	}
 	client := &http.Client{Transport: cfg.Transport, Timeout: cfg.Timeout}
 	col := &collector{}
 	start := time.Now()
-	var err error
-	if cfg.Mode == ModeOpen {
-		err = runOpen(ctx, cfg, client, col)
-	} else {
-		err = runClosed(ctx, cfg, client, col)
-	}
-	if err != nil {
-		return nil, err
-	}
+	runClosed(ctx, cfg, client, col)
 	return buildReport(cfg, col, time.Since(start)), nil
 }
 
 // runClosed keeps Workers requests in flight until Requests have been
-// issued. Each worker derives its own rng stream from (seed, worker),
-// so the issued set is deterministic regardless of completion order.
-func runClosed(ctx context.Context, cfg Config, client *http.Client, col *collector) error {
+// issued. Workers share the index stream and each body is a function of
+// its index, so the issued set is the same whichever worker wins which
+// index and whatever the completion order.
+func runClosed(ctx context.Context, cfg Config, client *http.Client, col *collector) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	go func() {
@@ -244,55 +202,14 @@ func runClosed(ctx context.Context, cfg Config, client *http.Client, col *collec
 	}()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		r := rng.New(cfg.Seed + uint64(w)*1e9)
 		go func() {
 			defer wg.Done()
-			g := gen{cfg: cfg}
-			for range next {
-				col.add(issue(ctx, client, cfg.URL, g.body(r)))
+			for i := range next {
+				col.add(issue(ctx, client, cfg.URL, body(cfg, i)))
 			}
 		}()
 	}
 	wg.Wait()
-	return nil
-}
-
-// runOpen fires requests on a Poisson schedule at rate QPS for
-// Duration (or Requests arrivals, whichever ends first). Workers caps
-// the in-flight count: an arrival finding no free slot is recorded as
-// shed by the generator itself — the open loop must not queue, or it
-// degenerates into a closed loop with extra steps.
-func runOpen(ctx context.Context, cfg Config, client *http.Client, col *collector) error {
-	r := rng.New(cfg.Seed)
-	g := gen{cfg: cfg}
-	slots := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(cfg.Duration)
-	issued := 0
-	for cfg.Requests <= 0 || issued < cfg.Requests {
-		wait := time.Duration(r.Exp(cfg.QPS) * float64(time.Second))
-		if !wire.SleepCtx(ctx, wait) {
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		body := g.body(r)
-		issued++
-		select {
-		case slots <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				col.add(issue(ctx, client, cfg.URL, body))
-				<-slots
-			}()
-		default:
-			col.add(sample{kind: outShed, errMsg: "generator in-flight cap"})
-		}
-	}
-	wg.Wait()
-	return nil
 }
 
 // issue posts one single-item batch and classifies the outcome:
@@ -335,7 +252,7 @@ func issue(ctx context.Context, client *http.Client, url string, body []byte) sa
 }
 
 func buildReport(cfg Config, col *collector, elapsed time.Duration) *Report {
-	rep := &Report{Mode: cfg.Mode, Seed: cfg.Seed, DurationSeconds: elapsed.Seconds()}
+	rep := &Report{Seed: cfg.Seed, DurationSeconds: elapsed.Seconds()}
 	var lats []float64
 	for _, s := range col.samples {
 		rep.Requests++

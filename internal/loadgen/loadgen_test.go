@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,20 +22,17 @@ func okBatchHandler() http.Handler {
 
 func TestConfigValidation(t *testing.T) {
 	ctx := t.Context()
-	if _, err := Run(ctx, Config{Mode: ModeClosed, Requests: 1}); err == nil {
+	if _, err := Run(ctx, Config{Requests: 1}); err == nil {
 		t.Error("missing URL accepted")
 	}
-	if _, err := Run(ctx, Config{URL: "http://x", Mode: "half-open", Requests: 1}); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if _, err := Run(ctx, Config{URL: "http://x", Mode: ModeClosed}); err == nil {
-		t.Error("closed mode without Requests accepted")
+	if _, err := Run(ctx, Config{URL: "http://x"}); err == nil {
+		t.Error("missing Requests accepted")
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Mode != ModeClosed || c.QPS != 100 || c.Workers != 8 || c.Seed != 1 {
+	if c.Workers != 8 || c.Seed != 1 || c.Timeout != 30*time.Second {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c.Algorithm != "lpt-norestriction" || c.Machines != 4 || c.Tasks != 6 {
@@ -54,11 +52,11 @@ func TestClosedLoopReport(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	const n = 20
-	rep, err := Run(t.Context(), Config{URL: ts.URL, Mode: ModeClosed, Requests: n, Workers: 4, Seed: 7})
+	rep, err := Run(t.Context(), Config{URL: ts.URL, Requests: n, Workers: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != ModeClosed || rep.Seed != 7 {
+	if rep.Seed != 7 {
 		t.Fatalf("report misattributed: %+v", rep)
 	}
 	if served.Load() != n {
@@ -113,7 +111,7 @@ func TestOutcomeClassification(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Workers: 1 keeps the scripted order aligned with issue order.
-	rep, err := Run(t.Context(), Config{URL: ts.URL, Mode: ModeClosed, Requests: len(responses), Workers: 1})
+	rep, err := Run(t.Context(), Config{URL: ts.URL, Requests: len(responses), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,107 +147,36 @@ func (h *capturingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestDeterministicRequestStream: same seed ⇒ byte-identical request
-// sequence; different seed ⇒ a different one.
+// sequence; different seed ⇒ a different one; and request i is a
+// function of (seed, i) alone, so four workers racing for indices issue
+// the same set of bodies one worker does.
 func TestDeterministicRequestStream(t *testing.T) {
-	capture := func(seed uint64) []string {
+	capture := func(seed uint64, workers int) []string {
 		h := &capturingHandler{}
 		ts := httptest.NewServer(h)
 		defer ts.Close()
-		// Workers: 1 so arrival order equals issue order.
-		_, err := Run(t.Context(), Config{URL: ts.URL, Mode: ModeClosed, Requests: 6, Workers: 1, Seed: seed})
+		_, err := Run(t.Context(), Config{URL: ts.URL, Requests: 6, Workers: workers, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(h.bodies) != 6 {
+			t.Fatalf("captured %d bodies, want 6", len(h.bodies))
+		}
 		return h.bodies
 	}
-	a, b := capture(42), capture(42)
-	if len(a) != 6 || len(b) != 6 {
-		t.Fatalf("captured %d and %d bodies, want 6", len(a), len(b))
+	// Workers: 1 so arrival order equals issue order.
+	a, b := capture(42, 1), capture(42, 1)
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed diverged:\n%q\n%q", a, b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at request %d:\n%s\n%s", i, a[i], b[i])
-		}
-	}
-	c := capture(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if c := capture(43, 1); slices.Equal(a, c) {
 		t.Fatal("different seeds issued identical request streams")
 	}
-}
-
-// TestOpenLoopArrivals: the open loop issues on its own schedule,
-// honors the Requests cap, and reports a clean partition.
-func TestOpenLoopArrivals(t *testing.T) {
-	ts := httptest.NewServer(okBatchHandler())
-	t.Cleanup(ts.Close)
-
-	rep, err := Run(t.Context(), Config{
-		URL: ts.URL, Mode: ModeOpen,
-		QPS: 2000, Duration: 2 * time.Second, Requests: 30, Workers: 8, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mode != ModeOpen {
-		t.Fatalf("mode %q", rep.Mode)
-	}
-	if rep.Requests == 0 || rep.Requests > 30 {
-		t.Fatalf("open loop issued %d arrivals, cap 30", rep.Requests)
-	}
-	if rep.OK+rep.Shed+rep.Errors != rep.Requests {
-		t.Fatalf("counts do not partition: %+v", rep)
-	}
-	if rep.OK == 0 {
-		t.Fatalf("nothing completed: %+v", rep)
-	}
-}
-
-// TestOpenLoopShedsAtInflightCap: a stalled target with a 1-slot
-// in-flight cap forces the generator itself to shed arrivals rather
-// than queue them.
-func TestOpenLoopShedsAtInflightCap(t *testing.T) {
-	release := make(chan struct{})
-	var once sync.Once
-	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		okBatchHandler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	done := make(chan struct{})
-	var rep *Report
-	var err error
-	go func() {
-		defer close(done)
-		rep, err = Run(context.Background(), Config{
-			URL: ts.URL, Mode: ModeOpen,
-			QPS: 1000, Duration: 100 * time.Millisecond, Requests: 20, Workers: 1, Seed: 3,
-		})
-	}()
-	// Let the arrival window pass with the single slot occupied, then
-	// release the stalled request so the run can drain.
-	time.Sleep(150 * time.Millisecond)
-	once.Do(func() { close(release) })
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shed == 0 {
-		t.Fatalf("stalled target shed nothing: %+v", rep)
-	}
-	if rep.OK+rep.Shed+rep.Errors != rep.Requests {
-		t.Fatalf("counts do not partition: %+v", rep)
-	}
-	if rep.ShedRate <= 0 {
-		t.Fatalf("shed rate %v with %d shed", rep.ShedRate, rep.Shed)
+	par := capture(42, 4)
+	slices.Sort(a)
+	slices.Sort(par)
+	if !slices.Equal(a, par) {
+		t.Fatalf("Workers: 4 issued a different request set than Workers: 1:\n%q\n%q", par, a)
 	}
 }
 
@@ -266,7 +193,7 @@ func TestRunCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Millisecond)
 	defer cancel()
-	rep, err := Run(ctx, Config{URL: ts.URL, Mode: ModeClosed, Requests: 10000, Workers: 2})
+	rep, err := Run(ctx, Config{URL: ts.URL, Requests: 10000, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,8 +229,8 @@ func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	r.Reset(n, m)
 	// Copy the options into the reused field instead of taking &o: the
 	// address of a parameter escapes and would cost one heap
-	// allocation per call, breaking the 0 allocs/op invariant the
-	// benchmarks gate. Assigned after Reset (which clears the field)
+	// allocation per call, breaking the zero-allocation invariant
+	// TestKernelAllocations gates. Assigned after Reset (which clears the field)
 	// and released on exit by the deferred clear above.
 	r.opts = o
 	opts := &r.opts

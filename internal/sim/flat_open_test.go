@@ -322,8 +322,9 @@ func TestFlatOpenReuseMatchesFresh(t *testing.T) {
 
 // TestFlatOpenZeroSteadyStateAllocs asserts the replay loop's pooling
 // contract directly: after a warm-up run, repeat runs of the same
-// shape allocate nothing. This is the same claim the committed bench
-// baseline pins at n=10k; here it gates small shapes in plain go test.
+// shape allocate nothing. This is the same claim the root package's
+// TestKernelAllocations gates at n=10k (OpenSimLoop/*), on the closures
+// the benchmarks time; here it gates a small shape inside the package.
 func TestFlatOpenZeroSteadyStateAllocs(t *testing.T) {
 	in := openExactInstance(t, 64, 8, 91)
 	p := placement.Everywhere(64, 8)
