@@ -101,6 +101,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzEstimateKernels -fuzztime=30s ./internal/opt/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/workload/
 	$(GO) test -fuzz=FuzzInstanceJSON -fuzztime=30s ./internal/task/
+	$(GO) test -fuzz=FuzzScanItem -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzEncodeResults -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeInstance -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzExecute -fuzztime=30s ./internal/algo/
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/cluster/

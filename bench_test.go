@@ -16,6 +16,8 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"runtime"
@@ -32,9 +34,11 @@ import (
 	"repro/internal/opt"
 	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -128,6 +132,12 @@ type kernel struct {
 //     allocations and 82 KB at n=10k; the caps leave room for a map
 //     bucket beside them and sit an order of magnitude under the
 //     5.5–8.3 MB of the dense kernels PR 14 replaced.
+//   - WireScan, WireSplice: the two passes a serve-solve request makes
+//     over its bytes at each tier. The scan (task.Scanner.floats under
+//     wire.ScanItem) allocates what it returns — the task slice, the
+//     instance, the algorithm string — and nothing per number; the splice
+//     (wire.Encode over a backend's answer) checks and compacts into the
+//     writer's reused buffer.
 var kernels = []kernel{
 	{name: "SimLoop/n=100k", n: 100_000, setup: simLoop(noneShape)},
 	{name: "SimLoop/everywhere/n=10k,m=64", n: 10_000, setup: simLoop(everywhereShape)},
@@ -139,6 +149,8 @@ var kernels = []kernel{
 	{name: "EstimateCold/n=10k,m=64", n: 10_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(64)},
 	{name: "EstimateCold/n=2k,m=512", n: 2_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(512)},
 	{name: "EstimateCold/n=200,m=8", n: 200, allocs: 8, bytes: 512 << 10, setup: estimateCold(8)},
+	{name: "WireScan/n=2k", n: 2_000, allocs: 4, bytes: 72 << 10, setup: wireScan},
+	{name: "WireSplice/68KB", setup: wireSplice},
 }
 
 // uniformInstance is the perturbed uniform instance the kernels share.
@@ -257,6 +269,50 @@ func estimateCold(m int) func(testing.TB, int) func() {
 	}
 }
 
+// serveSolveItem is serve-solve's work item as cmd/bench spells it:
+// n tasks on 512 machines, estimates and actuals.
+func serveSolveItem(tb testing.TB, n int) []byte {
+	body, err := json.Marshal(map[string]any{"algorithm": "lpt-nochoice", "instance": uniformInstance(n, 512)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+func wireScan(tb testing.TB, n int) func() {
+	body := serveSolveItem(tb, n)
+	return func() {
+		if it, ok := wire.ScanItem(body); !ok || it.Instance.N() != n {
+			tb.Fatal("serve-solve's item left the scanner's path")
+		}
+	}
+}
+
+// wireSplice answers a one-item batch with schedd's answer to
+// serve-solve's item, 68 KB, the envelope clusterd writes per request.
+func wireSplice(tb testing.TB, _ int) func() {
+	var req serve.ScheduleRequest
+	if err := json.Unmarshal(serveSolveItem(tb, 2_000), &req); err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := serve.New(serve.Config{}).RunSchedule(&req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	answer, err := json.Marshal(resp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := &wire.Results{Results: []wire.Result{{Response: append(answer, '\n')}}}
+	var buf bytes.Buffer
+	return func() {
+		buf.Reset()
+		if wire.Encode(&buf, batch); buf.Len() < len(answer) {
+			tb.Fatal("envelope shorter than the answer in it")
+		}
+	}
+}
+
 // benchKernels times every kernel of one family as a sub-benchmark
 // under the rest of its name. The untimed first call grows every pooled
 // buffer to size, so the timed region is the steady state.
@@ -285,6 +341,8 @@ func BenchmarkSimLoop(b *testing.B)      { benchKernels(b, "SimLoop") }
 func BenchmarkLPTOrder(b *testing.B)     { benchKernels(b, "LPTOrder") }
 func BenchmarkOpenSimLoop(b *testing.B)  { benchKernels(b, "OpenSimLoop") }
 func BenchmarkEstimateCold(b *testing.B) { benchKernels(b, "EstimateCold") }
+func BenchmarkWireScan(b *testing.B)     { benchKernels(b, "WireScan") }
+func BenchmarkWireSplice(b *testing.B)   { benchKernels(b, "WireSplice") }
 
 // BenchmarkEstimateCache measures opt.Estimate on one instance under
 // repetition: cold pays for an exact solve (exact limit n) every

@@ -261,7 +261,11 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
 	}
-	req, err := c.DecodeBatch(r.Body)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, c.cfg.MaxBodyBytes)
+	var req *BatchRequest
+	if err == nil {
+		req, err = c.decodeBatch(body)
+	}
 	if err != nil {
 		wire.BadRequest(w, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,16 @@ import (
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
+
+// DecodeBatch is the /v1/batch handler's read-and-decode step over any
+// reader (FuzzDecodeBatch's entry point).
+func (c *Cluster) DecodeBatch(r io.Reader) (*BatchRequest, error) {
+	body, err := wire.ReadBody(r, -1, c.cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, err
+	}
+	return c.decodeBatch(body)
+}
 
 // testBackend wraps a real serve handler with fault injection: down
 // simulates a fail-stop crash (connections are hijacked and closed
@@ -485,7 +496,13 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	// Run traffic so per-backend gauges exist, with one backend dead so
-	// the breaker view is interesting.
+	// the breaker view is interesting. A dispatch only lands on dead
+	// backend 1 while backend 0 holds work in flight (least-loaded
+	// selection, ties to the lowest id), so backend 0 is slowed: the four
+	// concurrent dispatches overlap by construction, not by how long an
+	// item happens to take (with the one-pass codec it stopped taking long
+	// enough one run in five).
+	bs[0].delay.Store(int64(20 * time.Millisecond))
 	bs[1].down.Store(true)
 	body, _ := json.Marshal(testBatch(4))
 	resp, err := http.Post(front.URL+"/v1/batch", "application/json", bytes.NewReader(body))

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -29,7 +28,7 @@ type outcome struct {
 
 // RunBatch dispatches every item of a validated batch across the
 // backend pool and returns the results in input order. Items are
-// fanned out under par.MapCtx; each item independently walks its
+// fanned out under wire.RunBatch; each item independently walks its
 // replica set with hedging, breaker checks, and re-dispatch until it
 // succeeds, deterministically fails, or ctx expires.
 func (c *Cluster) RunBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
@@ -37,26 +36,9 @@ func (c *Cluster) RunBatch(ctx context.Context, req *BatchRequest) (*BatchRespon
 	if err != nil {
 		return nil, err
 	}
-	type slot struct {
-		done bool
-		item Item
-	}
-	outs, ctxErr := par.MapCtx(ctx, len(req.Requests), c.cfg.Workers, func(i int) slot {
-		return slot{done: true, item: c.dispatchItem(ctx, i, &req.Requests[i], sets[i])}
-	})
-	resp := &BatchResponse{Results: make([]Item, len(outs))}
-	for i, s := range outs {
-		if !s.done {
-			// Never dispatched: the deadline beat the fan-out.
-			if ctxErr == nil {
-				ctxErr = context.DeadlineExceeded
-			}
-			resp.Results[i] = Item{Index: i, Error: "cancelled: " + ctxErr.Error()}
-			continue
-		}
-		resp.Results[i] = s.item
-	}
-	return resp, nil
+	return wire.RunBatch(ctx, len(req.Requests), c.cfg.Workers, func(i int) Item {
+		return c.dispatchItem(ctx, i, &req.Requests[i], sets[i])
+	}), nil
 }
 
 // dispatchItem runs one item to completion: pick the least-loaded
@@ -66,7 +48,7 @@ func (c *Cluster) RunBatch(ctx context.Context, req *BatchRequest) (*BatchRespon
 // sim.FlatOptions.Failures, where a task is lost solely when its whole
 // replica set is dead.
 func (c *Cluster) dispatchItem(ctx context.Context, idx int, req *serve.ScheduleRequest, set []int) Item {
-	body, err := json.Marshal(req)
+	body, err := req.Body()
 	if err != nil {
 		return Item{Index: idx, Error: err.Error()}
 	}

@@ -100,21 +100,16 @@ func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 	// pump's Workers-wide window; invalid ones resolve immediately.
 	wire.Pump(ctx, w, r.Body,
 		wire.Stream{MaxLineBytes: c.cfg.MaxBodyBytes, MaxItems: c.cfg.MaxStreamItems, Window: c.cfg.Workers},
-		failedItem,
+		wire.Failed,
 		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
-			var req serve.ScheduleRequest
-			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
-				return failedItem(idx, err.Error()), nil
+			// The pump reuses line; the copy is what gets forwarded, and
+			// like a body wire.ReadBody made it is never pooled.
+			req, err := serve.DecodeItem(bytes.Clone(line), c.limits)
+			if err != nil {
+				return wire.Failed(idx, err.Error()), nil
 			}
-			if err := req.Check(c.limits); err != nil {
-				return failedItem(idx, err.Error()), nil
-			}
-			set := placer.place(&req)
-			return Item{}, func() Item { return c.dispatchItem(ctx, idx, &req, set) }
+			set := placer.place(req)
+			return Item{}, func() Item { return c.dispatchItem(ctx, idx, req, set) }
 		})
 }
-
-// failedItem is the result line of an item that never reached a
-// backend.
-func failedItem(idx int, msg string) Item { return Item{Index: idx, Error: msg} }

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/placement"
 	"repro/internal/serve"
@@ -34,20 +32,14 @@ type PlacementSpec struct {
 	Replicas [][]int `json:"replicas,omitempty"`
 }
 
-// Item is the outcome of one batch entry, wire-compatible with
-// schedd's BatchItem. Response carries the backend's /v1/schedule
-// body verbatim (json.Marshal compacts it), so a proxied item is
-// byte-identical to a directly served one.
-type Item struct {
-	Index    int             `json:"index"`
-	Response json.RawMessage `json:"response,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
+// Item is the outcome of one batch entry, schedd's BatchItem. Response
+// carries the backend's /v1/schedule body verbatim (the writer only
+// compacts it), so a proxied item is byte-identical to a directly
+// served one.
+type Item = wire.Result
 
 // BatchResponse reports a whole batch, in input order.
-type BatchResponse struct {
-	Results []Item `json:"results"`
-}
+type BatchResponse = wire.Results
 
 // HealthResponse is clusterd's /healthz payload: the pool view.
 type HealthResponse struct {
@@ -64,17 +56,16 @@ type BackendStatus struct {
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 }
 
-// DecodeBatch decodes and fully validates a /v1/batch body: strict
-// JSON, non-empty bounded batch, every instance validated, and any
-// placement override structurally checked against the backend count.
-// Anything it accepts is safe to dispatch (and stable under
-// re-encoding — the fuzz target enforces that).
-func (c *Cluster) DecodeBatch(r io.Reader) (*BatchRequest, error) {
+// decodeBatch decodes and fully validates a /v1/batch body
+// (serve.DecodeBatch): non-empty bounded batch, every instance
+// validated, and any placement override structurally checked against
+// the backend count. Anything it accepts is safe to dispatch (and
+// stable under re-encoding — the fuzz target enforces that); accepted
+// items are forwarded by sub-slice of body, which is why it comes from
+// wire.ReadBody.
+func (c *Cluster) decodeBatch(body []byte) (*BatchRequest, error) {
 	var req BatchRequest
-	if err := wire.DecodeStrict(r, &req); err != nil {
-		return nil, err
-	}
-	if err := serve.CheckBatch(req.Requests, c.limits); err != nil {
+	if err := serve.DecodeBatch(body, c.limits, &req, &req.Requests, &req.Placement); err != nil {
 		return nil, err
 	}
 	if req.Placement != nil {

@@ -2,7 +2,7 @@ package front
 
 import (
 	"context"
-	"encoding/json"
+	"math"
 	"strconv"
 	"time"
 
@@ -23,17 +23,18 @@ const ItemHeader = "X-Front-Item"
 // hot shard slows its own keys down without stealing capacity from
 // the rest of the ring.
 func (f *Front) dispatchItem(ctx context.Context, idx int, req *serve.ScheduleRequest) Item {
-	key, err := json.Marshal(req)
+	raw, err := req.Body()
 	if err != nil {
 		return Item{Index: idx, Error: err.Error()}
 	}
-	// The shard sub-request wraps the item's canonical encoding in a
-	// one-element clusterd batch; the key and the body share bytes.
-	body := make([]byte, 0, len(key)+len(`{"requests":[]}`))
+	// The shard sub-request wraps the item's bytes in a one-element
+	// clusterd batch: a slice of its own, never pooled (wire.ReadBody
+	// says why).
+	body := make([]byte, 0, len(raw)+len(`{"requests":[]}`))
 	body = append(body, `{"requests":[`...)
-	body = append(body, key...)
+	body = append(body, raw...)
 	body = append(body, `]}`...)
-	order := f.ring.Successors(key, nil)
+	order := f.ring.successors(mix64(itemHash(req)), nil)
 	mItems.Inc()
 	for {
 		if ctx.Err() != nil {
@@ -114,9 +115,36 @@ func (f *Front) send(ctx context.Context, s *shard, idx int, body []byte) (Item,
 	if reply.Kind != wire.ReplyOK {
 		return Item{}, reply
 	}
-	var sub BatchResponse
-	if err := json.Unmarshal(reply.Body, &sub); err != nil || len(sub.Results) != 1 {
+	item, ok := wire.SoleResult(reply.Body)
+	if !ok {
 		return Item{}, wire.Reply{Kind: wire.ReplyUpstreamErr}
 	}
-	return sub.Results[0], reply
+	return item, reply
+}
+
+// itemHash is the ring key of a work item: FNV-1a, a word a step, over
+// what the item decodes to — the algorithm, m, α, each task's three
+// floats by bit pattern, the exact limit. Identical items share a shard
+// however they were spelt (whitespace, key order, 1.50 for 1.5, actuals
+// omitted or equal to the estimates), as when the key was the item's
+// canonical JSON.
+func itemHash(req *serve.ScheduleRequest) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(req.Algorithm); i++ {
+		h = (h ^ uint64(req.Algorithm[i])) * prime64
+	}
+	h = (h ^ uint64(req.ExactLimit)) * prime64
+	in := req.Instance
+	if in == nil {
+		return h // RunBatch on an unvalidated item: the shard words the refusal
+	}
+	h = (h ^ uint64(in.M)) * prime64
+	h = (h ^ math.Float64bits(in.Alpha)) * prime64
+	for _, t := range in.Tasks {
+		h = (h ^ math.Float64bits(t.Estimate)) * prime64
+		h = (h ^ math.Float64bits(t.Actual)) * prime64
+		h = (h ^ math.Float64bits(t.Size)) * prime64
+	}
+	return h
 }

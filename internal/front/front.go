@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/wire"
 )
 
@@ -294,7 +293,11 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
 	}
-	req, err := f.DecodeBatch(r.Body)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, f.cfg.MaxBodyBytes)
+	var req *BatchRequest
+	if err == nil {
+		req, err = f.decodeBatch(body)
+	}
 	if err != nil {
 		wire.BadRequest(w, err)
 		return
@@ -331,26 +334,9 @@ func (f *Front) RunBatch(ctx context.Context, req *BatchRequest) (*BatchResponse
 
 // runAdmitted fans an already-admitted batch out over the shard walk.
 func (f *Front) runAdmitted(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	type slot struct {
-		done bool
-		item Item
-	}
-	outs, ctxErr := par.MapCtx(ctx, len(req.Requests), f.cfg.Workers, func(i int) slot {
-		return slot{done: true, item: f.dispatchItem(ctx, i, &req.Requests[i])}
-	})
-	resp := &BatchResponse{Results: make([]Item, len(outs))}
-	for i, s := range outs {
-		if !s.done {
-			// Never dispatched: the deadline beat the fan-out.
-			if ctxErr == nil {
-				ctxErr = context.DeadlineExceeded
-			}
-			resp.Results[i] = Item{Index: i, Error: "cancelled: " + ctxErr.Error()}
-			continue
-		}
-		resp.Results[i] = s.item
-	}
-	return resp, nil
+	return wire.RunBatch(ctx, len(req.Requests), f.cfg.Workers, func(i int) Item {
+		return f.dispatchItem(ctx, i, &req.Requests[i])
+	}), nil
 }
 
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,6 +152,22 @@ func frontBatch(k int) *BatchRequest {
 	return req
 }
 
+// DecodeBatch is the /v1/batch handler's read-and-decode step over any
+// reader (FuzzDecodeFrontBatch's entry point).
+func (f *Front) DecodeBatch(r io.Reader) (*BatchRequest, error) {
+	body, err := wire.ReadBody(r, -1, f.cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, err
+	}
+	return f.decodeBatch(body)
+}
+
+// checkItem is the per-item validation decodeBatch applies to every
+// batch entry and the stream to every line.
+func (f *Front) checkItem(req *serve.ScheduleRequest) error {
+	return f.limits.CheckItem(req.Algorithm, req.Instance)
+}
+
 func mustFront(t *testing.T, cfg Config) *Front {
 	t.Helper()
 	f, err := New(cfg)
@@ -287,11 +304,15 @@ func TestBadRequestStatusCodes(t *testing.T) {
 	tiers := []struct{ name, url string }{
 		{"schedd", schedd.URL}, {"clusterd", clusterd.URL}, {"frontd", frontd.URL},
 	}
+	// The strict decoder used to stop at the instance's brace: this item
+	// was accepted by every tier and scheduled with perfect estimates.
+	misspelt := `{"algorithm":"lpt-nochoice","instance":{"m":2,"alpha":1.5,"estimates":[1,2],"actual":[2,1]}}`
 	cases := []struct {
 		name, body string
 		status     int
 		errHas     string
 	}{
+		{"unknown key inside instance", `{"requests":[` + misspelt + `]}`, http.StatusBadRequest, `json: unknown field "actual"`},
 		{"empty batch", `{"requests":[]}`, http.StatusBadRequest, "empty batch"},
 		{"oversized body", `{"requests":[` + strings.Repeat(" ", 300) + `]}`,
 			http.StatusRequestEntityTooLarge, "request body too large"},
@@ -320,6 +341,19 @@ func TestBadRequestStatusCodes(t *testing.T) {
 			} else if e.Error != first {
 				t.Errorf("%s: %s says %q, schedd says %q", tc.name, tier.name, e.Error, first)
 			}
+		}
+	}
+	// A stream reports the same refusal in band, on the item's line.
+	for _, tier := range tiers {
+		resp, err := http.Post(tier.url+"/v1/stream", "application/x-ndjson", strings.NewReader(misspelt+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var line Item
+		err = json.NewDecoder(resp.Body).Decode(&line)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || line.Error != `json: unknown field "actual"` || line.Response != nil {
+			t.Errorf("misspelt stream line on %s: status %d, line %+v (decode: %v)", tier.name, resp.StatusCode, line, err)
 		}
 	}
 }

@@ -130,15 +130,21 @@ func (r *Ring) successorPoint(h uint64) int {
 // once. The result is appended to buf (pass nil, or a previous result
 // to reuse its backing array).
 func (r *Ring) Successors(key []byte, buf []int) []int {
+	return r.successors(keyHash(key), buf)
+}
+
+// successors is Successors from a ring coordinate, which the
+// dispatcher derives from an item's decoded content (itemHash).
+func (r *Ring) successors(h uint64, buf []int) []int {
 	out := buf[:0]
 	seen := 0
 	var mark uint64 // bitmask over shards; len(shards) <= 64 enforced by Front
 	if len(r.shards) > 64 {
 		// Fallback for oversized rings (library misuse; Front caps the
 		// shard count): a map keeps correctness.
-		return r.successorsSlow(key, out)
+		return r.successorsSlow(h, out)
 	}
-	start := r.successorPoint(keyHash(key))
+	start := r.successorPoint(h)
 	for i := 0; seen < len(r.shards); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if mark&(1<<uint(p.shard)) == 0 {
@@ -150,9 +156,9 @@ func (r *Ring) Successors(key []byte, buf []int) []int {
 	return out
 }
 
-func (r *Ring) successorsSlow(key []byte, out []int) []int {
+func (r *Ring) successorsSlow(h uint64, out []int) []int {
 	seen := make(map[int]bool, len(r.shards))
-	start := r.successorPoint(keyHash(key))
+	start := r.successorPoint(h)
 	for i := 0; len(out) < len(r.shards); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.shard] {

@@ -173,7 +173,7 @@ func TestSuccessorsSlowAgrees(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		fast := r.Successors(key, nil)
-		slow := r.successorsSlow(key, nil)
+		slow := r.successorsSlow(keyHash(key), nil)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("walks differ for %q: fast %v slow %v", key, fast, slow)
 		}

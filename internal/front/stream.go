@@ -28,24 +28,23 @@ func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	wire.Pump(ctx, w, r.Body,
 		wire.Stream{MaxLineBytes: f.cfg.MaxBodyBytes, MaxItems: f.cfg.MaxStreamItems, Window: f.cfg.Workers},
-		failedItem,
+		wire.Failed,
 		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
-			var req serve.ScheduleRequest
-			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
-				return failedItem(idx, err.Error()), nil
-			}
-			if err := f.checkItem(&req); err != nil {
-				return failedItem(idx, err.Error()), nil
+			// The pump reuses line; the copy is what gets forwarded, and
+			// like a body wire.ReadBody made it is never pooled.
+			req, err := serve.DecodeItem(bytes.Clone(line), f.limits)
+			if err != nil {
+				return wire.Failed(idx, err.Error()), nil
 			}
 			if !f.cfg.DisableShedding && !f.admitted.TryAdd(1) {
 				// Shed before queue, per item: the stream stays up and
 				// ordered, the overload is reported in-band.
 				mShed.Inc()
-				return failedItem(idx, "shed: admission cap reached; retry after "+f.retryAfterValue()+"s"), nil
+				return wire.Failed(idx, "shed: admission cap reached; retry after "+f.retryAfterValue()+"s"), nil
 			}
 			return Item{}, func() Item {
-				item := f.dispatchItem(ctx, idx, &req)
+				item := f.dispatchItem(ctx, idx, req)
 				if !f.cfg.DisableShedding {
 					f.admitted.Sub(1)
 				}
@@ -53,6 +52,3 @@ func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		})
 }
-
-// failedItem is the result line of an item that never reached a shard.
-func failedItem(idx int, msg string) Item { return Item{Index: idx, Error: msg} }

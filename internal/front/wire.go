@@ -1,11 +1,8 @@
 package front
 
 import (
-	"io"
-
 	"repro/internal/cluster"
 	"repro/internal/serve"
-	"repro/internal/wire"
 )
 
 // Item is the outcome of one work item. It is clusterd's Item type
@@ -46,22 +43,16 @@ type ShardStatus struct {
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 }
 
-// DecodeBatch decodes and fully validates a /v1/batch body: strict
-// JSON, non-empty bounded batch, every instance validated. Anything it
-// accepts is safe to shard and dispatch (and stable under re-encoding
-// — the fuzz target enforces that).
-func (f *Front) DecodeBatch(r io.Reader) (*BatchRequest, error) {
+// decodeBatch decodes and fully validates a /v1/batch body
+// (serve.DecodeBatch): non-empty bounded batch, every instance
+// validated. Anything it accepts is safe to shard and dispatch (and
+// stable under re-encoding — the fuzz target enforces that); accepted
+// items are forwarded by sub-slice of body, which is why it comes from
+// wire.ReadBody.
+func (f *Front) decodeBatch(body []byte) (*BatchRequest, error) {
 	var req BatchRequest
-	if err := wire.DecodeStrict(r, &req); err != nil {
-		return nil, err
-	}
-	if err := serve.CheckBatch(req.Requests, f.limits); err != nil {
+	if err := serve.DecodeBatch(body, f.limits, &req, &req.Requests, nil); err != nil {
 		return nil, err
 	}
 	return &req, nil
 }
-
-// checkItem applies the front's per-item limits and the centralized
-// instance validation to one work item — what DecodeBatch applies to
-// every batch entry and the stream to every line.
-func (f *Front) checkItem(req *serve.ScheduleRequest) error { return req.Check(f.limits) }

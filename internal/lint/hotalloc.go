@@ -27,7 +27,12 @@ import (
 // Deliberately allowed: append (the repo's hot loops append into
 // capacity grown during prepare; amortized growth is pinned by the
 // allocation test, which this rule complements rather than replaces),
-// and by-value struct literals (stack-allocated).
+// by-value struct literals (stack-allocated), and a string(b) that is
+// itself an argument of a strconv call — the idiom for parsing a number
+// token out of a byte slice: strconv's parsers keep no reference to
+// their argument, so the compiler leaves the copy in a 32-byte stack
+// buffer, and the caller bounds the token (a longer one does allocate:
+// the paired allocation kernel is what holds the bound).
 //
 // Blind spots: calls through function values and interface methods
 // have no static callee, so their targets are not checked — the
@@ -70,6 +75,7 @@ func checkHotBody(p *Pass, fd *ast.FuncDecl, seed string) {
 	report := func(pos token.Pos, what string) {
 		p.Reportf(pos, "%s in hot path (reachable from //perf:hotpath %s)", what, seed)
 	}
+	strconvArg := map[ast.Expr]bool{} // visited parent first
 	inspectShallow(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -96,7 +102,14 @@ func checkHotBody(p *Pass, fd *ast.FuncDecl, seed string) {
 				report(n.OpPos, "string concatenation")
 			}
 		case *ast.CallExpr:
-			checkHotCall(p, info, n, report)
+			if funcPkgPath(calleeFunc(info, n)) == "strconv" {
+				for _, arg := range n.Args {
+					strconvArg[arg] = true
+				}
+			}
+			if tv := info.Types[n.Fun]; !(strconvArg[n] && tv.IsType() && isStringType(tv.Type)) {
+				checkHotCall(p, info, n, report)
+			}
 		}
 		return true
 	})

@@ -5,6 +5,7 @@ package hotalloc
 
 import (
 	"fmt"
+	"strconv"
 
 	"hotallocdep"
 )
@@ -60,6 +61,19 @@ func constructs(s string, xs []int, v point) int {
 	onStack := point{3, 4}
 	xs = append(xs, onStack.x, onStack.y)
 	return f() + len(m) + *p + bp.x + len(bs) + len(xs)
+}
+
+// parseToken converts a byte token for strconv in place: the copy is a
+// stack buffer's, so no finding. The same conversion kept in a variable
+// first, or handed to anything else, is one.
+//
+//perf:hotpath
+func parseToken(tok []byte) (float64, int) {
+	f, _ := strconv.ParseFloat(string(tok), 64)
+	s := string(tok) // want "hotalloc: string conversion in hot path"
+	n, _ := strconv.Atoi(s)
+	m, _ := strconv.Atoi(fmt.Sprint(n)) // want "hotalloc: fmt.Sprint call in hot path"
+	return f, m + len(fmt.Sprint(string(tok))) // want "hotalloc: fmt.Sprint call in hot path" "hotalloc: string conversion in hot path"
 }
 
 // coldError shows the escape hatch on a cold error path.

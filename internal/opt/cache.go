@@ -23,12 +23,19 @@ import (
 // a few headers each), and by the floats of those key copies, which is
 // what large ones cost — 80 KB an entry at n=10,000, so a count alone
 // let the memory held grow with the number of large instances scored
-// between flushes, that is with throughput. When a shard reaches either
-// quota its table is dropped wholesale — the access pattern is bursts
-// of repeats within an experiment, for which a periodic full flush
-// loses little. An input longer than a shard's float quota is still
-// memoized, alone in its shard: the float bound is the larger of
-// cacheMaxFloats and cacheShards such inputs.
+// between flushes, that is with throughput.
+//
+// Each shard keeps two generations. Stores go to the young one, lookups
+// read young then old, and a young generation that has reached half the
+// shard's quota of either kind becomes the old one, whose predecessor
+// is dropped: what a flush forgets is what went unstored for a whole
+// generation, not — as when one table was dropped wholesale — whatever
+// happened to be stored just before it (a repeated cold solve on 1.3 %
+// of pipeline-fresh's instances). "Reached", not "would exceed": the
+// store that fills a generation stays in it, so a generation holds its
+// float quota plus at most one input — two n=10,000 keys, not one and
+// 39 % of the quota idle — and an input longer than the quota is
+// memoized like any other, alone in its generation.
 //
 // The table is sharded by the top bits of the content hash with one
 // RWMutex per shard: the parallel trial loops hit the cache from every
@@ -40,10 +47,17 @@ import (
 const (
 	// cacheShards is the lock-striping factor; a power of two.
 	cacheShards = 16
-	// cacheMaxEntries and cacheMaxFloats bound the memo table's total
-	// size across shards: 4096 entries, and 8 MB of key copies.
+	// cacheMaxEntries and cacheMaxFloats are the memo table's quotas
+	// across shards and generations: 4096 entries, and 4 MB of key
+	// copies (plus the one input that fills each generation) — a serving
+	// tier leaves one 16 KB key behind per n=2,000 request and reads none
+	// back, so its resident memory followed this quota, doubled by the
+	// collector's headroom.
 	cacheMaxEntries = 4096
-	cacheMaxFloats  = 1 << 20
+	cacheMaxFloats  = 1 << 19
+	// One generation of one shard.
+	genMaxEntries = cacheMaxEntries / cacheShards / 2
+	genMaxFloats  = cacheMaxFloats / cacheShards / 2
 )
 
 type cacheKey struct {
@@ -58,20 +72,28 @@ type cacheEntry struct {
 	res   Result
 }
 
-type cacheShard struct {
-	sync.RWMutex
+// generation is one of a shard's two tables.
+type generation struct {
 	entries map[cacheKey][]cacheEntry
 	size    int
 	floats  int // summed len(times) over entries
 }
 
-var cache [cacheShards]cacheShard
-
-func init() {
-	for i := range cache {
-		cache[i].entries = map[cacheKey][]cacheEntry{}
+func (g *generation) find(key cacheKey, times []float64) (Result, bool) {
+	for _, e := range g.entries[key] {
+		if timesEqual(e.times, times) {
+			return e.res, true
+		}
 	}
+	return Result{}, false
 }
+
+type cacheShard struct {
+	sync.RWMutex
+	young, old generation
+}
+
+var cache [cacheShards]cacheShard
 
 func shardFor(hash uint64) *cacheShard {
 	return &cache[(hash>>58)&(cacheShards-1)]
@@ -119,17 +141,17 @@ func timesEqual(a, b []float64) bool {
 func cacheLookup(key cacheKey, times []float64) (Result, bool) {
 	s := shardFor(key.hash)
 	s.RLock()
-	bucket := s.entries[key]
-	for _, e := range bucket {
-		if timesEqual(e.times, times) {
-			s.RUnlock()
-			cacheHits.Inc()
-			return e.res, true
-		}
+	res, ok := s.young.find(key, times)
+	if !ok {
+		res, ok = s.old.find(key, times)
 	}
 	s.RUnlock()
-	cacheMisses.Inc()
-	return Result{}, false
+	if ok {
+		cacheHits.Inc()
+	} else {
+		cacheMisses.Inc()
+	}
+	return res, ok
 }
 
 // cacheStore memoizes an Estimate result. Concurrent first-misses of
@@ -141,18 +163,19 @@ func cacheStore(key cacheKey, times []float64, res Result) {
 	s := shardFor(key.hash)
 	s.Lock()
 	defer s.Unlock()
-	if s.size >= cacheMaxEntries/cacheShards || s.size > 0 && s.floats+len(cp) > cacheMaxFloats/cacheShards {
-		s.entries = map[cacheKey][]cacheEntry{}
-		s.size, s.floats = 0, 0
+	if _, ok := s.young.find(key, times); ok {
+		return // lost a store race; entry already present
 	}
-	for _, e := range s.entries[key] {
-		if timesEqual(e.times, times) {
-			return // lost a store race; entry already present
-		}
+	g := &s.young
+	if g.size >= genMaxEntries || g.floats >= genMaxFloats {
+		s.old, *g = *g, generation{}
 	}
-	s.entries[key] = append(s.entries[key], cacheEntry{times: cp, res: res})
-	s.size++
-	s.floats += len(cp)
+	if g.entries == nil {
+		g.entries = map[cacheKey][]cacheEntry{}
+	}
+	g.entries[key] = append(g.entries[key], cacheEntry{times: cp, res: res})
+	g.size++
+	g.floats += len(cp)
 }
 
 // CacheStats reports the memo cache's lifetime hit and miss counts.
@@ -165,8 +188,7 @@ func ResetCache() {
 	for i := range cache {
 		s := &cache[i]
 		s.Lock()
-		s.entries = map[cacheKey][]cacheEntry{}
-		s.size, s.floats = 0, 0
+		s.young, s.old = generation{}, generation{}
 		s.Unlock()
 	}
 	cacheHits.Add(-cacheHits.Load())

@@ -108,18 +108,20 @@ func TestHashTimesSensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheIsBoundedTwice: the memo holds at most cacheMaxFloats floats
-// of key copies however large the instances scored — a bound on entries
-// alone let 4,096 of them weigh 80 KB each at n=10,000 — and at most
-// cacheMaxEntries entries however small. An input longer than a shard's
-// whole float quota is kept, but alone in its shard.
+// TestCacheIsBoundedTwice: the memo holds cacheMaxFloats floats of key
+// copies, plus the one input that fills each generation, however large
+// the instances scored — a bound on entries alone let 4,096 of them
+// weigh 80 KB each at n=10,000 — and at most cacheMaxEntries entries
+// however small, both counted over the two generations of every shard.
+// An input longer than a generation's whole float quota is kept, alone
+// in its generation.
 func TestCacheIsBoundedTwice(t *testing.T) {
 	defer ResetCache()
-	const oversize = cacheMaxFloats/cacheShards + 1
+	const oversize = genMaxFloats + 1
 	for _, c := range []struct{ n, stores, maxFloats int }{
-		{10_000, 400, cacheMaxFloats},
-		{6, 20_000, cacheMaxFloats},
-		{oversize, 64, cacheShards * oversize},
+		{10_000, 400, cacheMaxFloats + 2*cacheShards*10_000},
+		{6, 20_000, cacheMaxFloats + 2*cacheShards*6},
+		{oversize, 64, 2 * cacheShards * oversize},
 	} {
 		ResetCache()
 		for i := 0; i < c.stores; i++ {
@@ -128,17 +130,25 @@ func TestCacheIsBoundedTwice(t *testing.T) {
 		}
 		entries, floats := 0, 0
 		for i := range cache {
-			shardFloats := 0
-			for _, bucket := range cache[i].entries {
-				for _, e := range bucket {
-					entries++
-					shardFloats += len(e.times)
+			for name, g := range map[string]*generation{"young": &cache[i].young, "old": &cache[i].old} {
+				genEntries, genFloats := 0, 0
+				for _, bucket := range g.entries {
+					for _, e := range bucket {
+						genEntries++
+						genFloats += len(e.times)
+					}
 				}
+				if genEntries != g.size || genFloats != g.floats {
+					t.Errorf("n=%d: shard %d %s counts %d entries, %d floats; holds %d, %d",
+						c.n, i, name, g.size, g.floats, genEntries, genFloats)
+				}
+				if genEntries > genMaxEntries || genFloats >= genMaxFloats+c.n {
+					t.Errorf("n=%d: shard %d %s holds %d entries, %d floats; a generation's bounds are %d, under %d",
+						c.n, i, name, genEntries, genFloats, genMaxEntries, genMaxFloats+c.n)
+				}
+				entries += genEntries
+				floats += genFloats
 			}
-			if shardFloats != cache[i].floats {
-				t.Errorf("n=%d: shard %d counts %d floats, holds %d", c.n, i, cache[i].floats, shardFloats)
-			}
-			floats += shardFloats
 		}
 		if entries > cacheMaxEntries || floats > c.maxFloats {
 			t.Errorf("after %d stores of n=%d the memo holds %d entries, %d floats; bounds %d, %d",
@@ -147,6 +157,32 @@ func TestCacheIsBoundedTwice(t *testing.T) {
 		if 4*entries < cacheMaxEntries && 4*floats < cacheMaxFloats {
 			t.Errorf("after %d stores of n=%d the memo holds %d entries, %d floats: neither budget is in use",
 				c.stores, c.n, entries, floats)
+		}
+	}
+}
+
+// TestCacheReadsBothGenerations: a result outlives the rotation that
+// follows its store — it is read from the old generation — and is gone
+// after the next one.
+func TestCacheReadsBothGenerations(t *testing.T) {
+	defer ResetCache()
+	ResetCache()
+	const n = genMaxFloats // one of these fills a generation
+	var keys []cacheKey
+	var inputs [][]float64
+	for seed := uint64(1); len(keys) < 3; seed++ {
+		times := randomTimes(n, seed)
+		if key := (cacheKey{hash: hashTimes(times), n: n, m: 4, exactLimit: 20}); shardFor(key.hash) == &cache[0] {
+			keys, inputs = append(keys, key), append(inputs, times)
+		}
+	}
+	for i, wantFirst := range []bool{true, true, false} {
+		cacheStore(keys[i], inputs[i], Result{Lower: float64(i + 1)})
+		if res, ok := cacheLookup(keys[i], inputs[i]); !ok || res.Lower != float64(i+1) {
+			t.Fatalf("store %d not read back: %+v, %v", i, res, ok)
+		}
+		if _, ok := cacheLookup(keys[0], inputs[0]); ok != wantFirst {
+			t.Fatalf("after store %d the first entry is held: %v, want %v", i, ok, wantFirst)
 		}
 	}
 }

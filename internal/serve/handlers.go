@@ -2,11 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/opt"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -14,17 +15,31 @@ import (
 // boundTol absorbs floating-point rounding in the guarantee check.
 const boundTol = 1e-9
 
+// scratchPool recycles solver state — radix, queue and placement
+// buffers, 318 KB of an n=2,000 request when built fresh — across the
+// requests of a schedd. A response built on one is the scratch's until
+// its next Execute, so every taker encodes before it puts back; and
+// puts back inline, not by defer, so the state a panic interrupted is
+// dropped rather than handed to the next request.
+var scratchPool = sync.Pool{New: func() any { return new(algo.Scratch) }}
+
 // RunSchedule is the pure core of /v1/schedule: resolve the
 // algorithm, execute both phases, score against the optimum bracket,
-// and check the analytic guarantee. The HTTP handler is a thin wrapper
-// so tests (and the batch fan-out) call exactly the code the endpoint
-// serves.
+// and check the analytic guarantee, on fresh solver state, so the
+// response is the caller's to keep. The endpoints run the same code
+// (runSchedule) on pooled state.
 func (s *Server) RunSchedule(req *ScheduleRequest) (*ScheduleResponse, error) {
+	return s.runSchedule(req, new(algo.Scratch))
+}
+
+// runSchedule is RunSchedule on the caller's solver state, which owns
+// the response's placement and schedule.
+func (s *Server) runSchedule(req *ScheduleRequest, sc *algo.Scratch) (*ScheduleResponse, error) {
 	a, err := algo.New(req.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	res, err := algo.Execute(req.Instance, a)
+	res, err := sc.Execute(req.Instance, a)
 	if err != nil {
 		return nil, err
 	}
@@ -110,60 +125,58 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	}, nil
 }
 
+// solveItem is one batch entry or stream line: the validated request
+// run on pooled solver state and the response encoded before the state
+// goes back.
+func (s *Server) solveItem(idx int, req *ScheduleRequest) BatchItem {
+	sc := scratchPool.Get().(*algo.Scratch)
+	item := BatchItem{Index: idx}
+	if resp, err := s.runSchedule(req, sc); err != nil {
+		item.Error = err.Error()
+	} else if item.Response, err = json.Marshal(resp); err != nil {
+		item = wire.Failed(idx, err.Error())
+	}
+	scratchPool.Put(sc)
+	return item
+}
+
 // RunBatch is the pure core of /v1/batch: every item goes through
-// RunSchedule under a bounded worker pool, results stay in input
+// runSchedule under a bounded worker pool, results stay in input
 // order, and the fan-out stops dispatching once ctx is done.
 func (s *Server) RunBatch(ctx context.Context, req *BatchRequest, workers int) *BatchResponse {
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
-	type itemOut struct {
-		done bool
-		resp *ScheduleResponse
-		err  error
-	}
-	outs, ctxErr := par.MapCtx(ctx, len(req.Requests), workers, func(i int) itemOut {
+	return wire.RunBatch(ctx, len(req.Requests), workers, func(i int) BatchItem {
 		mBatchItems.Inc()
-		if ctx.Err() != nil {
-			return itemOut{done: true, err: ctx.Err()}
+		if err := ctx.Err(); err != nil {
+			return wire.Failed(i, err.Error())
 		}
-		resp, err := s.RunSchedule(&req.Requests[i])
-		return itemOut{done: true, resp: resp, err: err}
+		return s.solveItem(i, &req.Requests[i])
 	})
-	resp := &BatchResponse{Results: make([]BatchItem, len(outs))}
-	for i, out := range outs {
-		item := BatchItem{Index: i}
-		switch {
-		case !out.done:
-			// Never dispatched: the context expired first.
-			if ctxErr == nil {
-				ctxErr = context.DeadlineExceeded
-			}
-			item.Error = "cancelled: " + ctxErr.Error()
-		case out.err != nil:
-			item.Error = out.err.Error()
-		default:
-			item.Response = out.resp
-		}
-		resp.Results[i] = item
-	}
-	return resp
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeScheduleRequest(r.Body)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	var req *ScheduleRequest
+	if err == nil {
+		req, err = DecodeItem(body, s.limits)
+	}
 	if err != nil {
 		wire.BadRequest(w, err)
 		return
 	}
-	resp, err := s.RunSchedule(req)
+	sc := scratchPool.Get().(*algo.Scratch)
+	resp, err := s.runSchedule(req, sc)
 	if err != nil {
 		// The request was well-formed JSON but the solver pipeline
 		// rejected it (unknown algorithm, k not dividing m, ...).
+		scratchPool.Put(sc)
 		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, resp)
+	scratchPool.Put(sc) // after the write: resp is sc's
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -181,12 +194,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeBatchRequest(r.Body)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	var req BatchRequest
+	if err == nil {
+		err = DecodeBatch(body, s.limits, &req, &req.Requests, nil)
+	}
 	if err != nil {
 		wire.BadRequest(w, err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, s.RunBatch(r.Context(), req, 0))
+	wire.WriteJSON(w, http.StatusOK, s.RunBatch(r.Context(), &req, 0))
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +23,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// decodeScheduleRequest is the /v1/schedule handler's read-and-decode
+// step over any reader (FuzzDecodeInstance's entry point).
+func (s *Server) decodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
+	body, err := wire.ReadBody(r, -1, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeItem(body, s.limits)
 }
 
 func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -313,5 +326,41 @@ func TestRequestTimeoutCancelsBatch(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Fatal("nanosecond deadline cancelled nothing")
+	}
+}
+
+// TestDeclaredLengthNeverSentPinsNoMoreThanTheCap: a request that
+// declares a gigabyte and sends a few bytes is read into a slice sized
+// from the declaration only up to the preallocation cap (1 MiB, and the
+// body cap when that is smaller), answered 400 when the body ends
+// short, and has cost the server about that much memory, not what it
+// announced.
+func TestDeclaredLengthNeverSentPinsNoMoreThanTheCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 2 << 30})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/schedule HTTP/1.1\r\nHost: schedd\r\nContent-Type: application/json\r\n"+
+		"Content-Length: 1073741824\r\n\r\n"+`{"algorithm":"oracle-lpt","instance":{"m":1,`); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400 for a body that ends short of its length", resp.StatusCode)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("a 1 GiB Content-Length with 44 bytes behind it made the server allocate %d bytes", got)
 	}
 }

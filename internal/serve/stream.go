@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 
@@ -85,14 +84,10 @@ type SimulateOpenResponse struct {
 	Schedule          *sched.Schedule `json:"schedule"`
 }
 
-// StreamItem is one NDJSON result line of /v1/stream, wire-compatible
-// with BatchItem. Exactly one of Response and Error is set; Index is
-// the zero-based input line position (blank lines not counted).
-type StreamItem struct {
-	Index    int               `json:"index"`
-	Response *ScheduleResponse `json:"response,omitempty"`
-	Error    string            `json:"error,omitempty"`
-}
+// StreamItem is one NDJSON result line of /v1/stream: a BatchItem
+// whose Index is the zero-based input line position (blank lines not
+// counted).
+type StreamItem = BatchItem
 
 // RunSimulateOpen is the pure core of /v1/simulate-open: generate (or
 // validate) the arrival stream, run the open-system simulator with the
@@ -186,20 +181,13 @@ func (s *Server) handleSimulateOpen(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	wire.Pump(r.Context(), w, r.Body,
 		wire.Stream{MaxLineBytes: s.cfg.MaxBodyBytes, MaxItems: s.cfg.MaxStreamItems, Window: 1},
-		func(idx int, msg string) StreamItem { return StreamItem{Index: idx, Error: msg} },
+		wire.Failed,
 		func(_ context.Context, idx int, line []byte) (StreamItem, func() StreamItem) {
 			mStreamItem.Inc()
-			item := StreamItem{Index: idx}
-			var req ScheduleRequest
-			if err := wire.DecodeStrict(bytes.NewReader(line), &req); err != nil {
-				item.Error = err.Error()
-			} else if err := req.Check(s.limits); err != nil {
-				item.Error = err.Error()
-			} else if resp, err := s.RunSchedule(&req); err != nil {
-				item.Error = err.Error()
-			} else {
-				item.Response = resp
+			req, err := DecodeItem(line, s.limits)
+			if err != nil {
+				return wire.Failed(idx, err.Error()), nil
 			}
-			return item, nil
+			return s.solveItem(idx, req), nil
 		})
 }

@@ -53,7 +53,15 @@ func TestStreamEndpoint(t *testing.T) {
 			t.Fatalf("item %d has index %d (out of order)", i, item.Index)
 		}
 	}
-	if items[0].Response == nil || items[0].Response.Algorithm != "LPT-NoRestriction" {
+	// A line's response is a /v1/schedule body, carried as bytes.
+	response := func(i int) (resp ScheduleResponse) {
+		t.Helper()
+		if err := json.Unmarshal(items[i].Response, &resp); err != nil {
+			t.Fatalf("item %d response %q: %v", i, items[i].Response, err)
+		}
+		return resp
+	}
+	if response(0).Algorithm != "LPT-NoRestriction" {
 		t.Fatalf("item 0: %+v", items[0])
 	}
 	if items[1].Error == "" || items[1].Response != nil {
@@ -62,7 +70,7 @@ func TestStreamEndpoint(t *testing.T) {
 	if items[2].Error == "" || items[2].Response != nil {
 		t.Fatalf("item 2 should be a decode error: %+v", items[2])
 	}
-	if items[3].Response == nil || items[3].Response.Makespan <= 0 {
+	if response(3).Makespan <= 0 {
 		t.Fatalf("item 3: %+v", items[3])
 	}
 }

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/task"
@@ -22,6 +25,22 @@ type ScheduleRequest struct {
 	// ExactLimit optionally overrides the server's exact-optimum task
 	// cap for this request; it is clamped to the server's own limit.
 	ExactLimit int `json:"exact_limit,omitempty"`
+	// raw is the item's own bytes in the request it was scanned from
+	// (DecodeItem, DecodeBatch): a sub-slice of a body wire.ReadBody
+	// made, so nobody's to recycle. Nil for a request built in code or
+	// decoded by DecodeStrict.
+	raw []byte
+}
+
+// Body returns the item as the tier above forwards it: the bytes it
+// was validated from where it came off the wire in the canonical
+// spelling, its one canonical encoding otherwise. Nothing downstream
+// tells the two apart — both decode to these fields.
+func (req *ScheduleRequest) Body() ([]byte, error) {
+	if req.raw != nil {
+		return req.raw, nil
+	}
+	return json.Marshal(req)
 }
 
 // OptimumInfo mirrors opt.Result on the wire.
@@ -89,17 +108,12 @@ type BatchRequest struct {
 }
 
 // BatchItem is the outcome of one batch entry: exactly one of
-// Response and Error is set. Items appear in input order.
-type BatchItem struct {
-	Index    int               `json:"index"`
-	Response *ScheduleResponse `json:"response,omitempty"`
-	Error    string            `json:"error,omitempty"`
-}
+// Response (a ScheduleResponse, encoded) and Error is set. Items appear
+// in input order. It is the one result type of the three tiers.
+type BatchItem = wire.Result
 
 // BatchResponse reports a whole batch.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-}
+type BatchResponse = wire.Results
 
 // AlgorithmsResponse lists the registry's accepted name patterns.
 type AlgorithmsResponse struct {
@@ -114,14 +128,6 @@ type HealthResponse struct {
 	UptimeSeconds int64  `json:"uptime_seconds"`
 }
 
-// Check applies the full /v1/schedule validation to an already-decoded
-// request. It is shared by the single, batch, and streaming entry
-// points of all three tiers so every path admits exactly the same
-// items.
-func (req *ScheduleRequest) Check(lim wire.Limits) error {
-	return lim.CheckItem(req.Algorithm, req.Instance)
-}
-
 // CheckBatch validates the "requests" array of a /v1/batch body —
 // non-empty, within the batch cap, every item Check-clean — so a batch
 // either starts fully-validated or not at all. clusterd and frontd
@@ -134,24 +140,70 @@ func CheckBatch(reqs []ScheduleRequest, lim wire.Limits) error {
 		return fmt.Errorf("batch has %d items, limit %d", len(reqs), lim.MaxBatch)
 	}
 	for i := range reqs {
-		if err := reqs[i].Check(lim); err != nil {
+		if err := lim.CheckItem(reqs[i].Algorithm, reqs[i].Instance); err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// decodeScheduleRequest decodes and fully validates a /v1/schedule
-// body. Anything it accepts is safe to hand to the solvers.
-func (s *Server) decodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
+// Which decoder took a work item, counted where the three tiers'
+// decode calls meet and named for the codec (internal/wire) whose two
+// paths they tell apart.
+var (
+	mScanned  = obs.GetCounter("wire.items_scanned")
+	mFallback = obs.GetCounter("wire.items_fallback")
+)
+
+// fromWire is the request the scanner read, holding on to its bytes.
+func fromWire(it wire.Item) ScheduleRequest {
+	return ScheduleRequest{Algorithm: it.Algorithm, Instance: it.Instance, ExactLimit: it.ExactLimit, raw: it.Raw}
+}
+
+// DecodeItem decodes and fully validates one work item — a
+// /v1/schedule body, or a stream line of any tier: the scanner where
+// the spelling is canonical, DecodeStrict for everything else and for
+// every error, then lim.CheckItem. A caller that forwards the item
+// owns data and does not reuse it.
+func DecodeItem(data []byte, lim wire.Limits) (*ScheduleRequest, error) {
 	var req ScheduleRequest
-	if err := wire.DecodeStrict(r, &req); err != nil {
-		return nil, err
+	if it, ok := wire.ScanItem(data); ok {
+		mScanned.Inc()
+		req = fromWire(it)
+	} else {
+		mFallback.Inc()
+		if err := wire.DecodeStrict(bytes.NewReader(data), &req); err != nil {
+			return nil, err
+		}
 	}
-	if err := req.Check(s.limits); err != nil {
+	if err := lim.CheckItem(req.Algorithm, req.Instance); err != nil {
 		return nil, err
 	}
 	return &req, nil
+}
+
+// DecodeBatch decodes and validates (CheckBatch) the /v1/batch body of
+// any tier into *reqs, as DecodeItem does an item. strict is the tier's
+// own request value, the one holding *reqs: DecodeStrict fills it when
+// the scanner bails, so an error names the tier's types as it always
+// has. placement is wire.ScanBatch's, and points into strict: what a
+// scan that then bailed left there, the strict decode of the same
+// bytes writes again.
+func DecodeBatch(data []byte, lim wire.Limits, strict any, reqs *[]ScheduleRequest, placement any) error {
+	if items, ok := wire.ScanBatch(data, placement); ok {
+		mScanned.Add(int64(len(items)))
+		*reqs = make([]ScheduleRequest, len(items))
+		for i, it := range items {
+			(*reqs)[i] = fromWire(it)
+		}
+	} else {
+		err := wire.DecodeStrict(bytes.NewReader(data), strict)
+		mFallback.Add(int64(max(1, len(*reqs))))
+		if err != nil {
+			return err
+		}
+	}
+	return CheckBatch(*reqs, lim)
 }
 
 // decodeSimulateRequest decodes and validates a /v1/simulate body.
@@ -161,18 +213,6 @@ func (s *Server) decodeSimulateRequest(r io.Reader) (*SimulateRequest, error) {
 		return nil, err
 	}
 	if err := s.limits.CheckItem(req.Algorithm, req.Instance); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// decodeBatchRequest decodes and validates a /v1/batch body.
-func (s *Server) decodeBatchRequest(r io.Reader) (*BatchRequest, error) {
-	var req BatchRequest
-	if err := wire.DecodeStrict(r, &req); err != nil {
-		return nil, err
-	}
-	if err := CheckBatch(req.Requests, s.limits); err != nil {
 		return nil, err
 	}
 	return &req, nil

@@ -2,7 +2,9 @@ package task
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,6 +185,45 @@ func TestJSONOmitsDefaultActuals(t *testing.T) {
 		if got.Tasks[i].Actual != in.Tasks[i].Actual {
 			t.Fatalf("actual %d lost in round trip", i)
 		}
+	}
+}
+
+// TestUnmarshalIsStrictAndOneGrammar: a key instanceJSON lacks is an
+// error on both of UnmarshalJSON's paths (a misspelt "actuals" was once
+// dropped and the instance scheduled with perfect estimates), a
+// case-variant key stays what encoding/json makes of it, and the scanner
+// and the reflective path build the same instance from a spelling both
+// take.
+func TestUnmarshalIsStrictAndOneGrammar(t *testing.T) {
+	for _, body := range []string{
+		`{"m":2,"alpha":1.5,"estimates":[1,2],"actual":[2,1]}`,
+		`{"m":2,"alpha":1.5,"estimates":[1,2],"actual":[2,1],"M":2}`, // off the scanner's path too
+	} {
+		var in Instance
+		if err := json.Unmarshal([]byte(body), &in); err == nil || !strings.Contains(err.Error(), `unknown field "actual"`) {
+			t.Errorf("%s: err = %v, want the unknown field named", body, err)
+		}
+	}
+	var scanned, reflected Instance
+	canonical := `{"m":2,"alpha":1.5,"estimates":[1,2.50,3e0],"sizes":[0,1,2]}`
+	variant := `{"M":2,"alpha":1.5,"estimates":[1,2.50,3e0],"sizes":[0,1,2],"actuals":null}`
+	for body, want := range map[string]bool{canonical: true, variant: false} {
+		s := Scanner{Data: []byte(body)}
+		if _, ok := s.Instance(); ok != want {
+			t.Fatalf("scanner takes %s: %v, want %v", body, ok, want)
+		}
+	}
+	if err := json.Unmarshal([]byte(canonical), &scanned); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(variant), &reflected); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scanned, reflected) || scanned.Tasks[1] != (Task{ID: 1, Estimate: 2.5, Actual: 2.5, Size: 1}) {
+		t.Fatalf("scanner built %+v, encoding/json %+v", scanned, reflected)
+	}
+	if err := new(Instance).UnmarshalJSON([]byte(canonical + `{}`)); err == nil {
+		t.Error("trailing data after an instance accepted")
 	}
 }
 

@@ -1,0 +1,190 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// encoderBytes is what the envelope writer replaced: json.Encoder's
+// rendering of v, empty where it fails.
+func encoderBytes(v any) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v) // a failed encode writes nothing, which is the expectation then
+	return buf.Bytes()
+}
+
+// checkEncode holds Encode to json.Encoder on one batch answer and on
+// each of its results as a stream line.
+func checkEncode(t *testing.T, results []Result) {
+	t.Helper()
+	var buf bytes.Buffer
+	batch := &Results{Results: results}
+	if Encode(&buf, batch); !bytes.Equal(buf.Bytes(), encoderBytes(batch)) {
+		t.Errorf("batch: Encode wrote %q, json.Encoder %q", buf.Bytes(), encoderBytes(batch))
+	}
+	for _, r := range results {
+		buf.Reset()
+		if Encode(&buf, r); !bytes.Equal(buf.Bytes(), encoderBytes(r)) {
+			t.Errorf("line: Encode wrote %q, json.Encoder %q", buf.Bytes(), encoderBytes(r))
+		}
+	}
+}
+
+var encodeCases = map[string][]Result{
+	"one response":      {{Index: 0, Response: json.RawMessage(`{"makespan":1.5,"n":3}`)}},
+	"error only":        {{Index: 7, Error: "instance has 9 tasks, limit 4"}},
+	"mixed":             {{Index: 0, Response: json.RawMessage(`{"a":[1,2,{"b":null}]}`)}, {Index: 1, Error: "cancelled: context deadline exceeded"}, {Index: 2, Response: json.RawMessage(`7`)}},
+	"whitespace":        {{Index: 1, Response: json.RawMessage(" {\n\t\"a\" : [ 1 , 2 ] ,\r\n \"s\" : \"two  spaces\" }\n")}},
+	"html in response":  {{Index: 0, Response: json.RawMessage(`{"algorithm":"<b>&amp;</b>"}`)}},
+	"u2028 in response": {{Index: 0, Response: json.RawMessage("{\"s\":\"a\u2028b\u2029c\"}")}},
+	"other e2 rune":     {{Index: 0, Response: json.RawMessage(`{"s":"a→b"}`)}},
+	"html in error":     {{Index: 3, Error: "unknown algorithm \"<x>& \""}},
+	"invalid utf8":      {{Index: 3, Error: "bad \xff byte"}},
+	"both set":          {{Index: 0, Response: json.RawMessage(`1`), Error: "and an error"}},
+	"neither set":       {{Index: 4}},
+	"null response":     {{Index: 0, Response: json.RawMessage(`null`)}},
+	"negative index":    {{Index: -12, Response: json.RawMessage(`{}`)}},
+	"empty batch":       {},
+	"nil batch":         nil,
+	"invalid response":  {{Index: 0, Response: json.RawMessage(`{"a":1`)}, {Index: 1, Response: json.RawMessage(`{}`)}},
+	"trailing value":    {{Index: 0, Response: json.RawMessage(`{} {}`)}},
+	"checked already":   {{Index: 0, Response: json.RawMessage(`{"a":1}`), compact: true}},
+}
+
+// TestEncodeEqualsJSONEncoder: the spliced envelope is json.Encoder's
+// byte for byte — compaction, the escapes it hands back to the encoder,
+// error strings — and an invalid response leaves the same empty body.
+func TestEncodeEqualsJSONEncoder(t *testing.T) {
+	for name, results := range encodeCases {
+		t.Run(name, func(t *testing.T) { checkEncode(t, results) })
+	}
+	// Other values go to the encoder untouched.
+	var buf bytes.Buffer
+	if Encode(&buf, ErrorResponse{Error: "x<y"}); !bytes.Equal(buf.Bytes(), encoderBytes(ErrorResponse{Error: "x<y"})) {
+		t.Errorf("error envelope: %q", buf.Bytes())
+	}
+}
+
+// FuzzEncodeResults holds Encode to json.Encoder on arbitrary response
+// bytes and error strings.
+func FuzzEncodeResults(f *testing.F) {
+	for _, results := range encodeCases {
+		for _, r := range results {
+			f.Add(r.Index, []byte(r.Response), r.Error)
+		}
+	}
+	f.Fuzz(func(t *testing.T, idx int, response []byte, msg string) {
+		checkEncode(t, []Result{{Index: idx, Response: response, Error: msg}, {Index: idx + 1, Response: response}})
+	})
+}
+
+// TestSoleResult: the one-item answer is unwrapped to what
+// unmarshalling it gives, whichever way it is spelt, and a body that is
+// not exactly one result is refused — the caller's upstream fault.
+func TestSoleResult(t *testing.T) {
+	for name, results := range encodeCases {
+		var body bytes.Buffer
+		Encode(&body, &Results{Results: results})
+		var want Results
+		wantOK := json.Unmarshal(body.Bytes(), &want) == nil && len(want.Results) == 1
+		got, ok := SoleResult(body.Bytes())
+		if ok != wantOK {
+			t.Errorf("%s: ok = %v, want %v for %q", name, ok, wantOK, body.Bytes())
+			continue
+		}
+		if !ok {
+			continue
+		}
+		got.Index = want.Results[0].Index // the fast path leaves it to the caller, who overwrites it
+		if a, b := encoderBytes(Result{Index: got.Index, Response: got.Response, Error: got.Error}), encoderBytes(want.Results[0]); !bytes.Equal(a, b) {
+			t.Errorf("%s: unwrapped to %q, unmarshalled %q", name, a, b)
+		}
+		var line bytes.Buffer
+		if Encode(&line, got); !bytes.Equal(line.Bytes(), encoderBytes(want.Results[0])) {
+			t.Errorf("%s: re-encoded %q, want %q", name, line.Bytes(), encoderBytes(want.Results[0]))
+		}
+	}
+	for _, body := range []string{
+		``, `{}`, `{"results":[]}`, `{"results":[{"index":0,"response":{}},{"index":1,"response":{}}]}` + "\n",
+		`{"results":[{"index":0,"response":{"a":1}]}` + "\n", `{"results":[{"index":0,"response":}]}` + "\n",
+		`{"results":[{"index":0,"response":{}},{"index":1,"response":{}}]}`, `not json`,
+	} {
+		if r, ok := SoleResult([]byte(body)); ok {
+			t.Errorf("SoleResult(%q) = %+v, want refused", body, r)
+		}
+	}
+	// Spelt some other way, it is still one result.
+	if r, ok := SoleResult([]byte(` {"results": [ {"index": 0, "response": {"a": 1}} ]}`)); !ok || string(r.Response) != `{"a": 1}` {
+		t.Errorf("loose spelling: %+v, %v", r, ok)
+	}
+}
+
+// TestWriteJSONDeclaresItsLength: every JSON answer goes out under a
+// Content-Length, so one past 2 KB is not chunked.
+func TestWriteJSONDeclaresItsLength(t *testing.T) {
+	big := &Results{Results: []Result{{Response: json.RawMessage(`"` + strings.Repeat("x", 8<<10) + `"`)}}}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, big) }))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || !bytes.Equal(body, encoderBytes(big)) {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
+// TestReadBodySizesFromTheDeclaredLength: the declared length sizes the
+// slice in one allocation, and a length declared far above what is
+// sent — or above the tier's cap — preallocates no more than the cap.
+func TestReadBodySizesFromTheDeclaredLength(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4<<10) // 64 KiB
+	allocated := func(length, limit int64, r io.Reader) (int, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := ReadBody(r, length, limit)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(body, payload[:len(body)]) {
+			t.Fatalf("ReadBody: %d bytes, err %v", len(body), err)
+		}
+		return len(body), after.TotalAlloc - before.TotalAlloc
+	}
+	// Honest length: the whole body, in about its own size.
+	if n, got := allocated(int64(len(payload)), 8<<20, bytes.NewReader(payload)); n != len(payload) || got > uint64(len(payload))+16<<10 {
+		t.Errorf("honest length: read %d bytes allocating %d", n, got)
+	}
+	// A gigabyte declared, a kilobyte sent: bounded by bufMax.
+	if n, got := allocated(1<<30, 8<<20, bytes.NewReader(payload[:1<<10])); n != 1<<10 || got > bufMax+16<<10 {
+		t.Errorf("1 GiB declared: read %d bytes allocating %d, cap %d", n, got, bufMax)
+	}
+	// The tier's own cap binds when it is the smaller.
+	if n, got := allocated(1<<30, 4<<10, bytes.NewReader(payload[:1<<10])); n != 1<<10 || got > 4<<10+16<<10 {
+		t.Errorf("1 GiB declared under a 4 KiB cap: read %d bytes allocating %d", n, got)
+	}
+	// Unknown length and a body past the preallocation both still read whole.
+	if n, _ := allocated(-1, 8<<20, bytes.NewReader(payload)); n != len(payload) {
+		t.Errorf("unknown length: read %d of %d bytes", n, len(payload))
+	}
+	if n, _ := allocated(16, 8<<20, bytes.NewReader(payload)); n != len(payload) {
+		t.Errorf("understated length: read %d of %d bytes", n, len(payload))
+	}
+	// A read error — the body cap's among them — surfaces unchanged.
+	_, err := ReadBody(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(payload)), 1<<10), int64(len(payload)), 1<<10)
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		t.Errorf("over the cap: err = %v, want http.MaxBytesError", err)
+	}
+}

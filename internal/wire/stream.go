@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,7 +102,7 @@ func Pump[T any](ctx context.Context, w http.ResponseWriter, body io.Reader, s S
 	// goroutine of its own still running.
 	for fut := range futures {
 		buf := getBuf()
-		_ = json.NewEncoder(buf).Encode(<-fut)
+		Encode(buf, <-fut)
 		_, _ = w.Write(buf.Bytes())
 		putBuf(buf)
 		// Flush per line so the client observes each item before the

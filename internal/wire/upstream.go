@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -234,7 +233,7 @@ func (u *Upstream) Post(ctx context.Context, path, itemHeader string, idx int, b
 		return transportReply(ctx)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := ReadBody(resp.Body, resp.ContentLength, bufMax)
 	if err != nil {
 		return transportReply(ctx)
 	}

@@ -6,7 +6,9 @@
 //
 //   - the codec: strict pooled JSON decode, pooled response writers,
 //     the error envelope, the bad-request status classifier, and the
-//     per-item limit check (this file);
+//     per-item limit check (this file); the one-pass scanner of a work
+//     item that runs ahead of the strict decode (scan.go); the spliced
+//     batch and stream answers (splice.go);
 //   - the ordered NDJSON stream pump behind every /v1/stream
 //     (stream.go);
 //   - Upstream and Pool: the in-flight count, consecutive-failure
@@ -36,11 +38,12 @@ import (
 
 // bufPool recycles the byte buffers of the request/response paths:
 // response bodies are encoded into a pooled buffer and written in one
-// call, and request bodies are slurped into a pooled buffer before
-// decoding, so the per-request garbage is bounded by buffer churn
-// instead of body size. Buffers that grew beyond bufMax are dropped
-// rather than pooled, keeping one oversized batch from pinning
-// megabytes for the server's lifetime.
+// call, and DecodeStrict slurps what it decodes into one, so the
+// per-request garbage is bounded by buffer churn instead of body size.
+// Buffers that grew beyond bufMax are dropped rather than pooled,
+// keeping one oversized batch from pinning megabytes for the server's
+// lifetime. Nothing a tier forwards upstream comes from here
+// (ReadBody).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const bufMax = 1 << 20
@@ -62,10 +65,31 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// ReadBody reads r to its end into a slice of its own: a request body
+// a tier scans and then forwards by sub-slice, or an upstream's answer.
+// The slice is the garbage collector's and never pooled: a cancelled
+// hedge's http.Transport may still be reading a forwarded body after
+// Upstream.Post has returned (net/http: the body may be closed "in a
+// separate goroutine even after RoundTrip returns"), so no point in
+// the request's life is a safe one to recycle it. length, the declared
+// Content-Length (negative: unknown), sizes it in one allocation where
+// io.ReadAll doubles; that preallocation is capped at limit (the tier's
+// body cap) and bufMax, and grows past them as bytes arrive, so a
+// length declared and never sent pins no more than a slow client
+// sending it would. Errors, http.MaxBytesError among them, surface
+// unchanged.
+func ReadBody(r io.Reader, length, limit int64) ([]byte, error) {
+	// MinRead of slack is what ReadFrom wants free to meet io.EOF.
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(length, limit, bufMax))+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // DecodeStrict decodes exactly one JSON value from r into v,
-// rejecting unknown fields and trailing garbage. It is the single
-// entry point for every request body and stream line of every tier
-// (and the fuzzing surface).
+// rejecting unknown fields and trailing garbage. It is the one
+// decoder of every request body and stream line of every tier (and
+// the fuzzing surface): ScanItem and ScanBatch run ahead of it on a
+// work item's canonical spelling and hand it everything else.
 func DecodeStrict(r io.Reader, v any) error {
 	// Slurp the body through a pooled buffer first: the decoder then
 	// reads from memory (no repeated small network reads), and read
@@ -91,16 +115,17 @@ func DecodeStrict(r io.Reader, v any) error {
 // convention, matching the repo's other writers). The body is staged
 // in a pooled buffer and flushed with a single Write — byte-identical
 // to encoding straight into the ResponseWriter (Encode marshals fully
-// before writing, so a failed encode writes nothing in both versions).
-// The metamorphic byte-identity tests depend on every tier answering
+// before writing, so a failed encode writes nothing in both versions)
+// — under its Content-Length, which net/http only works out itself for
+// a body under 2 KB and otherwise replaces with chunking. The
+// metamorphic byte-identity tests depend on every tier answering
 // through this one writer.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
-	// Unmarshalable values are programming errors covered by tests; the
-	// empty-body behavior on failure matches the unbuffered version.
-	_ = json.NewEncoder(buf).Encode(v)
+	Encode(buf, v)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }
