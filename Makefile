@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check cover cover-floors bench bench-pair figs figs-check fuzz stress chaos loadtest clean
+.PHONY: all build test race lint check cover cover-floors loc bench bench-pair figs figs-check fuzz stress chaos loadtest clean
 
 all: build test
 
@@ -62,6 +62,18 @@ cover-floors:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# The two sizes every ISSUE budget and CHANGES entry quotes: per package
+# (root, cmd/*, internal/*), non-test .go files' `wc -l` and code-only
+# lines (neither blank nor a whole-line // comment). Information, not a
+# gate.
+loc:
+	@printf '%-28s %7s %7s\n' package lines code; \
+	for pkg in . cmd/* internal/*; do \
+	  files=$$(find $$pkg -maxdepth 1 -name '*.go' ! -name '*_test.go'); \
+	  [ -n "$$files" ] || continue; \
+	  printf '%-28s %7d %7d\n' $$pkg $$(cat $$files | wc -l) $$(cat $$files | grep -vcE '^\s*(//|$$)'); \
+	done | awk '{ print; l += $$2; c += $$3 } END { printf "%-28s %7d %7d\n", "total", l, c }'
 
 # Every go-test benchmark, tests skipped. For looking at one loop while
 # working on it; no time measured here is a claim (bench-pair below is

@@ -60,7 +60,6 @@ func main() {
 		hedgeQ      = flag.Float64("hedge-quantile", 0.9, "latency quantile that triggers a hedge")
 		hedgeMin    = flag.Duration("hedge-min-delay", 2*time.Millisecond, "hedge delay floor")
 		hedgeMax    = flag.Duration("hedge-max-delay", time.Second, "hedge delay cap")
-		maxHedges   = flag.Int("max-hedges", 1, "extra replicas per slow item")
 		brkThresh   = flag.Int("breaker-threshold", 3, "consecutive failures that open a backend's breaker")
 		brkBase     = flag.Duration("breaker-base", 100*time.Millisecond, "first breaker-open window")
 		brkMax      = flag.Duration("breaker-max", 5*time.Second, "breaker backoff cap")
@@ -89,7 +88,6 @@ func main() {
 		HedgeQuantile:      *hedgeQ,
 		HedgeMinDelay:      *hedgeMin,
 		HedgeMaxDelay:      *hedgeMax,
-		MaxHedges:          *maxHedges,
 		BreakerThreshold:   *brkThresh,
 		BreakerBaseBackoff: *brkBase,
 		BreakerMaxBackoff:  *brkMax,

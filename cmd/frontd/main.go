@@ -49,7 +49,7 @@ func main() {
 		vnodes      = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
 		workers     = flag.Int("workers", 0, "batch fan-out workers (0 = 2*GOMAXPROCS)")
 		admitMax    = flag.Int("admit-max", 1024, "global admission cap (items in flight)")
-		shardCap    = flag.Int("shard-inflight", 256, "per-shard in-flight item cap (0 disables)")
+		shardCap    = flag.Int("shard-inflight", 256, "per-shard in-flight item cap (0 or negative: 256; -no-shed disables)")
 		noShed      = flag.Bool("no-shed", false, "disable admission control entirely")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-batch deadline")

@@ -29,7 +29,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"time"
@@ -99,6 +98,7 @@ type Config struct {
 	RequestTimeout time.Duration
 	// DisableHedging turns duplicate dispatch off: each item runs on
 	// exactly one backend at a time (still re-dispatched on failure).
+	// Without it a slow attempt is duplicated once, onto another replica.
 	// The metamorphic tests rely on this mode being deterministic.
 	DisableHedging bool
 	// HedgeQuantile picks the latency quantile after which a slow
@@ -109,9 +109,6 @@ type Config struct {
 	HedgeMinDelay time.Duration
 	// HedgeMaxDelay caps the hedge delay. Default: 1s.
 	HedgeMaxDelay time.Duration
-	// MaxHedges bounds the extra replicas one item may be hedged onto.
-	// Default: 1.
-	MaxHedges int
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// backend's circuit breaker. Default: 3.
 	BreakerThreshold int
@@ -165,9 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMaxDelay <= 0 {
 		c.HedgeMaxDelay = time.Second
 	}
-	if c.MaxHedges <= 0 {
-		c.MaxHedges = 1
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -197,7 +191,7 @@ type Cluster struct {
 	// schedd, indexed by the ids replica sets use.
 	pool     *wire.Pool
 	backends []*wire.Upstream
-	lat      *latencyWindow
+	route    wire.Route
 }
 
 // New validates the configuration (backend list and strategy) and
@@ -217,14 +211,29 @@ func New(cfg Config) (*Cluster, error) {
 		MaxBackoff:    cfg.BreakerMaxBackoff,
 		ProbeInterval: cfg.ProbeInterval,
 	}, &backendNames)
-	return &Cluster{
+	c := &Cluster{
 		cfg:      cfg,
 		limits:   wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
 		strat:    strat,
 		pool:     pool,
 		backends: pool.Upstreams,
-		lat:      newLatencyWindow(256),
-	}, nil
+	}
+	// The cluster's policy over the shared dispatch loop: the item's own
+	// bytes to the least-loaded member of its replica set, answered
+	// verbatim, a slow attempt duplicated once after the latency
+	// window's quantile.
+	c.route = wire.Route{
+		Pool: pool, Path: "/v1/schedule", ItemHeader: ItemHeader,
+		Pick:          c.pick,
+		NoneLive:      noneLive,
+		RetryAfterCap: cfg.RetryAfterCap,
+		Items:         mItems, Dispatches: mDispatches, Retries429: mRetry429,
+		Hedges: mHedges, HedgeWins: mHedgeWins, Redispatches: mRedispatch,
+	}
+	if !cfg.DisableHedging {
+		c.route.Hedge = newLatencyWindow(256, cfg)
+	}
+	return c, nil
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -298,5 +307,3 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
-
-var errNoBackend = fmt.Errorf("cluster: no live replica")

@@ -186,7 +186,7 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("parseStrategy(%q, %d): err = %v, want ok=%v", tc.in, tc.nb, err, tc.ok)
 			continue
 		}
-		if tc.ok && (got.kind != tc.kind || got.k != tc.k) {
+		if tc.ok && (got.kind != tc.kind || len(got.groups) != tc.k) {
 			t.Errorf("parseStrategy(%q, %d) = %+v", tc.in, tc.nb, got)
 		}
 	}
@@ -471,16 +471,17 @@ func TestNoLiveReplicaTimesOut(t *testing.T) {
 		Backends:           urls,
 		DisableHedging:     true,
 		BreakerThreshold:   1,
-		BreakerBaseBackoff: 20 * time.Millisecond,
+		BreakerBaseBackoff: time.Minute, // one fault each, then the deadline falls in the wait
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	resp, err := c.RunBatch(ctx, testBatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Results[0].Error == "" {
-		t.Fatal("item succeeded with every replica dead")
+	const want = "cluster: no live replica: all of [0 1] unavailable: context deadline exceeded"
+	if got := resp.Results[0].Error; got != want {
+		t.Fatalf("item with every replica dead: %q, want %q", got, want)
 	}
 }
 
@@ -577,20 +578,30 @@ func TestProbeReadmitsRestartedBackend(t *testing.T) {
 }
 
 func TestLatencyWindowQuantile(t *testing.T) {
-	w := newLatencyWindow(4)
+	w := newLatencyWindow(4, Config{HedgeQuantile: 0.5, HedgeMinDelay: 15 * time.Millisecond, HedgeMaxDelay: 32 * time.Millisecond})
 	if got := w.quantile(0.9); got != 0 {
 		t.Fatalf("empty window quantile = %v", got)
 	}
+	if got := w.Delay(); got != 15*time.Millisecond {
+		t.Fatalf("cold hedge delay = %v, want the 15ms floor", got)
+	}
 	for _, ms := range []int{10, 20, 30, 40} {
-		w.observe(time.Duration(ms) * time.Millisecond)
+		w.Observe(time.Duration(ms) * time.Millisecond)
+	}
+	if got := w.Delay(); got != 25*time.Millisecond {
+		t.Fatalf("hedge delay = %v, want the 25ms median of 10..40ms", got)
 	}
 	q := w.quantile(1.0)
 	if q != 40*time.Millisecond {
 		t.Fatalf("max quantile = %v, want 40ms", q)
 	}
 	// The ring wraps: a fifth observation evicts the first.
-	w.observe(50 * time.Millisecond)
+	w.Observe(50 * time.Millisecond)
 	if q := w.quantile(1.0); q != 50*time.Millisecond {
 		t.Fatalf("post-wrap max = %v, want 50ms", q)
+	}
+	// The hedge delay is the configured quantile, clamped.
+	if got := w.Delay(); got != 32*time.Millisecond {
+		t.Fatalf("hedge delay = %v, want the 35ms median of 20..50ms cut to the 32ms cap", got)
 	}
 }

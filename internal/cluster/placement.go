@@ -18,8 +18,8 @@ const (
 )
 
 type strategy struct {
-	kind int
-	k    int // group count for stratGroup
+	kind   int
+	groups [][]int // stratGroup: the backend partition
 }
 
 // parseStrategy resolves a strategy name against nb backends. The
@@ -36,12 +36,13 @@ func parseStrategy(s string, nb int) (strategy, error) {
 		if err != nil {
 			return strategy{}, fmt.Errorf("cluster: bad group count in strategy %q", s)
 		}
-		// PartitionGroups enforces 1 ≤ k ≤ nb and k | nb; run it once
-		// here so misconfiguration fails at startup, not mid-batch.
-		if _, err := placement.PartitionGroups(nb, k); err != nil {
+		// PartitionGroups enforces 1 ≤ k ≤ nb and k | nb; run here, a
+		// misconfiguration fails at startup, not mid-batch.
+		groups, err := placement.PartitionGroups(nb, k)
+		if err != nil {
 			return strategy{}, err
 		}
-		return strategy{kind: stratGroup, k: k}, nil
+		return strategy{kind: stratGroup, groups: groups}, nil
 	default:
 		return strategy{}, fmt.Errorf("cluster: unknown strategy %q (want none, all, or group:k)", s)
 	}
@@ -50,9 +51,11 @@ func parseStrategy(s string, nb int) (strategy, error) {
 // replicaSets computes the phase-1 placement of a batch over the
 // backend pool: Sets[i] lists the backends allowed to run item i. An
 // explicit request override wins, then a request strategy, then the
-// configured default. The computation is deterministic (greedy least
-// estimated load, ties to the lowest index) so identical batches place
-// identically — the metamorphic tests rely on it.
+// configured default — and a strategy is the stream placer run over
+// the batch, so a batch and a stream of the same items place alike.
+// The computation is deterministic (greedy least estimated load, ties
+// to the lowest index) so identical batches place identically — the
+// metamorphic tests rely on it.
 func (c *Cluster) replicaSets(req *BatchRequest) ([][]int, error) {
 	n := len(req.Requests)
 	nb := len(c.backends)
@@ -76,41 +79,12 @@ func (c *Cluster) replicaSets(req *BatchRequest) ([][]int, error) {
 			}
 		}
 	}
-
-	p := placement.New(n, nb)
-	switch strat.kind {
-	case stratAll:
-		p = placement.Everywhere(n, nb)
-	case stratNone:
-		// Greedy least-estimated-load: the semi-clairvoyant analogue of
-		// the paper's no-replication placement, using the only cost
-		// signal available before execution.
-		loads := make([]float64, nb)
-		for i := range req.Requests {
-			best := argminLoad(loads)
-			p.Assign(i, best)
-			loads[best] += itemEstimate(&req.Requests[i])
-		}
-	case stratGroup:
-		groups, err := placement.PartitionGroups(nb, strat.k)
-		if err != nil {
-			return nil, err
-		}
-		p.Groups = groups
-		p.GroupOf = make([]int, n)
-		loads := make([]float64, strat.k)
-		for i := range req.Requests {
-			g := argminLoad(loads)
-			p.GroupOf[i] = g
-			p.AssignSet(i, groups[g])
-			loads[g] += itemEstimate(&req.Requests[i])
-		}
+	placer := c.newStreamPlacer(strat)
+	sets := make([][]int, n)
+	for i := range req.Requests {
+		sets[i] = placer.place(&req.Requests[i])
 	}
-	if err := placement.CheckSets(p.Sets, nb); err != nil {
-		// Structural bug in the strategy code, not user input.
-		return nil, fmt.Errorf("cluster: internal placement invalid: %w", err)
-	}
-	return p.Sets, nil
+	return sets, nil
 }
 
 // itemEstimate is the uncertain cost estimate of one work item: the

@@ -1,11 +1,8 @@
 // Streaming dispatch: the open-system counterpart of /v1/batch, on the
-// shared stream pump (wire.Pump). Each line is placed on a replica set
-// the moment it arrives (online greedy, the streaming analogue of
-// replicaSets' batch greedy) and dispatched concurrently; the pump
-// emits one NDJSON result line per item in input order. Its window of
-// Workers pending results is the backpressure: when it is full the
-// reader stops consuming the request body, so a fast client is
-// throttled to the pool's service rate by TCP flow control alone.
+// shared stream pump (wire.Pump, which states the ordering and
+// backpressure contract; the window is Workers). Each line is placed on
+// a replica set the moment it arrives (online greedy; replicaSets runs
+// the same placer over a whole batch) and dispatched concurrently.
 
 package cluster
 
@@ -14,24 +11,22 @@ import (
 	"context"
 	"net/http"
 
-	"repro/internal/placement"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
-// streamPlacer assigns replica sets to items as they arrive. For
-// "none" and "group:k" it carries the running estimated load per
-// choice, so the stream placement is the online greedy least-loaded
-// rule — on identical input it matches replicaSets item for item,
-// which the metamorphic stream-vs-batch tests pin down.
+// streamPlacer assigns replica sets to items as they arrive, the one
+// greedy placer of stream and batch alike. For "none" and "group:k" it
+// carries the running estimated load per choice — the online greedy
+// least-loaded rule, the semi-clairvoyant analogue of the paper's
+// placements, using the only cost signal available before execution.
 type streamPlacer struct {
-	strat  strategy
-	all    []int     // stratAll: the full backend set, shared by every item
-	groups [][]int   // stratGroup: backend partition
-	loads  []float64 // running estimated load per backend (none) or group
+	strat strategy
+	all   []int     // stratAll: the full backend set, shared by every item
+	loads []float64 // running estimated load per backend (none) or group
 }
 
-func (c *Cluster) newStreamPlacer(strat strategy) (*streamPlacer, error) {
+func (c *Cluster) newStreamPlacer(strat strategy) *streamPlacer {
 	p := &streamPlacer{strat: strat}
 	nb := len(c.backends)
 	switch strat.kind {
@@ -43,14 +38,9 @@ func (c *Cluster) newStreamPlacer(strat strategy) (*streamPlacer, error) {
 	case stratNone:
 		p.loads = make([]float64, nb)
 	case stratGroup:
-		groups, err := placement.PartitionGroups(nb, strat.k)
-		if err != nil {
-			return nil, err
-		}
-		p.groups = groups
-		p.loads = make([]float64, strat.k)
+		p.loads = make([]float64, len(strat.groups))
 	}
-	return p, nil
+	return p
 }
 
 // place returns the replica set of the next item. Not safe for
@@ -64,7 +54,7 @@ func (p *streamPlacer) place(req *serve.ScheduleRequest) []int {
 	case stratGroup:
 		g := argminLoad(p.loads)
 		p.loads[g] += itemEstimate(req)
-		return p.groups[g]
+		return p.strat.groups[g]
 	default:
 		return p.all
 	}
@@ -88,11 +78,7 @@ func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	placer, err := c.newStreamPlacer(strat)
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	placer := c.newStreamPlacer(strat)
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.StreamTimeout)
 	defer cancel()
 
@@ -100,7 +86,6 @@ func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 	// pump's Workers-wide window; invalid ones resolve immediately.
 	wire.Pump(ctx, w, r.Body,
 		wire.Stream{MaxLineBytes: c.cfg.MaxBodyBytes, MaxItems: c.cfg.MaxStreamItems, Window: c.cfg.Workers},
-		wire.Failed,
 		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
 			// The pump reuses line; the copy is what gets forwarded, and

@@ -106,7 +106,8 @@ type Config struct {
 	AdmitMax int
 	// ShardInflight caps one shard's in-flight items. An item whose
 	// first live shard is at its cap is shed (capacity is per-shard;
-	// only death re-routes). 0 disables the per-shard cap. Default: 256.
+	// only death re-routes). Default (0 or negative): 256; only
+	// DisableShedding turns the per-shard cap off.
 	ShardInflight int
 	// DisableShedding turns both admission caps off; every valid item
 	// is dispatched. The metamorphic transparency tests rely on this
@@ -218,6 +219,7 @@ type Front struct {
 	ring   *Ring
 	pool   *wire.Pool
 	shards []*shard // pool.Upstreams, indexed by ring shard id
+	route  wire.Route
 
 	// admitted is the global admission level under AdmitMax: a batch is
 	// admitted whole or shed whole. The front.inflight gauge mirrors it.
@@ -252,6 +254,18 @@ func New(cfg Config) (*Front, error) {
 	}
 	for _, u := range f.pool.Upstreams {
 		f.shards = append(f.shards, &shard{u})
+	}
+	// The front's policy over the shared dispatch loop: a one-item
+	// sub-batch to the first selectable shard of the ring walk, shed at
+	// the in-flight cap, never hedged — a shard hedges among its own
+	// backends.
+	f.route = wire.Route{
+		Pool: f.pool, Path: "/v1/batch", ItemHeader: ItemHeader, Sole: true,
+		Pick:          f.pick,
+		NoneLive:      func([]int) string { return "front: no live shard" },
+		RetryAfterCap: cfg.RetryAfterCap,
+		Items:         mItems, Dispatches: mDispatches, Retries429: mRetry429,
+		Shed: mShed, Rerouted: mRerouted, Inflight: gShardTotal,
 	}
 	return f, nil
 }
@@ -316,24 +330,16 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := f.runAdmitted(ctx, req)
-	if err != nil {
-		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
+	resp, _ := f.RunBatch(ctx, req) // never fails: the ring places every item
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // RunBatch dispatches a validated batch across the shard fleet and
 // returns the results in input order. It is the library entry point
 // (the HTTP handler adds admission control on top): no admission cap
-// applies here, matching a handler call with shedding disabled.
+// applies here, matching a handler call with shedding disabled. The
+// error is cluster.RunBatch's shape and always nil.
 func (f *Front) RunBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	return f.runAdmitted(ctx, req)
-}
-
-// runAdmitted fans an already-admitted batch out over the shard walk.
-func (f *Front) runAdmitted(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	return wire.RunBatch(ctx, len(req.Requests), f.cfg.Workers, func(i int) Item {
 		return f.dispatchItem(ctx, i, &req.Requests[i])
 	}), nil

@@ -186,10 +186,20 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.MaxBatch != 256 || cfg.FailThreshold != 3 || cfg.RetryAfterHint != time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	// Transparency mode turns the per-shard cap off with the rest.
-	cfg = Config{Shards: []string{"http://a"}, DisableShedding: true}.withDefaults()
-	if cfg.ShardInflight != 0 {
-		t.Fatalf("DisableShedding left ShardInflight = %d", cfg.ShardInflight)
+	// Only transparency mode turns the per-shard cap off: zero and
+	// negative both select the default.
+	for _, tc := range []struct {
+		in   Config
+		want int
+	}{
+		{Config{ShardInflight: -1}, 256},
+		{Config{DisableShedding: true}, 0},
+		{Config{ShardInflight: -1, DisableShedding: true}, 0},
+	} {
+		if got := tc.in.withDefaults().ShardInflight; got != tc.want {
+			t.Errorf("ShardInflight %d (DisableShedding %v) defaults to %d, want %d",
+				tc.in.ShardInflight, tc.in.DisableShedding, got, tc.want)
+		}
 	}
 }
 
@@ -420,6 +430,49 @@ func TestProbeReadmission(t *testing.T) {
 	waitState(shardDead)
 	shards[0].down.Store(false)
 	waitState(shardLive)
+}
+
+// TestReroutedCountsItemsNotAttempts: front.rerouted is "items moved
+// off their home shard", so an item whose home is dead and whose
+// successor throttles it once before serving it has moved once, however
+// many times it was sent there.
+func TestReroutedCountsItemsNotAttempts(t *testing.T) {
+	var home, successorCalls atomic.Int64
+	var urls []string
+	for i := int64(0); i < 2; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case i == home.Load():
+				w.WriteHeader(http.StatusBadGateway)
+			case successorCalls.Add(1) == 1:
+				w.Header().Set("Retry-After", "0")
+				w.WriteHeader(http.StatusTooManyRequests)
+			default:
+				fmt.Fprint(w, `{"results":[{"index":0,"response":{"served":true}}]}`+"\n")
+			}
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	f := mustFront(t, Config{Shards: urls, FailThreshold: 1, FailBaseBackoff: time.Minute,
+		FailMaxBackoff: time.Minute, RetryAfterCap: 5 * time.Millisecond})
+	req := frontBatch(1)
+	home.Store(int64(f.ring.successors(mix64(itemHash(&req.Requests[0])), nil)[0]))
+
+	rerouted, retried := mRerouted.Load(), mRetry429.Load()
+	resp, err := f.RunBatch(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if item := resp.Results[0]; item.Error != "" || string(item.Response) != `{"served":true}` {
+		t.Fatalf("item not served by the successor: %+v", item)
+	}
+	if got := successorCalls.Load(); got != 2 {
+		t.Fatalf("successor asked %d times, want a 429 and a 200", got)
+	}
+	if r, w := mRerouted.Load()-rerouted, mRetry429.Load()-retried; r != 1 || w != 1 {
+		t.Fatalf("front.rerouted moved by %d over %d 429 waits, want 1 and 1", r, w)
+	}
 }
 
 func TestRetryAfterValue(t *testing.T) {

@@ -1,11 +1,9 @@
 // Streaming entry: the open-system face of the front tier, on the
-// shared stream pump (wire.Pump). Each valid, admitted line is
-// dispatched to its ring shard concurrently, shed and invalid lines
-// resolve on the spot, and the pump emits results in input order. Its
-// bounded window is the backpressure — with Workers results pending the
-// reader stops consuming the body, so a fast client is throttled to the
-// fleet's service rate by TCP flow control — and admission control
-// sheds what even that window cannot hold.
+// shared stream pump (wire.Pump, which states the ordering and
+// backpressure contract; the window is Workers). Each valid, admitted
+// line is dispatched to its ring shard concurrently, shed and invalid
+// lines resolve on the spot, and admission control sheds what even the
+// pump's window cannot hold.
 
 package front
 
@@ -28,7 +26,6 @@ func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	wire.Pump(ctx, w, r.Body,
 		wire.Stream{MaxLineBytes: f.cfg.MaxBodyBytes, MaxItems: f.cfg.MaxStreamItems, Window: f.cfg.Workers},
-		wire.Failed,
 		func(ctx context.Context, idx int, line []byte) (Item, func() Item) {
 			mStreamItems.Inc()
 			// The pump reuses line; the copy is what gets forwarded, and

@@ -181,7 +181,6 @@ func (s *Server) handleSimulateOpen(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	wire.Pump(r.Context(), w, r.Body,
 		wire.Stream{MaxLineBytes: s.cfg.MaxBodyBytes, MaxItems: s.cfg.MaxStreamItems, Window: 1},
-		wire.Failed,
 		func(_ context.Context, idx int, line []byte) (StreamItem, func() StreamItem) {
 			mStreamItem.Inc()
 			req, err := DecodeItem(line, s.limits)

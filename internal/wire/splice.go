@@ -60,10 +60,8 @@ func RunBatch(ctx context.Context, n, workers int, run func(i int) Result) *Resu
 func Encode(buf *bytes.Buffer, v any) {
 	switch v := v.(type) {
 	case Result:
-		if v.appendTo(buf) {
-			buf.WriteByte('\n')
-			return
-		}
+		v.appendLine(buf)
+		return
 	case *Results:
 		ok := v.Results != nil // nil is the encoder's null
 		buf.WriteString(`{"results":[`)
@@ -82,6 +80,16 @@ func Encode(buf *bytes.Buffer, v any) {
 	// Unmarshalable values are programming errors covered by tests; a
 	// failed encode leaves buf empty, and the caller writes that.
 	_ = json.NewEncoder(buf).Encode(v)
+}
+
+// appendLine is Encode of one Result, the stream pump's line writer.
+func (r *Result) appendLine(buf *bytes.Buffer) {
+	if r.appendTo(buf) {
+		buf.WriteByte('\n')
+		return
+	}
+	buf.Reset()
+	_ = json.NewEncoder(buf).Encode(r) // as Encode: a failed encode leaves buf empty
 }
 
 func (r *Result) appendTo(buf *bytes.Buffer) bool {

@@ -32,8 +32,7 @@ type Stream struct {
 // solve) or returns a dispatch func that Pump runs on its own
 // goroutine. dispatch must return promptly once ctx is done; that is
 // what lets the in-order drain terminate when the deadline cuts a
-// stream short. failed builds the result line for a failure Pump
-// detects itself.
+// stream short.
 //
 // The bounded futures queue is the backpressure: with Window results
 // pending the reader stops consuming the body, so a fast client is
@@ -42,9 +41,8 @@ type Stream struct {
 // on that line and the stream continues; only a transport-level read
 // error ("stream read: …"), the item cap, or the deadline
 // ("cancelled: …") end it, each with one final line.
-func Pump[T any](ctx context.Context, w http.ResponseWriter, body io.Reader, s Stream,
-	failed func(idx int, msg string) T,
-	handle func(ctx context.Context, idx int, line []byte) (item T, dispatch func() T)) {
+func Pump(ctx context.Context, w http.ResponseWriter, body io.Reader, s Stream,
+	handle func(ctx context.Context, idx int, line []byte) (item Result, dispatch func() Result)) {
 	rc := http.NewResponseController(w)
 	// The stream reads the request body while writing response lines;
 	// without full-duplex mode the HTTP/1.x server closes the unread
@@ -58,11 +56,11 @@ func Pump[T any](ctx context.Context, w http.ResponseWriter, body io.Reader, s S
 	// enqueues them in input order. The sends need no ctx case: the
 	// drain below never stops before the queue closes, and every future
 	// resolves promptly once ctx is done.
-	futures := make(chan chan T, s.Window)
+	futures := make(chan chan Result, s.Window)
 	go func() {
 		defer close(futures)
-		resolved := func(item T) {
-			fut := make(chan T, 1)
+		resolved := func(item Result) {
+			fut := make(chan Result, 1)
 			fut <- item
 			futures <- fut
 		}
@@ -75,25 +73,25 @@ func Pump[T any](ctx context.Context, w http.ResponseWriter, body io.Reader, s S
 				continue
 			}
 			if idx >= s.MaxItems {
-				resolved(failed(idx, fmt.Sprintf("stream exceeds %d items", s.MaxItems)))
+				resolved(Failed(idx, fmt.Sprintf("stream exceeds %d items", s.MaxItems)))
 				return
 			}
 			if err := ctx.Err(); err != nil {
-				resolved(failed(idx, "cancelled: "+err.Error()))
+				resolved(Failed(idx, "cancelled: "+err.Error()))
 				return
 			}
 			item, dispatch := handle(ctx, idx, line)
 			if dispatch == nil {
 				resolved(item)
 			} else {
-				fut := make(chan T, 1)
+				fut := make(chan Result, 1)
 				go func() { fut <- dispatch() }()
 				futures <- fut
 			}
 			idx++
 		}
 		if err := sc.Err(); err != nil {
-			resolved(failed(idx, "stream read: "+err.Error()))
+			resolved(Failed(idx, "stream read: "+err.Error()))
 		}
 	}()
 
@@ -102,7 +100,8 @@ func Pump[T any](ctx context.Context, w http.ResponseWriter, body io.Reader, s S
 	// goroutine of its own still running.
 	for fut := range futures {
 		buf := getBuf()
-		Encode(buf, <-fut)
+		item := <-fut
+		item.appendLine(buf)
 		_, _ = w.Write(buf.Bytes())
 		putBuf(buf)
 		// Flush per line so the client observes each item before the

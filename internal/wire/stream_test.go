@@ -17,34 +17,40 @@ import (
 	"time"
 )
 
-// line is the pump tests' result type, shaped like the tiers' items.
-type line struct {
-	Index int    `json:"index"`
-	Value string `json:"value,omitempty"`
-	Error string `json:"error,omitempty"`
+// valued is a served pump-test line: its Response is v as a JSON
+// string, which value reads back.
+func valued(idx int, v string) Result {
+	return Result{Index: idx, Response: json.RawMessage(strconv.Quote(v))}
 }
 
-func failedLine(idx int, msg string) line { return line{Index: idx, Error: msg} }
+func value(t *testing.T, r Result) string {
+	t.Helper()
+	var v string
+	if err := json.Unmarshal(r.Response, &v); err != nil {
+		t.Fatalf("response %q of line %d: %v", r.Response, r.Index, err)
+	}
+	return v
+}
 
 // pumpLines runs one in-memory stream through Pump and decodes the
 // result lines.
 func pumpLines(t *testing.T, ctx context.Context, body string, s Stream,
-	handle func(ctx context.Context, idx int, in []byte) (line, func() line)) []line {
+	handle func(ctx context.Context, idx int, in []byte) (Result, func() Result)) []Result {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	Pump(ctx, rec, strings.NewReader(body), s, failedLine, handle)
+	Pump(ctx, rec, strings.NewReader(body), s, handle)
 	return decodeLines(t, rec)
 }
 
-func decodeLines(t *testing.T, rec *httptest.ResponseRecorder) []line {
+func decodeLines(t *testing.T, rec *httptest.ResponseRecorder) []Result {
 	t.Helper()
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type %q", ct)
 	}
-	var out []line
+	var out []Result
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
-		var l line
+		var l Result
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad result line %q: %v", sc.Text(), err)
 		}
@@ -69,21 +75,21 @@ func TestPumpKeepsInputOrder(t *testing.T) {
 	const n = 12
 	body := "\n" + strings.ReplaceAll(numbered(n), "\n", "\n  \n")
 	got := pumpLines(t, context.Background(), body, Stream{MaxLineBytes: 1 << 10, MaxItems: 100, Window: n},
-		func(_ context.Context, idx int, in []byte) (line, func() line) {
+		func(_ context.Context, idx int, in []byte) (Result, func() Result) {
 			v := string(in) // the pump reuses in after handle returns
 			if idx%3 == 0 {
-				return line{Index: idx, Value: v}, nil
+				return valued(idx, v), nil
 			}
-			return line{}, func() line {
+			return Result{}, func() Result {
 				time.Sleep(time.Duration(n-idx) * 2 * time.Millisecond)
-				return line{Index: idx, Value: v}
+				return valued(idx, v)
 			}
 		})
 	if len(got) != n {
 		t.Fatalf("%d result lines for %d inputs", len(got), n)
 	}
 	for i, l := range got {
-		if l.Index != i || l.Value != strconv.Itoa(i) {
+		if l.Index != i || value(t, l) != strconv.Itoa(i) {
 			t.Fatalf("position %d holds %+v", i, l)
 		}
 	}
@@ -97,14 +103,14 @@ func TestPumpBoundsInflight(t *testing.T) {
 	const window, n = 3, 40
 	var cur, peak atomic.Int64
 	got := pumpLines(t, context.Background(), numbered(n), Stream{MaxLineBytes: 1 << 10, MaxItems: 100, Window: window},
-		func(_ context.Context, idx int, _ []byte) (line, func() line) {
-			return line{}, func() line {
+		func(_ context.Context, idx int, _ []byte) (Result, func() Result) {
+			return Result{}, func() Result {
 				c := cur.Add(1)
 				for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
 				}
 				time.Sleep(2 * time.Millisecond)
 				cur.Add(-1)
-				return line{Index: idx}
+				return Result{Index: idx}
 			}
 		})
 	if len(got) != n {
@@ -118,9 +124,9 @@ func TestPumpBoundsInflight(t *testing.T) {
 func TestPumpItemCapEndsStream(t *testing.T) {
 	handled := 0
 	got := pumpLines(t, context.Background(), numbered(5), Stream{MaxLineBytes: 1 << 10, MaxItems: 2, Window: 4},
-		func(_ context.Context, idx int, _ []byte) (line, func() line) {
+		func(_ context.Context, idx int, _ []byte) (Result, func() Result) {
 			handled++
-			return line{Index: idx}, nil
+			return Result{Index: idx}, nil
 		})
 	if len(got) != 3 || handled != 2 {
 		t.Fatalf("%d lines / %d handled, want 2 results + 1 cap line", len(got), handled)
@@ -135,10 +141,10 @@ func TestPumpOversizedLineIsAReadError(t *testing.T) {
 	// past that.
 	body := "ok\n" + strings.Repeat("x", 80<<10) + "\nnever\n"
 	got := pumpLines(t, context.Background(), body, Stream{MaxLineBytes: 70 << 10, MaxItems: 10, Window: 2},
-		func(_ context.Context, idx int, in []byte) (line, func() line) {
-			return line{Index: idx, Value: string(in[:2])}, nil
+		func(_ context.Context, idx int, in []byte) (Result, func() Result) {
+			return valued(idx, string(in[:2])), nil
 		})
-	if len(got) != 2 || got[0].Value != "ok" {
+	if len(got) != 2 || value(t, got[0]) != "ok" {
 		t.Fatalf("%d lines, first %+v", len(got), got[0])
 	}
 	if last := got[1]; last.Index != 1 || !strings.HasPrefix(last.Error, "stream read: ") {
@@ -157,14 +163,14 @@ func TestPumpDeadlineCutsStream(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Pump(ctx, rec, strings.NewReader(numbered(50)), Stream{MaxLineBytes: 1 << 10, MaxItems: 100, Window: 2}, failedLine,
-			func(ctx context.Context, idx int, _ []byte) (line, func() line) {
-				return line{}, func() line {
+		Pump(ctx, rec, strings.NewReader(numbered(50)), Stream{MaxLineBytes: 1 << 10, MaxItems: 100, Window: 2},
+			func(ctx context.Context, idx int, _ []byte) (Result, func() Result) {
+				return Result{}, func() Result {
 					if idx == 1 {
 						cancel()
 					}
 					<-ctx.Done()
-					return line{Index: idx, Error: "cancelled: " + ctx.Err().Error()}
+					return Failed(idx, "cancelled: "+ctx.Err().Error())
 				}
 			})
 	}()
@@ -192,11 +198,11 @@ func TestPumpNoGoroutineLeakOnDisconnect(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handlers.Add(1)
 		defer handlers.Done()
-		Pump(r.Context(), w, r.Body, Stream{MaxLineBytes: 1 << 10, MaxItems: 1000, Window: 4}, failedLine,
-			func(ctx context.Context, idx int, _ []byte) (line, func() line) {
-				return line{}, func() line {
+		Pump(r.Context(), w, r.Body, Stream{MaxLineBytes: 1 << 10, MaxItems: 1000, Window: 4},
+			func(ctx context.Context, idx int, _ []byte) (Result, func() Result) {
+				return Result{}, func() Result {
 					SleepCtx(ctx, 5*time.Millisecond)
-					return line{Index: idx}
+					return Result{Index: idx}
 				}
 			})
 	}))

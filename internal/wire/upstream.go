@@ -212,9 +212,8 @@ type Reply struct {
 // in-flight slot for the duration, and classifies the answer. The item
 // index travels in the named header — purely observational (chaos
 // tests use it to count executions per item); the daemons ignore
-// unknown headers. Post does not touch the breaker: callers that hedge
-// must not count a cancelled loser as a failure, so recording is
-// theirs.
+// unknown headers. Post does not touch the breaker: Route.post settles
+// it, where a hedge's cancelled loser is told from a failure.
 func (u *Upstream) Post(ctx context.Context, path, itemHeader string, idx int, body []byte) Reply {
 	u.inflight.Add(1)
 	u.gInflight.Inc()

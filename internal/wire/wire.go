@@ -2,7 +2,8 @@
 // schedd (internal/serve), clusterd (internal/cluster) and frontd
 // (internal/front) are the same two-phase model at three levels, and
 // everything below the level-specific policy — solver calls, replica
-// placement and hedging, the hash ring and shedding — lives here once:
+// placement and the hedge delay, the hash ring and shedding — lives
+// here once:
 //
 //   - the codec: strict pooled JSON decode, pooled response writers,
 //     the error envelope, the bad-request status classifier, and the
@@ -14,6 +15,8 @@
 //   - Upstream and Pool: the in-flight count, consecutive-failure
 //     breaker, /healthz prober and POST-and-classify step a tier keeps
 //     per downstream daemon (upstream.go);
+//   - Route: the pick → attempt → retry dispatch loop, hedging included,
+//     that frontd and clusterd run as two policies (dispatch.go);
 //   - Level, the bounded admission counter (admit.go);
 //   - ServeUntil, the listen-serve-drain loop of the daemon mains
 //     (daemon.go).
