@@ -115,7 +115,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzInstanceJSON -fuzztime=30s ./internal/task/
 	$(GO) test -fuzz=FuzzScanItem -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzEncodeResults -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzCheckCompact -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeInstance -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzAppendResponse -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzExecute -fuzztime=30s ./internal/algo/
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/cluster/
 	$(GO) test -fuzz=FuzzRing -fuzztime=30s ./internal/front/

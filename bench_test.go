@@ -133,11 +133,15 @@ type kernel struct {
 //     bucket beside them and sit an order of magnitude under the
 //     5.5–8.3 MB of the dense kernels PR 14 replaced.
 //   - WireScan, WireSplice: the two passes a serve-solve request makes
-//     over its bytes at each tier. The scan (task.Scanner.floats under
-//     wire.ScanItem) allocates what it returns — the task slice, the
-//     instance, the algorithm string — and nothing per number; the splice
-//     (wire.Encode over a backend's answer) checks and compacts into the
-//     writer's reused buffer.
+//     over its bytes at each proxy tier. The scan (task.Scanner.floats
+//     under wire.ScanItem) allocates what it returns — the task slice,
+//     the instance, the algorithm string — and nothing per number; the
+//     splice is the answer checked once on receipt (wire.SoleResult, the
+//     one-pass checker, aliasing the body) and copied at write
+//     (wire.Encode) into the writer's reused buffer.
+//   - WireEncode: schedd printing its answer (ScheduleResponse.AppendJSON
+//     under wire.Encode, over sched's and placement's appenders) into a
+//     warm buffer, at serve-solve's shape and serve-fanout's.
 var kernels = []kernel{
 	{name: "SimLoop/n=100k", n: 100_000, setup: simLoop(noneShape)},
 	{name: "SimLoop/everywhere/n=10k,m=64", n: 10_000, setup: simLoop(everywhereShape)},
@@ -151,6 +155,8 @@ var kernels = []kernel{
 	{name: "EstimateCold/n=200,m=8", n: 200, allocs: 8, bytes: 512 << 10, setup: estimateCold(8)},
 	{name: "WireScan/n=2k", n: 2_000, allocs: 4, bytes: 72 << 10, setup: wireScan},
 	{name: "WireSplice/68KB", setup: wireSplice},
+	{name: "WireEncode/n=2k,m=512", n: 2_000, setup: wireEncode("lpt-nochoice", 512)},
+	{name: "WireEncode/n=200,m=8", n: 200, setup: wireEncode("ls-group:2", 8)},
 }
 
 // uniformInstance is the perturbed uniform instance the kernels share.
@@ -269,18 +275,31 @@ func estimateCold(m int) func(testing.TB, int) func() {
 	}
 }
 
-// serveSolveItem is serve-solve's work item as cmd/bench spells it:
-// n tasks on 512 machines, estimates and actuals.
-func serveSolveItem(tb testing.TB, n int) []byte {
-	body, err := json.Marshal(map[string]any{"algorithm": "lpt-nochoice", "instance": uniformInstance(n, 512)})
+// serveItem is a work item as cmd/bench spells it: n tasks on m
+// machines, estimates and actuals.
+func serveItem(tb testing.TB, algorithm string, n, m int) []byte {
+	body, err := json.Marshal(map[string]any{"algorithm": algorithm, "instance": uniformInstance(n, m)})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return body
 }
 
+// serveAnswer is schedd's response to serveItem, on state of its own.
+func serveAnswer(tb testing.TB, algorithm string, n, m int) *serve.ScheduleResponse {
+	var req serve.ScheduleRequest
+	if err := json.Unmarshal(serveItem(tb, algorithm, n, m), &req); err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := serve.New(serve.Config{}).RunSchedule(&req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return resp
+}
+
 func wireScan(tb testing.TB, n int) func() {
-	body := serveSolveItem(tb, n)
+	body := serveItem(tb, "lpt-nochoice", n, 512)
 	return func() {
 		if it, ok := wire.ScanItem(body); !ok || it.Instance.N() != n {
 			tb.Fatal("serve-solve's item left the scanner's path")
@@ -288,27 +307,35 @@ func wireScan(tb testing.TB, n int) func() {
 	}
 }
 
-// wireSplice answers a one-item batch with schedd's answer to
-// serve-solve's item, 68 KB, the envelope clusterd writes per request.
+// wireSplice is frontd's handling of serve-solve's answer, 68 KB:
+// clusterd's one-item envelope unwrapped and checked, then written into
+// frontd's own.
 func wireSplice(tb testing.TB, _ int) func() {
-	var req serve.ScheduleRequest
-	if err := json.Unmarshal(serveSolveItem(tb, 2_000), &req); err != nil {
-		tb.Fatal(err)
-	}
-	resp, err := serve.New(serve.Config{}).RunSchedule(&req)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	answer, err := json.Marshal(resp)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	batch := &wire.Results{Results: []wire.Result{{Response: append(answer, '\n')}}}
+	var body bytes.Buffer
+	wire.Encode(&body, &wire.Results{Results: []wire.Result{wire.Answer(0, serveAnswer(tb, "lpt-nochoice", 2_000, 512))}})
+	batch := &wire.Results{Results: make([]wire.Result, 1)}
 	var buf bytes.Buffer
 	return func() {
+		var ok bool
+		if batch.Results[0], ok = wire.SoleResult(body.Bytes()); !ok {
+			tb.Fatal("clusterd's envelope refused")
+		}
 		buf.Reset()
-		if wire.Encode(&buf, batch); buf.Len() < len(answer) {
-			tb.Fatal("envelope shorter than the answer in it")
+		if wire.Encode(&buf, batch); !bytes.Equal(buf.Bytes(), body.Bytes()) {
+			tb.Fatal("the answer changed on its way through")
+		}
+	}
+}
+
+func wireEncode(algorithm string, m int) func(testing.TB, int) func() {
+	return func(tb testing.TB, n int) func() {
+		resp := serveAnswer(tb, algorithm, n, m)
+		var buf bytes.Buffer
+		return func() {
+			buf.Reset()
+			if wire.Encode(&buf, resp); buf.Len() < 12*n {
+				tb.Fatal("answer shorter than its numbers")
+			}
 		}
 	}
 }
@@ -343,6 +370,7 @@ func BenchmarkOpenSimLoop(b *testing.B)  { benchKernels(b, "OpenSimLoop") }
 func BenchmarkEstimateCold(b *testing.B) { benchKernels(b, "EstimateCold") }
 func BenchmarkWireScan(b *testing.B)     { benchKernels(b, "WireScan") }
 func BenchmarkWireSplice(b *testing.B)   { benchKernels(b, "WireSplice") }
+func BenchmarkWireEncode(b *testing.B)   { benchKernels(b, "WireEncode") }
 
 // BenchmarkEstimateCache measures opt.Estimate on one instance under
 // repetition: cold pays for an exact solve (exact limit n) every

@@ -48,6 +48,7 @@ var (
 	mRedispatch  = obs.GetCounter("cluster.redispatches")
 	mRetry429    = obs.GetCounter("cluster.retries_429")
 	mBreakOpens  = obs.GetCounter("cluster.breaker_opens")
+	mDials       = obs.GetCounter("cluster.backend_dials")
 	mStreamItems = obs.GetCounter("cluster.stream_items")
 	tBatch       = obs.GetTimer("cluster.batch")
 	tStream      = obs.GetTimer("cluster.stream")
@@ -60,6 +61,7 @@ var backendNames = wire.UpstreamNames{
 	StateGauge:  "breaker",
 	States:      [3]string{"closed", "open", "half-open"},
 	Opens:       mBreakOpens,
+	Dials:       mDials,
 }
 
 // Config parameterizes the dispatcher. The zero value of every field
@@ -124,7 +126,8 @@ type Config struct {
 	// re-dispatching. Default: 2s.
 	RetryAfterCap time.Duration
 	// Transport overrides the HTTP transport (tests inject failure
-	// modes here). Default: http.DefaultTransport.
+	// modes here). Default: the tier's own, built by wire.NewPool — a
+	// clone of http.DefaultTransport that keeps its connections.
 	Transport http.RoundTripper
 }
 
@@ -205,7 +208,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := wire.NewPool(cfg.Backends, &http.Client{Transport: cfg.Transport}, wire.UpstreamConfig{
+	pool := wire.NewPool(cfg.Backends, cfg.Transport, wire.UpstreamConfig{
 		Threshold:     cfg.BreakerThreshold,
 		BaseBackoff:   cfg.BreakerBaseBackoff,
 		MaxBackoff:    cfg.BreakerMaxBackoff,
@@ -219,8 +222,8 @@ func New(cfg Config) (*Cluster, error) {
 		backends: pool.Upstreams,
 	}
 	// The cluster's policy over the shared dispatch loop: the item's own
-	// bytes to the least-loaded member of its replica set, answered
-	// verbatim, a slow attempt duplicated once after the latency
+	// bytes to the least-loaded member of its replica set, the answer
+	// its body as sent, a slow attempt duplicated once after the latency
 	// window's quantile.
 	c.route = wire.Route{
 		Pool: pool, Path: "/v1/schedule", ItemHeader: ItemHeader,

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -409,6 +411,140 @@ func TestRedispatchAroundDeadBackend(t *testing.T) {
 	}
 }
 
+// TestMalformedAnswerFaultsTheBackendNotTheBatch: a 200 that is not
+// JSON is a fault of the backend that sent it. The first backend asked
+// for item 1 answers `{"makespan": nope}`; the item must be served by
+// the other replica, the first backend's breaker must count the one
+// failure, and item 0 must arrive — the whole answer byte for byte what
+// a healthy pool gives. (At c0083cd clusterd answered 200 with an empty
+// body, and recorded a success.)
+func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
+	req := testBatch(2)
+	direct := serve.New(serve.Config{})
+	var want wire.Results
+	for i := range req.Requests {
+		resp, err := direct.RunSchedule(&req.Requests[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Results = append(want.Results, wire.Result{Index: i, Response: answer})
+	}
+	var wantBatch, wantStream bytes.Buffer
+	wire.Encode(&wantBatch, &want)
+	for _, r := range want.Results {
+		var line bytes.Buffer
+		wire.Encode(&line, r)
+		wantStream.Write(line.Bytes())
+	}
+	batchBody, _ := json.Marshal(req)
+
+	for _, mode := range []struct{ path, body, want string }{
+		{"/v1/batch", string(batchBody), wantBatch.String()},
+		{"/v1/stream", streamLines(req), wantStream.String()},
+	} {
+		t.Run(mode.path, func(t *testing.T) {
+			bs, urls := newTestBackends(t, 2, serve.Config{})
+			var bad atomic.Int32 // the backend that was asked for item 1 first
+			bad.Store(-1)
+			for id, b := range bs {
+				id, healthy := int32(id), b.inner
+				b.inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/v1/schedule" && r.Header.Get(ItemHeader) == "1" && bad.CompareAndSwap(-1, id) {
+						_, _ = io.Copy(io.Discard, r.Body)
+						fmt.Fprint(w, `{"makespan": nope}`)
+						return
+					}
+					healthy.ServeHTTP(w, r)
+				})
+			}
+			c := mustCluster(t, Config{
+				Backends: urls, DisableHedging: true,
+				BreakerThreshold: 1, BreakerBaseBackoff: time.Minute,
+			})
+			ts := httptest.NewServer(c.Handler())
+			t.Cleanup(ts.Close)
+			resp, err := http.Post(ts.URL+mode.path, "application/json", strings.NewReader(mode.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+			}
+			if string(got) != mode.want {
+				t.Fatalf("answer differs from a healthy pool's:\n got %q\nwant %q", got, mode.want)
+			}
+			first := int(bad.Load())
+			if first < 0 {
+				t.Fatal("no backend was asked for item 1")
+			}
+			if state, _, fails := c.backends[first].Health(time.Now()); state != "open" || fails != 1 {
+				t.Errorf("backend %d, which answered garbage: breaker %s with %d failures, want open with 1", first, state, fails)
+			}
+			if n := bs[1-first].executions()["1"]; n != 1 {
+				t.Errorf("the other replica served item 1 %d times, want once", n)
+			}
+		})
+	}
+}
+
+// TestConnectionsAreReused: over real sockets, 200 sixteen-item batches
+// at a fan-out of 8 open a handful of backend connections, not one per
+// item: the pool's own transport keeps every connection a burst opened
+// (http.DefaultTransport kept 2 per host and re-dialled the rest, 600
+// and more over this run). The fan-out itself is what a quiet run
+// opens, 8 to 13 seen; the bound is four times it because a worker's
+// next post can start while its last connection is still being handed
+// back, and dials. The tier's dial counter agrees with what the backend
+// saw, and Close leaves no connection goroutine.
+func TestConnectionsAreReused(t *testing.T) {
+	const workers = 8
+	var opened atomic.Int64
+	backend := httptest.NewUnstartedServer(serve.New(serve.Config{}).Handler())
+	backend.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	backend.Start()
+	t.Cleanup(backend.Close)
+	baseline := runtime.NumGoroutine()
+
+	c := mustCluster(t, Config{Backends: []string{backend.URL}, DisableHedging: true, Workers: workers})
+	dials := mDials.Load()
+	req := testBatch(16)
+	for i := 0; i < 200; i++ {
+		resp, err := c.RunBatch(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, item := range resp.Results {
+			if item.Error != "" {
+				t.Fatalf("batch %d: %+v", i, item)
+			}
+		}
+	}
+	if n := opened.Load(); n > 4*workers {
+		t.Errorf("3200 items at a fan-out of %d opened %d backend connections, want at most %d", workers, n, 4*workers)
+	}
+	if n, d := opened.Load(), mDials.Load()-dials; d != n {
+		t.Errorf("cluster.backend_dials rose by %d, the backend accepted %d connections", d, n)
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the cluster was built", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestHedgeWinsAgainstSlowBackend(t *testing.T) {
 	bs, urls := newTestBackends(t, 2, serve.Config{})
 	bs[0].delay.Store(int64(400 * time.Millisecond)) // slow primary
@@ -543,7 +679,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	for _, name := range []string{
 		"cluster.backend.0.inflight", "cluster.backend.0.breaker",
 		"cluster.hedges_fired", "cluster.hedge_wins",
-		"cluster.redispatches", "cluster.items_total",
+		"cluster.redispatches", "cluster.items_total", "cluster.backend_dials",
 	} {
 		if !strings.Contains(data.String(), name) {
 			t.Fatalf("/metrics missing %s:\n%s", name, data.String())

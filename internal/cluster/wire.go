@@ -33,8 +33,8 @@ type PlacementSpec struct {
 }
 
 // Item is the outcome of one batch entry, schedd's BatchItem. Response
-// carries the backend's /v1/schedule body verbatim (the writer only
-// compacts it), so a proxied item is byte-identical to a directly
+// carries the backend's /v1/schedule body, checked on receipt and
+// copied at write, so a proxied item is byte-identical to a directly
 // served one.
 type Item = wire.Result
 

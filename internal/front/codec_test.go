@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -80,6 +83,27 @@ func postItems(t *testing.T, url, path string, items [][]byte) []Item {
 	return out
 }
 
+// serveWorkload is one of cmd/bench's four serving workloads as the
+// fast-path tests send it: the path and the item shapes.
+type serveWorkload struct {
+	name, path string
+	items      [][]byte
+}
+
+func serveWorkloads(t *testing.T) []serveWorkload {
+	fanoutAlgos := []string{"lpt-nochoice", "lpt-norestriction", "ls-group:2", "ls-group:4"}
+	var fanout [][]byte
+	for k := 0; k < 16; k++ {
+		fanout = append(fanout, benchItem(t, fanoutAlgos[k%len(fanoutAlgos)], 200, 8, uint64(100+k)))
+	}
+	return []serveWorkload{
+		{"serve-small, serve-open", "/v1/batch", [][]byte{benchItem(t, "lpt-norestriction", 6, 4, 1)}},
+		{"serve-fanout batch", "/v1/batch", fanout},
+		{"serve-fanout stream", "/v1/stream", fanout},
+		{"serve-solve", "/v1/batch", [][]byte{benchItem(t, "lpt-nochoice", 2000, 512, 2)}},
+	}
+}
+
 // TestServeWorkloadsStayOnTheScanner sends the item shapes of
 // cmd/bench's four serving workloads through frontd → clusterd → schedd
 // and reads the two codec counters: every item is scanned once at every
@@ -92,20 +116,7 @@ func TestServeWorkloadsStayOnTheScanner(t *testing.T) {
 	t.Cleanup(ts.Close)
 	scanned, fallback := obs.GetCounter("wire.items_scanned"), obs.GetCounter("wire.items_fallback")
 
-	fanoutAlgos := []string{"lpt-nochoice", "lpt-norestriction", "ls-group:2", "ls-group:4"}
-	var fanout [][]byte
-	for k := 0; k < 16; k++ {
-		fanout = append(fanout, benchItem(t, fanoutAlgos[k%len(fanoutAlgos)], 200, 8, uint64(100+k)))
-	}
-	for _, w := range []struct {
-		name, path string
-		items      [][]byte
-	}{
-		{"serve-small, serve-open", "/v1/batch", [][]byte{benchItem(t, "lpt-norestriction", 6, 4, 1)}},
-		{"serve-fanout batch", "/v1/batch", fanout},
-		{"serve-fanout stream", "/v1/stream", fanout},
-		{"serve-solve", "/v1/batch", [][]byte{benchItem(t, "lpt-nochoice", 2000, 512, 2)}},
-	} {
+	for _, w := range serveWorkloads(t) {
 		s0, f0 := scanned.Load(), fallback.Load()
 		for i, it := range postItems(t, ts.URL, w.path, w.items) {
 			if it.Error != "" || it.Response == nil {
@@ -128,6 +139,83 @@ func TestServeWorkloadsStayOnTheScanner(t *testing.T) {
 	// which the two tiers below scan.
 	if s, f := scanned.Load()-s0, fallback.Load()-f0; s != 2 || f != 1 {
 		t.Errorf("case-variant key: scanned %d, fell back %d, want 2 and 1", s, f)
+	}
+}
+
+// TestServeWorkloadsStayOnTheSplice is the scanner test's twin on the
+// way up: over real sockets, the answer to every item of the four
+// workloads passes the one-pass checker at each of the two proxy tiers
+// and none is compacted again — schedd's appender writes what the
+// checker accepts. The other path counts too: a schedd whose answers
+// carry a space after a colon is recompacted once, by clusterd, whose
+// own writing of it frontd then checks, and the client still reads
+// json.Encoder's bytes.
+func TestServeWorkloadsStayOnTheSplice(t *testing.T) {
+	_, urls := newTestShards(t, 2)
+	ts := httptest.NewServer(mustFront(t, Config{Shards: urls}).Handler())
+	t.Cleanup(ts.Close)
+	checked, recompacted := obs.GetCounter("wire.answers_checked"), obs.GetCounter("wire.answers_recompacted")
+
+	for _, w := range serveWorkloads(t) {
+		c0, r0 := checked.Load(), recompacted.Load()
+		for i, it := range postItems(t, ts.URL, w.path, w.items) {
+			if it.Error != "" || it.Response == nil {
+				t.Fatalf("%s: item %d: %+v", w.name, i, it)
+			}
+		}
+		if c, r := checked.Load()-c0, recompacted.Load()-r0; c != int64(2*len(w.items)) || r != 0 {
+			t.Errorf("%s: %d answers checked %d times and recompacted %d times over two proxy tiers, want %d and 0",
+				w.name, len(w.items), c, r, 2*len(w.items))
+		}
+	}
+
+	direct := serve.New(serve.Config{})
+	respelt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		direct.Handler().ServeHTTP(rec, r)
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(bytes.Replace(rec.Body.Bytes(), []byte(`"n":`), []byte(`"n": `), 1))
+	}))
+	t.Cleanup(respelt.Close)
+	c, err := cluster.New(cluster.Config{Backends: []string{respelt.URL}, DisableHedging: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	shard := httptest.NewServer(c.Handler())
+	t.Cleanup(shard.Close)
+	loose := httptest.NewServer(mustFront(t, Config{Shards: []string{shard.URL}}).Handler())
+	t.Cleanup(loose.Close)
+
+	item := benchItem(t, "lpt-norestriction", 6, 4, 1)
+	req, err := serve.DecodeItem(item, wire.Limits{MaxTasks: 10, MaxMachines: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := direct.RunSchedule(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(answer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(BatchResponse{Results: []Item{{Response: raw}}}); err != nil {
+		t.Fatal(err)
+	}
+	c0, r0 := checked.Load(), recompacted.Load()
+	resp, err := http.Post(loose.URL+"/v1/batch", "application/json", bytes.NewReader(append(append([]byte(`{"requests":[`), item...), "]}"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("a respelt answer arrived as %q (%v)\nwant %q", got, err, want.Bytes())
+	}
+	if c, r := checked.Load()-c0, recompacted.Load()-r0; c != 1 || r != 1 {
+		t.Errorf("a respelt answer: checked %d, recompacted %d, want 1 and 1", c, r)
 	}
 }
 

@@ -49,6 +49,7 @@ var (
 	mRerouted    = obs.GetCounter("front.rerouted")
 	mRetry429    = obs.GetCounter("front.retries_429")
 	mShardDeaths = obs.GetCounter("front.shard_deaths")
+	mDials       = obs.GetCounter("front.shard_dials")
 	mStreamItems = obs.GetCounter("front.stream_items")
 	gInflight    = obs.GetGauge("front.inflight")
 	gShardTotal  = obs.GetGauge("front.shard_inflight")
@@ -71,6 +72,7 @@ var shardNames = wire.UpstreamNames{
 	StateGauge:  "dead",
 	States:      [3]string{"live", "dead", "probing"},
 	Opens:       mShardDeaths,
+	Dials:       mDials,
 }
 
 // shard is one clusterd instance behind the front tier: a
@@ -148,7 +150,8 @@ type Config struct {
 	// honored before retrying. Default: 2s.
 	RetryAfterCap time.Duration
 	// Transport overrides the HTTP transport (tests inject failure
-	// modes here). Default: http.DefaultTransport.
+	// modes here). Default: the tier's own, built by wire.NewPool — a
+	// clone of http.DefaultTransport that keeps its connections.
 	Transport http.RoundTripper
 }
 
@@ -244,7 +247,7 @@ func New(cfg Config) (*Front, error) {
 		cfg:    cfg,
 		limits: wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
 		ring:   ring,
-		pool: wire.NewPool(cfg.Shards, &http.Client{Transport: cfg.Transport}, wire.UpstreamConfig{
+		pool: wire.NewPool(cfg.Shards, cfg.Transport, wire.UpstreamConfig{
 			Threshold:     cfg.FailThreshold,
 			BaseBackoff:   cfg.FailBaseBackoff,
 			MaxBackoff:    cfg.FailMaxBackoff,

@@ -2,9 +2,35 @@ package placement
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
+
+// TestAppendJSONMatchesTheEncoder: the appender prints what the
+// reflective marshal of placementJSON prints, nil and empty slices
+// included, and MarshalJSON is the appender.
+func TestAppendJSONMatchesTheEncoder(t *testing.T) {
+	for _, p := range []*Placement{
+		{},
+		{M: 3, Sets: [][]int{}},
+		{M: 3, Sets: [][]int{{0, 1, 2}, nil, {}, {2}}},
+		{M: 4, Sets: [][]int{{0, 1}, {2, 3}}, Groups: [][]int{{0, 1}, {2, 3}}, GroupOf: []int{0, 1}},
+		{M: 4, Sets: [][]int{{0}}, Groups: [][]int{}, GroupOf: []int{}},
+		{M: -1, Sets: [][]int{{-5}}, Groups: [][]int{nil}, GroupOf: []int{7}},
+	} {
+		want, err := json.Marshal(placementJSON{M: p.M, Sets: p.Sets, Groups: p.Groups, GroupOf: p.GroupOf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+			t.Errorf("AppendJSON wrote %s, the encoder %s", got[1:], want)
+		}
+		if got, err := json.Marshal(p); err != nil || string(got) != string(want) {
+			t.Errorf("json.Marshal wrote %s (%v), want %s", got, err, want)
+		}
+	}
+}
 
 func TestPlacementJSONRoundTrip(t *testing.T) {
 	in := inst(t, 4, 6)

@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/task"
 )
 
 // scheduleJSON is the wire form of a Schedule: parallel arrays keyed
 // by task ID, compact for large schedules and easy to load from
-// plotting scripts.
+// plotting scripts. UnmarshalJSON decodes through it, AppendJSON
+// writes it.
 type scheduleJSON struct {
 	M        int       `json:"m"`
 	Machines []int     `json:"machines"`
@@ -17,22 +21,60 @@ type scheduleJSON struct {
 }
 
 // MarshalJSON implements json.Marshaler.
-func (s *Schedule) MarshalJSON() ([]byte, error) {
-	w := scheduleJSON{
-		M:        s.M,
-		Machines: make([]int, len(s.Assignments)),
-		Starts:   make([]float64, len(s.Assignments)),
-		Ends:     make([]float64, len(s.Assignments)),
+func (s *Schedule) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil) }
+
+// AppendJSON appends the schedule exactly as encoding/json marshals
+// scheduleJSON, without reflection. The two things it cannot print are
+// errors, the encoder's own: an assignment out of its slot, and a start
+// or end that is not finite.
+func (s *Schedule) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"m":`...)
+	dst = strconv.AppendInt(dst, int64(s.M), 10)
+	dst, bad := s.appendColumns(dst)
+	if bad < 0 {
+		return dst, nil
 	}
-	for j, a := range s.Assignments {
+	a := s.Assignments[bad]
+	if a.Task != bad {
+		return nil, fmt.Errorf("sched: assignment %d holds task %d", bad, a.Task)
+	}
+	_, err := json.Marshal([2]float64{a.Start, a.End}) // worded by the encoder
+	return nil, err
+}
+
+// appendColumns appends the three parallel arrays, 3n numbers of an
+// answer; bad is the first assignment it cannot print, or -1.
+//
+//perf:hotpath
+func (s *Schedule) appendColumns(dst []byte) (out []byte, bad int) {
+	dst = append(dst, `,"machines":[`...)
+	for j := range s.Assignments {
+		a := &s.Assignments[j]
 		if a.Task != j {
-			return nil, fmt.Errorf("sched: assignment %d holds task %d", j, a.Task)
+			return dst, j
 		}
-		w.Machines[j] = a.Machine
-		w.Starts[j] = a.Start
-		w.Ends[j] = a.End
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(a.Machine), 10)
 	}
-	return json.Marshal(w)
+	for col, key := range [...]string{`],"starts":[`, `],"ends":[`} {
+		dst = append(dst, key...)
+		for j := range s.Assignments {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			v := s.Assignments[j].Start
+			if col == 1 {
+				v = s.Assignments[j].End
+			}
+			var ok bool
+			if dst, ok = task.AppendFloat(dst, v); !ok {
+				return dst, j
+			}
+		}
+	}
+	return append(dst, "]}"...), -1
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

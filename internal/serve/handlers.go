@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 
@@ -130,11 +129,11 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 // goes back.
 func (s *Server) solveItem(idx int, req *ScheduleRequest) BatchItem {
 	sc := scratchPool.Get().(*algo.Scratch)
-	item := BatchItem{Index: idx}
+	var item BatchItem
 	if resp, err := s.runSchedule(req, sc); err != nil {
-		item.Error = err.Error()
-	} else if item.Response, err = json.Marshal(resp); err != nil {
 		item = wire.Failed(idx, err.Error())
+	} else {
+		item = wire.Answer(idx, resp)
 	}
 	scratchPool.Put(sc)
 	return item

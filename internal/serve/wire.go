@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -72,6 +73,58 @@ type ScheduleResponse struct {
 	// (with a relative tolerance); omitted with Guarantee. A false here
 	// is a certified violation of the theorem — worth a bug report.
 	BoundOK *bool `json:"bound_ok,omitempty"`
+}
+
+// AppendJSON appends the response exactly as encoding/json marshals
+// it, without reflection (wire.Encode's "appends itself" case): the
+// answer is 3n numbers and n replica sets, and printing them is all an
+// encode need cost. ok is false, and encoding/json renders or refuses
+// the value, for what the appender does not print its way: a name that
+// needs an escape, a number that is not finite, a missing placement or
+// schedule, a schedule that cannot be marshalled.
+func (r *ScheduleResponse) AppendJSON(dst []byte) (out []byte, ok bool) {
+	if r.Placement == nil || r.Schedule == nil {
+		return dst, false
+	}
+	if dst, ok = task.AppendString(append(dst, `{"algorithm":`...), r.Algorithm); !ok {
+		return dst, false
+	}
+	dst = strconv.AppendInt(append(dst, `,"n":`...), int64(r.N), 10)
+	dst = strconv.AppendInt(append(dst, `,"m":`...), int64(r.M), 10)
+	if dst, ok = appendFloats(dst, `,"alpha":`, r.Alpha, `,"makespan":`, r.Makespan); !ok {
+		return dst, false
+	}
+	dst = r.Placement.AppendJSON(append(dst, `,"placement":`...))
+	dst, err := r.Schedule.AppendJSON(append(dst, `,"schedule":`...))
+	if err != nil {
+		return dst, false
+	}
+	if dst, ok = appendFloats(dst, `,"optimum":{"lower":`, r.Optimum.Lower, `,"upper":`, r.Optimum.Upper); !ok {
+		return dst, false
+	}
+	dst = strconv.AppendBool(append(dst, `,"exact":`...), r.Optimum.Exact)
+	if dst, ok = task.AppendString(append(dst, `,"method":`...), r.Optimum.Method); !ok {
+		return dst, false
+	}
+	if dst, ok = appendFloats(dst, `},"ratio_lower":`, r.RatioLower, `,"ratio_upper":`, r.RatioUpper); !ok {
+		return dst, false
+	}
+	if r.Guarantee != nil {
+		if dst, ok = task.AppendFloat(append(dst, `,"guarantee":`...), *r.Guarantee); !ok {
+			return dst, false
+		}
+	}
+	if r.BoundOK != nil {
+		dst = strconv.AppendBool(append(dst, `,"bound_ok":`...), *r.BoundOK)
+	}
+	return append(dst, '}'), true
+}
+
+// appendFloats appends two keyed numbers.
+func appendFloats(dst []byte, k1 string, v1 float64, k2 string, v2 float64) ([]byte, bool) {
+	dst, ok1 := task.AppendFloat(append(dst, k1...), v1)
+	dst, ok2 := task.AppendFloat(append(dst, k2...), v2)
+	return dst, ok1 && ok2
 }
 
 // SimulateRequest asks for a traced semi-clairvoyant replay.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -104,26 +105,38 @@ func (s *Scanner) Object(keys []string, member func(k int) bool) (seen uint, ok 
 	}
 }
 
-// number consumes a token of JSON's number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
+// number consumes a number token (NumberEnd) and reports whether it
 // has neither fraction nor exponent; nil for anything else, and for a
 // token past 32 bytes (Go prints a float64 in 24): strconv takes a
 // string, and a conversion that does not escape stays on the stack up
 // to that size.
 func (s *Scanner) number() (tok []byte, integer bool) {
 	s.Peek()
-	d, i := s.Data, s.Pos
+	end, integer := NumberEnd(s.Data, s.Pos)
+	if end < 0 || end-s.Pos > 32 {
+		return nil, false
+	}
+	tok, s.Pos = s.Data[s.Pos:end], end
+	return tok, integer
+}
+
+// NumberEnd returns the index past the token of JSON's number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that starts at d[i],
+// and whether it has neither fraction nor exponent; -1 where none does.
+// It is the one statement of that grammar for the codec's readers: the
+// Scanner here, and internal/wire's check of an answer.
+func NumberEnd(d []byte, i int) (end int, integer bool) {
 	if i < len(d) && d[i] == '-' {
 		i++
 	}
 	j := digits(d, i)
 	if j == i || d[i] == '0' && j > i+1 {
-		return nil, false
+		return -1, false
 	}
 	i, integer = j, true
 	if i < len(d) && d[i] == '.' {
 		if j = digits(d, i+1); j == i+1 {
-			return nil, false
+			return -1, false
 		}
 		i, integer = j, false
 	}
@@ -132,19 +145,15 @@ func (s *Scanner) number() (tok []byte, integer bool) {
 			j++
 		}
 		if i, integer = digits(d, j), false; i == j {
-			return nil, false
+			return -1, false
 		}
 	}
-	if i-s.Pos > 32 {
-		return nil, false
-	}
-	tok, s.Pos = d[s.Pos:i], i
-	return tok, integer
+	return i, integer
 }
 
 // digits returns the index of the first non-digit at or after i.
 func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+	for i < len(d) && d[i]-'0' < 10 {
 		i++
 	}
 	return i
@@ -243,6 +252,57 @@ func (s *Scanner) Instance() (*Instance, bool) {
 		}
 	}
 	return &in, true
+}
+
+// AppendFloat appends f as encoding/json prints a float64: shortest
+// round-trip digits, plain below 1e21 and from 1e-6, otherwise with an
+// exponent whose padding zero is trimmed (1e-07 is 1e-7). It is the
+// writers' one statement of that rule — sched, placement and serve
+// append their answers through it — and reports false, dst untouched,
+// for the NaN and infinities the encoder refuses.
+func AppendFloat(dst []byte, f float64) ([]byte, bool) {
+	abs := math.Abs(f)
+	if abs > math.MaxFloat64 || f != f {
+		return dst, false
+	}
+	if abs == 0 || 1e-6 <= abs && abs < 1e21 {
+		return strconv.AppendFloat(dst, f, 'f', -1, 64), true
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, true
+}
+
+// AppendString appends s quoted, for a string the encoder would copy
+// between the quotes byte for byte: ASCII from the space up without
+// '"', '\' or the '<', '>', '&' it escapes. false, dst untouched, for any other.
+func AppendString(dst []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return dst, false
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
+}
+
+// AppendInts appends a as the encoder prints a []int: null when nil.
+func AppendInts(dst []byte, a []int) []byte {
+	if a == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range a {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, ']')
 }
 
 // MarshalJSON implements json.Marshaler.

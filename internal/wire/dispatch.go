@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"time"
 
@@ -19,9 +20,10 @@ type Route struct {
 	// Path and ItemHeader shape the sub-request (Upstream.Post).
 	Path, ItemHeader string
 	// Sole: a 200 carries a one-item batch envelope to unwrap
-	// (SoleResult); a body that is not one is the upstream's fault, not
-	// the item's, and the item is tried elsewhere. Otherwise a 200's
-	// body is the item's response verbatim.
+	// (SoleResult); otherwise its body, less the writer's newline, is
+	// the item's response. Either way the response is checked on receipt
+	// (received), and a 200 that is not valid JSON, or not one result, is
+	// the upstream's fault, not the item's: the item is tried elsewhere.
 	Sole bool
 	// Pick chooses one of the candidates at now; nil when none is
 	// selectable. A non-empty shed refuses the item in those words, for
@@ -49,6 +51,8 @@ type Route struct {
 	Rerouted, Redispatches *obs.Counter
 	Inflight               *obs.Gauge
 }
+
+var newline = []byte("\n")
 
 // Hedger paces the duplicate of a slow attempt: replicate after a
 // delay, first answer wins, the loser is cancelled (Wang, Joshi and
@@ -114,8 +118,9 @@ func (r *Route) Dispatch(ctx context.Context, idx int, set []int, body []byte) R
 }
 
 // post sends one copy to u and settles u's breaker on the answer: a
-// 200 or the item's own error closes it, a fault counts against it, a
-// 429 and a cancelled copy say nothing — which is what keeps a hedge's
+// well-formed 200 or the item's own error closes it, a fault — a
+// malformed 200 among them — counts against it, a 429 and a cancelled
+// copy say nothing — which is what keeps a hedge's
 // cancelled loser from being recorded as a failure.
 func (r *Route) post(ctx context.Context, u *Upstream, idx int, body []byte) (Result, Reply) {
 	if r.Inflight != nil {
@@ -130,12 +135,14 @@ func (r *Route) post(ctx context.Context, u *Upstream, idx int, body []byte) (Re
 		if r.Hedge != nil {
 			r.Hedge.Observe(time.Since(start))
 		}
-		res = Result{Response: reply.Body}
+		var ok bool
 		if r.Sole {
-			var ok bool
-			if res, ok = SoleResult(reply.Body); !ok {
-				reply = Reply{Kind: ReplyUpstreamErr}
-			}
+			res, ok = SoleResult(reply.Body)
+		} else {
+			res, ok = received(bytes.TrimSuffix(reply.Body, newline))
+		}
+		if !ok {
+			reply = Reply{Kind: ReplyUpstreamErr}
 		}
 	}
 	switch reply.Kind {

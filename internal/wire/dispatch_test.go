@@ -184,7 +184,7 @@ type dispatchCase struct {
 	delays []time.Duration
 	// want is what the front-like policy leaves (sole envelope, first
 	// selectable or shed); least, when set, what the cluster-like one
-	// does instead (verbatim body, least in flight).
+	// does instead (the body itself, least in flight).
 	want  dispatchWant
 	least *dispatchWant
 }
@@ -201,11 +201,10 @@ var dispatchCases = []dispatchCase{
 	{name: "faults open the breaker and the item moves on", steps: [2][]string{{"fault"}},
 		want: dispatchWant{response: `{"up":1}`, hits: [2]int{2, 1}, dispatches: 3, rerouted: 1, redispatches: 2,
 			states: openClosed, fails: [2]int{2, 0}}},
+	// In both modes: a body that is not valid JSON is nobody's answer.
 	{name: "malformed 200", steps: [2][]string{{"garbage"}},
 		want: dispatchWant{response: `{"up":1}`, hits: [2]int{2, 1}, dispatches: 3, rerouted: 1, redispatches: 2,
-			states: openClosed, fails: [2]int{2, 0}},
-		// Verbatim means verbatim: the body is the item's to complain about.
-		least: &dispatchWant{response: `{"results":`, hits: [2]int{1, 0}, dispatches: 1, states: closed2}},
+			states: openClosed, fails: [2]int{2, 0}}},
 	{name: "cancelled mid-post is not a failure", steps: [2][]string{{"hang"}}, timeout: 40 * time.Millisecond,
 		want: dispatchWant{err: "cancelled: context deadline exceeded", hits: [2]int{1, 0}, dispatches: 1, states: closed2}},
 	{name: "busy first candidate", hold: true,
@@ -279,7 +278,7 @@ func runDispatchCase(t *testing.T, tc dispatchCase, least, hedged bool) {
 	if backoff == 0 {
 		backoff = time.Hour
 	}
-	pool := NewPool(urls, &http.Client{Transport: trip},
+	pool := NewPool(urls, trip,
 		UpstreamConfig{Threshold: 2, BaseBackoff: backoff, MaxBackoff: backoff},
 		&UpstreamNames{GaugePrefix: "wiretest.up", StateGauge: "state", Opens: new(obs.Counter)})
 	for i, n := range tc.prefail {

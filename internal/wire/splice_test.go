@@ -55,7 +55,7 @@ var encodeCases = map[string][]Result{
 	"nil batch":         nil,
 	"invalid response":  {{Index: 0, Response: json.RawMessage(`{"a":1`)}, {Index: 1, Response: json.RawMessage(`{}`)}},
 	"trailing value":    {{Index: 0, Response: json.RawMessage(`{} {}`)}},
-	"checked already":   {{Index: 0, Response: json.RawMessage(`{"a":1}`), compact: true}},
+	"checked already":   {{Index: 0, Response: json.RawMessage(`{"a":1}`), checked: true}},
 }
 
 // TestEncodeEqualsJSONEncoder: the spliced envelope is json.Encoder's
@@ -83,6 +83,108 @@ func FuzzEncodeResults(f *testing.F) {
 	f.Fuzz(func(t *testing.T, idx int, response []byte, msg string) {
 		checkEncode(t, []Result{{Index: idx, Response: response, Error: msg}, {Index: idx + 1, Response: response}})
 	})
+}
+
+// A real answer (schedd's, to an 8-task item) and the table of
+// spellings around the checker's every decision: TestCheckCompact's
+// cases and FuzzCheckCompact's seeds.
+const realAnswer = `{"algorithm":"LPT-NoRestriction","n":8,"m":4,"alpha":1.5,"makespan":9,"placement":{"m":4,"sets":[[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3],[0,1,2,3]]},"schedule":{"m":4,"machines":[1,3,0,3,2,3,2,1],"starts":[8,5,0,8,0,0,7,0],"ends":[9,8,9.25,9,7,5e-7,9,1e+21]},"optimum":{"lower":9,"upper":9,"exact":true,"method":"bounds"},"ratio_lower":1,"ratio_upper":1,"guarantee":1.75,"bound_ok":true}`
+
+var compactCases = map[string]bool{
+	realAnswer: true,
+	// One value of every kind, nested and empty containers.
+	`0`: true, `-0`: true, `7`: true, `-12.5`: true, `1e9`: true, `1E+9`: true, `1.5e-7`: true, `0.0`: true,
+	`true`: true, `false`: true, `null`: true, `""`: true, `"a b"`: true, `{}`: true, `[]`: true,
+	`[[]]`: true, `[{}]`: true, `{"a":{}}`: true, `{"a":[],"b":[[1],{"c":null}]}`: true, `[1,"x",true,null,{"k":[0]}]`: true,
+	"\"caf\u00c3\u00a9 \xc3\xa9 \xf0\x9f\x99\x82 \xff\"": true, `{"":0}`: true,
+	// Numbers outside the grammar.
+	`01`: false, `-`: false, `+1`: false, `1.`: false, `.5`: false, `1e`: false, `1e+`: false, `--1`: false, `0x10`: false, `1.e5`: false, `NaN`: false,
+	// Strings: control bytes, the bytes the encoder escapes, and any
+	// escape at all, valid ones too — stricter than the grammar.
+	`"\" \\ \/ \b\f\n\r\t \u00e9 \uD834\uDD1E"`: false, `"\n"`: false,
+	"\"a\tb\"": false, "\"a\nb\"": false, `"\x"`: false, `"\u12"`: false, `"\u12g4"`: false, `"open`: false, `"a\`: false,
+	`"<"`: false, `">"`: false, `"&"`: false, "\"\u2028\"": false, "\"a\u2192b\"": false,
+	// Whitespace anywhere is not compact.
+	` 1`: false, `1 `: false, "1\n": false, `[1, 2]`: false, `{"a": 1}`: false, `{"a" :1}`: false, `[ ]`: false, "{\t}": false, "[1,\r2]": false,
+	// Not exactly one value, or not closed the way it opened.
+	``: false, `1 2`: false, `{}{}`: false, `[1,]`: false, `[,1]`: false, `{"a":1,}`: false, `{"a"}`: false, `{"a":}`: false, `{a:1}`: false, `{1:1}`: false,
+	`[1}`: false, `{"a":1]`: false, `[`: false, `{`: false, `]`: false, `[1`: false, `{"a":1`: false, `[[1]`: false, `tru`: false, `nul`: false, `falsey`: false, `truetrue`: false,
+}
+
+// TestCheckCompact: the checker's answer on every case, the property
+// it is relied on for — what it accepts, json.Compact copies unchanged —
+// and the depth bound: 64 containers deep passes, 65 is refused, and a
+// megabyte of '[' costs one word of state.
+func TestCheckCompact(t *testing.T) {
+	for src, want := range compactCases {
+		if got := checkCompact([]byte(src)); got != want {
+			t.Errorf("checkCompact(%q) = %v, want %v", src, got, want)
+		}
+		var buf bytes.Buffer
+		if want && (json.Compact(&buf, []byte(src)) != nil || buf.String() != src) {
+			t.Errorf("%q is accepted, and json.Compact makes it %q", src, buf.String())
+		}
+	}
+	nest := func(d int) []byte {
+		return append(bytes.Repeat([]byte(`{"a":[`), d/2), append([]byte(`1`), bytes.Repeat([]byte(`]}`), d/2)...)...)
+	}
+	if !checkCompact(nest(maxDepth)) || checkCompact(nest(maxDepth+2)) {
+		t.Errorf("depth bound: %d deep %v, %d deep %v", maxDepth, checkCompact(nest(maxDepth)), maxDepth+2, checkCompact(nest(maxDepth+2)))
+	}
+	if checkCompact(bytes.Repeat([]byte("["), 1<<20)) {
+		t.Error("a megabyte of '[' accepted")
+	}
+}
+
+// FuzzCheckCompact holds the one direction correctness needs: an
+// accepted input is valid JSON that json.Compact copies unchanged and
+// that holds none of the bytes the encoder escapes — so the encoder,
+// given it as a RawMessage, writes exactly it.
+func FuzzCheckCompact(f *testing.F) {
+	for src := range compactCases {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if !checkCompact(src) {
+			return
+		}
+		var buf bytes.Buffer
+		if !json.Valid(src) || json.Compact(&buf, src) != nil || !bytes.Equal(buf.Bytes(), src) {
+			t.Fatalf("accepted %q, which json.Compact makes %q (valid: %v)", src, buf.Bytes(), json.Valid(src))
+		}
+		if enc := encoderBytes(json.RawMessage(src)); !bytes.Equal(enc, append(src, '\n')) {
+			t.Fatalf("accepted %q, which the encoder writes as %q", src, enc)
+		}
+	})
+}
+
+// TestReceived: an answer is taken one of three ways on receipt, and
+// counted: checked and aliased, valid and left for the writer, refused.
+func TestReceived(t *testing.T) {
+	for _, tc := range []struct {
+		val                  string
+		ok, checked          bool
+		dChecked, dRecompact int64
+	}{
+		{realAnswer, true, true, 1, 0},
+		{`{"a": 1}`, true, false, 0, 1},
+		{`{"a":"<"}`, true, false, 0, 1},
+		{`{"makespan": nope}`, false, false, 0, 0},
+		{``, false, false, 0, 0},
+	} {
+		c0, r0 := mChecked.Load(), mRecompacted.Load()
+		val := []byte(tc.val)
+		r, ok := received(val)
+		if ok != tc.ok || r.checked != tc.checked || mChecked.Load()-c0 != tc.dChecked || mRecompacted.Load()-r0 != tc.dRecompact {
+			t.Errorf("received(%q): ok %v, checked %v, counters +%d/+%d", tc.val, ok, r.checked, mChecked.Load()-c0, mRecompacted.Load()-r0)
+		}
+		if ok && &r.Response[0] != &val[0] {
+			t.Errorf("received(%q) copied the value", tc.val)
+		}
+		if ok {
+			checkEncode(t, []Result{r})
+		}
+	}
 }
 
 // TestSoleResult: the one-item answer is unwrapped to what

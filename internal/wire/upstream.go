@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -36,6 +37,10 @@ type UpstreamNames struct {
 	States [3]string
 	// Opens counts every transition into StateOpen.
 	Opens *obs.Counter
+	// Dials counts the connections the pool's own transport opens
+	// (NewPool): level once the tier is warm, rising where connections
+	// are not being reused.
+	Dials *obs.Counter
 }
 
 // UpstreamConfig bounds the breaker and paces the prober of every
@@ -269,16 +274,42 @@ func transportReply(ctx context.Context) Reply {
 type Pool struct {
 	Upstreams []*Upstream
 	cfg       UpstreamConfig
+	// transport is the pool's own, nil where the caller brought one.
+	transport *http.Transport
 
 	probeMu   sync.Mutex
 	probeStop context.CancelFunc
 	probeWG   sync.WaitGroup
 }
 
-// NewPool builds one Upstream per URL, ids in list order, all sharing
-// client.
-func NewPool(urls []string, client *http.Client, cfg UpstreamConfig, names *UpstreamNames) *Pool {
+// idleConnsPerHost is how many idle connections the pool's own
+// transport keeps per upstream: frontd's default ShardInflight and both
+// tiers' default MaxBatch, so a tier at its defaults keeps every
+// connection a burst opened and the next burst dials none.
+// http.DefaultTransport keeps 2, and a 16-item fan-out closed and
+// re-dialled the rest on every request. It caps what is kept, not what
+// is open, and IdleConnTimeout (DefaultTransport's 90 s) reaps what
+// goes unused.
+const idleConnsPerHost = 256
+
+// NewPool builds one Upstream per URL, ids in list order, all posting
+// through transport. nil selects the pool's own: a clone of
+// http.DefaultTransport — its proxy, dial and TLS settings — that keeps
+// idleConnsPerHost connections per upstream under no total, counts its
+// dials in names.Dials, and is closed by Close.
+func NewPool(urls []string, transport http.RoundTripper, cfg UpstreamConfig, names *UpstreamNames) *Pool {
 	p := &Pool{cfg: cfg}
+	if def, ok := http.DefaultTransport.(*http.Transport); ok && transport == nil {
+		p.transport = def.Clone()
+		p.transport.MaxIdleConns, p.transport.MaxIdleConnsPerHost = 0, idleConnsPerHost
+		dial := p.transport.DialContext
+		p.transport.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			names.Dials.Inc()
+			return dial(ctx, network, addr)
+		}
+		transport = p.transport
+	}
+	client := &http.Client{Transport: transport}
 	for id, url := range urls {
 		p.Upstreams = append(p.Upstreams, &Upstream{
 			ID: id, URL: url, client: client, cfg: cfg, names: names,
@@ -318,7 +349,8 @@ func (p *Pool) Start(ctx context.Context) {
 	}
 }
 
-// Close stops the probes started by Start and waits for them to exit.
+// Close stops the probes started by Start, waits for them to exit, and
+// closes the idle connections of the pool's own transport.
 func (p *Pool) Close() {
 	p.probeMu.Lock()
 	stop := p.probeStop
@@ -327,6 +359,9 @@ func (p *Pool) Close() {
 	if stop != nil {
 		stop()
 		p.probeWG.Wait()
+	}
+	if p.transport != nil {
+		p.transport.CloseIdleConnections()
 	}
 }
 

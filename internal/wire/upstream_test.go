@@ -20,11 +20,13 @@ var (
 		GaugePrefix: "cluster.backend", StateGauge: "breaker",
 		States: [3]string{"closed", "open", "half-open"},
 		Opens:  obs.GetCounter("cluster.breaker_opens"),
+		Dials:  obs.GetCounter("cluster.backend_dials"),
 	}
 	frontNames = UpstreamNames{
 		GaugePrefix: "front.shard", StateGauge: "dead",
 		States: [3]string{"live", "dead", "probing"},
 		Opens:  obs.GetCounter("front.shard_deaths"),
+		Dials:  obs.GetCounter("front.shard_dials"),
 	}
 )
 
@@ -165,7 +167,7 @@ func TestPostClassifies(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	u = NewPool([]string{ts.URL}, ts.Client(), UpstreamConfig{Threshold: 1}, &clusterNames).Upstreams[0]
+	u = NewPool([]string{ts.URL}, ts.Client().Transport, UpstreamConfig{Threshold: 1}, &clusterNames).Upstreams[0]
 
 	cases := []struct {
 		path string
@@ -226,7 +228,7 @@ func TestPoolProbesReadmit(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	pool := NewPool([]string{ts.URL}, ts.Client(), UpstreamConfig{
+	pool := NewPool([]string{ts.URL}, ts.Client().Transport, UpstreamConfig{
 		Threshold:     1,
 		BaseBackoff:   time.Hour, // only a probe can close it in time
 		MaxBackoff:    time.Hour,

@@ -8,13 +8,15 @@
 //   - the codec: strict pooled JSON decode, pooled response writers,
 //     the error envelope, the bad-request status classifier, and the
 //     per-item limit check (this file); the one-pass scanner of a work
-//     item that runs ahead of the strict decode (scan.go); the spliced
-//     batch and stream answers (splice.go);
+//     item that runs ahead of the strict decode (scan.go); the batch and
+//     stream answers, printed once by schedd, checked once on receipt
+//     by each tier above and copied at write (splice.go);
 //   - the ordered NDJSON stream pump behind every /v1/stream
 //     (stream.go);
 //   - Upstream and Pool: the in-flight count, consecutive-failure
 //     breaker, /healthz prober and POST-and-classify step a tier keeps
-//     per downstream daemon (upstream.go);
+//     per downstream daemon, over the pool's own connection-keeping
+//     transport (upstream.go);
 //   - Route: the pick → attempt → retry dispatch loop, hedging included,
 //     that frontd and clusterd run as two policies (dispatch.go);
 //   - Level, the bounded admission counter (admit.go);
