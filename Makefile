@@ -48,7 +48,7 @@ check:
 # Per-package statement-coverage floors, one loop for the Makefile and
 # CI alike: every package on the list must test at COVER_FLOOR% or
 # better.
-COVER_PKGS  := cluster front sim lint wire
+COVER_PKGS  := cluster front sim lint wire experiments
 COVER_FLOOR := 80.0
 
 cover-floors:
@@ -106,22 +106,21 @@ figs-check:
 	  $(GO) run ./cmd/paperfigs -exp all -out "$$tmp" >/dev/null && \
 	  diff -rq -x e5.txt out "$$tmp" && echo "out/ matches a fresh regeneration (e5.txt skipped)"
 
+# Every fuzz target, internal/<package>:<Target>, tests skipped, for
+# FUZZ_TIME each. The one list: CI's fuzz smoke is `make fuzz`, so a new
+# target is one word here.
+FUZZ_TIME    := 30s
+FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel \
+	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
+	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
+	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
+	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch
+
 fuzz:
-	$(GO) test -fuzz=FuzzTimeConv -fuzztime=30s ./internal/tick/
-	$(GO) test -fuzz=FuzzGroupPartition -fuzztime=30s ./internal/sim/
-	$(GO) test -fuzz=FuzzOpenWheel -fuzztime=30s ./internal/sim/
-	$(GO) test -fuzz=FuzzEstimateKernels -fuzztime=30s ./internal/opt/
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/workload/
-	$(GO) test -fuzz=FuzzInstanceJSON -fuzztime=30s ./internal/task/
-	$(GO) test -fuzz=FuzzScanItem -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzEncodeResults -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzCheckCompact -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeInstance -fuzztime=30s ./internal/serve/
-	$(GO) test -fuzz=FuzzAppendResponse -fuzztime=30s ./internal/serve/
-	$(GO) test -fuzz=FuzzExecute -fuzztime=30s ./internal/algo/
-	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/cluster/
-	$(GO) test -fuzz=FuzzRing -fuzztime=30s ./internal/front/
-	$(GO) test -fuzz=FuzzDecodeFrontBatch -fuzztime=30s ./internal/front/
+	@for t in $(FUZZ_TARGETS); do \
+	  echo "fuzz internal/$${t%%:*} $${t#*:} $(FUZZ_TIME)"; \
+	  $(GO) test -run '^$$' -fuzz=$${t#*:} -fuzztime=$(FUZZ_TIME) ./internal/$${t%%:*}/ || exit 1; \
+	done
 
 # The serving layer's concurrency tests under the race detector:
 # loopback traffic storm, saturation, graceful shutdown, and the shared

@@ -1,7 +1,7 @@
 // Command paperfigs regenerates the paper's tables and figures (plus
 // the empirical extension experiments). Reports go to stdout; with
 // -out DIR each experiment's report is also written to DIR/<id>.txt
-// and the figure data series to DIR/<id>.csv where applicable.
+// and the artifacts it attached (CSV series, SVG figures) beside it.
 //
 // Experiments render concurrently (bounded by -workers) into private
 // buffers and are printed in ID order, so stdout is byte-identical to
@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 func main() {
@@ -123,95 +122,26 @@ func run(exp, outDir string, opts experiments.Options) error {
 		}
 	}
 
-	// Render every requested experiment concurrently into its own
-	// buffer, then emit reports and artifacts in request order so the
-	// output is byte-identical to a sequential run.
-	type rendered struct {
-		report []byte
-		err    error
-	}
-	results := par.Map(len(list), opts.Workers, func(i int) rendered {
-		var buf strings.Builder
-		//lint:ignore obsnames experiment IDs are a fixed compile-time set, so one timer per experiment stays bounded
-		defer obs.GetTimer("experiment." + list[i].ID()).Start()()
-		err := list[i].Run(&buf, opts)
-		return rendered{report: []byte(buf.String()), err: err}
-	})
-
-	for i, e := range list {
-		fmt.Printf("==================================================================\n")
-		fmt.Printf("%s — %s\n", e.ID(), e.Title())
-		fmt.Printf("==================================================================\n")
-		if _, err := os.Stdout.Write(results[i].report); err != nil {
-			return err
-		}
-		if outDir != "" {
-			if err := os.WriteFile(filepath.Join(outDir, e.ID()+".txt"),
-				results[i].report, 0o644); err != nil {
+	// RunList renders concurrently and prints in request order; with
+	// -out each report and its artifacts are saved as they are printed.
+	var keep func(experiments.Rendered) error
+	if outDir != "" {
+		keep = func(r experiments.Rendered) error {
+			if err := os.WriteFile(filepath.Join(outDir, r.ID()+".txt"), r.Report, 0o644); err != nil {
 				return err
 			}
-		}
-		if results[i].err != nil {
-			return fmt.Errorf("%s: %w", e.ID(), results[i].err)
-		}
-		if outDir != "" {
-			if err := writeCSV(e.ID(), outDir, opts); err != nil {
-				return err
+			if r.Err != nil {
+				return nil // a failed run's artifacts are not worth keeping
 			}
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// writeCSV exports machine-readable series and SVG figures for the
-// experiments that have them.
-func writeCSV(id, outDir string, opts experiments.Options) error {
-	var gen func(io.Writer) error
-	switch id {
-	case "table1":
-		gen = experiments.Table1CSV
-	case "fig3":
-		gen = experiments.Fig3CSV
-	case "fig6":
-		gen = experiments.Fig6CSV
-	case "e1":
-		gen = func(w io.Writer) error { return experiments.E1CSV(w, opts) }
-	default:
-		return nil
-	}
-	if err := writeFile(filepath.Join(outDir, id+".csv"), gen); err != nil {
-		return err
-	}
-	switch id {
-	case "fig3":
-		for i, alpha := range experiments.Fig3Alphas() {
-			alpha := alpha
-			name := fmt.Sprintf("fig3%c.svg", 'a'+i)
-			if err := writeFile(filepath.Join(outDir, name), func(w io.Writer) error {
-				return experiments.Fig3SVG(w, alpha)
-			}); err != nil {
-				return err
+			for _, a := range r.Artifacts {
+				if err := writeFile(filepath.Join(outDir, a.Name), a.Write); err != nil {
+					return err
+				}
 			}
-		}
-	case "fig6":
-		for i, cfg := range experiments.Table2Configs() {
-			cfg := cfg
-			name := fmt.Sprintf("fig6%c.svg", 'a'+i)
-			if err := writeFile(filepath.Join(outDir, name), func(w io.Writer) error {
-				return experiments.Fig6SVG(w, cfg)
-			}); err != nil {
-				return err
-			}
-		}
-	case "e1":
-		if err := writeFile(filepath.Join(outDir, "e1.svg"), func(w io.Writer) error {
-			return experiments.E1SVG(w, opts)
-		}); err != nil {
-			return err
+			return nil
 		}
 	}
-	return nil
+	return experiments.RunList(os.Stdout, list, opts, keep)
 }
 
 func writeFile(path string, gen func(io.Writer) error) error {

@@ -47,6 +47,11 @@ type Algorithm interface {
 	// Order returns the phase-2 dispatch priority (task IDs, highest
 	// priority first), computed from estimates only.
 	Order(in *task.Instance) []int
+	// Guarantee returns the competitive ratio ρ the paper proves for
+	// the algorithm on m machines when every actual time stays within a
+	// factor α of its estimate: makespan ≤ ρ·C* (bounds.Holds is the
+	// check). ok is false where no bound is stated.
+	Guarantee(m int, alpha float64) (rho float64, ok bool)
 }
 
 // Result is the outcome of executing an algorithm on an instance.

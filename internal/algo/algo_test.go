@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bounds"
 	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -250,6 +251,44 @@ func TestNamesIncludeGroups(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Names() missing group algorithms")
+	}
+}
+
+// TestGuaranteeByName: a registry name resolves to the strategy, and
+// the strategy states its own bound.
+func TestGuaranteeByName(t *testing.T) {
+	m, alpha := 12, 1.5
+	cases := []struct {
+		name string
+		want float64
+		ok   bool
+	}{
+		{"lpt-nochoice", bounds.LPTNoChoice(m, alpha), true},
+		{"lpt-norestriction", bounds.LPTNoRestriction(m, alpha), true},
+		{"ls-norestriction", bounds.GrahamLS(m), true},
+		{"oracle-lpt", bounds.LPTOffline(m), true},
+		{"ls-group:3", bounds.LSGroup(m, 3, alpha), true},
+		{"lpt-group:4", bounds.LSGroup(m, 4, alpha), true},
+		{"ls-group-balanced:6", bounds.LSGroup(m, 6, alpha), true},
+		{"ls-group-balanced:5", 0, false}, // 5 does not divide 12
+		{"ls-group:99", 0, false},         // k > m
+		{"ls-nochoice", 0, false},
+		{"tail:2", 0, false},
+	}
+	for _, tc := range cases {
+		a, err := New(tc.name)
+		if err != nil {
+			t.Errorf("New(%q): %v", tc.name, err)
+			continue
+		}
+		got, ok := a.Guarantee(m, alpha)
+		if ok != tc.ok || (ok && math.Abs(got-tc.want) > 1e-12) {
+			t.Errorf("%q.Guarantee = %v,%v want %v,%v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+	// A name that resolves to no strategy has no bound to ask for.
+	if _, err := New("unknown"); err == nil {
+		t.Error(`New("unknown") accepted`)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bounds"
+	"repro/internal/opt"
 	"repro/internal/task"
 )
 
@@ -28,9 +30,12 @@ var fuzzAlgorithms = []string{
 
 // FuzzExecute drives every registry algorithm over decoded instances:
 // no input may panic any phase, every returned schedule must verify
-// against its placement, and every makespan must fall in the trivial
-// bracket [max_j p_j, Σ_j p_j]. Errors are only acceptable from group
-// algorithms whose group count does not fit the instance.
+// against its placement, every makespan must fall in the trivial
+// bracket [max_j p_j, Σ_j p_j], and — the instance passed
+// Validate(true), so its actual times stay within its own α — every
+// algorithm that states a guarantee must respect it against LPT's
+// upper bound on C*. Errors are only acceptable from group algorithms
+// whose group count does not fit the instance.
 func FuzzExecute(f *testing.F) {
 	f.Add([]byte(`{"m":2,"alpha":1.5,"estimates":[4,2,6,1]}`))
 	f.Add([]byte(`{"m":3,"alpha":2,"estimates":[5,5,5],"actuals":[10,2.5,7]}`))
@@ -56,6 +61,7 @@ func FuzzExecute(f *testing.F) {
 			return
 		}
 		lo, hi := in.MaxActual(), in.TotalActual()
+		upper, _ := opt.LPT(in.Actuals(), in.M)
 		for _, name := range fuzzAlgorithms {
 			a, err := New(name)
 			if err != nil {
@@ -82,6 +88,10 @@ func FuzzExecute(f *testing.F) {
 			}
 			if mk < lo-1e-9*math.Max(1, lo) || mk > hi+1e-9*math.Max(1, hi) {
 				t.Fatalf("%s makespan %v outside [%v, %v]\ninput: %s", name, mk, lo, hi, data)
+			}
+			if rho, ok := a.Guarantee(in.M, in.Alpha); ok && !bounds.Holds(mk, rho, upper) {
+				t.Fatalf("%s makespan %v breaks its guarantee %v against C* ≤ %v\ninput: %s",
+					name, mk, rho, upper, data)
 			}
 		}
 	})

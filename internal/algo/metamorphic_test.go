@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bounds"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -108,6 +110,41 @@ func TestClairvoyantInstanceMatchesClassicalBounds(t *testing.T) {
 		return res.Makespan <= lptBound*lower+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBoundHoldsAtRealisedAlpha is experiment e8's property. The
+// theorems quantify over any α that covers the actual times, so an
+// instance perturbed with a factor β past its declared α still obeys
+// every stated guarantee — evaluated at the realised
+// α̂ = max_j max(p_j/p̃_j, p̃_j/p_j) instead of the declared α. The
+// scheduler never reads α, so the declared value changes no decision.
+func TestBoundHoldsAtRealisedAlpha(t *testing.T) {
+	algos := []Algorithm{
+		LPTNoChoice(), LPTNoRestriction(), LSNoRestriction(),
+		LSGroup(2), LSGroup(3), LPTGroup(2), LSGroupBalanced(3), OracleLPT(),
+	}
+	f := func(seed uint64, betaRaw, pick uint8) bool {
+		in := workload.MustNew(workload.Spec{Name: "uniform", N: 36, M: 6, Alpha: 1.2, Seed: seed})
+		beta := in.Alpha + float64(betaRaw)/32 // declared 1.2, true up to 9.2
+		src := rng.New(seed ^ 5)
+		realised := 1.0
+		for j := range in.Tasks {
+			factor := src.BoundedFactor(beta)
+			in.Tasks[j].Actual = in.Tasks[j].Estimate * factor
+			realised = max(realised, factor, 1/factor)
+		}
+		a := algos[int(pick)%len(algos)]
+		res, err := Execute(in, a)
+		if err != nil {
+			return false
+		}
+		rho, ok := a.Guarantee(in.M, realised)
+		upper, _ := opt.LPT(in.Actuals(), in.M)
+		return ok && bounds.Holds(res.Makespan, rho, upper)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

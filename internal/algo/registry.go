@@ -6,13 +6,9 @@ import (
 	"strings"
 )
 
-// New resolves an algorithm by name. Recognized names (case
-// insensitive):
-//
-//	lpt-nochoice | ls-nochoice | lpt-norestriction | ls-norestriction |
-//	oracle-lpt | ls-group:<k> | lpt-group:<k>
-//
-// where <k> is the number of machine groups.
+// New resolves an algorithm by name, case insensitively. The grammar
+// is the pattern list Names returns: <k> ≥ 1 is the number of machine
+// groups, <c> ≥ 0 the number of tail tasks replicated everywhere.
 func New(name string) (Algorithm, error) {
 	lower := strings.ToLower(strings.TrimSpace(name))
 	switch lower {
@@ -53,7 +49,8 @@ func New(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("algo: unknown algorithm %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names lists the accepted algorithm name patterns.
+// Names lists the accepted algorithm name patterns: New's grammar,
+// stated here once.
 func Names() []string {
 	return []string{
 		"lpt-nochoice", "ls-nochoice", "lpt-norestriction",

@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 
+	"repro/internal/bounds"
 	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/task"
@@ -16,6 +17,11 @@ type lptNoChoice struct{}
 func LPTNoChoice() Algorithm { return lptNoChoice{} }
 
 func (lptNoChoice) Name() string { return "LPT-NoChoice" }
+
+// Guarantee is Theorem 2.
+func (lptNoChoice) Guarantee(m int, alpha float64) (float64, bool) {
+	return bounds.LPTNoChoice(m, alpha), true
+}
 
 func (lptNoChoice) Place(in *task.Instance) (*placement.Placement, error) {
 	return minLoadPlacement(in, lptOrder(in)), nil
@@ -44,6 +50,9 @@ func LSNoChoice() Algorithm { return lsNoChoice{} }
 
 func (lsNoChoice) Name() string { return "LS-NoChoice" }
 
+// Guarantee: the paper states no bound for unsorted pinning.
+func (lsNoChoice) Guarantee(int, float64) (float64, bool) { return 0, false }
+
 func (lsNoChoice) Place(in *task.Instance) (*placement.Placement, error) {
 	return minLoadPlacement(in, listOrder(in)), nil
 }
@@ -67,6 +76,11 @@ type lptNoRestriction struct{}
 func LPTNoRestriction() Algorithm { return lptNoRestriction{} }
 
 func (lptNoRestriction) Name() string { return "LPT-NoRestriction" }
+
+// Guarantee is min(Theorem 3, Graham's 2−1/m).
+func (lptNoRestriction) Guarantee(m int, alpha float64) (float64, bool) {
+	return bounds.LPTNoRestriction(m, alpha), true
+}
 
 func (lptNoRestriction) Place(in *task.Instance) (*placement.Placement, error) {
 	return placement.Everywhere(in.N(), in.M), nil
@@ -92,6 +106,11 @@ type lsNoRestriction struct{}
 func LSNoRestriction() Algorithm { return lsNoRestriction{} }
 
 func (lsNoRestriction) Name() string { return "LS-NoRestriction" }
+
+// Guarantee is Graham's List Scheduling bound 2−1/m, α-independent.
+func (lsNoRestriction) Guarantee(m int, _ float64) (float64, bool) {
+	return bounds.GrahamLS(m), true
+}
 
 func (lsNoRestriction) Place(in *task.Instance) (*placement.Placement, error) {
 	return placement.Everywhere(in.N(), in.M), nil
@@ -142,6 +161,17 @@ func (g group) Name() string {
 	default:
 		return fmt.Sprintf("LS-Group(k=%d)", g.k)
 	}
+}
+
+// Guarantee is Theorem 4 for 1 ≤ k ≤ m. The LPT variant shares it: the
+// proof is a List Scheduling argument that holds for any phase-2
+// priority order. The balanced variant has it only when k divides m
+// (the paper's simplification; unequal groups void the formula).
+func (g group) Guarantee(m int, alpha float64) (float64, bool) {
+	if g.k < 1 || g.k > m || (g.balanced && m%g.k != 0) {
+		return 0, false
+	}
+	return bounds.LSGroup(m, g.k, alpha), true
 }
 
 func (g group) Order(in *task.Instance) []int {
@@ -201,6 +231,12 @@ type oracleLPT struct{}
 func OracleLPT() Algorithm { return oracleLPT{} }
 
 func (oracleLPT) Name() string { return "Oracle-LPT" }
+
+// Guarantee is Graham's offline LPT bound 4/3−1/(3m), α-independent:
+// the oracle list-schedules the actual times.
+func (oracleLPT) Guarantee(m int, _ float64) (float64, bool) {
+	return bounds.LPTOffline(m), true
+}
 
 func (oracleLPT) Place(in *task.Instance) (*placement.Placement, error) {
 	p := placement.New(in.N(), in.M)

@@ -40,6 +40,9 @@ func (r replicateTail) Name() string {
 	return fmt.Sprintf("ReplicateTail(c=%d)", r.count)
 }
 
+// Guarantee: the future-work model comes with no proved bound.
+func (replicateTail) Guarantee(int, float64) (float64, bool) { return 0, false }
+
 func (r replicateTail) Place(in *task.Instance) (*placement.Placement, error) {
 	p := placement.New(in.N(), in.M)
 	if err := r.placeInto(in, p, lptOrder(in), nil); err != nil {

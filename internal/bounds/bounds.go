@@ -96,6 +96,16 @@ func ABOMemory(m int, delta, rho2 float64) float64 {
 	return (1 + float64(m)/delta) * rho2
 }
 
+// Holds reports whether a measured makespan respects a competitive
+// ratio rho against upper, any upper bound on the optimum C*: since
+// C* ≤ upper, makespan > rho·upper certifies a violation and nothing
+// less does. It is the one statement of that check and owns its
+// tolerance, which absorbs floating-point rounding on the boundary.
+// The memory objective of Theorems 6 and 8 is checked the same way.
+func Holds(makespan, rho, upper float64) bool {
+	return makespan <= rho*upper*(1+1e-9)
+}
+
 // Validate reports an error for parameters outside the model's
 // domain. Helper for CLI surfaces.
 func Validate(m, k int, alpha float64) error {

@@ -121,21 +121,24 @@ func (c Config) algorithm() (algo.Algorithm, error) {
 }
 
 // Guarantee returns the paper's competitive-ratio guarantee for the
-// configured strategy on an (m, α) system, or NaN when no finite
-// guarantee is stated (Oracle).
+// configured strategy on an (m, α) system — the strategy's own
+// algo.Algorithm.Guarantee — or NaN when none is stated or the
+// configuration resolves to no algorithm.
 func (c Config) Guarantee(m int, alpha float64) float64 {
-	switch c.Strategy {
-	case NoReplication:
-		return bounds.LPTNoChoice(m, alpha)
-	case ReplicateEverywhere:
-		return bounds.LPTNoRestriction(m, alpha)
-	case Groups:
-		return bounds.LSGroup(m, c.Groups, alpha)
-	case BaselineLS:
-		return bounds.GrahamLS(m)
-	default:
+	a, err := c.algorithm()
+	if err != nil {
 		return math.NaN()
 	}
+	return guarantee(a, m, alpha)
+}
+
+// guarantee is a's stated bound in Outcome.Guarantee's NaN-when-unstated
+// form.
+func guarantee(a algo.Algorithm, m int, alpha float64) float64 {
+	if rho, ok := a.Guarantee(m, alpha); ok {
+		return rho
+	}
+	return math.NaN()
 }
 
 // Plan is a phase-1 decision bound to the algorithm that made it.
@@ -165,8 +168,8 @@ type Outcome struct {
 	// ratio Makespan/C*: RatioLower uses the optimum's upper bound,
 	// RatioUpper its lower bound.
 	RatioLower, RatioUpper float64
-	// Guarantee is the analytic bound for the configuration (NaN for
-	// Oracle).
+	// Guarantee is the analytic bound for the configuration (NaN when
+	// none is stated).
 	Guarantee float64
 	// ReplicasPerTask is the maximum |M_j| of the placement.
 	ReplicasPerTask int
@@ -235,7 +238,7 @@ func (r *Runner) Run(in *task.Instance, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.score(in, cfg, res)
+	return r.score(in, a, cfg.ExactLimit, res)
 }
 
 // Execute runs phase 2 of a previously planned placement, reusing the
@@ -245,20 +248,20 @@ func (r *Runner) Execute(pl *Plan, in *task.Instance) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.score(in, pl.cfg, res)
+	return r.score(in, pl.algo, pl.cfg.ExactLimit, res)
 }
 
 // score mirrors the package-level score with recycled buffers.
-func (r *Runner) score(in *task.Instance, cfg Config, res *algo.Result) (*Outcome, error) {
+func (r *Runner) score(in *task.Instance, a algo.Algorithm, exactLimit int, res *algo.Result) (*Outcome, error) {
 	r.actuals = in.AppendActuals(r.actuals[:0])
-	optimum := opt.Estimate(r.actuals, in.M, cfg.ExactLimit)
+	optimum := opt.Estimate(r.actuals, in.M, exactLimit)
 	r.out = Outcome{
 		Algorithm:       res.Algorithm,
 		Placement:       res.Placement,
 		Schedule:        res.Schedule,
 		Makespan:        res.Makespan,
 		Optimum:         optimum,
-		Guarantee:       cfg.Guarantee(in.M, in.Alpha),
+		Guarantee:       guarantee(a, in.M, in.Alpha),
 		ReplicasPerTask: res.Placement.MaxReplication(),
 	}
 	if optimum.Upper > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/adversary"
+	"repro/internal/bounds"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -73,8 +74,12 @@ func TestGuaranteeValues(t *testing.T) {
 	if g := (Config{Strategy: NoReplication}).Guarantee(m, alpha); g <= 1 {
 		t.Errorf("NoReplication guarantee = %v", g)
 	}
-	if g := (Config{Strategy: Oracle}).Guarantee(m, alpha); !math.IsNaN(g) {
-		t.Errorf("Oracle guarantee = %v, want NaN", g)
+	// The oracle list-schedules the actual times: Graham's offline LPT.
+	if g := (Config{Strategy: Oracle}).Guarantee(m, alpha); g != bounds.LPTOffline(m) {
+		t.Errorf("Oracle guarantee = %v, want %v", g, bounds.LPTOffline(m))
+	}
+	if g := (Config{Strategy: Groups}).Guarantee(m, alpha); !math.IsNaN(g) {
+		t.Errorf("guarantee of an unresolvable config = %v, want NaN", g)
 	}
 	// Groups guarantee must interpolate between the two extremes.
 	full := (Config{Strategy: ReplicateEverywhere}).Guarantee(m, alpha)

@@ -3,121 +3,57 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/bounds"
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-func init() { register(e1{}) }
+func init() {
+	register("e1", "E1: empirical competitive ratio vs replication degree", runE1)
+}
 
-// e1 measures what Figure 3 proves: the empirical competitive ratio
+// runE1 measures what Figure 3 proves: the empirical competitive ratio
 // of LS-Group as the replication degree m/k sweeps from 1 (no
 // replication) to m (everywhere), under both random and adversarial
 // perturbations. The guarantee curve's *shape* — monotone improvement
 // with replication, most of the gain from the first few replicas —
-// must show up in the measurements.
-type e1 struct{}
-
-func (e1) ID() string { return "e1" }
-
-func (e1) Title() string {
-	return "E1: empirical competitive ratio vs replication degree"
-}
-
-// e1Params are the experiment's dimensions.
-type e1Params struct {
-	m, n, trials int
-	alpha        float64
-}
-
-func e1ParamsFor(opts Options) e1Params {
+// must show up in the measurements. The measured and analytic series
+// (X = replicas per task, Y = mean ratio) also go out as e1.csv and
+// e1.svg.
+func runE1(w *Sink, opts Options) error {
 	// Full mode uses the paper's machine count (Figure 3: m=210).
-	p := e1Params{m: 210, n: 2100, trials: 8, alpha: 2}
+	m, n, nTrials, alpha := 210, 2100, 8, 2.0
 	if opts.Quick {
-		p.m, p.n, p.trials = 12, 120, 3
+		m, n, nTrials = 12, 120, 3
 	}
-	return p
-}
-
-// e1Cache memoizes e1Series per Options: the report, CSV and SVG
-// exporters all need the same (deterministic, seconds-long) sweep.
-var e1Cache = struct {
-	sync.Mutex
-	entries map[Options][]bounds.Series
-}{entries: map[Options][]bounds.Series{}}
-
-// e1Series computes the measured and analytic series: X = replicas
-// per task, Y = mean ratio (uniform), mean ratio (adversary), and the
-// Theorem 4 guarantee. Trials fan out across cores with pre-drawn
-// seeds, so results are bit-identical to a sequential run.
-func e1Series(opts Options) (e1Params, []bounds.Series, error) {
-	prm := e1ParamsFor(opts)
-	e1Cache.Lock()
-	cached, ok := e1Cache.entries[opts]
-	e1Cache.Unlock()
-	if ok {
-		return prm, cached, nil
-	}
-	prm, series, err := e1SeriesUncached(opts)
-	if err == nil {
-		e1Cache.Lock()
-		e1Cache.entries[opts] = series
-		e1Cache.Unlock()
-	}
-	return prm, series, err
-}
-
-func e1SeriesUncached(opts Options) (e1Params, []bounds.Series, error) {
-	prm := e1ParamsFor(opts)
-	m, n, trials, alpha := prm.m, prm.n, prm.trials, prm.alpha
-	src := rng.New(opts.Seed + 101)
-
 	ks := bounds.Divisors(m)
 
-	type trialSeeds struct {
-		base    uint64
-		perturb []uint64
-	}
-	seeds := make([]trialSeeds, trials)
-	for t := range seeds {
-		seeds[t].base = src.Uint64()
-		seeds[t].perturb = make([]uint64, len(ks))
-		for ki := range ks {
-			seeds[t].perturb[ki] = src.Uint64()
-		}
-	}
-	type trialResult struct {
-		uniform, advers []float64 // indexed by ks position
-		err             error
-	}
-	results := par.Map(trials, opts.Workers, func(trial int) trialResult {
-		res := trialResult{
-			uniform: make([]float64, len(ks)),
-			advers:  make([]float64, len(ks)),
-		}
+	type ratios struct{ uniform, advers []float64 } // indexed as ks
+	// Seeds per trial: the workload, then one perturbation per k.
+	outs, err := trials(rng.New(opts.Seed+101), nTrials, 1+len(ks), opts, func(t trial) (ratios, error) {
+		res := ratios{uniform: make([]float64, len(ks)), advers: make([]float64, len(ks))}
 		runner := getRunner()
 		defer putRunner(runner)
 		base := workload.MustNew(workload.Spec{
-			Name: "iterative", N: n, M: m, Alpha: alpha, Seed: seeds[trial].base,
+			Name: "iterative", N: n, M: m, Alpha: alpha, Seed: t.seeds[0],
 		})
 		for ki, k := range ks {
 			cfg := core.Config{Strategy: core.Groups, Groups: k}
 
 			// Random symmetric perturbation.
 			inU := base.Clone()
-			uncertainty.Uniform{}.Perturb(inU, nil, rng.New(seeds[trial].perturb[ki]))
+			uncertainty.Uniform{}.Perturb(inU, nil, rng.New(t.seeds[1+ki]))
 			outU, err := runner.Run(inU, cfg)
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
+			}
+			if err := t.scored(outU); err != nil {
+				return res, err
 			}
 			res.uniform[ki] = outU.RatioUpper
 
@@ -125,64 +61,63 @@ func e1SeriesUncached(opts Options) (e1Params, []bounds.Series, error) {
 			inA := base.Clone()
 			plan, err := core.NewPlan(inA, cfg)
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
 			}
 			if err := adversary.ApplyToGroups(inA, plan.Placement); err != nil {
-				res.err = err
-				return res
+				return res, err
 			}
 			outA, err := runner.Execute(plan, inA)
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
+			}
+			if err := t.scored(outA); err != nil {
+				return res, err
 			}
 			res.advers[ki] = outA.RatioUpper
 		}
-		return res
+		return res, nil
 	})
-
-	perK := make([][2][]float64, len(ks))
-	for _, res := range results {
-		if res.err != nil {
-			return prm, nil, res.err
-		}
-		for ki := range ks {
-			perK[ki][0] = append(perK[ki][0], res.uniform[ki])
-			perK[ki][1] = append(perK[ki][1], res.advers[ki])
-		}
-	}
-
-	uniformSeries := bounds.Series{Name: "measured-uniform"}
-	advSeries := bounds.Series{Name: "measured-adversary"}
-	boundSeries := bounds.Series{Name: "guarantee"}
-	for i := len(ks) - 1; i >= 0; i-- { // ascending replicas
-		k := ks[i]
-		r := float64(m / k)
-		u := stats.Summarize(perK[i][0]).Mean
-		a := stats.Summarize(perK[i][1]).Mean
-		g := bounds.LSGroup(m, k, alpha)
-		uniformSeries.Points = append(uniformSeries.Points, bounds.Point{X: r, Y: u})
-		advSeries.Points = append(advSeries.Points, bounds.Point{X: r, Y: a})
-		boundSeries.Points = append(boundSeries.Points, bounds.Point{X: r, Y: g})
-	}
-	return prm, []bounds.Series{uniformSeries, advSeries, boundSeries}, nil
-}
-
-func (e1) Run(w io.Writer, opts Options) error {
-	prm, series, err := e1Series(opts)
 	if err != nil {
 		return err
 	}
+
+	series := []bounds.Series{{Name: "measured-uniform"}, {Name: "measured-adversary"}, {Name: "guarantee"}}
+	for i := len(ks) - 1; i >= 0; i-- { // ascending replicas
+		r := float64(m / ks[i])
+		for si, y := range []float64{
+			column(outs, func(o ratios) float64 { return o.uniform[i] }).Mean,
+			column(outs, func(o ratios) float64 { return o.advers[i] }).Mean,
+			bounds.LSGroup(m, ks[i], alpha),
+		} {
+			series[si].Points = append(series[si].Points, bounds.Point{X: r, Y: y})
+		}
+	}
+	w.attach("e1.csv", func(w io.Writer) error {
+		tb := report.NewTable("series", "replicas", "ratio")
+		for _, s := range series {
+			for _, pt := range s.Points {
+				tb.AddRow(s.Name, pt.X, pt.Y)
+			}
+		}
+		return tb.WriteCSV(w)
+	})
+	w.attach("e1.svg", func(w io.Writer) error {
+		return report.WriteSVGPlot(w, series, report.SVGPlotOptions{
+			Title:  fmt.Sprintf("E1: measured ratio vs replication (m=%d, alpha=%g)", m, alpha),
+			XLabel: "replicas per task (m/k)",
+			YLabel: "C_max / C*_lb",
+			LogX:   true,
+		})
+	})
+
 	tb := report.NewTable("replicas (m/k)", "k", "ratio (uniform)", "ratio (adversary)",
 		"guarantee (Th.4)")
-	uniform, advers, guar := series[0], series[1], series[2]
-	for i := range uniform.Points {
-		r := int(uniform.Points[i].X)
-		tb.AddRow(r, prm.m/r, uniform.Points[i].Y, advers.Points[i].Y, guar.Points[i].Y)
+	for i, pt := range series[0].Points {
+		r := int(pt.X)
+		tb.AddRow(r, m/r, pt.Y, series[1].Points[i].Y, series[2].Points[i].Y)
 	}
 	fmt.Fprintf(w, "m=%d, n=%d, α=%g, %d trials; ratios are C_max over the best C* lower bound\n",
-		prm.m, prm.n, prm.alpha, prm.trials)
+		m, n, alpha, nTrials)
 	fmt.Fprintln(w, "(pessimistic: the true competitive ratio is at most the printed value).")
 	if err := tb.Render(w); err != nil {
 		return err
@@ -200,34 +135,4 @@ func (e1) Run(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "Expected shape: adversary ratios fall sharply with the first few")
 	fmt.Fprintln(w, "replicas and stay below the Theorem 4 guarantee everywhere.")
 	return nil
-}
-
-// E1CSV exports the measured and analytic series in long form.
-func E1CSV(w io.Writer, opts Options) error {
-	_, series, err := e1Series(opts)
-	if err != nil {
-		return err
-	}
-	tb := report.NewTable("series", "replicas", "ratio")
-	for _, s := range series {
-		for _, pt := range s.Points {
-			tb.AddRow(s.Name, pt.X, pt.Y)
-		}
-	}
-	return tb.WriteCSV(w)
-}
-
-// E1SVG renders the measured-vs-guarantee figure as SVG.
-func E1SVG(w io.Writer, opts Options) error {
-	prm, series, err := e1Series(opts)
-	if err != nil {
-		return err
-	}
-	return report.WriteSVGPlot(w, series, report.SVGPlotOptions{
-		Title: fmt.Sprintf("E1: measured ratio vs replication (m=%d, alpha=%g)",
-			prm.m, prm.alpha),
-		XLabel: "replicas per task (m/k)",
-		YLabel: "C_max / C*_lb",
-		LogX:   true,
-	})
 }

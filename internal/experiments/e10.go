@@ -3,10 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/algo"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -15,27 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register(e10{}) }
+func init() {
+	register("e10", "E10: fail-stop crashes — survivability and makespan vs replication", runE10)
+}
 
-// e10 exercises the Hadoop motivation: replicas exist for fault
+// runE10 exercises the Hadoop motivation: replicas exist for fault
 // tolerance, and the same replicas buy scheduling freedom. A machine
 // fail-stops mid-run (losing its in-flight task); we measure the
 // makespan inflation per replication level and how often the workload
 // is unsurvivable (some task's only replica died).
-type e10 struct{}
-
-func (e10) ID() string { return "e10" }
-
-func (e10) Title() string {
-	return "E10: fail-stop crashes — survivability and makespan vs replication"
-}
-
-func (e10) Run(w io.Writer, opts Options) error {
-	trials, n, m := 20, 120, 8
+func runE10(w *Sink, opts Options) error {
+	nTrials, n, m := 20, 120, 8
 	if opts.Quick {
-		trials, n, m = 4, 48, 4
+		nTrials, n, m = 4, 48, 4
 	}
-	src := rng.New(opts.Seed + 1010)
 
 	variants := []struct {
 		label string
@@ -47,99 +38,77 @@ func (e10) Run(w io.Writer, opts Options) error {
 		{"everywhere", algo.LPTNoRestriction()},
 	}
 
-	type agg struct {
-		healthy  []float64
-		degraded []float64
-		lost     int
-	}
-	cells := make([]agg, len(variants))
-
-	// Pre-draw every trial's randomness in the sequential order
-	// (workload seed, perturb seed, crash machine) before fanning out.
-	type trialSeeds struct {
-		base, perturb uint64
-		failMachine   int
-	}
-	seeds := make([]trialSeeds, trials)
-	for t := range seeds {
-		seeds[t].base = src.Uint64()
-		seeds[t].perturb = src.Uint64()
-		seeds[t].failMachine = src.Intn(m)
-	}
-	type variantOut struct {
+	type cell struct {
 		healthy  float64
 		slowdown float64
 		lost     bool
 	}
-	type trialOut struct {
-		variants []variantOut
-		err      error
-	}
-	outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
-		res := trialOut{variants: make([]variantOut, len(variants))}
+	// Seeds per trial: workload, perturbation, the machine that crashes.
+	// A trial yields one cell per variant.
+	outs, err := trials(rng.New(opts.Seed+1010), nTrials, 3, opts, func(t trial) ([]cell, error) {
 		in := workload.MustNew(workload.Spec{
-			Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: seeds[trial].base,
+			Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: t.seeds[0],
 		})
-		uncertainty.Uniform{}.Perturb(in, nil, rng.New(seeds[trial].perturb))
-		failMachine := seeds[trial].failMachine
+		uncertainty.Uniform{}.Perturb(in, nil, rng.New(t.seeds[1]))
+		failMachine := int(t.seeds[2] % uint64(m)) // rng.Source.Intn(m) of that draw
+		_, ub := bracket(in)
 
+		res := make([]cell, len(variants))
 		for vi, v := range variants {
 			p, err := v.algo.Place(in)
 			if err != nil {
-				res.err = err
-				return res
+				return nil, err
 			}
 			order := v.algo.Order(in)
 
 			healthy, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
 			if err != nil {
-				res.err = err
-				return res
+				return nil, err
 			}
 			healthyMakespan := healthy.Schedule.Makespan()
-			res.variants[vi].healthy = healthyMakespan
+			if err := t.bounded(v.algo, in, in.Alpha, healthyMakespan, ub); err != nil {
+				return nil, err
+			}
+			res[vi].healthy = healthyMakespan
 
-			// Crash mid-run: halfway through the healthy makespan.
+			// Crash mid-run: halfway through the healthy makespan. The
+			// theorems assume no failures, so this run is not checked.
 			crashed, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{
 				Failures: []sim.Failure{{Machine: failMachine, Time: healthyMakespan / 2}},
 			}, 1)
 			switch {
 			case errors.Is(err, sim.ErrUnsurvivable):
-				res.variants[vi].lost = true
+				res[vi].lost = true
 			case err != nil:
-				res.err = err
-				return res
+				return nil, err
 			default:
-				res.variants[vi].slowdown = crashed.Schedule.Makespan() / healthyMakespan
+				res[vi].slowdown = crashed.Schedule.Makespan() / healthyMakespan
 			}
 		}
-		return res
+		return res, nil
 	})
-	for _, res := range outs {
-		if res.err != nil {
-			return res.err
-		}
-		for vi := range variants {
-			v := res.variants[vi]
-			cells[vi].healthy = append(cells[vi].healthy, v.healthy)
-			if v.lost {
-				cells[vi].lost++
-			} else {
-				cells[vi].degraded = append(cells[vi].degraded, v.slowdown)
-			}
-		}
+	if err != nil {
+		return err
 	}
 
 	tb := report.NewTable("placement", "healthy makespan",
 		"crash slowdown (mean)", "crash slowdown (p90)", "unsurvivable")
 	for vi, v := range variants {
-		h := stats.Summarize(cells[vi].healthy)
-		d := stats.Summarize(cells[vi].degraded)
-		tb.AddRow(v.label, h.Mean, d.Mean, d.P90,
-			fmt.Sprintf("%d/%d", cells[vi].lost, trials))
+		var degraded []float64
+		lost := 0
+		for _, o := range outs {
+			if o[vi].lost {
+				lost++
+			} else {
+				degraded = append(degraded, o[vi].slowdown)
+			}
+		}
+		h := column(outs, func(o []cell) float64 { return o[vi].healthy })
+		d := stats.Summarize(degraded)
+		tb.AddRow(v.label, h.Mean, d.Mean, d.P90, fmt.Sprintf("%d/%d", lost, nTrials))
 	}
 	fmt.Fprintf(w, "m=%d, n=%d, α=1.5; one machine fail-stops halfway through the run;\n", m, n)
-	fmt.Fprintf(w, "%d trials. Slowdown = crashed makespan / healthy makespan.\n", trials)
+	fmt.Fprintf(w, "%d trials. Slowdown = crashed makespan / healthy makespan.\n", nTrials)
 	if err := tb.Render(w); err != nil {
 		return err
 	}

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/algo"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -15,27 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register(e11{}) }
-
-// e11 is the open-system streaming experiment: tasks arrive over time
-// (Poisson and bursty MMPP processes), machines race replicas under
-// the two cancellation policies, and the metric is the response-time
-// distribution instead of makespan. It puts the paper's phase-1
-// placements into the setting of Wang/Joshi/Wornell (arXiv:1404.1328)
-// and Sun/Koksal/Shroff (arXiv:1603.07322), whose predictions it
-// checks: racing replicas with cancel-on-completion cut the tail when
-// service times have machine-dependent stragglers and load is
-// moderate, while cancel-on-start buys placement flexibility at zero
-// waste; under bursty traffic the tail gap widens.
-//
-// (The ISSUE files this as "E10", but the e10 registry slot was taken
-// by the fail-stop crash experiment, so it ships as e11.)
-type e11 struct{}
-
-func (e11) ID() string { return "e11" }
-
-func (e11) Title() string {
-	return "E11: open-system streaming — response times vs placement and cancellation policy"
+func init() {
+	register("e11", "E11: open-system streaming — response times vs placement and cancellation policy", runE11)
 }
 
 // e11Variant is one (placement, cancellation policy) cell.
@@ -74,16 +53,30 @@ func e11Straggler(in *task.Instance, seed uint64, prob, slowFactor float64) func
 	}
 }
 
-func (e11) Run(w io.Writer, opts Options) error {
-	// Sized for the flat open engine (sim.FlatOpenRunner): 10× the
-	// tasks and twice the machines of the event-engine original, with a
-	// finer load grid — the sweep the engine's ~100× throughput win
-	// bought (see DESIGN.md's open-flat-core section and BENCH_10.json).
-	trials, n, m := 12, 2_400, 16
+// runE11 is the open-system streaming experiment: tasks arrive over
+// time (Poisson and bursty MMPP processes), machines race replicas
+// under the two cancellation policies, and the metric is the
+// response-time distribution instead of makespan. It puts the paper's
+// phase-1 placements into the setting of Wang/Joshi/Wornell
+// (arXiv:1404.1328) and Sun/Koksal/Shroff (arXiv:1603.07322), whose
+// predictions it checks: racing replicas with cancel-on-completion cut
+// the tail when service times have machine-dependent stragglers and
+// load is moderate, while cancel-on-start buys placement flexibility at
+// zero waste; under bursty traffic the tail gap widens. The paper's
+// theorems bound a closed batch's makespan, not response times, so no
+// run here is bound-checked.
+//
+// (The ISSUE files this as "E10", but the e10 registry slot was taken
+// by the fail-stop crash experiment, so it ships as e11.)
+func runE11(w *Sink, opts Options) error {
+	// Sized for what sim.FlatOpenRunner replays in seconds: thousands of
+	// tasks per trial over a load grid fine enough to show where racing
+	// stops paying (DESIGN.md, "Open-system flat engine").
+	nTrials, n, m := 12, 2_400, 16
 	ploads := []float64{0.15, 0.3, 0.5, 0.7}
 	mloads := []float64{0.15, 0.5}
 	if opts.Quick {
-		trials, n, m = 3, 240, 8
+		nTrials, n, m = 3, 240, 8
 		ploads = []float64{0.15, 0.5}
 		mloads = []float64{0.15}
 	}
@@ -92,7 +85,6 @@ func (e11) Run(w io.Writer, opts Options) error {
 		stragglerP = 0.2
 		stragglerX = 4.0
 	)
-	src := rng.New(opts.Seed + 1111)
 
 	type scenario struct {
 		label   string
@@ -108,67 +100,48 @@ func (e11) Run(w io.Writer, opts Options) error {
 	}
 	variants := e11Variants(m)
 
-	// Pre-draw every trial's randomness in sequential order before
-	// fanning out, so reports are byte-identical at any worker count.
-	type trialSeeds struct {
-		base, perturb, arrival, straggler uint64
-	}
-	seeds := make([]trialSeeds, trials)
-	for t := range seeds {
-		seeds[t] = trialSeeds{
-			base:      src.Uint64(),
-			perturb:   src.Uint64(),
-			arrival:   src.Uint64(),
-			straggler: src.Uint64(),
-		}
-	}
-
-	type cellOut struct {
+	type cell struct {
 		responses []float64
 		wasted    float64
 		busy      float64
 		cancelled int
 	}
-	type trialOut struct {
-		cells [][]cellOut // [scenario][variant]
-		err   error
-	}
-	outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
+	// Seeds per trial: workload, perturbation, arrivals, stragglers. A
+	// trial yields one cell per (scenario, variant).
+	outs, err := trials(rng.New(opts.Seed+1111), nTrials, 4, opts, func(t trial) ([][]cell, error) {
 		// One flat runner per trial goroutine: every (scenario, variant)
 		// run reuses its pooled buffers, and the trial fan-out already
 		// saturates the cores, so the inner engine runs sequentially.
 		var runner sim.FlatOpenRunner
-		res := trialOut{cells: make([][]cellOut, len(scenarios))}
+		res := make([][]cell, len(scenarios))
 		in := workload.MustNew(workload.Spec{
-			Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: seeds[trial].base,
+			Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: t.seeds[0],
 		})
-		uncertainty.Uniform{}.Perturb(in, nil, rng.New(seeds[trial].perturb))
+		uncertainty.Uniform{}.Perturb(in, nil, rng.New(t.seeds[1]))
 		meanActual := 0.0
 		for _, tk := range in.Tasks {
 			meanActual += tk.Actual
 		}
 		meanActual /= float64(n)
-		dur := e11Straggler(in, seeds[trial].straggler, stragglerP, stragglerX)
+		dur := e11Straggler(in, t.seeds[3], stragglerP, stragglerX)
 
 		for si, sc := range scenarios {
-			res.cells[si] = make([]cellOut, len(variants))
+			res[si] = make([]cell, len(variants))
 			// Rate λ = load · m / E[p]: the fraction of raw service
 			// capacity the arrival stream demands (stragglers and racing
 			// push the effective utilization higher).
 			arrive, err := workload.Arrivals(n, workload.ArrivalSpec{
 				Process: sc.process,
 				Rate:    sc.load * float64(m) / meanActual,
-				Seed:    seeds[trial].arrival,
+				Seed:    t.seeds[2],
 			})
 			if err != nil {
-				res.err = err
-				return res
+				return nil, err
 			}
 			for vi, v := range variants {
 				p, err := v.algo.Place(in)
 				if err != nil {
-					res.err = err
-					return res
+					return nil, err
 				}
 				out, err := runner.RunSharded(in, p, v.algo.Order(in), arrive, sim.OpenOptions{
 					Policy:     v.policy,
@@ -176,23 +149,25 @@ func (e11) Run(w io.Writer, opts Options) error {
 					Duration:   dur,
 				}, 1)
 				if err != nil {
-					res.err = err
-					return res
+					return nil, err
 				}
-				cell := &res.cells[si][vi]
-				cell.responses = append([]float64(nil), out.Responses...)
-				cell.wasted = out.WastedTime
-				cell.cancelled = out.CancelledReplicas
+				c := &res[si][vi]
+				c.responses = append([]float64(nil), out.Responses...)
+				c.wasted = out.WastedTime
+				c.cancelled = out.CancelledReplicas
 				for _, a := range out.Schedule.Assignments {
-					cell.busy += a.End - a.Start
+					c.busy += a.End - a.Start
 				}
-				cell.busy += out.WastedTime
+				c.busy += out.WastedTime
 			}
 		}
-		return res
+		return res, nil
 	})
+	if err != nil {
+		return err
+	}
 
-	fmt.Fprintf(w, "m=%d, n=%d per trial, α=1.5, %d trials; uniform workload with a\n", m, n, trials)
+	fmt.Fprintf(w, "m=%d, n=%d per trial, α=1.5, %d trials; uniform workload with a\n", m, n, nTrials)
 	fmt.Fprintf(w, "deterministic straggler model (%.0f%% of (task,machine) pairs run %.0fx\n",
 		stragglerP*100, stragglerX)
 	fmt.Fprintf(w, "slower); cancellation cost %.2g. Response time = completion − arrival.\n\n", cancelCost)
@@ -203,11 +178,8 @@ func (e11) Run(w io.Writer, opts Options) error {
 		busy := make([]float64, len(variants))
 		cancelled := make([]int, len(variants))
 		for _, res := range outs {
-			if res.err != nil {
-				return res.err
-			}
 			for vi := range variants {
-				c := res.cells[si][vi]
+				c := res[si][vi]
 				pooled[vi] = append(pooled[vi], c.responses...)
 				wasted[vi] += c.wasted
 				busy[vi] += c.busy

@@ -2,35 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-func init() { register(e2{}) }
+func init() { register("e2", "E2: guarantee validation against exact optima", runE2) }
 
-// e2 validates every proved guarantee against exact optima: on small
-// instances (exact branch-and-bound C*), across a grid of machine
+// runE2 validates every proved guarantee against exact optima: on
+// small instances (exact branch-and-bound C*), across a grid of machine
 // counts and uncertainty factors and across perturbation models, the
 // measured competitive ratio must never exceed the theorem's bound.
 // The report shows the worst observed ratio and the margin to the
-// bound per (strategy, m, α) cell; any violation fails the experiment
-// with a non-zero exit.
-type e2 struct{}
-
-func (e2) ID() string { return "e2" }
-
-func (e2) Title() string {
-	return "E2: guarantee validation against exact optima"
-}
-
-func (e2) Run(w io.Writer, opts Options) error {
-	trials := 25
+// bound per (strategy, m, α) cell. The check is the one every
+// experiment runs (trial.scored), here against C* itself; any
+// violation fails the experiment with a non-zero exit.
+func runE2(w *Sink, opts Options) error {
+	nTrials := 25
 	grid := []struct {
 		m     int
 		alpha float64
@@ -38,7 +29,7 @@ func (e2) Run(w io.Writer, opts Options) error {
 		{3, 1.2}, {4, 1.5}, {4, 2.0}, {6, 1.5},
 	}
 	if opts.Quick {
-		trials = 5
+		nTrials = 5
 		grid = grid[1:2] // just (m=4, α=1.5)
 	}
 	const n = 13
@@ -52,9 +43,7 @@ func (e2) Run(w io.Writer, opts Options) error {
 
 	tb := report.NewTable("m", "alpha", "strategy", "guarantee",
 		"worst measured", "margin", "samples")
-	violations := 0
 	for _, cell := range grid {
-		cell := cell
 		cfgs := []core.Config{
 			{Strategy: core.NoReplication, ExactLimit: n},
 			{Strategy: core.ReplicateEverywhere, ExactLimit: n},
@@ -63,96 +52,59 @@ func (e2) Run(w io.Writer, opts Options) error {
 		if cell.m%2 == 0 {
 			cfgs = append(cfgs, core.Config{Strategy: core.Groups, Groups: 2, ExactLimit: n})
 		}
-		// Pre-draw every trial's seeds in the sequential draw order
-		// (workload first, then one perturbation stream per model), so
-		// the concurrent fan-out consumes the master stream identically.
-		cellSrc := rng.New(src.Uint64())
-		type trialSeeds struct {
-			base   uint64
-			models []uint64
+		type tally struct { // indexed as cfgs
+			worst []float64
+			valid []int
 		}
-		seeds := make([]trialSeeds, trials)
-		for t := range seeds {
-			seeds[t].base = cellSrc.Uint64()
-			seeds[t].models = make([]uint64, len(models))
-			for mi := range models {
-				seeds[t].models[mi] = cellSrc.Uint64()
-			}
-		}
-		type trialOut struct {
-			worst      []float64
-			valid      []int
-			violations []string
-			err        error
-		}
-		outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
-			res := trialOut{worst: make([]float64, len(cfgs)), valid: make([]int, len(cfgs))}
+		// Seeds per trial: the workload, then one perturbation stream
+		// per model.
+		outs, err := trials(rng.New(src.Uint64()), nTrials, 1+len(models), opts, func(t trial) (tally, error) {
+			res := tally{worst: make([]float64, len(cfgs)), valid: make([]int, len(cfgs))}
 			runner := getRunner()
 			defer putRunner(runner)
 			base := workload.MustNew(workload.Spec{
 				Name: "uniform", N: n, M: cell.m, Alpha: cell.alpha,
-				Seed: seeds[trial].base, Param: 20,
+				Seed: t.seeds[0], Param: 20,
 			})
 			for mi, model := range models {
 				in := base.Clone()
-				model.Perturb(in, nil, rng.New(seeds[trial].models[mi]))
+				model.Perturb(in, nil, rng.New(t.seeds[1+mi]))
 				for ci, cfg := range cfgs {
 					out, err := runner.Run(in, cfg)
 					if err != nil {
-						res.err = err
-						return res
+						return res, err
+					}
+					if err := t.scored(out); err != nil {
+						return res, err
 					}
 					if !out.Optimum.Exact {
 						continue
 					}
 					res.valid[ci]++
-					if out.RatioUpper > res.worst[ci] {
-						res.worst[ci] = out.RatioUpper
-					}
-					if out.RatioUpper > out.Guarantee+1e-9 {
-						res.violations = append(res.violations, fmt.Sprintf(
-							"VIOLATION: m=%d α=%g %s ratio %.6g > bound %.6g (trial %d, %s)\n",
-							cell.m, cell.alpha, out.Algorithm, out.RatioUpper,
-							out.Guarantee, trial, model.Name()))
-					}
+					res.worst[ci] = max(res.worst[ci], out.RatioUpper)
 				}
 			}
-			return res
+			return res, nil
 		})
-		worst := make([]float64, len(cfgs))
-		valid := make([]int, len(cfgs))
-		for _, res := range outs {
-			if res.err != nil {
-				return res.err
-			}
-			for ci := range cfgs {
-				if res.worst[ci] > worst[ci] {
-					worst[ci] = res.worst[ci]
-				}
-				valid[ci] += res.valid[ci]
-			}
-			violations += len(res.violations)
-			for _, line := range res.violations {
-				fmt.Fprint(w, line)
-			}
+		if err != nil {
+			return err
 		}
 		for ci, cfg := range cfgs {
+			worst, valid := 0.0, 0
+			for _, o := range outs {
+				worst = max(worst, o.worst[ci])
+				valid += o.valid[ci]
+			}
 			g := cfg.Guarantee(cell.m, cell.alpha)
-			tb.AddRow(cell.m, cell.alpha, cfg.Strategy.String(), g,
-				worst[ci], g-worst[ci], valid[ci])
+			tb.AddRow(cell.m, cell.alpha, cfg.Strategy.String(), g, worst, g-worst, valid)
 		}
 	}
 
 	fmt.Fprintf(w, "n=%d tasks; %d trials × %d perturbation models per cell; exact C*.\n",
-		n, trials, len(models))
+		n, nTrials, len(models))
 	if err := tb.Render(w); err != nil {
 		return err
 	}
-	if violations == 0 {
-		fmt.Fprintln(w, "\nPASS: no measured ratio exceeded its proved guarantee.")
-	} else {
-		fmt.Fprintf(w, "\nFAIL: %d guarantee violations!\n", violations)
-		return fmt.Errorf("experiments: e2 observed %d guarantee violations", violations)
-	}
+	fmt.Fprintln(w, "\nPASS: no measured ratio exceeded its proved guarantee.")
 	return nil
 }

@@ -2,81 +2,66 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/bounds"
 	"repro/internal/memaware"
 	"repro/internal/opt"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/stats"
+	"repro/internal/task"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-func init() { register(e3{}) }
+func init() {
+	register("e3", "E3: empirical memory–makespan Pareto fronts (SABO_Δ / GABO_Δ / ABO_Δ)", runE3)
+}
 
-// e3 measures the empirical memory–makespan Pareto front of the
+// runE3 measures the empirical memory–makespan Pareto front of the
 // bi-objective algorithms: Figure 6 plots guarantees; this experiment
 // plots measured (memory ratio, makespan ratio) pairs as Δ sweeps, on
 // the paper's motivating out-of-core workload. Besides the paper's
 // SABO_Δ and ABO_Δ it includes the GABO_Δ extension (time-intensive
 // tasks replicated within k groups instead of everywhere), which
 // traces an intermediate front.
-type e3 struct{}
-
-func (e3) ID() string { return "e3" }
-
-func (e3) Title() string {
-	return "E3: empirical memory–makespan Pareto fronts (SABO_Δ / GABO_Δ / ABO_Δ)"
-}
-
-func (e3) Run(w io.Writer, opts Options) error {
-	trials := 8
+func runE3(w *Sink, opts Options) error {
+	nTrials := 8
 	deltas := []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
 	if opts.Quick {
-		trials = 2
+		nTrials = 2
 		deltas = []float64{0.25, 1, 4}
 	}
-	const m, n, gaboK = 6, 72, 3
-	src := rng.New(opts.Seed + 303)
+	const m, n, gaboK, alpha = 6, 72, 3, 2.0
 
-	type point struct{ mem, mk []float64 }
-	variants := []string{"SABO", "GABO", "ABO"}
-	cells := map[string]map[float64]*point{}
-	for _, v := range variants {
-		cells[v] = map[float64]*point{}
-		for _, d := range deltas {
-			cells[v][d] = &point{}
-		}
+	// ρ1 = ρ2 of the default LPT reference mappings, which all three
+	// variants combine.
+	rho := bounds.LPTOffline(m)
+	variants := []struct {
+		name string
+		run  func(*task.Instance, memaware.Config) (*memaware.Result, error)
+		// proved is the (makespan, memory) guarantee pair at Δ; nil for
+		// the extension the paper has no theorem for.
+		proved func(delta float64) (makespan, memory float64)
+	}{
+		{"SABO", memaware.SABO, func(d float64) (float64, float64) {
+			return bounds.SABOMakespan(alpha, d, rho), bounds.SABOMemory(d, rho)
+		}},
+		{fmt.Sprintf("GABO(k=%d)", gaboK), func(in *task.Instance, cfg memaware.Config) (*memaware.Result, error) {
+			return memaware.GABO(in, cfg, gaboK)
+		}, nil},
+		{"ABO", memaware.ABO, func(d float64) (float64, float64) {
+			return bounds.ABOMakespan(m, alpha, d, rho), bounds.ABOMemory(m, d, rho)
+		}},
 	}
 
-	// Pre-draw per-trial seeds in sequential order (workload, perturb),
-	// then fan the independent trials out across cores.
-	type trialSeeds struct{ base, perturb uint64 }
-	seeds := make([]trialSeeds, trials)
-	for t := range seeds {
-		seeds[t].base = src.Uint64()
-		seeds[t].perturb = src.Uint64()
-	}
-	type trialOut struct {
-		mem, mk map[string]map[float64]float64
-		err     error
-	}
-	outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
-		res := trialOut{
-			mem: map[string]map[float64]float64{},
-			mk:  map[string]map[float64]float64{},
-		}
-		for _, v := range variants {
-			res.mem[v] = map[float64]float64{}
-			res.mk[v] = map[float64]float64{}
-		}
+	type point struct{ mem, mk float64 }
+	// Seeds per trial: workload, perturbation. A trial yields one point
+	// per (delta, variant).
+	outs, err := trials(rng.New(opts.Seed+303), nTrials, 2, opts, func(t trial) ([][]point, error) {
 		in := workload.MustNew(workload.Spec{
-			Name: "spmv", N: n, M: m, Alpha: 2, Seed: seeds[trial].base,
+			Name: "spmv", N: n, M: m, Alpha: alpha, Seed: t.seeds[0],
 		})
-		uncertainty.Extremes{}.Perturb(in, nil, rng.New(seeds[trial].perturb))
+		uncertainty.Extremes{}.Perturb(in, nil, rng.New(t.seeds[1]))
 		// The two single-objective optima are independent solver calls;
 		// batch them so the exact/KK work overlaps inside one trial.
 		optima := opt.EstimateBatch([]opt.Job{
@@ -84,72 +69,59 @@ func (e3) Run(w io.Writer, opts Options) error {
 			{Times: in.Sizes(), M: m},
 		}, 2)
 		optMakespan, optMemory := optima[0], optima[1]
-		for _, d := range deltas {
-			cfg := memaware.Config{Delta: d}
-			for _, v := range variants {
-				var r *memaware.Result
-				var err error
-				switch v {
-				case "SABO":
-					r, err = memaware.SABO(in, cfg)
-				case "GABO":
-					r, err = memaware.GABO(in, cfg, gaboK)
-				case "ABO":
-					r, err = memaware.ABO(in, cfg)
-				}
+		res := make([][]point, len(deltas))
+		for di, d := range deltas {
+			res[di] = make([]point, len(variants))
+			for vi, v := range variants {
+				r, err := v.run(in, memaware.Config{Delta: d})
 				if err != nil {
-					res.err = err
-					return res
+					return nil, err
 				}
-				res.mem[v][d] = r.MemMax / optMemory.Lower
-				res.mk[v][d] = r.Makespan / optMakespan.Lower
+				if v.proved != nil {
+					makespan, memory := v.proved(d)
+					if err := t.holds(v.name+" makespan", r.Makespan, makespan, optMakespan.Upper); err != nil {
+						return nil, err
+					}
+					if err := t.holds(v.name+" memory", r.MemMax, memory, optMemory.Upper); err != nil {
+						return nil, err
+					}
+				}
+				res[di][vi] = point{mem: r.MemMax / optMemory.Lower, mk: r.Makespan / optMakespan.Lower}
 			}
 		}
-		return res
+		return res, nil
 	})
-	// Aggregate in trial order: float aggregation order matches the
-	// sequential run, keeping reports byte-identical.
-	for _, res := range outs {
-		if res.err != nil {
-			return res.err
-		}
-		for _, d := range deltas {
-			for _, v := range variants {
-				cell := cells[v][d]
-				cell.mem = append(cell.mem, res.mem[v][d])
-				cell.mk = append(cell.mk, res.mk[v][d])
-			}
-		}
+	if err != nil {
+		return err
 	}
 
 	tb := report.NewTable("delta",
 		"SABO mem ratio", "SABO mk ratio",
 		"GABO mem ratio", "GABO mk ratio",
 		"ABO mem ratio", "ABO mk ratio")
-	series := map[string]*bounds.Series{
-		"SABO": {Name: "SABO-measured"},
-		"GABO": {Name: fmt.Sprintf("GABO(k=%d)-measured", gaboK)},
-		"ABO":  {Name: "ABO-measured"},
+	series := make([]bounds.Series, len(variants))
+	for vi, v := range variants {
+		series[vi].Name = v.name + "-measured"
 	}
-	for _, d := range deltas {
+	for di, d := range deltas {
 		row := []any{d}
-		for _, v := range variants {
-			mem := stats.Summarize(cells[v][d].mem).Mean
-			mk := stats.Summarize(cells[v][d].mk).Mean
+		for vi := range variants {
+			mem := column(outs, func(o [][]point) float64 { return o[di][vi].mem }).Mean
+			mk := column(outs, func(o [][]point) float64 { return o[di][vi].mk }).Mean
 			row = append(row, mem, mk)
-			series[v].Points = append(series[v].Points, bounds.Point{X: mem, Y: mk})
+			series[vi].Points = append(series[vi].Points, bounds.Point{X: mem, Y: mk})
 		}
 		tb.AddRow(row...)
 	}
 	fmt.Fprintf(w, "m=%d, n=%d spmv tasks, α=2 extremes noise, %d trials; ratios vs\n",
-		m, n, trials)
+		m, n, nTrials)
 	fmt.Fprintln(w, "single-objective optimum lower bounds. GABO replicates time-intensive")
 	fmt.Fprintf(w, "tasks within k=%d groups (%d replicas) — an extension of the paper.\n", gaboK, m/gaboK)
 	if err := tb.Render(w); err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
-	if err := report.Plot(w, []bounds.Series{*series["SABO"], *series["GABO"], *series["ABO"]},
+	if err := report.Plot(w, series,
 		report.PlotOptions{
 			Title:  "measured memory–makespan tradeoff",
 			XLabel: "Mem_max / Mem*",

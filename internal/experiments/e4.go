@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -13,25 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register(e4{}) }
+func init() { register("e4", "E4: replication benefit on motivating workloads", runE4) }
 
-// e4 runs the paper's motivating application scenarios — out-of-core
+// runE4 runs the paper's motivating application scenarios — out-of-core
 // sparse linear algebra and MapReduce — and reports the makespan of
 // the three strategies relative to no replication, under realistic
 // (log-normal) estimate noise. This is the "does it matter in
 // practice" experiment.
-type e4 struct{}
-
-func (e4) ID() string { return "e4" }
-
-func (e4) Title() string {
-	return "E4: replication benefit on motivating workloads"
-}
-
-func (e4) Run(w io.Writer, opts Options) error {
-	trials, n, m := 10, 480, 24
+func runE4(w *Sink, opts Options) error {
+	nTrials, n, m := 10, 480, 24
 	if opts.Quick {
-		trials, n, m = 2, 96, 12
+		nTrials, n, m = 2, 96, 12
 	}
 	src := rng.New(opts.Seed + 404)
 	families := []string{"iterative", "spmv", "mapreduce", "bimodal"}
@@ -47,52 +37,34 @@ func (e4) Run(w io.Writer, opts Options) error {
 
 	out := report.NewTable("workload", "strategy", "mean makespan", "vs no-replication")
 	for _, fam := range families {
-		fam := fam
 		means := make([]float64, len(strategies))
-		for si := range strategies {
-			si := si
-			// Pre-draw the (workload, perturb) seed pairs in sequential
-			// order, then fan the trials out; samples land at their trial
-			// index so the mean sums in the sequential order.
-			trialSrc := rng.New(src.Uint64())
-			type trialSeeds struct{ base, perturb uint64 }
-			seeds := make([]trialSeeds, trials)
-			for t := range seeds {
-				seeds[t].base = trialSrc.Uint64()
-				seeds[t].perturb = trialSrc.Uint64()
-			}
-			type trialOut struct {
-				makespan float64
-				err      error
-			}
-			outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
+		for si, s := range strategies {
+			// Each (family, strategy) cell draws its own workloads. Seeds
+			// per trial: workload, perturbation.
+			makespans, err := trials(rng.New(src.Uint64()), nTrials, 2, opts, func(t trial) (float64, error) {
 				runner := getRunner()
 				defer putRunner(runner)
 				in := workload.MustNew(workload.Spec{
-					Name: fam, N: n, M: m, Alpha: 2, Seed: seeds[trial].base,
+					Name: fam, N: n, M: m, Alpha: 2, Seed: t.seeds[0],
 				})
-				uncertainty.LogNormal{Sigma: 0.4}.Perturb(in, nil, rng.New(seeds[trial].perturb))
-				res, err := runner.Run(in, strategies[si].cfg)
+				uncertainty.LogNormal{Sigma: 0.4}.Perturb(in, nil, rng.New(t.seeds[1]))
+				res, err := runner.Run(in, s.cfg)
 				if err != nil {
-					return trialOut{err: err}
+					return 0, err
 				}
-				return trialOut{makespan: res.Makespan}
+				return res.Makespan, t.scored(res)
 			})
-			samples := make([]float64, 0, trials)
-			for _, r := range outs {
-				if r.err != nil {
-					return r.err
-				}
-				samples = append(samples, r.makespan)
+			if err != nil {
+				return err
 			}
-			means[si] = stats.Summarize(samples).Mean
+			means[si] = stats.Summarize(makespans).Mean
 		}
 		for si, s := range strategies {
 			rel := means[si] / means[0]
 			out.AddRow(fam, s.label, means[si], fmt.Sprintf("%.1f%%", 100*rel))
 		}
 	}
-	fmt.Fprintf(w, "m=%d, n=%d, α=2, lognormal(0.4) noise, %d trials per cell.\n", m, n, trials)
+	fmt.Fprintf(w, "m=%d, n=%d, α=2, lognormal(0.4) noise, %d trials per cell.\n", m, n, nTrials)
 	fmt.Fprintln(w, "Each trial uses an independent workload draw; 100% = no replication.")
 	if err := out.Render(w); err != nil {
 		return err

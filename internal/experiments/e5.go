@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -12,23 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register(e5{}) }
+func init() { register("e5", "E5: algorithm throughput scaling", runE5) }
 
-// e5 measures the library's own scalability: end-to-end wall time and
+// runE5 measures the library's own scalability: end-to-end wall time and
 // task throughput of the two-phase pipeline as the task count grows.
 // The event-driven simulator is O((n + m + R) log m) where R is the
 // total replica count, so throughput should stay roughly flat in n
 // for group placements and degrade only for full replication
 // (R = n·m).
-type e5 struct{}
-
-func (e5) ID() string { return "e5" }
-
-func (e5) Title() string {
-	return "E5: algorithm throughput scaling"
-}
-
-func (e5) Run(w io.Writer, opts Options) error {
+func runE5(w *Sink, opts Options) error {
 	sizes := []int{1_000, 10_000, 100_000}
 	if opts.Quick {
 		sizes = []int{1_000, 5_000}

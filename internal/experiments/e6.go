@@ -2,21 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/algo"
-	"repro/internal/opt"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-func init() { register(e6{}) }
+func init() {
+	register("e6", "E6: ablations — LPT-based groups, and partial (tail) replication", runE6)
+}
 
-// e6 is the ablation experiment for the design choices DESIGN.md
+// runE6 is the ablation experiment for the design choices DESIGN.md
 // calls out:
 //
 //  1. LS-Group vs LPT-Group — the paper conjectures an LPT-based group
@@ -27,26 +25,17 @@ func init() { register(e6{}) }
 //     does a small flexible tail capture, and at what memory cost?
 //
 // All variants run on the same instances under the same perturbations.
-type e6 struct{}
-
-func (e6) ID() string { return "e6" }
-
-func (e6) Title() string {
-	return "E6: ablations — LPT-based groups, and partial (tail) replication"
-}
-
-func (e6) Run(w io.Writer, opts Options) error {
-	trials, n, m := 12, 240, 12
+func runE6(w *Sink, opts Options) error {
+	nTrials, n, m := 12, 240, 12
 	if opts.Quick {
-		trials, n, m = 3, 60, 6
+		nTrials, n, m = 3, 60, 6
 	}
 	src := rng.New(opts.Seed + 606)
 
-	type variant struct {
+	variants := []struct {
 		label string
 		algo  algo.Algorithm
-	}
-	variants := []variant{
+	}{
 		{"LPT-NoChoice", algo.LPTNoChoice()},
 		{"LS-Group k=m/2", algo.LSGroup(m / 2)},
 		{"LPT-Group k=m/2", algo.LPTGroup(m / 2)},
@@ -57,64 +46,39 @@ func (e6) Run(w io.Writer, opts Options) error {
 		{"LPT-NoRestriction", algo.LPTNoRestriction()},
 	}
 
+	type cell struct{ ratio, replicas float64 }
 	for _, fam := range []string{"zipf", "iterative"} {
-		fam := fam
-		type agg struct {
-			ratios   []float64
-			replicas []float64
-		}
-		cells := make([]agg, len(variants))
-		famSrc := rng.New(src.Uint64())
-		// Pre-drawn (workload, perturb) seeds keep the master stream's
-		// sequential draw order while the trials fan out.
-		type trialSeeds struct{ base, perturb uint64 }
-		seeds := make([]trialSeeds, trials)
-		for t := range seeds {
-			seeds[t].base = famSrc.Uint64()
-			seeds[t].perturb = famSrc.Uint64()
-		}
-		type trialOut struct {
-			ratios   []float64
-			replicas []float64
-			err      error
-		}
-		outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
-			res := trialOut{
-				ratios:   make([]float64, len(variants)),
-				replicas: make([]float64, len(variants)),
-			}
+		// Seeds per trial: workload, perturbation. A trial yields one
+		// cell per variant.
+		outs, err := trials(rng.New(src.Uint64()), nTrials, 2, opts, func(t trial) ([]cell, error) {
 			scratch := getScratch()
 			defer putScratch(scratch)
 			in := workload.MustNew(workload.Spec{
-				Name: fam, N: n, M: m, Alpha: 2, Seed: seeds[trial].base,
+				Name: fam, N: n, M: m, Alpha: 2, Seed: t.seeds[0],
 			})
-			uncertainty.Uniform{}.Perturb(in, nil, rng.New(seeds[trial].perturb))
-			lb := opt.LowerBound(in.Actuals(), m)
+			uncertainty.Uniform{}.Perturb(in, nil, rng.New(t.seeds[1]))
+			lb, ub := bracket(in)
+			res := make([]cell, len(variants))
 			for vi, v := range variants {
 				r, err := scratch.Execute(in, v.algo)
 				if err != nil {
-					res.err = err
-					return res
+					return nil, err
 				}
-				res.ratios[vi] = r.Makespan / lb
-				res.replicas[vi] = float64(r.Placement.TotalReplicas()) / float64(n)
+				if err := t.bounded(v.algo, in, in.Alpha, r.Makespan, ub); err != nil {
+					return nil, err
+				}
+				res[vi] = cell{r.Makespan / lb, float64(r.Placement.TotalReplicas()) / float64(n)}
 			}
-			return res
+			return res, nil
 		})
-		for _, res := range outs {
-			if res.err != nil {
-				return res.err
-			}
-			for vi := range variants {
-				cells[vi].ratios = append(cells[vi].ratios, res.ratios[vi])
-				cells[vi].replicas = append(cells[vi].replicas, res.replicas[vi])
-			}
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "workload=%s  (m=%d, n=%d, α=2, %d trials)\n", fam, m, n, trials)
+		fmt.Fprintf(w, "workload=%s  (m=%d, n=%d, α=2, %d trials)\n", fam, m, n, nTrials)
 		tb := report.NewTable("variant", "mean ratio", "p90 ratio", "replicas/task")
 		for vi, v := range variants {
-			s := stats.Summarize(cells[vi].ratios)
-			r := stats.Summarize(cells[vi].replicas)
+			s := column(outs, func(o []cell) float64 { return o[vi].ratio })
+			r := column(outs, func(o []cell) float64 { return o[vi].replicas })
 			tb.AddRow(v.label, s.Mean, s.P90, r.Mean)
 		}
 		if err := tb.Render(w); err != nil {

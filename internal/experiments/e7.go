@@ -2,29 +2,20 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/adversary"
 	"repro/internal/bounds"
 	"repro/internal/report"
 )
 
-func init() { register(e7{}) }
+func init() { register("e7", "E7: convergence of the Theorem 1 adversary bound in λ and m", runE7) }
 
-// e7 studies the Theorem 1 lower bound's convergence: the adversary's
+// runE7 studies the Theorem 1 lower bound's convergence: the adversary's
 // certified ratio as a function of λ (tasks per machine) and m, versus
 // the closed-form bound α²m/(α²+m−1) and its m→∞ limit α². The paper
 // only states the limit; this table shows how quickly real instances
 // approach it, which matters when interpreting the m=210 figures.
-type e7 struct{}
-
-func (e7) ID() string { return "e7" }
-
-func (e7) Title() string {
-	return "E7: convergence of the Theorem 1 adversary bound in λ and m"
-}
-
-func (e7) Run(w io.Writer, opts Options) error {
+func runE7(w *Sink, opts Options) error {
 	lambdas := []int{1, 2, 5, 10, 50, 500}
 	ms := []int{2, 6, 24, 210}
 	if opts.Quick {

@@ -2,23 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/algo"
-	"repro/internal/opt"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
 
-func init() { register(e9{}) }
+func init() {
+	register("e9", "E9: replication vs remote execution with fetch penalty φ", runE9)
+}
 
-// e9 tests the paper's premise quantitatively. The introduction
+// runE9 tests the paper's premise quantitatively. The introduction
 // dismisses moving tasks at run time because "executing a task where
 // the data are not locally available would have a prohibitive
 // overhead". Here we give the no-replication placement a work-
@@ -27,82 +25,54 @@ func init() { register(e9{}) }
 // (LS-Group, LPT-No Restriction) beats online stealing. Small φ
 // (cheap networks) favors stealing; the out-of-core regime (φ ≫ 1)
 // is exactly where the paper's replication strategies earn their keep.
-type e9 struct{}
-
-func (e9) ID() string { return "e9" }
-
-func (e9) Title() string {
-	return "E9: replication vs remote execution with fetch penalty φ"
-}
-
-func (e9) Run(w io.Writer, opts Options) error {
-	trials, n, m := 12, 160, 8
+func runE9(w *Sink, opts Options) error {
+	nTrials, n, m := 12, 160, 8
 	if opts.Quick {
-		trials, n, m = 3, 48, 4
+		nTrials, n, m = 3, 48, 4
 	}
 	phis := []float64{1, 1.5, 2, 4, 8, 16}
 	if opts.Quick {
 		phis = []float64{1, 4, 16}
 	}
 	alpha := 2.0
-	src := rng.New(opts.Seed + 909)
 
-	type key struct {
-		phi   float64
-		label string
-	}
-	samples := map[key][]float64{}
-	labels := []string{"steal@phi", "no-replication", "ls-group k=2", "everywhere"}
-	replVariants := []struct {
-		label string
-		a     algo.Algorithm
-	}{
-		{"no-replication", algo.LPTNoChoice()},
-		{"ls-group k=2", algo.LSGroup(2)},
-		{"everywhere", algo.LPTNoRestriction()},
-	}
+	// The table's columns after "steal": penalty-independent.
+	replVariants := []algo.Algorithm{algo.LPTNoChoice(), algo.LSGroup(2), algo.LPTNoRestriction()}
 
-	// Pre-draw the per-trial (workload, perturb) seed pairs in the
-	// sequential draw order, then fan the trials out.
-	type trialSeeds struct{ base, perturb uint64 }
-	seeds := make([]trialSeeds, trials)
-	for t := range seeds {
-		seeds[t].base = src.Uint64()
-		seeds[t].perturb = src.Uint64()
-	}
-	type trialOut struct {
+	type ratios struct {
 		repl  []float64 // indexed as replVariants
 		steal []float64 // indexed as phis
-		err   error
 	}
-	outs := par.Map(trials, opts.Workers, func(trial int) trialOut {
-		res := trialOut{
+	// Seeds per trial: workload, perturbation.
+	outs, err := trials(rng.New(opts.Seed+909), nTrials, 2, opts, func(t trial) (ratios, error) {
+		res := ratios{
 			repl:  make([]float64, len(replVariants)),
 			steal: make([]float64, len(phis)),
 		}
 		scratch := getScratch()
 		defer putScratch(scratch)
 		in := workload.MustNew(workload.Spec{
-			Name: "uniform", N: n, M: m, Alpha: alpha, Seed: seeds[trial].base,
+			Name: "uniform", N: n, M: m, Alpha: alpha, Seed: t.seeds[0],
 		})
-		uncertainty.Extremes{}.Perturb(in, nil, rng.New(seeds[trial].perturb))
-		lb := opt.LowerBound(in.Actuals(), m)
+		uncertainty.Extremes{}.Perturb(in, nil, rng.New(t.seeds[1]))
+		lb, ub := bracket(in)
 
-		// Replication strategies: penalty-independent.
-		for ci, c := range replVariants {
-			r, err := scratch.Execute(in, c.a)
+		for ci, a := range replVariants {
+			r, err := scratch.Execute(in, a)
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
+			}
+			if err := t.bounded(a, in, in.Alpha, r.Makespan, ub); err != nil {
+				return res, err
 			}
 			res.repl[ci] = r.Makespan / lb
 		}
 
-		// Stealing over the pinned LPT placement, per penalty.
+		// Stealing over the pinned LPT placement, per penalty. No theorem
+		// covers a run that pays φ, so none is checked.
 		pinned, err := algo.LPTNoChoice().Place(in)
 		if err != nil {
-			res.err = err
-			return res
+			return res, err
 		}
 		order := make([]int, in.N())
 		for i := range order {
@@ -114,8 +84,7 @@ func (e9) Run(w io.Writer, opts Options) error {
 		for pi, phi := range phis {
 			r, err := sim.RunFlat(in, pinned, order, sim.FlatOptions{FetchPenalty: phi})
 			if err != nil {
-				res.err = err
-				return res
+				return res, err
 			}
 			// A pinned task ran remotely wherever it did not run on its
 			// one machine, for φ times its actual time.
@@ -126,37 +95,26 @@ func (e9) Run(w io.Writer, opts Options) error {
 				return in.Tasks[taskID].Actual * phi
 			}
 			if err := r.Schedule.VerifyDurations(in, pinned, penalized); err != nil {
-				res.err = fmt.Errorf("stealing schedule infeasible: %w", err)
-				return res
+				return res, fmt.Errorf("stealing schedule infeasible: %w", err)
 			}
 			res.steal[pi] = r.Schedule.Makespan() / lb
 		}
-		return res
+		return res, nil
 	})
-	for _, res := range outs {
-		if res.err != nil {
-			return res.err
-		}
-		for ci, c := range replVariants {
-			for _, phi := range phis {
-				samples[key{phi, c.label}] = append(samples[key{phi, c.label}], res.repl[ci])
-			}
-		}
-		for pi, phi := range phis {
-			samples[key{phi, "steal@phi"}] = append(samples[key{phi, "steal@phi"}], res.steal[pi])
-		}
+	if err != nil {
+		return err
 	}
 
 	tb := report.NewTable("phi", "steal (pinned+fetch)", "no-replication",
 		"ls-group k=2", "everywhere")
-	for _, phi := range phis {
-		row := []any{phi}
-		for _, label := range labels {
-			row = append(row, stats.Summarize(samples[key{phi, label}]).Mean)
+	for pi, phi := range phis {
+		row := []any{phi, column(outs, func(o ratios) float64 { return o.steal[pi] }).Mean}
+		for ci := range replVariants {
+			row = append(row, column(outs, func(o ratios) float64 { return o.repl[ci] }).Mean)
 		}
 		tb.AddRow(row...)
 	}
-	fmt.Fprintf(w, "m=%d, n=%d, α=%g, extremes perturbation, %d trials.\n", m, n, alpha, trials)
+	fmt.Fprintf(w, "m=%d, n=%d, α=%g, extremes perturbation, %d trials.\n", m, n, alpha, nTrials)
 	fmt.Fprintln(w, "Mean C_max/C*_lb; stealing pays φ× duration for remote data.")
 	if err := tb.Render(w); err != nil {
 		return err

@@ -1,40 +1,37 @@
 // Package experiments regenerates every table and figure of the paper
 // plus the empirical extension experiments listed in DESIGN.md. Each
-// experiment is a named runner that writes a human-readable report to
-// an io.Writer; cmd/paperfigs drives them and tees CSV artifacts.
+// experiment is a registry row — an id, a title and a run function —
+// that writes a human-readable report, and the CSV and SVG artifacts
+// that come from the same computation, to a Sink; cmd/paperfigs drives
+// them and saves both.
 //
 // # Parallel execution and determinism
 //
-// The harness is parallel at two levels: RunAll renders independent
+// The harness is parallel at two levels: RunList renders independent
 // experiments concurrently into private buffers and stitches them in
-// ID order, and each empirical experiment fans its independent trials
-// out through par.Map. Reports are nevertheless byte-identical to a
-// fully sequential run (Options.Workers = 1) for the same Options:
-// every RNG seed is pre-drawn from the master stream in the exact
-// sequential draw order before fanning out, trial results land at
-// their trial index, and all floating-point aggregation walks trials
-// in index order. Wall-clock text (e5) is the only intentionally
-// non-deterministic output.
+// list order, and each empirical experiment fans its independent
+// trials out through the one helper, trials (trials.go). Reports are
+// nevertheless byte-identical to a fully sequential run
+// (Options.Workers = 1) for the same Options, and trials is the whole
+// implementation of why: it pre-draws every trial's RNG seeds from the
+// cell's stream in the exact sequential draw order before fanning out,
+// lands results at their trial index, and hands them back for
+// aggregation in index order (column is the scalar fold). Wall-clock
+// text (e5) is the only intentionally non-deterministic output.
 //
-// Paper artifacts:
+// # The paper's bounds as an oracle
 //
-//	table1  — Table 1: replication-bound model guarantee summary
-//	table2  — Table 2: SABO_Δ/ABO_Δ guarantee summary
-//	fig1    — Figure 1: Theorem 1 adversary instance (λ=3, m=6)
-//	fig2    — Figure 2: replication-in-groups example (m=6, k=2)
-//	fig3    — Figure 3: guarantee vs replication, m=210, α ∈ {1.1,1.5,2}
-//	fig4    — Figure 4: SABO_Δ schedule example
-//	fig5    — Figure 5: ABO_Δ schedule example
-//	fig6    — Figure 6: memory–makespan guarantee tradeoff
+// Every closed-batch, failure-free run a trial makes with a strategy
+// that states a guarantee (algo.Algorithm.Guarantee, Theorems 2–4;
+// Theorems 5–8 for SABO_Δ/ABO_Δ) is checked against it on the spot —
+// trial.bounded and its siblings, all through bounds.Holds — and a
+// violation fails the experiment with the trial's seeds in the error.
+// EXPERIMENTS.md says which runs are in scope.
 //
-// Empirical extensions (the paper proves but never measures; these
-// exercise the full simulator stack):
-//
-//	e1 — empirical competitive ratio vs replication degree
-//	e2 — guarantee validation against exact optima
-//	e3 — empirical memory–makespan Pareto fronts
-//	e4 — replication benefit on motivating workloads
-//	e5 — algorithm throughput scaling
+// IDs lists what is registered: the paper's artifacts are table1,
+// table2 and fig1–fig6; e1–e11 are the empirical extensions (the paper
+// proves but never measures; these exercise the full simulator stack).
+// Each run function's comment says what it reproduces.
 package experiments
 
 import (
@@ -47,15 +44,44 @@ import (
 	"repro/internal/par"
 )
 
-// Experiment is one reproducible artifact.
-type Experiment interface {
-	// ID is the registry key (e.g. "fig3").
-	ID() string
-	// Title is a one-line description.
-	Title() string
-	// Run writes the report to w. Quick mode shrinks trial counts so
-	// the full suite stays test-friendly.
-	Run(w io.Writer, opts Options) error
+// Experiment is one reproducible artifact: a registry row.
+type Experiment struct {
+	id, title string
+	run       func(w *Sink, opts Options) error
+}
+
+// ID is the registry key (e.g. "fig3").
+func (e Experiment) ID() string { return e.id }
+
+// Title is a one-line description.
+func (e Experiment) Title() string { return e.title }
+
+// Run writes the report to w; the artifacts go unrendered. Quick mode
+// shrinks trial counts so the full suite stays test-friendly.
+func (e Experiment) Run(w io.Writer, opts Options) error {
+	return e.run(&Sink{Writer: w}, opts)
+}
+
+// Sink is what an experiment writes to: the text report through the
+// embedded Writer and, from the same computation, its named artifacts.
+type Sink struct {
+	io.Writer
+	// Artifacts are the attached files in attach order.
+	Artifacts []Artifact
+}
+
+// Artifact is one machine-readable file of an experiment: a CSV series
+// or an SVG figure, named as cmd/paperfigs saves it ("fig3a.svg").
+// Write renders it from what the run computed, so an artifact nobody
+// saves costs nothing.
+type Artifact struct {
+	Name  string
+	Write func(io.Writer) error
+}
+
+// attach files one artifact under name.
+func (s *Sink) attach(name string, write func(io.Writer) error) {
+	s.Artifacts = append(s.Artifacts, Artifact{Name: name, Write: write})
 }
 
 // Options tunes experiment execution.
@@ -67,7 +93,7 @@ type Options struct {
 	Seed uint64
 	// Workers caps the concurrency of the harness: the number of
 	// trial workers inside each experiment and the number of
-	// experiments RunAll renders at once. 0 selects GOMAXPROCS; 1
+	// experiments RunList renders at once. 0 selects GOMAXPROCS; 1
 	// forces fully sequential execution. Reports are byte-identical
 	// for every value.
 	Workers int
@@ -76,18 +102,18 @@ type Options struct {
 // registry holds all experiments keyed by ID.
 var registry = map[string]Experiment{}
 
-func register(e Experiment) {
-	if _, dup := registry[e.ID()]; dup {
-		panic("experiments: duplicate id " + e.ID())
+func register(id, title string, run func(w *Sink, opts Options) error) {
+	if _, dup := registry[id]; dup {
+		panic("experiments: duplicate id " + id)
 	}
-	registry[e.ID()] = e
+	registry[id] = Experiment{id: id, title: title, run: run}
 }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, error) {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+		return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return e, nil
 }
@@ -111,36 +137,55 @@ func All() []Experiment {
 	return out
 }
 
-// RunAll executes every experiment and writes the reports in ID
-// order, separating them with banners. Independent experiments render
-// concurrently (up to opts.Workers at once) into private buffers; the
-// stitched output is byte-identical to a sequential run, and — as in
-// the sequential semantics — the first failing experiment in ID order
-// terminates the output after its partial report.
-func RunAll(w io.Writer, opts Options) error {
-	all := All()
-	type rendered struct {
-		buf bytes.Buffer
-		err error
-	}
-	results := par.Map(len(all), opts.Workers, func(i int) *rendered {
-		r := &rendered{}
+// Rendered is one experiment after its run: the report and artifacts
+// it wrote into private buffers, and its error. A failed run keeps the
+// partial report it got out.
+type Rendered struct {
+	Experiment
+	Report    []byte
+	Artifacts []Artifact
+	Err       error
+}
+
+// RunList renders the experiments concurrently (up to opts.Workers at
+// once), each into private buffers under its own experiment.<id>
+// timer, and stitches the reports into w in list order under banners.
+// keep, when non-nil, is handed each experiment right after its report
+// is written, to save what it wants of it. The stitched output is
+// byte-identical to a sequential run, and — as in the sequential
+// semantics — the first failing experiment in list order terminates
+// the output after its partial report.
+func RunList(w io.Writer, list []Experiment, opts Options, keep func(Rendered) error) error {
+	results := par.Map(len(list), opts.Workers, func(i int) Rendered {
+		var buf bytes.Buffer
+		sink := Sink{Writer: &buf}
 		//lint:ignore obsnames experiment IDs are a fixed compile-time set, so one timer per experiment stays bounded
-		defer obs.GetTimer("experiment." + all[i].ID()).Start()()
-		r.err = all[i].Run(&r.buf, opts)
-		return r
+		stop := obs.GetTimer("experiment." + list[i].id).Start()
+		err := list[i].run(&sink, opts)
+		stop()
+		return Rendered{Experiment: list[i], Report: buf.Bytes(), Artifacts: sink.Artifacts, Err: err}
 	})
-	for i, e := range all {
+	for _, r := range results {
 		fmt.Fprintf(w, "==================================================================\n")
-		fmt.Fprintf(w, "%s — %s\n", e.ID(), e.Title())
+		fmt.Fprintf(w, "%s — %s\n", r.id, r.title)
 		fmt.Fprintf(w, "==================================================================\n")
-		if _, err := w.Write(results[i].buf.Bytes()); err != nil {
+		if _, err := w.Write(r.Report); err != nil {
 			return err
 		}
-		if results[i].err != nil {
-			return fmt.Errorf("experiments: %s: %w", e.ID(), results[i].err)
+		if keep != nil {
+			if err := keep(r); err != nil {
+				return err
+			}
+		}
+		if r.Err != nil {
+			return fmt.Errorf("experiments: %s: %w", r.id, r.Err)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// RunAll is RunList over every registered experiment, in ID order.
+func RunAll(w io.Writer, opts Options) error {
+	return RunList(w, All(), opts, nil)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,31 @@ func runQuick(t *testing.T, id string) string {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return buf.String()
+}
+
+// artifact runs the experiment at Quick size and returns the named
+// artifact it attached.
+func artifact(t *testing.T, id, name string) string {
+	t.Helper()
+	e, err := Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := Sink{Writer: io.Discard}
+	if err := e.run(&sink, Options{Quick: true}); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	for _, a := range sink.Artifacts {
+		if a.Name == name {
+			var buf bytes.Buffer
+			if err := a.Write(&buf); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return buf.String()
+		}
+	}
+	t.Fatalf("%s attached no %s (have %d artifacts)", id, name, len(sink.Artifacts))
+	return ""
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -94,14 +120,10 @@ func TestFig3Output(t *testing.T) {
 }
 
 func TestFig3CSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig3CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
+	lines := strings.Count(artifact(t, "fig3", "fig3.csv"), "\n")
 	// 3 alphas × (16 divisors + 4 single points) + header.
 	if lines != 3*20+1 {
-		t.Fatalf("Fig3CSV has %d lines", lines)
+		t.Fatalf("fig3.csv has %d lines", lines)
 	}
 }
 
@@ -131,12 +153,9 @@ func TestFig6Output(t *testing.T) {
 }
 
 func TestFig6CSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig6CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "m,alpha2,rho,series,") {
-		t.Fatalf("Fig6CSV header wrong: %q", strings.SplitN(buf.String(), "\n", 2)[0])
+	csv := artifact(t, "fig6", "fig6.csv")
+	if !strings.HasPrefix(csv, "m,alpha2,rho,series,") {
+		t.Fatalf("fig6.csv header wrong: %q", strings.SplitN(csv, "\n", 2)[0])
 	}
 }
 

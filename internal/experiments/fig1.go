@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/adversary"
 	"repro/internal/algo"
@@ -12,21 +11,13 @@ import (
 	"repro/internal/report"
 )
 
-func init() { register(fig1{}) }
+func init() { register("fig1", "Figure 1: Theorem 1 adversary instance (λ=3, m=6)", runFig1) }
 
-// fig1 reproduces Figure 1: the instance the Theorem 1 adversary
+// runFig1 reproduces Figure 1: the instance the Theorem 1 adversary
 // builds (λ=3, m=6). It executes the blind no-replication schedule
 // and the clairvoyant redistribution side by side, and sweeps λ to
 // show the certified ratio converging to α²m/(α²+m−1).
-type fig1 struct{}
-
-func (fig1) ID() string { return "fig1" }
-
-func (fig1) Title() string {
-	return "Figure 1: Theorem 1 adversary instance (λ=3, m=6)"
-}
-
-func (fig1) Run(w io.Writer, opts Options) error {
+func runFig1(w *Sink, opts Options) error {
 	const lambda, m = 3, 6
 	alpha := 2.0
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -11,20 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register(fig2{}) }
+func init() { register("fig2", "Figure 2: replication in groups, m=6, k=2", runFig2) }
 
-// fig2 reproduces Figure 2: the two phases of replication in groups
+// runFig2 reproduces Figure 2: the two phases of replication in groups
 // with m=6 machines and k=2 groups. Phase 1 assigns each task's data
 // to one group; phase 2 schedules online within the group.
-type fig2 struct{}
-
-func (fig2) ID() string { return "fig2" }
-
-func (fig2) Title() string {
-	return "Figure 2: replication in groups, m=6, k=2"
-}
-
-func (fig2) Run(w io.Writer, opts Options) error {
+func runFig2(w *Sink, opts Options) error {
 	seed := opts.Seed + 42
 	in := workload.MustNew(workload.Spec{
 		Name: "uniform", N: 12, M: 6, Alpha: 1.5, Seed: seed, Param: 10,

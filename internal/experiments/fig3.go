@@ -8,28 +8,34 @@ import (
 	"repro/internal/report"
 )
 
-func init() { register(fig3{}) }
+func init() {
+	register("fig3", "Figure 3: guarantee vs replication, m=210, α ∈ {1.1, 1.5, 2}", runFig3)
+}
 
-// fig3 reproduces Figure 3: the ratio–replication tradeoff for m=210
+// runFig3 reproduces Figure 3: the ratio–replication tradeoff for m=210
 // and α ∈ {1.1, 1.5, 2}. Each sub-figure plots the LS-Group guarantee
 // as the number of replicas per task (m/k) sweeps the divisors of m,
 // against the single-point guarantees of the two extreme strategies,
-// Graham's baseline, and the Theorem 1 impossibility bound.
-type fig3 struct{}
-
-func (fig3) ID() string { return "fig3" }
-
-func (fig3) Title() string {
-	return "Figure 3: guarantee vs replication, m=210, α ∈ {1.1, 1.5, 2}"
-}
-
-// Fig3Alphas returns the α values of the three sub-figures.
-func Fig3Alphas() []float64 { return []float64{1.1, 1.5, 2} }
-
-func (fig3) Run(w io.Writer, _ Options) error {
+// Graham's baseline, and the Theorem 1 impossibility bound. The series
+// also go out as fig3.csv (long form) and fig3a–c.svg, one per α.
+func runFig3(w *Sink, _ Options) error {
 	const m = 210
-	for _, alpha := range Fig3Alphas() {
+	csv := report.NewTable("alpha", "series", "replicas", "guarantee")
+	for i, alpha := range []float64{1.1, 1.5, 2} {
 		series := bounds.RatioReplication(m, alpha)
+		for _, s := range series {
+			for _, pt := range s.Points {
+				csv.AddRow(alpha, s.Name, pt.X, pt.Y)
+			}
+		}
+		w.attach(fmt.Sprintf("fig3%c.svg", 'a'+i), func(w io.Writer) error {
+			return report.WriteSVGPlot(w, series, report.SVGPlotOptions{
+				Title:  fmt.Sprintf("Figure 3: m=%d, alpha=%g", m, alpha),
+				XLabel: "replicas per task (m/k)",
+				YLabel: "guaranteed competitive ratio",
+				LogX:   true,
+			})
+		})
 		if err := report.Plot(w, series, report.PlotOptions{
 			Title:  fmt.Sprintf("m=%d, alpha=%g", m, alpha),
 			XLabel: "replicas per task (m/k), log scale",
@@ -61,6 +67,7 @@ func (fig3) Run(w io.Writer, _ Options) error {
 			fmt.Fprintf(w, "no replication level beats the Th.1 lower bound at this α\n\n")
 		}
 	}
+	w.attach("fig3.csv", csv.WriteCSV)
 	fmt.Fprintln(w, "Shape checks (paper's observations):")
 	fmt.Fprintln(w, " * α=1.1: LS-Group barely improves on LPT-No Choice; big gap to lower bound.")
 	fmt.Fprintln(w, " * α=1.5: intermediate group sizes trace a smooth tradeoff.")
@@ -76,27 +83,4 @@ func seriesByName(series []bounds.Series, name string) bounds.Series {
 		}
 	}
 	return bounds.Series{Name: name}
-}
-
-// Fig3SVG writes one sub-figure's series as an SVG line chart.
-func Fig3SVG(w io.Writer, alpha float64) error {
-	return report.WriteSVGPlot(w, bounds.RatioReplication(210, alpha), report.SVGPlotOptions{
-		Title:  fmt.Sprintf("Figure 3: m=210, alpha=%g", alpha),
-		XLabel: "replicas per task (m/k)",
-		YLabel: "guaranteed competitive ratio",
-		LogX:   true,
-	})
-}
-
-// Fig3CSV exports all three sub-figures' series in long form.
-func Fig3CSV(w io.Writer) error {
-	tb := report.NewTable("alpha", "series", "replicas", "guarantee")
-	for _, alpha := range Fig3Alphas() {
-		for _, s := range bounds.RatioReplication(210, alpha) {
-			for _, pt := range s.Points {
-				tb.AddRow(alpha, s.Name, pt.X, pt.Y)
-			}
-		}
-	}
-	return tb.WriteCSV(w)
 }

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	register(fig4{})
-	register(fig5{})
+	register("fig4", "Figure 4: SABO_Δ two-phase schedule example (m=4, Δ=1)", runFig4)
+	register("fig5", "Figure 5: ABO_Δ schedule example with replicated LS tail (m=4, Δ=1)", runFig5)
 }
 
 // memExampleInstance builds the small mixed instance used by the
@@ -47,18 +47,10 @@ func renderMemResult(w io.Writer, in *task.Instance, res *memaware.Result) error
 	return tb.Render(w)
 }
 
-// fig4 reproduces Figure 4: an example SABO_Δ schedule. Memory-
+// runFig4 reproduces Figure 4: an example SABO_Δ schedule. Memory-
 // intensive tasks follow the memory schedule π2; the rest follow the
 // makespan schedule π1; nothing is replicated.
-type fig4 struct{}
-
-func (fig4) ID() string { return "fig4" }
-
-func (fig4) Title() string {
-	return "Figure 4: SABO_Δ two-phase schedule example (m=4, Δ=1)"
-}
-
-func (fig4) Run(w io.Writer, opts Options) error {
+func runFig4(w *Sink, opts Options) error {
 	in, err := memExampleInstance(opts.Seed)
 	if err != nil {
 		return err
@@ -73,19 +65,11 @@ func (fig4) Run(w io.Writer, opts Options) error {
 	return renderMemResult(w, in, res)
 }
 
-// fig5 reproduces Figure 5: an example ABO_Δ schedule. Memory-
+// runFig5 reproduces Figure 5: an example ABO_Δ schedule. Memory-
 // intensive tasks are pinned per π2; time-intensive tasks are
 // replicated everywhere and picked up by online List Scheduling as
 // machines drain their pinned queues.
-type fig5 struct{}
-
-func (fig5) ID() string { return "fig5" }
-
-func (fig5) Title() string {
-	return "Figure 5: ABO_Δ schedule example with replicated LS tail (m=4, Δ=1)"
-}
-
-func (fig5) Run(w io.Writer, opts Options) error {
+func runFig5(w *Sink, opts Options) error {
 	in, err := memExampleInstance(opts.Seed)
 	if err != nil {
 		return err

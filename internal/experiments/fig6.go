@@ -8,22 +8,33 @@ import (
 	"repro/internal/report"
 )
 
-func init() { register(fig6{}) }
-
-// fig6 reproduces Figure 6: the memory–makespan guarantee tradeoff of
-// SABO_Δ and ABO_Δ for the paper's three parameterizations, with the
-// impossibility frontier no schedule-combining algorithm can cross.
-type fig6 struct{}
-
-func (fig6) ID() string { return "fig6" }
-
-func (fig6) Title() string {
-	return "Figure 6: memory–makespan guarantee tradeoff (SABO_Δ vs ABO_Δ)"
+func init() {
+	register("fig6", "Figure 6: memory–makespan guarantee tradeoff (SABO_Δ vs ABO_Δ)", runFig6)
 }
 
-func (fig6) Run(w io.Writer, _ Options) error {
-	for _, cfg := range Table2Configs() {
+// runFig6 reproduces Figure 6: the memory–makespan guarantee tradeoff
+// of SABO_Δ and ABO_Δ for the paper's three parameterizations, with the
+// impossibility frontier no schedule-combining algorithm can cross.
+// The series also go out as fig6.csv (long form) and fig6a–c.svg, one
+// per parameterization.
+func runFig6(w *Sink, _ Options) error {
+	csv := report.NewTable("m", "alpha2", "rho", "series", "memory_guarantee", "makespan_guarantee")
+	for i, cfg := range Table2Configs() {
 		series := bounds.MemoryMakespan(cfg.M, cfg.Alpha2, cfg.Rho, cfg.Rho, nil)
+		for _, s := range series {
+			for _, pt := range s.Points {
+				csv.AddRow(cfg.M, cfg.Alpha2, cfg.Rho, s.Name, pt.X, pt.Y)
+			}
+		}
+		w.attach(fmt.Sprintf("fig6%c.svg", 'a'+i), func(w io.Writer) error {
+			return report.WriteSVGPlot(w, series, report.SVGPlotOptions{
+				Title: fmt.Sprintf("Figure 6: m=%d, alpha^2=%g, rho=%s",
+					cfg.M, cfg.Alpha2, ratioName(cfg.Rho)),
+				XLabel: "memory guarantee",
+				YLabel: "makespan guarantee",
+				LogX:   true,
+			})
+		})
 		if err := report.Plot(w, series, report.PlotOptions{
 			Title: fmt.Sprintf("m=%d, alpha^2=%g, rho1=rho2=%s",
 				cfg.M, cfg.Alpha2, ratioName(cfg.Rho)),
@@ -42,6 +53,7 @@ func (fig6) Run(w io.Writer, _ Options) error {
 			minY(sabo), maxY(sabo), minY(abo), maxY(abo))
 		fmt.Fprintln(w)
 	}
+	w.attach("fig6.csv", csv.WriteCSV)
 	fmt.Fprintln(w, "Shape checks (paper's observations):")
 	fmt.Fprintln(w, " * SABO always dominates on the memory guarantee;")
 	fmt.Fprintln(w, " * for αρ1 ≥ 2 (sub-figures a and c) ABO always dominates on makespan;")
@@ -70,29 +82,4 @@ func maxY(s bounds.Series) float64 {
 		}
 	}
 	return max
-}
-
-// Fig6SVG writes one parameterization's series as an SVG line chart.
-func Fig6SVG(w io.Writer, cfg Table2Config) error {
-	series := bounds.MemoryMakespan(cfg.M, cfg.Alpha2, cfg.Rho, cfg.Rho, nil)
-	return report.WriteSVGPlot(w, series, report.SVGPlotOptions{
-		Title: fmt.Sprintf("Figure 6: m=%d, alpha^2=%g, rho=%s",
-			cfg.M, cfg.Alpha2, ratioName(cfg.Rho)),
-		XLabel: "memory guarantee",
-		YLabel: "makespan guarantee",
-		LogX:   true,
-	})
-}
-
-// Fig6CSV exports the three sub-figures' series in long form.
-func Fig6CSV(w io.Writer) error {
-	tb := report.NewTable("m", "alpha2", "rho", "series", "memory_guarantee", "makespan_guarantee")
-	for _, cfg := range Table2Configs() {
-		for _, s := range bounds.MemoryMakespan(cfg.M, cfg.Alpha2, cfg.Rho, cfg.Rho, nil) {
-			for _, pt := range s.Points {
-				tb.AddRow(cfg.M, cfg.Alpha2, cfg.Rho, s.Name, pt.X, pt.Y)
-			}
-		}
-	}
-	return tb.WriteCSV(w)
 }

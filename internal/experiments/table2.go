@@ -2,27 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/bounds"
 	"repro/internal/report"
 )
 
-func init() { register(table2{}) }
+func init() { register("table2", "Table 2: SABO_Δ and ABO_Δ bi-objective guarantees", runTable2) }
 
-// table2 reproduces Table 2: the (makespan, memory) guarantee pairs
+// runTable2 reproduces Table 2: the (makespan, memory) guarantee pairs
 // of SABO_Δ and ABO_Δ, evaluated for the parameterizations of
 // Figure 6 plus a Δ sweep.
-type table2 struct{}
-
-func (table2) ID() string { return "table2" }
-
-func (table2) Title() string {
-	return "Table 2: SABO_Δ and ABO_Δ bi-objective guarantees"
-}
-
-func (table2) Run(w io.Writer, _ Options) error {
+func runTable2(w *Sink, _ Options) error {
 	fmt.Fprintln(w, "Symbolic entries (as printed in the paper):")
 	fmt.Fprintln(w, "  SABO_Δ: makespan (1+Δ)α²ρ1        memory (1+1/Δ)ρ2")
 	fmt.Fprintln(w, "  ABO_Δ : makespan 2−1/m+Δα²ρ1      memory (1+m/Δ)ρ2")

@@ -6,13 +6,11 @@ import (
 	"sync"
 
 	"repro/internal/algo"
+	"repro/internal/bounds"
 	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
-
-// boundTol absorbs floating-point rounding in the guarantee check.
-const boundTol = 1e-9
 
 // scratchPool recycles solver state — radix, queue and placement
 // buffers, 318 KB of an n=2,000 request when built fresh — across the
@@ -73,11 +71,9 @@ func (s *Server) runSchedule(req *ScheduleRequest, sc *algo.Scratch) (*ScheduleR
 	if optimum.Lower > 0 {
 		resp.RatioUpper = res.Makespan / optimum.Lower
 	}
-	if g, ok := guaranteeFor(req.Algorithm, req.Instance.M, req.Instance.Alpha); ok {
+	if g, ok := a.Guarantee(req.Instance.M, req.Instance.Alpha); ok {
 		resp.Guarantee = &g
-		// makespan > g·Upper certifies a violation (C* ≤ Upper); the
-		// tolerance absorbs rounding on the boundary.
-		ok := res.Makespan <= g*optimum.Upper*(1+boundTol)
+		ok := bounds.Holds(res.Makespan, g, optimum.Upper)
 		resp.BoundOK = &ok
 	}
 	return resp, nil

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/wire"
 )
 
@@ -267,34 +266,6 @@ func TestPanicRecovery(t *testing.T) {
 	resp, data := post(t, ts, "/v1/schedule", validSchedule)
 	if resp.StatusCode != 200 {
 		t.Fatalf("server dead after panic: %d %s", resp.StatusCode, data)
-	}
-}
-
-func TestGuaranteeFor(t *testing.T) {
-	m, alpha := 12, 1.5
-	cases := []struct {
-		name string
-		want float64
-		ok   bool
-	}{
-		{"lpt-nochoice", bounds.LPTNoChoice(m, alpha), true},
-		{"lpt-norestriction", bounds.LPTNoRestriction(m, alpha), true},
-		{"ls-norestriction", bounds.GrahamLS(m), true},
-		{"oracle-lpt", bounds.LPTOffline(m), true},
-		{"ls-group:3", bounds.LSGroup(m, 3, alpha), true},
-		{"lpt-group:4", bounds.LSGroup(m, 4, alpha), true},
-		{"ls-group-balanced:6", bounds.LSGroup(m, 6, alpha), true},
-		{"ls-group-balanced:5", 0, false}, // 5 does not divide 12
-		{"ls-group:99", 0, false},         // k > m
-		{"ls-nochoice", 0, false},
-		{"tail:2", 0, false},
-		{"unknown", 0, false},
-	}
-	for _, tc := range cases {
-		got, ok := guaranteeFor(tc.name, m, alpha)
-		if ok != tc.ok || (ok && math.Abs(got-tc.want) > 1e-12) {
-			t.Errorf("guaranteeFor(%q) = %v,%v want %v,%v", tc.name, got, ok, tc.want, tc.ok)
-		}
 	}
 }
 

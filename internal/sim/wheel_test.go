@@ -3,7 +3,11 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/bounds"
+	"repro/internal/opt"
+	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/task"
 	"repro/internal/tick"
 )
 
@@ -147,7 +151,40 @@ func FuzzOpenWheel(f *testing.F) {
 		shift := uint(shiftRaw) % 24
 		machines := wheelFuzzMachines[int(shiftRaw/24)%len(wheelFuzzMachines)]
 		runWheelOps(t, ops, shift, machines, seed)
+		// The same axes, as the one open replay a theorem covers: ops
+		// tasks, α from 1 to 3.875.
+		checkOpenBatchCorner(t, ops, machines, 1+float64(shift)/8, seed)
 	})
+}
+
+// checkOpenBatchCorner replays the open engine's closed-batch corner —
+// every arrival at zero, cancel-on-start, no straggler hook — over a
+// fully replicated placement in LPT order. That is LPT-No Restriction,
+// so the schedule of winning replicas (here the only replicas that ran)
+// must respect its guarantee against LPT's upper bound on C*.
+func checkOpenBatchCorner(t *testing.T, n, m int, alpha float64, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	est := make([]float64, n)
+	act := make([]float64, n)
+	for j := range est {
+		est[j] = r.Uniform(1, 10)
+		act[j] = est[j] * r.BoundedFactor(alpha)
+	}
+	in, err := task.New(m, alpha, est, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := RunFlatOpen(in, placement.Everywhere(n, m), lptOrder(in), make([]float64, n),
+		OpenOptions{Policy: CancelOnStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, _ := opt.LPT(act, m)
+	if mk, rho := open.Schedule.Makespan(), bounds.LPTNoRestriction(m, alpha); !bounds.Holds(mk, rho, upper) {
+		t.Fatalf("n=%d m=%d α=%g seed=%d: makespan %v breaks LPT-No Restriction's %v against C* ≤ %v",
+			n, m, alpha, seed, mk, rho, upper)
+	}
 }
 
 // TestOpenWheelOrdering is the deterministic slice of the fuzz
