@@ -114,6 +114,7 @@ FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel \
 	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
+	sched:FuzzVerifyOrder \
 	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch
 
 fuzz:

@@ -8,7 +8,7 @@
 // cmd/bench (ten alternating pairs, a verdict per end-to-end metric);
 // these are for looking at one loop while working on it:
 //
-//	go test -run '^$' -bench 'SimLoop|OpenSimLoop|LPTOrder|Estimate' -benchmem -count 5 .
+//	go test -run '^$' -bench 'SimLoop|OpenSimLoop|Verify|LPTOrder|Estimate' -benchmem -count 5 .
 //
 // What the host does resolve exactly is allocation, and that is gated
 // live: TestKernelAllocations runs the same closures the Benchmark*
@@ -117,6 +117,11 @@ type kernel struct {
 //     `abo` (ABO_Δ at Δ=1) ranks the pinned S2 in per-machine queues
 //     before the replicated S1 on the list. The last two attribute
 //     pipeline-fresh's classes of the same names.
+//   - Verify: sched.Verify on the `everywhere` run's schedule, once by
+//     each of its two sources of order — the engine's dispatch record,
+//     one walk, and with the record taken away the per-machine sort every
+//     schedule from elsewhere (JSON, a run with failures) pays. The pair
+//     keeps the fallback's cost in view beside the path that avoids it.
 //   - LPTOrder: the one sort an LPT plan makes, from a reused scratch
 //     as algo.Scratch.plan runs it.
 //   - OpenSimLoop: the open-system replay under its heaviest policy —
@@ -146,6 +151,8 @@ var kernels = []kernel{
 	{name: "SimLoop/n=100k", n: 100_000, setup: simLoop(noneShape)},
 	{name: "SimLoop/everywhere/n=10k,m=64", n: 10_000, setup: simLoop(everywhereShape)},
 	{name: "SimLoop/abo/n=10k,m=64", n: 10_000, setup: simLoop(aboShape)},
+	{name: "Verify/recorded/n=10k,m=64", n: 10_000, setup: verifyKernel(true)},
+	{name: "Verify/sorted/n=10k,m=64", n: 10_000, setup: verifyKernel(false)},
 	{name: "LPTOrder/n=10k", n: 10_000, setup: lptOrder},
 	{name: "OpenSimLoop/n=10k", n: 10_000, setup: openSimLoop(64)},
 	{name: "OpenSimLoop/m=128", n: 10_000, setup: openSimLoop(128)},
@@ -201,6 +208,29 @@ func aboShape(in *task.Instance) (*placement.Placement, []int, error) {
 		return nil, nil, err
 	}
 	return res.Placement, append(append([]int(nil), res.MemoryIntensive...), res.TimeIntensive...), nil
+}
+
+func verifyKernel(recorded bool) func(testing.TB, int) func() {
+	return func(tb testing.TB, n int) func() {
+		in := uniformInstance(n, 64)
+		p, order, err := everywhereShape(in)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s := res.Schedule
+		if !recorded {
+			s.Dispatched = nil
+		}
+		return func() {
+			if err := s.Verify(in, p); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 }
 
 func lptOrder(_ testing.TB, n int) func() {
@@ -365,6 +395,7 @@ func benchKernels(b *testing.B, family string) {
 }
 
 func BenchmarkSimLoop(b *testing.B)      { benchKernels(b, "SimLoop") }
+func BenchmarkVerify(b *testing.B)       { benchKernels(b, "Verify") }
 func BenchmarkLPTOrder(b *testing.B)     { benchKernels(b, "LPTOrder") }
 func BenchmarkOpenSimLoop(b *testing.B)  { benchKernels(b, "OpenSimLoop") }
 func BenchmarkEstimateCold(b *testing.B) { benchKernels(b, "EstimateCold") }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // poolConfigs spans every strategy so a reused Runner crosses
@@ -95,6 +99,42 @@ func TestRunnerExecuteMatchesPlanExecute(t *testing.T) {
 				t.Fatalf("seed %d cfg %+v: fresh execute: %v", seed, cfg, err)
 			}
 			outcomesEqual(t, got, want)
+		}
+	}
+}
+
+// TestVerifyPathFromTheCounters: which source of order answered a
+// feasibility check is readable from a scrape. Every strategy's run is
+// verified by the engine's dispatch record and never sorts; the same
+// schedule after a trip through JSON, which carries no record, sorts.
+func TestVerifyPathFromTheCounters(t *testing.T) {
+	recorded, sorted := obs.GetCounter("sched.verify_recorded"), obs.GetCounter("sched.verify_sorted")
+	var r Runner
+	for _, cfg := range poolConfigs() {
+		in := sampleInstance(7)
+		rec0, srt0 := recorded.Load(), sorted.Load()
+		out, err := r.Run(in, cfg)
+		if err != nil {
+			t.Fatalf("cfg %+v: %v", cfg, err)
+		}
+		if rec, srt := recorded.Load()-rec0, sorted.Load()-srt0; rec != 1 || srt != 0 {
+			t.Errorf("cfg %+v: a run made %d recorded and %d sorted checks, want 1 and 0", cfg, rec, srt)
+		}
+
+		data, err := json.Marshal(out.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded sched.Schedule
+		if err := json.Unmarshal(data, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		rec0, srt0 = recorded.Load(), sorted.Load()
+		if err := decoded.Verify(in, out.Placement); err != nil {
+			t.Fatalf("cfg %+v: decoded schedule: %v", cfg, err)
+		}
+		if rec, srt := recorded.Load()-rec0, sorted.Load()-srt0; rec != 0 || srt != 1 {
+			t.Errorf("cfg %+v: a decoded schedule made %d recorded and %d sorted checks, want 0 and 1", cfg, rec, srt)
 		}
 	}
 }

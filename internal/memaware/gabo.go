@@ -35,14 +35,9 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 	}
 
 	p := placement.New(in.N(), in.M)
-	var s1, s2 []int
-	for j := range in.Tasks {
-		if inS2[j] {
-			p.Assign(j, pi2[j])
-			s2 = append(s2, j)
-		} else {
-			s1 = append(s1, j)
-		}
+	order, s1, s2 := sides(inS2)
+	for _, j := range s2 {
+		p.Assign(j, pi2[j])
 	}
 	// Assign time-intensive tasks to groups by estimated load (list
 	// scheduling over groups, LS-Group's phase 1).
@@ -55,9 +50,6 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 
 	// Phase 2: pinned memory tasks first, then the group-replicated
 	// time-intensive tasks in list order.
-	order := make([]int, 0, in.N())
-	order = append(order, s2...)
-	order = append(order, s1...)
 	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
 	if err != nil {
 		return nil, err

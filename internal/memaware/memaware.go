@@ -185,6 +185,32 @@ func split(in *task.Instance, cfg Config) (pi1, pi2 []int, cmax1, mem2 float64, 
 	return pi1, pi2, cmax1, mem2, inS2, nil
 }
 
+// sides lists the tasks of S2 and then of S1, each in task order, in one
+// array sized by counting first: s2 and s1 are its two halves, and read
+// whole it is the priority order of ABO_Δ's phase 2 — pinned memory
+// tasks first, so machines drain their π2 queues, then the replicated
+// tasks in list order.
+func sides(inS2 []bool) (order, s1, s2 []int) {
+	n2 := 0
+	for _, mem := range inS2 {
+		if mem {
+			n2++
+		}
+	}
+	order = make([]int, len(inS2))
+	k2, k1 := 0, n2
+	for j, mem := range inS2 {
+		if mem {
+			order[k2] = j
+			k2++
+		} else {
+			order[k1] = j
+			k1++
+		}
+	}
+	return order, order[n2:], order[:n2:n2]
+}
+
 // SABO runs the SABO_Δ algorithm: each task is statically pinned to
 // its π1 or π2 machine according to the Δ test; phase 2 just executes
 // the pinned assignment with actual times.
@@ -194,16 +220,14 @@ func SABO(in *task.Instance, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	mapping := make([]int, in.N())
-	var s1, s2 []int
 	for j := range mapping {
 		if inS2[j] {
 			mapping[j] = pi2[j]
-			s2 = append(s2, j)
 		} else {
 			mapping[j] = pi1[j]
-			s1 = append(s1, j)
 		}
 	}
+	_, s1, s2 := sides(inS2)
 	p := placement.New(in.N(), in.M)
 	for j, i := range mapping {
 		p.Assign(j, i)
@@ -255,21 +279,13 @@ func ABO(in *task.Instance, cfg Config) (*Result, error) {
 	for i := range all {
 		all[i] = i
 	}
-	var s1, s2 []int
-	for j := range in.Tasks {
-		if inS2[j] {
-			p.Assign(j, pi2[j])
-			s2 = append(s2, j)
-		} else {
-			p.Sets[j] = all
-			s1 = append(s1, j)
-		}
+	order, s1, s2 := sides(inS2)
+	for _, j := range s2 {
+		p.Assign(j, pi2[j])
 	}
-	// Priority: pinned memory tasks first (so machines drain their π2
-	// queues), then replicated tasks in list order.
-	order := make([]int, 0, in.N())
-	order = append(order, s2...)
-	order = append(order, s1...)
+	for _, j := range s1 {
+		p.Sets[j] = all
+	}
 	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
 	if err != nil {
 		return nil, err

@@ -88,6 +88,7 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 			len(w.Machines), len(w.Starts), len(w.Ends))
 	}
 	s.M = w.M
+	s.Dispatched = nil // the wire form carries no record; a reused s must not keep its old one
 	s.Assignments = make([]Assignment, len(w.Machines))
 	for j := range w.Machines {
 		s.Assignments[j] = Assignment{

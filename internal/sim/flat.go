@@ -80,6 +80,8 @@ type spanError struct {
 //	                               tasks whose replica set is the whole
 //	                               shard, in priority order, each once
 //	         wideHead[s]           the list's cursor
+//	         sched.Dispatched[shardTaskOff[s]:]  the shard's tasks in the
+//	                               order it started them, for sched.Verify
 //	machines qTasks[qOff[i]:qOff[i+1]]  per-machine queue: the other
 //	                               tasks eligible on i, in priority
 //	                               order, one copy per replica (CSR)
@@ -94,13 +96,13 @@ type spanError struct {
 // plus run cost O(n + Σ|M_j| over non-wide tasks) + O(n log m), where
 // one queue copy per replica cost Σ|M_j| = n·m under full replication.
 //
-// Because tasks never cross shards, every Assignment, trace region,
-// and started flag a shard writes is disjoint from every other
-// shard's, so shards run on par workers with plain (non-atomic) writes
-// and the merged output is byte-identical to the sequential order —
-// int64 time makes per-machine completion times exact sums, not
-// rounding-order-dependent floats. The differential suite in
-// flat_test.go pins that equivalence at every worker count.
+// Because tasks never cross shards, every Assignment, trace and
+// dispatch-record region, and started flag a shard writes is disjoint
+// from every other shard's, so shards run on par workers with plain
+// (non-atomic) writes and the merged output is byte-identical to the
+// sequential order — int64 time makes per-machine completion times
+// exact sums, not rounding-order-dependent floats. The differential
+// suite in flat_test.go pins that equivalence at every worker count.
 //
 // The zero value is ready to use. A FlatRunner owns the Result it
 // returns (valid until the next call; RunFlat and RunFlatSharded return
@@ -306,6 +308,11 @@ func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	if opts.Trace {
 		sortTrace(r.res.Trace)
 	}
+	if len(opts.Failures) > 0 {
+		// No dispatch record: a shard that met a crash erases lost tasks
+		// and starts them again, and writes none.
+		r.sched.Dispatched = r.sched.Dispatched[:0]
+	}
 	return &r.res, nil
 }
 
@@ -418,6 +425,11 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	if opts.Trace {
 		r.res.Trace = grow(r.res.Trace, 2*n)
 	}
+
+	// Sized on a failure-mode run too, which hands out no record (run
+	// truncates it): 4 B per task there buys crash-free shards a writer
+	// with no test in its dispatch loop.
+	r.sched.Dispatched = grow(r.sched.Dispatched, n)
 
 	if len(opts.Failures) > 0 {
 		if err := r.prepareFailures(in, opts); err != nil {

@@ -108,6 +108,7 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 		}
 		now = end
 	}
+	copy(r.sched.Dispatched[r.shardTaskOff[s]:], q) // started in list order
 	r.shardStarted[s], r.wideHead[s] = r.wideLen[s], r.wideLen[s]
 }
 
@@ -164,6 +165,7 @@ func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatS
 	if opts.Trace {
 		trace = r.res.Trace[2*r.shardTaskOff[s]:]
 	}
+	dispatched := r.sched.Dispatched[r.shardTaskOff[s]:]
 	started := int32(0)
 	popped := int64(0)
 	for len(h) > 0 {
@@ -175,6 +177,7 @@ func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatS
 		if j < 0 {
 			continue // nothing left it may run: the machine retires
 		}
+		dispatched[started] = j
 		started++
 		var d tick.Tick
 		if remote {
