@@ -33,22 +33,22 @@ lint:
 	$(GO) run ./cmd/uncertlint -budget $(LINT_BUDGET) ./...
 
 # Full gate: what CI runs. Vet, build, uncertlint, the whole test
-# suite under the race detector with shuffled order, the cluster chaos
-# layer, the per-package coverage floors, and the committed experiment
+# suite under the race detector with shuffled order, the chaos layer
+# (make chaos), the per-package coverage floors, and the committed experiment
 # outputs against a fresh regeneration.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/uncertlint -budget $(LINT_BUDGET) ./...
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 ./internal/cluster/ ./internal/front/
+	$(MAKE) chaos
 	$(MAKE) cover-floors
 	$(MAKE) figs-check
 
 # Per-package statement-coverage floors, one loop for the Makefile and
 # CI alike: every package on the list must test at COVER_FLOOR% or
 # better.
-COVER_PKGS  := cluster front sim lint wire experiments
+COVER_PKGS  := cluster front proxy sim lint wire experiments
 COVER_FLOOR := 80.0
 
 cover-floors:
@@ -131,9 +131,11 @@ stress:
 	$(GO) test -race -count=1 -v ./internal/wire/
 
 # The fault-injection tests under the race detector: clusterd backends
-# and whole frontd shards killed and restarted mid-batch/mid-stream.
+# and whole frontd shards killed and restarted mid-batch/mid-stream,
+# and the metamorphic relations of both policies. The one statement of
+# it: check and CI run this target.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 -v ./internal/cluster/ ./internal/front/
+	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 ./internal/cluster/ ./internal/front/
 
 # Sustained-load smoke: boot the full in-process tier (frontd over two
 # clusterd shards over two schedds) and drive it with cmd/loadgen's

@@ -43,57 +43,29 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":9090", "listen address")
-		backends    = flag.String("backends", "", "comma-separated schedd base URLs (required)")
-		strategy    = flag.String("strategy", "all", "replication strategy: none, all, or group:k")
-		workers     = flag.Int("workers", 0, "batch fan-out workers (0 = 2*GOMAXPROCS)")
-		timeout     = flag.Duration("timeout", 60*time.Second, "per-batch deadline")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		maxBody     = flag.Int64("max-body", 8<<20, "request body size cap in bytes")
-		maxTasks    = flag.Int("max-tasks", 100000, "per-instance task cap")
-		maxMachines = flag.Int("max-machines", 10000, "per-instance machine cap")
-		maxBatch    = flag.Int("max-batch", 256, "items per /v1/batch request")
-		maxStream   = flag.Int("max-stream-items", 10000, "items per /v1/stream request")
-		streamTime  = flag.Duration("stream-timeout", 5*time.Minute, "per-stream deadline")
-		noHedge     = flag.Bool("no-hedge", false, "disable duplicate dispatch of slow items")
-		hedgeQ      = flag.Float64("hedge-quantile", 0.9, "latency quantile that triggers a hedge")
-		hedgeMin    = flag.Duration("hedge-min-delay", 2*time.Millisecond, "hedge delay floor")
-		hedgeMax    = flag.Duration("hedge-max-delay", time.Second, "hedge delay cap")
-		brkThresh   = flag.Int("breaker-threshold", 3, "consecutive failures that open a backend's breaker")
-		brkBase     = flag.Duration("breaker-base", 100*time.Millisecond, "first breaker-open window")
-		brkMax      = flag.Duration("breaker-max", 5*time.Second, "breaker backoff cap")
-		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "backend /healthz probe spacing")
-		retryCap    = flag.Duration("retry-after-cap", 2*time.Second, "longest honored 429 Retry-After")
-		statsFlag   = flag.Bool("stats", false, "print internal counters and timers to stderr on exit")
-	)
+	var cfg cluster.Config
+	cfg.Tier.Flags(flag.CommandLine)
+	up := &cfg.Tier.Upstream
+	addr := flag.String("addr", ":9090", "listen address")
+	backends := flag.String("backends", "", "comma-separated schedd base URLs (required)")
+	flag.StringVar(&cfg.Strategy, "strategy", "all", "replication strategy: none, all, or group:k")
+	flag.BoolVar(&cfg.DisableHedging, "no-hedge", false, "disable duplicate dispatch of slow items")
+	flag.Float64Var(&cfg.HedgeQuantile, "hedge-quantile", 0.9, "latency quantile that triggers a hedge")
+	flag.DurationVar(&cfg.HedgeMinDelay, "hedge-min-delay", 2*time.Millisecond, "hedge delay floor")
+	flag.DurationVar(&cfg.HedgeMaxDelay, "hedge-max-delay", time.Second, "hedge delay cap")
+	flag.IntVar(&up.Threshold, "breaker-threshold", 3, "consecutive failures that open a backend's breaker")
+	flag.DurationVar(&up.BaseBackoff, "breaker-base", 100*time.Millisecond, "first breaker-open window")
+	flag.DurationVar(&up.MaxBackoff, "breaker-max", 5*time.Second, "breaker backoff cap")
+	flag.DurationVar(&up.ProbeInterval, "probe-interval", 500*time.Millisecond, "backend /healthz probe spacing")
+	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+	statsFlag := flag.Bool("stats", false, "print internal counters and timers to stderr on exit")
 	flag.Parse()
 
 	if *backends == "" {
 		fmt.Fprintln(os.Stderr, "clusterd: -backends is required")
 		os.Exit(2)
 	}
-	cfg := cluster.Config{
-		Backends:           wire.SplitURLs(*backends),
-		Strategy:           *strategy,
-		Workers:            *workers,
-		MaxBatch:           *maxBatch,
-		MaxStreamItems:     *maxStream,
-		StreamTimeout:      *streamTime,
-		MaxTasks:           *maxTasks,
-		MaxMachines:        *maxMachines,
-		MaxBodyBytes:       *maxBody,
-		RequestTimeout:     *timeout,
-		DisableHedging:     *noHedge,
-		HedgeQuantile:      *hedgeQ,
-		HedgeMinDelay:      *hedgeMin,
-		HedgeMaxDelay:      *hedgeMax,
-		BreakerThreshold:   *brkThresh,
-		BreakerBaseBackoff: *brkBase,
-		BreakerMaxBackoff:  *brkMax,
-		ProbeInterval:      *probeEvery,
-		RetryAfterCap:      *retryCap,
-	}
+	cfg.Backends = wire.SplitURLs(*backends)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

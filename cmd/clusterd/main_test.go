@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/proxy"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -55,7 +56,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	var health cluster.HealthResponse
+	var health proxy.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatalf("healthz decode: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	var batch cluster.BatchResponse
+	var batch wire.Results
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatalf("batch decode: %v", err)
 	}

@@ -43,57 +43,28 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":9900", "listen address")
-		shards      = flag.String("shards", "", "comma-separated clusterd base URLs (required)")
-		vnodes      = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
-		workers     = flag.Int("workers", 0, "batch fan-out workers (0 = 2*GOMAXPROCS)")
-		admitMax    = flag.Int("admit-max", 1024, "global admission cap (items in flight)")
-		shardCap    = flag.Int("shard-inflight", 256, "per-shard in-flight item cap (0 or negative: 256; -no-shed disables)")
-		noShed      = flag.Bool("no-shed", false, "disable admission control entirely")
-		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
-		timeout     = flag.Duration("timeout", 60*time.Second, "per-batch deadline")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		maxBody     = flag.Int64("max-body", 8<<20, "request body size cap in bytes")
-		maxTasks    = flag.Int("max-tasks", 100000, "per-instance task cap")
-		maxMachines = flag.Int("max-machines", 10000, "per-instance machine cap")
-		maxBatch    = flag.Int("max-batch", 256, "items per /v1/batch request")
-		maxStream   = flag.Int("max-stream-items", 10000, "items per /v1/stream request")
-		streamTime  = flag.Duration("stream-timeout", 5*time.Minute, "per-stream deadline")
-		failThresh  = flag.Int("fail-threshold", 3, "consecutive failures that mark a shard dead")
-		failBase    = flag.Duration("fail-base", 100*time.Millisecond, "first dead-shard window")
-		failMax     = flag.Duration("fail-max", 5*time.Second, "dead-shard backoff cap")
-		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "shard /healthz probe spacing")
-		retryCap    = flag.Duration("retry-after-cap", 2*time.Second, "longest honored 429 Retry-After")
-		statsFlag   = flag.Bool("stats", false, "print internal counters and timers to stderr on exit")
-	)
+	var cfg front.Config
+	cfg.Tier.Flags(flag.CommandLine)
+	up := &cfg.Tier.Upstream
+	addr := flag.String("addr", ":9900", "listen address")
+	shards := flag.String("shards", "", "comma-separated clusterd base URLs (required)")
+	flag.IntVar(&cfg.AdmitMax, "admit-max", 1024, "global admission cap (items in flight)")
+	flag.IntVar(&cfg.ShardInflight, "shard-inflight", 256, "per-shard in-flight item cap (0 or negative: 256; -no-shed disables)")
+	flag.BoolVar(&cfg.DisableShedding, "no-shed", false, "disable admission control entirely")
+	flag.DurationVar(&cfg.RetryAfterHint, "retry-after", time.Second, "Retry-After hint on shed responses")
+	flag.IntVar(&up.Threshold, "fail-threshold", 3, "consecutive failures that mark a shard dead")
+	flag.DurationVar(&up.BaseBackoff, "fail-base", 100*time.Millisecond, "first dead-shard window")
+	flag.DurationVar(&up.MaxBackoff, "fail-max", 5*time.Second, "dead-shard backoff cap")
+	flag.DurationVar(&up.ProbeInterval, "probe-interval", 500*time.Millisecond, "shard /healthz probe spacing")
+	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+	statsFlag := flag.Bool("stats", false, "print internal counters and timers to stderr on exit")
 	flag.Parse()
 
 	if *shards == "" {
 		fmt.Fprintln(os.Stderr, "frontd: -shards is required")
 		os.Exit(2)
 	}
-	cfg := front.Config{
-		Shards:          wire.SplitURLs(*shards),
-		VNodes:          *vnodes,
-		Workers:         *workers,
-		AdmitMax:        *admitMax,
-		ShardInflight:   *shardCap,
-		DisableShedding: *noShed,
-		RetryAfterHint:  *retryAfter,
-		MaxBatch:        *maxBatch,
-		MaxStreamItems:  *maxStream,
-		StreamTimeout:   *streamTime,
-		MaxTasks:        *maxTasks,
-		MaxMachines:     *maxMachines,
-		MaxBodyBytes:    *maxBody,
-		RequestTimeout:  *timeout,
-		FailThreshold:   *failThresh,
-		FailBaseBackoff: *failBase,
-		FailMaxBackoff:  *failMax,
-		ProbeInterval:   *probeEvery,
-		RetryAfterCap:   *retryCap,
-	}
+	cfg.Shards = wire.SplitURLs(*shards)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/front"
+	"repro/internal/proxy"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -63,7 +64,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	var health front.HealthResponse
+	var health proxy.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatalf("healthz decode: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	var batch front.BatchResponse
+	var batch wire.Results
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatalf("batch decode: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	var item front.Item
+	var item wire.Result
 	if err := json.NewDecoder(resp.Body).Decode(&item); err != nil {
 		t.Fatalf("stream decode: %v", err)
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proxy"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // The chaos harness: an in-process cluster of loopback schedd backends
@@ -32,7 +34,7 @@ func chaosBatch(k int) *BatchRequest {
 	return testBatch(k)
 }
 
-func runChaosBatch(t *testing.T, c *Cluster, req *BatchRequest, timeout time.Duration) *BatchResponse {
+func runChaosBatch(t *testing.T, c *proxy.Tier, req *BatchRequest, timeout time.Duration) *BatchResponse {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -80,12 +82,16 @@ func TestChaosKillAndRestartMidBatch(t *testing.T) {
 		b.delay.Store(int64(3 * time.Millisecond)) // keep items in flight
 	}
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		Strategy:           "group:2",
-		DisableHedging:     true, // exactly-once accounting needs single dispatch
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: 5 * time.Millisecond,
-		ProbeInterval:      10 * time.Millisecond,
+		Backends:       urls,
+		Strategy:       "group:2",
+		DisableHedging: true, // exactly-once accounting needs single dispatch
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:     1,
+				BaseBackoff:   5 * time.Millisecond,
+				ProbeInterval: 10 * time.Millisecond,
+			},
+		},
 	})
 	c.Start(context.Background())
 
@@ -120,12 +126,16 @@ func TestChaosRollingKills(t *testing.T) {
 		b.delay.Store(int64(2 * time.Millisecond))
 	}
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		Strategy:           "all",
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: 5 * time.Millisecond,
-		ProbeInterval:      10 * time.Millisecond,
+		Backends:       urls,
+		Strategy:       "all",
+		DisableHedging: true,
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:     1,
+				BaseBackoff:   5 * time.Millisecond,
+				ProbeInterval: 10 * time.Millisecond,
+			},
+		},
 	})
 	c.Start(context.Background())
 
@@ -157,18 +167,22 @@ func TestChaosWholeGroupDownIsReported(t *testing.T) {
 	bs[2].down.Store(true)
 	bs[3].down.Store(true)
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		Strategy:           "group:2",
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: 5 * time.Millisecond,
-		// Dead-group items spin until the deadline; give the fan-out
-		// enough workers that they cannot starve the live group's items.
-		Workers: 16,
+		Backends:       urls,
+		Strategy:       "group:2",
+		DisableHedging: true,
+		Tier: proxy.Config{
+			// Dead-group items spin until the deadline; give the fan-out
+			// enough workers that they cannot starve the live group's items.
+			Workers: 16,
+			Upstream: wire.UpstreamConfig{
+				Threshold:   1,
+				BaseBackoff: 5 * time.Millisecond,
+			},
+		},
 	})
 
 	req := chaosBatch(8)
-	sets, err := c.replicaSets(req)
+	sets, err := c.Place(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +231,16 @@ func TestChaosWholeGroupDownIsReported(t *testing.T) {
 func TestChaosConcurrentBatches(t *testing.T) {
 	bs, urls := newTestBackends(t, 3, serve.Config{})
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		Strategy:           "all",
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: 5 * time.Millisecond,
-		ProbeInterval:      10 * time.Millisecond,
+		Backends:       urls,
+		Strategy:       "all",
+		DisableHedging: true,
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:     1,
+				BaseBackoff:   5 * time.Millisecond,
+				ProbeInterval: 10 * time.Millisecond,
+			},
+		},
 	})
 	c.Start(context.Background())
 

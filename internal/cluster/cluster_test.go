@@ -16,19 +16,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proxy"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
-// DecodeBatch is the /v1/batch handler's read-and-decode step over any
-// reader (FuzzDecodeBatch's entry point).
-func (c *Cluster) DecodeBatch(r io.Reader) (*BatchRequest, error) {
-	body, err := wire.ReadBody(r, -1, c.cfg.MaxBodyBytes)
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeBatch(body)
-}
+// The tier's request and answer types, by the names these tests use.
+type (
+	BatchRequest  = proxy.BatchRequest
+	BatchResponse = wire.Results
+	Item          = wire.Result
+	PlacementSpec = proxy.PlacementSpec
+)
 
 // testBackend wraps a real serve handler with fault injection: down
 // simulates a fail-stop crash (connections are hijacked and closed
@@ -151,7 +150,7 @@ func testBatch(k int) *BatchRequest {
 	return req
 }
 
-func mustCluster(t *testing.T, cfg Config) *Cluster {
+func mustCluster(t *testing.T, cfg Config) *proxy.Tier {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -200,7 +199,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 
 	t.Run("all", func(t *testing.T) {
 		c := mustCluster(t, Config{Backends: urls, Strategy: "all"})
-		sets, err := c.replicaSets(req)
+		sets, err := c.Place(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +212,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 
 	t.Run("none", func(t *testing.T) {
 		c := mustCluster(t, Config{Backends: urls, Strategy: "none"})
-		sets, err := c.replicaSets(req)
+		sets, err := c.Place(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +231,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 			}
 		}
 		// Determinism.
-		again, _ := c.replicaSets(req)
+		again, _ := c.Place(req)
 		for i := range sets {
 			if sets[i][0] != again[i][0] {
 				t.Fatal("none strategy not deterministic")
@@ -242,7 +241,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 
 	t.Run("group", func(t *testing.T) {
 		c := mustCluster(t, Config{Backends: urls, Strategy: "group:2"})
-		sets, err := c.replicaSets(req)
+		sets, err := c.Place(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +259,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 		c := mustCluster(t, Config{Backends: urls, Strategy: "all"})
 		r := testBatch(2)
 		r.Placement = &PlacementSpec{Replicas: [][]int{{0, 2}, {1}}}
-		sets, err := c.replicaSets(r)
+		sets, err := c.Place(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +267,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 			t.Fatalf("override ignored: %v", sets)
 		}
 		r.Placement = &PlacementSpec{Strategy: "none"}
-		sets, err = c.replicaSets(r)
+		sets, err = c.Place(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +280,7 @@ func TestReplicaSetsStrategies(t *testing.T) {
 func TestDecodeBatchRejections(t *testing.T) {
 	c := mustCluster(t, Config{
 		Backends: []string{"http://a", "http://b", "http://c", "http://d"},
-		MaxBatch: 4, MaxTasks: 8, MaxMachines: 8,
+		Tier:     proxy.Config{MaxBatch: 4, MaxTasks: 8, MaxMachines: 8},
 	})
 	item := `{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}}`
 	cases := []struct{ name, body string }{
@@ -306,7 +305,7 @@ func TestDecodeBatchRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := c.DecodeBatch(strings.NewReader(tc.body)); err == nil {
+			if _, err := c.Decode([]byte(tc.body)); err == nil {
 				t.Fatalf("accepted: %s", tc.body)
 			}
 		})
@@ -317,7 +316,7 @@ func TestDecodeBatchRejections(t *testing.T) {
 		`{"requests":[` + item + `],"placement":{"strategy":"group:2"}}`,
 		`{"requests":[` + item + `],"placement":{"replicas":[[0,3]]}}`,
 	} {
-		if _, err := c.DecodeBatch(strings.NewReader(body)); err != nil {
+		if _, err := c.Decode([]byte(body)); err != nil {
 			t.Fatalf("rejected valid body %s: %v", body, err)
 		}
 	}
@@ -385,11 +384,15 @@ func TestRedispatchAroundDeadBackend(t *testing.T) {
 	bs, urls := newTestBackends(t, 2, serve.Config{})
 	bs[0].down.Store(true) // dead from the start
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: 10 * time.Millisecond,
-		RequestTimeout:     10 * time.Second,
+		Backends:       urls,
+		DisableHedging: true,
+		Tier: proxy.Config{
+			RequestTimeout: 10 * time.Second,
+			Upstream: wire.UpstreamConfig{
+				Threshold:   1,
+				BaseBackoff: 10 * time.Millisecond,
+			},
+		},
 	})
 	before := mRedispatch.Load()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -463,7 +466,7 @@ func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 			}
 			c := mustCluster(t, Config{
 				Backends: urls, DisableHedging: true,
-				BreakerThreshold: 1, BreakerBaseBackoff: time.Minute,
+				Tier: proxy.Config{Upstream: wire.UpstreamConfig{Threshold: 1, BaseBackoff: time.Minute}},
 			})
 			ts := httptest.NewServer(c.Handler())
 			t.Cleanup(ts.Close)
@@ -483,7 +486,7 @@ func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 			if first < 0 {
 				t.Fatal("no backend was asked for item 1")
 			}
-			if state, _, fails := c.backends[first].Health(time.Now()); state != "open" || fails != 1 {
+			if state, _, fails := c.Upstreams()[first].Health(time.Now()); state != "open" || fails != 1 {
 				t.Errorf("backend %d, which answered garbage: breaker %s with %d failures, want open with 1", first, state, fails)
 			}
 			if n := bs[1-first].executions()["1"]; n != 1 {
@@ -515,7 +518,7 @@ func TestConnectionsAreReused(t *testing.T) {
 	t.Cleanup(backend.Close)
 	baseline := runtime.NumGoroutine()
 
-	c := mustCluster(t, Config{Backends: []string{backend.URL}, DisableHedging: true, Workers: workers})
+	c := mustCluster(t, Config{Backends: []string{backend.URL}, DisableHedging: true, Tier: proxy.Config{Workers: workers}})
 	dials := mDials.Load()
 	req := testBatch(16)
 	for i := 0; i < 200; i++ {
@@ -604,10 +607,14 @@ func TestNoLiveReplicaTimesOut(t *testing.T) {
 	bs[0].down.Store(true)
 	bs[1].down.Store(true)
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: time.Minute, // one fault each, then the deadline falls in the wait
+		Backends:       urls,
+		DisableHedging: true,
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:   1,
+				BaseBackoff: time.Minute, // one fault each, then the deadline falls in the wait
+			},
+		},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -624,10 +631,14 @@ func TestNoLiveReplicaTimesOut(t *testing.T) {
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	bs, urls := newTestBackends(t, 2, serve.Config{})
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: time.Minute,
+		Backends:       urls,
+		DisableHedging: true,
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:   1,
+				BaseBackoff: time.Minute,
+			},
+		},
 	})
 	front := httptest.NewServer(c.Handler())
 	t.Cleanup(front.Close)
@@ -655,7 +666,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health HealthResponse
+	var health proxy.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -690,22 +701,26 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 func TestProbeReadmitsRestartedBackend(t *testing.T) {
 	bs, urls := newTestBackends(t, 1, serve.Config{})
 	c := mustCluster(t, Config{
-		Backends:           urls,
-		DisableHedging:     true,
-		BreakerThreshold:   1,
-		BreakerBaseBackoff: time.Hour, // only a probe can close it in time
-		ProbeInterval:      5 * time.Millisecond,
+		Backends:       urls,
+		DisableHedging: true,
+		Tier: proxy.Config{
+			Upstream: wire.UpstreamConfig{
+				Threshold:     1,
+				BaseBackoff:   time.Hour, // only a probe can close it in time
+				ProbeInterval: 5 * time.Millisecond,
+			},
+		},
 	})
 	c.Start(context.Background())
 	bs[0].down.Store(true)
-	c.backends[0].RecordFailure(time.Now())
-	c.backends[0].RecordFailure(time.Now())
-	if c.backends[0].State(time.Now()) != wire.StateOpen {
+	c.Upstreams()[0].RecordFailure(time.Now())
+	c.Upstreams()[0].RecordFailure(time.Now())
+	if c.Upstreams()[0].State(time.Now()) != wire.StateOpen {
 		t.Fatal("breaker not open")
 	}
 	bs[0].down.Store(false)
 	deadline := time.Now().Add(2 * time.Second)
-	for c.backends[0].State(time.Now()) != wire.StateClosed {
+	for c.Upstreams()[0].State(time.Now()) != wire.StateClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("probe never closed the breaker of a recovered backend")
 		}

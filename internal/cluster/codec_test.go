@@ -121,12 +121,12 @@ func TestDecodeBatchAgreesWithDecodeStrict(t *testing.T) {
 		var want BatchRequest
 		wantErr := wire.DecodeStrict(strings.NewReader(body), &want)
 		if wantErr == nil {
-			wantErr = serve.CheckBatch(want.Requests, c.limits)
+			wantErr = serve.CheckBatch(want.Requests, wire.Limits{MaxTasks: 100000, MaxMachines: 10000, MaxBatch: 256}) // the defaults
 		}
 		if wantErr == nil && want.Placement != nil {
-			wantErr = c.validatePlacementSpec(want.Placement, len(want.Requests))
+			_, wantErr = c.Place(&want)
 		}
-		got, err := c.decodeBatch([]byte(body))
+		got, err := c.Decode([]byte(body))
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Errorf("%s:\n  decodeBatch: %v\n  DecodeStrict: %v", body, err, wantErr)
 			continue

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/proxy"
 )
 
 // FuzzDecodeBatch fuzzes clusterd's single request entry point.
@@ -34,15 +35,13 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := New(Config{
-			Backends:    []string{"http://a", "http://b", "http://c", "http://d"},
-			MaxBatch:    16,
-			MaxTasks:    256,
-			MaxMachines: 64,
+			Backends: []string{"http://a", "http://b", "http://c", "http://d"},
+			Tier:     proxy.Config{MaxBatch: 16, MaxTasks: 256, MaxMachines: 64},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := c.DecodeBatch(bytes.NewReader(data))
+		req, err := c.Decode(data)
 		if err != nil {
 			return
 		}
@@ -63,7 +62,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		// Accepted ⇒ placeable: phase 1 must never fail downstream of a
 		// successful decode.
-		sets, err := c.replicaSets(req)
+		sets, err := c.Place(req)
 		if err != nil {
 			t.Fatalf("accepted batch fails placement: %v\ninput: %s", err, data)
 		}
@@ -75,14 +74,14 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
-		again, err := c.DecodeBatch(bytes.NewReader(enc))
+		again, err := c.Decode(enc)
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\ncanonical: %s\noriginal: %s", err, enc, data)
 		}
 		if len(again.Requests) != len(req.Requests) {
 			t.Fatalf("round trip changed batch size: %s", data)
 		}
-		sets2, err := c.replicaSets(again)
+		sets2, err := c.Place(again)
 		if err != nil {
 			t.Fatalf("canonical form fails placement: %v", err)
 		}

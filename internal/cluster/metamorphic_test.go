@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proxy"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Metamorphic relations for the dispatch proxy:
@@ -121,12 +123,16 @@ func TestMetamorphicPoolInvariance(t *testing.T) {
 	run := func(nb int, kill func([]*testBackend)) []byte {
 		bs, urls := newTestBackends(t, nb, serve.Config{})
 		c := mustCluster(t, Config{
-			Backends:           urls,
-			Strategy:           "all",
-			DisableHedging:     true,
-			BreakerThreshold:   1,
-			BreakerBaseBackoff: 5 * time.Millisecond,
-			ProbeInterval:      10 * time.Millisecond,
+			Backends:       urls,
+			Strategy:       "all",
+			DisableHedging: true,
+			Tier: proxy.Config{
+				Upstream: wire.UpstreamConfig{
+					Threshold:     1,
+					BaseBackoff:   5 * time.Millisecond,
+					ProbeInterval: 10 * time.Millisecond,
+				},
+			},
 		})
 		c.Start(context.Background())
 		front := httptest.NewServer(c.Handler())

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/placement"
+	"repro/internal/proxy"
 	"repro/internal/serve"
 )
 
@@ -48,43 +50,78 @@ func parseStrategy(s string, nb int) (strategy, error) {
 	}
 }
 
-// replicaSets computes the phase-1 placement of a batch over the
-// backend pool: Sets[i] lists the backends allowed to run item i. An
-// explicit request override wins, then a request strategy, then the
-// configured default — and a strategy is the stream placer run over
-// the batch, so a batch and a stream of the same items place alike.
-// The computation is deterministic (greedy least estimated load, ties
-// to the lowest index) so identical batches place identically — the
-// metamorphic tests rely on it.
-func (c *Cluster) replicaSets(req *BatchRequest) ([][]int, error) {
-	n := len(req.Requests)
-	nb := len(c.backends)
-	strat := c.strat
-	if req.Placement != nil {
-		if req.Placement.Replicas != nil {
-			// Re-validate: RunBatch is also a library entry point, so it
-			// cannot assume DecodeBatch ran.
-			if len(req.Placement.Replicas) != n {
-				return nil, fmt.Errorf("placement: %d replica sets for %d items", len(req.Placement.Replicas), n)
+// replicas is the cluster's phase 1 over nb backends: the configured
+// strategy, and the one placer of full replication, whose set of every
+// backend all its items share.
+type replicas struct {
+	nb         int
+	strat      strategy
+	everywhere proxy.Placer
+}
+
+func newReplicas(strat string, nb int) (*replicas, error) {
+	s, err := parseStrategy(strat, nb)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int, nb)
+	for i := range all {
+		all[i] = i
+	}
+	return &replicas{nb: nb, strat: s, everywhere: func(int, *serve.ScheduleRequest) []int { return all }}, nil
+}
+
+// place is the Policy's Place: the replica sets of one request. An
+// explicit override (Replicas[i] lists the backends allowed to run item
+// i, sorted ascending without duplicates — the structural rules
+// placement.CheckSets enforces for machines) wins, then a request
+// strategy, then the configured one. A strategy is placed online, so a
+// batch and a stream of the same items place alike: for "none" and
+// "group:k" the greedy least-loaded rule over the running estimated
+// load per choice — the semi-clairvoyant analogue of the paper's
+// placements, on the only cost signal available before execution —
+// ties to the lowest index, so identical batches place identically
+// (the metamorphic tests rely on it).
+func (r *replicas) place(spec *proxy.PlacementSpec, n int) (proxy.Placer, error) {
+	strat := r.strat
+	if spec != nil {
+		switch {
+		case spec.Strategy != "" && spec.Replicas != nil:
+			return nil, errors.New("placement: strategy and replicas are mutually exclusive")
+		case spec.Replicas != nil:
+			if len(spec.Replicas) != n {
+				return nil, fmt.Errorf("placement: %d replica sets for %d items", len(spec.Replicas), n)
 			}
-			if err := placement.CheckSets(req.Placement.Replicas, nb); err != nil {
+			if err := placement.CheckSets(spec.Replicas, r.nb); err != nil {
 				return nil, err
 			}
-			return req.Placement.Replicas, nil
+			return func(i int, _ *serve.ScheduleRequest) []int { return spec.Replicas[i] }, nil
+		case spec.Strategy == "":
+			return nil, errors.New("placement: empty spec (set strategy or replicas)")
 		}
-		if req.Placement.Strategy != "" {
-			var err error
-			if strat, err = parseStrategy(req.Placement.Strategy, nb); err != nil {
-				return nil, err
-			}
+		var err error
+		if strat, err = parseStrategy(spec.Strategy, r.nb); err != nil {
+			return nil, err
 		}
 	}
-	placer := c.newStreamPlacer(strat)
-	sets := make([][]int, n)
-	for i := range req.Requests {
-		sets[i] = placer.place(&req.Requests[i])
+	switch strat.kind {
+	case stratNone:
+		loads := make([]float64, r.nb)
+		return func(_ int, req *serve.ScheduleRequest) []int {
+			best := argminLoad(loads)
+			loads[best] += itemEstimate(req)
+			return []int{best}
+		}, nil
+	case stratGroup:
+		loads := make([]float64, len(strat.groups))
+		return func(_ int, req *serve.ScheduleRequest) []int {
+			g := argminLoad(loads)
+			loads[g] += itemEstimate(req)
+			return strat.groups[g]
+		}, nil
+	default:
+		return r.everywhere, nil
 	}
-	return sets, nil
 }
 
 // itemEstimate is the uncertain cost estimate of one work item: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"repro/internal/proxy"
 	"repro/internal/serve"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func streamLines(req *BatchRequest) string {
 
 func TestClusterStreamOrderedResults(t *testing.T) {
 	backends, urls := newTestBackends(t, 2, serve.Config{})
-	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, Workers: 3})
+	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, Tier: proxy.Config{Workers: 3}})
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
@@ -184,7 +185,7 @@ func TestClusterStreamStrategyOverride(t *testing.T) {
 
 func TestClusterStreamItemCap(t *testing.T) {
 	_, urls := newTestBackends(t, 1, serve.Config{})
-	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, MaxStreamItems: 2})
+	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, Tier: proxy.Config{MaxStreamItems: 2}})
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
@@ -209,7 +210,7 @@ func itoa(i int) string { return fmt.Sprintf("%d", i) }
 // silently lose their tail.
 func TestClusterStreamLongBody(t *testing.T) {
 	_, urls := newTestBackends(t, 2, serve.Config{})
-	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, Workers: 2})
+	c := mustCluster(t, Config{Backends: urls, DisableHedging: true, Tier: proxy.Config{Workers: 2}})
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/proxy"
 )
 
 // Admission-control properties, pinned with the obs gauges:
@@ -31,7 +33,7 @@ func TestAdmissionBatchShedsWith429(t *testing.T) {
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 
-	shedBefore := mShed.Load()
+	shedBefore, inflightBefore := mShed.Load(), gInflight.Load()
 	const n = 5 // > AdmitMax: sheds with zero concurrency needed
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(frontBatch(n)); err != nil {
@@ -61,7 +63,7 @@ func TestAdmissionBatchShedsWith429(t *testing.T) {
 	if got := mShed.Load() - shedBefore; got != n {
 		t.Fatalf("front.shed moved by %d, want %d", got, n)
 	}
-	if got := f.admitted.Load(); got != 0 {
+	if got := gInflight.Load() - inflightBefore; got != 0 {
 		t.Fatalf("admission level %d after shed, want 0", got)
 	}
 }
@@ -77,7 +79,7 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 		s.delay.Store(int64(10 * time.Millisecond))
 	}
 	const cap = 3
-	f := mustFront(t, Config{Shards: urls, AdmitMax: cap, ShardInflight: 0, Workers: 8})
+	f := mustFront(t, Config{Shards: urls, AdmitMax: cap, ShardInflight: 0, Tier: proxy.Config{Workers: 8}})
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 
@@ -98,7 +100,7 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 				return
 			default:
 			}
-			if v := f.admitted.Load(); v > maxSeen {
+			if v := gInflight.Load() - inflightBefore; v > maxSeen {
 				maxSeen = v
 			}
 			time.Sleep(500 * time.Microsecond)
@@ -155,16 +157,13 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 		t.Fatalf("front.shed moved by %d, %d shed responses observed", got, shed)
 	}
 	// Drain: every level and gauge back where it started.
-	if got := f.admitted.Load(); got != 0 {
-		t.Fatalf("admission level %d after drain", got)
-	}
 	if got := gInflight.Load(); got != inflightBefore {
 		t.Fatalf("front.inflight %d after drain, started at %d", got, inflightBefore)
 	}
 	if got := gShardTotal.Load(); got != shardTotalBefore {
 		t.Fatalf("front.shard_inflight %d after drain, started at %d", got, shardTotalBefore)
 	}
-	for i, s := range f.shards {
+	for i, s := range f.Upstreams() {
 		if got := s.Inflight(); got != 0 {
 			t.Fatalf("shard %d inflight %d after drain", i, got)
 		}
@@ -178,11 +177,11 @@ func TestAdmissionCapNeverExceededAndDrains(t *testing.T) {
 func TestAdmissionStreamShedsInBand(t *testing.T) {
 	shards, urls := newTestShards(t, 1)
 	shards[0].delay.Store(int64(20 * time.Millisecond))
-	f := mustFront(t, Config{Shards: urls, AdmitMax: 1, ShardInflight: 0, Workers: 8})
+	f := mustFront(t, Config{Shards: urls, AdmitMax: 1, ShardInflight: 0, Tier: proxy.Config{Workers: 8}})
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 
-	shedBefore := mShed.Load()
+	shedBefore, inflightBefore := mShed.Load(), gInflight.Load()
 	const n = 8
 	req := frontBatch(n)
 	var body bytes.Buffer
@@ -233,7 +232,7 @@ func TestAdmissionStreamShedsInBand(t *testing.T) {
 	if got := mShed.Load() - shedBefore; got != int64(shed) {
 		t.Fatalf("front.shed moved by %d, %d shed lines observed", got, shed)
 	}
-	if got := f.admitted.Load(); got != 0 {
+	if got := gInflight.Load() - inflightBefore; got != 0 {
 		t.Fatalf("admission level %d after stream drained", got)
 	}
 }
@@ -255,7 +254,7 @@ func TestShardInflightCapSheds(t *testing.T) {
 		_, _ = f.RunBatch(ctx, frontBatch(1))
 	}()
 	defer func() { cancel(); <-held }()
-	for f.shards[0].Inflight() == 0 {
+	for f.Upstreams()[0].Inflight() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -279,7 +278,7 @@ func TestShardInflightCapSheds(t *testing.T) {
 func TestDisableSheddingAdmitsEverything(t *testing.T) {
 	shards, urls := newTestShards(t, 1)
 	shards[0].delay.Store(int64(2 * time.Millisecond))
-	f := mustFront(t, Config{Shards: urls, AdmitMax: 1, DisableShedding: true, Workers: 8})
+	f := mustFront(t, Config{Shards: urls, AdmitMax: 1, DisableShedding: true, Tier: proxy.Config{Workers: 8}})
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 

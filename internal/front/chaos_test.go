@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/proxy"
+	"repro/internal/wire"
 )
 
 // The front-tier chaos layer: whole clusterd shards are killed
@@ -36,10 +39,12 @@ func chaosFrontConfig(urls []string) Config {
 	return Config{
 		Shards:          urls,
 		DisableShedding: true,
-		FailThreshold:   1,
-		FailBaseBackoff: 5 * time.Millisecond,
-		FailMaxBackoff:  50 * time.Millisecond,
-		ProbeInterval:   10 * time.Millisecond,
+		Tier: proxy.Config{Upstream: wire.UpstreamConfig{
+			Threshold:     1,
+			BaseBackoff:   5 * time.Millisecond,
+			MaxBackoff:    50 * time.Millisecond,
+			ProbeInterval: 10 * time.Millisecond,
+		}},
 	}
 }
 
@@ -137,7 +142,7 @@ func TestChaosShardKillAndRestartMidBatch(t *testing.T) {
 	// Readmission: the probers must bring shard 0 back to live.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if f.shards[0].state(time.Now()) == shardLive {
+		if f.Upstreams()[0].State(time.Now()) == wire.StateClosed {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -273,12 +278,13 @@ func TestChaosShedAccountingUnderKill(t *testing.T) {
 	}
 	shards[1].down.Store(true)
 	f := mustFront(t, Config{
-		Shards:          urls,
-		AdmitMax:        1024, // global cap out of the way: this test pins the per-shard cap
-		ShardInflight:   2,
-		Workers:         16,
-		FailThreshold:   1,
-		FailBaseBackoff: 50 * time.Millisecond,
+		Shards:        urls,
+		AdmitMax:      1024, // global cap out of the way: this test pins the per-shard cap
+		ShardInflight: 2,
+		Tier: proxy.Config{
+			Workers:  16,
+			Upstream: wire.UpstreamConfig{Threshold: 1, BaseBackoff: 50 * time.Millisecond},
+		},
 	})
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)

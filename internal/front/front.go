@@ -1,25 +1,22 @@
-// Package front is the production front door over a fleet of clusterd
-// shards: the third tier of the serving stack (frontd → clusterd →
-// schedd). Where clusterd treats its schedd backends as the paper's
-// machine set M and places each item on a replica set, the front tier
-// treats whole clusterd instances as independent replica groups — the
-// `group:k` topology lifted one level — and consistent-hash-shards
+// Package front is the front door of the serving stack (frontd →
+// clusterd → schedd): the proxy tier (internal/proxy) under the policy
+// that treats whole clusterd instances as independent replica groups —
+// the `group:k` topology lifted one level — and consistent-hash-shards
 // work items across them.
 //
 // Three mechanisms make the tier hold up under sustained load:
 //
-//   - a stable hash ring with virtual nodes (see Ring) assigns every
-//     item a home shard deterministically from the shard list alone,
-//     so identical frontd replicas agree with no coordination;
-//   - admission control sheds before it queues: a global admission
-//     cap bounds the items in flight across the tier, and a per-shard
-//     in-flight cap bounds each shard's share; work beyond either cap
-//     is rejected immediately with 429 + Retry-After (batch) or a
-//     per-item shed error (stream), never buffered unboundedly;
-//   - fail-stop shard detection re-routes work from a fully-dead
-//     shard to its ring successors, so killing a shard degrades
-//     latency but loses no items; background /healthz probes readmit
-//     a restarted shard.
+//   - phase 1, a stable hash ring with virtual nodes (see Ring), gives
+//     every item a home shard and a successor walk from the shard list
+//     alone, so identical frontd replicas agree with no coordination
+//     (hence a constant vnode count: another would split the key space);
+//   - admission control sheds before it queues: a global cap bounds the
+//     items in flight across the tier, a per-shard cap each shard's
+//     share, and work beyond either is rejected at once with 429 +
+//     Retry-After (batch) or a per-item shed error (stream);
+//   - phase 2 sends an item to the first live shard of its walk, so a
+//     dead shard's work re-routes to its ring successors — latency
+//     degrades, no item is lost — and /healthz probes readmit it.
 //
 // Observability: front.shed counts every rejected item, front.rerouted
 // every item moved off its home shard, front.shard_inflight (and the
@@ -29,14 +26,15 @@
 package front
 
 import (
-	"context"
 	"errors"
+	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/proxy"
+	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
@@ -57,31 +55,15 @@ var (
 	tStream      = obs.GetTimer("front.stream")
 )
 
-// Shard health states in the front tier's vocabulary, also the values
-// of the per-shard front.shard.<id>.dead gauge: a clusterd shard is
-// live, dead, or (wire.StateHalfOpen) probing. The mechanics are
-// wire.Upstream's breaker — the same ones internal/cluster runs one
-// layer down.
-const (
-	shardLive = wire.StateClosed
-	shardDead = wire.StateOpen
-)
+// ItemHeader carries the front-tier batch index of a dispatched item
+// to the shard. Purely observational (the chaos tests use it to map
+// sub-requests back to items); clusterd ignores unknown headers.
+const ItemHeader = "X-Front-Item"
 
-var shardNames = wire.UpstreamNames{
-	GaugePrefix: "front.shard",
-	StateGauge:  "dead",
-	States:      [3]string{"live", "dead", "probing"},
-	Opens:       mShardDeaths,
-	Dials:       mDials,
-}
-
-// shard is one clusterd instance behind the front tier: a
-// wire.Upstream whose in-flight count feeds the per-shard admission
-// cap and whose fail-stop detection keeps a dead shard off the ring
-// walk until a probe (or an elapsed backoff window) readmits it.
-type shard struct{ *wire.Upstream }
-
-func (s *shard) state(now time.Time) int { return s.State(now) }
+// vnodes is the virtual-node count per shard on the hash ring: smooth
+// enough at O(shards·vnodes·log) ring-build cost, and the same in every
+// frontd, so every replica places every key alike.
+const vnodes = 64
 
 // maxShards bounds the shard list; the ring's successor walk uses a
 // 64-bit shard mask, and a front tier wider than this wants a second
@@ -95,13 +77,6 @@ type Config struct {
 	// forming the tier. At least one and at most 64 are required; the
 	// ring is deterministic given this list.
 	Shards []string
-	// VNodes is the virtual-node count per shard on the hash ring.
-	// Higher is smoother, at O(shards·vnodes·log) ring-build cost.
-	// Default: 64.
-	VNodes int
-	// Workers bounds the per-request fan-out (batch) and the in-flight
-	// window (stream). Default: 2·GOMAXPROCS.
-	Workers int
 	// AdmitMax is the global admission cap: the maximum work items in
 	// flight across the whole tier. Items beyond it are shed with 429 +
 	// Retry-After instead of queueing. Default: 1024.
@@ -118,120 +93,32 @@ type Config struct {
 	// RetryAfterHint is the Retry-After delay advertised on shed
 	// responses. Default: 1s.
 	RetryAfterHint time.Duration
-	// MaxBatch caps the items of one /v1/batch request. Default: 256.
-	MaxBatch int
-	// MaxStreamItems caps the items of one /v1/stream request.
-	// Default: 10000.
-	MaxStreamItems int
-	// StreamTimeout is the end-to-end deadline of one /v1/stream
-	// request. Default: 5m.
-	StreamTimeout time.Duration
-	// MaxTasks and MaxMachines cap submitted instances, mirroring the
-	// clusterd/schedd limits so the front rejects what the tiers below
-	// would. Defaults: 100000 and 10000.
-	MaxTasks    int
-	MaxMachines int
-	// MaxBodyBytes caps the request body size. Default: 8 MiB.
-	MaxBodyBytes int64
-	// RequestTimeout is the end-to-end deadline of one batch. Default: 60s.
-	RequestTimeout time.Duration
-	// FailThreshold is the consecutive-failure count that marks a shard
-	// dead. Default: 3.
-	FailThreshold int
-	// FailBaseBackoff is the first dead window; it doubles on every
-	// failed readmission trial up to FailMaxBackoff.
-	// Defaults: 100ms and 5s.
-	FailBaseBackoff time.Duration
-	FailMaxBackoff  time.Duration
-	// ProbeInterval spaces the background shard /healthz probes that
-	// readmit restarted shards. Default: 500ms.
-	ProbeInterval time.Duration
-	// RetryAfterCap bounds how long a shard's 429 Retry-After is
-	// honored before retrying. Default: 2s.
-	RetryAfterCap time.Duration
-	// Transport overrides the HTTP transport (tests inject failure
-	// modes here). Default: the tier's own, built by wire.NewPool — a
-	// clone of http.DefaultTransport that keeps its connections.
+	// Tier holds the settings every proxy tier shares; its Upstream
+	// breaker marks a shard dead.
+	Tier proxy.Config
+	// Transport overrides the HTTP transport (tests inject failure modes
+	// here). Default: the pool's own, keeping its connections (wire.NewPool).
 	Transport http.RoundTripper
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2 * runtime.GOMAXPROCS(0)
-	}
 	if c.AdmitMax <= 0 {
 		c.AdmitMax = 1024
 	}
-	if c.ShardInflight < 0 {
+	if c.DisableShedding {
 		c.ShardInflight = 0
-	}
-	if c.ShardInflight == 0 && !c.DisableShedding {
+	} else if c.ShardInflight <= 0 {
 		c.ShardInflight = 256
 	}
 	if c.RetryAfterHint <= 0 {
 		c.RetryAfterHint = time.Second
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxStreamItems <= 0 {
-		c.MaxStreamItems = 10000
-	}
-	if c.StreamTimeout <= 0 {
-		c.StreamTimeout = 5 * time.Minute
-	}
-	if c.MaxTasks <= 0 {
-		c.MaxTasks = 100000
-	}
-	if c.MaxMachines <= 0 {
-		c.MaxMachines = 10000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 60 * time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.FailBaseBackoff <= 0 {
-		c.FailBaseBackoff = 100 * time.Millisecond
-	}
-	if c.FailMaxBackoff <= 0 {
-		c.FailMaxBackoff = 5 * time.Second
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.RetryAfterCap <= 0 {
-		c.RetryAfterCap = 2 * time.Second
-	}
 	return c
 }
 
-// Front is the sharded front tier. Create one with New, optionally
-// call Start for background shard probing, and mount Handler (or call
-// RunBatch directly).
-type Front struct {
-	cfg    Config
-	limits wire.Limits
-	ring   *Ring
-	pool   *wire.Pool
-	shards []*shard // pool.Upstreams, indexed by ring shard id
-	route  wire.Route
-
-	// admitted is the global admission level under AdmitMax: a batch is
-	// admitted whole or shed whole. The front.inflight gauge mirrors it.
-	admitted *wire.Level
-}
-
 // New validates the configuration (shard list and ring shape) and
-// returns a ready front tier. Shard probing starts only with Start.
-func New(cfg Config) (*Front, error) {
+// returns the front tier. Shard probing starts only with Start.
+func New(cfg Config) (*proxy.Tier, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("front: no shards configured")
@@ -239,140 +126,95 @@ func New(cfg Config) (*Front, error) {
 	if len(cfg.Shards) > maxShards {
 		return nil, errors.New("front: more than 64 shards; add a second front tier instead")
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := NewRing(cfg.Shards, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	f := &Front{
-		cfg:    cfg,
-		limits: wire.Limits{MaxTasks: cfg.MaxTasks, MaxMachines: cfg.MaxMachines, MaxBatch: cfg.MaxBatch},
-		ring:   ring,
-		pool: wire.NewPool(cfg.Shards, cfg.Transport, wire.UpstreamConfig{
-			Threshold:     cfg.FailThreshold,
-			BaseBackoff:   cfg.FailBaseBackoff,
-			MaxBackoff:    cfg.FailMaxBackoff,
-			ProbeInterval: cfg.ProbeInterval,
-		}, &shardNames),
-		admitted: wire.NewLevel(cfg.AdmitMax, gInflight),
+	walk := proxy.Placer(func(_ int, req *serve.ScheduleRequest) []int {
+		return ring.successors(mix64(itemHash(req)), nil)
+	})
+	retryAfter := retryAfterValue(cfg.RetryAfterHint)
+	p := proxy.Policy{
+		Place: func(*proxy.PlacementSpec, int) (proxy.Placer, error) { return walk, nil },
+		Pick:  pick(int64(cfg.ShardInflight), retryAfter),
+		// A one-item sub-batch to the shard, never hedged: a shard
+		// hedges among its own backends.
+		Route: wire.Route{
+			Path: "/v1/batch", ItemHeader: ItemHeader, Sole: true,
+			NoneLive: func([]int) string { return "front: no live shard" },
+			Items:    mItems, Dispatches: mDispatches, Retries429: mRetry429,
+			Shed: mShed, Rerouted: mRerouted, Inflight: gShardTotal,
+		},
+		AdmitMax: cfg.AdmitMax, RetryAfter: retryAfter,
+		Name: "front",
+		// A clusterd shard is live, dead, or probing; the mechanics are
+		// wire.Upstream's breaker, the same clusterd runs one layer down.
+		Upstreams: wire.UpstreamNames{
+			GaugePrefix: "front.shard", StateGauge: "dead",
+			States: [3]string{"live", "dead", "probing"},
+			Opens:  mShardDeaths, Dials: mDials,
+		},
+		Shards:      true,
+		StreamItems: mStreamItems, Batch: tBatch, Stream: tStream,
 	}
-	for _, u := range f.pool.Upstreams {
-		f.shards = append(f.shards, &shard{u})
+	if !cfg.DisableShedding {
+		p.Admit = wire.NewLevel(cfg.AdmitMax, gInflight)
 	}
-	// The front's policy over the shared dispatch loop: a one-item
-	// sub-batch to the first selectable shard of the ring walk, shed at
-	// the in-flight cap, never hedged — a shard hedges among its own
-	// backends.
-	f.route = wire.Route{
-		Pool: f.pool, Path: "/v1/batch", ItemHeader: ItemHeader, Sole: true,
-		Pick:          f.pick,
-		NoneLive:      func([]int) string { return "front: no live shard" },
-		RetryAfterCap: cfg.RetryAfterCap,
-		Items:         mItems, Dispatches: mDispatches, Retries429: mRetry429,
-		Shed: mShed, Rerouted: mRerouted, Inflight: gShardTotal,
-	}
-	return f, nil
+	return proxy.New(cfg.Tier, cfg.Shards, cfg.Transport, p), nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (f *Front) Config() Config { return f.cfg }
-
-// Ring returns the front's hash ring (read-only; the ring is immutable
-// once built).
-func (f *Front) Ring() *Ring { return f.ring }
-
-// Start launches one background health-probe loop per shard, so a
-// restarted shard is readmitted to the ring rotation without waiting
-// for a live dispatch to discover it. Probes stop when ctx is
-// cancelled or Close is called, whichever comes first.
-func (f *Front) Start(ctx context.Context) { f.pool.Start(ctx) }
-
-// Close stops the shard probes started by Start.
-func (f *Front) Close() { f.pool.Close() }
-
-// Handler returns the front tier's HTTP surface:
-//
-//	POST /v1/batch   shard a batch across the clusterd fleet
-//	POST /v1/stream  NDJSON: one schedule request per line in, one
-//	                 result line out per item, in input order
-//	GET  /healthz    per-shard state and in-flight view
-//	GET  /metrics    internal/obs snapshot
-func (f *Front) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
-	mux.Handle("GET /metrics", obs.Handler())
-	mux.HandleFunc("POST /v1/batch", f.handleBatch)
-	mux.HandleFunc("POST /v1/stream", f.handleStream)
-	return mux
-}
-
-func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
-	defer tBatch.Start()()
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	}
-	body, err := wire.ReadBody(r.Body, r.ContentLength, f.cfg.MaxBodyBytes)
-	var req *BatchRequest
-	if err == nil {
-		req, err = f.decodeBatch(body)
-	}
-	if err != nil {
-		wire.BadRequest(w, err)
-		return
-	}
-	n := len(req.Requests)
-	if !f.cfg.DisableShedding {
-		if !f.admitted.TryAdd(n) {
-			// Shed before queue: the whole batch is rejected now, with a
-			// retry hint, rather than buffered behind the admission cap.
-			mShed.Add(int64(n))
-			w.Header().Set("Retry-After", f.retryAfterValue())
-			wire.WriteError(w, http.StatusTooManyRequests, "front saturated: admission cap reached")
-			return
+// pick is the front's phase 2: the first selectable shard on the
+// item's ring walk; nil alone means every shard is dead. Capacity is
+// different from death: when that shard is at its in-flight cap (0: no
+// cap) the item is shed at once, shed before queue, so a hot shard
+// slows its own keys down without stealing capacity from the rest of
+// the ring.
+func pick(shardCap int64, retryAfter string) func([]*wire.Upstream, []int, time.Time) (*wire.Upstream, string) {
+	return func(shards []*wire.Upstream, order []int, now time.Time) (*wire.Upstream, string) {
+		for _, i := range order {
+			sh := shards[i]
+			if !sh.Selectable(now) {
+				continue
+			}
+			if shardCap > 0 && sh.Inflight() >= shardCap {
+				return nil, "shed: shard " + strconv.Itoa(sh.ID) +
+					" at in-flight cap; retry after " + retryAfter + "s"
+			}
+			return sh, ""
 		}
-		defer f.admitted.Sub(n)
+		return nil, ""
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
-	defer cancel()
-	resp, _ := f.RunBatch(ctx, req) // never fails: the ring places every item
-	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// RunBatch dispatches a validated batch across the shard fleet and
-// returns the results in input order. It is the library entry point
-// (the HTTP handler adds admission control on top): no admission cap
-// applies here, matching a handler call with shedding disabled. The
-// error is cluster.RunBatch's shape and always nil.
-func (f *Front) RunBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	return wire.RunBatch(ctx, len(req.Requests), f.cfg.Workers, func(i int) Item {
-		return f.dispatchItem(ctx, i, &req.Requests[i])
-	}), nil
+// retryAfterValue renders the shed hint as whole seconds (minimum 1,
+// the smallest honest Retry-After).
+func retryAfterValue(hint time.Duration) string {
+	return strconv.Itoa(max(1, int(hint/time.Second)))
 }
 
-func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	resp := HealthResponse{Status: "ok", Admitted: f.admitted.Load(), AdmitMax: f.cfg.AdmitMax}
-	live := 0
-	for _, s := range f.shards {
-		st := ShardStatus{ID: s.ID, URL: s.URL}
-		st.State, st.Inflight, st.ConsecutiveFailures = s.Health(now)
-		if st.State != "dead" {
-			live++
-		}
-		resp.Shards = append(resp.Shards, st)
+// itemHash is the ring key of a work item: FNV-1a, a word a step, over
+// what the item decodes to — the algorithm, m, α, each task's three
+// floats by bit pattern, the exact limit. Identical items share a shard
+// however they were spelt (whitespace, key order, 1.50 for 1.5, actuals
+// omitted or equal to the estimates), as when the key was the item's
+// canonical JSON.
+func itemHash(req *serve.ScheduleRequest) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(req.Algorithm); i++ {
+		h = (h ^ uint64(req.Algorithm[i])) * prime64
 	}
-	if live == 0 {
-		// Every shard dead: the tier cannot place anything right now.
-		resp.Status = "degraded"
+	h = (h ^ uint64(req.ExactLimit)) * prime64
+	in := req.Instance
+	if in == nil {
+		return h // RunBatch on an unvalidated item: the shard words the refusal
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
-}
-
-// retryAfterValue renders the configured shed hint as whole seconds
-// (minimum 1, the smallest honest Retry-After).
-func (f *Front) retryAfterValue() string {
-	secs := int(f.cfg.RetryAfterHint / time.Second)
-	if secs < 1 {
-		secs = 1
+	h = (h ^ uint64(in.M)) * prime64
+	h = (h ^ math.Float64bits(in.Alpha)) * prime64
+	for _, t := range in.Tasks {
+		h = (h ^ math.Float64bits(t.Estimate)) * prime64
+		h = (h ^ math.Float64bits(t.Actual)) * prime64
+		h = (h ^ math.Float64bits(t.Size)) * prime64
 	}
-	return strconv.Itoa(secs)
+	return h
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/proxy"
 	"repro/internal/serve"
 	"repro/internal/task"
 	"repro/internal/wire"
@@ -29,7 +29,7 @@ import (
 type testShard struct {
 	ts     *httptest.Server
 	schedd *httptest.Server
-	c      *cluster.Cluster
+	c      *proxy.Tier
 	inner  http.Handler
 	down   atomic.Bool
 	delay  atomic.Int64 // nanoseconds of simulated work per request
@@ -152,23 +152,14 @@ func frontBatch(k int) *BatchRequest {
 	return req
 }
 
-// DecodeBatch is the /v1/batch handler's read-and-decode step over any
-// reader (FuzzDecodeFrontBatch's entry point).
-func (f *Front) DecodeBatch(r io.Reader) (*BatchRequest, error) {
-	body, err := wire.ReadBody(r, -1, f.cfg.MaxBodyBytes)
-	if err != nil {
-		return nil, err
-	}
-	return f.decodeBatch(body)
-}
+// The tier's request and answer types, by the names these tests use.
+type (
+	BatchRequest  = proxy.BatchRequest
+	BatchResponse = wire.Results
+	Item          = wire.Result
+)
 
-// checkItem is the per-item validation decodeBatch applies to every
-// batch entry and the stream to every line.
-func (f *Front) checkItem(req *serve.ScheduleRequest) error {
-	return f.limits.CheckItem(req.Algorithm, req.Instance)
-}
-
-func mustFront(t *testing.T, cfg Config) *Front {
+func mustFront(t *testing.T, cfg Config) *proxy.Tier {
 	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
@@ -180,14 +171,11 @@ func mustFront(t *testing.T, cfg Config) *Front {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{Shards: []string{"http://a"}}.withDefaults()
-	if cfg.VNodes != 64 || cfg.AdmitMax != 1024 || cfg.ShardInflight != 256 {
-		t.Fatalf("defaults: %+v", cfg)
-	}
-	if cfg.MaxBatch != 256 || cfg.FailThreshold != 3 || cfg.RetryAfterHint != time.Second {
+	if cfg.AdmitMax != 1024 || cfg.ShardInflight != 256 || cfg.RetryAfterHint != time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	// Only transparency mode turns the per-shard cap off: zero and
-	// negative both select the default.
+	// negative both select the default, and no-shed clears a set cap.
 	for _, tc := range []struct {
 		in   Config
 		want int
@@ -195,6 +183,7 @@ func TestConfigDefaults(t *testing.T) {
 		{Config{ShardInflight: -1}, 256},
 		{Config{DisableShedding: true}, 0},
 		{Config{ShardInflight: -1, DisableShedding: true}, 0},
+		{Config{ShardInflight: 5, DisableShedding: true}, 0},
 	} {
 		if got := tc.in.withDefaults().ShardInflight; got != tc.want {
 			t.Errorf("ShardInflight %d (DisableShedding %v) defaults to %d, want %d",
@@ -218,37 +207,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("accepted oversized shard list")
 	}
 	f := mustFront(t, Config{Shards: []string{"http://a", "http://b"}})
-	if f.Ring().NumShards() != 2 {
-		t.Fatalf("ring shards = %d", f.Ring().NumShards())
-	}
-}
-
-func TestDecodeBatchRejections(t *testing.T) {
-	f := mustFront(t, Config{Shards: []string{"http://a"}, MaxBatch: 2})
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"empty object", `{}`},
-		{"empty batch", `{"requests":[]}`},
-		{"unknown field", `{"requests":[{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}}],"extra":1}`},
-		{"trailing garbage", `{"requests":[{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}}]} {}`},
-		{"missing algorithm", `{"requests":[{"instance":{"m":1,"alpha":1,"estimates":[1]}}]}`},
-		{"missing instance", `{"requests":[{"algorithm":"oracle-lpt"}]}`},
-		{"bad alpha", `{"requests":[{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":0.5,"estimates":[1]}}]}`},
-		{"over MaxBatch", `{"requests":[
-			{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}},
-			{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}},
-			{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}}]}`},
-	}
-	for _, tc := range cases {
-		if _, err := f.DecodeBatch(strings.NewReader(tc.body)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	if _, err := f.DecodeBatch(strings.NewReader(
-		`{"requests":[{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]}}]}`)); err != nil {
-		t.Fatalf("rejected valid batch: %v", err)
+	if n := len(f.Upstreams()); n != 2 {
+		t.Fatalf("tier over %d shards", n)
 	}
 }
 
@@ -303,13 +263,13 @@ func TestBatchThroughFront(t *testing.T) {
 func TestBadRequestStatusCodes(t *testing.T) {
 	schedd := httptest.NewServer(serve.New(serve.Config{MaxBodyBytes: 256}).Handler())
 	t.Cleanup(schedd.Close)
-	c, err := cluster.New(cluster.Config{Backends: []string{schedd.URL}, MaxBodyBytes: 256})
+	c, err := cluster.New(cluster.Config{Backends: []string{schedd.URL}, Tier: proxy.Config{MaxBodyBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clusterd := httptest.NewServer(c.Handler())
 	t.Cleanup(clusterd.Close)
-	frontd := httptest.NewServer(mustFront(t, Config{Shards: []string{clusterd.URL}, MaxBodyBytes: 256}).Handler())
+	frontd := httptest.NewServer(mustFront(t, Config{Shards: []string{clusterd.URL}, Tier: proxy.Config{MaxBodyBytes: 256}}).Handler())
 	t.Cleanup(frontd.Close)
 	tiers := []struct{ name, url string }{
 		{"schedd", schedd.URL}, {"clusterd", clusterd.URL}, {"frontd", frontd.URL},
@@ -368,49 +328,17 @@ func TestBadRequestStatusCodes(t *testing.T) {
 	}
 }
 
-func TestHealthzDegradedWhenAllShardsDead(t *testing.T) {
-	shards, urls := newTestShards(t, 2)
-	f := mustFront(t, Config{Shards: urls, FailThreshold: 1})
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-
-	getHealth := func() HealthResponse {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h HealthResponse
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	if h := getHealth(); h.Status != "ok" || len(h.Shards) != 2 {
-		t.Fatalf("healthy tier: %+v", h)
-	}
-	for i := range shards {
-		f.shards[i].RecordFailure(time.Now())
-	}
-	if h := getHealth(); h.Status != "degraded" {
-		t.Fatalf("all-dead tier still %q", h.Status)
-	}
-}
-
 // TestProbeReadmission kills a shard, lets the prober mark it dead,
 // restarts it, and requires the prober to readmit it — the satellite
 // invariant "restart ⇒ the ring readmits the shard".
 func TestProbeReadmission(t *testing.T) {
 	shards, urls := newTestShards(t, 2)
-	f := mustFront(t, Config{
-		Shards:          urls,
-		FailThreshold:   1,
-		FailBaseBackoff: 5 * time.Millisecond,
-		FailMaxBackoff:  20 * time.Millisecond,
-		ProbeInterval:   5 * time.Millisecond,
-	})
+	f := mustFront(t, Config{Shards: urls, Tier: proxy.Config{Upstream: wire.UpstreamConfig{
+		Threshold:     1,
+		BaseBackoff:   5 * time.Millisecond,
+		MaxBackoff:    20 * time.Millisecond,
+		ProbeInterval: 5 * time.Millisecond,
+	}}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f.Start(ctx)
@@ -420,16 +348,16 @@ func TestProbeReadmission(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if f.shards[0].state(time.Now()) == want {
+			if f.Upstreams()[0].State(time.Now()) == want {
 				return
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 		t.Fatalf("shard 0 never reached state %d", want)
 	}
-	waitState(shardDead)
+	waitState(wire.StateOpen)
 	shards[0].down.Store(false)
-	waitState(shardLive)
+	waitState(wire.StateClosed)
 }
 
 // TestReroutedCountsItemsNotAttempts: front.rerouted is "items moved
@@ -454,10 +382,14 @@ func TestReroutedCountsItemsNotAttempts(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	f := mustFront(t, Config{Shards: urls, FailThreshold: 1, FailBaseBackoff: time.Minute,
-		FailMaxBackoff: time.Minute, RetryAfterCap: 5 * time.Millisecond})
+	f := mustFront(t, Config{Shards: urls, Tier: proxy.Config{RetryAfterCap: 5 * time.Millisecond,
+		Upstream: wire.UpstreamConfig{Threshold: 1, BaseBackoff: time.Minute, MaxBackoff: time.Minute}}})
 	req := frontBatch(1)
-	home.Store(int64(f.ring.successors(mix64(itemHash(&req.Requests[0])), nil)[0]))
+	ring, err := NewRing(urls, vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home.Store(int64(ring.successors(mix64(itemHash(&req.Requests[0])), nil)[0]))
 
 	rerouted, retried := mRerouted.Load(), mRetry429.Load()
 	resp, err := f.RunBatch(t.Context(), req)
@@ -476,12 +408,10 @@ func TestReroutedCountsItemsNotAttempts(t *testing.T) {
 }
 
 func TestRetryAfterValue(t *testing.T) {
-	f := mustFront(t, Config{Shards: []string{"http://a"}, RetryAfterHint: 3 * time.Second})
-	if got := f.retryAfterValue(); got != "3" {
+	if got := retryAfterValue(3 * time.Second); got != "3" {
 		t.Fatalf("retryAfterValue = %q", got)
 	}
-	f2 := mustFront(t, Config{Shards: []string{"http://a"}, RetryAfterHint: 100 * time.Millisecond})
-	if got := f2.retryAfterValue(); got != "1" {
+	if got := retryAfterValue(100 * time.Millisecond); got != "1" {
 		t.Fatalf("sub-second hint rendered %q, want the 1s floor", got)
 	}
 }
@@ -539,10 +469,10 @@ func TestStreamOrderAndErrors(t *testing.T) {
 }
 
 // TestStreamItemCap cuts the stream off with an in-band error line
-// past MaxStreamItems.
+// past the tier's MaxStreamItems.
 func TestStreamItemCap(t *testing.T) {
 	_, urls := newTestShards(t, 1)
-	f := mustFront(t, Config{Shards: urls, MaxStreamItems: 2})
+	f := mustFront(t, Config{Shards: urls, Tier: proxy.Config{MaxStreamItems: 2}})
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 

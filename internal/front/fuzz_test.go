@@ -1,10 +1,12 @@
 package front
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"repro/internal/proxy"
+	"repro/internal/wire"
 )
 
 // FuzzRing fuzzes the consistent-hash ring over arbitrary shard
@@ -19,7 +21,7 @@ import (
 //     a different shard, and the deleted shard's keys land exactly on
 //     their next live ring successor.
 //
-// Shard counts above 64 are exercised on purpose: Front caps the tier
+// Shard counts above 64 are exercised on purpose: New caps the tier
 // at 64, but the ring must stay correct through its map-based fallback
 // (successorsSlow) even when misused as a library.
 func FuzzRing(f *testing.F) {
@@ -125,27 +127,30 @@ func FuzzDecodeFrontBatch(f *testing.F) {
 	f.Add([]byte(`{"requests":[` + item + `]}garbage`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		shards := []string{"http://a", "http://b", "http://c"}
+		lim := wire.Limits{MaxBatch: 16, MaxTasks: 256, MaxMachines: 64}
 		fr, err := New(Config{
-			Shards:      []string{"http://a", "http://b", "http://c"},
-			MaxBatch:    16,
-			MaxTasks:    256,
-			MaxMachines: 64,
+			Shards: shards,
+			Tier:   proxy.Config{MaxBatch: lim.MaxBatch, MaxTasks: lim.MaxTasks, MaxMachines: lim.MaxMachines},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := fr.DecodeBatch(bytes.NewReader(data))
+		req, err := fr.Decode(data)
 		if err != nil {
 			return
 		}
 		if len(req.Requests) == 0 || len(req.Requests) > 16 {
 			t.Fatalf("accepted batch of %d items: %s", len(req.Requests), data)
 		}
-		ring := fr.Ring()
+		ring, err := NewRing(shards, vnodes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		route := make([]int, len(req.Requests))
 		for i := range req.Requests {
 			r := &req.Requests[i]
-			if err := fr.checkItem(r); err != nil {
+			if err := lim.CheckItem(r.Algorithm, r.Instance); err != nil {
 				t.Fatalf("accepted item %d fails its own check: %v\ninput: %s", i, err, data)
 			}
 			// Accepted ⇒ routable: the dispatch key is the item's
@@ -164,7 +169,7 @@ func FuzzDecodeFrontBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
-		again, err := fr.DecodeBatch(bytes.NewReader(enc))
+		again, err := fr.Decode(enc)
 		if err != nil {
 			t.Fatalf("canonical form rejected: %v\ncanonical: %s\noriginal: %s", err, enc, data)
 		}

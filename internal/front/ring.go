@@ -9,7 +9,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over a fixed shard list. Each shard
-// contributes VNodes virtual points, hashed from "name#index" with
+// contributes vnodes virtual points, hashed from "name#index" with
 // FNV-1a, so the ring is a pure function of (shard names, vnode
 // count): every frontd built from the same shard list routes every key
 // identically, with no coordination.
@@ -138,9 +138,9 @@ func (r *Ring) Successors(key []byte, buf []int) []int {
 func (r *Ring) successors(h uint64, buf []int) []int {
 	out := buf[:0]
 	seen := 0
-	var mark uint64 // bitmask over shards; len(shards) <= 64 enforced by Front
+	var mark uint64 // bitmask over shards; len(shards) <= 64 enforced by New
 	if len(r.shards) > 64 {
-		// Fallback for oversized rings (library misuse; Front caps the
+		// Fallback for oversized rings (library misuse; New caps the
 		// shard count): a map keeps correctness.
 		return r.successorsSlow(h, out)
 	}

@@ -167,7 +167,7 @@ func TestRingAccessors(t *testing.T) {
 
 // TestSuccessorsSlowAgrees: the >64-shard map fallback and the bitmask
 // fast path produce identical walks (exercised via successorsSlow
-// directly, since Front caps rings at 64 shards).
+// directly, since New caps rings at 64 shards).
 func TestSuccessorsSlowAgrees(t *testing.T) {
 	r, _ := NewRing(ringShards(9), 16)
 	for i := 0; i < 100; i++ {

@@ -7,8 +7,8 @@ import (
 
 // nondetAllowlist names the packages (by final import-path element)
 // that are allowed to observe wall-clock time and to select over
-// channels: the serving and dispatch layers (including the front
-// tier and the wire substrate they share), the observability layer (timers are write-only and never feed
+// channels: the serving and dispatch layers (the proxy tier, its front
+// and cluster policies, and the wire substrate they share), the observability layer (timers are write-only and never feed
 // back into results), the fork-join engine, and the load generator
 // (whose measurements are wall-clock by definition; its request stream
 // stays seed-deterministic via internal/rng). Everything else in the repo — in particular algo,
@@ -19,6 +19,7 @@ var nondetAllowlist = map[string]bool{
 	"serve":   true,
 	"cluster": true,
 	"front":   true,
+	"proxy":   true,
 	"wire":    true,
 	"loadgen": true,
 	"obs":     true,

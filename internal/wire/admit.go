@@ -12,7 +12,7 @@ import (
 // under concurrency. schedd uses it one slot at a time as its solver
 // semaphore; frontd admits a batch of n items whole or sheds it whole.
 // Neither ever waits on it — a full level is answered with 429, not a
-// queue.
+// queue. A nil *Level admits everything and holds nothing.
 type Level struct {
 	v     atomic.Int64
 	max   int64
@@ -27,7 +27,7 @@ func NewLevel(max int, gauge *obs.Gauge) *Level {
 
 // TryAdd reserves n units if all of them fit, without blocking.
 func (l *Level) TryAdd(n int) bool {
-	for {
+	for l != nil {
 		v := l.v.Load()
 		if v+int64(n) > l.max {
 			return false
@@ -37,13 +37,21 @@ func (l *Level) TryAdd(n int) bool {
 			return true
 		}
 	}
+	return true
 }
 
 // Sub returns n units reserved by a successful TryAdd.
 func (l *Level) Sub(n int) {
-	l.v.Add(int64(-n))
-	l.gauge.Add(int64(-n))
+	if l != nil {
+		l.v.Add(int64(-n))
+		l.gauge.Add(int64(-n))
+	}
 }
 
 // Load returns the current level.
-func (l *Level) Load() int64 { return l.v.Load() }
+func (l *Level) Load() int64 {
+	if l == nil {
+		return 0
+	}
+	return l.v.Load()
+}

@@ -8,22 +8,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Route is what a proxy tier supplies to the one dispatch loop. frontd
-// and clusterd both run the paper's phase 2 — the first idle eligible
-// replica among M_j runs the item — over different phase-1 placements:
-// the candidates each hands Dispatch (a ring-successor walk; a replica
-// set) and the values below. A tier builds its Route once, in New, from
-// its Config; nothing in it is set per request.
+// Route is a proxy tier's setting of the one dispatch loop: the paper's
+// phase 2 — the first idle eligible replica among M_j runs the item —
+// over the candidates the tier's phase 1 hands Dispatch (frontd's ring
+// walk, clusterd's replica set). proxy.New completes it once from the
+// tier's Policy; nothing in it is set per request.
 type Route struct {
 	// Pool holds the upstreams that candidate ids index.
 	Pool *Pool
 	// Path and ItemHeader shape the sub-request (Upstream.Post).
 	Path, ItemHeader string
-	// Sole: a 200 carries a one-item batch envelope to unwrap
-	// (SoleResult); otherwise its body, less the writer's newline, is
-	// the item's response. Either way the response is checked on receipt
-	// (received), and a 200 that is not valid JSON, or not one result, is
-	// the upstream's fault, not the item's: the item is tried elsewhere.
+	// Sole: a copy posts a one-item batch, and a 200 carries one to
+	// unwrap (SoleResult); otherwise a 200's body, less its newline, is
+	// the item's response. Either way it is checked on receipt, and one
+	// that is not valid JSON, or not one result, is the upstream's fault:
+	// the item is tried elsewhere.
 	Sole bool
 	// Pick chooses one of the candidates at now; nil when none is
 	// selectable. A non-empty shed refuses the item in those words, for
@@ -38,18 +37,16 @@ type Route struct {
 	// duplicate; nil: an item has one copy in flight at a time.
 	Hedge Hedger
 
-	// The tier's counters, as UpstreamNames carries the breaker's: Items
-	// counts Dispatch calls, Dispatches posts, Retries429 waits on a 429,
-	// Shed refusals by Pick, Hedges and HedgeWins duplicates sent and
-	// those that answered first (nil in a tier that never sheds, or
-	// never hedges).
+	// The tier's counters: Items counts Dispatch calls, Dispatches posts,
+	// Retries429 waits on a 429, Shed refusals by Pick, Hedges and
+	// HedgeWins duplicates sent and those that answered first, Rerouted
+	// an item once, when first sent to another candidate than set[0]
+	// (frontd: off its home shard), Redispatches every attempt after an
+	// item's first trip round the loop; Inflight mirrors the posts
+	// outstanding. nil: not kept (a tier that never sheds, or hedges).
 	Items, Dispatches, Retries429, Shed, Hedges, HedgeWins *obs.Counter
-	// Rerouted counts an item once, when it is first sent to another
-	// candidate than set[0] (frontd: moved off its home shard);
-	// Redispatches every attempt after an item's first trip round the
-	// loop; Inflight mirrors the posts outstanding. nil: not kept.
-	Rerouted, Redispatches *obs.Counter
-	Inflight               *obs.Gauge
+	Rerouted, Redispatches                                 *obs.Counter
+	Inflight                                               *obs.Gauge
 }
 
 var newline = []byte("\n")

@@ -23,11 +23,10 @@ const (
 	StateHalfOpen = 2 // window elapsed: dispatches admitted as trials
 )
 
-// UpstreamNames is what differs between the tiers' views of a
-// downstream daemon: clusterd watches schedd backends through a
-// circuit "breaker" that is closed/open/half-open, frontd watches
-// clusterd shards that are live/dead/probing. The mechanics are the
-// same; only the metric names and /healthz labels are per tier.
+// UpstreamNames is a tier's words for its downstream daemons:
+// clusterd's schedd backends sit behind a closed/open/half-open
+// "breaker", frontd's clusterd shards are live/dead/probing. The
+// mechanics are one; the metric names and /healthz labels are per tier.
 type UpstreamNames struct {
 	// GaugePrefix names the per-upstream gauges:
 	// <GaugePrefix>.<id>.inflight and <GaugePrefix>.<id>.<StateGauge>.

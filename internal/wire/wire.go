@@ -1,9 +1,7 @@
-// Package wire is the serving substrate the three daemons share:
-// schedd (internal/serve), clusterd (internal/cluster) and frontd
-// (internal/front) are the same two-phase model at three levels, and
-// everything below the level-specific policy — solver calls, replica
-// placement and the hedge delay, the hash ring and shedding — lives
-// here once:
+// Package wire is the serving substrate the three daemons share: schedd
+// (internal/serve) and the proxy tier (internal/proxy) that frontd and
+// clusterd run are the same two-phase model at three levels, and what
+// lies below each level's policy lives here once:
 //
 //   - the codec: strict pooled JSON decode, pooled response writers,
 //     the error envelope, the bad-request status classifier, and the
@@ -11,17 +9,15 @@
 //     item that runs ahead of the strict decode (scan.go); the batch and
 //     stream answers, printed once by schedd, checked once on receipt
 //     by each tier above and copied at write (splice.go);
-//   - the ordered NDJSON stream pump behind every /v1/stream
-//     (stream.go);
+//   - the ordered NDJSON stream pump behind every /v1/stream (stream.go);
 //   - Upstream and Pool: the in-flight count, consecutive-failure
 //     breaker, /healthz prober and POST-and-classify step a tier keeps
 //     per downstream daemon, over the pool's own connection-keeping
 //     transport (upstream.go);
 //   - Route: the pick → attempt → retry dispatch loop, hedging included,
-//     that frontd and clusterd run as two policies (dispatch.go);
+//     that the proxy tier runs under either policy (dispatch.go);
 //   - Level, the bounded admission counter (admit.go);
-//   - ServeUntil, the listen-serve-drain loop of the daemon mains
-//     (daemon.go).
+//   - ServeUntil, the daemons' listen-serve-drain loop (daemon.go).
 //
 // SERVING.md's "shared substrate" section is the contract reference.
 package wire

@@ -160,6 +160,11 @@ func TestLevel(t *testing.T) {
 	if l.Load() != 0 || g.Load() != base {
 		t.Fatalf("level = %d, gauge %+d after drain", l.Load(), g.Load()-base)
 	}
+	// No level at all is no admission control.
+	var none *Level
+	if none.Sub(1); !none.TryAdd(1<<30) || none.Load() != 0 {
+		t.Fatal("a nil level refused, or held, work")
+	}
 
 	// Semaphore use: 16 goroutines fight over 4 slots; holders never
 	// exceed the cap and everything drains.
