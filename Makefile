@@ -48,7 +48,7 @@ check:
 # Per-package statement-coverage floors, one loop for the Makefile and
 # CI alike: every package on the list must test at COVER_FLOOR% or
 # better.
-COVER_PKGS  := cluster front proxy sim lint wire experiments
+COVER_PKGS  := cluster front proxy sim lint wire experiments loadheap
 COVER_FLOOR := 80.0
 
 cover-floors:
@@ -114,7 +114,7 @@ FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel \
 	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
-	sched:FuzzVerifyOrder \
+	sched:FuzzVerifyOrder loadheap:FuzzTree \
 	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch
 
 fuzz:

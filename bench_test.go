@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/keysort"
+	"repro/internal/loadheap"
 	"repro/internal/memaware"
 	"repro/internal/opt"
 	"repro/internal/placement"
@@ -112,7 +113,7 @@ type kernel struct {
 //
 //   - SimLoop: the batch engine with placement and order precomputed, on
 //     one worker so the rate is per core. n=100k without replication is
-//     all singleton shards, the heap-free linear replay; `everywhere`
+//     all singleton shards, the linear replay with no event tree; `everywhere`
 //     (LPT-No Restriction) files every task on its shard's one list;
 //     `abo` (ABO_Δ at Δ=1) ranks the pinned S2 in per-machine queues
 //     before the replicated S1 on the list. The last two attribute
@@ -124,6 +125,10 @@ type kernel struct {
 //     keeps the fallback's cost in view beside the path that avoids it.
 //   - LPTOrder: the one sort an LPT plan makes, from a reused scratch
 //     as algo.Scratch.plan runs it.
+//   - LPT: the greedy step after it, one AddToMin a task into a reused
+//     loadheap.Tree over descending times, as opt.LPT, the optimum's LPT
+//     bound and every LPT placement run it; at pipeline-fresh's shape
+//     and serve-solve's m=512.
 //   - OpenSimLoop: the open-system replay under its heaviest policy —
 //     Poisson arrivals at a quarter of capacity, every task on every
 //     machine, cancel-on-completion at a cost — which makes the cluster
@@ -154,6 +159,8 @@ var kernels = []kernel{
 	{name: "Verify/recorded/n=10k,m=64", n: 10_000, setup: verifyKernel(true)},
 	{name: "Verify/sorted/n=10k,m=64", n: 10_000, setup: verifyKernel(false)},
 	{name: "LPTOrder/n=10k", n: 10_000, setup: lptOrder},
+	{name: "LPT/n=10k,m=64", n: 10_000, setup: lptPass(64)},
+	{name: "LPT/n=2k,m=512", n: 2_000, setup: lptPass(512)},
 	{name: "OpenSimLoop/n=10k", n: 10_000, setup: openSimLoop(64)},
 	{name: "OpenSimLoop/m=128", n: 10_000, setup: openSimLoop(128)},
 	{name: "EstimateCache/warm", setup: estimateWarm},
@@ -238,6 +245,24 @@ func lptOrder(_ testing.TB, n int) func() {
 	var ks keysort.Scratch
 	var order []int
 	return func() { order = ks.OrderDesc(keys, order) }
+}
+
+// lptMakespan keeps lptPass's answer live.
+var lptMakespan float64
+
+func lptPass(m int) func(testing.TB, int) func() {
+	return func(_ testing.TB, n int) func() {
+		var ks keysort.Scratch
+		desc := ks.SortDesc(uniformInstance(n, m).Estimates(), nil)
+		var loads loadheap.Tree[float64]
+		return func() {
+			loads.Reset(m)
+			for _, p := range desc {
+				loads.AddToMin(p)
+			}
+			lptMakespan = loads.MaxLoad()
+		}
+	}
 }
 
 func openSimLoop(m int) func(testing.TB, int) func() {
@@ -397,6 +422,7 @@ func benchKernels(b *testing.B, family string) {
 func BenchmarkSimLoop(b *testing.B)      { benchKernels(b, "SimLoop") }
 func BenchmarkVerify(b *testing.B)       { benchKernels(b, "Verify") }
 func BenchmarkLPTOrder(b *testing.B)     { benchKernels(b, "LPTOrder") }
+func BenchmarkLPT(b *testing.B)          { benchKernels(b, "LPT") }
 func BenchmarkOpenSimLoop(b *testing.B)  { benchKernels(b, "OpenSimLoop") }
 func BenchmarkEstimateCold(b *testing.B) { benchKernels(b, "EstimateCold") }
 func BenchmarkWireScan(b *testing.B)     { benchKernels(b, "WireScan") }

@@ -278,12 +278,12 @@ func minLoadPlacement(in *task.Instance, order []int) *placement.Placement {
 }
 
 // minLoadPlacementInto is minLoadPlacement writing into a reusable
-// placement. The (load, machine) heap picks the same machine the
-// previous linear scan did — least load, lowest index on ties — in
-// O(log m) instead of O(m) per task.
+// placement. The winner tree over (load, machine) picks the same
+// machine a linear scan does — least load, lowest index on ties — in
+// log2 m branch-free matches instead of O(m) per task.
 func minLoadPlacementInto(in *task.Instance, order []int, p *placement.Placement) {
 	p.Reset(in.N(), in.M)
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	loads.Reset(in.M)
 	for _, j := range order {
 		p.Assign(j, loads.MinID())

@@ -207,7 +207,7 @@ func (g group) placeInto(in *task.Instance, p *placement.Placement, order []int,
 	}
 	p.Reset(in.N(), in.M)
 	p.SetGroups(groups)
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	loads.Reset(g.k)
 	for _, j := range order {
 		best := loads.MinID()
@@ -247,7 +247,7 @@ func (oracleLPT) placeInto(in *task.Instance, p *placement.Placement, _ []int, l
 	// Visit by actual time, not estimate: this baseline is omniscient.
 	l.order = l.byActual(in, l.order)
 	p.Reset(in.N(), in.M)
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	loads.Reset(in.M)
 	for _, j := range l.order {
 		p.Assign(j, loads.MinID())

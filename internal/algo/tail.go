@@ -58,7 +58,7 @@ func (r replicateTail) placeInto(in *task.Instance, p *placement.Placement, orde
 	cut := max(in.N()-r.count, 0)
 	p.Reset(in.N(), in.M)
 	// Pin the head by LPT over the estimates; replicate the tail.
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	loads.Reset(in.M)
 	for _, j := range order[:cut] {
 		p.Assign(j, loads.MinID())

@@ -20,6 +20,8 @@ type point struct {
 //perf:hotpath
 func Spin(keys []string, xs []int) int {
 	m := hotallocdep.Index(keys)
+	var r hotallocdep.Ring[int]
+	r.Push(len(m))
 	total := hotallocdep.Sum(xs) + localAlloc() + clean(xs)
 	return total + len(m)
 }

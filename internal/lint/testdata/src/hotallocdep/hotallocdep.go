@@ -13,6 +13,14 @@ func Index(keys []string) map[string]int {
 	return out
 }
 
+// Ring is generic: the root reaches Push through an instantiation,
+// Ring[int], and the finding lands on the one declaration.
+type Ring[T any] struct{ buf []T }
+
+func (r *Ring[T]) Push(x T) {
+	r.buf = append(make([]T, 0, 1), x) // want "hotalloc: make in hot path .reachable from //perf:hotpath Spin."
+}
+
 // Sum is allocation-free and equally reachable: no finding.
 func Sum(xs []int) int {
 	t := 0

@@ -9,7 +9,8 @@ import (
 
 // calleeFunc resolves the function or method a call expression
 // invokes, or nil for calls through function values, conversions, and
-// builtins.
+// builtins. A generic function or method resolves to its declaration
+// (Origin), not to the instantiation the call names.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -21,6 +22,9 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)
+	if fn != nil {
+		fn = fn.Origin()
+	}
 	return fn
 }
 

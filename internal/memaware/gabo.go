@@ -41,7 +41,7 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 	}
 	// Assign time-intensive tasks to groups by estimated load (list
 	// scheduling over groups, LS-Group's phase 1).
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	loads.Reset(k)
 	for _, j := range s1 {
 		p.Sets[j] = groups[loads.MinID()] // ascending already; shared by the group's tasks

@@ -48,7 +48,7 @@ type solveScratch struct {
 	desc  []float64
 	order []int // LPT's visiting order
 	sort  keysort.Scratch
-	loads loadheap.Heap
+	loads loadheap.Tree[float64]
 	ffd   ffdIndex
 	kk    ldm
 }
@@ -80,7 +80,7 @@ func (s *solveScratch) sortDesc(times []float64) {
 // Greedily adding each time to the least-loaded machine (lowest index
 // on ties) reproduces LPT's assignment sequence exactly — same
 // machines, same float accumulation order — so the value is identical.
-func lptMakespanDesc(desc []float64, m int, loads *loadheap.Heap) float64 {
+func lptMakespanDesc(desc []float64, m int, loads *loadheap.Tree[float64]) float64 {
 	loads.Reset(m)
 	for _, p := range desc {
 		loads.AddToMin(p)

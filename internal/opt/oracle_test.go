@@ -159,7 +159,7 @@ func oracleDesc(times []float64) []float64 {
 }
 
 func oracleLPT(times []float64, m int) float64 {
-	var loads loadheap.Heap
+	var loads loadheap.Tree[float64]
 	return lptMakespanDesc(oracleDesc(times), m, &loads)
 }
 

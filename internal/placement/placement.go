@@ -170,11 +170,20 @@ func (p *Placement) TotalReplicas() int {
 
 // MemoryLoads returns, for each machine, the total size of the tasks
 // replicated on it: Mem_i = Σ_{j: i ∈ M_j} s_j (memory-aware model).
+// A set of all M machines is 0..M-1 (CheckSets' invariant), so it adds
+// to every load in one straight loop, each in task order as before.
 func (p *Placement) MemoryLoads(in *task.Instance) []float64 {
 	loads := make([]float64, p.M)
 	for j, set := range p.Sets {
+		s := in.Tasks[j].Size
+		if len(set) == len(loads) {
+			for i := range loads {
+				loads[i] += s
+			}
+			continue
+		}
 		for _, i := range set {
-			loads[i] += in.Tasks[j].Size
+			loads[i] += s
 		}
 	}
 	return loads

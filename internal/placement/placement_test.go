@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/task"
 )
 
@@ -190,6 +191,62 @@ func TestMemoryLoads(t *testing.T) {
 	}
 	if p.MaxMemory(in) != 50 {
 		t.Fatalf("MaxMemory = %v, want 50", p.MaxMemory(in))
+	}
+}
+
+// TestMemoryLoadsFullSetPass holds MemoryLoads' one-pass add for sets
+// of every machine to the per-set loop it short-cuts, bit for bit, on
+// random placements mixing one shared full set, singletons and random
+// subsets (some full by chance), at machine counts that are not powers
+// of two, with sizes whose float sums depend on the order of addition.
+func TestMemoryLoadsFullSetPass(t *testing.T) {
+	src := rng.New(29)
+	for _, m := range []int{1, 2, 3, 7, 64, 100} {
+		for trial := 0; trial < 20; trial++ {
+			n := 1 + src.Intn(300)
+			in := inst(t, n, m)
+			sizes := make([]float64, n)
+			for j := range sizes {
+				sizes[j] = src.Uniform(0.1, 1e3)
+			}
+			if err := in.SetSizes(sizes); err != nil {
+				t.Fatal(err)
+			}
+			p := New(n, m)
+			all := make([]int, m)
+			for i := range all {
+				all[i] = i
+			}
+			for j := 0; j < n; j++ {
+				switch src.Intn(3) {
+				case 0:
+					p.Sets[j] = all
+				case 1:
+					p.Assign(j, src.Intn(m))
+				default:
+					set := make([]int, 1+src.Intn(m))
+					for k := range set {
+						set[k] = src.Intn(m)
+					}
+					p.AssignSet(j, set)
+				}
+			}
+			if err := CheckSets(p.Sets, m); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, m)
+			for j, set := range p.Sets {
+				for _, i := range set {
+					want[i] += sizes[j]
+				}
+			}
+			got := p.MemoryLoads(in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("m=%d trial %d: machine %d load %v, per-set loop %v", m, trial, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

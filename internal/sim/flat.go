@@ -64,7 +64,7 @@ type spanError struct {
 // independent shards — the connected components of the "shares a
 // replica set" relation over machines. Under the paper's group:k
 // placement each replica group is one shard; under no-replication
-// every machine is its own shard and the event heap disappears
+// every machine is its own shard and the event tree disappears
 // entirely; under replicate-everywhere there is a single shard and the
 // engine degenerates to one global event loop.
 //

@@ -77,7 +77,7 @@ func groupPlacement(t *testing.T, n, m, k int, seed uint64) *placement.Placement
 }
 
 // mixedPlacement mixes singleton, group, and everywhere sets in one
-// instance so a single run exercises replayLinear and runSpanHeap
+// instance so a single run exercises replayLinear and runSpanTree
 // shards side by side (plus the big component they all merge into for
 // the tasks placed everywhere — exercised by sharedCases instead).
 func mixedPlacement(n, m int, seed uint64) *placement.Placement {

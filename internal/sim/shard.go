@@ -62,7 +62,8 @@ func errSaturated(j, machine int32) error {
 
 // mEvent is a machine event (idle or crash) in fixed-point time.
 // Ordering is (tick, machine) — two int64-comparable fields, no float
-// compares on the hot loop.
+// compares: the engine's event order (loadheap.Tree over ticks, leaves
+// in machine order) and the order crashes and shard errors sort in.
 type mEvent struct {
 	t tick.Tick
 	m int32
@@ -73,50 +74,6 @@ func mLess(a, b mEvent) bool {
 		return a.t < b.t
 	}
 	return a.m < b.m
-}
-
-// mPush inserts ev into the binary min-heap h and returns the heap. The
-// sift is specialized to mEvent (container/heap's interface{}-typed
-// Push/Pop box every event); keys are unique (at most one pending event
-// per machine), so pop order is the total (tick, machine) order
-// regardless of heap internals.
-func mPush(h []mEvent, ev mEvent) []mEvent {
-	h = append(h, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !mLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-// mPop removes and returns the minimum event.
-func mPop(h []mEvent) ([]mEvent, mEvent) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= last {
-			break
-		}
-		next := left
-		if right := left + 1; right < last && mLess(h[right], h[left]) {
-			next = right
-		}
-		if !mLess(h[next], h[i]) {
-			break
-		}
-		h[i], h[next] = h[next], h[i]
-		i = next
-	}
-	return h, top
 }
 
 // shardSet is the shard decomposition shared by the flat engines

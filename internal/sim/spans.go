@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/task"
@@ -10,9 +11,9 @@ import (
 )
 
 // flatScratch is one worker's private event-loop state. Each worker
-// owns one, so shards running concurrently never share a heap.
+// owns one, so shards running concurrently never share an event tree.
 type flatScratch struct {
-	heap    []mEvent
+	tree    loadheap.Tree[tick.Tick] // the shard's machines by next event tick
 	retry   []int32
 	crashes []mEvent
 	stats   spanStats
@@ -24,8 +25,8 @@ type flatScratch struct {
 //   - replayLinear: a one-machine shard with no crashes has no
 //     contention at all — its tasks are, provably, exactly its shard
 //     list, so execution is a linear replay with a running tick sum and
-//     no heap (the none-placement fast path);
-//   - runSpanHeap: the general event loop over the shard's machines,
+//     no event tree (the none-placement fast path);
+//   - runSpanTree: the general event loop over the shard's machines,
 //     and the only one a fetch-penalty run takes (its tasks sit in the
 //     queues, not on the shard list);
 //   - runSpanFailures: the fail-stop loop, used only for shards that
@@ -59,16 +60,16 @@ func (r *FlatRunner) runSpan(in *task.Instance, p *placement.Placement, s int,
 		return
 	}
 	sc.stats.general++
-	r.runSpanHeap(in, s, ms, sc, opts)
+	r.runSpanTree(in, s, ms, sc, opts)
 }
 
-// replayLinear executes a one-machine shard without a heap. A replica
+// replayLinear executes a one-machine shard without an event tree. A replica
 // set inside a one-machine shard is that machine (any second replica
 // would have merged it into a larger component), so the shard list
 // holds every task of the shard and the whole run is one pass over it
 // accumulating a tick clock. Who pays for this path: the `none` class
 // of pipeline-fresh and SimLoop/n=100k, whose shards are all of this
-// kind. Sent through runSpanHeap instead they pop an event per task
+// kind. Sent through runSpanTree instead they take an event per task
 // (sim.events_per_task on pipeline-fresh 0.7548 → 1.0064), `none` falls
 // from 2.90M to 2.59M tasks/s and SimLoop from 14.7M to 9.5M, under its
 // 10M floor (alternating runs, CHANGES.md PR 17).
@@ -152,14 +153,13 @@ func (r *FlatRunner) pick(s int, i int32) (j int32, remote bool) {
 	return q[h], false
 }
 
-// runSpanHeap is the general shard event loop: pop the earliest idle
-// machine in (time, machine) order, pick its task, push its completion
-// back.
-func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatScratch, opts *FlatOptions) {
-	h := sc.heap[:0]
-	for _, i := range ms {
-		h = append(h, mEvent{t: 0, m: i}) // ascending machines at t=0: already a valid heap
-	}
+// runSpanTree is the general shard event loop: take the earliest idle
+// machine in (time, machine) order, the winner of sc.tree (leaves are
+// ms, ascending), pick its task, and set its leaf to the completion
+// tick — or to tick.Max, retiring it, when nothing is left it may run.
+func (r *FlatRunner) runSpanTree(in *task.Instance, s int, ms []int32, sc *flatScratch, opts *FlatOptions) {
+	tree := &sc.tree
+	tree.Reset(len(ms)) // every machine idle at t=0
 	var trace []Event
 	tr := 0
 	if opts.Trace {
@@ -168,14 +168,18 @@ func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatS
 	dispatched := r.sched.Dispatched[r.shardTaskOff[s]:]
 	started := int32(0)
 	popped := int64(0)
-	for len(h) > 0 {
-		var ev mEvent
-		h, ev = mPop(h)
+	for {
+		k := tree.MinID()
+		ev := mEvent{t: tree.MinLoad(), m: ms[k]}
+		if ev.t == tick.Max {
+			break // every machine has retired
+		}
 		popped++
 		i := ev.m
 		j, remote := r.pick(s, i)
 		if j < 0 {
-			continue // nothing left it may run: the machine retires
+			tree.Set(k, tick.Max) // nothing left it may run: the machine retires
+			continue
 		}
 		dispatched[started] = j
 		started++
@@ -209,11 +213,10 @@ func (r *FlatRunner) runSpanHeap(in *task.Instance, s int, ms []int32, sc *flatS
 			trace[tr+1] = Event{Time: end.Seconds(), Machine: int(i), Task: int(j), Kind: "finish"}
 			tr += 2
 		}
-		h = mPush(h, mEvent{t: end, m: i})
+		tree.Set(k, end)
 	}
 	r.shardStarted[s] = started
 	sc.stats.popped += popped
-	sc.heap = h[:0]
 }
 
 // hookTick converts a Duration-hook value to ticks, recording a
@@ -252,16 +255,11 @@ func (r *FlatRunner) hookTick(s, j, machine int, ev mEvent, opts *FlatOptions) (
 // FetchPenalty are rejected in prepare, so this path never consults
 // them.
 func (r *FlatRunner) runSpanFailures(p *placement.Placement, s int, ms []int32, sc *flatScratch) {
-	h := sc.heap[:0]
-	for _, i := range ms {
-		h = append(h, mEvent{t: 0, m: i})
-	}
 	// The loop runs as a separate function so its early error returns
 	// and the normal exit share one explicit teardown here — a deferred
 	// closure would do the same job but allocates, and this is the
 	// benchmarked zero-alloc path.
-	completedCount, h, retry := r.failureLoop(p, s, ms, sc, h)
-	sc.heap = h[:0]
+	completedCount, retry := r.failureLoop(p, s, ms, sc)
 	sc.retry = retry[:0]
 	// In failure mode the per-shard tally is completions, matching
 	// the sequential engine's never-completed accounting.
@@ -269,16 +267,23 @@ func (r *FlatRunner) runSpanFailures(p *placement.Placement, s int, ms []int32, 
 }
 
 // failureLoop is runSpanFailures' event loop, returning the completion
-// tally and the (possibly regrown) heap and retry slices for reuse.
+// tally and the (possibly regrown) retry slice for reuse. Its event
+// tree is runSpanTree's, and a dormant machine's leaf waits at tick.Max
+// until a loss wakes it; a crash at or before the earliest event goes
+// first.
 func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
-	sc *flatScratch, h []mEvent) (int32, []mEvent, []int32) {
+	sc *flatScratch) (int32, []int32) {
+	tree := &sc.tree
+	tree.Reset(len(ms))
 	retry := sc.retry[:0]
 	crashes := sc.crashes
 	tasks := r.shardTasks[r.shardTaskOff[s]:r.shardTaskOff[s+1]]
 	completedCount := int32(0)
 
-	for len(h) > 0 || len(crashes) > 0 {
-		if len(crashes) > 0 && (len(h) == 0 || crashes[0].t <= h[0].t) {
+	for {
+		k := tree.MinID()
+		ev := mEvent{t: tree.MinLoad(), m: ms[k]}
+		if len(crashes) > 0 && crashes[0].t <= ev.t {
 			c := crashes[0]
 			crashes = crashes[1:]
 			if r.dead[c.m] {
@@ -301,17 +306,13 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 						//lint:ignore hotalloc unsurvivable-crash error path: the run is over, allocation is fine
 						r.shardErrs[s] = spanError{key: c, err: fmt.Errorf(
 							"%w: task %d only on machine %d", ErrUnsurvivable, j, c.m)}
-						return completedCount, h, retry
+						return completedCount, retry
 					}
 					retry = append(retry, j)
-					for _, i := range ms {
+					for leaf, i := range ms {
 						if r.dormant[i] && !r.dead[i] {
 							r.dormant[i] = false
-							t := c.t
-							if r.dormantAt[i] > t {
-								t = r.dormantAt[i]
-							}
-							h = mPush(h, mEvent{t: t, m: i})
+							tree.Set(leaf, max(c.t, r.dormantAt[i]))
 						}
 					}
 				}
@@ -321,16 +322,18 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 				if !r.completed[j] && !survivable(p, int(j), r.dead) && !r.shardRunningAlive(ms, j) {
 					//lint:ignore hotalloc unsurvivable-crash error path: the run is over, allocation is fine
 					r.shardErrs[s] = spanError{key: c, err: fmt.Errorf("%w: task %d", ErrUnsurvivable, j)}
-					return completedCount, h, retry
+					return completedCount, retry
 				}
 			}
 			continue
 		}
-		var ev mEvent
-		h, ev = mPop(h)
+		if ev.t == tick.Max {
+			break // every machine has retired or is dormant, and no crash is left
+		}
 		sc.stats.popped++
 		i := ev.m
 		if r.dead[i] {
+			tree.Set(k, tick.Max)
 			continue
 		}
 		if j := r.runTask[i]; j >= 0 && r.runEnd[i] <= ev.t {
@@ -358,21 +361,22 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 		if j < 0 {
 			r.dormant[i] = true
 			r.dormantAt[i] = ev.t
+			tree.Set(k, tick.Max)
 			continue
 		}
 		end := tick.SatAdd(ev.t, r.durTick[j])
 		if end == tick.Max {
 			r.shardErrs[s] = spanError{key: ev, err: errSaturated(j, i)}
-			return completedCount, h, retry
+			return completedCount, retry
 		}
 		r.runTask[i] = j
 		r.runEnd[i] = end
 		r.sched.Assignments[j] = sched.Assignment{
 			Task: int(j), Machine: int(i), Start: ev.t.Seconds(), End: end.Seconds(),
 		}
-		h = mPush(h, mEvent{t: end, m: i})
+		tree.Set(k, end)
 	}
-	return completedCount, h, retry
+	return completedCount, retry
 }
 
 // shardRunningAlive reports whether task j is in flight on an alive

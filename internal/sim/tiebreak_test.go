@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/loadheap"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/tick"
@@ -13,8 +14,8 @@ import (
 // TestEventQueueTiedPopOrder audits the oracle's event order: its
 // "queue" is the earliest scan over one pending time per machine, and
 // with many exact time ties across machines the scan must hand the
-// machines out in the total (time, machine) order the engines' heaps
-// are held to below.
+// machines out in the total (time, machine) order the engines' event
+// structures are held to below.
 func TestEventQueueTiedPopOrder(t *testing.T) {
 	r := rng.New(99)
 	at := make([]float64, 16)
@@ -46,36 +47,69 @@ func TestEventQueueTiedPopOrder(t *testing.T) {
 	}
 }
 
-// TestTickHeapTiedPopOrder audits the batch engine's mEvent heap:
-// events pushed in adversarial order — many exact tick ties across
-// machines (int64 equality, no float fuzz) — must pop in the total
-// (tick, machine) order. Per-machine keys are unique in real runs (one
-// pending event per machine), so this total order is the full
-// determinism claim; a sift change that broke tie handling would
-// reorder the equal-tick block and fail here.
+// TestTickHeapTiedPopOrder audits the batch engine's event tree
+// (loadheap.Tree over ticks, leaves in machine order) the way
+// runSpanTree and failureLoop use it: 24 machines whose ticks tie in
+// blocks (int64 equality, no float fuzz), set in shuffled order, must
+// come out in the total (tick, machine) order as each winner retires
+// to tick.Max; and two retired machines re-set into the block still
+// pending, as a dormant machine is woken, must take their places in
+// that order too. Per-machine keys are unique in real runs (one pending
+// event per machine), so this total order is the full determinism
+// claim; a match that let the right child win a tie would reorder the
+// equal-tick blocks and fail here.
 func TestTickHeapTiedPopOrder(t *testing.T) {
 	r := rng.New(77)
-	var events []mEvent
-	for machine := int32(0); machine < 24; machine++ {
-		events = append(events, mEvent{t: tick.Tick(r.Intn(3)) * tick.PerSecond, m: machine})
+	const m = 24
+	pending := make([]mEvent, m)
+	for machine := range pending {
+		pending[machine] = mEvent{t: tick.Tick(r.Intn(3)) * tick.PerSecond, m: int32(machine)}
 	}
-	for i := len(events) - 1; i > 0; i-- {
+	shuffled := append([]mEvent(nil), pending...)
+	for i := len(shuffled) - 1; i > 0; i-- {
 		k := r.Intn(i + 1)
-		events[i], events[k] = events[k], events[i]
+		shuffled[i], shuffled[k] = shuffled[k], shuffled[i]
 	}
-	var h []mEvent
-	for _, ev := range events {
-		h = mPush(h, ev)
+	var tree loadheap.Tree[tick.Tick]
+	tree.Reset(m)
+	for _, ev := range shuffled {
+		tree.Set(int(ev.m), ev.t)
 	}
-	want := append([]mEvent(nil), events...)
-	sort.Slice(want, func(a, b int) bool { return mLess(want[a], want[b]) })
-	for i, w := range want {
-		var got mEvent
-		h, got = mPop(h)
-		if got != w {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
+	// popAll takes winners until the tree is drained, retiring each, and
+	// requires them in mLess order of want.
+	popAll := func(phase string, want []mEvent) []mEvent {
+		t.Helper()
+		sort.Slice(want, func(a, b int) bool { return mLess(want[a], want[b]) })
+		for i, w := range want {
+			got := mEvent{t: tree.MinLoad(), m: int32(tree.MinID())}
+			if got != w {
+				t.Fatalf("%s: pop %d = %+v, want %+v", phase, i, got, w)
+			}
+			tree.Set(tree.MinID(), tick.Max)
+		}
+		if tree.MinLoad() != tick.Max {
+			t.Fatalf("%s: drained tree still names machine %d at %d", phase, tree.MinID(), tree.MinLoad())
+		}
+		return want
+	}
+	popped := popAll("shuffled", append([]mEvent(nil), pending...))
+
+	// Re-set the first and last machine out, and one from the middle, at
+	// the tick of the middle block, with half the others back as well.
+	mid := popped[m/2].t
+	var again []mEvent
+	for _, ev := range []mEvent{popped[m-1], popped[0], popped[m/2]} {
+		again = append(again, mEvent{t: mid, m: ev.m})
+	}
+	for machine := int32(0); machine < m; machine += 2 {
+		if machine != popped[m-1].m && machine != popped[0].m && machine != popped[m/2].m {
+			again = append(again, pending[machine])
 		}
 	}
+	for _, ev := range again {
+		tree.Set(int(ev.m), ev.t)
+	}
+	popAll("re-set", again)
 }
 
 // TestFailureCrashOrderIndependentOfInput pins the crash tie-break:
