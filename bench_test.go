@@ -129,11 +129,16 @@ type kernel struct {
 //     loadheap.Tree over descending times, as opt.LPT, the optimum's LPT
 //     bound and every LPT placement run it; at pipeline-fresh's shape
 //     and serve-solve's m=512.
-//   - OpenSimLoop: the open-system replay under its heaviest policy —
-//     Poisson arrivals at a quarter of capacity, every task on every
-//     machine, cancel-on-completion at a cost — which makes the cluster
-//     one uniform shard on the race-collapse path; m=128 is the two-word
-//     cohort mask.
+//   - OpenSimLoop: the open-system replay, Poisson arrivals at a quarter
+//     of capacity, one row per replay loop. n=10k is its heaviest
+//     policy — every task on every machine, cancel-on-completion at a
+//     cost — which makes the cluster one uniform shard on the
+//     race-collapse path; m=128 is the two-word cohort mask; g8-coc0 is
+//     eight such shards at zero cancel cost, open-replay's class of the
+//     same name. cos (cancel-on-start, every task everywhere) is the
+//     uniform loop without racing, and general (ABO_Δ's pinned tasks
+//     beside its replicated ones, cancel-on-completion at a cost) the
+//     per-machine-queue loop.
 //   - EstimateCache/warm, EstimateCold: the two halves of scoring against
 //     the optimum, a memo hit and the solve behind a miss, the latter at
 //     the shapes pipeline-fresh (n=10k, m=64), serve-solve (n=2k, m=512)
@@ -161,8 +166,13 @@ var kernels = []kernel{
 	{name: "LPTOrder/n=10k", n: 10_000, setup: lptOrder},
 	{name: "LPT/n=10k,m=64", n: 10_000, setup: lptPass(64)},
 	{name: "LPT/n=2k,m=512", n: 2_000, setup: lptPass(512)},
-	{name: "OpenSimLoop/n=10k", n: 10_000, setup: openSimLoop(64)},
-	{name: "OpenSimLoop/m=128", n: 10_000, setup: openSimLoop(128)},
+	{name: "OpenSimLoop/n=10k", n: 10_000, setup: openSimLoop(64, everywhereShape, openRace)},
+	{name: "OpenSimLoop/m=128", n: 10_000, setup: openSimLoop(128, everywhereShape, openRace)},
+	{name: "OpenSimLoop/g8-coc0", n: 10_000, setup: openSimLoop(64, groups8Shape,
+		sim.OpenOptions{Policy: sim.CancelOnCompletion})},
+	{name: "OpenSimLoop/cos", n: 10_000, setup: openSimLoop(64, everywhereShape,
+		sim.OpenOptions{Policy: sim.CancelOnStart})},
+	{name: "OpenSimLoop/general", n: 10_000, setup: openSimLoop(64, aboShape, openRace)},
 	{name: "EstimateCache/warm", setup: estimateWarm},
 	{name: "EstimateCold/n=10k,m=64", n: 10_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(64)},
 	{name: "EstimateCold/n=2k,m=512", n: 2_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(512)},
@@ -265,15 +275,28 @@ func lptPass(m int) func(testing.TB, int) func() {
 	}
 }
 
-func openSimLoop(m int) func(testing.TB, int) func() {
+func groups8Shape(in *task.Instance) (*placement.Placement, []int, error) {
+	a, err := algo.New("ls-group:8")
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := a.Place(in)
+	return p, a.Order(in), err
+}
+
+// openRace is the open kernels' racing policy: cancel-on-completion at
+// a tenth of a second, open-replay's ev-coc and g8-coc cost.
+var openRace = sim.OpenOptions{Policy: sim.CancelOnCompletion, CancelCost: 0.1}
+
+func openSimLoop(m int, shape func(*task.Instance) (*placement.Placement, []int, error),
+	opts sim.OpenOptions) func(testing.TB, int) func() {
 	return func(tb testing.TB, n int) func() {
 		in := uniformInstance(n, m)
-		p, order, err := everywhereShape(in)
+		p, order, err := shape(in)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		arrive := workload.MustArrivals(n, workload.ArrivalSpec{Process: "poisson", Rate: float64(m) / 4, Seed: 3})
-		opts := sim.OpenOptions{Policy: sim.CancelOnCompletion, CancelCost: 0.1}
 		var runner sim.FlatOpenRunner
 		return func() {
 			if _, err := runner.RunSharded(in, p, order, arrive, opts, 1); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -421,6 +422,15 @@ func TestRedispatchAroundDeadBackend(t *testing.T) {
 // failure, and item 0 must arrive — the whole answer byte for byte what
 // a healthy pool gives. (At c0083cd clusterd answered 200 with an empty
 // body, and recorded a success.)
+//
+// Item 0's success is on record before item 1's garbage arrives. Both
+// items can pick backend 0 at once (least in flight, both at zero), and
+// a success recorded after the failure closes the breaker again — a
+// later success is evidence the backend serves, so RecordSuccess resets
+// it — which left "closed with 0 failures" in about one run in ten
+// under -race. The batch dispatches one item at a time (Workers: 1);
+// the stream holds item 1's garbage until the client has read item 0's
+// line, which the tier writes only after item 0's dispatch returned.
 func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 	req := testBatch(2)
 	direct := serve.New(serve.Config{})
@@ -445,19 +455,30 @@ func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 	}
 	batchBody, _ := json.Marshal(req)
 
-	for _, mode := range []struct{ path, body, want string }{
-		{"/v1/batch", string(batchBody), wantBatch.String()},
-		{"/v1/stream", streamLines(req), wantStream.String()},
+	for _, mode := range []struct {
+		path, body, want string
+		stream           bool
+	}{
+		{"/v1/batch", string(batchBody), wantBatch.String(), false},
+		{"/v1/stream", streamLines(req), wantStream.String(), true},
 	} {
 		t.Run(mode.path, func(t *testing.T) {
 			bs, urls := newTestBackends(t, 2, serve.Config{})
 			var bad atomic.Int32 // the backend that was asked for item 1 first
 			bad.Store(-1)
+			item0 := make(chan struct{}) // closed once item 0's success is on record
+			var once sync.Once
+			recorded := func() { once.Do(func() { close(item0) }) }
+			t.Cleanup(recorded) // before the backends close, should the test stop early
+			if !mode.stream {
+				recorded()
+			}
 			for id, b := range bs {
 				id, healthy := int32(id), b.inner
 				b.inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					if r.URL.Path == "/v1/schedule" && r.Header.Get(ItemHeader) == "1" && bad.CompareAndSwap(-1, id) {
 						_, _ = io.Copy(io.Discard, r.Body)
+						<-item0
 						fmt.Fprint(w, `{"makespan": nope}`)
 						return
 					}
@@ -466,7 +487,7 @@ func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 			}
 			c := mustCluster(t, Config{
 				Backends: urls, DisableHedging: true,
-				Tier: proxy.Config{Upstream: wire.UpstreamConfig{Threshold: 1, BaseBackoff: time.Minute}},
+				Tier: proxy.Config{Workers: 1, Upstream: wire.UpstreamConfig{Threshold: 1, BaseBackoff: time.Minute}},
 			})
 			ts := httptest.NewServer(c.Handler())
 			t.Cleanup(ts.Close)
@@ -474,7 +495,17 @@ func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := io.ReadAll(resp.Body)
+			body := bufio.NewReader(resp.Body)
+			var got []byte
+			if mode.stream {
+				got, err = body.ReadBytes('\n')
+				recorded()
+			}
+			if err == nil {
+				var rest []byte
+				rest, err = io.ReadAll(body)
+				got = append(got, rest...)
+			}
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d, read error %v", resp.StatusCode, err)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -219,8 +221,9 @@ func TestBatchThroughFront(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	const n = 8
+	batch := frontBatch(n)
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(frontBatch(n)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(batch); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", &buf)
@@ -243,15 +246,48 @@ func TestBatchThroughFront(t *testing.T) {
 			t.Fatalf("item %d: %+v", i, item)
 		}
 	}
-	// With distinct keys and two shards, the ring should route to both.
-	used := 0
-	for _, s := range shards {
-		if len(s.executions()) > 0 {
-			used++
+	// Every item ran once, on its home shard: the head of its ring walk
+	// over these URLs. The test servers' ports are random, so which shard
+	// is home changes from run to run; the ring over the same URLs says.
+	home := homeShards(t, urls, batch)
+	for s, sh := range shards {
+		want := map[string]int{}
+		for i, h := range home {
+			if h == s {
+				want[strconv.Itoa(i)] = 1
+			}
+		}
+		if got := sh.executions(); !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d ran %v, want %v (home shards %v)", s, got, want, home)
 		}
 	}
-	if used != 2 {
-		t.Fatalf("ring used %d of 2 shards for %d distinct items", used, n)
+}
+
+// homeShards is each item's home shard on the front's ring over urls.
+func homeShards(t *testing.T, urls []string, batch *BatchRequest) []int {
+	t.Helper()
+	ring, err := NewRing(urls, vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := make([]int, len(batch.Requests))
+	for i := range batch.Requests {
+		home[i] = ring.successors(mix64(itemHash(&batch.Requests[i])), nil)[0]
+	}
+	return home
+}
+
+// TestRingSpreadsDistinctItems is the spread half of
+// TestBatchThroughFront on fixed URLs, where it is deterministic: eight
+// distinct items over two shards use both.
+func TestRingSpreadsDistinctItems(t *testing.T) {
+	home := homeShards(t, []string{"http://127.0.0.1:9101", "http://127.0.0.1:9102"}, frontBatch(8))
+	used := map[int]bool{}
+	for _, h := range home {
+		used[h] = true
+	}
+	if len(used) != 2 {
+		t.Fatalf("ring used %d of 2 shards for 8 distinct items (home shards %v)", len(used), home)
 	}
 }
 

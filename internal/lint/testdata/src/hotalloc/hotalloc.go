@@ -136,7 +136,7 @@ func parkMerge(parks []cohort, t int64, mask uint64) []cohort {
 }
 
 // ensureLookup allocates only on a runner's first use, behind the
-// escape hatch — the wheel's lazy ring init uses the same shape.
+// escape hatch.
 func (r *replayRunner) ensureLookup(n int) {
 	if r.lookup == nil {
 		//lint:ignore hotalloc one-time lazy init; steady-state calls reuse it

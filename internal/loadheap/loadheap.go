@@ -83,6 +83,21 @@ func (t *Tree[K]) Reset(m int) {
 	}
 }
 
+// ResetRetired is Reset with every machine retired: all m leaves start
+// at the pad key, so nothing wins until a Set brings a machine in. The
+// open engine's machines start this way, dormant until a task arrives.
+// Every key is equal, so the leftmost winners Reset laid out stand.
+func (t *Tree[K]) ResetRetired(m int) {
+	t.Reset(m)
+	pad := padKey[K]()
+	for i := range t.key[:m] {
+		t.key[i] = pad
+	}
+}
+
+// Key returns leaf i's key; the pad key says the machine is retired.
+func (t *Tree[K]) Key(i int) K { return t.key[i] }
+
 // MinID returns the winner: least key, lowest index on ties.
 func (t *Tree[K]) MinID() int { return int(t.win[1]) }
 

@@ -41,21 +41,27 @@ func TestPadKey(t *testing.T) {
 // FuzzTree drives the tree and a naive scan with the same operations —
 // AddToMin with a delta from a few values (zero included, so ties are
 // constant), Set of any leaf, retire and re-set — and requires the same
-// winner and key after every one, at sizes from 1 to 1,100 machines,
-// powers of two and not.
+// winner and key after every one, and the touched leaf's Key, at sizes
+// from 1 to 1,100 machines, powers of two and not. An odd-length input
+// starts from ResetRetired, every machine out, as the open engine does.
 func FuzzTree(f *testing.F) {
 	f.Add(uint16(1), []byte{0, 0, 0})
 	f.Add(uint16(5), []byte{1, 2, 3, 0, 7, 9, 2, 2})
 	f.Add(uint16(64), []byte{4, 4, 4, 4, 255, 128, 6, 6})
 	f.Add(uint16(1099), []byte{3, 200, 17, 5, 96, 1, 0, 2, 250})
+	f.Add(uint16(70), []byte{2, 9, 6, 33, 0, 0, 3, 9, 1}) // odd length: starts retired
 	f.Fuzz(func(t *testing.T, size uint16, ops []byte) {
 		m := 1 + int(size)%1100
 		var tr Tree[float64]
-		tr.Reset(m)
 		keys := make([]float64, m)
 		live := make([]bool, m)
-		for i := range live {
-			live[i] = true
+		if len(ops)%2 == 0 {
+			tr.Reset(m)
+			for i := range live {
+				live[i] = true
+			}
+		} else {
+			tr.ResetRetired(m) // every machine out until a Set brings it in
 		}
 		for k := 0; k+1 < len(ops); k += 2 {
 			op, arg := ops[k], int(ops[k+1])
@@ -74,6 +80,9 @@ func FuzzTree(f *testing.F) {
 				i := (arg * 131) % m
 				live[i] = false
 				tr.Set(i, math.Inf(1))
+			}
+			if i := (arg * 131) % m; live[i] != !math.IsInf(tr.Key(i), 1) || live[i] && tr.Key(i) != keys[i] {
+				t.Fatalf("m=%d op %d: leaf %d key %v, live %v at %v", m, k/2, i, tr.Key(i), live[i], keys[i])
 			}
 			want := scan(keys, live)
 			if want < 0 {

@@ -47,9 +47,9 @@ func openPolicyOptions() []OpenOptions {
 		{Policy: CancelOnStart},
 		{Policy: CancelOnCompletion, CancelCost: 0.25},
 		// Zero cancellation cost makes cancelled losers wake at the very
-		// tick the winner completed — the same-tick re-dispatch ordering
-		// that keeps this configuration off the race-collapse fast path
-		// and on the wheel loop, pinning that fallback.
+		// tick the winner completed, the same-tick re-dispatch order the
+		// race-collapse path takes by its one-cohort argument (flatopen.go)
+		// and the other loops by event order.
 		{Policy: CancelOnCompletion},
 	}
 }
@@ -460,14 +460,15 @@ func TestSatAddScaled(t *testing.T) {
 
 // TestFlatOpenWideRaceMatchesWheelAndEvent is the differential for
 // race collapse past one mask word: on uniform CancelOnCompletion
-// shards of 65, 127, 128 and 192 machines the race path, the wheel
-// loop and the oracle must be byte-identical — across
-// cancel costs, arrival shapes (a t=0 burst, a steady stream, a sparse
-// one that lets the whole shard go dormant between tasks) and worker
-// counts. Inputs are whole seconds, exact in float64 and in ticks. The
-// wheel loop is reached through an identity Duration hook, which
-// disqualifies race collapse without changing any duration; the
-// shards-by-path counter confirms which path each run took.
+// shards of 65, 127, 128 and 192 machines the race path, the uniform
+// loop (the name's "Wheel", from when it ran on a tick wheel) and the
+// oracle must be byte-identical — across cancel costs, zero included,
+// arrival shapes (a t=0 burst, a steady stream, a sparse one that lets
+// the whole shard go dormant between tasks) and worker counts. Inputs
+// are whole seconds, exact in float64 and in ticks. The uniform loop
+// is reached through an identity Duration hook, which disqualifies
+// race collapse without changing any duration; the shards-by-path
+// counter confirms which path each run took.
 func TestFlatOpenWideRaceMatchesWheelAndEvent(t *testing.T) {
 	raceShards := obs.GetCounter("sim.shards_race_collapse")
 	for _, m := range []int{65, 127, 128, 192} {
@@ -500,21 +501,21 @@ func TestFlatOpenWideRaceMatchesWheelAndEvent(t *testing.T) {
 				arrive[i] = at
 			}
 			for _, pc := range placements {
-				for _, cost := range []float64{1, 7} {
+				for _, cost := range []float64{0, 1, 7} {
 					label := "m=" + itoa(m) + "/" + pc.name + "/gap<" + itoa(gap) + "/cost=" + itoa(int(cost))
 					opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: cost}
 					want := oracleRunOpen(in, pc.p, order, arrive, opts)
 					hooked := opts
 					hooked.Duration = identity
 					before := raceShards.Load()
-					wheel, err := RunFlatOpenSharded(in, pc.p, order, arrive, hooked, 1)
+					uniform, err := RunFlatOpenSharded(in, pc.p, order, arrive, hooked, 1)
 					if err != nil {
-						t.Fatalf("%s: wheel loop: %v", label, err)
+						t.Fatalf("%s: uniform loop: %v", label, err)
 					}
 					if d := raceShards.Load() - before; d != 0 {
 						t.Fatalf("%s: hooked run took the race path on %d shards", label, d)
 					}
-					requireSameOpenResult(t, label+"/wheel", wheel, want)
+					requireSameOpenResult(t, label+"/uniform", uniform, want)
 					for _, w := range flatWorkerCounts() {
 						before := raceShards.Load()
 						got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts, w)
@@ -533,9 +534,11 @@ func TestFlatOpenWideRaceMatchesWheelAndEvent(t *testing.T) {
 }
 
 // TestFlatOpenSaturationIsAnError pins the tick-range edge of the open
-// engine: in-range inputs whose end time or waste sum clamps at
+// engine: in-range inputs whose completion or cancel wake-up clamps at
 // tick.Max fail with the overflow error on every replay path instead
-// of reporting a schedule that ends at the limit.
+// of reporting a schedule that ends at the limit — or, since tick.Max
+// is a dormant machine's event time, retiring a machine that still
+// holds work.
 func TestFlatOpenSaturationIsAnError(t *testing.T) {
 	near := tick.Max.Seconds() * 0.75
 	in := &task.Instance{M: 2, Alpha: 1, Tasks: []task.Task{
@@ -545,6 +548,13 @@ func TestFlatOpenSaturationIsAnError(t *testing.T) {
 	}}
 	mixed := placement.New(3, 2)
 	mixed.Sets[0], mixed.Sets[1], mixed.Sets[2] = []int{0, 1}, []int{0}, []int{0, 1}
+	identity := func(j, _ int) float64 { return in.Tasks[j].Actual }
+	coc := OpenOptions{Policy: CancelOnCompletion}
+	hooked := OpenOptions{Policy: CancelOnCompletion, Duration: identity}
+	// A cancel cost that runs the losers' wake-up past the range while
+	// every completion stays in it.
+	wake := OpenOptions{Policy: CancelOnCompletion, CancelCost: near}
+	hookedWake := OpenOptions{Policy: CancelOnCompletion, CancelCost: near, Duration: identity}
 	for _, c := range []struct {
 		name string
 		p    *placement.Placement
@@ -552,19 +562,27 @@ func TestFlatOpenSaturationIsAnError(t *testing.T) {
 	}{
 		{"uniform", placement.Everywhere(3, 2), OpenOptions{Policy: CancelOnStart}},
 		{"race", placement.Everywhere(3, 2), OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}},
+		{"race/cost=0", placement.Everywhere(3, 2), coc},
+		{"uniform/cancel-on-completion", placement.Everywhere(3, 2), hooked},
 		{"general", mixed, OpenOptions{Policy: CancelOnStart}},
+		{"general/cancel-on-completion", mixed, coc},
+		{"race/wake-up", placement.Everywhere(3, 2), wake},
+		{"uniform/wake-up", placement.Everywhere(3, 2), hookedWake},
+		{"general/wake-up", mixed, wake},
 	} {
-		_, err := RunFlatOpen(in, c.p, identityOrder(3), make([]float64, 3), c.opts)
-		if !errors.Is(err, tick.ErrOverflow) {
-			t.Errorf("%s: err = %v, want tick.ErrOverflow", c.name, err)
+		for _, w := range []int{1, 2} {
+			_, err := RunFlatOpenSharded(in, c.p, identityOrder(3), make([]float64, 3), c.opts, w)
+			if !errors.Is(err, tick.ErrOverflow) {
+				t.Errorf("%s/workers=%d: err = %v, want tick.ErrOverflow", c.name, w, err)
+			}
 		}
 	}
 }
 
 // TestFlatEnginesExportRunCounters checks the engines' obs output: the
-// run counters (events popped, stale entries skipped, cancelled
-// replicas) move, and every shard is attributed to exactly one replay
-// path.
+// run counters (events popped, cancelled replicas) move, the stale
+// entries counter cmd/bench reads stays at zero, and every shard is
+// attributed to exactly one replay path.
 func TestFlatEnginesExportRunCounters(t *testing.T) {
 	names := []string{
 		"sim.events_popped", "sim.open_events_popped", "sim.open_stale_skipped", "sim.open_cancelled_replicas",
@@ -608,34 +626,44 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 		t.Errorf("batch run: %v", d)
 	}
 
-	// Open, wheel loop: every cancelled replica leaves one stale entry.
+	// Open, off the race path through an identity Duration hook, every
+	// arrival at zero: each machine's event is popped once per thing it
+	// stands for — the first arrival's wake-up of all six machines, one
+	// completion per task, one wake-up per cancelled replica — and a
+	// cancellation moves the loser's pending completion instead of
+	// leaving an entry behind, so nothing is stale.
 	var res *OpenResult
+	everywhere := placement.Everywhere(60, 6)
+	identity := func(j, _ int) float64 { return in.Tasks[j].Actual }
 	d = delta(func() {
 		var err error
-		res, err = RunFlatOpenSharded(in, placement.Everywhere(60, 6), order, arrive,
-			OpenOptions{Policy: CancelOnCompletion}, 1)
+		res, err = RunFlatOpenSharded(in, everywhere, order, make([]float64, 60),
+			OpenOptions{Policy: CancelOnCompletion, Duration: identity}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if d["sim.shards_uniform"] != 1 || res.CancelledReplicas == 0 ||
 		d["sim.open_cancelled_replicas"] != int64(res.CancelledReplicas) ||
-		d["sim.open_stale_skipped"] != int64(res.CancelledReplicas) ||
-		d["sim.open_events_popped"] <= d["sim.open_stale_skipped"] {
-		t.Errorf("wheel-loop run (cancelled %d): %v", res.CancelledReplicas, d)
+		d["sim.open_stale_skipped"] != 0 ||
+		d["sim.open_events_popped"] != int64(6+60+res.CancelledReplicas) {
+		t.Errorf("uniform-loop run (cancelled %d): %v", res.CancelledReplicas, d)
 	}
 
-	// Open, race collapse: one wheel event per task, nothing stale.
-	d = delta(func() {
-		var err error
-		res, err = RunFlatOpenSharded(in, placement.Everywhere(60, 6), order, arrive,
-			OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}, 1)
-		if err != nil {
-			t.Fatal(err)
+	// Open, race collapse, at zero cost and a positive one: one event per
+	// task, nothing stale.
+	for _, cost := range []float64{0, 1} {
+		d = delta(func() {
+			var err error
+			res, err = RunFlatOpenSharded(in, everywhere, order, arrive,
+				OpenOptions{Policy: CancelOnCompletion, CancelCost: cost}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if d["sim.shards_race_collapse"] != 1 || d["sim.open_events_popped"] != 60 ||
+			d["sim.open_stale_skipped"] != 0 || d["sim.open_cancelled_replicas"] != int64(res.CancelledReplicas) {
+			t.Errorf("race-collapse run at cost %v (cancelled %d): %v", cost, res.CancelledReplicas, d)
 		}
-	})
-	if d["sim.shards_race_collapse"] != 1 || d["sim.open_events_popped"] != 60 ||
-		d["sim.open_stale_skipped"] != 0 || d["sim.open_cancelled_replicas"] != int64(res.CancelledReplicas) {
-		t.Errorf("race-collapse run (cancelled %d): %v", res.CancelledReplicas, d)
 	}
 }

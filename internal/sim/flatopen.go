@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"runtime"
 
+	"repro/internal/loadheap"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/placement"
@@ -19,20 +20,41 @@ import (
 // per-task response-time distribution instead of makespan, and
 // replicated tasks interact through an explicit CancelPolicy. It is
 // built on the flat architecture of the batch FlatRunner — SoA state on
-// tick.Tick fixed-point time, the same shard decomposition — with the
-// two-level tick wheel of wheel.go as the event structure.
-// oracleRunOpen (oracle_test.go) states the same semantics naively;
-// flat_open_test.go pins the equivalence.
+// tick.Tick fixed-point time, the same shard decomposition, the same
+// event structure. oracleRunOpen (oracle_test.go) states the same
+// semantics naively; flat_open_test.go pins the equivalence.
 //
 // # Event model
 //
 // Two deterministic streams drive a shard's loop: the arrival times
-// (indexed by task ID, non-decreasing) and the machine events
-// (completions and wake-ups) in (time, machine index) order, each
-// carrying a per-machine sequence number so that a cancellation can
-// invalidate a scheduled completion without deleting it (the stale
-// entry is skipped when popped). At equal times arrivals go first, so a
-// machine going idle at t sees every task that arrived at t.
+// (indexed by task ID, non-decreasing) and the machine events in
+// (time, machine index) order. A machine has at most one pending event
+// at any time: its running replica's completion, or the tick it wakes
+// to look for work — an arrival made it eligible for a task, or a
+// cancelled replica's penalty is paid. So the event set is one key per
+// machine, held the way the batch engine holds it: a loadheap.Tree over
+// ticks with one leaf per machine of the shard, in machine order.
+// Scheduling or moving a machine's event is a Set of its leaf, a
+// dormant machine's leaf holds tick.Max, and the next event is the
+// root, ties to the lower index. At equal times arrivals go first, so
+// a machine going idle at t sees every task that arrived at t.
+//
+// tick.Max means dormant, so no event may land on it: a completion or
+// a cancel wake-up that saturates tick.SatAdd fails the shard with
+// errSaturated, as in the batch engine, instead of retiring a machine
+// that still holds work.
+//
+// Why a tree and not a queue of events: a cancellation moves a
+// machine's pending event, from its replica's completion to the tick
+// the penalty is paid. A heap or a calendar
+// queue cannot move an entry, only leave it behind as stale and push a
+// replacement. The two-level tick wheel this replaced did that, with a
+// sequence number per machine to tell the live entry from the stale
+// ones: on open-replay about a quarter of its pops were stale, and
+// stepping through its empty buckets was over a quarter of the
+// race-collapse kernel's profile (OpenSimLoop/n=10k). A leaf per machine moves the event in place in log2 matches
+// on a fixed path, leaves nothing stale behind and has no bucket width
+// to tune.
 //
 // # Why the union-find partition carries over
 //
@@ -80,21 +102,34 @@ import (
 // guaranteed loser whose cancellation time (race end), wasted time
 // ((race end − join) + cancel cost) and wake-up (race end + cost) are
 // all known the moment it joins. replayUniformRace exploits this: only
-// winner completions ride the wheel (~1 event per task, no stale
-// entries at all), while losers are accounted in O(1) per cohort and
-// parked as per-tick machine bitmasks that rejoin the next race as a
-// block. That turns the replicate-everywhere benchmark configuration
-// from Θ(n·m) wheel events into Θ(n) — the difference between ~200k
-// and several million tasks/s at m=64. Cohort masks are ⌈machines/64⌉
-// words from the worker's parkSet, so the shard's width is no gate. The
-// path requires a uniform shard, CancelOnCompletion, no
-// Duration hook, strictly positive durations (a zero-duration race
-// could finish inside its own dispatch tick), and a strictly positive
-// cancel cost (at zero cost a cancelled loser re-wakes inside its
-// race's completion tick, an ordering only the wheel's push sequencing
-// reproduces); anything else falls back to the wheel loops below,
-// which the differential suite holds byte-identical to this one on
-// the overlap.
+// race winners hold a leaf of the tree (~1 event per task), while
+// losers are accounted in O(1) per cohort and parked as per-tick
+// machine bitmasks that rejoin the next race as a block. That turns
+// the replicate-everywhere configuration from Θ(n·m) events into Θ(n).
+// Cohort masks are ⌈machines/64⌉ words from the worker's parkSet, so
+// the shard's width is no gate. The path requires a uniform shard,
+// CancelOnCompletion, no Duration hook, and strictly positive
+// durations (a zero-duration race could finish inside its own dispatch
+// tick); anything else takes replayUniform or replayGeneral, which the
+// differential suites hold byte-identical to this one on the overlap.
+//
+// Zero cancel cost needs no gate of its own. The one order the batch
+// unit must get right is that of a race's end tick at zero cost, where
+// the winner completes and its losers free up in the same tick: the
+// winner's completion is what cancels them, so it goes first, yet the
+// unit takes parked machines below a tying winner before it. That would
+// be wrong for a loser below its own winner, and on a uniform shard at
+// zero cost there is none. The first arrival wakes every machine of the
+// shard at once, and they all join the race the front task starts. They
+// all free at its end tick, the winner by completing and every loser at
+// end + 0, so the winner dispatches first (the unit rule: nothing
+// parked lies below it) and the rest then join that next race or go
+// dormant with it. The shard moves as one cohort — every machine in the
+// same race, or every machine dormant — and a cohort's race is started
+// by its lowest machine, the shard's lowest, which every loser is
+// above. At a positive cost no loser frees in its own winner's
+// completion tick, and machine order is the event order between
+// machines of different races.
 var (
 	flatOpenRuns   = obs.GetCounter("sim.flat_open_runs")
 	flatOpenShards = obs.GetCounter("sim.flat_open_shards")
@@ -142,16 +177,16 @@ type FlatOpenRunner struct {
 	done    []bool
 
 	// SoA machine state.
-	seq      []uint32    // current event sequence number (liveness check)
-	activeM  []bool      // has a live scheduled event (busy or waking)
 	runTask  []int32     // running task, -1 if idle
 	runStart []tick.Tick // when the current replica started
 
 	// Per-machine pending-position min-heaps in a CSR slab, built and
-	// used only for machines of non-uniform shards.
+	// used only for machines of non-uniform shards, and each machine's
+	// leaf in its shard's event tree, built when such a shard exists.
 	qPos []int32
 	qOff []int32
 	qLen []int32
+	leaf []int32
 
 	// Per-shard shared heaps for uniform shards (every replica set ==
 	// the whole shard), in a slab partitioned by shardTaskOff.
@@ -160,13 +195,10 @@ type FlatOpenRunner struct {
 	uniform   []bool
 
 	// Per-shard outcome slots, written by exactly one worker each.
-	shardDone      []int32
-	shardCancelled []int32
-	shardWasted    []tick.Tick
-	shardEnd       []tick.Tick
-	shardErrs      []spanError
+	shardOut  []openTally
+	shardErrs []spanError
 
-	// Per-worker event wheel, race-collapse cohorts and tallies.
+	// Per-worker event tree, race-collapse cohorts and tallies.
 	workers []openScratch
 
 	// raceEnd[j] is the completion tick of task j's race, valid once
@@ -176,7 +208,6 @@ type FlatOpenRunner struct {
 
 	order      []int
 	cancelTick tick.Tick
-	shift      uint
 	// opts is the caller's OpenOptions for the current run, copied here
 	// so the engine passes a pointer to already-heap-resident state
 	// around instead of letting a parameter escape per call; run clears
@@ -199,27 +230,22 @@ func (r *FlatOpenRunner) Reset(n, m int) {
 	r.posOf = r.posOf[:0]
 	r.started = r.started[:0]
 	r.done = r.done[:0]
-	r.seq = r.seq[:0]
-	r.activeM = r.activeM[:0]
 	r.runTask = r.runTask[:0]
 	r.runStart = r.runStart[:0]
 	r.qPos = r.qPos[:0]
 	r.qOff = r.qOff[:0]
 	r.qLen = r.qLen[:0]
+	r.leaf = r.leaf[:0]
 	r.sharedPos = r.sharedPos[:0]
 	r.sharedLen = r.sharedLen[:0]
 	r.uniform = r.uniform[:0]
-	r.shardDone = r.shardDone[:0]
-	r.shardCancelled = r.shardCancelled[:0]
-	r.shardWasted = r.shardWasted[:0]
-	r.shardEnd = r.shardEnd[:0]
+	r.shardOut = r.shardOut[:0]
 	r.shardErrs = r.shardErrs[:0]
 	r.workers = r.workers[:0] // backing entries (and their buffers) are reused
 	r.raceEnd = r.raceEnd[:0]
 	r.raceOK = false
 	r.order = nil
 	r.cancelTick = 0
-	r.shift = 0
 	r.opts = OpenOptions{}
 	r.sched.Reset(n, m)
 	if cap(r.responses) < n {
@@ -304,7 +330,6 @@ func (r *FlatOpenRunner) run(in *task.Instance, p *placement.Placement, order []
 		stats.add(r.workers[w].stats)
 	}
 	openEventsPopped.Add(stats.popped)
-	openStaleSkipped.Add(stats.stale)
 	stats.flushPaths()
 
 	// Merge. The error a sequential global event loop would hit first
@@ -324,21 +349,19 @@ func (r *FlatOpenRunner) run(in *task.Instance, p *placement.Placement, order []
 	completed := 0
 	cancelled := 0
 	var wasted, end tick.Tick
-	for s := 0; s < r.nShards; s++ {
-		completed += int(r.shardDone[s])
-		cancelled += int(r.shardCancelled[s])
-		wasted = tick.SatAdd(wasted, r.shardWasted[s])
-		if end < r.shardEnd[s] {
-			end = r.shardEnd[s]
-		}
+	for _, o := range r.shardOut {
+		completed += int(o.done)
+		cancelled += int(o.cancelled)
+		wasted = tick.SatAdd(wasted, o.wasted)
+		end = max(end, o.end)
 	}
 	if completed != n {
 		return nil, fmt.Errorf("sim: %d of %d tasks never executed", n-completed, n)
 	}
-	// Every completion and wake-up time is ≤ end, so a clamped addition
-	// anywhere in the run shows here (or in the waste sum).
-	if end == tick.Max || wasted == tick.Max {
-		return nil, fmt.Errorf("sim: open run's end time or wasted time: %w", tick.ErrOverflow)
+	// A saturated event time failed its shard above; a waste sum can
+	// still clamp with every event in range.
+	if wasted == tick.Max {
+		return nil, fmt.Errorf("sim: open run's wasted time: %w", tick.ErrOverflow)
 	}
 	openCancellations.Add(int64(cancelled))
 	r.res.CancelledReplicas = cancelled
@@ -413,9 +436,7 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 
 	// Executed durations in ticks; under a Duration hook the executed
 	// time depends on the machine and is converted at dispatch. The
-	// running sum only feeds the wheel-shift heuristic; the minimum
-	// gates the race-collapse fast path (see the file comment).
-	var sumDur tick.Tick
+	// minimum gates the race-collapse fast path (see the file comment).
 	minDur := tick.Max
 	if opts.Duration == nil {
 		r.durTick = grow(r.durTick, n)
@@ -428,20 +449,14 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 				return fmt.Errorf("sim: task %d has negative actual time %v", j, in.Tasks[j].Actual)
 			}
 			r.durTick[j] = t
-			sumDur = tick.SatAdd(sumDur, t)
-			if t < minDur {
-				minDur = t
-			}
+			minDur = min(minDur, t)
 		}
 	}
-	r.raceOK = opts.Policy == CancelOnCompletion && opts.Duration == nil &&
-		minDur > 0 && r.cancelTick > 0
+	r.raceOK = opts.Policy == CancelOnCompletion && opts.Duration == nil && minDur > 0
 	if r.raceOK {
 		r.raceEnd = grow(r.raceEnd, n) // written at race start before any read
 	}
 
-	r.seq = growZero(r.seq, m)
-	r.activeM = growZero(r.activeM, m)
 	r.runTask = grow(r.runTask, m)
 	for i := range r.runTask {
 		r.runTask[i] = -1
@@ -473,9 +488,16 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	r.sharedLen = growZero(r.sharedLen, r.nShards)
 
 	// Per-machine heap slab, only for machines of non-uniform shards
-	// (slots of uniform-shard machines stay zero-capacity).
+	// (slots of uniform-shard machines stay zero-capacity), and the
+	// machine-to-leaf map only their arrivals read.
 	r.qOff = growZero(r.qOff, m+1)
 	if anyGeneral {
+		r.leaf = grow(r.leaf, m)
+		for s := 0; s < r.nShards; s++ {
+			for k, i := range r.shardMachines[r.shardOff[s]:r.shardOff[s+1]] {
+				r.leaf[i] = int32(k)
+			}
+		}
 		for j := 0; j < n; j++ {
 			if r.uniform[r.taskShard[j]] {
 				continue
@@ -491,24 +513,8 @@ func (r *FlatOpenRunner) prepare(in *task.Instance, p *placement.Placement, orde
 	}
 	r.qLen = growZero(r.qLen, m)
 
-	r.shardDone = growZero(r.shardDone, r.nShards)
-	r.shardCancelled = growZero(r.shardCancelled, r.nShards)
-	r.shardWasted = growZero(r.shardWasted, r.nShards)
-	r.shardEnd = growZero(r.shardEnd, r.nShards)
+	r.shardOut = growZero(r.shardOut, r.nShards)
 	r.shardErrs = growZero(r.shardErrs, r.nShards)
-
-	// Wheel bucket width from the mean executed duration; under a
-	// Duration hook (durations unknown until dispatch) the mean arrival
-	// gap stands in. Either way the choice only tunes constants.
-	var mean tick.Tick
-	if n > 0 {
-		if opts.Duration == nil {
-			mean = sumDur / tick.Tick(n)
-		} else {
-			mean = r.arrTick[n-1] / tick.Tick(n)
-		}
-	}
-	r.shift = wheelShift(mean)
 	return nil
 }
 
@@ -522,7 +528,7 @@ func (r *FlatOpenRunner) replaySpan(p *placement.Placement, s int, sc *openScrat
 	opts *OpenOptions) {
 	ms := r.shardMachines[r.shardOff[s]:r.shardOff[s+1]]
 	tasks := r.shardTasks[r.shardTaskOff[s]:r.shardTaskOff[s+1]]
-	sc.wheel.reset(r.shift)
+	sc.tree.ResetRetired(len(ms)) // every machine dormant until a task arrives
 	switch {
 	case !r.uniform[s]:
 		sc.stats.general++
@@ -536,57 +542,60 @@ func (r *FlatOpenRunner) replaySpan(p *placement.Placement, s int, sc *openScrat
 	}
 }
 
-// wake schedules a live event for machine i at time t, superseding any
-// stale entry still riding the wheel.
-func (r *FlatOpenRunner) wake(w *openWheel, i int32, t tick.Tick) {
-	r.seq[i]++
-	r.activeM[i] = true
-	w.push(wEvent{t: t, m: i, seq: r.seq[i]})
+// openTally is one shard's outcome: completed tasks, cancelled
+// replicas, wasted ticks, and the last completion or wake-up tick.
+type openTally struct {
+	done, cancelled int32
+	wasted, end     tick.Tick
 }
 
 // complete retires machine i's running replica at time now as the
 // winner of task j: record response and assignment, and under
 // CancelOnCompletion cancel the losing replicas still running
-// elsewhere in the shard. Returns the updated (end, wasted, cancelled)
-// accumulators.
-func (r *FlatOpenRunner) complete(w *openWheel, ms []int32, i int32, j int32, now tick.Tick,
-	onStart bool, end, wasted tick.Tick, cancelled int32) (tick.Tick, tick.Tick, int32) {
+// elsewhere in the shard, moving each loser's event to the tick its
+// cancellation penalty is paid. Returns false, the shard error staged,
+// when that tick saturates.
+func (r *FlatOpenRunner) complete(t *loadheap.Tree[tick.Tick], s int, ms []int32, i, j int32,
+	now tick.Tick, onStart bool, out *openTally) bool {
 	r.runTask[i] = -1
 	r.done[j] = true
+	out.done++
 	r.responses[j] = (now - r.arrTick[j]).Seconds()
-	if end < now {
-		end = now
-	}
+	out.end = max(out.end, now)
 	r.sched.Assignments[j] = sched.Assignment{
 		Task: int(j), Machine: int(i), Start: r.runStart[i].Seconds(), End: now.Seconds(),
 	}
-	if !onStart {
-		for _, k := range ms {
-			if k == i || r.runTask[k] != j {
-				continue
-			}
-			// Cancel the losing replica: its machine time so far plus
-			// the cancellation penalty is pure waste, and the machine
-			// frees up only after paying the penalty.
-			r.runTask[k] = -1
-			cancelled++
-			wasted = tick.SatAdd(wasted, now-r.runStart[k])
-			wasted = tick.SatAdd(wasted, r.cancelTick)
-			free := tick.SatAdd(now, r.cancelTick)
-			if end < free {
-				end = free
-			}
-			r.wake(w, k, free)
-		}
+	if onStart {
+		return true
 	}
-	return end, wasted, cancelled
+	free := tick.SatAdd(now, r.cancelTick)
+	for k, mk := range ms {
+		if r.runTask[mk] != j {
+			continue
+		}
+		if free == tick.Max {
+			r.shardErrs[s] = spanError{key: mEvent{t: now, m: i}, err: errSaturated(j, i)}
+			return false
+		}
+		// Cancel the losing replica: its machine time so far plus the
+		// cancellation penalty is pure waste, and the machine frees up
+		// only after paying the penalty.
+		r.runTask[mk] = -1
+		out.cancelled++
+		out.wasted = tick.SatAdd(out.wasted, now-r.runStart[mk])
+		out.wasted = tick.SatAdd(out.wasted, r.cancelTick)
+		out.end = max(out.end, free)
+		t.Set(k, free)
+	}
+	return true
 }
 
-// dispatch starts task j on machine i at time now, scheduling its
-// completion. Returns false if the Duration hook produced a
-// non-tick-representable value (the shard aborts; the error is staged
-// for the merge).
-func (r *FlatOpenRunner) dispatch(w *openWheel, s int, i, j int32, now tick.Tick, opts *OpenOptions) bool {
+// dispatch starts task j on machine i, leaf k, at time now, and sets
+// the leaf to its completion tick. Returns false, the shard error
+// staged, if the Duration hook produced a non-tick-representable value
+// or the completion saturates.
+func (r *FlatOpenRunner) dispatch(t *loadheap.Tree[tick.Tick], s, k int, i, j int32, now tick.Tick,
+	opts *OpenOptions) bool {
 	r.started[j] = true
 	r.runTask[i] = j
 	r.runStart[i] = now
@@ -599,7 +608,12 @@ func (r *FlatOpenRunner) dispatch(w *openWheel, s int, i, j int32, now tick.Tick
 			return false
 		}
 	}
-	r.wake(w, i, tick.SatAdd(now, d))
+	end := tick.SatAdd(now, d)
+	if end == tick.Max {
+		r.shardErrs[s] = spanError{key: mEvent{t: now, m: i}, err: errSaturated(j, i)}
+		return false
+	}
+	t.Set(k, end)
 	return true
 }
 
@@ -631,51 +645,51 @@ func (r *FlatOpenRunner) openHookTick(s, j, machine int, now tick.Tick, opts *Op
 // policy-split rule from the file comment: CancelOnStart pops
 // (started ⇒ skipped-by-everyone), CancelOnCompletion peeks past done
 // entries so racing machines all see the front task. Who pays for this
-// path: open-replay's `ev-cos` and `g8-coc0` classes (every shard on
-// sim.shards_uniform). Sent through replayGeneral instead, `ev-cos`
-// falls from 3.23–3.34M to 0.14–0.15M tasks/s (each arrival pushed into
-// 64 heaps) and `g8-coc0` from 1.40M to 0.91–0.94M (alternating traced
-// runs, CHANGES.md PR 18).
+// path: open-replay's `ev-cos` class (every shard on
+// sim.shards_uniform). Sent through replayGeneral instead it falls from
+// 2.71M to 0.09M tasks/s, each arrival pushed into 64 heaps (traced
+// seed-7 runs on a 2-core x86-64 host; CHANGES.md, the event-tree
+// entry).
 func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, sc *openScratch, opts *OpenOptions) {
-	w := &sc.wheel
+	t := &sc.tree
 	base := int(r.shardTaskOff[s])
 	hn := 0 // shared heap length
 	onStart := opts.Policy == CancelOnStart
 	ti := 0
-	var completedCount, cancelled int32
-	var end, wasted tick.Tick
-	for ti < len(tasks) || !w.empty() {
+	dormant := len(ms) // machines whose leaf is tick.Max
+	var out openTally
+	var popped int64
+	for {
 		// Interleave the two sorted streams; arrivals first at ties so
 		// a machine going idle at t sees every task arriving at t.
+		now := t.MinLoad()
 		if ti < len(tasks) {
 			j := tasks[ti]
-			at := r.arrTick[j]
-			if w.empty() || at <= w.peek().t {
+			if at := r.arrTick[j]; at <= now {
 				ti++
 				posPush(r.sharedPos, base, hn, r.posOf[j])
 				hn++
-				for _, i := range ms {
-					if !r.activeM[i] {
-						r.wake(w, i, at)
+				if dormant > 0 {
+					for k := range ms {
+						if t.Key(k) == tick.Max {
+							t.Set(k, at) // a dormant machine wakes to look
+						}
 					}
+					dormant = 0
 				}
 				continue
 			}
 		}
-
-		ev := w.pop()
-		sc.stats.popped++
-		i := ev.m
-		if ev.seq != r.seq[i] {
-			sc.stats.stale++
-			continue // superseded by a cancellation re-schedule
+		if now == tick.Max {
+			break // every task arrived, every machine dormant
 		}
-		now := ev.t
+		popped++
+		k := t.MinID()
+		i := ms[k]
 
-		// A live event on a busy machine is its replica completing.
-		if j := r.runTask[i]; j >= 0 {
-			completedCount++
-			end, wasted, cancelled = r.complete(w, ms, i, j, now, onStart, end, wasted, cancelled)
+		// An event on a busy machine is its replica completing.
+		if j := r.runTask[i]; j >= 0 && !r.complete(t, s, ms, i, j, now, onStart, &out) {
+			return
 		}
 
 		// Dispatch: highest-priority arrived task still worth starting.
@@ -707,24 +721,23 @@ func (r *FlatOpenRunner) replayUniform(s int, ms, tasks []int32, sc *openScratch
 			}
 		}
 		if j < 0 {
-			r.activeM[i] = false // dormant until an eligible arrival wakes it
+			t.Set(k, tick.Max) // dormant until an eligible arrival wakes it
+			dormant++
 			continue
 		}
-		if !r.dispatch(w, s, i, j, now, opts) {
-			return // duration-hook error staged; abandon the shard
+		if !r.dispatch(t, s, k, i, j, now, opts) {
+			return // error staged; abandon the shard
 		}
 	}
-	r.shardDone[s] = completedCount
-	r.shardCancelled[s] = cancelled
-	r.shardWasted[s] = wasted
-	r.shardEnd[s] = end
+	r.shardOut[s] = out
+	sc.stats.popped += popped
 }
 
-// openScratch is one worker's private replay state: its event wheel,
+// openScratch is one worker's private replay state: its event tree,
 // its race-collapse cohorts, and its tally for the run's counters.
 // Each worker owns one, so shards running concurrently share nothing.
 type openScratch struct {
-	wheel openWheel
+	tree  loadheap.Tree[tick.Tick] // the shard's machines by next event tick
 	parks parkSet
 	stats spanStats
 }
@@ -736,7 +749,7 @@ type openScratch struct {
 // dormant machines woken by an arrival. Group masks are disjoint and
 // group ticks unique (add merges equal ticks), so at most one group per
 // machine exists and the linear scans over ticks are trivially cheap
-// next to the wheel traffic they replace. All four slices are regrown
+// next to the per-loser events they replace. All four slices are regrown
 // by append only, so they keep their capacity across shards and runs.
 type parkSet struct {
 	ticks   []tick.Tick // ticks[k] is group k's free tick
@@ -816,47 +829,45 @@ func satAddScaled(acc, each tick.Tick, cnt int32) tick.Tick {
 
 // replayUniformRace is replayUniform specialized by the race-collapse
 // argument in the file comment: the winner of every race is the
-// lowest-indexed machine of its first dispatch cohort, so only winner
-// completions ride the wheel — carrying local machine indices and no
-// liveness seq, since a winner is never cancelled — and each later
-// joiner is accounted as a guaranteed loser in O(1) and parked in a
-// per-tick cohort bitmask until its cancellation cost is paid. Who pays
-// for this path: open-replay's `ev-coc`, `ev-coc-m128` and `g8-coc`
-// classes (every shard on sim.shards_race_collapse). Sent through
-// replayUniform instead they fall from 2.9–3.1M tasks/s to 0.17M, 0.08M
-// and 1.35M, and the workload's sim.events_per_task rises from 2.5 to
-// 15.4 (alternating traced runs, CHANGES.md PR 18).
+// lowest-indexed machine of its first dispatch cohort, so only winners
+// hold a leaf of the tree — a winner is never cancelled, so its leaf
+// never moves before it completes — and each later joiner is accounted
+// as a guaranteed loser in O(1) and parked in a per-tick cohort bitmask
+// until its cancellation cost is paid. Who pays for this path:
+// open-replay's `ev-coc`, `ev-coc-m128`, `g8-coc` and `g8-coc0` classes
+// (every shard on sim.shards_race_collapse). Sent through replayUniform
+// instead they fall from 2.48M, 2.37M, 2.50M and 2.46M tasks/s to
+// 0.18M, 0.08M, 1.42M and 1.42M, and the workload's sim.events_per_task
+// rises from 1.11 to 8.81 (the same traced runs).
 func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScratch) {
-	w, ps := &sc.wheel, &sc.parks
+	t, ps := &sc.tree, &sc.parks
 	base := int(r.shardTaskOff[s])
 	hn := 0 // shared heap length
 	ti := 0
 	nw := ps.reset(len(ms))
 	dormant, unit := ps.dormant, ps.unit
 	anyDormant := true
-	var completedCount, cancelled int32
+	var out openTally
 	var popped int64
-	var end, wasted tick.Tick
-	for ti < len(tasks) || !w.empty() || len(ps.ticks) > 0 {
-		// Earliest machine event: wheel top vs parked-cohort minimum.
-		// Park ticks are unique, so the minimum is a single group.
+	for ti < len(tasks) || t.MinLoad() != tick.Max || len(ps.ticks) > 0 {
+		// Earliest machine event: the first winner's completion vs the
+		// parked-cohort minimum. Park ticks are unique, so the minimum is
+		// a single group.
 		evT := tick.Max
 		pi := -1
-		for k, t := range ps.ticks {
-			if pi < 0 || t < evT {
-				evT = t
+		for k, pt := range ps.ticks {
+			if pi < 0 || pt < evT {
+				evT = pt
 				pi = k
 			}
 		}
-		wi := -1 // local index of the wheel-top winner if it ties evT
-		if !w.empty() {
-			if wt := w.peek(); wt.t < evT {
-				evT = wt.t
-				pi = -1
-				wi = int(wt.m)
-			} else if wt.t == evT {
-				wi = int(wt.m)
-			}
+		wi := -1 // leaf of the first winner if it ties evT
+		if wt := t.MinLoad(); wt < evT {
+			evT = wt
+			pi = -1
+			wi = t.MinID()
+		} else if wt == evT {
+			wi = t.MinID()
 		}
 
 		// Arrivals first at ties, as in every engine loop here.
@@ -896,24 +907,22 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 				ps.remove(pi, nw)
 			}
 		}
+		retire := -1 // a completed winner's leaf, unless it starts the next race
 		if cnt == 0 {
-			// Winner completion; never stale, winners are never cancelled.
-			ev := w.pop()
 			popped++
-			i := ms[ev.m]
+			retire = wi
+			i := ms[wi]
 			j := r.runTask[i]
 			r.runTask[i] = -1
 			r.done[j] = true
 			r.responses[j] = (now - r.arrTick[j]).Seconds()
-			if end < now {
-				end = now
-			}
+			out.end = max(out.end, now)
 			r.sched.Assignments[j] = sched.Assignment{
 				Task: int(j), Machine: int(i), Start: r.runStart[i].Seconds(), End: now.Seconds(),
 			}
-			completedCount++
+			out.done++
 			clear(unit)
-			unit[ev.m>>6] = uint64(1) << uint(ev.m&63)
+			unit[wi>>6] = uint64(1) << uint(wi&63)
 			cnt = 1
 		}
 
@@ -933,6 +942,30 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 			j = int32(cand)
 			break
 		}
+		if j >= 0 && !r.started[j] {
+			// New race: the lowest-indexed machine of the cohort starts
+			// first, wins, and is the only replica that ever completes.
+			l := lowest(unit)
+			i := ms[l]
+			re := tick.SatAdd(now, r.durTick[j])
+			if re == tick.Max {
+				r.shardErrs[s] = spanError{key: mEvent{t: now, m: i}, err: errSaturated(j, i)}
+				return
+			}
+			r.started[j] = true
+			r.runTask[i] = j
+			r.runStart[i] = now
+			r.raceEnd[j] = re
+			t.Set(l, re)
+			if l == retire {
+				retire = -1
+			}
+			unit[l>>6] &^= uint64(1) << uint(l&63)
+			cnt--
+		}
+		if retire >= 0 {
+			t.Set(retire, tick.Max)
+		}
 		if j < 0 {
 			for x, word := range unit {
 				dormant[x] |= word
@@ -940,43 +973,46 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 			anyDormant = true
 			continue
 		}
-		if !r.started[j] {
-			// New race: the lowest-indexed machine of the cohort starts
-			// first, wins, and is the only replica that ever completes.
-			x := 0
-			for unit[x] == 0 {
-				x++
-			}
-			b := bits.TrailingZeros64(unit[x])
-			l := 64*x + b
-			i := ms[l]
-			r.started[j] = true
-			r.runTask[i] = j
-			r.runStart[i] = now
-			re := tick.SatAdd(now, r.durTick[j])
-			r.raceEnd[j] = re
-			w.push(wEvent{t: re, m: int32(l)})
-			unit[x] &^= uint64(1) << uint(b)
-			cnt--
-		}
 		if cnt > 0 {
 			// Guaranteed losers: cancelled when the race ends, so their
 			// waste and wake-up are known now (see the file comment).
 			re := r.raceEnd[j]
-			cancelled += cnt
-			wasted = satAddScaled(wasted, tick.SatAdd(re-now, r.cancelTick), cnt)
 			free := tick.SatAdd(re, r.cancelTick)
-			if end < free {
-				end = free
+			if free == tick.Max {
+				// Keyed and worded as the other loops see it, at the winner's
+				// completion.
+				i := r.winner(ms, j)
+				r.shardErrs[s] = spanError{key: mEvent{t: re, m: i}, err: errSaturated(j, i)}
+				return
 			}
+			out.cancelled += cnt
+			out.wasted = satAddScaled(out.wasted, tick.SatAdd(re-now, r.cancelTick), cnt)
+			out.end = max(out.end, free)
 			ps.add(free, unit)
 		}
 	}
-	r.shardDone[s] = completedCount
-	r.shardCancelled[s] = cancelled
-	r.shardWasted[s] = wasted
-	r.shardEnd[s] = end
+	r.shardOut[s] = out
 	sc.stats.popped += popped
+}
+
+// lowest is the lowest machine in a non-empty mask.
+func lowest(mask []uint64) int {
+	x := 0
+	for mask[x] == 0 {
+		x++
+	}
+	return 64*x + bits.TrailingZeros64(mask[x])
+}
+
+// winner is the machine running task j's winning replica, the only
+// one running it on the race-collapse path.
+func (r *FlatOpenRunner) winner(ms []int32, j int32) int32 {
+	for _, i := range ms {
+		if r.runTask[i] == j {
+			return i
+		}
+	}
+	return -1
 }
 
 // replayGeneral is the shard event loop for mixed replica sets: each
@@ -986,41 +1022,37 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 // O(log n) insertion instead of O(n) memmove.
 func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks []int32,
 	sc *openScratch, opts *OpenOptions) {
-	w := &sc.wheel
+	t := &sc.tree
 	onStart := opts.Policy == CancelOnStart
 	ti := 0
-	var completedCount, cancelled int32
-	var end, wasted tick.Tick
-	for ti < len(tasks) || !w.empty() {
+	var out openTally
+	var popped int64
+	for {
+		now := t.MinLoad()
 		if ti < len(tasks) {
 			j := tasks[ti]
-			at := r.arrTick[j]
-			if w.empty() || at <= w.peek().t {
+			if at := r.arrTick[j]; at <= now {
 				ti++
 				pos := r.posOf[j]
 				for _, i := range p.Sets[j] {
 					posPush(r.qPos, int(r.qOff[i]), int(r.qLen[i]), pos)
 					r.qLen[i]++
-					if !r.activeM[i] {
-						r.wake(w, int32(i), at)
+					if k := int(r.leaf[i]); t.Key(k) == tick.Max {
+						t.Set(k, at)
 					}
 				}
 				continue
 			}
 		}
-
-		ev := w.pop()
-		sc.stats.popped++
-		i := ev.m
-		if ev.seq != r.seq[i] {
-			sc.stats.stale++
-			continue
+		if now == tick.Max {
+			break
 		}
-		now := ev.t
+		popped++
+		k := t.MinID()
+		i := ms[k]
 
-		if j := r.runTask[i]; j >= 0 {
-			completedCount++
-			end, wasted, cancelled = r.complete(w, ms, i, j, now, onStart, end, wasted, cancelled)
+		if j := r.runTask[i]; j >= 0 && !r.complete(t, s, ms, i, j, now, onStart, &out) {
+			return
 		}
 
 		// Dispatch. Every examined entry is popped: skipped entries are
@@ -1039,17 +1071,15 @@ func (r *FlatOpenRunner) replayGeneral(p *placement.Placement, s int, ms, tasks 
 			break
 		}
 		if j < 0 {
-			r.activeM[i] = false
+			t.Set(k, tick.Max)
 			continue
 		}
-		if !r.dispatch(w, s, i, j, now, opts) {
+		if !r.dispatch(t, s, k, i, j, now, opts) {
 			return
 		}
 	}
-	r.shardDone[s] = completedCount
-	r.shardCancelled[s] = cancelled
-	r.shardWasted[s] = wasted
-	r.shardEnd[s] = end
+	r.shardOut[s] = out
+	sc.stats.popped += popped
 }
 
 func (r *FlatOpenRunner) ensureWorkers(workers int) {

@@ -27,14 +27,13 @@ var (
 // ints bumped by the span loops and flushed to obs once per run, so
 // the per-event cost is an increment, never an atomic.
 type spanStats struct {
-	popped, stale                  int64 // events popped; of those, superseded entries skipped
+	popped                         int64 // events popped
 	linear, uniform, race, general int64 // shards by path
 	queued, shared                 int64 // batch: queue entries built, shard-list dispatches
 }
 
 func (a *spanStats) add(b spanStats) {
 	a.popped += b.popped
-	a.stale += b.stale
 	a.linear += b.linear
 	a.uniform += b.uniform
 	a.race += b.race
@@ -53,7 +52,8 @@ func (a *spanStats) flushPaths() {
 }
 
 // errSaturated is the shard error for a completion time that hit
-// tick.SatAdd's clamp: the schedule past that point would be a
+// tick.SatAdd's clamp, or in the open engine the wake-up of the losers
+// that completion cancels: the schedule past that point would be a
 // plausible-looking fiction, so the run fails instead.
 func errSaturated(j, machine int32) error {
 	//lint:ignore hotalloc tick-range overflow path: the run is over, allocation is fine

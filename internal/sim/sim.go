@@ -17,7 +17,7 @@
 //     vary — an execution trace, a per-(task, machine) duration hook,
 //     fail-stop crashes with loss and retry, remote execution at a
 //     fetch penalty — as values on the one event loop;
-//   - FlatOpenRunner (flatopen.go, wheel.go): the open system, tasks
+//   - FlatOpenRunner (flatopen.go): the open system, tasks
 //     arriving over time, response times instead of makespan, replicas
 //     racing under a CancelPolicy. Batch is its corner with every
 //     arrival at zero and CancelOnStart (TestFlatOpenMatchesBatch).
@@ -58,7 +58,6 @@ import (
 var (
 	simEventsPopped   = obs.GetCounter("sim.events_popped")
 	openEventsPopped  = obs.GetCounter("sim.open_events_popped")
-	openStaleSkipped  = obs.GetCounter("sim.open_stale_skipped")
 	openCancellations = obs.GetCounter("sim.open_cancelled_replicas")
 )
 
