@@ -135,10 +135,12 @@ type kernel struct {
 //     cost — which makes the cluster one uniform shard on the
 //     race-collapse path; m=128 is the two-word cohort mask; g8-coc0 is
 //     eight such shards at zero cancel cost, open-replay's class of the
-//     same name. cos (cancel-on-start, every task everywhere) is the
-//     uniform loop without racing, and general (ABO_Δ's pinned tasks
-//     beside its replicated ones, cancel-on-completion at a cost) the
-//     per-machine-queue loop.
+//     same name. The rest are the general loop: cos (cancel-on-start,
+//     every task everywhere) is its all-wide case, which only the shared
+//     pending set serves; general (ABO_Δ's pinned tasks beside its
+//     replicated ones) and tail (ReplicateTail, the larger half pinned),
+//     both cancel-on-completion at a cost, add the per-machine narrow
+//     sets.
 //   - EstimateCache/warm, EstimateCold: the two halves of scoring against
 //     the optimum, a memo hit and the solve behind a miss, the latter at
 //     the shapes pipeline-fresh (n=10k, m=64), serve-solve (n=2k, m=512)
@@ -173,6 +175,7 @@ var kernels = []kernel{
 	{name: "OpenSimLoop/cos", n: 10_000, setup: openSimLoop(64, everywhereShape,
 		sim.OpenOptions{Policy: sim.CancelOnStart})},
 	{name: "OpenSimLoop/general", n: 10_000, setup: openSimLoop(64, aboShape, openRace)},
+	{name: "OpenSimLoop/tail", n: 10_000, setup: openSimLoop(64, tailShape, openRace)},
 	{name: "EstimateCache/warm", setup: estimateWarm},
 	{name: "EstimateCold/n=10k,m=64", n: 10_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(64)},
 	{name: "EstimateCold/n=2k,m=512", n: 2_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(512)},
@@ -273,6 +276,14 @@ func lptPass(m int) func(testing.TB, int) func() {
 			lptMakespan = loads.MaxLoad()
 		}
 	}
+}
+
+// tailShape is ReplicateTail with the smaller half of the tasks
+// replicated: the larger half pinned by LPT, the rest on every machine.
+func tailShape(in *task.Instance) (*placement.Placement, []int, error) {
+	a := algo.ReplicateTail(in.N() / 2)
+	p, err := a.Place(in)
+	return p, a.Order(in), err
 }
 
 func groups8Shape(in *task.Instance) (*placement.Placement, []int, error) {

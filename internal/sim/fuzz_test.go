@@ -189,14 +189,17 @@ func checkOpenBatchCorner(t *testing.T, n, m int, alpha float64, seed uint64) {
 // checkOpenTies is the tie-heavy racing differential. Whole-second
 // durations from 1 to 4 and arrival gaps from 0 to 2 make equal-tick
 // events the rule rather than the exception: completions, cancel
-// wake-ups and arrivals at one tick, at zero cancel cost too. On a
-// uniform placement — every task everywhere, or on one of two balanced
-// groups — over up to 139 machines (three mask words) in a random priority
-// order, three runs must equal oracleRunOpen byte for byte at 1 and 3
-// workers: the race-collapse path, the same inputs pushed off it onto
-// replayUniform by an identity Duration hook (which changes no
-// duration), and the sequential Run (one shard; two groups make it
-// replayGeneral). The shards-by-path counter confirms each route.
+// wake-ups and arrivals at one tick, at zero cancel cost too. Over up to
+// 139 machines (three mask words) in a random priority order, the
+// placement is one of three: every task everywhere, every task on one of
+// two balanced groups, or a mixed shard — pinned, wide and 2–3-machine
+// sets side by side, under both policies. Three runs must equal
+// oracleRunOpen byte for byte at 1 and 3 workers: the engine as is (race
+// collapse on a uniform shard under cancel-on-completion, else the
+// general loop), the same inputs under an identity Duration hook, which
+// changes no duration but keeps every shard off race collapse, and the
+// sequential Run (one shard). The shards-by-path counters confirm each
+// route.
 func checkOpenTies(t *testing.T, n int, seed uint64) {
 	t.Helper()
 	r := rng.New(seed ^ 0x71e5)
@@ -217,7 +220,9 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 	}
 	order := r.Perm(n)
 	p := placement.Everywhere(n, m)
-	if m > 1 && r.Intn(2) == 0 {
+	policies := []CancelPolicy{CancelOnCompletion}
+	switch kind := r.Intn(3); {
+	case m > 1 && kind == 1:
 		groups, err := placement.PartitionGroupsBalanced(m, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -226,42 +231,157 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 		for j := 0; j < n; j++ {
 			p.AssignSet(j, groups[r.Intn(2)])
 		}
+	case m > 1 && kind == 2:
+		p = mixedShard(r, n, m)
+		policies = append(policies, CancelOnStart)
 	}
-	// Every shard is uniform, a group no task chose split into one-machine
-	// shards, so every shard is on the race path.
-	_, _, nShards, err := PartitionShards(p)
+	// Race collapse takes the uniform shards, and only those, of a
+	// cancel-on-completion run without a hook.
+	machineShard, taskShard, nShards, err := PartitionShards(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := int64(nShards)
-	opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: float64(r.Intn(3))}
-	hooked := opts
-	hooked.Duration = func(j, _ int) float64 { return in.Tasks[j].Actual }
-	label := fmt.Sprintf("n=%d m=%d shards=%d cost=%v seed=%d", n, m, shards, opts.CancelCost, seed)
-	want := oracleRunOpen(in, p, order, arrive, opts)
-	seq, err := RunFlatOpen(in, p, order, arrive, opts)
-	if err != nil {
-		t.Fatalf("%s: sequential: %v", label, err)
+	uniform := make([]bool, nShards)
+	for s := range uniform {
+		uniform[s] = true
 	}
-	requireSameOpenResult(t, label+"/sequential", seq, want)
-	raceShards := obs.GetCounter("sim.shards_race_collapse")
-	for _, w := range []int{1, 3} {
-		for _, run := range []struct {
-			name string
-			opts OpenOptions
-			race int64
-		}{{"race", opts, shards}, {"hooked", hooked, 0}} {
-			before := raceShards.Load()
-			got, err := RunFlatOpenSharded(in, p, order, arrive, run.opts, w)
-			if err != nil {
-				t.Fatalf("%s/%s/workers=%d: %v", label, run.name, w, err)
+	for j, s := range taskShard {
+		size := 0
+		for _, ms := range machineShard {
+			if ms == s {
+				size++
 			}
-			if d := raceShards.Load() - before; d != run.race {
-				t.Fatalf("%s/%s/workers=%d: %d shards on the race path, want %d", label, run.name, w, d, run.race)
-			}
-			requireSameOpenResult(t, fmt.Sprintf("%s/%s/workers=%d", label, run.name, w), got, want)
+		}
+		uniform[s] = uniform[s] && len(p.Sets[j]) == size
+	}
+	raceable := int64(0)
+	for _, u := range uniform {
+		if u {
+			raceable++
 		}
 	}
+	raceShards := obs.GetCounter("sim.shards_race_collapse")
+	for _, policy := range policies {
+		opts := OpenOptions{Policy: policy, CancelCost: float64(r.Intn(3))}
+		hooked := opts
+		hooked.Duration = func(j, _ int) float64 { return in.Tasks[j].Actual }
+		label := fmt.Sprintf("n=%d m=%d shards=%d %v cost=%v seed=%d", n, m, nShards, policy, opts.CancelCost, seed)
+		want := oracleRunOpen(in, p, order, arrive, opts)
+		seq, err := RunFlatOpen(in, p, order, arrive, opts)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", label, err)
+		}
+		requireSameOpenResult(t, label+"/sequential", seq, want)
+		race := int64(0)
+		if policy == CancelOnCompletion {
+			race = raceable
+		}
+		for _, w := range []int{1, 3} {
+			for _, run := range []struct {
+				name string
+				opts OpenOptions
+				race int64
+			}{{"engine", opts, race}, {"hooked", hooked, 0}} {
+				before := raceShards.Load()
+				got, err := RunFlatOpenSharded(in, p, order, arrive, run.opts, w)
+				if err != nil {
+					t.Fatalf("%s/%s/workers=%d: %v", label, run.name, w, err)
+				}
+				if d := raceShards.Load() - before; d != run.race {
+					t.Fatalf("%s/%s/workers=%d: %d shards on the race path, want %d", label, run.name, w, d, run.race)
+				}
+				requireSameOpenResult(t, fmt.Sprintf("%s/%s/workers=%d", label, run.name, w), got, want)
+			}
+		}
+	}
+}
+
+// mixedShard puts n tasks on m ≥ 2 machines, each pinned, wide or on
+// two or three machines at random; task 0 is pinned and task 1 wide, so
+// with n ≥ 2 the cluster is one mixed shard.
+func mixedShard(r *rng.Source, n, m int) *placement.Placement {
+	p := placement.New(n, m)
+	for j := 0; j < n; j++ {
+		switch kind := r.Intn(3); {
+		case j == 0 || (j > 1 && kind == 0):
+			p.Assign(j, r.Intn(m))
+		case j == 1 || kind == 1:
+			p.AssignSet(j, placement.Everywhere(1, m).Sets[0])
+		default:
+			p.AssignSet(j, r.Perm(m)[:min(2+r.Intn(2), m)])
+		}
+	}
+	return p
+}
+
+// FuzzRankSet holds the pending set to a sorted-set model: two sets
+// side by side in one slab, sizes 1 to 5,000, under push, remove and
+// min, with the operands drawn from near word (64) and summary (4,096)
+// boundaries as often as from anywhere. After every operation both
+// minima must match the model's, and once everything is removed the
+// slab must be zero again, the state a reused runner relies on.
+func FuzzRankSet(f *testing.F) {
+	f.Add(uint16(1), uint16(1), []byte{0, 0, 0, 1, 0, 0})
+	f.Add(uint16(64), uint16(65), []byte{0, 63, 0, 2, 1, 0, 1, 63, 0})
+	f.Add(uint16(4096), uint16(4097), []byte{4, 0, 1, 5, 1, 2, 6, 0, 0, 3, 1, 1})
+	f.Add(uint16(5000), uint16(129), []byte{0, 255, 255, 2, 7, 7, 1, 3, 3, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, sizeA, sizeB uint16, ops []byte) {
+		sizes := [2]int{1 + int(sizeA)%5000, 1 + int(sizeB)%5000}
+		var sets [2]rankSet
+		end := sets[0].layout(0, sizes[0])
+		end = sets[1].layout(end, sizes[1])
+		slab := make([]uint64, end)
+		model := [2][]bool{make([]bool, sizes[0]), make([]bool, sizes[1])}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			op, v := ops[0], int(ops[1])<<8|int(ops[2])
+			which := int(op>>1) & 1
+			size := sizes[which]
+			// Operands near a boundary: the words' and summaries' edges
+			// and the set's own end, offset by -1, 0 or +1.
+			var x int
+			switch op >> 2 % 4 {
+			case 0:
+				x = v % size
+			case 1:
+				x = 64*(v>>2) + int(v&3) - 1
+			case 2:
+				x = 4096*(v>>2) + int(v&3) - 1
+			default:
+				x = size - 1 - v%3
+			}
+			x = min(max(x, 0), size-1)
+			if op&1 == 0 {
+				sets[which].push(slab, int32(x))
+				model[which][x] = true
+			} else {
+				sets[which].remove(slab, int32(x))
+				model[which][x] = false
+			}
+			for k := range sets {
+				want := int32(-1)
+				for y, in := range model[k] {
+					if in {
+						want = int32(y)
+						break
+					}
+				}
+				if got := sets[k].min(slab); got != want {
+					t.Fatalf("sizes %v: set %d min = %d after %s %d, want %d", sizes, k, got,
+						map[bool]string{true: "push", false: "remove"}[op&1 == 0], x, want)
+				}
+			}
+		}
+		for k := range sets {
+			for x := sets[k].min(slab); x >= 0; x = sets[k].min(slab) {
+				sets[k].remove(slab, x)
+			}
+		}
+		for w, word := range slab {
+			if word != 0 {
+				t.Fatalf("sizes %v: slab word %d = %#x after emptying both sets", sizes, w, word)
+			}
+		}
+	})
 }
 
 // TestFlatOpenTieHeavyDifferential is the deterministic slice of
