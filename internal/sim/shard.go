@@ -10,10 +10,12 @@ import (
 
 // Shards by the replay path that executed them, over both flat engines:
 // the counters that say whether a run's shards reached a fast path or
-// fell to the general loop. The last two are the batch engine's
-// dispatch structure: per-machine queue entries built (the Σ|M_j| term,
-// 0 when every replica set is its whole shard) and tasks handed out
-// from a shard list.
+// fell to the general loop. In the open engine, sim.shards_uniform is
+// the general loop's all-wide shards (ev-cos, say) and
+// sim.shards_general its mixed ones (ABO_Δ, say). The last two are the
+// batch engine's dispatch structure: per-machine queue entries built
+// (the Σ|M_j| term, 0 when every replica set is its whole shard) and
+// tasks handed out from a shard list.
 var (
 	shardsLinear     = obs.GetCounter("sim.shards_linear")
 	shardsUniform    = obs.GetCounter("sim.shards_uniform")
