@@ -21,12 +21,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The repo-native static-analysis suite (see LINTING.md): determinism,
-# map-order, seed-discipline, ctx-flow, err-drop, obs-names, reset,
-# tick-conversion, plus the flow rules (poolpair, floatcmp, locksafe,
-# hotalloc). Any unsuppressed diagnostic fails the build; so does
-# blowing the wall-clock budget, which keeps lint latency an enforced
-# property as the interprocedural analyses grow.
+# The repo-native static-analysis suite (see LINTING.md, whose mutation
+# table is why each rule is there): determinism, maporder, seed,
+# ctxflow, errdrop, obsnames, tickconv, floatcmp, plus the flow rules
+# (locksafe, hotalloc). Any unsuppressed diagnostic fails the build; so
+# does blowing the wall-clock budget, which keeps lint latency an
+# enforced property.
 LINT_BUDGET ?= 2m
 
 lint:

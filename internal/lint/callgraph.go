@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -9,10 +10,10 @@ import (
 
 // This file is the interprocedural half of the flow layer: a static
 // call graph over every repo-local package the loader reached (analysis
-// roots plus their transitive local dependencies), and the function
-// summaries the flow analyzers share — which functions release a
-// pool-acquired parameter, which return a pool-acquired value, which
-// may block, and which are reachable from a //perf:hotpath annotation.
+// roots plus their transitive local dependencies), and the two function
+// summaries the flow analyzers read — which functions may block
+// (locksafe) and which are reachable from a //perf:hotpath annotation
+// (hotalloc).
 //
 // Resolution is deliberately static: direct calls and method calls on
 // concrete receivers resolve through go/types; calls through function
@@ -31,32 +32,21 @@ const HotPathDirective = "//perf:hotpath"
 // summaries. The engine is single-goroutine, so the lazy builds need
 // no locking.
 type Program struct {
-	roots  []*Package
-	all    []*Package
-	isRoot map[*Package]bool
+	all []*Package
 
 	graph     map[*types.Func]*funcNode
 	funcOrder []*types.Func // deterministic iteration order
 
-	hotBuilt bool
 	// hotFrom maps every function in the hot closure to the name of
-	// the annotated seed it is reachable from (itself, for seeds).
+	// the annotated seed it is reachable from (itself, for seeds); nil
+	// until hotClosure builds it.
 	hotFrom map[*types.Func]string
 
-	sumBuilt bool
-	// releasers[f] is the set of parameter indices that f hands to
-	// (*sync.Pool).Put (directly or through another releaser) on some
-	// path.
-	releasers map[*types.Func]map[int]bool
-	// acquirers is the set of functions whose return value derives
-	// from (*sync.Pool).Get (directly or through another acquirer).
-	acquirers map[*types.Func]bool
 	// mayBlock[f] holds a short description of the blocking construct
 	// that makes calling f potentially blocking (channel op, select,
-	// or a blocking stdlib call), directly or transitively.
+	// or a blocking stdlib call), directly or transitively; nil until
+	// mayBlockSummary builds it.
 	mayBlock map[*types.Func]string
-
-	cfgs map[*ast.BlockStmt]*CFG
 }
 
 type funcNode struct {
@@ -72,11 +62,7 @@ type funcNode struct {
 
 // newProgram collects roots plus transitive local dependencies.
 func newProgram(roots []*Package) *Program {
-	p := &Program{
-		roots:  roots,
-		isRoot: map[*Package]bool{},
-		cfgs:   map[*ast.BlockStmt]*CFG{},
-	}
+	p := &Program{}
 	seen := map[*Package]bool{}
 	var walk func(pkg *Package)
 	walk = func(pkg *Package) {
@@ -95,21 +81,10 @@ func newProgram(roots []*Package) *Program {
 		}
 	}
 	for _, pkg := range roots {
-		p.isRoot[pkg] = true
 		walk(pkg)
 	}
 	sort.Slice(p.all, func(i, j int) bool { return p.all[i].Path < p.all[j].Path })
 	return p
-}
-
-// cfg memoizes BuildCFG per body across analyzers.
-func (p *Program) cfg(body *ast.BlockStmt) *CFG {
-	if c, ok := p.cfgs[body]; ok {
-		return c
-	}
-	c := BuildCFG(body)
-	p.cfgs[body] = c
-	return c
 }
 
 // callGraph builds (once) the static call graph over p.all.
@@ -150,10 +125,9 @@ func (p *Program) callGraph() map[*types.Func]*funcNode {
 // //perf:hotpath annotation, mapped to the name of the annotated seed
 // each was reached from.
 func (p *Program) hotClosure() map[*types.Func]string {
-	if p.hotBuilt {
+	if p.hotFrom != nil {
 		return p.hotFrom
 	}
-	p.hotBuilt = true
 	graph := p.callGraph()
 	p.hotFrom = map[*types.Func]string{}
 	var queue []*types.Func
@@ -196,19 +170,8 @@ func hasHotPathDirective(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// isPoolGet / isPoolPut recognize the sync.Pool methods.
-func isPoolGet(fn *types.Func) bool {
-	return fn != nil && fn.Name() == "Get" && funcPkgPath(fn) == "sync" &&
-		recvNamed(fn) == "Pool"
-}
-
-func isPoolPut(fn *types.Func) bool {
-	return fn != nil && fn.Name() == "Put" && funcPkgPath(fn) == "sync" &&
-		recvNamed(fn) == "Pool"
-}
-
 // recvNamed returns the name of fn's receiver type ("Pool" for
-// (*sync.Pool).Get), or "" for non-methods.
+// (*sync.Pool).Put), or "" for non-methods.
 func recvNamed(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -225,181 +188,56 @@ func recvNamed(fn *types.Func) string {
 	return named.Obj().Name()
 }
 
-// summaries computes (once) the interprocedural releaser, acquirer,
-// and may-block summaries by fixpoint over the call graph.
-func (p *Program) summaries() {
-	if p.sumBuilt {
+// mayBlockSummary computes (once) the may-block summary by fixpoint
+// over the call graph: a function may block when its own body does, or
+// when it calls one that may.
+func (p *Program) mayBlockSummary() {
+	if p.mayBlock != nil {
 		return
 	}
-	p.sumBuilt = true
 	graph := p.callGraph()
-	p.releasers = map[*types.Func]map[int]bool{}
-	p.acquirers = map[*types.Func]bool{}
 	p.mayBlock = map[*types.Func]string{}
-
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range p.funcOrder {
+			if _, ok := p.mayBlock[fn]; ok {
+				continue
+			}
 			node := graph[fn]
-			if p.updateReleaser(node) {
+			if why := blockingIn(node.pkg.Info, node.decl.Body, p.mayBlock); why != "" {
+				p.mayBlock[fn] = why
 				changed = true
-			}
-			if !p.acquirers[fn] && p.isAcquirerBody(node) {
-				p.acquirers[fn] = true
-				changed = true
-			}
-			if _, ok := p.mayBlock[fn]; !ok {
-				if why := p.blockingWitness(node); why != "" {
-					p.mayBlock[fn] = why
-					changed = true
-				}
 			}
 		}
 	}
 }
 
-// updateReleaser scans node's body for parameters handed to
-// (*sync.Pool).Put or to another releaser's releasing position, and
-// merges them into the summary. Reports whether the summary grew.
-func (p *Program) updateReleaser(node *funcNode) bool {
-	params := paramObjects(node.pkg.Info, node.decl.Type)
-	if len(params) == 0 {
-		return false
-	}
-	set := p.releasers[node.fn]
-	grew := false
-	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeFunc(node.pkg.Info, call)
-		for ai, arg := range call.Args {
-			id, ok := ast.Unparen(arg).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			pi := paramIndex(params, node.pkg.Info.Uses[id])
-			if pi < 0 {
-				continue
-			}
-			releasing := isPoolPut(callee) ||
-				(callee != nil && p.releasers[callee][ai])
-			if !releasing {
-				continue
-			}
-			if set == nil {
-				set = map[int]bool{}
-				p.releasers[node.fn] = set
-			}
-			if !set[pi] {
-				set[pi] = true
-				grew = true
-			}
-		}
-		return true
-	})
-	return grew
-}
-
-// isAcquirerBody reports whether some return value of the body aliases
-// the result of (*sync.Pool).Get or of a call to a known acquirer,
-// tracking strict aliasing only (v := pool.Get().(*T); ...; return v).
-// An expression that merely mentions the pooled value — err :=
-// enc.Encode(buf) — does not alias it.
-func (p *Program) isAcquirerBody(node *funcNode) bool {
-	info := node.pkg.Info
-	tainted := map[types.Object]bool{}
-	// aliases reports whether e evaluates to a pool-acquired value:
-	// the value of an acquiring call, or a local already known to hold
-	// one, through parens and type assertions.
-	aliases := func(e ast.Expr) bool {
-		for {
-			e = ast.Unparen(e)
-			if ta, ok := e.(*ast.TypeAssertExpr); ok {
-				e = ta.X
-				continue
-			}
-			break
-		}
-		switch e := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[e]
-			return obj != nil && tainted[obj]
-		case *ast.CallExpr:
-			callee := calleeFunc(info, e)
-			return isPoolGet(callee) || p.acquirers[callee]
-		}
-		return false
-	}
-	// Local taint runs to a fixpoint so assignments reached before
-	// their sources (in loops) still converge.
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 || !aliases(as.Rhs[0]) {
-				return true
-			}
-			id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj != nil && !tainted[obj] {
-				tainted[obj] = true
-				changed = true
-			}
-			return true
-		})
-	}
-	acquires := false
-	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if aliases(res) {
-				acquires = true
-			}
-		}
-		return !acquires
-	})
-	return acquires
-}
-
-// blockingWitness returns a short description of the construct that
-// makes node potentially blocking, or "". Function literals are not
-// descended into: a closure only blocks its creator when called, and
-// the call site (when static) carries the edge.
-func (p *Program) blockingWitness(node *funcNode) string {
-	info := node.pkg.Info
+// blockingIn returns a short description of the first potentially
+// blocking construct in n — a channel operation, a select, a blocking
+// stdlib call, or a call to a function mayBlock marks — or "". Function
+// literals are not descended into: a closure only blocks its creator
+// when called, and the call site (when static) carries the edge.
+func blockingIn(info *types.Info, n ast.Node, mayBlock map[*types.Func]string) string {
 	why := ""
-	inspectShallow(node.decl.Body, func(n ast.Node) bool {
+	inspectShallow(n, func(x ast.Node) bool {
 		if why != "" {
 			return false
 		}
-		switch n := n.(type) {
+		switch x := x.(type) {
 		case *ast.SendStmt:
 			why = "channel send"
 		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
+			if x.Op == token.ARROW {
 				why = "channel receive"
 			}
 		case *ast.SelectStmt:
 			why = "select"
 		case *ast.CallExpr:
-			callee := calleeFunc(info, n)
+			callee := calleeFunc(info, x)
 			if desc := blockingCallee(callee); desc != "" {
 				why = desc
-			} else if callee != nil {
-				if inner, ok := p.mayBlock[callee]; ok {
-					why = "call to " + callee.Name() + " (" + inner + ")"
-				}
+			} else if inner, ok := mayBlock[callee]; ok {
+				why = "call to " + callee.Name() + " (" + inner + ")"
 			}
 		}
 		return why == ""
@@ -419,36 +257,10 @@ func blockingCallee(fn *types.Func) string {
 		return "network call " + pkg + "." + fn.Name()
 	case pkg == "time" && fn.Name() == "Sleep":
 		return "time.Sleep"
-	case isPoolPut(fn):
+	case pkg == "sync" && fn.Name() == "Put" && recvNamed(fn) == "Pool":
 		return "sync.Pool.Put"
 	case pkg == "sync" && fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup":
 		return "sync.WaitGroup.Wait"
 	}
 	return ""
-}
-
-// paramObjects returns the declared parameter objects in order.
-func paramObjects(info *types.Info, ft *ast.FuncType) []types.Object {
-	if ft == nil || ft.Params == nil {
-		return nil
-	}
-	var out []types.Object
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			out = append(out, info.Defs[name])
-		}
-	}
-	return out
-}
-
-func paramIndex(params []types.Object, obj types.Object) int {
-	if obj == nil {
-		return -1
-	}
-	for i, p := range params {
-		if p == obj {
-			return i
-		}
-	}
-	return -1
 }

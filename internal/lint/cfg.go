@@ -6,18 +6,18 @@ import (
 )
 
 // This file is the intraprocedural half of the flow layer: a small
-// control-flow-graph builder over go/ast function bodies, shared by
-// the flow-shaped analyzers (poolpair, locksafe). It is deliberately
-// statement-granular — a Block holds the statements and controlling
-// expressions that execute straight-line, and analyses walk the nodes
-// of each block in order under a worklist until their transfer
-// functions reach a fixpoint.
+// control-flow-graph builder over go/ast function bodies, the graph
+// locksafe walks. It is deliberately statement-granular — a Block holds
+// the statements and controlling expressions that execute
+// straight-line, and the analysis walks the nodes of each block in
+// order under a worklist until its transfer function reaches a
+// fixpoint.
 //
 // The builder models if/for/range/switch/type-switch/select, labeled
 // break and continue, return, and fallthrough. It does not model goto:
-// a body containing one sets Unsupported, and flow analyses are
-// expected to stay silent on such functions rather than guess (the
-// repository has none; a fixture pins the bail-out).
+// a body containing one sets Unsupported, and locksafe stays silent on
+// such functions rather than guess (the repository has none; the
+// locksafe fixture pins the bail-out).
 
 // Block is one basic block: nodes execute in order, control leaves to
 // one of Succs afterwards.
@@ -39,9 +39,6 @@ type CFG struct {
 	// fall-off-the-end path lead to. Deferred calls conceptually run
 	// on the Exit edge.
 	Exit *Block
-	// Blocks lists every block, Entry first (unreachable blocks
-	// included; analyses seed at Entry so they never visit them).
-	Blocks []*Block
 	// Unsupported is set when the body contains goto, which the
 	// builder does not model. Flow analyses should skip the function.
 	Unsupported bool
@@ -56,7 +53,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.stmtList(body.List)
 	// Fall off the end of the body: implicit return.
 	b.jump(b.cfg.Exit)
-	b.cfg.Blocks = append(b.cfg.Blocks, b.cfg.Exit)
 	return b.cfg
 }
 
@@ -74,11 +70,7 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{}
-	b.cfg.Blocks = append(b.cfg.Blocks, blk)
-	return blk
-}
+func (b *cfgBuilder) newBlock() *Block { return &Block{} }
 
 // jump adds an edge cur→to and leaves cur pointing at a fresh,
 // unreachable block (code after a terminator).
@@ -335,34 +327,17 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// funcBody pairs a function-like node with its body: the declaration
-// itself or any function literal nested inside it. Flow analyses treat
+// funcBodies returns the declaration's body followed by the body of
+// every function literal inside it, outermost first: locksafe checks
 // each independently.
-type funcBody struct {
-	// Name is a display name: the declaration's name, with "func
-	// literal" for nested literals.
-	Name string
-	// Node is the *ast.FuncDecl or *ast.FuncLit.
-	Node ast.Node
-	// Type is the function signature syntax.
-	Type *ast.FuncType
-	// Body is the function body.
-	Body *ast.BlockStmt
-}
-
-// funcBodies returns the declaration's body followed by every
-// function literal inside it, outermost first.
-func funcBodies(fd *ast.FuncDecl) []funcBody {
+func funcBodies(fd *ast.FuncDecl) []*ast.BlockStmt {
 	if fd.Body == nil {
 		return nil
 	}
-	out := []funcBody{{Name: fd.Name.Name, Node: fd, Type: fd.Type, Body: fd.Body}}
+	out := []*ast.BlockStmt{fd.Body}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, funcBody{
-				Name: "func literal in " + fd.Name.Name,
-				Node: lit, Type: lit.Type, Body: lit.Body,
-			})
+			out = append(out, lit.Body)
 		}
 		return true
 	})

@@ -21,7 +21,7 @@ func runFixture(t *testing.T, pkg string, rules ...string) {
 }
 
 // runFixtureMulti loads several fixture packages as one program.
-// Cross-package diagnostics (a leaked acquirer, a hot-path callee in a
+// Cross-package diagnostics (a blocking callee, a hot-path callee in a
 // dependency) land in whichever package owns the offending line, so
 // wants are parsed from every loaded package's directory.
 func runFixtureMulti(t *testing.T, pkgPaths []string, rules ...string) {
@@ -164,16 +164,8 @@ func TestObsNamesFixture(t *testing.T) {
 	runFixture(t, "obsnames", "obsnames")
 }
 
-func TestResetFixture(t *testing.T) {
-	runFixture(t, "reset", "reset")
-}
-
 func TestTickConvFixture(t *testing.T) {
 	runFixture(t, "tickconv", "tickconv")
-}
-
-func TestPoolPairFixture(t *testing.T) {
-	runFixtureMulti(t, []string{"poolpair", "poolpairdep"}, "poolpair")
 }
 
 func TestFloatCmpFixture(t *testing.T) {

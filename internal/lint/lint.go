@@ -1,10 +1,17 @@
 // Package lint is uncertlint: a repo-native static-analysis engine
 // enforcing the invariants the reproduction's byte-identical
-// regeneration guarantee rests on — no wall clock in deterministic
-// packages, explicit seeds only, no map-iteration order leaking into
-// output, contexts threaded through every dispatch path, no dropped
-// errors, literal (bounded-cardinality) metric names, and Reset
-// methods on pooled run state that touch every field.
+// regeneration guarantee and the serving tier rest on — no wall clock
+// in deterministic packages, explicit seeds only, no map-iteration
+// order leaking into output, contexts threaded through every dispatch
+// path, no dropped errors, literal metric names of one kind each, one
+// float→tick conversion, deterministic float comparisons, no lock held
+// across a blocking call or leaked on a return path, and no allocation
+// on a //perf:hotpath closure.
+//
+// A rule keeps its place only by a realistic mutation of the tree that
+// breaks something and that no other check (go vet, the tests, the race
+// detector, the allocation kernels, make figs-check) catches; LINTING.md
+// holds the mutation table.
 //
 // The engine is stdlib-only (go/parser, go/ast, go/types with the
 // source importer); see LINTING.md for each rule's rationale and the
@@ -52,7 +59,7 @@ type Analyzer struct {
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
-	// Prog is the shared whole-run view: call graph, CFGs, and
+	// Prog is the shared whole-run view: the call graph and its
 	// interprocedural summaries over the roots and their transitive
 	// repo-local dependencies. Analyzers still report only on
 	// declarations in Pkg; Prog supplies the cross-package facts.
@@ -82,9 +89,7 @@ func NewAnalyzers() []*Analyzer {
 		newCtxFlow(),
 		newErrDrop(),
 		newObsNames(),
-		newReset(),
 		newTickConv(),
-		newPoolPair(),
 		newFloatCmp(),
 		newLockSafe(),
 		newHotAlloc(),

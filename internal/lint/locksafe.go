@@ -35,7 +35,7 @@ func newLockSafe() *Analyzer {
 }
 
 func runLockSafe(p *Pass) {
-	p.Prog.summaries()
+	p.Prog.mayBlockSummary()
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -112,8 +112,8 @@ type lockOp struct {
 	dDef  int
 }
 
-func runLockSafeBody(p *Pass, body funcBody) {
-	cfg := p.Prog.cfg(body.Body)
+func runLockSafeBody(p *Pass, body *ast.BlockStmt) {
+	cfg := BuildCFG(body)
 	if cfg.Unsupported {
 		return
 	}
@@ -123,7 +123,7 @@ func runLockSafeBody(p *Pass, body funcBody) {
 	// key's first Lock position for reporting.
 	firstLock := map[string]token.Pos{}
 	keyOrder := []string{}
-	inspectShallow(body.Body, func(n ast.Node) bool {
+	inspectShallow(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -141,7 +141,7 @@ func runLockSafeBody(p *Pass, body funcBody) {
 	}
 
 	for _, key := range keyOrder {
-		checkLockKey(p, body, cfg, key, firstLock[key])
+		checkLockKey(p, cfg, key, firstLock[key])
 	}
 }
 
@@ -231,37 +231,10 @@ func nodeBlocks(p *Pass, n ast.Node) string {
 		// would misfire on the pooled-buffer defer-Put idiom.
 		return ""
 	}
-	info := p.Pkg.Info
-	why := ""
-	inspectShallow(n, func(x ast.Node) bool {
-		if why != "" {
-			return false
-		}
-		switch x := x.(type) {
-		case *ast.SendStmt:
-			why = "channel send"
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				why = "channel receive"
-			}
-		case *ast.SelectStmt:
-			why = "select"
-		case *ast.CallExpr:
-			callee := calleeFunc(info, x)
-			if desc := blockingCallee(callee); desc != "" {
-				why = desc
-			} else if callee != nil {
-				if inner, ok := p.Prog.mayBlock[callee]; ok {
-					why = "call to " + callee.Name() + " (" + inner + ")"
-				}
-			}
-		}
-		return why == ""
-	})
-	return why
+	return blockingIn(p.Pkg.Info, n, p.Prog.mayBlock)
 }
 
-func checkLockKey(p *Pass, body funcBody, cfg *CFG, key string, lockPos token.Pos) {
+func checkLockKey(p *Pass, cfg *CFG, key string, lockPos token.Pos) {
 	info := p.Pkg.Info
 	in := map[*Block]lockState{}
 	in[cfg.Entry] = lockBit(0, 0)

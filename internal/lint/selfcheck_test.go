@@ -7,10 +7,10 @@ import (
 // TestRepoIsClean mirrors the CI gate from inside the test suite: the
 // full analyzer suite over every package in the repository must come
 // back empty. A failure here means a change introduced a violation of
-// one of the rules — determinism, seed, ctx-flow, err-drop, map-order,
-// obs-names, reset, tickconv, or the flow rules (poolpair, floatcmp,
-// locksafe, hotalloc) — without either fixing it or suppressing it
-// with a reasoned //lint:ignore; stale suppressions fail here too.
+// one of the rules — determinism, seed, ctxflow, errdrop, maporder,
+// obsnames, tickconv, floatcmp, or the flow rules (locksafe, hotalloc)
+// — without either fixing it or suppressing it with a reasoned
+// //lint:ignore; stale suppressions fail here too.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository; skipped in -short mode")

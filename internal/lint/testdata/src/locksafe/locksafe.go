@@ -1,8 +1,8 @@
 // Package locksafe exercises the lock-discipline analyzer: unlocks
 // missing on some return path, defer and all-paths release, RWMutex
 // read locks, blocking operations while holding a lock (directly and
-// through a cross-package call), and the control-flow shapes the CFG
-// has to thread a lock state through.
+// through a cross-package call), the control-flow shapes the CFG has
+// to thread a lock state through, and the goto bail-out.
 package locksafe
 
 import (
@@ -161,4 +161,16 @@ func suppressedHandoff(c *counter, fail bool) {
 		return
 	}
 	c.mu.Unlock()
+}
+
+// gotoBailout: goto is outside the CFG builder's model, so the whole
+// function is skipped rather than misjudged.
+func gotoBailout(c *counter, fail bool) {
+	c.mu.Lock()
+	if fail {
+		goto out
+	}
+	c.mu.Unlock()
+out:
+	return
 }

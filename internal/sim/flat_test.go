@@ -541,25 +541,29 @@ func TestFlatDispatchCounters(t *testing.T) {
 }
 
 // TestFlatRunnerReuseMatchesFresh carries one FlatRunner dirty across
-// instances of varying shape, a stealing run between the plain ones:
-// reuse must be invisible in the output.
+// instances of varying shape, a stealing run and a fail-stop run
+// between the plain ones: reuse must be invisible in the output, and a
+// crash that strands a task must fail the reused run exactly as it
+// fails a fresh one.
 func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 	var reused FlatRunner
 	for ci, in := range poolCases(t) {
 		seed := uint64(ci) + 7
 		cases := append([]flatCase{{"group", in, groupPlacement(t, in.N(), in.M, 2, seed), lptOrder(in)}},
 			sharedCases(t, in, 2, seed)...) // lists and queues both shrink and grow between runs
+		crashes := []Failure{{Machine: 0, Time: 1}, {Machine: in.M / 2, Time: 3}}
 		for _, c := range cases {
-			for _, opts := range []FlatOptions{{Trace: true}, {Trace: true, FetchPenalty: 2}} {
-				got, err := reused.RunSharded(in, c.p, c.order, opts, 2)
-				if err != nil {
-					t.Fatalf("case %d %s: reused: %v", ci, c.name, err)
+			for _, opts := range []FlatOptions{{Trace: true}, {Trace: true, FetchPenalty: 2}, {Failures: crashes}} {
+				label := "reuse case " + itoa(ci) + " " + c.name
+				got, gotErr := reused.RunSharded(in, c.p, c.order, opts, 2)
+				want, wantErr := RunFlatSharded(in, c.p, c.order, opts, 2)
+				if gotErr != nil || wantErr != nil {
+					if !errors.Is(wantErr, ErrUnsurvivable) || gotErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Fatalf("%s: reused run error %v, fresh run error %v", label, gotErr, wantErr)
+					}
+					continue
 				}
-				want, err := RunFlatSharded(in, c.p, c.order, opts, 2)
-				if err != nil {
-					t.Fatalf("case %d %s: fresh: %v", ci, c.name, err)
-				}
-				requireSameResult(t, "reuse case "+itoa(ci)+" "+c.name, got, want)
+				requireSameResult(t, label, got, want)
 			}
 		}
 	}
