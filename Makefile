@@ -23,7 +23,7 @@ race:
 
 # The repo-native static-analysis suite (see LINTING.md, whose mutation
 # table is why each rule is there): determinism, maporder, seed,
-# ctxflow, errdrop, obsnames, tickconv, floatcmp, plus the flow rules
+# ctxflow, errdrop, obsnames, floatcmp, plus the flow rules
 # (locksafe, hotalloc). Any unsuppressed diagnostic fails the build; so
 # does blowing the wall-clock budget, which keeps lint latency an
 # enforced property.
@@ -114,7 +114,7 @@ FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel sim:F
 	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
-	sched:FuzzVerifyOrder loadheap:FuzzTree \
+	sched:FuzzVerifyOrder sched:FuzzScheduleJSON loadheap:FuzzTree \
 	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch
 
 fuzz:

@@ -192,7 +192,7 @@ func printTrace(in *task.Instance, a algo.Algorithm, limit int) error {
 		if i >= limit {
 			break
 		}
-		fmt.Printf("  t=%-10.4g %-6s task %-4d machine %d\n", ev.Time, ev.Kind, ev.Task, ev.Machine)
+		fmt.Printf("  t=%-10.4g %-6s task %-4d machine %d\n", ev.Time.Seconds(), ev.Kind, ev.Task, ev.Machine)
 	}
 	return nil
 }

@@ -72,9 +72,10 @@ func main() {
 	}
 	cp := out.Schedule.CriticalPath()
 	fmt.Printf("\ncritical machine runs %d tasks; last three:\n", len(cp))
-	for _, a := range cp[max(0, len(cp)-3):] {
+	for _, j := range cp[max(0, len(cp)-3):] {
+		a := out.Schedule.Assignments[j]
 		fmt.Printf("  task %3d: start %.4g end %.4g (ran %.4g, estimated %.4g)\n",
-			a.Task, a.Start, a.End, a.End-a.Start, in.Tasks[a.Task].Estimate)
+			j, a.Start.Seconds(), a.End.Seconds(), (a.End - a.Start).Seconds(), in.Tasks[j].Estimate)
 	}
 }
 

@@ -23,9 +23,9 @@ func criticalTask(s *sched.Schedule) (taskID, tasksOnMachine int) {
 	makespan := s.Makespan()
 	taskID = -1
 	machine := -1
-	for _, a := range s.Assignments {
-		if a.End == makespan {
-			taskID = a.Task
+	for j, a := range s.Assignments {
+		if a.End.Seconds() == makespan {
+			taskID = j
 			machine = a.Machine
 			break
 		}

@@ -155,10 +155,7 @@ func runE11(w *Sink, opts Options) error {
 				c.responses = append([]float64(nil), out.Responses...)
 				c.wasted = out.WastedTime
 				c.cancelled = out.CancelledReplicas
-				for _, a := range out.Schedule.Assignments {
-					c.busy += a.End - a.Start
-				}
-				c.busy += out.WastedTime
+				c.busy = out.Schedule.ComputeMetrics().TotalWork + out.WastedTime
 			}
 		}
 		return res, nil

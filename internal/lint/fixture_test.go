@@ -164,10 +164,6 @@ func TestObsNamesFixture(t *testing.T) {
 	runFixture(t, "obsnames", "obsnames")
 }
 
-func TestTickConvFixture(t *testing.T) {
-	runFixture(t, "tickconv", "tickconv")
-}
-
 func TestFloatCmpFixture(t *testing.T) {
 	runFixtureMulti(t, []string{"floatcmp", "floatcmpdep"}, "floatcmp")
 }

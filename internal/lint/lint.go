@@ -3,10 +3,10 @@
 // regeneration guarantee and the serving tier rest on — no wall clock
 // in deterministic packages, explicit seeds only, no map-iteration
 // order leaking into output, contexts threaded through every dispatch
-// path, no dropped errors, literal metric names of one kind each, one
-// float→tick conversion, deterministic float comparisons, no lock held
-// across a blocking call or leaked on a return path, and no allocation
-// on a //perf:hotpath closure.
+// path, no dropped errors, literal metric names of one kind each,
+// deterministic float comparisons, no lock held across a blocking call
+// or leaked on a return path, and no allocation on a //perf:hotpath
+// closure.
 //
 // A rule keeps its place only by a realistic mutation of the tree that
 // breaks something and that no other check (go vet, the tests, the race
@@ -89,7 +89,6 @@ func NewAnalyzers() []*Analyzer {
 		newCtxFlow(),
 		newErrDrop(),
 		newObsNames(),
-		newTickConv(),
 		newFloatCmp(),
 		newLockSafe(),
 		newHotAlloc(),

@@ -8,7 +8,7 @@ import (
 // full analyzer suite over every package in the repository must come
 // back empty. A failure here means a change introduced a violation of
 // one of the rules — determinism, seed, ctxflow, errdrop, maporder,
-// obsnames, tickconv, floatcmp, or the flow rules (locksafe, hotalloc)
+// obsnames, floatcmp, or the flow rules (locksafe, hotalloc)
 // — without either fixing it or suppressing it with a reasoned
 // //lint:ignore; stale suppressions fail here too.
 func TestRepoIsClean(t *testing.T) {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -16,40 +15,31 @@ func (s *Schedule) Gantt(width int) string {
 	if width < 20 {
 		width = 20
 	}
-	makespan := s.Makespan()
-	if makespan == 0 {
+	end := s.end()
+	if end == 0 {
 		return "(empty schedule)\n"
 	}
-	scale := float64(width) / makespan
+	scale := float64(width) / float64(end) // cells per tick
 
-	perMachine := make([][]Assignment, s.M)
-	for _, a := range s.Assignments {
-		perMachine[a.Machine] = append(perMachine[a.Machine], a)
-	}
+	ids, off := s.inStartOrder(nil, nil)
 	var b strings.Builder
-	fmt.Fprintf(&b, "time 0 %s %.4g\n", strings.Repeat("-", width-4), makespan)
+	fmt.Fprintf(&b, "time 0 %s %.4g\n", strings.Repeat("-", width-4), end.Seconds())
 	for i := 0; i < s.M; i++ {
-		as := perMachine[i]
-		sort.Slice(as, func(x, y int) bool {
-			if as[x].Start != as[y].Start {
-				return as[x].Start < as[y].Start
-			}
-			return as[x].Task < as[y].Task
-		})
 		row := make([]byte, width)
 		for c := range row {
 			row[c] = '.'
 		}
-		for _, a := range as {
-			lo := int(a.Start * scale)
-			hi := int(a.End * scale)
+		for _, j := range ids[off[i]:off[i+1]] {
+			a := s.Assignments[j]
+			lo := int(float64(a.Start) * scale)
+			hi := int(float64(a.End) * scale)
 			if hi <= lo {
 				hi = lo + 1
 			}
 			if hi > width {
 				hi = width
 			}
-			label := fmt.Sprintf("%d", a.Task)
+			label := fmt.Sprintf("%d", j)
 			fill := label[len(label)-1]
 			for c := lo; c < hi; c++ {
 				row[c] = fill

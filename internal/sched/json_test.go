@@ -1,11 +1,14 @@
 package sched
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"math"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/tick"
 )
 
 // reflected is the marshal AppendJSON replaced: scheduleJSON through
@@ -13,40 +16,31 @@ import (
 func reflected(s *Schedule) ([]byte, error) {
 	w := scheduleJSON{M: s.M, Machines: []int{}, Starts: []float64{}, Ends: []float64{}}
 	for _, a := range s.Assignments {
-		w.Machines, w.Starts, w.Ends = append(w.Machines, a.Machine), append(w.Starts, a.Start), append(w.Ends, a.End)
+		w.Machines = append(w.Machines, a.Machine)
+		w.Starts, w.Ends = append(w.Starts, a.Start.Seconds()), append(w.Ends, a.End.Seconds())
 	}
 	return json.Marshal(w)
 }
 
 // TestAppendJSONMatchesTheEncoder: the appender prints what the
-// reflective marshal of scheduleJSON prints, and what it cannot print
-// is the encoder's error, in the encoder's words.
+// reflective marshal of scheduleJSON prints, the exponent form of a
+// tick and the ends of the tick range included.
 func TestAppendJSONMatchesTheEncoder(t *testing.T) {
 	for _, s := range []*Schedule{
 		{},
 		New(0, 4),
-		{M: 2, Assignments: []Assignment{{0, 1, 0, 2.5}, {1, 0, 1e-7, 1e21}, {2, 1, 2.5, 123456.789}}},
-		{M: 1, Assignments: []Assignment{{0, -1, math.Copysign(0, -1), 5e-324}}},
+		{M: 2, Assignments: []Assignment{{1, 0, 2_500_000_000}, {0, 100, 1 << 51}, {1, 2_500_000_000, 123456_789_000_000}}},
+		{M: 1, Assignments: []Assignment{{-1, 0, 1}, {0, -1, tick.Max}, {0, -tick.Max, 999}}},
 	} {
 		want, err := reflected(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := s.AppendJSON([]byte("x")); err != nil || string(got) != "x"+string(want) {
-			t.Errorf("AppendJSON wrote %s (%v), the encoder %s", got, err, want)
+		if got := s.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+			t.Errorf("AppendJSON wrote %s, the encoder %s", got, want)
 		}
 		if got, err := json.Marshal(s); err != nil || string(got) != string(want) {
 			t.Errorf("json.Marshal wrote %s (%v), want %s", got, err, want)
-		}
-	}
-	for _, bad := range []*Schedule{
-		{M: 1, Assignments: []Assignment{{0, 0, 0, 1}, {1, 0, math.NaN(), 2}}},
-		{M: 1, Assignments: []Assignment{{0, 0, 0, math.Inf(1)}, {1, 0, math.NaN(), 2}}},
-		{M: 1, Assignments: []Assignment{{0, 0, 0, 1}, {1, 0, 1, math.Inf(-1)}}},
-	} {
-		_, want := reflected(bad)
-		if _, err := bad.AppendJSON(nil); want == nil || err == nil || err.Error() != want.Error() {
-			t.Errorf("AppendJSON: %v, the encoder: %v", err, want)
 		}
 	}
 }
@@ -57,12 +51,12 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got Schedule
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.M != s.M || len(got.Assignments) != len(s.Assignments) {
@@ -78,19 +72,109 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// A time the tick range cannot hold is refused at decode, with
+// tick.FromSeconds's error; JSON itself has no NaN or infinity.
 func TestScheduleJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"m":2,"machines":[0],"starts":[],"ends":[]}`)); err == nil {
-		t.Fatal("inconsistent arrays accepted")
+	for body, want := range map[string]error{
+		`{`: nil,
+		`{"m":2,"machines":[0],"starts":[],"ends":[]}`:        nil,
+		`{"m":1,"machines":[0],"starts":[0],"ends":[9.3e9]}`:  tick.ErrOverflow,
+		`{"m":1,"machines":[0],"starts":[-1e300],"ends":[1]}`: tick.ErrOverflow,
+		`{"m":1,"machines":[0],"starts":[NaN],"ends":[1]}`:    nil,
+		`{"m":1,"machines":[0],"starts":[0],"ends":[1e999]}`:  nil,
+	} {
+		var s Schedule
+		err := json.Unmarshal([]byte(body), &s)
+		if err == nil || want != nil && !errors.Is(err, want) {
+			t.Errorf("%s: got %v, want an error (%v)", body, err, want)
+		}
 	}
 }
 
-func TestScheduleJSONRejectsCorruptAssignments(t *testing.T) {
-	s := New(1, 1)
-	s.Assignments[0] = Assignment{Task: 5} // wrong ID
-	if _, err := s.MarshalJSON(); err == nil {
-		t.Fatal("corrupt assignment serialized")
+// FuzzScheduleJSON holds the decode boundary:
+//
+//   - every schedule of ticks below 2^51 (about 26 simulated days) comes
+//     back exactly from the seconds AppendJSON prints;
+//   - that body with one time beyond the tick range, or one array a
+//     number short, is an error at decode, and so is a number JSON
+//     cannot carry;
+//   - whatever the fuzzer's own bytes decode to, below 2^51 ticks,
+//     prints and decodes again to itself.
+func FuzzScheduleJSON(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255, 9, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte(`{"m":2,"machines":[1,0],"starts":[0,1e-9],"ends":[2.5,1234567.000000001]}`))
+	f.Add([]byte(`{"m":1,"machines":[0],"starts":[0],"ends":[9.3e9]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Schedule
+		if json.Unmarshal(data, &s) == nil && below51(s.Assignments) {
+			var again Schedule
+			if err := json.Unmarshal(s.AppendJSON(nil), &again); err != nil {
+				t.Fatalf("%s decoded, and its re-encoding does not: %v", data, err)
+			}
+			if again.M != s.M || !slices.Equal(again.Assignments, s.Assignments) {
+				t.Fatalf("%s decoded to %+v, its re-encoding to %+v", data, s.Assignments, again.Assignments)
+			}
+		}
+
+		// The same bytes as a schedule: a machine byte and two ticks per
+		// task, masked below 2^51.
+		if len(data) == 0 {
+			return
+		}
+		s = Schedule{M: 1 + int(data[0]%8)}
+		for data = data[1:]; len(data) >= 17; data = data[17:] {
+			s.Assignments = append(s.Assignments, Assignment{
+				Machine: int(data[0]),
+				Start:   tick.Tick(binary.LittleEndian.Uint64(data[1:]) & (1<<51 - 1)),
+				End:     tick.Tick(binary.LittleEndian.Uint64(data[9:]) & (1<<51 - 1)),
+			})
+		}
+		body := s.AppendJSON(nil)
+		var got Schedule
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got.M != s.M || !slices.Equal(got.Assignments, s.Assignments) {
+			t.Fatalf("%s decoded to %+v, want %+v", body, got.Assignments, s.Assignments)
+		}
+		if len(s.Assignments) == 0 {
+			return
+		}
+		k := int(s.Assignments[0].End) % len(s.Assignments) // where the garbage goes
+		for _, plant := range []func(w *scheduleJSON){
+			func(w *scheduleJSON) { w.Ends[k] = 9.3e9 },
+			func(w *scheduleJSON) { w.Starts[k] = -1e300 },
+			func(w *scheduleJSON) { w.Machines = w.Machines[1:] },
+			func(w *scheduleJSON) { w.Ends = w.Ends[:k] },
+		} {
+			var w scheduleJSON
+			if err := json.Unmarshal(body, &w); err != nil {
+				t.Fatal(err)
+			}
+			plant(&w)
+			bad, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(bad, &got); err == nil {
+				t.Fatalf("%s decoded", bad)
+			}
+		}
+		for _, token := range []string{"NaN", "Infinity", "-Inf", "1e400"} {
+			bad := strings.Replace(string(body), `"starts":[`, `"starts":[`+token+`,`, 1)
+			if err := json.Unmarshal([]byte(bad), &got); err == nil {
+				t.Fatalf("%s decoded", bad)
+			}
+		}
+	})
+}
+
+// below51 reports whether every time is in [0, 2^51) ticks.
+func below51(as []Assignment) bool {
+	for _, a := range as {
+		if uint64(a.Start) >= 1<<51 || uint64(a.End) >= 1<<51 {
+			return false
+		}
 	}
+	return true
 }

@@ -2,7 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+
+	"repro/internal/tick"
 )
 
 // Metrics summarizes an executed schedule beyond the makespan. All
@@ -31,17 +32,12 @@ type Metrics struct {
 // ComputeMetrics derives the metric set from the schedule.
 func (s *Schedule) ComputeMetrics() Metrics {
 	var m Metrics
+	var maxStart tick.Tick
 	for _, a := range s.Assignments {
-		dur := a.End - a.Start
-		m.TotalWork += dur
-		m.SumFlow += a.End
-		if a.End > m.Makespan {
-			m.Makespan = a.End
-		}
-		if a.Start > m.MaxStart {
-			m.MaxStart = a.Start
-		}
+		m.SumFlow += a.End.Seconds()
+		maxStart = max(maxStart, a.Start)
 	}
+	m.Makespan, m.TotalWork, m.MaxStart = s.Makespan(), s.work().Seconds(), maxStart.Seconds()
 	if s.M > 0 {
 		m.AvgLoad = m.TotalWork / float64(s.M)
 	}
@@ -61,67 +57,16 @@ func (m Metrics) String() string {
 		m.Makespan, m.Utilization, m.Imbalance, m.IdleTime, m.SumFlow)
 }
 
-// MachineStat describes one machine's share of the schedule.
-type MachineStat struct {
-	// Machine is the machine index.
-	Machine int
-	// Tasks is the number of tasks executed.
-	Tasks int
-	// Load is the total busy time.
-	Load float64
-	// LastEnd is the machine's final completion time.
-	LastEnd float64
-	// Idle is LastEnd − Load: gaps before the machine went quiet.
-	Idle float64
-}
-
-// MachineStats returns per-machine statistics, indexed by machine.
-func (s *Schedule) MachineStats() []MachineStat {
-	stats := make([]MachineStat, s.M)
-	for i := range stats {
-		stats[i].Machine = i
-	}
-	for _, a := range s.Assignments {
-		st := &stats[a.Machine]
-		st.Tasks++
-		st.Load += a.End - a.Start
-		if a.End > st.LastEnd {
-			st.LastEnd = a.End
-		}
-	}
-	for i := range stats {
-		stats[i].Idle = stats[i].LastEnd - stats[i].Load
-	}
-	return stats
-}
-
 // CriticalPath returns the tasks of the machine that determines the
 // makespan, in execution order — the chain an operator would inspect
 // first when debugging a slow run.
-func (s *Schedule) CriticalPath() []Assignment {
-	makespan := s.Makespan()
-	critical := -1
+func (s *Schedule) CriticalPath() []int32 {
+	end := s.end()
 	for _, a := range s.Assignments {
-		//lint:ignore floatcmp makespan is the max of these exact End values, so equality is exact, not rounded
-		if a.End == makespan {
-			critical = a.Machine
-			break
+		if a.End == end {
+			ids, off := s.inStartOrder(nil, nil)
+			return ids[off[a.Machine]:off[a.Machine+1]]
 		}
 	}
-	if critical < 0 {
-		return nil
-	}
-	var out []Assignment
-	for _, a := range s.Assignments {
-		if a.Machine == critical {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Task < out[j].Task
-	})
-	return out
+	return nil
 }

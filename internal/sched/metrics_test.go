@@ -44,28 +44,6 @@ func TestComputeMetricsKnown(t *testing.T) {
 	}
 }
 
-func TestMachineStats(t *testing.T) {
-	in := inst(t, 2, 3, 1, 2)
-	s, _ := FromMapping(in, []int{0, 0, 1})
-	stats := s.MachineStats()
-	if stats[0].Tasks != 2 || stats[0].Load != 4 || stats[0].LastEnd != 4 || stats[0].Idle != 0 {
-		t.Fatalf("machine 0 stats %+v", stats[0])
-	}
-	if stats[1].Tasks != 1 || stats[1].Load != 2 {
-		t.Fatalf("machine 1 stats %+v", stats[1])
-	}
-}
-
-func TestMachineStatsWithGap(t *testing.T) {
-	s := New(2, 1)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: 0, End: 1}
-	s.Assignments[1] = Assignment{Task: 1, Machine: 0, Start: 2, End: 3}
-	stats := s.MachineStats()
-	if stats[0].Idle != 1 {
-		t.Fatalf("idle = %v, want 1 (gap)", stats[0].Idle)
-	}
-}
-
 func TestCriticalPath(t *testing.T) {
 	in := inst(t, 2, 3, 1, 2)
 	s, _ := FromMapping(in, []int{0, 0, 1})
@@ -73,7 +51,7 @@ func TestCriticalPath(t *testing.T) {
 	if len(cp) != 2 {
 		t.Fatalf("critical path has %d tasks", len(cp))
 	}
-	if cp[0].Task != 0 || cp[1].Task != 1 {
+	if cp[0] != 0 || cp[1] != 1 {
 		t.Fatalf("critical path order %v", cp)
 	}
 }
@@ -118,17 +96,17 @@ func TestMetricsInvariantsProperty(t *testing.T) {
 		if mt.IdleTime < -1e-9 {
 			return false
 		}
-		// Machine stats must sum to the total work.
+		// The machines' loads must sum to the total work.
 		sum := 0.0
-		for _, st := range s.MachineStats() {
-			sum += st.Load
+		for _, load := range s.Loads() {
+			sum += load
 		}
 		if math.Abs(sum-mt.TotalWork) > 1e-9 {
 			return false
 		}
 		// The critical path's last completion is the makespan.
 		cp := s.CriticalPath()
-		return len(cp) > 0 && cp[len(cp)-1].End == mt.Makespan
+		return len(cp) > 0 && s.Assignments[cp[len(cp)-1]].End.Seconds() == mt.Makespan
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/tick"
 )
 
 // Verify's two sources of order, tested from outside the package on
@@ -137,15 +138,16 @@ func TestVerifyOnEngineScheduleWithPlantedFaults(t *testing.T) {
 			a := &s.Assignments[first]
 			a.Machine = (a.Machine + 2) % m
 		}, sched.ErrOutsideReplica},
-		{"a duration off by 1e-6", func(s *sched.Schedule) {
-			s.Assignments[first].End += 1e-6
+		{"a duration off by one tick", func(s *sched.Schedule) {
+			s.Assignments[first].End++
 		}, sched.ErrBadDuration},
 		{"a machine out of range", func(s *sched.Schedule) {
 			s.Assignments[first].Machine = m
 		}, sched.ErrShapeMismatch},
-		{"a NaN start", func(s *sched.Schedule) {
-			s.Assignments[first].Start = math.NaN()
-		}, sched.ErrBadDuration},
+		{"a start one tick below zero", func(s *sched.Schedule) {
+			a := &s.Assignments[first]
+			a.Start, a.End = -1, a.End-a.Start-1
+		}, sched.ErrNegativeTime},
 	}
 	for _, f := range faults {
 		s := clone(good)
@@ -178,7 +180,7 @@ func TestVerifyOnEngineScheduleWithPlantedFaults(t *testing.T) {
 	da, db := a.End-a.Start, b.End-b.Start
 	b.Start, b.End = a.Start, a.Start+db
 	a.Start, a.End = b.End, b.End+da
-	if math.Abs(a.End-good.Assignments[second].End) > 1e-9 {
+	if a.End != good.Assignments[second].End {
 		t.Fatalf("the swap moved the pair's end from %v to %v", good.Assignments[second].End, a.End)
 	}
 	if rec, srt := paths(func() {
@@ -251,19 +253,13 @@ func TestEngineRecordByRunKind(t *testing.T) {
 // feasibleByAllPairs is Verify's specification without any order: the
 // per-task conditions, then every pair of a machine's tasks.
 func feasibleByAllPairs(in *task.Instance, p *placement.Placement, s *sched.Schedule) bool {
-	const tol = 1e-9
-	runsInto := func(a, b sched.Assignment) bool { return a.Start < b.End-tol*math.Max(1, b.End) }
 	for j, a := range s.Assignments {
-		if a.Task != j || a.Machine < 0 || a.Machine >= s.M ||
-			math.IsNaN(a.Start) || math.IsInf(a.Start, 0) || math.IsNaN(a.End) || math.IsInf(a.End, 0) ||
-			a.Start < -tol || !slices.Contains(p.Sets[j], a.Machine) {
-			return false
-		}
-		if want := in.Tasks[j].Actual; math.Abs(a.End-a.Start-want) > tol*math.Max(1, want) {
+		if a.Machine < 0 || a.Machine >= s.M || a.Start < 0 || a.End < a.Start ||
+			a.End-a.Start != tick.MustFromSeconds(in.Tasks[j].Actual) || !slices.Contains(p.Sets[j], a.Machine) {
 			return false
 		}
 		for _, b := range s.Assignments[:j] {
-			if a.Machine == b.Machine && runsInto(a, b) && runsInto(b, a) {
+			if a.Machine == b.Machine && a.Start < b.End && b.Start < a.End {
 				return false
 			}
 		}
@@ -279,7 +275,9 @@ func feasibleByAllPairs(in *task.Instance, p *placement.Placement, s *sched.Sche
 //     without it;
 //   - whatever the record holds, the answer (the error text included) is
 //     the one given without a record;
-//   - an accept is an accept by the all-pairs oracle.
+//   - the answer is the all-pairs oracle's: every check is exact, so a
+//     one-tick shift into a neighbour is an overlap, and one away from
+//     it is not.
 func FuzzVerifyOrder(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 2, 3, 0, 1, 2, 3, 9, 9})
 	f.Add([]byte{9, 3, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 200, 3, 4, 5, 6, 7, 8})
@@ -341,16 +339,16 @@ func FuzzVerifyOrder(f *testing.F) {
 			case 0:
 				a.Machine = next() % (m + 1)
 			case 1:
-				d := []float64{-1, -1e-6, -3e-10, 1e-6, 0.5, 1}[next()%6] // −3e-10 is inside the tolerance
+				d := []tick.Tick{-tick.PerSecond, -1000, -1, 1, tick.PerSecond / 2, tick.PerSecond}[next()%6]
 				a.Start, a.End = a.Start+d, a.End+d
 			case 2:
-				a.End += []float64{-1, 1e-6, 1e-10}[next()%3]
+				a.End += []tick.Tick{-tick.PerSecond, 1000, 1}[next()%3]
 			case 3:
 				a.Start, a.End, b.Start, b.End = b.Start, b.End, a.Start, a.End
 			case 4:
 				a.Start, a.End = b.Start, b.Start+(a.End-a.Start)
 			case 5:
-				a.Start = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[next()%3]
+				a.Start = []tick.Tick{-1, math.MinInt64, tick.Max}[next()%3]
 			}
 		}
 		switch next() % 4 {
@@ -367,8 +365,8 @@ func FuzzVerifyOrder(f *testing.F) {
 		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
 			t.Fatalf("record %v: %v; no record: %v\n%+v", s.Dispatched, got, want, s.Assignments)
 		}
-		if got == nil && !feasibleByAllPairs(in, p, s) {
-			t.Fatalf("accepted, and the oracle finds an overlap or a bad task: %+v", s.Assignments)
+		if (got == nil) != feasibleByAllPairs(in, p, s) {
+			t.Fatalf("Verify says %v, the all-pairs oracle the opposite: %+v", got, s.Assignments)
 		}
 	})
 }

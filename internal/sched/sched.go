@@ -10,33 +10,34 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/task"
+	"repro/internal/tick"
 )
 
-// Assignment records one executed task.
+// Assignment records one executed task, in simulated ticks: the
+// engines add durations as integers, and the schedule keeps what they
+// added. Seconds appear at the edges — the JSON codec, the renderers,
+// the metrics — and nowhere inside.
 type Assignment struct {
-	// Task is the task ID.
-	Task int
 	// Machine is the machine that executed the task.
 	Machine int
-	// Start is the time execution began.
-	Start float64
-	// End is the completion time; End-Start is the actual processing
-	// time p_j.
-	End float64
+	// Start is the tick execution began.
+	Start tick.Tick
+	// End is the completion tick; End-Start is the actual processing
+	// time p_j in ticks.
+	End tick.Tick
 }
 
 // Schedule is an executed phase-2 schedule.
 type Schedule struct {
 	// M is the machine count.
 	M int
-	// Assignments holds one entry per task, indexed by task ID.
+	// Assignments holds one entry per task: slot j is task j.
 	Assignments []Assignment
 	// Dispatched, when it has an entry per task, is the order the engine
 	// that produced the schedule started the tasks in: task IDs, each
@@ -81,23 +82,28 @@ func (s *Schedule) Reset(n, m int) {
 	}
 }
 
-// Makespan returns max over machines of the last completion time,
-// which for contiguous schedules equals max_i Σ_{j ∈ E_i} p_j.
-func (s *Schedule) Makespan() float64 {
-	max := 0.0
+// Makespan returns max over machines of the last completion time in
+// seconds, which for contiguous schedules equals max_i Σ_{j ∈ E_i} p_j.
+func (s *Schedule) Makespan() float64 { return s.end().Seconds() }
+
+// end is the makespan in ticks.
+func (s *Schedule) end() tick.Tick {
+	var end tick.Tick
 	for _, a := range s.Assignments {
-		if a.End > max {
-			max = a.End
-		}
+		end = max(end, a.End)
 	}
-	return max
+	return end
 }
 
-// Loads returns per-machine total actual processing time.
+// Loads returns per-machine total actual processing time in seconds.
 func (s *Schedule) Loads() []float64 {
-	loads := make([]float64, s.M)
+	ticks := make([]tick.Tick, s.M)
 	for _, a := range s.Assignments {
-		loads[a.Machine] += a.End - a.Start
+		ticks[a.Machine] += a.End - a.Start
+	}
+	loads := make([]float64, s.M)
+	for i, t := range ticks {
+		loads[i] = t.Seconds()
 	}
 	return loads
 }
@@ -111,26 +117,31 @@ func (s *Schedule) MachineOf() []int {
 	return out
 }
 
+// work returns Σ p_j in ticks.
+func (s *Schedule) work() tick.Tick {
+	var total tick.Tick
+	for _, a := range s.Assignments {
+		total += a.End - a.Start
+	}
+	return total
+}
+
 // Imbalance returns C_max · m / Σp_j − 1: zero for a perfectly
 // balanced schedule, growing with the gap between the longest machine
 // and the average.
 func (s *Schedule) Imbalance() float64 {
-	total := 0.0
-	for _, a := range s.Assignments {
-		total += a.End - a.Start
-	}
+	total := s.work()
 	if total == 0 {
 		return 0
 	}
-	return s.Makespan()*float64(s.M)/total - 1
+	return s.Makespan()*float64(s.M)/total.Seconds() - 1
 }
 
 // Verify checks that the schedule is a feasible execution of the
 // instance under the placement:
 //
-//   - one assignment per task, machines in range, starts ≥ 0, times
-//     finite;
-//   - each duration equals the task's actual processing time;
+//   - one assignment per task, machines in range, starts ≥ 0;
+//   - each duration equals the task's actual processing time, in ticks;
 //   - tasks on one machine do not overlap in time;
 //   - every task runs on a machine in its replica set (when p != nil).
 func (s *Schedule) Verify(in *task.Instance, p *placement.Placement) error {
@@ -145,21 +156,22 @@ func (s *Schedule) Verify(in *task.Instance, p *placement.Placement) error {
 // outside M_j — running remotely is the point of such models — unless
 // p is nil anyway.
 //
+// Every check is exact. A duration is End−Start == tick.FromSeconds of
+// the expected seconds, the one conversion the engines make; a value
+// that does not convert (NaN, ±Inf, out of range) is ErrBadDuration.
+// Two tasks of one machine overlap when one starts before the other
+// ends and the other starts before the one ends, so a task that takes
+// no time may sit at the start or the end of another ([5,5] beside
+// [5,8]) and not inside it.
+//
 // The overlap check wants each machine's tasks in start order, and
 // there are two sources of that order. A schedule carrying a dispatch
 // record (Dispatched) is walked in the recorded order once, every check
 // fused into the walk, and a clean walk accepts. Otherwise — no record,
 // or the walk met anything it did not like in the record or in the
-// schedule — the order is derived by sorting each machine's assignments
-// and the checks run again; only that run rejects, so the record can
-// change how fast an answer comes and never which answer.
-//
-// The sort orders a machine's tasks by start, then end, then task. The
-// end key is newer than the other two and changes one verdict: a
-// zero-length task sharing its start with a longer one ([5,5] beside
-// [5,8], which the engine emits when a duration rounds to zero ticks)
-// used to be ErrOverlap whenever the longer task had the lower ID, and
-// is accepted.
+// schedule — each machine's tasks are sorted by start, then end, then
+// ID, and the checks run again; only that run rejects, so the record
+// can change how fast an answer comes and never which answer.
 func (s *Schedule) VerifyDurations(in *task.Instance, p *placement.Placement,
 	dur func(taskID, machine int) float64) error {
 	if len(s.Assignments) != in.N() || s.M != in.M {
@@ -185,13 +197,6 @@ var (
 	verifySorted   = obs.GetCounter("sched.verify_sorted")
 )
 
-// tol is Verify's tolerance on a time, relative above one second.
-const tol = 1e-9
-
-// startsBefore reports whether a task starting at start would begin
-// while one ending at end is still running.
-func startsBefore(start, end float64) bool { return start < end-tol*max(1, end) }
-
 // checker is one VerifyDurations call.
 type checker struct {
 	s   *Schedule
@@ -205,38 +210,33 @@ type fault uint8
 
 const (
 	feasible fault = iota
-	wrongSlot
 	badMachine
 	negativeStart
-	nonFinite
 	badDuration
 	outsideReplica
 )
 
-// want is the duration task j should have run for on machine i.
-func (c *checker) want(j, i int) float64 {
+// want is the duration task j should have run for on machine i: the
+// hook's value or the task's actual time, converted as the engines
+// convert it.
+func (c *checker) want(j, i int) (tick.Tick, error) {
 	if c.dur != nil {
-		return c.dur(j, i)
+		return tick.FromSeconds(c.dur(j, i))
 	}
-	return c.in.Tasks[j].Actual
+	return tick.FromSeconds(c.in.Tasks[j].Actual)
 }
 
 // task runs the checks that concern assignment a of slot j alone and
 // names the first that fails; reject words it.
 func (c *checker) task(j int, a Assignment) fault {
 	switch {
-	case a.Task != j:
-		return wrongSlot
 	case a.Machine < 0 || a.Machine >= c.s.M:
 		return badMachine
-	case a.Start < -tol:
+	case a.Start < 0:
 		return negativeStart
-	case a.Start-a.Start != 0 || a.End-a.End != 0:
-		// NaN or ±Inf: every comparison with NaN is false and Inf − Inf
-		// is NaN, so such a time would pass each test that follows.
-		return nonFinite
 	}
-	if want := c.want(j, a.Machine); math.Abs(a.End-a.Start-want) > tol*max(1, want) {
+	// End ≥ Start is checked before the subtraction: with Start ≥ 0, End−Start cannot wrap.
+	if want, err := c.want(j, a.Machine); err != nil || a.End < a.Start || a.End-a.Start != want {
 		return badDuration
 	}
 	if c.p != nil && c.dur == nil && !contains(c.p.Sets[j], a.Machine) {
@@ -247,43 +247,37 @@ func (c *checker) task(j int, a Assignment) fault {
 
 func (c *checker) reject(j int, a Assignment, f fault) error {
 	switch f {
-	case wrongSlot:
-		return fmt.Errorf("%w: assignment %d has task %d", ErrShapeMismatch, j, a.Task)
 	case badMachine:
 		return fmt.Errorf("%w: task %d machine %d", ErrShapeMismatch, j, a.Machine)
 	case negativeStart:
-		return fmt.Errorf("%w: task %d starts at %v", ErrNegativeTime, j, a.Start)
-	case nonFinite:
-		return fmt.Errorf("%w: task %d runs from %v to %v", ErrBadDuration, j, a.Start, a.End)
+		return fmt.Errorf("%w: task %d starts at %v", ErrNegativeTime, j, a.Start.Seconds())
 	case badDuration:
+		want, err := c.want(j, a.Machine)
+		if err != nil {
+			return fmt.Errorf("%w: task %d: %w", ErrBadDuration, j, err)
+		}
 		return fmt.Errorf("%w: task %d ran %v, expected %v",
-			ErrBadDuration, j, a.End-a.Start, c.want(j, a.Machine))
+			ErrBadDuration, j, (a.End - a.Start).Seconds(), want.Seconds())
 	default:
 		return fmt.Errorf("%w: task %d on machine %d, replicas %v",
 			ErrOutsideReplica, j, a.Machine, c.p.Sets[j])
 	}
 }
 
-// lane is one machine's state during the recorded walk: the start of
-// the last task met on it and the latest end of any.
-type lane struct{ start, end float64 }
-
 // recorded walks the dispatch record and reports whether it proves the
 // schedule feasible: the record names every task exactly once, every
 // assignment passes its own checks, and on each machine no task starts
-// before the one recorded ahead of it started, nor before any recorded
-// ahead of it has ended. The second holds for every pair of a machine's
-// tasks whatever order they are met in; the first makes the recorded
-// order the sorted one (up to ties the sort breaks towards the shorter
-// task, which cannot turn an accept into a reject), so a true answer
-// here is the answer sorted would give. seen holds a bit per task and
-// lanes an entry per machine; both are overwritten.
+// before every task recorded ahead of it has ended. That makes every
+// pair of a machine's tasks disjoint whatever order they are met in,
+// so a true answer here is the answer sorted would give. seen holds a
+// bit per task and lanes the latest end met per machine (−1 for none,
+// below every start the task checks let through); both are overwritten.
 //
 //perf:hotpath
-func (c *checker) recorded(seen []uint64, lanes []lane) bool {
+func (c *checker) recorded(seen []uint64, lanes []tick.Tick) bool {
 	clear(seen)
 	for i := range lanes {
-		lanes[i] = lane{math.Inf(-1), math.Inf(-1)}
+		lanes[i] = -1
 	}
 	as := c.s.Assignments
 	for _, j := range c.s.Dispatched {
@@ -300,75 +294,86 @@ func (c *checker) recorded(seen []uint64, lanes []lane) bool {
 			return false
 		}
 		l := &lanes[a.Machine]
-		if a.Start < l.start || startsBefore(a.Start, l.end) {
+		if a.Start < *l {
 			return false
 		}
-		l.start, l.end = a.Start, max(l.end, a.End)
+		*l = max(*l, a.End)
 	}
 	return true
 }
 
 // sorted is the check with the order derived from the schedule itself:
 // every assignment's own checks in task order, then each machine's
-// assignments sorted by start and compared neighbour to neighbour.
+// tasks in start order, compared neighbour to neighbour.
 func (c *checker) sorted(vs *verifyScratch) error {
 	s := c.s
-	counts := sized(&vs.counts, s.M+1)
-	clear(counts)
 	for j, a := range s.Assignments {
 		if f := c.task(j, a); f != feasible {
 			return c.reject(j, a, f)
 		}
-		counts[a.Machine+1]++
 	}
-	// Group assignments by machine with a counting sort into one pooled
-	// buffer, then sort and check each contiguous machine segment.
-	for i := 1; i <= s.M; i++ {
-		counts[i] += counts[i-1]
-	}
-	grouped := sized(&vs.grouped, len(s.Assignments))
-	next := sized(&vs.next, s.M)
-	copy(next, counts[:s.M])
-	for _, a := range s.Assignments {
-		grouped[next[a.Machine]] = a
-		next[a.Machine]++
-	}
+	vs.ids, vs.off = s.inStartOrder(vs.ids, vs.off)
+	as := s.Assignments
 	for i := 0; i < s.M; i++ {
-		as := grouped[counts[i]:counts[i+1]]
-		slices.SortFunc(as, byStart)
-		for idx := 1; idx < len(as); idx++ {
-			if startsBefore(as[idx].Start, as[idx-1].End) {
-				return fmt.Errorf("%w: machine %d tasks %d and %d",
-					ErrOverlap, i, as[idx-1].Task, as[idx].Task)
+		ids := vs.ids[vs.off[i]:vs.off[i+1]]
+		for k := 1; k < len(ids); k++ {
+			if as[ids[k]].Start < as[ids[k-1]].End {
+				return fmt.Errorf("%w: machine %d tasks %d and %d", ErrOverlap, i, ids[k-1], ids[k])
 			}
 		}
 	}
 	return nil
 }
 
-// byStart orders one machine's assignments by start, then end, then
-// task. The end breaks a tie towards the task that takes no time: it
-// and a longer task may share a start, and only in that order do
-// neighbours not overlap.
-func byStart(a, b Assignment) int {
-	if c := cmp.Compare(a.Start, b.Start); c != 0 {
-		return c
+// inStartOrder groups the task IDs by machine, each machine's in start
+// order — by start, then end, then ID — and returns them with the
+// offsets: machine i's tasks are ids[off[i]:off[i+1]]. The end breaks a
+// tie towards a task that takes no time, the only order in which it and
+// a longer task sharing its start are disjoint neighbours. Verify's
+// fallback and the renderers read this one order; ids and off are
+// reused when large enough. Every machine must be in range.
+func (s *Schedule) inStartOrder(ids []int32, off []int) ([]int32, []int) {
+	as := s.Assignments
+	ids, off = sized(&ids, len(as)), sized(&off, s.M+1)
+	clear(off)
+	for _, a := range as {
+		off[a.Machine+1]++
 	}
-	if c := cmp.Compare(a.End, b.End); c != 0 {
-		return c
+	for i := 1; i <= s.M; i++ {
+		off[i] += off[i-1]
 	}
-	return a.Task - b.Task
+	// A counting sort: placing task j advances its machine's offset to
+	// the next machine's start, so shift the offsets back after.
+	for j, a := range as {
+		ids[off[a.Machine]] = int32(j)
+		off[a.Machine]++
+	}
+	copy(off[1:], off[:s.M])
+	off[0] = 0
+	for i := 0; i < s.M; i++ {
+		slices.SortFunc(ids[off[i]:off[i+1]], func(x, y int32) int {
+			a, b := &as[x], &as[y]
+			if c := cmp.Compare(a.Start, b.Start); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.End, b.End); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+	}
+	return ids, off
 }
 
 // verifyScratch pools the buffers VerifyDurations needs: the recorded
-// walk's seen-bits and lanes, the sort's grouped copy of the
-// assignments and per-machine counters. Every buffer is overwritten
-// before use, so pooling cannot affect results.
+// walk's seen-bits and lanes, the sort's task IDs and machine offsets.
+// Every buffer is overwritten before use, so pooling cannot affect
+// results.
 type verifyScratch struct {
-	seen         []uint64
-	lanes        []lane
-	grouped      []Assignment
-	counts, next []int
+	seen  []uint64
+	lanes []tick.Tick
+	ids   []int32
+	off   []int
 }
 
 // sized returns *buf at length n, reallocating only on growth; the
@@ -403,8 +408,9 @@ func contains(set []int, x int) bool {
 
 // FromMapping builds a contiguous schedule from a task→machine map,
 // executing each machine's tasks back to back in task-ID order using
-// actual processing times. It is the canonical way to materialize a
-// static (no-choice) schedule. Task-ID order is then each machine's
+// actual processing times, each converted to ticks by tick.FromSeconds
+// as the engines convert them. It is the canonical way to materialize
+// a static (no-choice) schedule. Task-ID order is then each machine's
 // start order, and is what the schedule records as Dispatched.
 func FromMapping(in *task.Instance, machineOf []int) (*Schedule, error) {
 	if len(machineOf) != in.N() {
@@ -413,15 +419,19 @@ func FromMapping(in *task.Instance, machineOf []int) (*Schedule, error) {
 	}
 	s := New(in.N(), in.M)
 	s.Dispatched = make([]int32, in.N())
-	clock := make([]float64, in.M)
+	clock := make([]tick.Tick, in.M)
 	for j, t := range in.Tasks {
 		i := machineOf[j]
 		if i < 0 || i >= in.M {
 			return nil, fmt.Errorf("%w: task %d machine %d", ErrShapeMismatch, j, i)
 		}
-		s.Assignments[j] = Assignment{Task: j, Machine: i, Start: clock[i], End: clock[i] + t.Actual}
+		d, err := tick.FromSeconds(t.Actual)
+		if err != nil {
+			return nil, fmt.Errorf("sched: task %d actual time: %w", j, err)
+		}
+		s.Assignments[j] = Assignment{Machine: i, Start: clock[i], End: clock[i] + d}
 		s.Dispatched[j] = int32(j)
-		clock[i] += t.Actual
+		clock[i] += d
 	}
 	return s, nil
 }

@@ -48,7 +48,7 @@ func TestFromMappingSequencesTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Assignments[1].Start != 1 || s.Assignments[2].Start != 3 {
+	if s.Assignments[1].Start != sec(1) || s.Assignments[2].Start != sec(3) {
 		t.Fatalf("starts = %v, %v", s.Assignments[1].Start, s.Assignments[2].Start)
 	}
 	if s.Makespan() != 6 {
@@ -69,7 +69,7 @@ func TestFromMappingRejectsBadShape(t *testing.T) {
 func TestVerifyCatchesWrongDuration(t *testing.T) {
 	in := inst(t, 1, 2)
 	s := New(1, 1)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: 0, End: 1} // actual is 2
+	s.Assignments[0] = Assignment{Machine: 0, Start: sec(0), End: sec(1)} // actual is 2
 	if err := s.Verify(in, nil); !errors.Is(err, ErrBadDuration) {
 		t.Fatalf("got %v, want ErrBadDuration", err)
 	}
@@ -78,8 +78,8 @@ func TestVerifyCatchesWrongDuration(t *testing.T) {
 func TestVerifyCatchesOverlap(t *testing.T) {
 	in := inst(t, 1, 2, 2)
 	s := New(2, 1)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: 0, End: 2}
-	s.Assignments[1] = Assignment{Task: 1, Machine: 0, Start: 1, End: 3}
+	s.Assignments[0] = Assignment{Machine: 0, Start: sec(0), End: sec(2)}
+	s.Assignments[1] = Assignment{Machine: 0, Start: sec(1), End: sec(3)}
 	if err := s.Verify(in, nil); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("got %v, want ErrOverlap", err)
 	}
@@ -88,7 +88,7 @@ func TestVerifyCatchesOverlap(t *testing.T) {
 func TestVerifyCatchesNegativeStart(t *testing.T) {
 	in := inst(t, 1, 2)
 	s := New(1, 1)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: -1, End: 1}
+	s.Assignments[0] = Assignment{Machine: 0, Start: sec(-1), End: sec(1)}
 	if err := s.Verify(in, nil); !errors.Is(err, ErrNegativeTime) {
 		t.Fatalf("got %v, want ErrNegativeTime", err)
 	}
@@ -99,7 +99,7 @@ func TestVerifyCatchesReplicaViolation(t *testing.T) {
 	p := placement.New(1, 2)
 	p.Assign(0, 0)
 	s := New(1, 2)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 1, Start: 0, End: 1}
+	s.Assignments[0] = Assignment{Machine: 1, Start: sec(0), End: sec(1)}
 	if err := s.Verify(in, p); !errors.Is(err, ErrOutsideReplica) {
 		t.Fatalf("got %v, want ErrOutsideReplica", err)
 	}
@@ -110,7 +110,7 @@ func TestVerifyAcceptsReplicaMember(t *testing.T) {
 	p := placement.New(1, 2)
 	p.AssignSet(0, []int{0, 1})
 	s := New(1, 2)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 1, Start: 0, End: 1}
+	s.Assignments[0] = Assignment{Machine: 1, Start: sec(0), End: sec(1)}
 	if err := s.Verify(in, p); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestVerifyAcceptsReplicaMember(t *testing.T) {
 func TestVerifyCatchesShapeMismatch(t *testing.T) {
 	in := inst(t, 2, 1, 1)
 	s := New(1, 2)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, End: 1}
+	s.Assignments[0] = Assignment{Machine: 0, End: sec(1)}
 	if err := s.Verify(in, nil); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("got %v, want ErrShapeMismatch", err)
 	}
@@ -130,8 +130,8 @@ func TestVerifyDurationsCustomModel(t *testing.T) {
 	// but passes VerifyDurations with the matching model.
 	in := inst(t, 2, 3, 1)
 	s := New(2, 2)
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: 0, End: 6} // 3 * penalty 2
-	s.Assignments[1] = Assignment{Task: 1, Machine: 1, Start: 0, End: 1}
+	s.Assignments[0] = Assignment{Machine: 0, Start: sec(0), End: sec(6)} // 3 * penalty 2
+	s.Assignments[1] = Assignment{Machine: 1, Start: sec(0), End: sec(1)}
 	if err := s.Verify(in, nil); err == nil {
 		t.Fatal("penalized schedule passed plain Verify")
 	}

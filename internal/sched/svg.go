@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -38,7 +37,7 @@ func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
 		rowH = 28
 	}
 	const marginLeft, marginTop, axisH = 48, 28, 22
-	makespan := s.Makespan()
+	end := s.end()
 	chartW := width - marginLeft - 8
 	height := marginTop + s.M*rowH + axisH
 
@@ -51,35 +50,26 @@ func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
 			marginLeft, escapeXML(opts.Title))
 	}
 
-	perMachine := make([][]Assignment, s.M)
-	for _, a := range s.Assignments {
-		perMachine[a.Machine] = append(perMachine[a.Machine], a)
-	}
-	scale := 0.0
-	if makespan > 0 {
-		scale = float64(chartW) / makespan
+	ids, off := s.inStartOrder(nil, nil)
+	scale := 0.0 // pixels per tick
+	if end > 0 {
+		scale = float64(chartW) / float64(end)
 	}
 	for i := 0; i < s.M; i++ {
 		y := marginTop + i*rowH
 		fmt.Fprintf(&b, `<text x="4" y="%d">m%d</text>`+"\n", y+rowH/2+4, i)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#ddd"/>`+"\n",
 			marginLeft, y+rowH, marginLeft+chartW, y+rowH)
-		as := perMachine[i]
-		sort.Slice(as, func(x, yi int) bool {
-			if as[x].Start != as[yi].Start {
-				return as[x].Start < as[yi].Start
-			}
-			return as[x].Task < as[yi].Task
-		})
-		for _, a := range as {
-			x := marginLeft + int(a.Start*scale)
-			wpx := int((a.End - a.Start) * scale)
+		for _, j32 := range ids[off[i]:off[i+1]] {
+			j, a := int(j32), s.Assignments[j32]
+			x := marginLeft + int(float64(a.Start)*scale)
+			wpx := int(float64(a.End-a.Start) * scale)
 			if wpx < 1 {
 				wpx = 1
 			}
-			fill := palette[a.Task%len(palette)]
+			fill := palette[j%len(palette)]
 			stroke := "#333"
-			if opts.Highlight[a.Task] {
+			if opts.Highlight[j] {
 				fill = "#D55E00"
 				stroke = "#000"
 			}
@@ -87,14 +77,14 @@ func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
 				x, y+2, wpx, rowH-4, fill, stroke)
 			if wpx >= 18 {
 				fmt.Fprintf(&b, `<text x="%d" y="%d" fill="white">%d</text>`+"\n",
-					x+3, y+rowH/2+4, a.Task)
+					x+3, y+rowH/2+4, j)
 			}
 		}
 	}
 	axisY := marginTop + s.M*rowH + 14
 	fmt.Fprintf(&b, `<text x="%d" y="%d">0</text>`+"\n", marginLeft, axisY)
 	fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end">%.4g</text>`+"\n",
-		marginLeft+chartW, axisY, makespan)
+		marginLeft+chartW, axisY, end.Seconds())
 	b.WriteString("</svg>\n")
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -6,36 +6,47 @@ import (
 	"testing"
 
 	"repro/internal/placement"
+	"repro/internal/tick"
 )
 
-// A non-finite time used to pass every check: each comparison with NaN
-// is false, and +Inf − +Inf is NaN, so neither the duration test nor
-// the overlap test fired. Every case runs with and without a record, so
-// both sources of order reject it the same way.
+// sec is x seconds in ticks.
+func sec(x float64) tick.Tick { return tick.MustFromSeconds(x) }
+
+// Times are ticks, so no time is NaN or infinite; what is left to
+// reject is an expected duration that does not convert — a hook's NaN,
+// ±Inf or out-of-range value — and an end before its start, the one
+// that would wrap End−Start included. Every case runs with and without
+// a record, so both sources of order reject it the same way.
 func TestVerifyRejectsNonFiniteAndReversedTimes(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name       string
-		start, end float64
+		start, end tick.Tick
+		hook       float64 // task 0's expected seconds; 0 means its actual time
 		want       error
 	}{
-		{"NaN start", nan, 2, ErrBadDuration},
-		{"NaN end", 0, nan, ErrBadDuration},
-		{"NaN both", nan, nan, ErrBadDuration},
-		{"+Inf both", inf, inf, ErrBadDuration},
-		{"+Inf end", 0, inf, ErrBadDuration},
-		{"-Inf both", -inf, -inf, ErrNegativeTime},
-		{"-Inf end", 0, -inf, ErrBadDuration},
-		{"end before start", 4, 2, ErrBadDuration},
+		{"NaN expected", 0, sec(2), nan, ErrBadDuration},
+		{"+Inf expected", 0, tick.Max, inf, ErrBadDuration},
+		{"-Inf expected", 0, sec(2), -inf, ErrBadDuration},
+		{"expected out of range", 0, tick.Max, 1e300, ErrBadDuration},
+		{"end before start", sec(4), sec(2), 0, ErrBadDuration},
+		{"end wraps below start", 1, math.MinInt64 + 1, 0, ErrBadDuration},
+		{"negative start", -1, sec(2) - 1, 0, ErrNegativeTime},
 	}
 	in := inst(t, 1, 2, 2)
 	for _, tc := range cases {
+		dur := func(j, _ int) float64 {
+			if j == 0 && tc.hook != 0 {
+				return tc.hook
+			}
+			return in.Tasks[j].Actual
+		}
 		for _, record := range [][]int32{nil, {0, 1}, {1, 0}} {
 			s := New(2, 1)
-			s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: tc.start, End: tc.end}
-			s.Assignments[1] = Assignment{Task: 1, Machine: 0, Start: 10, End: 12}
+			s.Assignments[0] = Assignment{Machine: 0, Start: tc.start, End: tc.end}
+			s.Assignments[1] = Assignment{Machine: 0, Start: sec(10), End: sec(12)}
 			s.Dispatched = record
-			if err := s.Verify(in, nil); !errors.Is(err, tc.want) {
+			if err := s.VerifyDurations(in, nil, dur); !errors.Is(err, tc.want) {
 				t.Errorf("%s, record %v: got %v, want %v", tc.name, record, err, tc.want)
 			}
 		}
@@ -44,14 +55,14 @@ func TestVerifyRejectsNonFiniteAndReversedTimes(t *testing.T) {
 
 // A task that takes no time may share its start with a longer one: the
 // engine produces exactly that when a duration rounds to zero ticks.
-// Sorted by (start, task) alone, the longer task came first whenever
-// its ID was the lower and the pair read as an overlap.
+// Sorted by (start, task) alone, the longer task would come first
+// whenever its ID was the lower and the pair read as an overlap.
 func TestVerifyAcceptsZeroLengthTaskAtASharedStart(t *testing.T) {
 	in := inst(t, 1, 3, 1e-10, 5)
 	s := New(3, 1)
-	s.Assignments[2] = Assignment{Task: 2, Machine: 0, Start: 0, End: 5}
-	s.Assignments[1] = Assignment{Task: 1, Machine: 0, Start: 5, End: 5}
-	s.Assignments[0] = Assignment{Task: 0, Machine: 0, Start: 5, End: 8}
+	s.Assignments[2] = Assignment{Machine: 0, Start: sec(0), End: sec(5)}
+	s.Assignments[1] = Assignment{Machine: 0, Start: sec(5), End: sec(5)}
+	s.Assignments[0] = Assignment{Machine: 0, Start: sec(5), End: sec(8)}
 	for _, record := range [][]int32{nil, {2, 1, 0}} {
 		s.Dispatched = record
 		if err := s.Verify(in, nil); err != nil {
@@ -59,7 +70,7 @@ func TestVerifyAcceptsZeroLengthTaskAtASharedStart(t *testing.T) {
 		}
 	}
 	// Inside the longer task it is an overlap, whichever order is tried.
-	s.Assignments[1] = Assignment{Task: 1, Machine: 0, Start: 6, End: 6}
+	s.Assignments[1] = Assignment{Machine: 0, Start: sec(6), End: sec(6)}
 	for _, record := range [][]int32{nil, {2, 1, 0}, {2, 0, 1}} {
 		s.Dispatched = record
 		if err := s.Verify(in, nil); !errors.Is(err, ErrOverlap) {

@@ -109,7 +109,7 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	}
 	for _, ev := range res.Trace {
 		machines[ev.Machine].Events = append(machines[ev.Machine].Events,
-			TraceEvent{Time: ev.Time, Task: ev.Task, Kind: ev.Kind})
+			TraceEvent{Time: ev.Time.Seconds(), Task: ev.Task, Kind: ev.Kind})
 	}
 	return &SimulateResponse{
 		Algorithm: a.Name(),

@@ -81,7 +81,7 @@ type ScheduleResponse struct {
 // encode need cost. ok is false, and encoding/json renders or refuses
 // the value, for what the appender does not print its way: a name that
 // needs an escape, a number that is not finite, a missing placement or
-// schedule, a schedule that cannot be marshalled.
+// schedule.
 func (r *ScheduleResponse) AppendJSON(dst []byte) (out []byte, ok bool) {
 	if r.Placement == nil || r.Schedule == nil {
 		return dst, false
@@ -95,10 +95,7 @@ func (r *ScheduleResponse) AppendJSON(dst []byte) (out []byte, ok bool) {
 		return dst, false
 	}
 	dst = r.Placement.AppendJSON(append(dst, `,"placement":`...))
-	dst, err := r.Schedule.AppendJSON(append(dst, `,"schedule":`...))
-	if err != nil {
-		return dst, false
-	}
+	dst = r.Schedule.AppendJSON(append(dst, `,"schedule":`...))
 	if dst, ok = appendFloats(dst, `,"optimum":{"lower":`, r.Optimum.Lower, `,"upper":`, r.Optimum.Upper); !ok {
 		return dst, false
 	}

@@ -17,8 +17,8 @@ func ExampleRunFlat() {
 
 	res, _ := sim.RunFlat(in, p, []int{0, 1, 2}, sim.FlatOptions{})
 	fmt.Printf("makespan: %g\n", res.Schedule.Makespan())
-	for _, a := range res.Schedule.Assignments {
-		fmt.Printf("task %d on machine %d at t=%g\n", a.Task, a.Machine, a.Start)
+	for j, a := range res.Schedule.Assignments {
+		fmt.Printf("task %d on machine %d at t=%g\n", j, a.Machine, a.Start.Seconds())
 	}
 	// Output:
 	// makespan: 4
@@ -42,7 +42,7 @@ func ExampleFailure() {
 		return
 	}
 	a := res.Schedule.Assignments[0]
-	fmt.Printf("task 0 re-ran on machine %d from t=%g to t=%g\n", a.Machine, a.Start, a.End)
+	fmt.Printf("task 0 re-ran on machine %d from t=%g to t=%g\n", a.Machine, a.Start.Seconds(), a.End.Seconds())
 	// Output:
 	// task 0 re-ran on machine 1 from t=5 to t=15
 }
@@ -61,7 +61,7 @@ func ExampleFlatOptions_fetchPenalty() {
 	res, _ := sim.RunFlat(in, p, []int{0, 1, 2}, sim.FlatOptions{FetchPenalty: 2})
 	a := res.Schedule.Assignments[1]
 	fmt.Printf("stolen task 1 ran on machine %d for %g time units\n",
-		a.Machine, a.End-a.Start)
+		a.Machine, (a.End - a.Start).Seconds())
 	// Output:
 	// stolen task 1 ran on machine 1 for 8 time units
 }

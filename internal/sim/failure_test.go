@@ -10,6 +10,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/tick"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
@@ -108,7 +109,7 @@ func TestFailureSurvivableWithGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, a := range s.Assignments {
-		if a.Machine == 1 && a.End > 3 {
+		if a.Machine == 1 && a.End.Seconds() > 3 {
 			t.Fatalf("task %d still on crashed machine after t=3: %+v", j, a)
 		}
 	}
@@ -149,7 +150,7 @@ func TestFailureAtTaskBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := s.Assignments[0]; a.Machine != 0 || a.End != 4 {
+	if a := s.Assignments[0]; a.Machine != 0 || a.End.Seconds() != 4 {
 		t.Fatalf("boundary task moved: %+v", a)
 	}
 	// Task 2 (started at 4 in the failure-free run on machine 0) must
@@ -170,10 +171,10 @@ func TestFailureMultipleCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, a := range s.Assignments {
-		if a.Machine == 0 && a.End > 10 {
+		if a.Machine == 0 && a.End.Seconds() > 10 {
 			t.Fatalf("task %d on machine 0 after its crash: %+v", j, a)
 		}
-		if a.Machine == 3 && a.End > 25 {
+		if a.Machine == 3 && a.End.Seconds() > 25 {
 			t.Fatalf("task %d on machine 3 after its crash: %+v", j, a)
 		}
 	}
@@ -200,7 +201,7 @@ func TestFailureDormantMachineWakesForRetry(t *testing.T) {
 	if a0.Machine != 1 {
 		t.Fatalf("lost task not retried on machine 1: %+v", a0)
 	}
-	if a0.Start != 5 || a0.End != 15 {
+	if a0.Start.Seconds() != 5 || a0.End.Seconds() != 15 {
 		t.Fatalf("retry timing %+v, want start 5 end 15", a0)
 	}
 }
@@ -242,7 +243,7 @@ func TestFailurePropertyReplicatedAlwaysSurvives(t *testing.T) {
 			return false
 		}
 		for _, a := range crashed.Assignments {
-			if a.Machine == failMachine && a.End > failTime+1e-9 {
+			if a.Machine == failMachine && a.End > tick.MustFromSeconds(failTime) {
 				return false
 			}
 		}

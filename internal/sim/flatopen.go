@@ -584,9 +584,7 @@ func (r *FlatOpenRunner) complete(t *loadheap.Tree[tick.Tick], s int, ms []int32
 	out.done++
 	r.responses[j] = (now - r.arrTick[j]).Seconds()
 	out.end = max(out.end, now)
-	r.sched.Assignments[j] = sched.Assignment{
-		Task: int(j), Machine: int(i), Start: r.runStart[i].Seconds(), End: now.Seconds(),
-	}
+	r.sched.Assignments[j] = sched.Assignment{Machine: int(i), Start: r.runStart[i], End: now}
 	if onStart {
 		return true // j left the pending sets when it started
 	}
@@ -845,9 +843,7 @@ func (r *FlatOpenRunner) replayUniformRace(s int, ms, tasks []int32, sc *openScr
 			front.remove(r.pend, r.rank[j])
 			r.responses[j] = (now - r.arrTick[j]).Seconds()
 			out.end = max(out.end, now)
-			r.sched.Assignments[j] = sched.Assignment{
-				Task: int(j), Machine: int(i), Start: r.runStart[i].Seconds(), End: now.Seconds(),
-			}
+			r.sched.Assignments[j] = sched.Assignment{Machine: int(i), Start: r.runStart[i], End: now}
 			out.done++
 			clear(unit)
 			unit[wi>>6] = uint64(1) << uint(wi&63)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/tick"
 )
 
 // The oracle: the simulator's semantics stated as naively as they can
@@ -17,6 +18,12 @@ import (
 // allocates its state afresh, and inputs are trusted (the engines' own
 // validation tests cover rejection). Nothing here is tuned; if a loop
 // below and an engine disagree, read this one first.
+
+// ran is the assignment of a task machine i ran from start to end
+// seconds, quantized as the engines quantize: by tick.FromSeconds.
+func ran(i int, start, end float64) sched.Assignment {
+	return sched.Assignment{Machine: i, Start: tick.MustFromSeconds(start), End: tick.MustFromSeconds(end)}
+}
 
 // earliest returns the machine with the smallest time among those with
 // on set, ties toward the lower index — the (time, machine) event order
@@ -80,11 +87,11 @@ func oracleRun(in *task.Instance, p *placement.Placement, order []int, opts Flat
 			executed = opts.Duration(j, i)
 		}
 		start, end := clock[i], clock[i]+executed
-		res.Schedule.Assignments[j] = sched.Assignment{Task: j, Machine: i, Start: start, End: end}
+		res.Schedule.Assignments[j] = ran(i, start, end)
 		if opts.Trace {
 			res.Trace = append(res.Trace,
-				Event{Time: start, Machine: i, Task: j, Kind: "start"},
-				Event{Time: end, Machine: i, Task: j, Kind: "finish"})
+				Event{Time: tick.MustFromSeconds(start), Machine: i, Task: j, Kind: "start"},
+				Event{Time: tick.MustFromSeconds(end), Machine: i, Task: j, Kind: "finish"})
 		}
 		clock[i] = end
 	}
@@ -204,7 +211,7 @@ func oracleRunFailures(in *task.Instance, p *placement.Placement, order []int,
 		}
 		running[i] = j
 		idleAt[i] = now + in.Tasks[j].Actual
-		s.Assignments[j] = sched.Assignment{Task: j, Machine: i, Start: now, End: idleAt[i]}
+		s.Assignments[j] = ran(i, now, idleAt[i])
 	}
 	if completedCount != n {
 		return nil, fmt.Errorf("sim: %d of %d tasks never completed", n-completedCount, n)
@@ -267,7 +274,7 @@ func oracleRunOpen(in *task.Instance, p *placement.Placement, order []int, arriv
 			running[i], done[j] = -1, true
 			res.Responses[j] = now - arrive[j]
 			res.End = max(res.End, now)
-			res.Schedule.Assignments[j] = sched.Assignment{Task: j, Machine: i, Start: runStart[i], End: now}
+			res.Schedule.Assignments[j] = ran(i, runStart[i], now)
 			for k := range running { // only CancelOnCompletion has other copies in flight
 				if running[k] == j {
 					running[k] = -1

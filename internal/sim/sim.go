@@ -51,6 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sched"
+	"repro/internal/tick"
 )
 
 // Hot-loop metrics, accumulated locally per run and flushed once so
@@ -63,8 +64,8 @@ var (
 
 // Event is one entry of an execution trace.
 type Event struct {
-	// Time of the event.
-	Time float64
+	// Time of the event, in the schedule's ticks.
+	Time tick.Tick
 	// Machine involved.
 	Machine int
 	// Task involved.

@@ -48,7 +48,7 @@ func TestListDispatcherFullReplication(t *testing.T) {
 		t.Fatalf("makespan = %v, want 4", got)
 	}
 	a2 := res.Schedule.Assignments[2]
-	if a2.Machine != 1 || a2.Start != 2 {
+	if a2.Machine != 1 || a2.Start.Seconds() != 2 {
 		t.Fatalf("task 2 ran %+v, want machine 1 start 2", a2)
 	}
 }

@@ -99,12 +99,10 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 			r.shardStarted[s], r.wideHead[s] = int32(k), int32(k)
 			return
 		}
-		r.sched.Assignments[j] = sched.Assignment{
-			Task: int(j), Machine: mi, Start: now.Seconds(), End: end.Seconds(),
-		}
+		r.sched.Assignments[j] = sched.Assignment{Machine: mi, Start: now, End: end}
 		if opts.Trace {
-			trace[tr] = Event{Time: now.Seconds(), Machine: mi, Task: int(j), Kind: "start"}
-			trace[tr+1] = Event{Time: end.Seconds(), Machine: mi, Task: int(j), Kind: "finish"}
+			trace[tr] = Event{Time: now, Machine: mi, Task: int(j), Kind: "start"}
+			trace[tr+1] = Event{Time: end, Machine: mi, Task: int(j), Kind: "finish"}
 			tr += 2
 		}
 		now = end
@@ -205,12 +203,10 @@ func (r *FlatRunner) runSpanTree(in *task.Instance, s int, ms []int32, sc *flatS
 			r.shardErrs[s] = spanError{key: ev, err: errSaturated(j, i)}
 			break
 		}
-		r.sched.Assignments[j] = sched.Assignment{
-			Task: int(j), Machine: int(i), Start: ev.t.Seconds(), End: end.Seconds(),
-		}
+		r.sched.Assignments[j] = sched.Assignment{Machine: int(i), Start: ev.t, End: end}
 		if opts.Trace {
-			trace[tr] = Event{Time: ev.t.Seconds(), Machine: int(i), Task: int(j), Kind: "start"}
-			trace[tr+1] = Event{Time: end.Seconds(), Machine: int(i), Task: int(j), Kind: "finish"}
+			trace[tr] = Event{Time: ev.t, Machine: int(i), Task: int(j), Kind: "start"}
+			trace[tr+1] = Event{Time: end, Machine: int(i), Task: int(j), Kind: "finish"}
 			tr += 2
 		}
 		tree.Set(k, end)
@@ -371,9 +367,7 @@ func (r *FlatRunner) failureLoop(p *placement.Placement, s int, ms []int32,
 		}
 		r.runTask[i] = j
 		r.runEnd[i] = end
-		r.sched.Assignments[j] = sched.Assignment{
-			Task: int(j), Machine: int(i), Start: ev.t.Seconds(), End: end.Seconds(),
-		}
+		r.sched.Assignments[j] = sched.Assignment{Machine: int(i), Start: ev.t, End: end}
 		tree.Set(k, end)
 	}
 	return completedCount, retry

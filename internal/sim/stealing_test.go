@@ -31,7 +31,7 @@ func TestStealingPrefersLocal(t *testing.T) {
 		t.Fatalf("task 1 not stolen: ran on machine %d", a1.Machine)
 	}
 	// Stolen: starts at 1 (after task 2), runs 4·2=8 → ends at 9.
-	if a1.Start != 1 || a1.End != 9 {
+	if a1.Start.Seconds() != 1 || a1.End.Seconds() != 9 {
 		t.Fatalf("stolen task timing %+v, want start 1 end 9", a1)
 	}
 	// Machine 0 runs task 0 locally: ends at 4. Makespan 9.

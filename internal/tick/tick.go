@@ -1,21 +1,21 @@
 // Package tick fixes simulated time to int64 nanoticks so the
 // simulator's event queue compares integers instead of floats.
 //
-// One tick is 1e-9 simulated seconds. The data-oriented simulator core
-// (sim.FlatRunner) converts every duration to ticks once at the edge,
-// runs the whole event loop on int64 arithmetic — total ordering, no
-// NaN, no negative zero, associative addition — and converts back to
-// float64 seconds only when materializing the final Schedule. Integer
+// One tick is 1e-9 simulated seconds. The simulator (sim.FlatRunner)
+// converts every duration to ticks once at the edge, runs the whole
+// event loop on int64 arithmetic — total ordering, no NaN, no negative
+// zero, associative addition — and writes ticks into the schedule,
+// which turns them into seconds only at its edges (JSON, charts). Integer
 // time is what makes the sharded runner's merge argument exact: a
 // machine's completion time is the int64 sum of its task ticks, which
 // is the same value no matter how per-shard event loops interleave, so
 // sharded and sequential runs agree bit-for-bit rather than within an
 // epsilon.
 //
-// FromSeconds is the only sanctioned float→tick path in the repo;
-// uncertlint's tickconv rule flags any direct conversion of a
-// floating-point value to Tick outside this package. Rounding and
-// range policy live here, in exactly one place:
+// FromSeconds is the only float→tick path in the repo: a duration a
+// schedule's producer converted any other way fails Verify's exact
+// check against it. Rounding and range policy live here, in exactly
+// one place:
 //
 //   - rounding is to the nearest tick, half away from zero
 //     (math.Round), which is monotone: a ≤ b ⇒ FromSeconds(a) ≤
@@ -24,8 +24,8 @@
 //   - NaN and ±Inf are rejected (ErrNotFinite);
 //   - magnitudes at or beyond 2^63 ticks (≈292 simulated years) are
 //     rejected (ErrOverflow) instead of silently wrapping;
-//   - quantization error is at most half a tick (0.5e-9 s), inside the
-//     1e-9 relative tolerance sched.Schedule.Verify already allows.
+//   - quantization error is at most half a tick (0.5e-9 s), and
+//     sched.Schedule.Verify checks End−Start == FromSeconds(p_j) exactly.
 package tick
 
 import (
