@@ -17,6 +17,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -307,7 +308,10 @@ func openSimLoop(m int, shape func(*task.Instance) (*placement.Placement, []int,
 		if err != nil {
 			tb.Fatal(err)
 		}
-		arrive := workload.MustArrivals(n, workload.ArrivalSpec{Process: "poisson", Rate: float64(m) / 4, Seed: 3})
+		arrive, err := workload.Arrivals(n, workload.ArrivalSpec{Process: "poisson", Rate: float64(m) / 4, Seed: 3})
+		if err != nil {
+			tb.Fatal(err)
+		}
 		var runner sim.FlatOpenRunner
 		return func() {
 			if _, err := runner.RunSharded(in, p, order, arrive, opts, 1); err != nil {
@@ -374,17 +378,23 @@ func serveItem(tb testing.TB, algorithm string, n, m int) []byte {
 	return body
 }
 
-// serveAnswer is schedd's response to serveItem, on state of its own.
+// serveAnswer is schedd's response to serveItem, decoded from its batch
+// answer.
 func serveAnswer(tb testing.TB, algorithm string, n, m int) *serve.ScheduleResponse {
 	var req serve.ScheduleRequest
 	if err := json.Unmarshal(serveItem(tb, algorithm, n, m), &req); err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := serve.New(serve.Config{}).RunSchedule(&req)
-	if err != nil {
+	answer := serve.New(serve.Config{}).RunBatch(context.Background(),
+		&serve.BatchRequest{Requests: []serve.ScheduleRequest{req}}, 1).Results[0]
+	if answer.Error != "" {
+		tb.Fatal(answer.Error)
+	}
+	var resp serve.ScheduleResponse
+	if err := json.Unmarshal(answer.Response, &resp); err != nil {
 		tb.Fatal(err)
 	}
-	return resp
+	return &resp
 }
 
 func wireScan(tb testing.TB, n int) func() {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -212,9 +211,7 @@ func writeSVG(res *algo.Result, in *task.Instance, svgFile string, quiet bool) e
 	if err != nil {
 		return err
 	}
-	err = res.Schedule.WriteSVG(f, sched.SVGOptions{
-		Title: fmt.Sprintf("%s on %v", res.Algorithm, in),
-	})
+	err = res.Schedule.WriteSVG(f, fmt.Sprintf("%s on %v", res.Algorithm, in))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -99,9 +99,9 @@ func TestStaticScheduleMatchesSimulatorForNoChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapping, err := res.Placement.SingleMachineOf()
-	if err != nil {
-		t.Fatal(err)
+	mapping := make([]int, in.N())
+	for j, set := range res.Placement.Sets {
+		mapping[j] = set[0] // no replication: each set is one machine
 	}
 	static, err := sched.FromMapping(in, mapping)
 	if err != nil {

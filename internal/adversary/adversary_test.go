@@ -150,7 +150,7 @@ func TestApplyToGroups(t *testing.T) {
 	p.Groups = groups
 	p.GroupOf = []int{0, 1, 1, 1}
 	for j, g := range p.GroupOf {
-		p.AssignSet(j, groups[g])
+		p.Sets[j] = groups[g]
 	}
 	if err := ApplyToGroups(in, p); err != nil {
 		t.Fatal(err)

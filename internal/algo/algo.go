@@ -190,8 +190,8 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 // Execute runs both phases of the algorithm reusing the Scratch's
 // buffers; semantics match the package-level Execute. Phase 2 runs on
 // the flat simulator (sim.FlatRunner), so reported times are
-// nanotick-quantized: ≤ 0.5e-9 s per duration, inside Verify's
-// tolerance.
+// nanotick-quantized: ≤ 0.5e-9 s per duration, the quantization Verify
+// checks exactly (tick.FromSeconds of each actual time).
 func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 	p, err := s.plan(in, a)
 	if err != nil {

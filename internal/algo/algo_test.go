@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/opt"
+	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/uncertainty"
@@ -21,6 +22,28 @@ func instWithActuals(t *testing.T, m int, alpha float64, est, act []float64) *ta
 		t.Fatal(err)
 	}
 	return in
+}
+
+// actualBounds returns max_j p_j and Σ_j p_j, the two trivial makespan
+// bounds.
+func actualBounds(in *task.Instance) (max, total float64) {
+	for _, t := range in.Tasks {
+		if t.Actual > max {
+			max = t.Actual
+		}
+		total += t.Actual
+	}
+	return max, total
+}
+
+// pinnedMachines maps each task of a no-replication placement to its
+// one machine.
+func pinnedMachines(p *placement.Placement) []int {
+	out := make([]int, len(p.Sets))
+	for j, set := range p.Sets {
+		out[j] = set[0]
+	}
+	return out
 }
 
 func exactInstance(t *testing.T, m int, times ...float64) *task.Instance {
@@ -147,11 +170,7 @@ func TestOracleLPTBeatsBlindOnAdversarialInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pref, err := p.SingleMachineOf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncertainty.LoadedMachineAdversary{}.Perturb(in, &uncertainty.Context{Preferred: pref, M: 2}, rng.New(1))
+	uncertainty.LoadedMachineAdversary{}.Perturb(in, &uncertainty.Context{Preferred: pinnedMachines(p), M: 2}, rng.New(1))
 
 	blind, err := Execute(in, LPTNoChoice())
 	if err != nil {
@@ -177,7 +196,7 @@ func TestAllAlgorithmsProduceFeasibleSchedules(t *testing.T) {
 			return false
 		}
 		// Makespan at least the average load and at most total work.
-		total := in.TotalActual()
+		_, total := actualBounds(in)
 		return res.Makespan >= total/6-1e-9 && res.Makespan <= total+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

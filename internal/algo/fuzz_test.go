@@ -60,7 +60,7 @@ func FuzzExecute(f *testing.F) {
 		if err := in.Validate(true); err != nil {
 			return
 		}
-		lo, hi := in.MaxActual(), in.TotalActual()
+		lo, hi := actualBounds(&in)
 		upper, _ := opt.LPT(in.Actuals(), in.M)
 		for _, name := range fuzzAlgorithms {
 			a, err := New(name)

@@ -150,11 +150,8 @@ func TestBoundHoldsAtRealisedAlpha(t *testing.T) {
 }
 
 func bestLowerBound(in *task.Instance) float64 {
-	sum := in.TotalActual() / float64(in.M)
-	if mx := in.MaxActual(); mx > sum {
-		return mx
-	}
-	return sum
+	mx, total := actualBounds(in)
+	return max(mx, total/float64(in.M))
 }
 
 // TestMemoryScaleInvariance: scaling all sizes by c scales the

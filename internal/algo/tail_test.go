@@ -109,12 +109,8 @@ func TestReplicateTailBeatsNoChoiceUnderAdversary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pref, err := p.SingleMachineOf()
-		if err != nil {
-			t.Fatal(err)
-		}
 		uncertainty.LoadedMachineAdversary{}.Perturb(in,
-			&uncertainty.Context{Preferred: pref, M: in.M}, nil)
+			&uncertainty.Context{Preferred: pinnedMachines(p), M: in.M}, nil)
 
 		no, err := Execute(in, LPTNoChoice())
 		if err != nil {
@@ -187,23 +183,21 @@ func TestRegistryTail(t *testing.T) {
 }
 
 // TestReplicateTailSharesOneSet pins the tail's shared replica set: it
-// is element-wise what placement.AssignSet built per task, and every
-// tail task holds the same slice.
+// is every machine, in order, and every tail task holds the same slice.
 func TestReplicateTailSharesOneSet(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "zipf", N: 30, M: 5, Alpha: 2, Seed: 3})
 	p, err := ReplicateTail(6).Place(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := placement.New(1, in.M)
-	want.AssignSet(0, []int{4, 2, 0, 1, 3, 2})
+	want := placement.Everywhere(1, in.M)
 	var first []int
 	for j, set := range p.Sets {
 		if len(set) == 1 {
 			continue
 		}
 		if !slices.Equal(set, want.Sets[0]) {
-			t.Fatalf("task %d: set %v, AssignSet built %v", j, set, want.Sets[0])
+			t.Fatalf("task %d: set %v, want %v", j, set, want.Sets[0])
 		}
 		if first == nil {
 			first = set

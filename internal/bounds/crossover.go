@@ -1,7 +1,5 @@
 package bounds
 
-import "math"
-
 // MinReplicasForRatio returns the smallest replication degree m/k
 // (over divisors k of m) whose LS-Group guarantee is at most target,
 // and ok=false if even full replication (k=1) does not reach it.
@@ -26,16 +24,4 @@ func MinReplicasForRatio(m int, alpha, target float64) (int, bool) {
 // with |M_j| = 1. ok=false when no replication level does (small α).
 func ReplicasToBeatNoReplication(m int, alpha float64) (int, bool) {
 	return MinReplicasForRatio(m, alpha, LowerBoundNoReplication(m, alpha)-1e-12)
-}
-
-// GuaranteeImprovement returns the relative guarantee reduction of
-// using r replicas per task (r = m/k for some divisor k) instead of
-// one: 1 − LSGroup(m, m/r, α)/LSGroup(m, m, α). It returns NaN if r
-// does not correspond to a divisor of m.
-func GuaranteeImprovement(m, r int, alpha float64) float64 {
-	if r < 1 || r > m || m%r != 0 {
-		return math.NaN()
-	}
-	base := LSGroup(m, m, alpha)
-	return 1 - LSGroup(m, m/r, alpha)/base
 }

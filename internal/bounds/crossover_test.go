@@ -1,7 +1,6 @@
 package bounds
 
 import (
-	"math"
 	"testing"
 )
 
@@ -57,25 +56,5 @@ func TestMinReplicasForRatioTrivial(t *testing.T) {
 	r, ok := MinReplicasForRatio(210, 2, loose)
 	if !ok || r != 1 {
 		t.Fatalf("got (%d, %v), want (1, true)", r, ok)
-	}
-}
-
-func TestGuaranteeImprovement(t *testing.T) {
-	if got := GuaranteeImprovement(210, 1, 2); got != 0 {
-		t.Fatalf("1 replica improvement %v, want 0", got)
-	}
-	imp3 := GuaranteeImprovement(210, 3, 2)
-	imp210 := GuaranteeImprovement(210, 210, 2)
-	if !(imp3 > 0.2) {
-		t.Fatalf("3-replica improvement %v, expected > 20%% (paper: >7.5 → <6)", imp3)
-	}
-	if !(imp210 > imp3) {
-		t.Fatalf("full replication improvement %v not above 3-replica %v", imp210, imp3)
-	}
-	if !math.IsNaN(GuaranteeImprovement(210, 4, 2)) {
-		t.Fatal("non-divisor replica count accepted")
-	}
-	if !math.IsNaN(GuaranteeImprovement(210, 0, 2)) {
-		t.Fatal("r=0 accepted")
 	}
 }

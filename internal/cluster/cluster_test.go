@@ -334,21 +334,17 @@ func TestRunBatchAgainstLiveBackends(t *testing.T) {
 	if len(resp.Results) != 6 {
 		t.Fatalf("%d results", len(resp.Results))
 	}
-	s := serve.New(serve.Config{})
+	direct := serve.New(serve.Config{}).RunBatch(context.Background(), &serve.BatchRequest{Requests: req.Requests}, 1)
 	for i, item := range resp.Results {
 		if item.Index != i || item.Error != "" || item.Response == nil {
 			t.Fatalf("item %d: %+v", i, item)
 		}
 		// The proxied response must be byte-identical to a direct
 		// library run of the same request.
-		want, err := s.RunSchedule(&req.Requests[i])
-		if err != nil {
-			t.Fatal(err)
+		if direct.Results[i].Error != "" {
+			t.Fatal(direct.Results[i].Error)
 		}
-		wantBytes, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantBytes := direct.Results[i].Response
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, item.Response); err != nil {
 			t.Fatal(err)
@@ -371,13 +367,12 @@ func TestItemErrorMatchesDirectError(t *testing.T) {
 	if resp.Results[0].Error != "" {
 		t.Fatalf("item 0 failed: %s", resp.Results[0].Error)
 	}
-	s := serve.New(serve.Config{})
-	_, wantErr := s.RunSchedule(&req.Requests[1])
-	if wantErr == nil {
+	wantErr := serve.New(serve.Config{}).RunBatch(context.Background(), &serve.BatchRequest{Requests: req.Requests}, 1).Results[1].Error
+	if wantErr == "" {
 		t.Fatal("expected direct error")
 	}
-	if resp.Results[1].Error != wantErr.Error() {
-		t.Fatalf("proxied error %q != direct %q", resp.Results[1].Error, wantErr.Error())
+	if resp.Results[1].Error != wantErr {
+		t.Fatalf("proxied error %q != direct %q", resp.Results[1].Error, wantErr)
 	}
 }
 
@@ -433,21 +428,14 @@ func TestRedispatchAroundDeadBackend(t *testing.T) {
 // line, which the tier writes only after item 0's dispatch returned.
 func TestMalformedAnswerFaultsTheBackendNotTheBatch(t *testing.T) {
 	req := testBatch(2)
-	direct := serve.New(serve.Config{})
-	var want wire.Results
-	for i := range req.Requests {
-		resp, err := direct.RunSchedule(&req.Requests[i])
-		if err != nil {
-			t.Fatal(err)
+	want := serve.New(serve.Config{}).RunBatch(context.Background(), &serve.BatchRequest{Requests: req.Requests}, 1)
+	for _, r := range want.Results {
+		if r.Error != "" {
+			t.Fatal(r.Error)
 		}
-		answer, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Results = append(want.Results, wire.Result{Index: i, Response: answer})
 	}
 	var wantBatch, wantStream bytes.Buffer
-	wire.Encode(&wantBatch, &want)
+	wire.Encode(&wantBatch, want)
 	for _, r := range want.Results {
 		var line bytes.Buffer
 		wire.Encode(&line, r)

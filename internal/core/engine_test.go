@@ -29,17 +29,20 @@ func referencePlan(t *testing.T, in *task.Instance, cfg Config) (*placement.Plac
 }
 
 // TestOpenSystemEngines holds the open-system pipeline to the engine it
-// wires: RunOpenSystem's result is the unsharded sim.RunFlatOpen's over
-// the plan's placement and order, bit for bit, across strategies and
-// cancellation policies. (That the engine is right is internal/sim's
+// wires: RunOpenSystem's result is sim.RunFlatOpenSharded's on one
+// worker over the plan's placement and order, bit for bit, across
+// strategies and cancellation policies. (That the engine is right is internal/sim's
 // differential suite against its oracle; worker-count invariance is
 // pinned on RunSharded itself, in sim/flat_open_test.go.)
 func TestOpenSystemEngines(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "zipf", N: 80, M: 12, Alpha: 1.8, Seed: 5})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(55))
-	arrive := workload.MustArrivals(in.N(), workload.ArrivalSpec{
+	arrive, err := workload.Arrivals(in.N(), workload.ArrivalSpec{
 		Process: "poisson", Rate: float64(in.M) / 3, Seed: 9,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfgs := []OpenConfig{
 		{Config: Config{Strategy: NoReplication}},
 		{Config: Config{Strategy: ReplicateEverywhere}, Policy: sim.CancelOnCompletion, CancelCost: 0.25},
@@ -48,9 +51,9 @@ func TestOpenSystemEngines(t *testing.T) {
 	}
 	for _, cfg := range cfgs {
 		p, order := referencePlan(t, in, cfg.Config)
-		want, err := sim.RunFlatOpen(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost})
+		want, err := sim.RunFlatOpenSharded(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost}, 1)
 		if err != nil {
-			t.Fatalf("%v/%v: unsharded engine: %v", cfg.Strategy, cfg.Policy, err)
+			t.Fatalf("%v/%v: engine: %v", cfg.Strategy, cfg.Policy, err)
 		}
 		got, err := RunOpenSystem(in, arrive, cfg)
 		if err != nil {

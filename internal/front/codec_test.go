@@ -2,6 +2,7 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -192,14 +193,11 @@ func TestServeWorkloadsStayOnTheSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer, err := direct.RunSchedule(req)
-	if err != nil {
-		t.Fatal(err)
+	answer := direct.RunBatch(context.Background(), &serve.BatchRequest{Requests: []serve.ScheduleRequest{*req}}, 1).Results[0]
+	if answer.Error != "" {
+		t.Fatal(answer.Error)
 	}
-	raw, err := json.Marshal(answer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := answer.Response
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(BatchResponse{Results: []Item{{Response: raw}}}); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // counts, vnode counts, and keys. Invariants:
 //
 //   - no input panics, and Lookup always lands inside the shard list;
-//   - Successors is a permutation of every shard index, starting at
+//   - successors is a permutation of every shard index, starting at
 //     Lookup(key), and is stable under buffer reuse;
 //   - the ring is a pure function of its inputs: rebuilding it yields
 //     the same assignment;
@@ -46,23 +46,23 @@ func FuzzRing(f *testing.F) {
 			t.Fatalf("Lookup(%q) = %d with %d shards", key, owner, n)
 		}
 
-		order := r.Successors(key, nil)
+		order := r.successors(keyHash(key), nil)
 		if len(order) != n {
-			t.Fatalf("Successors returned %d entries for %d shards", len(order), n)
+			t.Fatalf("successors returned %d entries for %d shards", len(order), n)
 		}
 		if order[0] != owner {
-			t.Fatalf("Successors starts at %d, Lookup says %d", order[0], owner)
+			t.Fatalf("successors starts at %d, Lookup says %d", order[0], owner)
 		}
 		seen := make([]bool, n)
 		for _, s := range order {
 			if s < 0 || s >= n || seen[s] {
-				t.Fatalf("Successors not a permutation: %v", order)
+				t.Fatalf("successors not a permutation: %v", order)
 			}
 			seen[s] = true
 		}
 		// Buffer reuse must not change the answer.
 		first := append([]int(nil), order...)
-		if reused := r.Successors(key, order); !equalInts(first, reused) {
+		if reused := r.successors(keyHash(key), order); !equalInts(first, reused) {
 			t.Fatalf("buffer reuse changed successors: %v vs %v", first, reused)
 		}
 
@@ -160,8 +160,8 @@ func FuzzDecodeFrontBatch(f *testing.F) {
 				t.Fatalf("accepted item %d does not marshal: %v", i, err)
 			}
 			route[i] = ring.Lookup(key)
-			if route[i] < 0 || route[i] >= ring.NumShards() {
-				t.Fatalf("item %d routed to shard %d of %d", i, route[i], ring.NumShards())
+			if route[i] < 0 || route[i] >= len(ring.shards) {
+				t.Fatalf("item %d routed to shard %d of %d", i, route[i], len(ring.shards))
 			}
 		}
 		// Stability under re-encoding: same shape, same routing.

@@ -17,8 +17,8 @@ import (
 // The property the chaos layer leans on is removal stability: because
 // a shard's points depend only on its own name, deleting a shard
 // leaves every other point in place — the only keys that move are the
-// dead shard's, and each lands on its ring successor. Successors
-// exposes that walk order so the dispatcher can re-route work from a
+// dead shard's, and each lands on its ring successor. successors
+// gives that walk order so the dispatcher can re-route work from a
 // dead shard deterministically.
 type Ring struct {
 	shards []string
@@ -102,9 +102,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// NumShards returns the shard count.
-func (r *Ring) NumShards() int { return len(r.shards) }
-
 // Shards returns the shard names in their configured order.
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
@@ -124,17 +121,12 @@ func (r *Ring) successorPoint(h uint64) int {
 	return i
 }
 
-// Successors returns every shard index in ring-walk order starting at
-// the key's owner: position 0 is Lookup(key), position 1 is where the
-// key lands if the owner dies, and so on. Each shard appears exactly
-// once. The result is appended to buf (pass nil, or a previous result
-// to reuse its backing array).
-func (r *Ring) Successors(key []byte, buf []int) []int {
-	return r.successors(keyHash(key), buf)
-}
-
-// successors is Successors from a ring coordinate, which the
-// dispatcher derives from an item's decoded content (itemHash).
+// successors returns every shard index in ring-walk order starting at
+// the owner of ring coordinate h, which the dispatcher derives from an
+// item's decoded content (itemHash): position 0 is the owner, position
+// 1 is where the item lands if the owner dies, and so on. Each shard
+// appears exactly once. The result is appended to buf (pass nil, or a
+// previous result to reuse its backing array).
 func (r *Ring) successors(h uint64, buf []int) []int {
 	out := buf[:0]
 	seen := 0

@@ -45,7 +45,7 @@ func TestRingDeterminism(t *testing.T) {
 		if r1.Lookup(key) != r2.Lookup(key) {
 			t.Fatalf("replicas disagree on %q", key)
 		}
-		if !reflect.DeepEqual(r1.Successors(key, nil), r2.Successors(key, nil)) {
+		if !reflect.DeepEqual(r1.successors(keyHash(key), nil), r2.successors(keyHash(key), nil)) {
 			t.Fatalf("replicas disagree on successor walk of %q", key)
 		}
 	}
@@ -58,7 +58,7 @@ func TestRingSuccessorsShape(t *testing.T) {
 	var buf []int
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
-		buf = r.Successors(key, buf)
+		buf = r.successors(keyHash(key), buf)
 		if len(buf) != 7 {
 			t.Fatalf("walk of %q has %d entries", key, len(buf))
 		}
@@ -95,7 +95,7 @@ func TestRingRemovalStability(t *testing.T) {
 	moved := 0
 	for i := 0; i < 2000; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
-		before := full.Successors(key, nil)
+		before := full.successors(keyHash(key), nil)
 		after := toFull(reduced.Lookup(key))
 		if before[0] != dead {
 			if after != before[0] {
@@ -143,7 +143,7 @@ func TestRingSingleShard(t *testing.T) {
 		if r.Lookup(key) != 0 {
 			t.Fatalf("key %q not on the only shard", key)
 		}
-		if got := r.Successors(key, nil); len(got) != 1 || got[0] != 0 {
+		if got := r.successors(keyHash(key), nil); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("walk of %q: %v", key, got)
 		}
 	}
@@ -152,8 +152,8 @@ func TestRingSingleShard(t *testing.T) {
 func TestRingAccessors(t *testing.T) {
 	shards := ringShards(3)
 	r, _ := NewRing(shards, 8)
-	if r.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", r.NumShards())
+	if len(r.shards) != 3 {
+		t.Fatalf("shard count = %d", len(r.shards))
 	}
 	got := r.Shards()
 	if !reflect.DeepEqual(got, shards) {
@@ -172,7 +172,7 @@ func TestSuccessorsSlowAgrees(t *testing.T) {
 	r, _ := NewRing(ringShards(9), 16)
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
-		fast := r.Successors(key, nil)
+		fast := r.successors(keyHash(key), nil)
 		slow := r.successorsSlow(keyHash(key), nil)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("walks differ for %q: fast %v slow %v", key, fast, slow)

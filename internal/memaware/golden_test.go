@@ -52,7 +52,7 @@ func TestGoldenBiObjective(t *testing.T) {
 		{"sabo", SABO,
 			func(a, d float64) float64 { return bounds.SABOMakespan(a, d, rho) },
 			func(d float64) float64 { return bounds.SABOMemory(d, rho) }},
-		{"sbo", SBO,
+		{"sbo", sbo,
 			func(a, d float64) float64 { return bounds.SABOMakespan(a, d, rho) },
 			func(d float64) float64 { return bounds.SABOMemory(d, rho) }},
 		{"abo", ABO,

@@ -249,19 +249,6 @@ func SABO(in *task.Instance, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// SBO runs the substrate SBO_Δ algorithm for certain processing
-// times: identical split to SABO, but the execution is evaluated as
-// if estimates were exact. It is exposed for completeness and for
-// testing the substrate in isolation.
-func SBO(in *task.Instance, cfg Config) (*Result, error) {
-	res, err := SABO(in, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Algorithm = fmt.Sprintf("SBO(Δ=%.3g)", cfg.Delta)
-	return res, nil
-}
-
 // ABO runs the ABO_Δ algorithm: memory-intensive tasks are pinned per
 // π2; time-intensive tasks are replicated on all machines and
 // dispatched online with Graham's List Scheduling once a machine has

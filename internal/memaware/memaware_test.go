@@ -1,6 +1,7 @@
 package memaware
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -14,6 +15,19 @@ import (
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
+
+// sbo runs the substrate SBO_Δ algorithm for certain processing
+// times: identical split to SABO, but the execution is evaluated as
+// if estimates were exact, so the tests can hold the substrate in
+// isolation.
+func sbo(in *task.Instance, cfg Config) (*Result, error) {
+	res, err := SABO(in, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Algorithm = fmt.Sprintf("SBO(Δ=%.3g)", cfg.Delta)
+	return res, nil
+}
 
 // memInstance draws a workload with both times and sizes and perturbs
 // the actual times.
@@ -217,7 +231,7 @@ func TestExactMappingOptimal(t *testing.T) {
 
 func TestSBOMatchesSABOSplit(t *testing.T) {
 	in := memInstance(t, 20, 3, 1.5, 31)
-	a, err := SBO(in, Config{Delta: 2})
+	a, err := sbo(in, Config{Delta: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +310,9 @@ func BenchmarkABO1e4(b *testing.B) {
 }
 
 // TestReplicatedSetsAreSharedAndWhatAssignSetBuilt pins the shared
-// replica sets of ABO and GABO: every task's set is element-wise the
-// sorted, deduplicated copy placement.AssignSet used to build per task,
-// and tasks with the same set hold the same slice, so placement.SameSet
+// replica sets of ABO and GABO: every task's set is element-wise its
+// machines in ascending order (all of them for ABO, its group's for
+// GABO), and tasks with the same set hold the same slice, so placement.SameSet
 // recognises the repeats.
 func TestReplicatedSetsAreSharedAndWhatAssignSetBuilt(t *testing.T) {
 	in := memInstance(t, 60, 8, 2, 9)
@@ -314,7 +328,7 @@ func TestReplicatedSetsAreSharedAndWhatAssignSetBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := []int{7, 3, 0, 1, 2, 6, 5, 4, 3} // AssignSet sorts and deduplicates
+	all := placement.Everywhere(1, in.M).Sets[0]
 	for name, res := range map[string]*Result{"ABO": abo, "GABO": gabo} {
 		if len(res.TimeIntensive) < 2 {
 			t.Fatalf("%s: want several replicated tasks, got %d", name, len(res.TimeIntensive))
@@ -324,12 +338,12 @@ func TestReplicatedSetsAreSharedAndWhatAssignSetBuilt(t *testing.T) {
 		for _, j := range res.TimeIntensive {
 			got := res.Placement.Sets[j]
 			if name == "ABO" {
-				want.AssignSet(j, all)
+				want.Sets[j] = all
 			} else {
-				want.AssignSet(j, groups[got[0]/2])
+				want.Sets[j] = groups[got[0]/2]
 			}
 			if !slices.Equal(got, want.Sets[j]) {
-				t.Fatalf("%s task %d: set %v, AssignSet built %v", name, j, got, want.Sets[j])
+				t.Fatalf("%s task %d: set %v, want %v", name, j, got, want.Sets[j])
 			}
 			if first, ok := firstOf[got[0]]; !ok {
 				firstOf[got[0]] = j

@@ -178,11 +178,6 @@ func cacheStore(key cacheKey, times []float64, res Result) {
 	g.floats += len(cp)
 }
 
-// CacheStats reports the memo cache's lifetime hit and miss counts.
-func CacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
-
 // ResetCache empties the memo cache and zeroes its counters (tests).
 func ResetCache() {
 	for i := range cache {

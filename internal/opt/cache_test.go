@@ -20,12 +20,12 @@ func TestEstimateCacheHitsAndIdenticalResults(t *testing.T) {
 	ResetCache()
 	times := randomTimes(40, 7)
 	first := Estimate(times, 4, 0)
-	hits0, misses0 := CacheStats()
+	hits0, misses0 := cacheHits.Load(), cacheMisses.Load()
 	if hits0 != 0 || misses0 != 1 {
 		t.Fatalf("after first call: hits=%d misses=%d, want 0/1", hits0, misses0)
 	}
 	second := Estimate(times, 4, 0)
-	hits1, _ := CacheStats()
+	hits1 := cacheHits.Load()
 	if hits1 != 1 {
 		t.Fatalf("second identical call did not hit the cache (hits=%d)", hits1)
 	}
@@ -63,7 +63,7 @@ func TestEstimateCacheTrivialNotCached(t *testing.T) {
 	Estimate(nil, 4, 0)
 	Estimate([]float64{1, 2}, 4, 0) // n <= m
 	Estimate([]float64{1, 2}, 1, 0) // m == 1
-	hits, misses := CacheStats()
+	hits, misses := cacheHits.Load(), cacheMisses.Load()
 	if hits != 0 || misses != 0 {
 		t.Fatalf("trivial paths touched the cache: hits=%d misses=%d", hits, misses)
 	}
@@ -87,7 +87,7 @@ func TestEstimateCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, _ := CacheStats()
+	hits := cacheHits.Load()
 	if hits == 0 {
 		t.Fatal("no cache hits under concurrent identical calls")
 	}

@@ -28,7 +28,7 @@ func sameBits(t *testing.T, what string, got, want float64) {
 // starves a fuzzer; everything that feeds it is compared on its own.
 func checkKernels(t *testing.T, times []float64, m, exactLimit int, dual bool) {
 	t.Helper()
-	sameBits(t, "KarmarkarKarp", KarmarkarKarp(times, m), oracleKarmarkarKarp(times, m))
+	sameBits(t, "KarmarkarKarp", karmarkarKarp(times, m), oracleKarmarkarKarp(times, m))
 	if len(times) == 0 {
 		return
 	}
@@ -132,7 +132,7 @@ func TestKarmarkarKarpCompactsUnderTies(t *testing.T) {
 		for i := range times {
 			times[i] = 1.5
 		}
-		sameBits(t, fmt.Sprint("KarmarkarKarp ", sh), KarmarkarKarp(times, sh[1]), oracleKarmarkarKarp(times, sh[1]))
+		sameBits(t, fmt.Sprint("KarmarkarKarp ", sh), karmarkarKarp(times, sh[1]), oracleKarmarkarKarp(times, sh[1]))
 	}
 }
 

@@ -2,11 +2,11 @@ package opt
 
 import "slices"
 
-// KarmarkarKarp computes an m-way partition of the times by the
-// largest differencing method (Karmarkar–Karp) and returns its
-// makespan — another certified upper bound on C*. LDM often beats LPT
-// on instances with near-equal large tasks (the classic LPT worst
-// cases), so Estimate takes the best of both.
+// ldm is the largest differencing method (Karmarkar–Karp): an m-way
+// partition of the times whose makespan is another certified upper
+// bound on C*. LDM often beats LPT on instances with near-equal large
+// tasks (the classic LPT worst cases), so Estimate takes the best of
+// both.
 //
 // The m-way generalization keeps partial solutions (m-vectors of
 // loads) ordered by spread, repeatedly merging the two with the
@@ -18,30 +18,14 @@ import "slices"
 // earliest-created vector — initial vectors in input position order,
 // merged vectors in merge order. TestKarmarkarKarpTieOrderStable pins
 // this.
-func KarmarkarKarp(times []float64, m int) float64 {
-	if len(times) == 0 {
-		return 0
-	}
-	if m <= 1 {
-		s := 0.0
-		for _, p := range times {
-			s += p
-		}
-		return s
-	}
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
-	s.sortDesc(times)
-	return s.kk.run(s.desc, m)
-}
-
-// ldm is the state of one differencing run. A vector holds only the
-// loads that can be non-zero, descending: v[0] is the vector's largest
-// load, and the m-len(v) loads it does not store are exactly zero. An
-// input time is a one-load vector, a merge of k < m times is those k
-// times, and only a vector that has absorbed more than m times is a
-// full m-vector of sums — so almost every merge touches a handful of
-// floats, not m.
+//
+// An ldm value is the state of one differencing run. A vector holds
+// only the loads that can be non-zero, descending: v[0] is the vector's
+// largest load, and the m-len(v) loads it does not store are exactly
+// zero. An input time is a one-load vector, a merge of k < m times is
+// those k times, and only a vector that has absorbed more than m times
+// is a full m-vector of sums — so almost every merge touches a handful
+// of floats, not m.
 //
 // Two queues replace the heap of all n vectors. The one-load vectors
 // never enter a heap: their spread is their time (m ≥ 2, so the
@@ -228,8 +212,7 @@ type ldmNode struct {
 }
 
 // ldmHeap orders merged vectors by descending spread, ties by
-// ascending creation sequence so the pop order is total; see
-// KarmarkarKarp.
+// ascending creation sequence so the pop order is total; see ldm.
 type ldmHeap struct {
 	nodes []ldmNode
 }

@@ -7,14 +7,34 @@ import (
 	"repro/internal/rng"
 )
 
+// karmarkarKarp returns the makespan of the m-way differencing
+// partition of times: ldm, the kernel Estimate runs, behind the
+// trivial cases Estimate answers before calling it.
+func karmarkarKarp(times []float64, m int) float64 {
+	if len(times) == 0 {
+		return 0
+	}
+	if m <= 1 {
+		s := 0.0
+		for _, p := range times {
+			s += p
+		}
+		return s
+	}
+	s := solvePool.Get().(*solveScratch)
+	defer solvePool.Put(s)
+	s.sortDesc(times)
+	return s.kk.run(s.desc, m)
+}
+
 func TestKarmarkarKarpTrivial(t *testing.T) {
-	if got := KarmarkarKarp(nil, 3); got != 0 {
+	if got := karmarkarKarp(nil, 3); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
-	if got := KarmarkarKarp([]float64{2, 3}, 1); got != 5 {
+	if got := karmarkarKarp([]float64{2, 3}, 1); got != 5 {
 		t.Fatalf("m=1 = %v", got)
 	}
-	if got := KarmarkarKarp([]float64{7}, 3); got != 7 {
+	if got := karmarkarKarp([]float64{7}, 3); got != 7 {
 		t.Fatalf("single task = %v", got)
 	}
 }
@@ -23,7 +43,7 @@ func TestKarmarkarKarpBeatsLPTOnClassicInstance(t *testing.T) {
 	// {8,7,6,5,4} on 2 machines: LPT gives 17, LDM gives 16, optimum 15.
 	times := []float64{8, 7, 6, 5, 4}
 	lpt, _ := LPT(times, 2)
-	kk := KarmarkarKarp(times, 2)
+	kk := karmarkarKarp(times, 2)
 	if lpt != 17 {
 		t.Fatalf("LPT = %v, want 17 (sanity)", lpt)
 	}
@@ -43,7 +63,7 @@ func TestKarmarkarKarpIsValidUpperBound(t *testing.T) {
 		for i := range times {
 			times[i] = src.Uniform(1, 40)
 		}
-		kk := KarmarkarKarp(times, m)
+		kk := karmarkarKarp(times, m)
 		star, ok := Exact(times, m, 10_000_000)
 		if !ok {
 			return true
@@ -66,7 +86,7 @@ func TestKarmarkarKarpConservesWork(t *testing.T) {
 		sum += times[i]
 	}
 	const m = 4
-	kk := KarmarkarKarp(times, m)
+	kk := karmarkarKarp(times, m)
 	// makespan ≥ average, ≤ sum.
 	if kk < sum/m-1e-9 || kk > sum+1e-9 {
 		t.Fatalf("KK %v outside [avg=%v, sum=%v]", kk, sum/m, sum)
@@ -94,7 +114,7 @@ func TestEstimateUsesKK(t *testing.T) {
 func TestKarmarkarKarpTieOrderStable(t *testing.T) {
 	// 4×1.0 on 2 machines: pairs merge in seq order to [1,1] twice,
 	// then to [2,2] — makespan exactly 2.
-	if got := KarmarkarKarp([]float64{1, 1, 1, 1}, 2); got != 2 {
+	if got := karmarkarKarp([]float64{1, 1, 1, 1}, 2); got != 2 {
 		t.Fatalf("all-ties KK = %v, want 2", got)
 	}
 	// A larger duplicate-heavy instance: only repeatability is asserted,
@@ -103,9 +123,9 @@ func TestKarmarkarKarpTieOrderStable(t *testing.T) {
 	for i := range times {
 		times[i] = float64(1 + i%4) // heavy duplication: 16 of each value
 	}
-	want := KarmarkarKarp(times, 5)
+	want := karmarkarKarp(times, 5)
 	for rep := 0; rep < 50; rep++ {
-		if got := KarmarkarKarp(times, 5); got != want {
+		if got := karmarkarKarp(times, 5); got != want {
 			t.Fatalf("rep %d: KK = %v, want %v — tied pop order not stable", rep, got, want)
 		}
 	}
@@ -119,6 +139,6 @@ func BenchmarkKarmarkarKarp1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KarmarkarKarp(times, 16)
+		karmarkarKarp(times, 16)
 	}
 }

@@ -332,7 +332,7 @@ type Result struct {
 func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 
 // Estimate brackets C*_max by [LowerBound, min(LPT, MultiFit,
-// KarmarkarKarp)] after quick trivial checks. When the ends do not
+// Karmarkar–Karp)] after quick trivial checks. When the ends do not
 // meet, instances with n ≤ exactLimit tasks are solved exactly by
 // branch-and-bound, and up to n = 60 DualApprox tightens the upper
 // end. exactLimit ≤ 0 selects the default of 20.
@@ -341,7 +341,8 @@ func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 // content-addressed cache (Estimate is a pure function of its inputs),
 // so repeated scoring of one instance — e.g. several strategies
 // compared on the same perturbed workload — pays for the solve once.
-// CacheStats exposes the hit/miss counters.
+// The opt.cache_hits and opt.cache_misses counters report the hits and
+// misses.
 func Estimate(times []float64, m int, exactLimit int) Result {
 	estimateCalls.Inc()
 	if exactLimit <= 0 {

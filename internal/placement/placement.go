@@ -2,13 +2,16 @@
 // a replica set M_j ⊆ M of machines that hold the task's input data,
 // plus (for the group strategy) the partition of machines into groups.
 //
-// Phase 2 may only run task j on a machine in M_j. The package
-// validates the structural constraints of each replication strategy:
+// Phase 2 may only run task j on a machine in M_j. The replication
+// strategies constrain the sets:
 //
 //   - no replication:       |M_j| = 1
 //   - replicate everywhere: |M_j| = m
 //   - replication bound k:  |M_j| ≤ k
 //   - groups:               M_j is exactly one of the k groups
+//
+// Validate checks that every set is well formed and, for the group
+// strategy, that M_j is its task's group.
 package placement
 
 import (
@@ -48,7 +51,6 @@ var (
 	ErrEmptySet     = errors.New("placement: task has empty replica set")
 	ErrBadMachine   = errors.New("placement: replica set references invalid machine")
 	ErrUnsorted     = errors.New("placement: replica set not sorted or has duplicates")
-	ErrBound        = errors.New("placement: replica set exceeds replication bound")
 	ErrGroupShape   = errors.New("placement: groups do not partition the machines")
 	ErrGroupMapping = errors.New("placement: task replica set is not its group")
 )
@@ -106,21 +108,6 @@ func (p *Placement) Assign(j, i int) {
 	}
 	p.backing = append(p.backing, i)
 	p.Sets[j] = p.backing[len(p.backing)-1 : len(p.backing) : len(p.backing)]
-}
-
-// AssignSet sets task j's replica set to a copy of machines, sorted
-// and deduplicated.
-func (p *Placement) AssignSet(j int, machines []int) {
-	set := make([]int, len(machines))
-	copy(set, machines)
-	sort.Ints(set)
-	out := set[:0]
-	for idx, mach := range set {
-		if idx == 0 || mach != set[idx-1] {
-			out = append(out, mach)
-		}
-	}
-	p.Sets[j] = out
 }
 
 // Everywhere places every task on all machines.
@@ -198,19 +185,6 @@ func (p *Placement) MaxMemory(in *task.Instance) float64 {
 		}
 	}
 	return max
-}
-
-// EstimatedLoads returns, for each machine, the summed estimates of
-// tasks whose replica set is exactly that machine (meaningful for
-// no-replication placements).
-func (p *Placement) EstimatedLoads(in *task.Instance) []float64 {
-	loads := make([]float64, p.M)
-	for j, set := range p.Sets {
-		if len(set) == 1 {
-			loads[set[0]] += in.Tasks[j].Estimate
-		}
-	}
-	return loads
 }
 
 // SameSet reports whether two non-empty replica sets are one slice —
@@ -326,16 +300,6 @@ func (p *Placement) validateGroups() error {
 	return nil
 }
 
-// CheckBound verifies the replication-bound constraint |M_j| ≤ k.
-func (p *Placement) CheckBound(k int) error {
-	for j, set := range p.Sets {
-		if len(set) > k {
-			return fmt.Errorf("%w: task %d has %d replicas, bound %d", ErrBound, j, len(set), k)
-		}
-	}
-	return nil
-}
-
 // equalAscending compares two ascending machine lists element-wise.
 func equalAscending(a, b []int) bool {
 	if len(a) != len(b) {
@@ -347,21 +311,6 @@ func equalAscending(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// SingleMachineOf returns, for each task, the single machine of its
-// replica set, or an error if any task is replicated. It is the bridge
-// to uncertainty.Context.Preferred for adversarial perturbations of
-// no-replication placements.
-func (p *Placement) SingleMachineOf() ([]int, error) {
-	out := make([]int, len(p.Sets))
-	for j, set := range p.Sets {
-		if len(set) != 1 {
-			return nil, fmt.Errorf("placement: task %d has %d replicas, want 1", j, len(set))
-		}
-		out[j] = set[0]
-	}
-	return out, nil
 }
 
 // PartitionGroups splits m machines into k equal contiguous groups.

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,21 @@ func inst(t *testing.T, n, m int) *task.Instance {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// AssignSet sets task j's replica set to a copy of machines, sorted
+// and deduplicated: the tests' way to build a set by hand.
+func (p *Placement) AssignSet(j int, machines []int) {
+	set := make([]int, len(machines))
+	copy(set, machines)
+	sort.Ints(set)
+	out := set[:0]
+	for idx, mach := range set {
+		if idx == 0 || mach != set[idx-1] {
+			out = append(out, mach)
+		}
+	}
+	p.Sets[j] = out
 }
 
 func TestAssignAndValidate(t *testing.T) {
@@ -104,18 +120,6 @@ func TestValidateCatchesShapeMismatch(t *testing.T) {
 	p.Assign(1, 1)
 	if err := p.Validate(in); !errors.Is(err, ErrShape) {
 		t.Fatalf("got %v, want ErrShape", err)
-	}
-}
-
-func TestCheckBound(t *testing.T) {
-	p := New(2, 4)
-	p.AssignSet(0, []int{0, 1})
-	p.AssignSet(1, []int{0, 1, 2})
-	if err := p.CheckBound(3); err != nil {
-		t.Fatalf("bound 3 rejected: %v", err)
-	}
-	if err := p.CheckBound(2); !errors.Is(err, ErrBound) {
-		t.Fatalf("got %v, want ErrBound", err)
 	}
 }
 
@@ -247,35 +251,6 @@ func TestMemoryLoadsFullSetPass(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestEstimatedLoads(t *testing.T) {
-	in := inst(t, 3, 2) // estimates 1, 2, 3
-	p := New(3, 2)
-	p.Assign(0, 0)
-	p.Assign(1, 1)
-	p.Assign(2, 1)
-	loads := p.EstimatedLoads(in)
-	if loads[0] != 1 || loads[1] != 5 {
-		t.Fatalf("estimated loads = %v", loads)
-	}
-}
-
-func TestSingleMachineOf(t *testing.T) {
-	p := New(2, 3)
-	p.Assign(0, 2)
-	p.Assign(1, 0)
-	pref, err := p.SingleMachineOf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pref[0] != 2 || pref[1] != 0 {
-		t.Fatalf("pref = %v", pref)
-	}
-	p.AssignSet(1, []int{0, 1})
-	if _, err := p.SingleMachineOf(); err == nil {
-		t.Fatal("replicated placement accepted")
 	}
 }
 

@@ -37,7 +37,7 @@ func pairedGroups(n, m int) *placement.Placement {
 	p := placement.New(n, m)
 	for j := 0; j < n; j++ {
 		g := j % (m / 2)
-		p.AssignSet(j, []int{2 * g, 2*g + 1})
+		p.Sets[j] = []int{2 * g, 2*g + 1}
 	}
 	return p
 }
@@ -254,8 +254,9 @@ func TestEngineRecordByRunKind(t *testing.T) {
 // per-task conditions, then every pair of a machine's tasks.
 func feasibleByAllPairs(in *task.Instance, p *placement.Placement, s *sched.Schedule) bool {
 	for j, a := range s.Assignments {
-		if a.Machine < 0 || a.Machine >= s.M || a.Start < 0 || a.End < a.Start ||
-			a.End-a.Start != tick.MustFromSeconds(in.Tasks[j].Actual) || !slices.Contains(p.Sets[j], a.Machine) {
+		d, err := tick.FromSeconds(in.Tasks[j].Actual)
+		if err != nil || a.Machine < 0 || a.Machine >= s.M || a.Start < 0 || a.End < a.Start ||
+			a.End-a.Start != d || !slices.Contains(p.Sets[j], a.Machine) {
 			return false
 		}
 		for _, b := range s.Assignments[:j] {
@@ -310,7 +311,7 @@ func FuzzVerifyOrder(f *testing.F) {
 			if len(set) == 0 {
 				set = append(set, j%m)
 			}
-			p.AssignSet(j, set)
+			p.Sets[j] = set
 		}
 		in, err := task.New(m, 1, act, act)
 		if err != nil {

@@ -108,15 +108,6 @@ func (s *Schedule) Loads() []float64 {
 	return loads
 }
 
-// MachineOf returns the executing machine of each task.
-func (s *Schedule) MachineOf() []int {
-	out := make([]int, len(s.Assignments))
-	for j, a := range s.Assignments {
-		out[j] = a.Machine
-	}
-	return out
-}
-
 // work returns Σ p_j in ticks.
 func (s *Schedule) work() tick.Tick {
 	var total tick.Tick
@@ -150,7 +141,8 @@ func (s *Schedule) Verify(in *task.Instance, p *placement.Placement) error {
 
 // VerifyDurations is Verify with a custom expected-duration function,
 // for schedules executed under a duration model other than the plain
-// actual times (e.g. remote execution with a fetch penalty). A nil
+// actual times: experiment e9 verifies every fetch-penalty run with it
+// (sim.FlatOptions.FetchPenalty, remote execution φ times slower). A nil
 // dur means the task's actual time on any machine. When dur is
 // non-nil the replica-set check is skipped for tasks whose machine is
 // outside M_j — running remotely is the point of such models — unless

@@ -108,7 +108,7 @@ func TestVerifyCatchesReplicaViolation(t *testing.T) {
 func TestVerifyAcceptsReplicaMember(t *testing.T) {
 	in := inst(t, 2, 1)
 	p := placement.New(1, 2)
-	p.AssignSet(0, []int{0, 1})
+	p.Sets[0] = []int{0, 1}
 	s := New(1, 2)
 	s.Assignments[0] = Assignment{Machine: 1, Start: sec(0), End: sec(1)}
 	if err := s.Verify(in, p); err != nil {
@@ -217,14 +217,5 @@ func TestFromMappingAlwaysVerifiesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMachineOf(t *testing.T) {
-	in := inst(t, 3, 1, 1)
-	s, _ := FromMapping(in, []int{2, 0})
-	mo := s.MachineOf()
-	if mo[0] != 2 || mo[1] != 0 {
-		t.Fatalf("MachineOf = %v", mo)
 	}
 }

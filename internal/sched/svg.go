@@ -6,17 +6,6 @@ import (
 	"strings"
 )
 
-// SVGOptions configures WriteSVG.
-type SVGOptions struct {
-	// Width and RowHeight are pixel dimensions (defaults 800 and 28).
-	Width, RowHeight int
-	// Title is rendered above the chart.
-	Title string
-	// Highlight marks task IDs to fill in a distinct color (e.g. the
-	// adversary-inflated tasks or a memory-intensive set).
-	Highlight map[int]bool
-}
-
 // palette cycles fill colors per task so adjacent tasks are
 // distinguishable; colors are colorblind-safe Okabe–Ito hues.
 var palette = []string{
@@ -24,18 +13,12 @@ var palette = []string{
 	"#56B4E9", "#D55E00", "#F0E442", "#999999",
 }
 
-// WriteSVG renders the schedule as a self-contained SVG Gantt chart,
-// one row per machine, with task rectangles labeled by ID. It is the
+// WriteSVG renders the schedule as a self-contained 800 px wide SVG
+// Gantt chart, one 28 px row per machine, with task rectangles labeled
+// by ID and title, when non-empty, above the chart. It is the
 // publication-quality counterpart of Gantt.
-func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
-	width := opts.Width
-	if width <= 0 {
-		width = 800
-	}
-	rowH := opts.RowHeight
-	if rowH <= 0 {
-		rowH = 28
-	}
+func (s *Schedule) WriteSVG(w io.Writer, title string) error {
+	const width, rowH = 800, 28
 	const marginLeft, marginTop, axisH = 48, 28, 22
 	end := s.end()
 	chartW := width - marginLeft - 8
@@ -45,9 +28,9 @@ func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n",
 		width, height)
 	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
-	if opts.Title != "" {
+	if title != "" {
 		fmt.Fprintf(&b, `<text x="%d" y="16" font-size="13">%s</text>`+"\n",
-			marginLeft, escapeXML(opts.Title))
+			marginLeft, escapeXML(title))
 	}
 
 	ids, off := s.inStartOrder(nil, nil)
@@ -67,14 +50,8 @@ func (s *Schedule) WriteSVG(w io.Writer, opts SVGOptions) error {
 			if wpx < 1 {
 				wpx = 1
 			}
-			fill := palette[j%len(palette)]
-			stroke := "#333"
-			if opts.Highlight[j] {
-				fill = "#D55E00"
-				stroke = "#000"
-			}
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="%s" stroke-width="0.5" opacity="0.85"/>`+"\n",
-				x, y+2, wpx, rowH-4, fill, stroke)
+			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="#333" stroke-width="0.5" opacity="0.85"/>`+"\n",
+				x, y+2, wpx, rowH-4, palette[j%len(palette)])
 			if wpx >= 18 {
 				fmt.Fprintf(&b, `<text x="%d" y="%d" fill="white">%d</text>`+"\n",
 					x+3, y+rowH/2+4, j)

@@ -13,7 +13,7 @@ func TestWriteSVGBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSVG(&buf, SVGOptions{Title: "demo <run>"}); err != nil {
+	if err := s.WriteSVG(&buf, "demo <run>"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -28,22 +28,10 @@ func TestWriteSVGBasics(t *testing.T) {
 	}
 }
 
-func TestWriteSVGHighlight(t *testing.T) {
-	in := inst(t, 1, 5)
-	s, _ := FromMapping(in, []int{0})
-	var buf bytes.Buffer
-	if err := s.WriteSVG(&buf, SVGOptions{Highlight: map[int]bool{0: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "#D55E00") {
-		t.Fatal("highlight color missing")
-	}
-}
-
 func TestWriteSVGEmptySchedule(t *testing.T) {
 	s := New(0, 2)
 	var buf bytes.Buffer
-	if err := s.WriteSVG(&buf, SVGOptions{}); err != nil {
+	if err := s.WriteSVG(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "</svg>") {
@@ -60,7 +48,7 @@ func TestWriteSVGTinyTasksGetMinWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSVG(&buf, SVGOptions{Width: 200}); err != nil {
+	if err := s.WriteSVG(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `width="0"`) {

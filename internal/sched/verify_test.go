@@ -9,8 +9,15 @@ import (
 	"repro/internal/tick"
 )
 
-// sec is x seconds in ticks.
-func sec(x float64) tick.Tick { return tick.MustFromSeconds(x) }
+// sec is x seconds in ticks; it panics on a value without a tick
+// representation.
+func sec(x float64) tick.Tick {
+	t, err := tick.FromSeconds(x)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 // Times are ticks, so no time is NaN or infinite; what is left to
 // reject is an expected duration that does not convert — a hook's NaN,

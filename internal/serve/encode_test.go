@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -109,7 +110,7 @@ func TestAppendResponseMatchesTheEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := s.RunSchedule(req)
+		resp, err := s.runSchedule(req, new(algo.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

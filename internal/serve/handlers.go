@@ -20,17 +20,10 @@ import (
 // dropped rather than handed to the next request.
 var scratchPool = sync.Pool{New: func() any { return new(algo.Scratch) }}
 
-// RunSchedule is the pure core of /v1/schedule: resolve the
-// algorithm, execute both phases, score against the optimum bracket,
-// and check the analytic guarantee, on fresh solver state, so the
-// response is the caller's to keep. The endpoints run the same code
-// (runSchedule) on pooled state.
-func (s *Server) RunSchedule(req *ScheduleRequest) (*ScheduleResponse, error) {
-	return s.runSchedule(req, new(algo.Scratch))
-}
-
-// runSchedule is RunSchedule on the caller's solver state, which owns
-// the response's placement and schedule.
+// runSchedule is the core of /v1/schedule: resolve the algorithm,
+// execute both phases on the caller's solver state, score against the
+// optimum bracket, and check the analytic guarantee. The solver state
+// owns the response's placement and schedule.
 func (s *Server) runSchedule(req *ScheduleRequest, sc *algo.Scratch) (*ScheduleResponse, error) {
 	a, err := algo.New(req.Algorithm)
 	if err != nil {
@@ -94,7 +87,7 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	if err := p.Validate(req.Instance); err != nil {
 		return nil, err
 	}
-	// The same engine, order and shard layout as RunSchedule's
+	// The same engine, order and shard layout as runSchedule's
 	// algo.Execute, so the two endpoints agree bit for bit.
 	res, err := sim.RunFlatSharded(req.Instance, p, a.Order(req.Instance), sim.FlatOptions{Trace: true}, 1)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,8 +80,8 @@ func TestPropertyInstanceRoundTrip(t *testing.T) {
 }
 
 // TestPropertyScheduleMatchesDirectExecute: the HTTP response of
-// /v1/schedule is byte-for-byte the JSON encoding of RunSchedule on
-// the same request, and its makespan equals a direct algo.Execute.
+// /v1/schedule is byte-for-byte the JSON encoding of runSchedule on
+// fresh solver state for the same request, and its makespan equals a direct algo.Execute.
 func TestPropertyScheduleMatchesDirectExecute(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	algos := []string{"lpt-nochoice", "ls-nochoice", "lpt-norestriction",
@@ -101,7 +102,7 @@ func TestPropertyScheduleMatchesDirectExecute(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, got)
 		}
 
-		want, err := s.RunSchedule(req)
+		want, err := s.runSchedule(req, new(algo.Scratch))
 		if err != nil {
 			t.Fatalf("%s: direct run: %v", name, err)
 		}
@@ -179,11 +180,14 @@ func TestPropertyScheduleMakespanBounds(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for seed := uint64(1); seed <= 10; seed++ {
 		in := randomInstance(t, seed*7, 70, 5, 2)
-		resp, err := s.RunSchedule(&ScheduleRequest{Algorithm: "ls-group:5", Instance: in})
+		resp, err := s.runSchedule(&ScheduleRequest{Algorithm: "ls-group:5", Instance: in}, new(algo.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := in.MaxActual(), in.TotalActual()
+		lo, hi := slices.Max(in.Actuals()), 0.0
+		for _, p := range in.Actuals() {
+			hi += p
+		}
 		if resp.Makespan < lo-1e-9 || resp.Makespan > hi+1e-9 {
 			t.Fatalf("seed %d: makespan %v outside [%v, %v]", seed, resp.Makespan, lo, hi)
 		}
@@ -200,7 +204,7 @@ func TestPropertySimulateAgreesWithSchedule(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for seed := uint64(1); seed <= 6; seed++ {
 		in := randomInstance(t, seed*13, 66, 4, 1.5)
-		schedResp, err := s.RunSchedule(&ScheduleRequest{Algorithm: "lpt-norestriction", Instance: in})
+		schedResp, err := s.runSchedule(&ScheduleRequest{Algorithm: "lpt-norestriction", Instance: in}, new(algo.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

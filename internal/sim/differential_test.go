@@ -44,7 +44,7 @@ func TestEventSimulatorMatchesReference(t *testing.T) {
 			for j := 0; j < in.N(); j++ {
 				g := j % 3
 				p.GroupOf[j] = g
-				p.AssignSet(j, groups[g])
+				p.Sets[j] = groups[g]
 			}
 		}
 

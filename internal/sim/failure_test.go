@@ -10,7 +10,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/task"
-	"repro/internal/tick"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
@@ -102,7 +101,7 @@ func TestFailureSurvivableWithGroups(t *testing.T) {
 	for j := 0; j < 24; j++ {
 		g := j % 2
 		p.GroupOf[j] = g
-		p.AssignSet(j, groups[g])
+		p.Sets[j] = groups[g]
 	}
 	s, err := runWithFailures(in, p, identityOrder(24), []Failure{{Machine: 1, Time: 3}})
 	if err != nil {
@@ -225,7 +224,7 @@ func TestFailurePropertyReplicatedAlwaysSurvives(t *testing.T) {
 		for j := 0; j < n; j++ {
 			g := j % 3
 			p.GroupOf[j] = g
-			p.AssignSet(j, groups[g])
+			p.Sets[j] = groups[g]
 		}
 		order := identityOrder(n)
 		healthy, err := runWithFailures(in, p, order, nil)
@@ -243,7 +242,7 @@ func TestFailurePropertyReplicatedAlwaysSurvives(t *testing.T) {
 			return false
 		}
 		for _, a := range crashed.Assignments {
-			if a.Machine == failMachine && a.End > tick.MustFromSeconds(failTime) {
+			if a.Machine == failMachine && a.End > sec(failTime) {
 				return false
 			}
 		}

@@ -24,27 +24,19 @@ var (
 type FlatOptions struct {
 	// Trace records start/finish events when true.
 	Trace bool
-	// Duration, when non-nil, overrides the executed duration of a task
-	// on a machine (default: the task's actual time). Its value is how
-	// long the machine is busy — clock advance and recorded Assignment —
-	// and nothing else. It must be deterministic and non-negative, and
-	// is called exactly once per started task on a successful run; on an
-	// error return, shards that were still running may have invoked it
-	// for tasks a sequential run would not have reached.
-	Duration func(taskID, machine int) float64
 	// Failures injects fail-stop machine crashes: a task running across
 	// a crash is lost and re-offered, ahead of the queues, to the other
 	// machines holding a replica; the schedule records each task's final
 	// execution, and a crash that strands a task fails the run with
-	// ErrUnsurvivable. Incompatible with Trace and Duration.
+	// ErrUnsurvivable. Incompatible with Trace.
 	Failures []Failure
 	// FetchPenalty, when non-zero, lets a machine run tasks it holds no
 	// replica of — the alternative to replication the paper dismisses as
 	// prohibitive, priced by experiment e9: a machine whose local work
 	// has run out takes the highest-priority unstarted task from anywhere
 	// and is busy FetchPenalty times its actual time. Must be finite and
-	// at least 1; incompatible with Duration and Failures (no caller
-	// combines them). The schedule verifies under VerifyDurations.
+	// at least 1; incompatible with Failures (no caller combines them).
+	// The schedule verifies under VerifyDurations.
 	FetchPenalty float64
 }
 
@@ -70,7 +62,7 @@ type spanError struct {
 //
 // Layout:
 //
-//	tasks    durTick[j]            executed ticks (no Duration hook)
+//	tasks    durTick[j]            executed ticks
 //	         priorityOf[j]         position in the priority order
 //	         started[j]            queued task handed out yet?
 //	         taskShard[j]          owning shard
@@ -146,8 +138,8 @@ type FlatRunner struct {
 	// opts is the caller's FlatOptions for the current run, copied
 	// here so the engine passes a pointer to already-heap-resident
 	// state around instead of letting a parameter escape per call.
-	// run clears it on exit so a caller's Duration closure or
-	// Failures slice is not retained past the run that used it.
+	// run clears it on exit so a caller's Failures slice is not
+	// retained past the run that used it.
 	opts FlatOptions
 
 	sched sched.Schedule
@@ -332,16 +324,16 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	if err := placement.CheckSets(p.Sets, m); err != nil {
 		return err
 	}
-	if len(opts.Failures) > 0 && (opts.Trace || opts.Duration != nil) {
-		return fmt.Errorf("sim: failures cannot be combined with Trace or Duration")
+	if len(opts.Failures) > 0 && opts.Trace {
+		return fmt.Errorf("sim: failures cannot be combined with Trace")
 	}
 	steal := opts.FetchPenalty != 0
 	if steal {
 		if !(opts.FetchPenalty >= 1) || math.IsInf(opts.FetchPenalty, 1) {
 			return fmt.Errorf("sim: fetch penalty %v (want finite, at least 1)", opts.FetchPenalty)
 		}
-		if len(opts.Failures) > 0 || opts.Duration != nil {
-			return fmt.Errorf("sim: a fetch penalty cannot be combined with Failures or Duration")
+		if len(opts.Failures) > 0 {
+			return fmt.Errorf("sim: a fetch penalty cannot be combined with Failures")
 		}
 		r.order = order
 	}
@@ -356,20 +348,17 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	}
 	clear(r.started)
 
-	// Executed durations in ticks. Under a Duration hook the executed
-	// time depends on the machine and is converted at dispatch instead.
-	if opts.Duration == nil {
-		r.durTick = grow(r.durTick, n)
-		for j := 0; j < n; j++ {
-			t, err := tick.FromSeconds(in.Tasks[j].Actual)
-			if err != nil {
-				return fmt.Errorf("sim: task %d actual time: %w", j, err)
-			}
-			if t < 0 {
-				return fmt.Errorf("sim: task %d has negative actual time %v", j, in.Tasks[j].Actual)
-			}
-			r.durTick[j] = t
+	// Executed durations in ticks.
+	r.durTick = grow(r.durTick, n)
+	for j := 0; j < n; j++ {
+		t, err := tick.FromSeconds(in.Tasks[j].Actual)
+		if err != nil {
+			return fmt.Errorf("sim: task %d actual time: %w", j, err)
 		}
+		if t < 0 {
+			return fmt.Errorf("sim: task %d has negative actual time %v", j, in.Tasks[j].Actual)
+		}
+		r.durTick[j] = t
 	}
 
 	// Under a fetch penalty any machine may run any task: one shard, and

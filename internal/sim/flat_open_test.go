@@ -15,6 +15,26 @@ import (
 	"repro/internal/workload"
 )
 
+// runFlatOpen executes an open-system run on the flat engine
+// sequentially (one global event loop, no shard decomposition) and
+// returns caller-owned state: the reference the sharded runs are held
+// to.
+func runFlatOpen(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, opts OpenOptions) (*OpenResult, error) {
+	var r FlatOpenRunner
+	return r.Run(in, p, order, arrive, opts)
+}
+
+// mustArrivals is workload.Arrivals but panics on error, for the
+// tests' hard-coded specs.
+func mustArrivals(n int, spec workload.ArrivalSpec) []float64 {
+	times, err := workload.Arrivals(n, spec)
+	if err != nil {
+		panic(err)
+	}
+	return times
+}
+
 // openArrivalSpecs is the arrival-process axis of the open
 // differential matrix: memoryless, bursty, and replayed-trace traffic.
 func openArrivalSpecs(n, m int, seed uint64) []struct {
@@ -33,11 +53,11 @@ func openArrivalSpecs(n, m int, seed uint64) []struct {
 		name string
 		arr  []float64
 	}{
-		{"poisson", workload.MustArrivals(n, workload.ArrivalSpec{
+		{"poisson", mustArrivals(n, workload.ArrivalSpec{
 			Process: "poisson", Rate: rate, Seed: seed})},
-		{"mmpp", workload.MustArrivals(n, workload.ArrivalSpec{
+		{"mmpp", mustArrivals(n, workload.ArrivalSpec{
 			Process: "mmpp", Rate: rate, Seed: seed + 1})},
-		{"trace", workload.MustArrivals(n, workload.ArrivalSpec{
+		{"trace", mustArrivals(n, workload.ArrivalSpec{
 			Process: "trace", Times: traceTimes})},
 	}
 }
@@ -84,7 +104,7 @@ func TestFlatOpenShardedMatchesRun(t *testing.T) {
 		for _, arr := range openArrivalSpecs(n, m, 40) {
 			for _, opts := range openPolicyOptions() {
 				label := c.name + "/" + arr.name + "/" + opts.Policy.String()
-				want, err := RunFlatOpen(c.in, c.p, c.order, arr.arr, opts)
+				want, err := runFlatOpen(c.in, c.p, c.order, arr.arr, opts)
 				if err != nil {
 					t.Fatalf("%s: Run: %v", label, err)
 				}
@@ -186,7 +206,7 @@ func TestFlatOpenMatchesEventEngineEpsilon(t *testing.T) {
 			for _, opts := range openPolicyOptions() {
 				label := c.name + "/" + arr.name + "/" + opts.Policy.String()
 				want := oracleRunOpen(c.in, c.p, c.order, arr.arr, opts)
-				got, err := RunFlatOpen(c.in, c.p, c.order, arr.arr, opts)
+				got, err := runFlatOpen(c.in, c.p, c.order, arr.arr, opts)
 				if err != nil {
 					t.Fatalf("%s: flat engine: %v", label, err)
 				}
@@ -275,7 +295,7 @@ func TestFlatOpenCancelledMachineResumes(t *testing.T) {
 		}
 		return in.Tasks[taskID].Actual
 	}
-	res, err := RunFlatOpen(in, p, []int{0, 1}, []float64{0, 1}, OpenOptions{
+	res, err := runFlatOpen(in, p, []int{0, 1}, []float64{0, 1}, OpenOptions{
 		Policy: CancelOnCompletion, CancelCost: 1, Duration: dur,
 	})
 	if err != nil {
@@ -301,7 +321,7 @@ func TestFlatOpenReuseMatchesFresh(t *testing.T) {
 	for ci, in := range poolCases(t) {
 		p := groupPlacement(t, in.N(), in.M, 2, uint64(ci)+7)
 		order := lptOrder(in)
-		arrive := workload.MustArrivals(in.N(), workload.ArrivalSpec{
+		arrive := mustArrivals(in.N(), workload.ArrivalSpec{
 			Process: "poisson", Rate: float64(in.M) / 3, Seed: 600 + uint64(ci),
 		})
 		opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: 0.25}
@@ -366,7 +386,7 @@ func TestFlatOpenValidation(t *testing.T) {
 		}
 	}
 	check("arrive overflow", "arrival", func() error {
-		_, err := RunFlatOpen(in, p, order, []float64{0, 1, 2, 1e18}, OpenOptions{})
+		_, err := runFlatOpen(in, p, order, []float64{0, 1, 2, 1e18}, OpenOptions{})
 		return err
 	})
 	check("invalid replica set", "machine", func() error {
@@ -375,28 +395,28 @@ func TestFlatOpenValidation(t *testing.T) {
 			bad.Sets[j] = []int{0}
 		}
 		bad.Sets[2] = []int{5}
-		_, err := RunFlatOpen(in, bad, order, arrive, OpenOptions{})
+		_, err := runFlatOpen(in, bad, order, arrive, OpenOptions{})
 		return err
 	})
 	check("NaN actual", "actual time", func() error {
 		bad := openExactInstance(t, 4, 2, 95)
 		bad.Tasks[1].Actual = math.NaN()
-		_, err := RunFlatOpen(bad, p, order, arrive, OpenOptions{})
+		_, err := runFlatOpen(bad, p, order, arrive, OpenOptions{})
 		return err
 	})
 	check("negative actual", "negative actual", func() error {
 		bad := openExactInstance(t, 4, 2, 95)
 		bad.Tasks[2].Actual = -3
-		_, err := RunFlatOpen(bad, p, order, arrive, OpenOptions{})
+		_, err := runFlatOpen(bad, p, order, arrive, OpenOptions{})
 		return err
 	})
 	check("hook NaN", "duration hook", func() error {
-		_, err := RunFlatOpen(in, p, order, arrive,
+		_, err := runFlatOpen(in, p, order, arrive,
 			OpenOptions{Duration: func(int, int) float64 { return math.NaN() }})
 		return err
 	})
 	check("hook negative", "negative", func() error {
-		_, err := RunFlatOpen(in, p, order, arrive,
+		_, err := runFlatOpen(in, p, order, arrive,
 			OpenOptions{Duration: func(int, int) float64 { return -1 }})
 		return err
 	})
@@ -417,7 +437,7 @@ func TestFlatOpenHookErrorDeterministicAcrossWorkers(t *testing.T) {
 		return in.Tasks[j].Actual
 	}
 	opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: 0.5, Duration: dur}
-	_, wantErr := RunFlatOpen(in, p, order, arrive, opts)
+	_, wantErr := runFlatOpen(in, p, order, arrive, opts)
 	if wantErr == nil {
 		t.Fatal("expected a duration-hook error")
 	}
@@ -610,7 +630,7 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 	pairTasks := 0
 	for j := 0; j < 60; j++ {
 		if j%3 == 0 {
-			mixed.AssignSet(j, []int{4, 5})
+			mixed.Sets[j] = []int{4, 5}
 			pairTasks++
 		} else {
 			mixed.Assign(j, j%4)

@@ -71,7 +71,7 @@ func groupPlacement(t *testing.T, n, m, k int, seed uint64) *placement.Placement
 	p := placement.New(n, m)
 	r := rng.New(seed)
 	for j := 0; j < n; j++ {
-		p.AssignSet(j, groups[r.Intn(len(groups))])
+		p.Sets[j] = groups[r.Intn(len(groups))]
 	}
 	return p
 }
@@ -94,7 +94,7 @@ func mixedPlacement(n, m int, seed uint64) *placement.Placement {
 			if a == b {
 				p.Assign(j, a)
 			} else {
-				p.AssignSet(j, []int{a, b})
+				p.Sets[j] = []int{min(a, b), max(a, b)}
 			}
 		default: // singleton on a high machine, densifying shards
 			p.Assign(j, half+r.Intn(m-half))
@@ -294,35 +294,6 @@ func TestFlatShardedMatchesRun(t *testing.T) {
 		}
 		for _, w := range flatWorkerCounts() {
 			got, err := RunFlatSharded(c.in, c.p, c.order, FlatOptions{Trace: true}, w)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: RunSharded: %v", c.name, w, err)
-			}
-			requireSameResult(t, c.name+"/workers="+itoa(w), got, want)
-		}
-	}
-}
-
-// TestFlatShardedMatchesRunWithDuration repeats the differential under
-// a Duration override, and holds the sequential run to the oracle under
-// the same hook. The hook is pure, as the concurrency contract
-// requires.
-func TestFlatShardedMatchesRunWithDuration(t *testing.T) {
-	for _, c := range flatCases(t) {
-		in := c.in
-		dur := func(j, i int) float64 {
-			if (j+i)%3 == 0 {
-				return in.Tasks[j].Actual * 2.5
-			}
-			return in.Tasks[j].Actual
-		}
-		want, err := RunFlat(in, c.p, c.order, FlatOptions{Trace: true, Duration: dur})
-		if err != nil {
-			t.Fatalf("%s: Run: %v", c.name, err)
-		}
-		requireCloseSchedule(t, c.name+"/hooked", in.N(), want.Schedule,
-			oracleRun(in, c.p, c.order, FlatOptions{Duration: dur}).Schedule)
-		for _, w := range flatWorkerCounts() {
-			got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true, Duration: dur}, w)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: RunSharded: %v", c.name, w, err)
 			}
@@ -603,11 +574,6 @@ func TestFlatValidation(t *testing.T) {
 	neg := inst(t, 2, 1, 2, 3)
 	neg.Tasks[2].Actual = -3
 	check("negative actual", p, identityOrder(3), FlatOptions{}, neg)
-
-	check("duration hook", p, identityOrder(3),
-		FlatOptions{Duration: func(int, int) float64 { return math.NaN() }}, in)
-	check("negative", p, identityOrder(3),
-		FlatOptions{Duration: func(int, int) float64 { return -1 }}, in)
 }
 
 // TestFlatNoTraceByDefault: an untraced run through a placement with

@@ -134,17 +134,10 @@ var (
 	flatOpenShards = obs.GetCounter("sim.flat_open_shards")
 )
 
-// RunFlatOpen executes an open-system run on the flat engine
-// sequentially (one global event loop, no shard decomposition) and
-// returns caller-owned state. Hot loops should reuse a FlatOpenRunner.
-func RunFlatOpen(in *task.Instance, p *placement.Placement, order []int,
-	arrive []float64, opts OpenOptions) (*OpenResult, error) {
-	var r FlatOpenRunner
-	return r.Run(in, p, order, arrive, opts)
-}
-
-// RunFlatOpenSharded is RunFlatOpen through the shard decomposition on
-// the given number of workers; see FlatOpenRunner.RunSharded.
+// RunFlatOpenSharded executes an open-system run on the flat engine
+// through the shard decomposition on the given number of workers and
+// returns caller-owned state; see FlatOpenRunner.RunSharded. Hot loops
+// should reuse a FlatOpenRunner.
 func RunFlatOpenSharded(in *task.Instance, p *placement.Placement, order []int,
 	arrive []float64, opts OpenOptions, workers int) (*OpenResult, error) {
 	var r FlatOpenRunner
@@ -639,8 +632,9 @@ func (r *FlatOpenRunner) dispatch(t *loadheap.Tree[tick.Tick], s, k int, i, j in
 }
 
 // openHookTick converts a Duration-hook value to ticks, recording a
-// shard error keyed at the current event on failure — the open-mode
-// twin of FlatRunner.hookTick.
+// shard error keyed at the current event on failure. A negative or
+// non-finite duration has no tick representation, so the hook's
+// contract is enforced here rather than trusted.
 func (r *FlatOpenRunner) openHookTick(s, j, machine int, now tick.Tick, opts *OpenOptions) (tick.Tick, bool) {
 	sec := opts.Duration(j, machine)
 	d, err := tick.FromSeconds(sec)

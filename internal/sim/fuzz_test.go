@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bounds"
@@ -12,6 +13,37 @@ import (
 	"repro/internal/rng"
 	"repro/internal/task"
 )
+
+// partitionShards exposes the shard decomposition to the property
+// tests: machineShard[i] and taskShard[j] are shard IDs, and
+// nShards is the shard count. IDs are dense, assigned in order of each
+// shard's lowest machine index. Every machine and every task belongs
+// to exactly one shard, and a task's shard contains its whole replica
+// set — the exact-cover property FuzzGroupPartition pins.
+func partitionShards(p *placement.Placement) (machineShard, taskShard []int, nShards int, err error) {
+	if err := placement.CheckSets(p.Sets, p.M); err != nil {
+		return nil, nil, 0, err
+	}
+	var ss shardSet
+	ss.partition(p)
+	machineShard = make([]int, p.M)
+	for i, s := range ss.shardOf {
+		machineShard[i] = int(s)
+	}
+	taskShard = make([]int, p.N())
+	for j, s := range ss.taskShard {
+		taskShard[j] = int(s)
+	}
+	return machineShard, taskShard, ss.nShards, nil
+}
+
+// replicaSet returns machines as a replica set: a sorted copy without
+// duplicates.
+func replicaSet(machines []int) []int {
+	set := slices.Clone(machines)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
 
 // fuzzPlacement derives a placement from fuzz bytes: each task's
 // replica set is a pseudo-random nonempty machine subset, so the
@@ -28,7 +60,7 @@ func fuzzPlacement(n, m int, seed uint64) *placement.Placement {
 		for len(set) < size {
 			set = append(set, r.Intn(m))
 		}
-		p.AssignSet(j, set) // sorts and dedups
+		p.Sets[j] = replicaSet(set)
 	}
 	return p
 }
@@ -55,9 +87,9 @@ func FuzzGroupPartition(f *testing.F) {
 		m := 1 + int(mRaw)%12
 		p := fuzzPlacement(n, m, seed)
 
-		machineShard, taskShard, nShards, err := PartitionShards(p)
+		machineShard, taskShard, nShards, err := partitionShards(p)
 		if err != nil {
-			t.Fatalf("PartitionShards: %v", err)
+			t.Fatalf("partitionShards: %v", err)
 		}
 		if nShards < 1 || nShards > m {
 			t.Fatalf("nShards = %d with %d machines", nShards, m)
@@ -174,7 +206,7 @@ func checkOpenBatchCorner(t *testing.T, n, m int, alpha float64, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := RunFlatOpen(in, placement.Everywhere(n, m), lptOrder(in), make([]float64, n),
+	open, err := runFlatOpen(in, placement.Everywhere(n, m), lptOrder(in), make([]float64, n),
 		OpenOptions{Policy: CancelOnStart})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +261,7 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 		}
 		p = placement.New(n, m)
 		for j := 0; j < n; j++ {
-			p.AssignSet(j, groups[r.Intn(2)])
+			p.Sets[j] = groups[r.Intn(2)]
 		}
 	case m > 1 && kind == 2:
 		p = mixedShard(r, n, m)
@@ -237,7 +269,7 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 	}
 	// Race collapse takes the uniform shards, and only those, of a
 	// cancel-on-completion run without a hook.
-	machineShard, taskShard, nShards, err := PartitionShards(p)
+	machineShard, taskShard, nShards, err := partitionShards(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +299,7 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 		hooked.Duration = func(j, _ int) float64 { return in.Tasks[j].Actual }
 		label := fmt.Sprintf("n=%d m=%d shards=%d %v cost=%v seed=%d", n, m, nShards, policy, opts.CancelCost, seed)
 		want := oracleRunOpen(in, p, order, arrive, opts)
-		seq, err := RunFlatOpen(in, p, order, arrive, opts)
+		seq, err := runFlatOpen(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", label, err)
 		}
@@ -306,9 +338,9 @@ func mixedShard(r *rng.Source, n, m int) *placement.Placement {
 		case j == 0 || (j > 1 && kind == 0):
 			p.Assign(j, r.Intn(m))
 		case j == 1 || kind == 1:
-			p.AssignSet(j, placement.Everywhere(1, m).Sets[0])
+			p.Sets[j] = placement.Everywhere(1, m).Sets[0]
 		default:
-			p.AssignSet(j, r.Perm(m)[:min(2+r.Intn(2), m)])
+			p.Sets[j] = replicaSet(r.Perm(m)[:min(2+r.Intn(2), m)])
 		}
 	}
 	return p

@@ -77,7 +77,7 @@ func TestOpenMatchesBatch(t *testing.T) {
 				// Batch arrivals: response time == completion time, in the
 				// schedule's ticks.
 				for j, a := range batch.Schedule.Assignments {
-					if tick.MustFromSeconds(open.Responses[j]) != a.End {
+					if r, err := tick.FromSeconds(open.Responses[j]); err != nil || r != a.End {
 						t.Fatalf("task %d response %v != completion %v", j, open.Responses[j], a.End)
 					}
 				}
@@ -240,14 +240,17 @@ func TestOpenRunnerPoolingDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := shape.algo.Order(in)
-		arrive := workload.MustArrivals(in.N(), workload.ArrivalSpec{
+		arrive, err := workload.Arrivals(in.N(), workload.ArrivalSpec{
 			Process: "poisson", Rate: 0.7, Seed: 900 + uint64(trial),
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		opts := sim.OpenOptions{Policy: sim.CancelOnCompletion, CancelCost: 0.25}
 		if trial%2 == 0 {
 			opts = sim.OpenOptions{Policy: sim.CancelOnStart}
 		}
-		fresh, err := sim.RunFlatOpen(in, p, order, arrive, opts)
+		fresh, err := new(sim.FlatOpenRunner).Run(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +274,10 @@ func TestOpenRunnerPoolingDifferential(t *testing.T) {
 func TestOpenReplicationHelpsTail(t *testing.T) {
 	const n, m = 40, 4
 	in := openInstance(t, n, m, 7)
-	arrive := workload.MustArrivals(n, workload.ArrivalSpec{Process: "poisson", Rate: 0.05, Seed: 8})
+	arrive, err := workload.Arrivals(n, workload.ArrivalSpec{Process: "poisson", Rate: 0.05, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A deterministic straggler model: some (task, machine) pairs are
 	// 8x slower. Racing replicas dodge the slow pairs.
 	dur := func(taskID, machine int) float64 {

@@ -19,10 +19,20 @@ import (
 // validation tests cover rejection). Nothing here is tuned; if a loop
 // below and an engine disagree, read this one first.
 
+// sec is x seconds quantized as the engines quantize, by
+// tick.FromSeconds; it panics on a value without a tick representation.
+func sec(x float64) tick.Tick {
+	t, err := tick.FromSeconds(x)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // ran is the assignment of a task machine i ran from start to end
-// seconds, quantized as the engines quantize: by tick.FromSeconds.
+// seconds.
 func ran(i int, start, end float64) sched.Assignment {
-	return sched.Assignment{Machine: i, Start: tick.MustFromSeconds(start), End: tick.MustFromSeconds(end)}
+	return sched.Assignment{Machine: i, Start: sec(start), End: sec(end)}
 }
 
 // earliest returns the machine with the smallest time among those with
@@ -80,18 +90,15 @@ func oracleRun(in *task.Instance, p *placement.Placement, order []int, opts Flat
 		}
 		started[j] = true
 		executed := in.Tasks[j].Actual
-		switch {
-		case remote:
+		if remote {
 			executed *= opts.FetchPenalty
-		case opts.Duration != nil:
-			executed = opts.Duration(j, i)
 		}
 		start, end := clock[i], clock[i]+executed
 		res.Schedule.Assignments[j] = ran(i, start, end)
 		if opts.Trace {
 			res.Trace = append(res.Trace,
-				Event{Time: tick.MustFromSeconds(start), Machine: i, Task: j, Kind: "start"},
-				Event{Time: tick.MustFromSeconds(end), Machine: i, Task: j, Kind: "finish"})
+				Event{Time: sec(start), Machine: i, Task: j, Kind: "start"},
+				Event{Time: sec(end), Machine: i, Task: j, Kind: "finish"})
 		}
 		clock[i] = end
 	}

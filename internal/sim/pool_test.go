@@ -70,35 +70,6 @@ func TestRunnerReuseMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseMatchesFreshRunWithDuration repeats the differential
-// with every other run under a Duration override — the path that
-// leaves the precomputed tick durations unbuilt, so a stale buffer from
-// the run before would show.
-func TestRunnerReuseMatchesFreshRunWithDuration(t *testing.T) {
-	var reused FlatRunner
-	for ci, in := range poolCases(t) {
-		opts := FlatOptions{Trace: true}
-		if ci%2 == 0 {
-			opts.Duration = func(j, i int) float64 {
-				if (j+i)%3 == 0 {
-					return in.Tasks[j].Actual * 2.5
-				}
-				return in.Tasks[j].Actual
-			}
-		}
-		p, order := everywhereLPT(in)
-		got, err := reused.Run(in, p, order, opts)
-		if err != nil {
-			t.Fatalf("case %d: reused runner: %v", ci, err)
-		}
-		want, err := RunFlat(in, p, order, opts)
-		if err != nil {
-			t.Fatalf("case %d: fresh run: %v", ci, err)
-		}
-		requireSameResult(t, "case "+itoa(ci), got, want)
-	}
-}
-
 // TestRunnerResultInvalidatedByNextRun pins the ownership contract: the
 // Result returned by FlatRunner.Run aliases the runner's internal
 // state, so callers must copy anything they keep. The test documents

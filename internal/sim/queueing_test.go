@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/placement"
@@ -64,6 +66,84 @@ func expHook(seed uint64) func(j, i int) float64 {
 	}
 }
 
+// queueingDraws is one cell's random inputs: n Poisson arrival times
+// at rate lambda from rng.New(seed), that generator for the cell's
+// coin flips to continue from, and the duration hook, seeded from a
+// split of it so that no uniform draw sets both an arrival gap and a
+// duration (TestQueueingDrawsIndependent).
+func queueingDraws(seed uint64, n int, lambda float64) (arrive []float64, r *rng.Source, hook func(j, i int) float64) {
+	r = rng.New(seed)
+	arrive = make([]float64, n)
+	at := 0.0
+	for j := range arrive {
+		at += r.Exp(lambda)
+		arrive[j] = at
+	}
+	return arrive, r, expHook(rng.New(seed).Split().Uint64())
+}
+
+// queueingSeed is the seed of the cell at load rho on m machines.
+func queueingSeed(m int, rho float64) uint64 { return uint64(m)*1000 + uint64(rho*10) }
+
+// ranks returns the rank of each x in xs, 0 for the least.
+func ranks(xs []float64) []float64 {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
+	out := make([]float64, len(xs))
+	for r, i := range idx {
+		out[i] = float64(r)
+	}
+	return out
+}
+
+// spearman is the rank correlation of x and y, equal lengths, no ties.
+func spearman(x, y []float64) float64 {
+	rx, ry := ranks(x), ranks(y)
+	mean := float64(len(x)-1) / 2
+	var sxy, sxx, syy float64
+	for i := range rx {
+		dx, dy := rx[i]-mean, ry[i]-mean
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// TestQueueingDrawsIndependent guards the closed-form test's
+// independence assumption: in every cell, machine 0's durations and the
+// arrival gaps are uncorrelated at lags −1, 0 and +1 (task j's duration
+// against the gap before task j+lag), within four standard errors of a
+// rank correlation of zero, 4/√n. A hook seeded with the arrival
+// stream's own seed walks the same splitmix64 lattice, and reads −1 at
+// lag −1: the gap before task j and task j+1's duration come from one
+// uniform draw.
+func TestQueueingDrawsIndependent(t *testing.T) {
+	const n = 8000
+	for _, rho := range []float64{0.3, 0.6} {
+		for _, m := range []int{1, 8, 65} {
+			arrive, _, hook := queueingDraws(queueingSeed(m, rho), n, rho*float64(m))
+			gap := make([]float64, n)
+			dur := make([]float64, n)
+			prev := 0.0
+			for j := range arrive {
+				gap[j], prev = arrive[j]-prev, arrive[j]
+				dur[j] = hook(j, 0)
+			}
+			for lag := -1; lag <= 1; lag++ {
+				lo, hi := max(0, -lag), min(n, n-lag)
+				if r := spearman(dur[lo:hi], gap[lo+lag:hi+lag]); math.Abs(r) >= 4/math.Sqrt(n) {
+					t.Errorf("ρ=%g/m=%d: rank correlation of durations and gaps at lag %+d is %.4f, want |ρ_s| < %.4f",
+						rho, m, lag, r, 4/math.Sqrt(n))
+				}
+			}
+		}
+	}
+}
+
 // batchMeans is the mean of xs and its batch-means standard error over
 // batches contiguous runs, the error estimate for a correlated series
 // such as successive response times.
@@ -97,14 +177,7 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.6} {
 		for _, m := range []int{1, 8, 65} {
 			lambda := rho * float64(m)
-			seed := uint64(m)*1000 + uint64(rho*10)
-			r := rng.New(seed)
-			arrive := make([]float64, n)
-			at := 0.0
-			for j := range arrive {
-				at += r.Exp(lambda)
-				arrive[j] = at
-			}
+			arrive, r, hook := queueingDraws(queueingSeed(m, rho), n, lambda)
 			ones := make([]float64, n)
 			for j := range ones {
 				ones[j] = 1
@@ -130,7 +203,7 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 				}
 				split := placement.New(n, m)
 				for j := 0; j < n; j++ {
-					split.AssignSet(j, groups[r.Intn(2)])
+					split.Sets[j] = groups[r.Intn(2)]
 				}
 				pinned := placement.Everywhere(n, m)
 				pinned.Sets[0] = []int{0}
@@ -149,7 +222,7 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 					{OpenOptions{Policy: CancelOnCompletion}, raceResponse},
 				} {
 					opts := pol.opts
-					opts.Duration = expHook(seed)
+					opts.Duration = hook
 					want := c.want(pol.form)
 					for _, w := range c.workers {
 						label := fmt.Sprintf("ρ=%g/m=%d/%s/%v/workers=%d", rho, m, c.name, opts.Policy, w)

@@ -30,7 +30,7 @@ func TestDispatchRecordIsTheSameAtEveryWorkerCount(t *testing.T) {
 		p := fuzzPlacement(n, m, seed)
 		if seed == 4 { // many small shards, the linear replay among them
 			for j := 0; j < n; j++ {
-				p.AssignSet(j, []int{j % m})
+				p.Sets[j] = []int{j % m}
 			}
 		}
 		order := lptOrder(in)

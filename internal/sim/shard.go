@@ -247,26 +247,3 @@ func (ss *shardSet) buildTaskLists(n int) {
 		cur[s]++
 	}
 }
-
-// PartitionShards exposes the shard decomposition for property tests
-// and tooling: machineShard[i] and taskShard[j] are shard IDs, and
-// nShards is the shard count. IDs are dense, assigned in order of each
-// shard's lowest machine index. Every machine and every task belongs
-// to exactly one shard, and a task's shard contains its whole replica
-// set — the exact-cover property FuzzGroupPartition pins.
-func PartitionShards(p *placement.Placement) (machineShard, taskShard []int, nShards int, err error) {
-	if err := placement.CheckSets(p.Sets, p.M); err != nil {
-		return nil, nil, 0, err
-	}
-	var ss shardSet
-	ss.partition(p)
-	machineShard = make([]int, p.M)
-	for i, s := range ss.shardOf {
-		machineShard[i] = int(s)
-	}
-	taskShard = make([]int, p.N())
-	for j, s := range ss.taskShard {
-		taskShard[j] = int(s)
-	}
-	return machineShard, taskShard, ss.nShards, nil
-}

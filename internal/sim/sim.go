@@ -32,15 +32,16 @@
 //
 // # Information model under duration overrides
 //
-// A Duration hook or a FetchPenalty decouples what a machine spends
-// executing a task from the task's processing time p_j: remote
-// execution charges a fetch-penalized duration while p_j stays what it
-// was. The executed duration drives the clock and the recorded
-// Assignment and nothing else — list scheduling decides from the
-// priority order alone, so no inflated value can reach a decision the
-// guarantees are proved for. Such schedules verify against the same
-// duration function via Schedule.VerifyDurations; plain Verify expects
-// raw actual times and rejects them.
+// The open engine's Duration hook and the batch engine's FetchPenalty
+// decouple what a machine spends executing a task from the task's
+// processing time p_j: remote execution charges a fetch-penalized
+// duration while p_j stays what it was. The executed duration drives
+// the clock and the recorded Assignment and nothing else — list
+// scheduling decides from the priority order alone, so no inflated
+// value can reach a decision the guarantees are proved for. Such
+// schedules verify against the same duration function via
+// Schedule.VerifyDurations; plain Verify expects raw actual times and
+// rejects them.
 package sim
 
 import (
@@ -203,11 +204,13 @@ type OpenOptions struct {
 	CancelCost float64
 	// Duration, when non-nil, overrides the executed duration of a
 	// replica of a task on a machine; the default is the task's actual
-	// processing time. Same contract as FlatOptions.Duration:
-	// deterministic, non-negative, drives only the clock. Under
-	// CancelOnCompletion it is called once per started replica, and
-	// per-(task,machine) variation is what makes racing replicas
-	// meaningful — identical durations make the extra copies pure waste.
+	// processing time. Its value is how long the machine is busy (clock
+	// advance, recorded Assignment and response) and nothing else. It
+	// must be deterministic, finite and non-negative; a value without a
+	// tick representation fails the run. Under CancelOnCompletion it is
+	// called once per started replica, and per-(task,machine) variation
+	// is what makes racing replicas meaningful — identical durations
+	// make the extra copies pure waste.
 	Duration func(taskID, machine int) float64
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -179,7 +180,11 @@ func TestGreedyDominanceProperty(t *testing.T) {
 		if err := res.Schedule.Verify(in, p); err != nil {
 			return false
 		}
-		bound := in.TotalActual()/float64(m) + in.MaxActual()
+		total := 0.0
+		for _, p := range in.Actuals() {
+			total += p
+		}
+		bound := total/float64(m) + slices.Max(in.Actuals())
 		return res.Schedule.Makespan() <= bound+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -199,7 +204,7 @@ func TestGroupPlacementStaysInGroup(t *testing.T) {
 	for j := 0; j < 40; j++ {
 		g := j % 2
 		p.GroupOf[j] = g
-		p.AssignSet(j, groups[g])
+		p.Sets[j] = groups[g]
 	}
 	if err := p.Validate(in); err != nil {
 		t.Fatal(err)

@@ -83,17 +83,7 @@ func (r *FlatRunner) replayLinear(s int, mach int32, opts *FlatOptions) {
 	now := tick.Tick(0)
 	mi := int(mach)
 	for k, j := range q {
-		var d tick.Tick
-		if opts.Duration == nil {
-			d = r.durTick[j]
-		} else {
-			var ok bool
-			if d, ok = r.hookTick(s, int(j), mi, mEvent{t: now, m: mach}, opts); !ok {
-				r.shardStarted[s], r.wideHead[s] = int32(k), int32(k)
-				return
-			}
-		}
-		end := tick.SatAdd(now, d)
+		end := tick.SatAdd(now, r.durTick[j])
 		if end == tick.Max {
 			r.shardErrs[s] = spanError{key: mEvent{t: now, m: mach}, err: errSaturated(j, mach)}
 			r.shardStarted[s], r.wideHead[s] = int32(k), int32(k)
@@ -190,13 +180,8 @@ func (r *FlatRunner) runSpanTree(in *task.Instance, s int, ms []int32, sc *flatS
 			if d, err = tick.FromSeconds(in.Tasks[j].Actual * opts.FetchPenalty); err != nil {
 				d = tick.Max
 			}
-		} else if opts.Duration == nil {
-			d = r.durTick[j]
 		} else {
-			var ok bool
-			if d, ok = r.hookTick(s, int(j), int(i), ev, opts); !ok {
-				break
-			}
+			d = r.durTick[j]
 		}
 		end := tick.SatAdd(ev.t, d)
 		if end == tick.Max {
@@ -215,29 +200,6 @@ func (r *FlatRunner) runSpanTree(in *task.Instance, s int, ms []int32, sc *flatS
 	sc.stats.popped += popped
 }
 
-// hookTick converts a Duration-hook value to ticks, recording a
-// shard error keyed at the current event on failure. The float engine
-// trusts the hook's contract (deterministic, non-negative, finite);
-// fixed-point time has to enforce it, because a negative or non-finite
-// duration has no tick representation.
-func (r *FlatRunner) hookTick(s, j, machine int, ev mEvent, opts *FlatOptions) (tick.Tick, bool) {
-	sec := opts.Duration(j, machine)
-	d, err := tick.FromSeconds(sec)
-	if err != nil {
-		//lint:ignore hotalloc duration-hook rejection path: the run is over, allocation is fine
-		r.shardErrs[s] = spanError{key: ev, err: fmt.Errorf(
-			"sim: duration hook for task %d on machine %d: %w", j, machine, err)}
-		return 0, false
-	}
-	if d < 0 {
-		//lint:ignore hotalloc duration-hook rejection path: the run is over, allocation is fine
-		r.shardErrs[s] = spanError{key: ev, err: fmt.Errorf(
-			"sim: duration hook returned negative %v for task %d on machine %d", sec, j, machine)}
-		return 0, false
-	}
-	return d, true
-}
-
 // runSpanFailures is the shard-local fail-stop loop: list scheduling
 // with lost tasks re-offered ahead of the queues, machines that found
 // no work kept dormant until a loss gives them some, crashes processed
@@ -247,9 +209,8 @@ func (r *FlatRunner) hookTick(s, j, machine int, ev mEvent, opts *FlatOptions) (
 // oracle_test.go states them without shards): a crash can only strand
 // or free tasks whose replicas live in the crashing machine's shard,
 // and waking another shard's dormant machine is output-neutral (it
-// finds no work and goes dormant again). Trace, Duration and
-// FetchPenalty are rejected in prepare, so this path never consults
-// them.
+// finds no work and goes dormant again). Trace and FetchPenalty are
+// rejected in prepare, so this path never consults them.
 func (r *FlatRunner) runSpanFailures(p *placement.Placement, s int, ms []int32, sc *flatScratch) {
 	// The loop runs as a separate function so its early error returns
 	// and the normal exit share one explicit teardown here — a deferred

@@ -107,7 +107,6 @@ func TestStealingRejectsBadPenalty(t *testing.T) {
 		{"NaN", "fetch penalty", FlatOptions{FetchPenalty: math.NaN()}},
 		{"infinite", "fetch penalty", FlatOptions{FetchPenalty: math.Inf(1)}},
 		{"with Failures", "cannot be combined", FlatOptions{FetchPenalty: 2, Failures: []Failure{{Machine: 0, Time: 1}}}},
-		{"with Duration", "cannot be combined", FlatOptions{FetchPenalty: 2, Duration: func(int, int) float64 { return 1 }}},
 	} {
 		for _, workers := range []int{1, 2} {
 			_, err := RunFlatSharded(in, p, identityOrder(2), c.opts, workers)
@@ -166,7 +165,7 @@ func TestStealingMatchesOracle(t *testing.T) {
 }
 
 func TestDurationHookDefault(t *testing.T) {
-	// Without FlatOptions.Duration the simulator charges actual times.
+	// The batch engine charges each task its actual time.
 	est := []float64{2}
 	act := []float64{3}
 	in, err := task.New(1, 1.5, est, act)

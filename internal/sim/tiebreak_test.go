@@ -121,12 +121,12 @@ func TestTickHeapTiedPopOrder(t *testing.T) {
 func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	in := inst(t, 4, 5, 5, 5, 5, 1, 1)
 	p := placement.New(6, 4)
-	p.AssignSet(0, []int{0, 1})
-	p.AssignSet(1, []int{0, 1})
-	p.AssignSet(2, []int{2, 3})
-	p.AssignSet(3, []int{2, 3})
-	p.AssignSet(4, []int{0, 1})
-	p.AssignSet(5, []int{2, 3})
+	p.Sets[0] = []int{0, 1}
+	p.Sets[1] = []int{0, 1}
+	p.Sets[2] = []int{2, 3}
+	p.Sets[3] = []int{2, 3}
+	p.Sets[4] = []int{0, 1}
+	p.Sets[5] = []int{2, 3}
 	order := identityOrder(6)
 
 	// Both group {0,1} and group {2,3} fully die at t=2: doomed either

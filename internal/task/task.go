@@ -186,15 +186,6 @@ func (in *Instance) TotalEstimate() float64 {
 	return sum
 }
 
-// TotalActual returns Σ p_j.
-func (in *Instance) TotalActual() float64 {
-	sum := 0.0
-	for _, t := range in.Tasks {
-		sum += t.Actual
-	}
-	return sum
-}
-
 // TotalSize returns Σ s_j.
 func (in *Instance) TotalSize() float64 {
 	sum := 0.0
@@ -202,28 +193,6 @@ func (in *Instance) TotalSize() float64 {
 		sum += t.Size
 	}
 	return sum
-}
-
-// MaxEstimate returns max_j p̃_j.
-func (in *Instance) MaxEstimate() float64 {
-	max := 0.0
-	for _, t := range in.Tasks {
-		if t.Estimate > max {
-			max = t.Estimate
-		}
-	}
-	return max
-}
-
-// MaxActual returns max_j p_j.
-func (in *Instance) MaxActual() float64 {
-	max := 0.0
-	for _, t := range in.Tasks {
-		if t.Actual > max {
-			max = t.Actual
-		}
-	}
-	return max
 }
 
 // New builds an instance from parallel slices of estimates and actuals.

@@ -116,15 +116,6 @@ func TestAggregates(t *testing.T) {
 	if got := in.TotalEstimate(); got != 6 {
 		t.Errorf("TotalEstimate = %v, want 6", got)
 	}
-	if got := in.TotalActual(); got != 7.5 {
-		t.Errorf("TotalActual = %v, want 7.5", got)
-	}
-	if got := in.MaxEstimate(); got != 3 {
-		t.Errorf("MaxEstimate = %v, want 3", got)
-	}
-	if got := in.MaxActual(); got != 4 {
-		t.Errorf("MaxActual = %v, want 4", got)
-	}
 }
 
 func TestSetSizes(t *testing.T) {

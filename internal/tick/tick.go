@@ -81,16 +81,6 @@ func FromSeconds(s float64) (Tick, error) {
 	return Tick(f), nil
 }
 
-// MustFromSeconds is FromSeconds for values known finite and in range
-// (literals, validated instance durations); it panics otherwise.
-func MustFromSeconds(s float64) Tick {
-	t, err := FromSeconds(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Seconds converts back to float64 seconds. Both steps (int64→float64,
 // division by 1e9) are correctly rounded, so Seconds is monotone and
 // exact whenever |t| < 2^53.

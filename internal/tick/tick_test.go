@@ -46,15 +46,6 @@ func TestFromSecondsRejects(t *testing.T) {
 	}
 }
 
-func TestMustFromSecondsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustFromSeconds(NaN) did not panic")
-		}
-	}()
-	MustFromSeconds(math.NaN())
-}
-
 func TestSecondsRoundTrip(t *testing.T) {
 	if got := Tick(5_000_000_000).Seconds(); got != 5.0 {
 		t.Errorf("Seconds(5e9 ticks) = %v, want 5", got)

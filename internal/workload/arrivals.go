@@ -81,16 +81,6 @@ func Arrivals(n int, spec ArrivalSpec) ([]float64, error) {
 	return times, nil
 }
 
-// MustArrivals is Arrivals but panics on error; for tests, benchmarks
-// and examples with hard-coded specs.
-func MustArrivals(n int, spec ArrivalSpec) []float64 {
-	times, err := Arrivals(n, spec)
-	if err != nil {
-		panic(err)
-	}
-	return times
-}
-
 // CheckArrivals validates an arrival-time slice against a task count:
 // exactly n entries, every time finite and non-negative, and the
 // sequence non-decreasing. It is the shared gate for generated times,
@@ -201,9 +191,9 @@ func MMPPArrivals(n int, spec ArrivalSpec, src *rng.Source) ([]float64, error) {
 	return times, nil
 }
 
-// TraceArrivals replays explicit arrival times (e.g. from a CSV trace
-// read with ReadCSVArrivals). The spec's Times are copied and sorted;
-// validation of shape and values happens in Arrivals via CheckArrivals.
+// TraceArrivals replays explicit arrival times (e.g. a recorded trace).
+// The spec's Times are copied and sorted; validation of shape and
+// values happens in Arrivals via CheckArrivals.
 func TraceArrivals(n int, spec ArrivalSpec, _ *rng.Source) ([]float64, error) {
 	if len(spec.Times) != n {
 		return nil, fmt.Errorf("workload: trace has %d arrival times for %d tasks", len(spec.Times), n)

@@ -1,13 +1,22 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
+
+// mustArrivals is Arrivals but panics on error, for the tests'
+// hard-coded specs.
+func mustArrivals(n int, spec ArrivalSpec) []float64 {
+	times, err := Arrivals(n, spec)
+	if err != nil {
+		panic(err)
+	}
+	return times
+}
 
 func TestArrivalNamesComplete(t *testing.T) {
 	want := []string{"batch", "mmpp", "poisson", "trace"}
@@ -28,8 +37,8 @@ func TestArrivalsDeterministic(t *testing.T) {
 	for _, spec := range cases {
 		spec := spec
 		t.Run(spec.Process, func(t *testing.T) {
-			a := MustArrivals(500, spec)
-			b := MustArrivals(500, spec)
+			a := mustArrivals(500, spec)
+			b := mustArrivals(500, spec)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("same seed produced different arrival streams")
 			}
@@ -38,7 +47,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 			}
 			spec2 := spec
 			spec2.Seed = spec.Seed + 1
-			if reflect.DeepEqual(a, MustArrivals(500, spec2)) {
+			if reflect.DeepEqual(a, mustArrivals(500, spec2)) {
 				t.Fatal("different seeds produced identical arrival streams")
 			}
 		})
@@ -58,7 +67,7 @@ func TestArrivalsValidShape(t *testing.T) {
 			if spec.Process == "trace" {
 				n = len(spec.Times)
 			}
-			times := MustArrivals(n, spec)
+			times := mustArrivals(n, spec)
 			if err := CheckArrivals(times, n); err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +81,7 @@ func TestPoissonMeanRate(t *testing.T) {
 	// the relative error well under 5% at this seed (deterministic, so
 	// no flake risk — the bound only needs to hold for this draw).
 	const n, rate = 20000, 4.0
-	times := MustArrivals(n, ArrivalSpec{Process: "poisson", Rate: rate, Seed: 42})
+	times := mustArrivals(n, ArrivalSpec{Process: "poisson", Rate: rate, Seed: 42})
 	mean := times[n-1] / n
 	if rel := math.Abs(mean-1/rate) / (1 / rate); rel > 0.05 {
 		t.Fatalf("empirical mean gap %v vs 1/rate %v (rel err %v)", mean, 1/rate, rel)
@@ -82,7 +91,7 @@ func TestPoissonMeanRate(t *testing.T) {
 func TestMMPPMeanRateAndBurstiness(t *testing.T) {
 	const n, rate = 50000, 4.0
 	spec := ArrivalSpec{Process: "mmpp", Rate: rate, Seed: 7}
-	times := MustArrivals(n, spec)
+	times := mustArrivals(n, spec)
 	// The modulation is rate-preserving: long-run mean rate stays λ.
 	mean := times[n-1] / n
 	if rel := math.Abs(mean-1/rate) / (1 / rate); rel > 0.05 {
@@ -110,7 +119,7 @@ func TestMMPPMeanRateAndBurstiness(t *testing.T) {
 
 func TestTraceArrivalsSortsCopy(t *testing.T) {
 	orig := []float64{4, 0, 2}
-	times := MustArrivals(3, ArrivalSpec{Process: "trace", Times: orig})
+	times := mustArrivals(3, ArrivalSpec{Process: "trace", Times: orig})
 	if !sort.Float64sAreSorted(times) {
 		t.Fatalf("trace times not sorted: %v", times)
 	}
@@ -154,57 +163,9 @@ func TestArrivalsErrors(t *testing.T) {
 }
 
 func TestBatchArrivalsAllZero(t *testing.T) {
-	for _, v := range MustArrivals(10, ArrivalSpec{Process: "batch"}) {
+	for _, v := range mustArrivals(10, ArrivalSpec{Process: "batch"}) {
 		if v != 0 {
 			t.Fatalf("batch arrival %v != 0", v)
 		}
-	}
-}
-
-func TestCSVArrivalsRoundTrip(t *testing.T) {
-	in := MustNew(Spec{Name: "uniform", N: 20, M: 4, Alpha: 2, Seed: 9})
-	arr := MustArrivals(20, ArrivalSpec{Process: "poisson", Rate: 3, Seed: 9})
-	var buf bytes.Buffer
-	if err := WriteCSVArrivals(&buf, in, arr); err != nil {
-		t.Fatal(err)
-	}
-	got, gotArr, err := ReadCSVArrivals(&buf, in.M, in.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tasks) != len(in.Tasks) {
-		t.Fatalf("round trip task count %d != %d", len(got.Tasks), len(in.Tasks))
-	}
-	for i := range in.Tasks {
-		if got.Tasks[i].Estimate != in.Tasks[i].Estimate ||
-			got.Tasks[i].Actual != in.Tasks[i].Actual ||
-			got.Tasks[i].Size != in.Tasks[i].Size {
-			t.Fatalf("task %d round trip mismatch: %+v vs %+v", i, got.Tasks[i], in.Tasks[i])
-		}
-	}
-	if !reflect.DeepEqual(gotArr, arr) {
-		t.Fatalf("arrival round trip mismatch:\n got %v\nwant %v", gotArr, arr)
-	}
-}
-
-func TestWriteCSVArrivalsRejectsMismatch(t *testing.T) {
-	in := MustNew(Spec{Name: "unit", N: 3, M: 2, Seed: 1})
-	var buf bytes.Buffer
-	if err := WriteCSVArrivals(&buf, in, []float64{0, 1}); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-}
-
-func TestReadCSVArrivalsRejectsUnsorted(t *testing.T) {
-	const data = "task,estimate,actual,size,arrival\n0,1,1,1,5\n1,1,1,1,2\n"
-	if _, _, err := ReadCSVArrivals(strings.NewReader(data), 2, 2); err == nil {
-		t.Fatal("expected unsorted-arrival error")
-	}
-}
-
-func TestReadCSVArrivalsRequiresArrivalColumn(t *testing.T) {
-	const data = "task,estimate,actual,size\n0,1,1,1\n"
-	if _, _, err := ReadCSVArrivals(strings.NewReader(data), 2, 2); err == nil {
-		t.Fatal("expected header error for 4-column input")
 	}
 }
