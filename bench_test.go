@@ -112,13 +112,15 @@ type kernel struct {
 // functions below time these closures and TestKernelAllocations counts
 // their allocations.
 //
-//   - SimLoop: the batch engine with placement and order precomputed, on
-//     one worker so the rate is per core. n=100k without replication is
-//     all singleton shards, the linear replay with no event tree; `everywhere`
-//     (LPT-No Restriction) files every task on its shard's one list;
-//     `abo` (ABO_Δ at Δ=1) ranks the pinned S2 in per-machine queues
-//     before the replicated S1 on the list. The last two attribute
-//     pipeline-fresh's classes of the same names.
+//   - SimLoop: a batch run of the one sim.Runner, reused, with placement
+//     and order precomputed; shards replay on the calling goroutine, so
+//     the rate is per core. n=100k without replication is all singleton
+//     shards, the linear replay with no event tree; `everywhere` (LPT-No
+//     Restriction) puts every task in its shard's one shared pending
+//     set; `abo` (ABO_Δ at Δ=1) ranks the pinned S2 in per-machine
+//     narrow sets beside the replicated S1 in the shared one, both
+//     served by the general loop. The last two attribute pipeline-fresh's
+//     classes of the same names.
 //   - Verify: sched.Verify on the `everywhere` run's schedule, once by
 //     each of its two sources of order — the engine's dispatch record,
 //     one walk, and with the record taken away the per-machine sort every
@@ -130,8 +132,8 @@ type kernel struct {
 //     loadheap.Tree over descending times, as opt.LPT, the optimum's LPT
 //     bound and every LPT placement run it; at pipeline-fresh's shape
 //     and serve-solve's m=512.
-//   - OpenSimLoop: the open-system replay, Poisson arrivals at a quarter
-//     of capacity, one row per replay loop. n=10k is its heaviest
+//   - OpenSimLoop: an open run of the same Runner, Poisson arrivals at
+//     a quarter of capacity, one row per replay path. n=10k is its heaviest
 //     policy — every task on every machine, cancel-on-completion at a
 //     cost — which makes the cluster one uniform shard on the
 //     race-collapse path; m=128 is the two-word cohort mask; g8-coc0 is
@@ -202,9 +204,9 @@ func simLoop(shape func(*task.Instance) (*placement.Placement, []int, error)) fu
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var runner sim.FlatRunner
+		var runner sim.Runner
 		return func() {
-			if _, err := runner.RunSharded(in, p, order, sim.FlatOptions{}, 1); err != nil {
+			if _, err := runner.RunSharded(in, p, order, sim.FlatOptions{}); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -238,7 +240,7 @@ func verifyKernel(recorded bool) func(testing.TB, int) func() {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+		res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -312,9 +314,9 @@ func openSimLoop(m int, shape func(*task.Instance) (*placement.Placement, []int,
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var runner sim.FlatOpenRunner
+		var runner sim.Runner
 		return func() {
-			if _, err := runner.RunSharded(in, p, order, arrive, opts, 1); err != nil {
+			if _, err := runner.RunOpenSharded(in, p, order, arrive, opts); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -514,13 +516,19 @@ func steadyAllocs(run func()) (allocs, bytes uint64) {
 // TestKernelAllocations is the allocation gate, run live by `go test
 // ./...`: every kernel's closure, warm, stays inside its cap — exactly
 // 0 allocations and 0 bytes for the simulator loops, the key sort and
-// the memo hit. An allocation added anywhere under FlatRunner.runSpan
-// or FlatOpenRunner's replay fails here, on any host, in seconds; a
-// committed number could only say what some earlier tree did. The last
-// case is the whole warm pipeline at Groups k=8: it allocates in
+// the memo hit. An allocation added anywhere under Runner.replaySpan
+// fails here, on any host, in seconds; a committed number could only
+// say what some earlier tree did. The last two cases are not warm.
+// Pipeline/groups8 is the whole pipeline at Groups k=8: it allocates in
 // placement scoring (14 at the time of writing), and the cap is what
 // separates that from one allocation per task — validateGroups once
 // sorted a fresh copy of every replica set, 10,015 allocations a run.
+// FreshRun/abo is the package-level batch entry point, a fresh runner
+// per call, on the ABO_Δ shape, as memaware.ABO calls it once per
+// pipeline-fresh `abo` op: the channel that workload's kb_per_op bound
+// watches. Its caps are the footprint before the batch and open engines
+// merged (23 allocations, 525,696 B) plus under 1 % on the bytes; the
+// merged engine reads 21 and 490,096 B.
 func TestKernelAllocations(t *testing.T) {
 	gated := append(kernels[:len(kernels):len(kernels)], kernel{
 		name: "Pipeline/groups8/n=10k", n: 10_000, allocs: 64, bytes: math.MaxUint64,
@@ -529,6 +537,20 @@ func TestKernelAllocations(t *testing.T) {
 			var r core.Runner
 			return func() {
 				if _, err := r.Run(in, core.Config{Strategy: core.Groups, Groups: 8}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		},
+	}, kernel{
+		name: "FreshRun/abo/n=10k,m=64", n: 10_000, allocs: 23, bytes: 530_000,
+		setup: func(tb testing.TB, n int) func() {
+			in := uniformInstance(n, 64)
+			p, order, err := aboShape(in)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return func() {
+				if _, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}); err != nil {
 					tb.Fatal(err)
 				}
 			}

@@ -182,7 +182,7 @@ func printTrace(in *task.Instance, a algo.Algorithm, limit int) error {
 	if err != nil {
 		return err
 	}
-	res, err := sim.RunFlatSharded(in, p, a.Order(in), sim.FlatOptions{Trace: true}, 1)
+	res, err := sim.RunFlatSharded(in, p, a.Order(in), sim.FlatOptions{Trace: true})
 	if err != nil {
 		return err
 	}

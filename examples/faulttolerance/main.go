@@ -49,7 +49,7 @@ func main() {
 		}
 		order := p.algo.Order(in)
 
-		healthy, err := sim.RunFlatSharded(in, pl, order, sim.FlatOptions{}, 1)
+		healthy, err := sim.RunFlatSharded(in, pl, order, sim.FlatOptions{})
 		if err != nil {
 			log.Fatalf("faulttolerance: healthy run: %v", err)
 		}
@@ -58,7 +58,7 @@ func main() {
 		// Machine 2 dies halfway through.
 		crashed, err := sim.RunFlatSharded(in, pl, order, sim.FlatOptions{
 			Failures: []sim.Failure{{Machine: 2, Time: h / 2}},
-		}, 1)
+		})
 		switch {
 		case errors.Is(err, sim.ErrUnsurvivable):
 			tb.AddRow(p.label, h, "n/a", "n/a", "NO: data lost")

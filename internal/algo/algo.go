@@ -112,13 +112,12 @@ func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 // are identical to the package-level Execute: every reused buffer is
 // rebuilt from the inputs before use.
 type Scratch struct {
-	flat     sim.FlatRunner
-	flatOpen sim.FlatOpenRunner
-	place    placement.Placement
-	order    []int
-	lpt      lptSorter
-	res      Result
-	openRes  OpenResult
+	runner  sim.Runner
+	place   placement.Placement
+	order   []int
+	lpt     lptSorter
+	res     Result
+	openRes OpenResult
 }
 
 // lptSorter computes LPT orders — (key descending, ID ascending), the
@@ -189,7 +188,7 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 
 // Execute runs both phases of the algorithm reusing the Scratch's
 // buffers; semantics match the package-level Execute. Phase 2 runs on
-// the flat simulator (sim.FlatRunner), so reported times are
+// the flat simulator (sim.Runner), so reported times are
 // nanotick-quantized: ≤ 0.5e-9 s per duration, the quantization Verify
 // checks exactly (tick.FromSeconds of each actual time).
 func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
@@ -197,7 +196,7 @@ func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.flat.RunSharded(in, p, s.order, sim.FlatOptions{}, 1)
+	res, err := s.runner.RunSharded(in, p, s.order, sim.FlatOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", a.Name(), err)
 	}
@@ -214,7 +213,7 @@ func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
 }
 
 // ExecuteOpen runs phase 1 of the algorithm and replays the arrival
-// stream through the flat open-system simulator (sim.FlatOpenRunner,
+// stream through the flat simulator in open mode (sim.Runner,
 // sharded by replica-set connectivity), reusing the Scratch's buffers.
 // The schedule is not re-verified here: open-mode durations may come
 // from opts.Duration, which sched.Verify (actual times only) cannot
@@ -228,7 +227,7 @@ func (s *Scratch) ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.flatOpen.RunSharded(in, p, s.order, arrive, opts, 1)
+	res, err := s.runner.RunOpenSharded(in, p, s.order, arrive, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: open simulation: %w", a.Name(), err)
 	}

@@ -51,7 +51,7 @@ func TestOpenSystemEngines(t *testing.T) {
 	}
 	for _, cfg := range cfgs {
 		p, order := referencePlan(t, in, cfg.Config)
-		want, err := sim.RunFlatOpenSharded(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost}, 1)
+		want, err := sim.RunFlatOpenSharded(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost})
 		if err != nil {
 			t.Fatalf("%v/%v: engine: %v", cfg.Strategy, cfg.Policy, err)
 		}

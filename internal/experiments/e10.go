@@ -61,7 +61,7 @@ func runE10(w *Sink, opts Options) error {
 			}
 			order := v.algo.Order(in)
 
-			healthy, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+			healthy, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +75,7 @@ func runE10(w *Sink, opts Options) error {
 			// theorems assume no failures, so this run is not checked.
 			crashed, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{
 				Failures: []sim.Failure{{Machine: failMachine, Time: healthyMakespan / 2}},
-			}, 1)
+			})
 			switch {
 			case errors.Is(err, sim.ErrUnsurvivable):
 				res[vi].lost = true

@@ -69,7 +69,7 @@ func e11Straggler(in *task.Instance, seed uint64, prob, slowFactor float64) func
 // (The ISSUE files this as "E10", but the e10 registry slot was taken
 // by the fail-stop crash experiment, so it ships as e11.)
 func runE11(w *Sink, opts Options) error {
-	// Sized for what sim.FlatOpenRunner replays in seconds: thousands of
+	// Sized for what sim.Runner replays in seconds: thousands of
 	// tasks per trial over a load grid fine enough to show where racing
 	// stops paying (DESIGN.md, "Open-system flat engine").
 	nTrials, n, m := 12, 2_400, 16
@@ -112,7 +112,7 @@ func runE11(w *Sink, opts Options) error {
 		// One flat runner per trial goroutine: every (scenario, variant)
 		// run reuses its pooled buffers, and the trial fan-out already
 		// saturates the cores, so the inner engine runs sequentially.
-		var runner sim.FlatOpenRunner
+		var runner sim.Runner
 		res := make([][]cell, len(scenarios))
 		in := workload.MustNew(workload.Spec{
 			Name: "uniform", N: n, M: m, Alpha: 1.5, Seed: t.seeds[0],
@@ -143,11 +143,11 @@ func runE11(w *Sink, opts Options) error {
 				if err != nil {
 					return nil, err
 				}
-				out, err := runner.RunSharded(in, p, v.algo.Order(in), arrive, sim.OpenOptions{
+				out, err := runner.RunOpenSharded(in, p, v.algo.Order(in), arrive, sim.OpenOptions{
 					Policy:     v.policy,
 					CancelCost: cancelCost,
 					Duration:   dur,
-				}, 1)
+				})
 				if err != nil {
 					return nil, err
 				}

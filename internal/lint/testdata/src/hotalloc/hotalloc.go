@@ -90,7 +90,7 @@ func coldError(fail bool) error {
 }
 
 // The remainder mirrors the shape of the simulator's open replay loop
-// (FlatOpenRunner.replaySpan): an annotated method whose obligation
+// (Runner.replaySpan): an annotated method whose obligation
 // flows through method calls and pointer-threaded scratch slices, with
 // value-struct event pushes and cohort merges that must stay allowed,
 // a lazy first-use init behind the escape hatch, and a per-call make

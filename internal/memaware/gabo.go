@@ -50,7 +50,7 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 
 	// Phase 2: pinned memory tasks first, then the group-replicated
 	// time-intensive tasks in list order.
-	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
 	if err != nil {
 		return nil, err
 	}

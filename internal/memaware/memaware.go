@@ -273,7 +273,7 @@ func ABO(in *task.Instance, cfg Config) (*Result, error) {
 	for _, j := range s1 {
 		p.Sets[j] = all
 	}
-	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
 	if err != nil {
 		return nil, err
 	}

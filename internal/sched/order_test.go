@@ -44,7 +44,7 @@ func pairedGroups(n, m int) *placement.Placement {
 
 func engineSchedule(t testing.TB, in *task.Instance, p *placement.Placement, order []int) *sched.Schedule {
 	t.Helper()
-	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{}, 1)
+	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,8 @@ func TestEngineRecordByRunKind(t *testing.T) {
 	for j := range order {
 		order[j] = j
 	}
-	var r sim.FlatRunner
-	res, err := r.RunSharded(in, p, order, sim.FlatOptions{Failures: []sim.Failure{{Machine: 1, Time: 7.5}}}, 2)
+	var r sim.Runner
+	res, err := r.RunSharded(in, p, order, sim.FlatOptions{Failures: []sim.Failure{{Machine: 1, Time: 7.5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestEngineRecordByRunKind(t *testing.T) {
 	for j := 0; j < n; j++ {
 		pinned.Assign(j, 0)
 	}
-	res, err = r.RunSharded(in, pinned, order, sim.FlatOptions{FetchPenalty: 2}, 2)
+	res, err = r.RunSharded(in, pinned, order, sim.FlatOptions{FetchPenalty: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

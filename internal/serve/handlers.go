@@ -89,7 +89,7 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	}
 	// The same engine, order and shard layout as runSchedule's
 	// algo.Execute, so the two endpoints agree bit for bit.
-	res, err := sim.RunFlatSharded(req.Instance, p, a.Order(req.Instance), sim.FlatOptions{Trace: true}, 1)
+	res, err := sim.RunFlatSharded(req.Instance, p, a.Order(req.Instance), sim.FlatOptions{Trace: true})
 	if err != nil {
 		return nil, err
 	}

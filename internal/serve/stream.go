@@ -115,7 +115,7 @@ func (s *Server) RunSimulateOpen(req *SimulateOpenRequest) (*SimulateOpenRespons
 	out, err := sim.RunFlatOpenSharded(req.Instance, p, a.Order(req.Instance), arrive, sim.OpenOptions{
 		Policy:     policy,
 		CancelCost: req.CancelCost,
-	}, 1)
+	})
 	if err != nil {
 		return nil, err
 	}

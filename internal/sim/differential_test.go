@@ -58,7 +58,7 @@ func TestEventSimulatorMatchesReference(t *testing.T) {
 			})
 		}
 
-		eventRes, err := RunFlatSharded(in, p, order, FlatOptions{}, 2)
+		eventRes, err := RunFlatSharded(in, p, order, FlatOptions{})
 		if err != nil {
 			return false
 		}

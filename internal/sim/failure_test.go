@@ -18,7 +18,7 @@ import (
 // tests below pin: the flat engine through its shard decomposition.
 func runWithFailures(in *task.Instance, p *placement.Placement, order []int,
 	failures []Failure) (*sched.Schedule, error) {
-	res, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, 2)
+	res, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures})
 	if err != nil {
 		return nil, err
 	}

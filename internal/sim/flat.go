@@ -3,11 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
+	"repro/internal/loadheap"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/task"
@@ -15,8 +14,10 @@ import (
 )
 
 var (
-	simFlatRuns   = obs.GetCounter("sim.flat_runs")
-	simFlatShards = obs.GetCounter("sim.flat_shards")
+	simFlatRuns    = obs.GetCounter("sim.flat_runs")
+	simFlatShards  = obs.GetCounter("sim.flat_shards")
+	flatOpenRuns   = obs.GetCounter("sim.flat_open_runs")
+	flatOpenShards = obs.GetCounter("sim.flat_open_shards")
 )
 
 // FlatOptions configures a batch run: the policies a caller may attach
@@ -25,9 +26,9 @@ type FlatOptions struct {
 	// Trace records start/finish events when true.
 	Trace bool
 	// Failures injects fail-stop machine crashes: a task running across
-	// a crash is lost and re-offered, ahead of the queues, to the other
-	// machines holding a replica; the schedule records each task's final
-	// execution, and a crash that strands a task fails the run with
+	// a crash is lost and re-offered, ahead of the pending sets, to the
+	// other machines holding a replica; the schedule records each task's
+	// final execution, and a crash that strands a task fails the run with
 	// ErrUnsurvivable. Incompatible with Trace.
 	Failures []Failure
 	// FetchPenalty, when non-zero, lets a machine run tasks it holds no
@@ -40,267 +41,199 @@ type FlatOptions struct {
 	FetchPenalty float64
 }
 
-// spanError is a shard-local error together with the (time, machine)
-// event key it was raised at, so the merge can return exactly the
-// error a sequential run over the global event order would have hit
-// first: the minimum key across shards.
-type spanError struct {
-	key mEvent
-	err error
-}
-
-// FlatRunner is the data-oriented simulator core: the hot state of a
-// run lives in flat structure-of-arrays slices indexed by task and
-// machine IDs (no pointers to chase), simulated time is int64
-// fixed-point (tick.Tick), and execution is decomposed into
-// independent shards — the connected components of the "shares a
-// replica set" relation over machines. Under the paper's group:k
-// placement each replica group is one shard; under no-replication
-// every machine is its own shard and the event tree disappears
-// entirely; under replicate-everywhere there is a single shard and the
-// engine degenerates to one global event loop.
+// Runner is the data-oriented simulator: the hot state of a run lives
+// in flat structure-of-arrays slices indexed by task and machine IDs
+// (no pointers to chase), simulated time is int64 fixed-point
+// (tick.Tick), and execution is decomposed into independent shards —
+// the connected components of the "shares a replica set" relation over
+// machines. Under the paper's group:k placement each replica group is
+// one shard; under no-replication every machine is its own shard and
+// the event tree disappears entirely; under replicate-everywhere there
+// is a single shard and one global event loop.
+//
+// A batch run (RunSharded) is the open system (RunOpenSharded) with
+// every arrival at zero under CancelOnStart: the same pending sets and
+// the same general loop serve both, and TestFlatOpenMatchesBatch holds
+// the two byte-identical. A batch run skips what it has no use for —
+// arrivals, responses, the entries an arrival pushes — and fills its
+// pending sets whole at the start of each shard.
 //
 // Layout:
 //
 //	tasks    durTick[j]            executed ticks
-//	         priorityOf[j]         position in the priority order
-//	         started[j]            queued task handed out yet?
-//	         taskShard[j]          owning shard
+//	         started[j]            taken by some machine yet?
+//	         rank[j]               place in its shard's priority order
 //	shards   shardMachines[shardOff[s]:shardOff[s+1]]  member machines
-//	         shardTaskOff[s]       prefix sums of per-shard task counts
-//	         wideTasks[shardTaskOff[s]:][:wideLen[s]]  the shard list:
+//	         rankTask[shardTaskOff[s]:shardTaskOff[s+1]]  the shard's
+//	                               tasks by rank
+//	         shared[s]             pending set over the shard's ranks:
 //	                               tasks whose replica set is the whole
-//	                               shard, in priority order, each once
-//	         wideHead[s]           the list's cursor
-//	         sched.Dispatched[shardTaskOff[s]:]  the shard's tasks in the
-//	                               order it started them, for sched.Verify
-//	machines qTasks[qOff[i]:qOff[i+1]]  per-machine queue: the other
-//	                               tasks eligible on i, in priority
-//	                               order, one copy per replica (CSR)
-//	         head[i]               queue scan position
-//	stealing order, stealHead      FetchPenalty only: the caller's
-//	                               priority order and a cursor over it
+//	                               shard
+//	         sched.Dispatched[shardTaskOff[s]:]  batch: the shard's
+//	                               tasks in the order it started them,
+//	                               for sched.Verify
+//	machines qTask[qOff[i]:qOff[i+1]]  machine i's narrow list: the other
+//	                               tasks it holds a replica of, in
+//	                               priority order
+//	         narrow[i]             pending set over that list
 //
-// A machine's eligible tasks are its shard's list plus its own queue,
-// and pick hands it the earlier-in-order of the two heads. List tasks
-// start in list order — any machine of the shard that takes one takes
-// the first left — so a cursor replaces the started-skip, and build
-// plus run cost O(n + Σ|M_j| over non-wide tasks) + O(n log m), where
-// one queue copy per replica cost Σ|M_j| = n·m under full replication.
+// Because tasks never cross shards, every Assignment, trace, record
+// region and started flag a shard writes is disjoint from every other
+// shard's, and shards replay one after another on the calling
+// goroutine; int64 time makes completion times exact sums, so the
+// sharded output is byte-identical to one global loop over all
+// machines (Run in the tests), which the differential suites pin.
 //
-// Because tasks never cross shards, every Assignment, trace and
-// dispatch-record region, and started flag a shard writes is disjoint
-// from every other shard's, so shards run on par workers with plain
-// (non-atomic) writes and the merged output is byte-identical to the
-// sequential order — int64 time makes per-machine completion times
-// exact sums, not rounding-order-dependent floats. The differential
-// suite in flat_test.go pins that equivalence at every worker count.
-//
-// The zero value is ready to use. A FlatRunner owns the Result it
-// returns (valid until the next call; RunFlat and RunFlatSharded return
-// caller-owned state), performs zero steady-state allocations across
-// same-shaped runs, and is not safe for concurrent use.
-type FlatRunner struct {
-	// SoA task state.
-	durTick    []tick.Tick
-	started    []bool
-	priorityOf []int32
-
-	// Per-shard lists and CSR per-machine queues (see Layout).
-	wideTasks, wideLen, wideHead []int32
-	qTasks, qOff, head           []int32
-
-	// FetchPenalty runs only (order nil otherwise): a machine with no
-	// local work left scans order from stealHead for an unstarted task.
-	order     []int
-	stealHead int
-
-	// Shard decomposition (shardOf, shardMachines, taskShard, …),
-	// shared with FlatOpenRunner.
+// The zero value is ready to use. A Runner owns the Result or
+// OpenResult it returns (valid until the next call; the package-level
+// entry points return caller-owned state), performs zero steady-state
+// allocations across same-shaped runs, and is not safe for concurrent
+// use.
+type Runner struct {
+	// Shard decomposition (shardOf, shardMachines, shardTasks, …). shardTasks, built for open and fail-stop runs,
+	// doubles as the per-shard arrival stream: task IDs ascend within a
+	// shard and arrival times ascend with task ID.
 	shardSet
 
-	// Per-shard outcome slots, written by exactly one worker each.
-	shardStarted []int32
-	shardErrs    []spanError
+	// SoA task state (see Layout).
+	durTick  []tick.Tick // none under a Duration hook
+	started  []bool
+	rank     []int32
+	rankTask []int32
 
-	// Failure-mode state, sized only when Failures are present.
+	// Narrow lists by machine (see Layout).
+	qOff  []int32
+	qTask []int32
+
+	// The pending sets, in one slab zeroed in prepare (see take).
+	pend   []uint64
+	shared []rankSet
+	narrow []rankSet
+
+	// Open runs: arrivals in ticks; narrow task j's entries, one per
+	// machine of its set, at entries[narrowOff[j]:narrowOff[j+1]] (empty
+	// for a wide task), which an arrival pushes and a completion under
+	// CancelOnCompletion drops, and the machine-to-slot map (a machine's
+	// index in shardMachines) they are built with; the replica each
+	// machine runs (also the fail-stop loop's) and its start.
+	arrTick    []tick.Tick
+	slot       []int32
+	narrowOff  []int32
+	entries    []narrowEntry
+	runTask    []int32 // running task, -1 if idle
+	runStart   []tick.Tick
+	cancelTick tick.Tick
+
+	// raceEnd[j] is the completion tick of task j's race, valid once
+	// started[j] under the race-collapse fast path (raceOK).
+	raceEnd []tick.Tick
+	raceOK  bool
+
+	// Fail-stop state, sized only when Failures are present.
 	dead      []bool
 	dormant   []bool
 	dormantAt []tick.Tick
-	runTask   []int32
 	runEnd    []tick.Tick
 	completed []bool
 	crashes   []mEvent
 
-	// Per-worker event-loop scratch.
-	scratch []flatScratch
+	// Event-loop scratch, reused shard after shard: the shard's machines
+	// by next event tick, race-collapse cohorts, the fail-stop retry
+	// list, and the tally for the run's counters.
+	tree  loadheap.Tree[tick.Tick]
+	parks parkSet
+	retry []int32
+	stats spanStats
 
-	// opts is the caller's FlatOptions for the current run, copied
-	// here so the engine passes a pointer to already-heap-resident
-	// state around instead of letting a parameter escape per call.
-	// run clears it on exit so a caller's Failures slice is not
-	// retained past the run that used it.
-	opts FlatOptions
+	// The run so far: the outcome of the shards replayed, and of the
+	// errors they raised the one at the least (time, machine) event key,
+	// the one a sequential run over the global event order would have
+	// hit first.
+	out   openTally
+	err   error
+	errAt mEvent
 
-	sched sched.Schedule
-	res   Result
-}
+	// The caller's options for the current run, copied here so the
+	// engine passes a pointer to already-heap-resident state around
+	// instead of letting a parameter escape per call; release clears them
+	// so a Failures slice or Duration closure is not retained. A batch
+	// run leaves open at its zero value (CancelOnStart, no hook), an open
+	// run batch at its.
+	batch   FlatOptions
+	open    OpenOptions
+	openRun bool
 
-// Reset re-initializes every field of the FlatRunner for an n-task,
-// m-machine run, retaining capacity. Slices are truncated here and
-// regrown to their exact sizes in prepare; Run calls it internally.
-func (r *FlatRunner) Reset(n, m int) {
-	r.durTick = r.durTick[:0]
-	r.started = r.started[:0]
-	r.priorityOf = r.priorityOf[:0]
-	r.wideTasks = r.wideTasks[:0]
-	r.wideLen = r.wideLen[:0]
-	r.wideHead = r.wideHead[:0]
-	r.qTasks = r.qTasks[:0]
-	r.qOff = r.qOff[:0]
-	r.head = r.head[:0]
-	r.order = nil
-	r.stealHead = 0
-	r.shardSet.reset()
-	r.shardStarted = r.shardStarted[:0]
-	r.shardErrs = r.shardErrs[:0]
-	r.dead = r.dead[:0]
-	r.dormant = r.dormant[:0]
-	r.dormantAt = r.dormantAt[:0]
-	r.runTask = r.runTask[:0]
-	r.runEnd = r.runEnd[:0]
-	r.completed = r.completed[:0]
-	r.crashes = r.crashes[:0]
-	r.scratch = r.scratch[:0] // backing entries (and their buffers) are reused
-	r.opts = FlatOptions{}
-	r.sched.Reset(n, m)
-	r.res = Result{Schedule: &r.sched, Trace: r.res.Trace[:0]}
+	sched   sched.Schedule
+	res     Result
+	openRes OpenResult
 }
 
 // RunFlat executes the instance on the flat engine sequentially (one
 // global event loop, no shard decomposition). The returned Result is
 // freshly allocated and caller-owned.
 func RunFlat(in *task.Instance, p *placement.Placement, order []int, opts FlatOptions) (*Result, error) {
-	var r FlatRunner
-	return r.Run(in, p, order, opts)
+	var r Runner
+	return r.runBatch(in, p, order, opts, false)
 }
 
-// RunFlatSharded is RunFlat through the shard decomposition on the
-// given number of workers; see FlatRunner.RunSharded.
+// RunFlatSharded is RunFlat through the shard decomposition; see
+// Runner.RunSharded.
 func RunFlatSharded(in *task.Instance, p *placement.Placement, order []int,
-	opts FlatOptions, workers int) (*Result, error) {
-	var r FlatRunner
-	return r.RunSharded(in, p, order, opts, workers)
-}
-
-// Run executes list scheduling over the placement and priority order
-// on the flat engine, as a single event loop over all machines — the
-// sequential reference the sharded path is differentially tested
-// against. Results are byte-identical to RunSharded at every worker
-// count.
-func (r *FlatRunner) Run(in *task.Instance, p *placement.Placement, order []int,
 	opts FlatOptions) (*Result, error) {
-	return r.run(in, p, order, opts, 1, false)
+	var r Runner
+	return r.RunSharded(in, p, order, opts)
 }
 
-// RunSharded partitions the instance into independent shards (the
-// connected components of machines linked by shared replica sets),
-// runs each shard's event loop on one of workers goroutines
-// (workers ≤ 0 selects GOMAXPROCS; workers == 1 runs inline with zero
-// goroutines), and merges the results. The merged Schedule, Trace,
-// and error are byte-identical to Run for every worker count: shards
-// share no tasks, int64 tick sums are interleaving-independent, and
+// RunFlatOpenSharded executes an open-system run and returns
+// caller-owned state; see Runner.RunOpenSharded. Hot loops should reuse
+// a Runner.
+func RunFlatOpenSharded(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, opts OpenOptions) (*OpenResult, error) {
+	var r Runner
+	return r.RunOpenSharded(in, p, order, arrive, opts)
+}
+
+// RunSharded executes list scheduling over the placement and priority
+// order, every task released at time zero: it partitions the instance
+// into independent shards (the connected components of machines linked
+// by shared replica sets), replays each, and merges the results. The
+// Schedule, Trace and error are byte-identical to one global event
+// loop: shards share no tasks, int64 tick sums are exact, and
 // equal-key trace events are same-machine and therefore same-shard.
-func (r *FlatRunner) RunSharded(in *task.Instance, p *placement.Placement, order []int,
-	opts FlatOptions, workers int) (*Result, error) {
-	return r.run(in, p, order, opts, workers, true)
+func (r *Runner) RunSharded(in *task.Instance, p *placement.Placement, order []int,
+	opts FlatOptions) (*Result, error) {
+	return r.runBatch(in, p, order, opts, true)
 }
 
-func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
-	o FlatOptions, workers int, sharded bool) (*Result, error) {
-	defer func() { r.opts, r.order = FlatOptions{}, nil }()
-	n, m := in.N(), in.M
-	r.Reset(n, m)
+// RunOpenSharded executes an open-system simulation through the shard
+// decomposition. Tasks arrive at the given times (indexed by task ID,
+// non-decreasing, non-negative and finite); replica sets must satisfy
+// placement.CheckSets, and arrivals, durations and CancelCost must be
+// tick-representable. The Schedule, Responses, CancelledReplicas,
+// WastedTime, End and error are byte-identical to one global event
+// loop: every cross-shard reduction (per-task writes, int64 tick sums,
+// max, counts) is order-independent.
+func (r *Runner) RunOpenSharded(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, opts OpenOptions) (*OpenResult, error) {
+	return r.runOpen(in, p, order, arrive, opts, true)
+}
+
+func (r *Runner) runBatch(in *task.Instance, p *placement.Placement, order []int,
+	o FlatOptions, sharded bool) (*Result, error) {
+	defer r.release()
+	r.reset(in.N(), in.M)
 	// Copy the options into the reused field instead of taking &o: the
-	// address of a parameter escapes and would cost one heap
-	// allocation per call, breaking the zero-allocation invariant
-	// TestKernelAllocations gates. Assigned after Reset (which clears the field)
-	// and released on exit by the deferred clear above.
-	r.opts = o
-	opts := &r.opts
-	if err := r.prepare(in, p, order, opts, sharded); err != nil {
+	// address of a parameter escapes and would cost one heap allocation
+	// per call, breaking the zero-allocation invariant
+	// TestKernelAllocations gates.
+	r.batch = o
+	if err := r.run(in, p, order, nil, sharded); err != nil {
 		return nil, err
 	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > r.nShards {
-		workers = r.nShards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	r.ensureScratch(workers)
-	if workers <= 1 {
-		sc := &r.scratch[0]
-		for s := 0; s < r.nShards; s++ {
-			r.runSpan(in, p, s, sc, opts)
-		}
-	} else {
-		// Striped shard assignment: worker w owns shards w, w+workers,
-		// … . Ownership is deterministic but irrelevant to output —
-		// every write a shard makes is into task-, machine-, or
-		// shard-indexed slots no other shard touches.
-		par.Map(workers, workers, func(w int) struct{} {
-			sc := &r.scratch[w]
-			for s := w; s < r.nShards; s += workers {
-				r.runSpan(in, p, s, sc, opts)
-			}
-			return struct{}{}
-		})
-	}
-	simFlatRuns.Inc()
-	simFlatShards.Add(int64(r.nShards))
-	var stats spanStats
-	for w := range r.scratch {
-		stats.add(r.scratch[w].stats)
-	}
-	stats.queued = int64(len(r.qTasks))
-	for _, c := range r.wideHead {
-		stats.shared += int64(c)
-	}
-	simEventsPopped.Add(stats.popped)
-	stats.flushPaths()
-
-	// Merge: the error a sequential global event loop would hit first
-	// is the one with the minimum (time, machine) key across shards.
-	errAt := -1
-	for s := 0; s < r.nShards; s++ {
-		if r.shardErrs[s].err == nil {
-			continue
-		}
-		if errAt < 0 || mLess(r.shardErrs[s].key, r.shardErrs[errAt].key) {
-			errAt = s
-		}
-	}
-	if errAt >= 0 {
-		return nil, r.shardErrs[errAt].err
-	}
-	total := 0
-	for s := 0; s < r.nShards; s++ {
-		total += int(r.shardStarted[s])
-	}
-	if total != n {
-		if len(r.crashes) > 0 {
-			return nil, fmt.Errorf("sim: %d of %d tasks never completed", n-total, n)
-		}
-		return nil, fmt.Errorf("sim: %d of %d tasks never executed", n-total, n)
-	}
-	if opts.Trace {
+	if r.batch.Trace {
 		sortTrace(r.res.Trace)
 	}
-	if len(opts.Failures) > 0 {
+	if len(r.batch.Failures) > 0 {
 		// No dispatch record: a shard that met a crash erases lost tasks
 		// and starts them again, and writes none.
 		r.sched.Dispatched = r.sched.Dispatched[:0]
@@ -308,35 +241,124 @@ func (r *FlatRunner) run(in *task.Instance, p *placement.Placement, order []int,
 	return &r.res, nil
 }
 
-// prepare validates the inputs and builds the SoA state: durations in
-// ticks, CSR queues, the shard decomposition, per-shard slots, and —
-// when failures are injected — the crash list and failure-mode arrays.
-func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []int,
-	opts *FlatOptions, sharded bool) error {
+func (r *Runner) runOpen(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, o OpenOptions, sharded bool) (*OpenResult, error) {
+	defer r.release()
+	r.reset(in.N(), in.M)
+	r.open, r.openRun = o, true
+	if err := r.run(in, p, order, arrive, sharded); err != nil {
+		return nil, err
+	}
+	// A saturated event time failed its shard; a waste sum can still
+	// clamp with every event in range.
+	if r.out.wasted == tick.Max {
+		return nil, fmt.Errorf("sim: open run's wasted time: %w", tick.ErrOverflow)
+	}
+	openCancellations.Add(int64(r.out.cancelled))
+	r.openRes.CancelledReplicas = int(r.out.cancelled)
+	r.openRes.WastedTime = r.out.wasted.Seconds()
+	r.openRes.End = r.out.end.Seconds()
+	return &r.openRes, nil
+}
+
+// release drops the caller's options once a run is over.
+func (r *Runner) release() {
+	r.batch, r.open = FlatOptions{}, OpenOptions{}
+}
+
+// run prepares the state, replays every shard and returns the run's
+// error: the one a sequential global event loop would hit first, or a
+// count of tasks that never ran.
+func (r *Runner) run(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, sharded bool) error {
+	n := in.N()
+	if err := r.prepare(in, p, order, arrive, sharded); err != nil {
+		return err
+	}
+	for s := 0; s < r.nShards; s++ {
+		r.replaySpan(in, p, s)
+	}
+	if r.openRun {
+		flatOpenRuns.Inc()
+		flatOpenShards.Add(int64(r.nShards))
+		openEventsPopped.Add(r.stats.popped)
+	} else {
+		simFlatRuns.Inc()
+		simFlatShards.Add(int64(r.nShards))
+		simEventsPopped.Add(r.stats.popped)
+		queueEntries.Add(int64(len(r.qTask)))
+		sharedDispatches.Add(r.stats.shared)
+	}
+	shardsLinear.Add(r.stats.linear)
+	shardsUniform.Add(r.stats.uniform)
+	shardsRace.Add(r.stats.race)
+	shardsGeneral.Add(r.stats.general)
+	if r.err != nil {
+		return r.err
+	}
+	if done := int(r.out.done); done != n {
+		if len(r.crashes) > 0 {
+			return fmt.Errorf("sim: %d of %d tasks never completed", n-done, n)
+		}
+		return fmt.Errorf("sim: %d of %d tasks never executed", n-done, n)
+	}
+	return nil
+}
+
+// fail records a shard error raised at key, keeping the least key of
+// the run.
+func (r *Runner) fail(key mEvent, err error) {
+	if r.err == nil || mLess(key, r.errAt) {
+		r.err, r.errAt = err, key
+	}
+}
+
+// reset readies the Runner for an n-task, m-machine run: options,
+// tallies, error, crash list and results start empty. The slices are
+// not touched here: prepare regrows each one a run reads to its exact
+// size, keeping its capacity, and the mode flags (openRun, raceOK,
+// FetchPenalty, the crash list) keep every loop off the ones a run does
+// not build.
+func (r *Runner) reset(n, m int) {
+	r.crashes = r.crashes[:0]
+	r.stats, r.out, r.err = spanStats{}, openTally{}, nil
+	r.release()
+	r.openRun, r.raceOK = false, false
+	r.sched.Reset(n, m)
+	r.res = Result{Schedule: &r.sched, Trace: r.res.Trace[:0]}
+	r.openRes = OpenResult{Schedule: &r.sched, Responses: r.openRes.Responses[:0]}
+}
+
+// prepare validates the inputs and builds the SoA state: durations (and
+// arrivals) in ticks, the shard decomposition, the shard ranks, the
+// narrow lists and the pending sets' layout, and — when failures are
+// injected — the crash list and fail-stop arrays.
+func (r *Runner) prepare(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, sharded bool) error {
 	n, m := in.N(), in.M
 	if p.N() != n || p.M != m {
-		return fmt.Errorf("sim: placement %dx%d does not match instance %dx%d",
+		return fmt.Errorf("sim: placement shape %dx%d does not match instance %dx%d",
 			p.N(), p.M, n, m)
 	}
 	if len(order) != n {
 		return fmt.Errorf("sim: priority order has %d entries for %d tasks", len(order), n)
 	}
+	if r.openRun && len(arrive) != n {
+		return fmt.Errorf("sim: %d arrival times for %d tasks", len(arrive), n)
+	}
 	if err := placement.CheckSets(p.Sets, m); err != nil {
 		return err
 	}
-	if len(opts.Failures) > 0 && opts.Trace {
-		return fmt.Errorf("sim: failures cannot be combined with Trace")
+	var err error
+	if r.openRun {
+		err = r.prepareArrivals(arrive)
+	} else {
+		err = r.checkBatch()
 	}
-	steal := opts.FetchPenalty != 0
-	if steal {
-		if !(opts.FetchPenalty >= 1) || math.IsInf(opts.FetchPenalty, 1) {
-			return fmt.Errorf("sim: fetch penalty %v (want finite, at least 1)", opts.FetchPenalty)
-		}
-		if len(opts.Failures) > 0 {
-			return fmt.Errorf("sim: a fetch penalty cannot be combined with Failures")
-		}
-		r.order = order
+	if err != nil {
+		return err
 	}
+	steal := r.batch.FetchPenalty != 0
 
 	// Permutation check; started doubles as the seen-scratch.
 	r.started = growZero(r.started, n)
@@ -348,90 +370,202 @@ func (r *FlatRunner) prepare(in *task.Instance, p *placement.Placement, order []
 	}
 	clear(r.started)
 
-	// Executed durations in ticks.
-	r.durTick = grow(r.durTick, n)
-	for j := 0; j < n; j++ {
-		t, err := tick.FromSeconds(in.Tasks[j].Actual)
-		if err != nil {
-			return fmt.Errorf("sim: task %d actual time: %w", j, err)
+	// Executed durations in ticks; under a Duration hook the executed
+	// time depends on the machine and is converted at dispatch. The
+	// minimum gates the race-collapse fast path (see flatopen.go).
+	minDur := tick.Max
+	if r.open.Duration == nil {
+		r.durTick = grow(r.durTick, n)
+		for j := 0; j < n; j++ {
+			t, err := tick.FromSeconds(in.Tasks[j].Actual)
+			if err != nil {
+				return fmt.Errorf("sim: task %d actual time: %w", j, err)
+			}
+			if t < 0 {
+				return fmt.Errorf("sim: task %d has negative actual time %v", j, in.Tasks[j].Actual)
+			}
+			r.durTick[j] = t
+			minDur = min(minDur, t)
 		}
-		if t < 0 {
-			return fmt.Errorf("sim: task %d has negative actual time %v", j, in.Tasks[j].Actual)
+	}
+	if r.openRun {
+		r.raceOK = r.open.Policy == CancelOnCompletion && r.open.Duration == nil && minDur > 0
+		if r.raceOK {
+			r.raceEnd = grow(r.raceEnd, n) // written at race start before any read
 		}
-		r.durTick[j] = t
+		r.runTask = grow(r.runTask, m)
+		for i := range r.runTask {
+			r.runTask[i] = -1
+		}
+		r.runStart = growZero(r.runStart, m)
+		r.openRes.Responses = growZero(r.openRes.Responses, n)
 	}
 
 	// Under a fetch penalty any machine may run any task: one shard, and
-	// every task filed in queues so started[] records what is left.
+	// every task on the narrow lists so the shared set can hold them all.
 	if sharded && !steal {
 		r.partition(p)
 	} else {
-		r.partitionTrivial(n, m)
+		r.partitionTrivial(m)
 	}
 
-	// Per-shard task counts → shard-list and trace regions and (failure
-	// mode) task lists.
-	r.buildTaskOffsets(n)
-	r.shardStarted = growZero(r.shardStarted, r.nShards)
-	r.shardErrs = growZero(r.shardErrs, r.nShards)
-
-	// Dispatch lists: a counting pass sizes the queues, then one pass
-	// over the order appends each task to its shard's list, or — when
-	// its replica set is narrower than the shard — to the queue of every
-	// machine holding a replica.
+	// One counting pass sizes each shard's range of tasks, each machine's
+	// narrow list and, in an open run, each task's entries.
+	r.shardTaskOff = growZero(r.shardTaskOff, r.nShards+1)
 	r.qOff = growZero(r.qOff, m+1)
+	if r.openRun {
+		r.narrowOff = growZero(r.narrowOff, n+1)
+		r.slot = grow(r.slot, m)
+		for sl, i := range r.shardMachines {
+			r.slot[i] = int32(sl)
+		}
+	}
 	for j, set := range p.Sets {
-		if steal || !r.wide(r.taskShard[j], set) {
+		s := r.shardOf[set[0]] // the task's shard: its sets lie inside one
+		r.shardTaskOff[s+1]++
+		narrow := steal || !r.wide(s, set)
+		if r.openRun {
+			r.narrowOff[j+1] = r.narrowOff[j]
+			if narrow {
+				r.narrowOff[j+1] += int32(len(set))
+			}
+		}
+		if narrow {
 			for _, i := range set {
 				r.qOff[i+1]++
 			}
 		}
 	}
+	for s := 0; s < r.nShards; s++ {
+		r.shardTaskOff[s+1] += r.shardTaskOff[s]
+	}
 	for i := 0; i < m; i++ {
 		r.qOff[i+1] += r.qOff[i]
 	}
-	r.qTasks = grow(r.qTasks, int(r.qOff[m]))
-	r.head = growZero(r.head, m) // fill cursors here, scan positions during the run
-	r.wideTasks = grow(r.wideTasks, n)
-	r.wideLen = growZero(r.wideLen, r.nShards)
-	r.wideHead = growZero(r.wideHead, r.nShards)
-	r.priorityOf = grow(r.priorityOf, n)
-	for pos, j := range order {
-		r.priorityOf[j] = int32(pos)
-		s, set := r.taskShard[j], p.Sets[j]
+	r.qTask = grow(r.qTask, int(r.qOff[m]))
+	if r.openRun {
+		r.entries = grow(r.entries, int(r.narrowOff[n]))
+	}
+	if r.openRun || len(r.batch.Failures) > 0 {
+		r.buildTaskLists(p)
+	}
+
+	// One pass over the priority order numbers each shard's tasks in the
+	// order its dispatcher takes them and fills the narrow lists, which
+	// fixes a narrow task's index in each list once for the whole run. The
+	// union-find scratch, long done with, holds the fill cursors: one per
+	// shard, then one per machine.
+	r.rank = grow(r.rank, n)
+	r.rankTask = grow(r.rankTask, n)
+	cur := growZero(r.parent, r.nShards+m)
+	r.parent = cur[:0]
+	next, fill := cur[:r.nShards], cur[r.nShards:]
+	for _, j := range order {
+		set := p.Sets[j]
+		s := r.shardOf[set[0]]
+		k := next[s]
+		next[s]++
+		r.rank[j] = k
+		r.rankTask[r.shardTaskOff[s]+k] = int32(j)
 		if !steal && r.wide(s, set) {
-			r.wideTasks[r.shardTaskOff[s]+r.wideLen[s]] = int32(j)
-			r.wideLen[s]++
 			continue
 		}
-		for _, i := range set {
-			r.qTasks[r.qOff[i]+r.head[i]] = int32(j)
-			r.head[i]++
+		var es []narrowEntry
+		if r.openRun {
+			es = r.entries[r.narrowOff[j]:r.narrowOff[j+1]]
+		}
+		for x, i := range set {
+			if es != nil {
+				es[x] = narrowEntry{slot: r.slot[i], idx: fill[i]}
+			}
+			r.qTask[r.qOff[i]+fill[i]] = int32(j)
+			fill[i]++
 		}
 	}
-	clear(r.head)
 
-	if opts.Trace {
-		r.res.Trace = grow(r.res.Trace, 2*n)
+	// The pending sets: a shard's shared set over its ranks, a machine's
+	// over its narrow list, all empty in one zeroed slab.
+	r.shared = grow(r.shared, r.nShards)
+	r.narrow = grow(r.narrow, m)
+	words := int32(0)
+	for s := range r.shared {
+		words = r.shared[s].layout(words, int(r.shardTaskOff[s+1]-r.shardTaskOff[s]))
 	}
+	for i := range r.narrow {
+		words = r.narrow[i].layout(words, int(r.qOff[i+1]-r.qOff[i]))
+	}
+	r.pend = growZero(r.pend, int(words))
 
-	// Sized on a failure-mode run too, which hands out no record (run
-	// truncates it): 4 B per task there buys crash-free shards a writer
-	// with no test in its dispatch loop.
-	r.sched.Dispatched = grow(r.sched.Dispatched, n)
-
-	if len(opts.Failures) > 0 {
-		if err := r.prepareFailures(in, opts); err != nil {
-			return err
+	if !r.openRun {
+		if r.batch.Trace {
+			r.res.Trace = grow(r.res.Trace, 2*n)
+		}
+		// Sized on a fail-stop run too, which hands out no record (runBatch
+		// truncates it): 4 B per task there buys crash-free shards a writer
+		// with no test in its dispatch loop.
+		r.sched.Dispatched = grow(r.sched.Dispatched, n)
+		if len(r.batch.Failures) > 0 {
+			return r.prepareFailures(in)
 		}
 	}
 	return nil
 }
 
-func (r *FlatRunner) prepareFailures(in *task.Instance, opts *FlatOptions) error {
+// prepareArrivals validates an open run's options and arrival times
+// and converts them to ticks.
+func (r *Runner) prepareArrivals(arrive []float64) error {
+	cost := r.open.CancelCost
+	if math.IsNaN(cost) || math.IsInf(cost, 0) || cost < 0 {
+		return fmt.Errorf("sim: cancel cost %v (want finite, non-negative)", cost)
+	}
+	ct, err := tick.FromSeconds(cost)
+	if err != nil {
+		return fmt.Errorf("sim: cancel cost: %w", err)
+	}
+	r.cancelTick = ct
+	if r.open.Policy != CancelOnStart && r.open.Policy != CancelOnCompletion {
+		return fmt.Errorf("sim: unknown cancel policy %d", r.open.Policy)
+	}
+	r.arrTick = grow(r.arrTick, len(arrive))
+	prev := 0.0
+	for j, t := range arrive {
+		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+			return fmt.Errorf("sim: arrival %d is %v (want finite, non-negative)", j, t)
+		}
+		if t < prev {
+			return fmt.Errorf("sim: arrival times not sorted at task %d", j)
+		}
+		prev = t
+		at, err := tick.FromSeconds(t)
+		if err != nil {
+			return fmt.Errorf("sim: arrival %d: %w", j, err)
+		}
+		r.arrTick[j] = at
+	}
+	return nil
+}
+
+// checkBatch validates a batch run's options.
+func (r *Runner) checkBatch() error {
+	o := &r.batch
+	if len(o.Failures) > 0 && o.Trace {
+		return fmt.Errorf("sim: failures cannot be combined with Trace")
+	}
+	if o.FetchPenalty == 0 {
+		return nil
+	}
+	if !(o.FetchPenalty >= 1) || math.IsInf(o.FetchPenalty, 1) {
+		return fmt.Errorf("sim: fetch penalty %v (want finite, at least 1)", o.FetchPenalty)
+	}
+	if len(o.Failures) > 0 {
+		return fmt.Errorf("sim: a fetch penalty cannot be combined with Failures")
+	}
+	return nil
+}
+
+func (r *Runner) prepareFailures(in *task.Instance) error {
 	n, m := in.N(), in.M
-	r.crashes = r.crashes[:0]
-	for _, f := range opts.Failures {
+	for _, f := range r.batch.Failures {
 		if f.Machine < 0 || f.Machine >= m {
 			return fmt.Errorf("sim: failure on invalid machine %d", f.Machine)
 		}
@@ -445,13 +579,9 @@ func (r *FlatRunner) prepareFailures(in *task.Instance, opts *FlatOptions) error
 		r.crashes = append(r.crashes, mEvent{t: t, m: int32(f.Machine)})
 	}
 	// Deterministic crash order: (time, machine), the same total order
-	// the event queue uses. Duplicate keys are identical crashes; the
+	// the event tree uses. Duplicate keys are identical crashes; the
 	// second is a no-op on an already-dead machine.
 	sort.Slice(r.crashes, func(a, b int) bool { return mLess(r.crashes[a], r.crashes[b]) })
-
-	// shardTasks: tasks grouped by shard (CSR with shardTaskOff), for
-	// the per-crash strand checks.
-	r.buildTaskLists(n)
 
 	r.dead = growZero(r.dead, m)
 	r.dormant = growZero(r.dormant, m)
@@ -463,19 +593,6 @@ func (r *FlatRunner) prepareFailures(in *task.Instance, opts *FlatOptions) error
 	r.runEnd = growZero(r.runEnd, m)
 	r.completed = growZero(r.completed, n)
 	return nil
-}
-
-func (r *FlatRunner) ensureScratch(workers int) {
-	if cap(r.scratch) < workers {
-		next := make([]flatScratch, workers)
-		copy(next, r.scratch[:cap(r.scratch)])
-		r.scratch = next
-	} else {
-		r.scratch = r.scratch[:workers]
-	}
-	for w := range r.scratch {
-		r.scratch[w].stats = spanStats{}
-	}
 }
 
 // grow returns s at length n, retaining capacity and reallocating only

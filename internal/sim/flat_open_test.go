@@ -21,8 +21,8 @@ import (
 // to.
 func runFlatOpen(in *task.Instance, p *placement.Placement, order []int,
 	arrive []float64, opts OpenOptions) (*OpenResult, error) {
-	var r FlatOpenRunner
-	return r.Run(in, p, order, arrive, opts)
+	var r Runner
+	return r.RunOpen(in, p, order, arrive, opts)
 }
 
 // mustArrivals is workload.Arrivals but panics on error, for the
@@ -93,8 +93,8 @@ func requireSameOpenResult(t *testing.T, label string, got, want *OpenResult) {
 	}
 }
 
-// TestFlatOpenShardedMatchesRun is the open-mode worker-count
-// differential: RunSharded at every worker count is byte-identical —
+// TestFlatOpenShardedMatchesRun is the open-mode shard differential:
+// RunOpenSharded is byte-identical —
 // response by response, assignment by assignment, waste to the last
 // bit — to the sequential flat open Run, across the placement ×
 // arrival-process × cancel-policy matrix.
@@ -108,13 +108,11 @@ func TestFlatOpenShardedMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Run: %v", label, err)
 				}
-				for _, w := range flatWorkerCounts() {
-					got, err := RunFlatOpenSharded(c.in, c.p, c.order, arr.arr, opts, w)
-					if err != nil {
-						t.Fatalf("%s/workers=%d: RunSharded: %v", label, w, err)
-					}
-					requireSameOpenResult(t, label+"/workers="+itoa(w), got, want)
+				got, err := RunFlatOpenSharded(c.in, c.p, c.order, arr.arr, opts)
+				if err != nil {
+					t.Fatalf("%s: RunSharded: %v", label, err)
 				}
+				requireSameOpenResult(t, label, got, want)
 			}
 		}
 	}
@@ -155,7 +153,7 @@ func openExactArrivals(n int, seed uint64) []float64 {
 // oracle byte-for-byte on integer durations, arrivals and cancel cost,
 // where tick quantization is exact — same replica wins, same
 // responses, same waste — across both policies, all placement
-// families, and every worker count. This is the open-mode cross-engine
+// families, sharded. This is the open-mode cross-engine
 // golden equivalence.
 func TestFlatOpenMatchesEventEngineExact(t *testing.T) {
 	shapes := []struct {
@@ -183,13 +181,11 @@ func TestFlatOpenMatchesEventEngineExact(t *testing.T) {
 			} {
 				label := pc.name + "/" + opts.Policy.String()
 				want := oracleRunOpen(in, pc.p, order, arrive, opts)
-				for _, w := range flatWorkerCounts() {
-					got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts, w)
-					if err != nil {
-						t.Fatalf("%s/workers=%d: flat engine: %v", label, w, err)
-					}
-					requireSameOpenResult(t, label+"/workers="+itoa(w), got, want)
+				got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts)
+				if err != nil {
+					t.Fatalf("%s: flat engine: %v", label, err)
 				}
+				requireSameOpenResult(t, label, got, want)
 			}
 		}
 	}
@@ -247,7 +243,7 @@ func TestFlatOpenMatchesEventEngineEpsilon(t *testing.T) {
 // TestFlatOpenMatchesBatch extends the open mode's metamorphic anchor
 // to the flat engine: with every arrival at t=0 and CancelOnStart, the
 // flat open simulator reproduces the batch flat simulator's schedule
-// byte-for-byte — at every worker count.
+// byte-for-byte.
 func TestFlatOpenMatchesBatch(t *testing.T) {
 	for _, c := range flatCases(t) {
 		batch, err := RunFlat(c.in, c.p, c.order, FlatOptions{})
@@ -255,24 +251,22 @@ func TestFlatOpenMatchesBatch(t *testing.T) {
 			t.Fatalf("%s: batch: %v", c.name, err)
 		}
 		arrive := make([]float64, c.in.N())
-		for _, w := range flatWorkerCounts() {
-			open, err := RunFlatOpenSharded(c.in, c.p, c.order, arrive,
-				OpenOptions{Policy: CancelOnStart}, w)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: open: %v", c.name, w, err)
-			}
-			if !reflect.DeepEqual(open.Schedule.Assignments, batch.Schedule.Assignments) {
-				t.Fatalf("%s/workers=%d: open schedule diverged from batch", c.name, w)
-			}
-			if open.CancelledReplicas != 0 || open.WastedTime != 0 {
-				t.Fatalf("%s/workers=%d: cancel-on-start wasted work: %d replicas, %v time",
-					c.name, w, open.CancelledReplicas, open.WastedTime)
-			}
-			for j, a := range batch.Schedule.Assignments {
-				if open.Responses[j] != a.End.Seconds() {
-					t.Fatalf("%s/workers=%d: task %d response %v != completion %v",
-						c.name, w, j, open.Responses[j], a.End)
-				}
+		open, err := RunFlatOpenSharded(c.in, c.p, c.order, arrive,
+			OpenOptions{Policy: CancelOnStart})
+		if err != nil {
+			t.Fatalf("%s: open: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(open.Schedule.Assignments, batch.Schedule.Assignments) {
+			t.Fatalf("%s: open schedule diverged from batch", c.name)
+		}
+		if open.CancelledReplicas != 0 || open.WastedTime != 0 {
+			t.Fatalf("%s: cancel-on-start wasted work: %d replicas, %v time",
+				c.name, open.CancelledReplicas, open.WastedTime)
+		}
+		for j, a := range batch.Schedule.Assignments {
+			if open.Responses[j] != a.End.Seconds() {
+				t.Fatalf("%s: task %d response %v != completion %v",
+					c.name, j, open.Responses[j], a.End)
 			}
 		}
 	}
@@ -313,11 +307,11 @@ func TestFlatOpenCancelledMachineResumes(t *testing.T) {
 	}
 }
 
-// TestFlatOpenReuseMatchesFresh carries one FlatOpenRunner dirty
+// TestFlatOpenReuseMatchesFresh carries one Runner dirty
 // across instances of varying shape: reuse must be invisible in the
 // output.
 func TestFlatOpenReuseMatchesFresh(t *testing.T) {
-	var reused FlatOpenRunner
+	var reused Runner
 	for ci, in := range poolCases(t) {
 		p := groupPlacement(t, in.N(), in.M, 2, uint64(ci)+7)
 		order := lptOrder(in)
@@ -328,11 +322,11 @@ func TestFlatOpenReuseMatchesFresh(t *testing.T) {
 		if ci%2 == 0 {
 			opts = OpenOptions{Policy: CancelOnStart}
 		}
-		got, err := reused.RunSharded(in, p, order, arrive, opts, 2)
+		got, err := reused.RunOpenSharded(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatalf("case %d: reused: %v", ci, err)
 		}
-		want, err := RunFlatOpenSharded(in, p, order, arrive, opts, 2)
+		want, err := RunFlatOpenSharded(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatalf("case %d: fresh: %v", ci, err)
 		}
@@ -351,12 +345,12 @@ func TestFlatOpenZeroSteadyStateAllocs(t *testing.T) {
 	order := lptOrder(in)
 	arrive := openExactArrivals(64, 92)
 	opts := OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}
-	var r FlatOpenRunner
-	if _, err := r.RunSharded(in, p, order, arrive, opts, 1); err != nil {
+	var r Runner
+	if _, err := r.RunOpenSharded(in, p, order, arrive, opts); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.RunSharded(in, p, order, arrive, opts, 1); err != nil {
+		if _, err := r.RunOpenSharded(in, p, order, arrive, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -423,8 +417,8 @@ func TestFlatOpenValidation(t *testing.T) {
 }
 
 // TestFlatOpenHookErrorDeterministicAcrossWorkers checks that a
-// Duration-hook failure surfaces as the same error at every worker
-// count (the min-(time,machine) merge rule).
+// Duration-hook failure surfaces as the same error sharded as in one
+// global loop (the min-(time,machine) merge rule).
 func TestFlatOpenHookErrorDeterministicAcrossWorkers(t *testing.T) {
 	in := openExactInstance(t, 30, 6, 97)
 	p := groupPlacement(t, 30, 6, 2, 97)
@@ -441,11 +435,9 @@ func TestFlatOpenHookErrorDeterministicAcrossWorkers(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("expected a duration-hook error")
 	}
-	for _, w := range flatWorkerCounts() {
-		_, err := RunFlatOpenSharded(in, p, order, arrive, opts, w)
-		if err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("workers=%d: err %v, want %v", w, err, wantErr)
-		}
+	_, err := RunFlatOpenSharded(in, p, order, arrive, opts)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("err %v, want %v", err, wantErr)
 	}
 }
 
@@ -483,7 +475,7 @@ func TestSatAddScaled(t *testing.T) {
 // shards of 65, 127, 128 and 192 machines the race path, the general
 // loop and the oracle must be byte-identical — across cancel costs, zero included,
 // arrival shapes (a t=0 burst, a steady stream, a sparse one that lets
-// the whole shard go dormant between tasks) and worker counts. Inputs
+// the whole shard go dormant between tasks). Inputs
 // are whole seconds, exact in float64 and in ticks. The general loop
 // is reached through an identity Duration hook, which disqualifies
 // race collapse without changing any duration; the shards-by-path
@@ -527,7 +519,7 @@ func TestFlatOpenWideRaceMatchesGeneralAndOracle(t *testing.T) {
 					hooked := opts
 					hooked.Duration = identity
 					before := raceShards.Load()
-					uniform, err := RunFlatOpenSharded(in, pc.p, order, arrive, hooked, 1)
+					uniform, err := RunFlatOpenSharded(in, pc.p, order, arrive, hooked)
 					if err != nil {
 						t.Fatalf("%s: general loop: %v", label, err)
 					}
@@ -535,17 +527,15 @@ func TestFlatOpenWideRaceMatchesGeneralAndOracle(t *testing.T) {
 						t.Fatalf("%s: hooked run took the race path on %d shards", label, d)
 					}
 					requireSameOpenResult(t, label+"/uniform", uniform, want)
-					for _, w := range flatWorkerCounts() {
-						before := raceShards.Load()
-						got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts, w)
-						if err != nil {
-							t.Fatalf("%s/workers=%d: race path: %v", label, w, err)
-						}
-						if d := raceShards.Load() - before; d != pc.shards {
-							t.Fatalf("%s/workers=%d: %d shards on the race path, want %d", label, w, d, pc.shards)
-						}
-						requireSameOpenResult(t, label+"/workers="+itoa(w), got, want)
+					before = raceShards.Load()
+					got, err := RunFlatOpenSharded(in, pc.p, order, arrive, opts)
+					if err != nil {
+						t.Fatalf("%s: race path: %v", label, err)
 					}
+					if d := raceShards.Load() - before; d != pc.shards {
+						t.Fatalf("%s: %d shards on the race path, want %d", label, d, pc.shards)
+					}
+					requireSameOpenResult(t, label, got, want)
 				}
 			}
 		}
@@ -589,11 +579,9 @@ func TestFlatOpenSaturationIsAnError(t *testing.T) {
 		{"uniform/wake-up", placement.Everywhere(3, 2), hookedWake},
 		{"general/wake-up", mixed, wake},
 	} {
-		for _, w := range []int{1, 2} {
-			_, err := RunFlatOpenSharded(in, c.p, identityOrder(3), make([]float64, 3), c.opts, w)
-			if !errors.Is(err, tick.ErrOverflow) {
-				t.Errorf("%s/workers=%d: err = %v, want tick.ErrOverflow", c.name, w, err)
-			}
+		_, err := RunFlatOpenSharded(in, c.p, identityOrder(3), make([]float64, 3), c.opts)
+		if !errors.Is(err, tick.ErrOverflow) {
+			t.Errorf("%s: err = %v, want tick.ErrOverflow", c.name, err)
 		}
 	}
 }
@@ -637,7 +625,7 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 		}
 	}
 	d := delta(func() {
-		if _, err := RunFlatSharded(in, mixed, order, FlatOptions{}, 2); err != nil {
+		if _, err := RunFlatSharded(in, mixed, order, FlatOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -658,7 +646,7 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 	d = delta(func() {
 		var err error
 		res, err = RunFlatOpenSharded(in, everywhere, order, make([]float64, 60),
-			OpenOptions{Policy: CancelOnCompletion, Duration: identity}, 1)
+			OpenOptions{Policy: CancelOnCompletion, Duration: identity})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +665,7 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 	pinned.Sets[0] = []int{2}
 	d = delta(func() {
 		if _, err := RunFlatOpenSharded(in, pinned, order, arrive,
-			OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}, 1); err != nil {
+			OpenOptions{Policy: CancelOnCompletion, CancelCost: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -692,7 +680,7 @@ func TestFlatEnginesExportRunCounters(t *testing.T) {
 		d = delta(func() {
 			var err error
 			res, err = RunFlatOpenSharded(in, everywhere, order, arrive,
-				OpenOptions{Policy: CancelOnCompletion, CancelCost: cost}, 1)
+				OpenOptions{Policy: CancelOnCompletion, CancelCost: cost})
 			if err != nil {
 				t.Fatal(err)
 			}

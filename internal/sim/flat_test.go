@@ -77,7 +77,7 @@ func groupPlacement(t *testing.T, n, m, k int, seed uint64) *placement.Placement
 }
 
 // mixedPlacement mixes singleton, group, and everywhere sets in one
-// instance so a single run exercises replayLinear and runSpanTree
+// instance so a single run exercises replayLinear and replayGeneral
 // shards side by side (plus the big component they all merge into for
 // the tasks placed everywhere — exercised by sharedCases instead).
 func mixedPlacement(n, m int, seed uint64) *placement.Placement {
@@ -280,7 +280,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestFlatShardedMatchesRun is the core satellite-1 differential:
-// RunSharded at every worker count is byte-identical — assignment by
+// RunSharded is byte-identical — assignment by
 // assignment, trace event by trace event — to the sequential flat Run,
 // across all placement families.
 func TestFlatShardedMatchesRun(t *testing.T) {
@@ -292,13 +292,11 @@ func TestFlatShardedMatchesRun(t *testing.T) {
 		if err := want.Schedule.Verify(c.in, c.p); err != nil {
 			t.Fatalf("%s: sequential flat schedule invalid: %v", c.name, err)
 		}
-		for _, w := range flatWorkerCounts() {
-			got, err := RunFlatSharded(c.in, c.p, c.order, FlatOptions{Trace: true}, w)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: RunSharded: %v", c.name, w, err)
-			}
-			requireSameResult(t, c.name+"/workers="+itoa(w), got, want)
+		got, err := RunFlatSharded(c.in, c.p, c.order, FlatOptions{Trace: true})
+		if err != nil {
+			t.Fatalf("%s: RunSharded: %v", c.name, err)
 		}
+		requireSameResult(t, c.name, got, want)
 	}
 }
 
@@ -330,13 +328,11 @@ func TestFlatMatchesEventEngineExact(t *testing.T) {
 			{"all", in, placement.Everywhere(s.n, s.m), order},
 		}, sharedCases(t, in, s.k, s.seed)...) {
 			want := oracleRun(in, c.p, c.order, FlatOptions{Trace: true})
-			for _, w := range flatWorkerCounts() {
-				got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true}, w)
-				if err != nil {
-					t.Fatalf("%s: flat workers=%d: %v", c.name, w, err)
-				}
-				requireSameResult(t, c.name+"/cross-engine/workers="+itoa(w), got, want)
+			got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true})
+			if err != nil {
+				t.Fatalf("%s: flat: %v", c.name, err)
 			}
+			requireSameResult(t, c.name+"/cross-engine", got, want)
 		}
 	}
 }
@@ -377,7 +373,7 @@ func crashPlan(p *placement.Placement, seed uint64, count int) []Failure {
 
 // TestFlatFailuresMatchSequential differentially tests the fail-stop
 // loop: a run with Failures must match oracleRunFailures — same
-// surviving schedule or the very same error — at every worker count.
+// surviving schedule or the very same error — sharded.
 func TestFlatFailuresMatchSequential(t *testing.T) {
 	shapes := []struct {
 		n, m, k int
@@ -406,26 +402,24 @@ func TestFlatFailuresMatchSequential(t *testing.T) {
 			for round := uint64(0); round < 4; round++ {
 				failures := crashPlan(p, s.seed*101+round, int(round)+1)
 				wantSched, wantErr := oracleRunFailures(in, p, order, failures)
-				for _, w := range flatWorkerCounts() {
-					got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
-					if (err == nil) != (wantErr == nil) {
-						t.Fatalf("p%d round %d workers=%d: err = %v, sequential err = %v",
-							pi, round, w, err, wantErr)
+				got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures})
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("p%d round %d: err = %v, sequential err = %v",
+						pi, round, err, wantErr)
+				}
+				if err != nil {
+					if err.Error() != wantErr.Error() {
+						t.Fatalf("p%d round %d: err %q, sequential %q",
+							pi, round, err, wantErr)
 					}
-					if err != nil {
-						if err.Error() != wantErr.Error() {
-							t.Fatalf("p%d round %d workers=%d: err %q, sequential %q",
-								pi, round, w, err, wantErr)
-						}
-						if errors.Is(wantErr, ErrUnsurvivable) != errors.Is(err, ErrUnsurvivable) {
-							t.Fatalf("p%d round %d workers=%d: ErrUnsurvivable identity diverges", pi, round, w)
-						}
-						continue
+					if errors.Is(wantErr, ErrUnsurvivable) != errors.Is(err, ErrUnsurvivable) {
+						t.Fatalf("p%d round %d: ErrUnsurvivable identity diverges", pi, round)
 					}
-					if !reflect.DeepEqual(got.Schedule.Assignments, wantSched.Assignments) {
-						t.Fatalf("p%d round %d workers=%d: schedule diverges from the oracle",
-							pi, round, w)
-					}
+					continue
+				}
+				if !reflect.DeepEqual(got.Schedule.Assignments, wantSched.Assignments) {
+					t.Fatalf("p%d round %d: schedule diverges from the oracle",
+						pi, round)
 				}
 			}
 		}
@@ -444,21 +438,19 @@ func TestFlatFailureBoundaryCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	for _, w := range flatWorkerCounts() {
-		got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
-			t.Errorf("workers=%d: boundary-crash schedule diverges", w)
-		}
+	got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
+		t.Errorf("boundary-crash schedule diverges")
 	}
 }
 
 // TestFlatCrashLosesShardListTask crashes a machine in the middle of a
 // task it took from the shard list: the task is re-offered and runs on
 // the survivor, which meanwhile chose between its own queue and the
-// list — the oracle's schedule, at every worker count.
+// list — the oracle's schedule.
 func TestFlatCrashLosesShardListTask(t *testing.T) {
 	in := inst(t, 2, 1, 4, 4)
 	p := placement.Everywhere(3, 2)
@@ -472,14 +464,12 @@ func TestFlatCrashLosesShardListTask(t *testing.T) {
 	if a := want.Assignments[1]; a.Machine != 0 || a.Start.Seconds() != 5 {
 		t.Fatalf("task 1 = %+v, want a retry on machine 0 at t=5", a)
 	}
-	for _, w := range flatWorkerCounts() {
-		got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures}, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
-			t.Errorf("workers=%d: schedule %+v, want %+v", w, got.Schedule.Assignments, want.Assignments)
-		}
+	got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
+		t.Errorf("schedule %+v, want %+v", got.Schedule.Assignments, want.Assignments)
 	}
 }
 
@@ -497,7 +487,7 @@ func TestFlatDispatchCounters(t *testing.T) {
 	run := func(name string, p *placement.Placement, wantQueued int64) {
 		t.Helper()
 		q0, s0 := queued.Load(), shared.Load()
-		if _, err := RunFlatSharded(in, p, order, FlatOptions{}, 2); err != nil {
+		if _, err := RunFlatSharded(in, p, order, FlatOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if q, s := queued.Load()-q0, shared.Load()-s0; q != wantQueued || s != n-wantQueued {
@@ -518,13 +508,13 @@ func TestFlatDispatchCounters(t *testing.T) {
 	run("abo", abo, pinned)
 }
 
-// TestFlatRunnerReuseMatchesFresh carries one FlatRunner dirty across
+// TestFlatRunnerReuseMatchesFresh carries one Runner dirty across
 // instances of varying shape, a stealing run and a fail-stop run
 // between the plain ones: reuse must be invisible in the output, and a
 // crash that strands a task must fail the reused run exactly as it
 // fails a fresh one.
 func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
-	var reused FlatRunner
+	var reused Runner
 	for ci, in := range poolCases(t) {
 		seed := uint64(ci) + 7
 		cases := append([]flatCase{{"group", in, groupPlacement(t, in.N(), in.M, 2, seed), lptOrder(in)}},
@@ -533,8 +523,8 @@ func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 		for _, c := range cases {
 			for _, opts := range []FlatOptions{{Trace: true}, {Trace: true, FetchPenalty: 2}, {Failures: crashes}} {
 				label := "reuse case " + itoa(ci) + " " + c.name
-				got, gotErr := reused.RunSharded(in, c.p, c.order, opts, 2)
-				want, wantErr := RunFlatSharded(in, c.p, c.order, opts, 2)
+				got, gotErr := reused.RunSharded(in, c.p, c.order, opts)
+				want, wantErr := RunFlatSharded(in, c.p, c.order, opts)
 				if gotErr != nil || wantErr != nil {
 					if !errors.Is(wantErr, ErrUnsurvivable) || gotErr == nil || gotErr.Error() != wantErr.Error() {
 						t.Fatalf("%s: reused run error %v, fresh run error %v", label, gotErr, wantErr)
@@ -595,7 +585,7 @@ func itoa(v int) string { return strconv.Itoa(v) }
 // engine: in-range durations whose completion time clamps at tick.Max
 // — or whose fetch-penalized duration is itself past the range — fail
 // with the overflow error on the linear, heap and fail-stop paths
-// alike, at the same error for every worker count.
+// alike, at the same error sharded as in one global loop.
 func TestFlatSaturationIsAnError(t *testing.T) {
 	near := tick.Max.Seconds() * 0.75
 	in := &task.Instance{M: 2, Alpha: 1, Tasks: []task.Task{
@@ -622,10 +612,8 @@ func TestFlatSaturationIsAnError(t *testing.T) {
 			t.Errorf("%s: err = %v, want tick.ErrOverflow", c.name, want)
 			continue
 		}
-		for _, w := range flatWorkerCounts() {
-			if _, err := RunFlatSharded(in, c.p, identityOrder(3), c.opts, w); err == nil || err.Error() != want.Error() {
-				t.Errorf("%s/workers=%d: err = %v, want %v", c.name, w, err, want)
-			}
+		if _, err := RunFlatSharded(in, c.p, identityOrder(3), c.opts); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want %v", c.name, err, want)
 		}
 	}
 }

@@ -31,8 +31,8 @@ func partitionShards(p *placement.Placement) (machineShard, taskShard []int, nSh
 		machineShard[i] = int(s)
 	}
 	taskShard = make([]int, p.N())
-	for j, s := range ss.taskShard {
-		taskShard[j] = int(s)
+	for j, set := range p.Sets {
+		taskShard[j] = int(ss.shardOf[set[0]])
 	}
 	return machineShard, taskShard, ss.nShards, nil
 }
@@ -145,17 +145,15 @@ func FuzzGroupPartition(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RunFlat: %v", err)
 		}
-		for _, w := range []int{2, 3, 16} {
-			got, err := RunFlatSharded(in, p, order, FlatOptions{Trace: true}, w)
-			if err != nil {
-				t.Fatalf("RunFlatSharded(workers=%d): %v", w, err)
-			}
-			if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
-				t.Fatalf("workers=%d: merged schedule not a reassembly of the sequential run", w)
-			}
-			if !reflect.DeepEqual(got.Trace, want.Trace) {
-				t.Fatalf("workers=%d: merged trace diverges", w)
-			}
+		got, err := RunFlatSharded(in, p, order, FlatOptions{Trace: true})
+		if err != nil {
+			t.Fatalf("RunFlatSharded: %v", err)
+		}
+		if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
+			t.Fatalf("merged schedule not a reassembly of the sequential run")
+		}
+		if !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Fatalf("merged trace diverges")
 		}
 	})
 }
@@ -226,7 +224,7 @@ func checkOpenBatchCorner(t *testing.T, n, m int, alpha float64, seed uint64) {
 // placement is one of three: every task everywhere, every task on one of
 // two balanced groups, or a mixed shard — pinned, wide and 2–3-machine
 // sets side by side, under both policies. Three runs must equal
-// oracleRunOpen byte for byte at 1 and 3 workers: the engine as is (race
+// oracleRunOpen byte for byte, sharded: the engine as is (race
 // collapse on a uniform shard under cancel-on-completion, else the
 // general loop), the same inputs under an identity Duration hook, which
 // changes no duration but keeps every shard off race collapse, and the
@@ -308,22 +306,20 @@ func checkOpenTies(t *testing.T, n int, seed uint64) {
 		if policy == CancelOnCompletion {
 			race = raceable
 		}
-		for _, w := range []int{1, 3} {
-			for _, run := range []struct {
-				name string
-				opts OpenOptions
-				race int64
-			}{{"engine", opts, race}, {"hooked", hooked, 0}} {
-				before := raceShards.Load()
-				got, err := RunFlatOpenSharded(in, p, order, arrive, run.opts, w)
-				if err != nil {
-					t.Fatalf("%s/%s/workers=%d: %v", label, run.name, w, err)
-				}
-				if d := raceShards.Load() - before; d != run.race {
-					t.Fatalf("%s/%s/workers=%d: %d shards on the race path, want %d", label, run.name, w, d, run.race)
-				}
-				requireSameOpenResult(t, fmt.Sprintf("%s/%s/workers=%d", label, run.name, w), got, want)
+		for _, run := range []struct {
+			name string
+			opts OpenOptions
+			race int64
+		}{{"engine", opts, race}, {"hooked", hooked, 0}} {
+			before := raceShards.Load()
+			got, err := RunFlatOpenSharded(in, p, order, arrive, run.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", label, run.name, err)
 			}
+			if d := raceShards.Load() - before; d != run.race {
+				t.Fatalf("%s/%s: %d shards on the race path, want %d", label, run.name, d, run.race)
+			}
+			requireSameOpenResult(t, fmt.Sprintf("%s/%s", label, run.name), got, want)
 		}
 	}
 }
@@ -357,6 +353,7 @@ func FuzzRankSet(f *testing.F) {
 	f.Add(uint16(64), uint16(65), []byte{0, 63, 0, 2, 1, 0, 1, 63, 0})
 	f.Add(uint16(4096), uint16(4097), []byte{4, 0, 1, 5, 1, 2, 6, 0, 0, 3, 1, 1})
 	f.Add(uint16(5000), uint16(129), []byte{0, 255, 255, 2, 7, 7, 1, 3, 3, 9, 9, 9})
+	f.Add(uint16(0x8000|4160), uint16(3), []byte{1, 0, 0, 1, 0, 1, 5, 0, 64, 0, 0, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, sizeA, sizeB uint16, ops []byte) {
 		sizes := [2]int{1 + int(sizeA)%5000, 1 + int(sizeB)%5000}
 		var sets [2]rankSet
@@ -364,6 +361,12 @@ func FuzzRankSet(f *testing.F) {
 		end = sets[1].layout(end, sizes[1])
 		slab := make([]uint64, end)
 		model := [2][]bool{make([]bool, sizes[0]), make([]bool, sizes[1])}
+		if sizeA&0x8000 != 0 { // set 0 starts whole, as a batch shard's sets do
+			sets[0].fill(slab, sizes[0])
+			for x := range model[0] {
+				model[0][x] = true
+			}
+		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			op, v := ops[0], int(ops[1])<<8|int(ops[2])
 			which := int(op>>1) & 1

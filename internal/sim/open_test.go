@@ -34,7 +34,7 @@ var openShapes = []struct {
 // below pin: the flat engine through its shard decomposition.
 func runOpen(in *task.Instance, p *placement.Placement, order []int, arrive []float64,
 	opts sim.OpenOptions) (*sim.OpenResult, error) {
-	return sim.RunFlatOpenSharded(in, p, order, arrive, opts, 2)
+	return sim.RunFlatOpenSharded(in, p, order, arrive, opts)
 }
 
 func openInstance(t *testing.T, n, m int, seed uint64) *task.Instance {
@@ -227,11 +227,11 @@ func TestOpenLatePriorityArrival(t *testing.T) {
 }
 
 // TestOpenRunnerPoolingDifferential runs the same trials through one
-// reused sim.FlatOpenRunner (its unsharded Run; TestFlatOpenReuseMatchesFresh
-// reuses one across RunSharded calls) and through fresh package-level
+// reused sim.Runner (its unsharded RunOpen; TestFlatOpenReuseMatchesFresh
+// reuses one across RunOpenSharded calls) and through fresh package-level
 // calls; results must be deeply equal even as shapes vary between runs.
 func TestOpenRunnerPoolingDifferential(t *testing.T) {
-	var pooled sim.FlatOpenRunner
+	var pooled sim.Runner
 	for trial := 0; trial < 12; trial++ {
 		shape := openShapes[trial%len(openShapes)]
 		in := openInstance(t, shape.n, shape.m, 500+uint64(trial))
@@ -250,11 +250,11 @@ func TestOpenRunnerPoolingDifferential(t *testing.T) {
 		if trial%2 == 0 {
 			opts = sim.OpenOptions{Policy: sim.CancelOnStart}
 		}
-		fresh, err := new(sim.FlatOpenRunner).Run(in, p, order, arrive, opts)
+		fresh, err := new(sim.Runner).RunOpen(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pooled.Run(in, p, order, arrive, opts)
+		got, err := pooled.RunOpen(in, p, order, arrive, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

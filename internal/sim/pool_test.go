@@ -15,11 +15,11 @@ import (
 )
 
 // The pooling contract of the runner production code reuses
-// (algo.Scratch keeps a FlatRunner per pooled scratch): a runner carried
+// (algo.Scratch keeps a Runner per pooled scratch): a runner carried
 // dirty from run to run is indistinguishable from a fresh one, and the
 // Result it returns is its own, valid until its next run. These tests
 // go through the unsharded Run over an everywhere placement;
-// TestFlatRunnerReuseMatchesFresh carries a runner across RunSharded
+// TestRunnerReuseMatchesFresh carries a runner across RunSharded
 // calls over the placements that shard.
 
 // poolCases builds instances whose shapes deliberately vary — n and m
@@ -55,7 +55,7 @@ func everywhereLPT(in *task.Instance) (*placement.Placement, []int) {
 // field Reset misses would surface here as a difference on the first
 // shrink-then-grow transition.
 func TestRunnerReuseMatchesFreshRun(t *testing.T) {
-	var reused FlatRunner
+	var reused Runner
 	for ci, in := range poolCases(t) {
 		p, order := everywhereLPT(in)
 		got, err := reused.Run(in, p, order, FlatOptions{Trace: true})
@@ -71,13 +71,13 @@ func TestRunnerReuseMatchesFreshRun(t *testing.T) {
 }
 
 // TestRunnerResultInvalidatedByNextRun pins the ownership contract: the
-// Result returned by FlatRunner.Run aliases the runner's internal
+// Result returned by Runner.Run aliases the runner's internal
 // state, so callers must copy anything they keep. The test documents
 // the aliasing rather than fighting it — if this ever fails, the
-// contract comment on FlatRunner is stale, not the code.
+// contract comment on Runner is stale, not the code.
 func TestRunnerResultInvalidatedByNextRun(t *testing.T) {
 	ins := poolCases(t)
-	var r FlatRunner
+	var r Runner
 	p, order := everywhereLPT(ins[0])
 	first, err := r.Run(ins[0], p, order, FlatOptions{})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestRunnerResultInvalidatedByNextRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if firstSched != second.Schedule {
-		t.Fatalf("FlatRunner.Run returned a different *Schedule across calls; the pooling contract assumes reuse")
+		t.Fatalf("Runner.Run returned a different *Schedule across calls; the pooling contract assumes reuse")
 	}
 }
 
@@ -114,7 +114,7 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 		want[i] = res.Schedule.Makespan()
 	}
 
-	pool := sync.Pool{New: func() any { return new(FlatRunner) }}
+	pool := sync.Pool{New: func() any { return new(Runner) }}
 	const goroutines, rounds = 8, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -124,7 +124,7 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for i, in := range ins {
-					r := pool.Get().(*FlatRunner)
+					r := pool.Get().(*Runner)
 					res, err := r.Run(in, ps[i], orders[i], FlatOptions{})
 					if err == nil {
 						if got := res.Schedule.Makespan(); got != want[i] {
@@ -147,29 +147,30 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestRunnerResetZeroesSchedule locks the Reset contract: after
-// Reset(n, m), no assignment, trace event or stealing state from a
-// previous, larger run is visible.
+// TestRunnerResetZeroesSchedule locks the reset contract: after
+// reset(n, m), no assignment, trace event or mode (the stealing run's
+// fetch penalty) from a previous, larger run is visible; the slices
+// prepare regrows are TestRunnerReuseMatchesFreshRun's to hold.
 func TestRunnerResetZeroesSchedule(t *testing.T) {
-	var r FlatRunner
+	var r Runner
 	in := poolCases(t)[0]
 	p, order := everywhereLPT(in)
 	if _, err := r.Run(in, p, order, FlatOptions{Trace: true, FetchPenalty: 2}); err != nil {
 		t.Fatal(err)
 	}
-	r.Reset(3, 2)
+	r.reset(3, 2)
 	if len(r.res.Trace) != 0 {
-		t.Errorf("Reset left %d trace events", len(r.res.Trace))
+		t.Errorf("reset left %d trace events", len(r.res.Trace))
 	}
 	if len(r.sched.Assignments) != 3 || r.sched.M != 2 {
-		t.Fatalf("Reset shaped schedule as (%d tasks, M=%d), want (3, 2)",
+		t.Fatalf("reset shaped schedule as (%d tasks, M=%d), want (3, 2)",
 			len(r.sched.Assignments), r.sched.M)
 	}
 	if !reflect.DeepEqual(r.sched.Assignments, make([]sched.Assignment, 3)) {
-		t.Errorf("assignments not zeroed after Reset: %+v", r.sched.Assignments)
+		t.Errorf("assignments not zeroed after reset: %+v", r.sched.Assignments)
 	}
-	if len(r.started) != 0 || r.order != nil || r.stealHead != 0 {
-		t.Errorf("Reset left dispatch state: %d started flags, order %v, cursor %d",
-			len(r.started), r.order, r.stealHead)
+	if r.batch.FetchPenalty != 0 || len(r.crashes) != 0 || r.openRun {
+		t.Errorf("reset left dispatch state: fetch penalty %v, %d crashes, open %v",
+			r.batch.FetchPenalty, len(r.crashes), r.openRun)
 	}
 }

@@ -167,8 +167,7 @@ func batchMeans(xs []float64, batches int) (mean, se float64) {
 // TestOpenQueueingClosedForms holds the open engine's mean response to
 // the closed forms above within four batch-means standard errors, at
 // loads 0.3 and 0.6 on 1, 8 and 65 machines (65 is two cohort-mask
-// words), both policies, every placement the machine count allows, at
-// 1 and 3 workers where the placement has shards to spread.
+// words), both policies, every placement the machine count allows.
 func TestOpenQueueingClosedForms(t *testing.T) {
 	const (
 		n       = 8000
@@ -187,15 +186,12 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 				t.Fatal(err)
 			}
 			type cell struct {
-				name    string
-				p       *placement.Placement
-				want    func(form func(int, float64) float64) float64
-				workers []int
+				name string
+				p    *placement.Placement
+				want func(form func(int, float64) float64) float64
 			}
 			whole := func(form func(int, float64) float64) float64 { return form(m, lambda) }
-			// A one-shard run takes one worker whatever it is given, so
-			// only the two-group cells have a second worker count to test.
-			cells := []cell{{"everywhere", placement.Everywhere(n, m), whole, []int{1}}}
+			cells := []cell{{"everywhere", placement.Everywhere(n, m), whole}}
 			if m > 1 {
 				groups, err := placement.PartitionGroupsBalanced(m, 2)
 				if err != nil {
@@ -210,8 +206,8 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 				cells = append(cells,
 					cell{"groups", split, func(form func(int, float64) float64) float64 {
 						return (form(len(groups[0]), lambda/2) + form(len(groups[1]), lambda/2)) / 2
-					}, []int{1, 3}},
-					cell{"pinned", pinned, whole, []int{1}})
+					}},
+					cell{"pinned", pinned, whole})
 			}
 			for _, c := range cells {
 				for _, pol := range []struct {
@@ -224,17 +220,15 @@ func TestOpenQueueingClosedForms(t *testing.T) {
 					opts := pol.opts
 					opts.Duration = hook
 					want := c.want(pol.form)
-					for _, w := range c.workers {
-						label := fmt.Sprintf("ρ=%g/m=%d/%s/%v/workers=%d", rho, m, c.name, opts.Policy, w)
-						res, err := RunFlatOpenSharded(in, c.p, identityOrder(n), arrive, opts, w)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						mean, se := batchMeans(res.Responses, batches)
-						if math.Abs(mean-want) > 4*se {
-							t.Errorf("%s: mean response %.4f, closed form %.4f, %.1f standard errors (se %.4f)",
-								label, mean, want, math.Abs(mean-want)/se, se)
-						}
+					label := fmt.Sprintf("ρ=%g/m=%d/%s/%v", rho, m, c.name, opts.Policy)
+					res, err := RunFlatOpenSharded(in, c.p, identityOrder(n), arrive, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					mean, se := batchMeans(res.Responses, batches)
+					if math.Abs(mean-want) > 4*se {
+						t.Errorf("%s: mean response %.4f, closed form %.4f, %.1f standard errors (se %.4f)",
+							label, mean, want, math.Abs(mean-want)/se, se)
 					}
 				}
 			}

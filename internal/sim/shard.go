@@ -8,14 +8,14 @@ import (
 	"repro/internal/tick"
 )
 
-// Shards by the replay path that executed them, over both flat engines:
-// the counters that say whether a run's shards reached a fast path or
-// fell to the general loop. In the open engine, sim.shards_uniform is
-// the general loop's all-wide shards (ev-cos, say) and
-// sim.shards_general its mixed ones (ABO_Δ, say). The last two are the
-// batch engine's dispatch structure: per-machine queue entries built
-// (the Σ|M_j| term, 0 when every replica set is its whole shard) and
-// tasks handed out from a shard list.
+// Shards by the replay path that executed them, over both modes: the
+// counters that say whether a run's shards reached a fast path or fell
+// to the general loop. In an open run, sim.shards_uniform is the
+// general loop's all-wide shards (ev-cos, say) and sim.shards_general
+// its mixed ones (ABO_Δ, say); a batch run counts every shard off the
+// linear replay as general. The last two are a batch run's dispatch
+// structure: narrow-list entries built (the Σ|M_j| term, 0 when every
+// replica set is its whole shard) and tasks taken from a shared set.
 var (
 	shardsLinear     = obs.GetCounter("sim.shards_linear")
 	shardsUniform    = obs.GetCounter("sim.shards_uniform")
@@ -25,32 +25,13 @@ var (
 	sharedDispatches = obs.GetCounter("sim.shared_dispatches")
 )
 
-// spanStats is one worker's tally over the shards it executed: plain
-// ints bumped by the span loops and flushed to obs once per run, so
-// the per-event cost is an increment, never an atomic.
+// spanStats is a run's tally over the shards it executed: plain ints
+// bumped by the span loops and flushed to obs once per run, so the
+// per-event cost is an increment, never an atomic.
 type spanStats struct {
 	popped                         int64 // events popped
 	linear, uniform, race, general int64 // shards by path
-	queued, shared                 int64 // batch: queue entries built, shard-list dispatches
-}
-
-func (a *spanStats) add(b spanStats) {
-	a.popped += b.popped
-	a.linear += b.linear
-	a.uniform += b.uniform
-	a.race += b.race
-	a.general += b.general
-	a.queued += b.queued
-	a.shared += b.shared
-}
-
-func (a *spanStats) flushPaths() {
-	shardsLinear.Add(a.linear)
-	shardsUniform.Add(a.uniform)
-	shardsRace.Add(a.race)
-	shardsGeneral.Add(a.general)
-	queueEntries.Add(a.queued)
-	sharedDispatches.Add(a.shared)
+	shared                         int64 // batch: tasks taken from a shared set
 }
 
 // errSaturated is the shard error for a completion time that hit
@@ -78,33 +59,19 @@ func mLess(a, b mEvent) bool {
 	return a.m < b.m
 }
 
-// shardSet is the shard decomposition shared by the flat engines
-// (batch FlatRunner and open-system FlatOpenRunner): the connected
-// components of machines under the "appears in the same replica set"
-// relation, plus the task-side CSR bookkeeping both engines hang their
-// per-shard state on. It is embedded, so runners address the fields
-// directly (r.shardOf, r.taskShard, …).
+// shardSet is the Runner's shard decomposition, for batch and open
+// runs alike: the connected components of machines under the "appears
+// in the same replica set" relation, plus the task-side CSR bookkeeping
+// the runner hangs its per-shard state on. It is embedded, so the
+// runner addresses the fields directly (r.shardOf, r.shardTasks, …).
 type shardSet struct {
 	parent        []int32 // union-find scratch over machines
 	shardOf       []int32
 	shardMachines []int32
 	shardOff      []int32
-	taskShard     []int32
 	shardTaskOff  []int32
 	shardTasks    []int32
 	nShards       int
-}
-
-// reset truncates every slice, retaining capacity.
-func (ss *shardSet) reset() {
-	ss.parent = ss.parent[:0]
-	ss.shardOf = ss.shardOf[:0]
-	ss.shardMachines = ss.shardMachines[:0]
-	ss.shardOff = ss.shardOff[:0]
-	ss.taskShard = ss.taskShard[:0]
-	ss.shardTaskOff = ss.shardTaskOff[:0]
-	ss.shardTasks = ss.shardTasks[:0]
-	ss.nShards = 0
 }
 
 // partition decomposes the placement into shards: the connected
@@ -175,11 +142,6 @@ func (ss *shardSet) partition(p *placement.Placement) {
 		ss.shardMachines[ss.shardOff[s]+cur[s]] = int32(i)
 		cur[s]++
 	}
-
-	ss.taskShard = grow(ss.taskShard, n)
-	for j := 0; j < n; j++ {
-		ss.taskShard[j] = ss.shardOf[p.Sets[j][0]]
-	}
 }
 
 // wide reports whether set, a replica set of shard s, is the whole
@@ -206,7 +168,7 @@ func (ss *shardSet) find(x int32) int32 {
 // sequential entry points use: a single global event loop over all
 // machines, the reference the sharded paths are differentially tested
 // against.
-func (ss *shardSet) partitionTrivial(n, m int) {
+func (ss *shardSet) partitionTrivial(m int) {
 	ss.nShards = 1
 	ss.shardOf = growZero(ss.shardOf, m)
 	ss.shardMachines = grow(ss.shardMachines, m)
@@ -215,34 +177,21 @@ func (ss *shardSet) partitionTrivial(n, m int) {
 	}
 	ss.shardOff = grow(ss.shardOff, 2)
 	ss.shardOff[0], ss.shardOff[1] = 0, int32(m)
-	ss.taskShard = growZero(ss.taskShard, n)
 }
 
-// buildTaskOffsets fills shardTaskOff with per-shard task-count prefix
-// sums: shard s owns tasks [shardTaskOff[s], shardTaskOff[s+1]) of any
-// shard-grouped task CSR. Requires taskShard to be populated.
-func (ss *shardSet) buildTaskOffsets(n int) {
-	ss.shardTaskOff = growZero(ss.shardTaskOff, ss.nShards+1)
-	for j := 0; j < n; j++ {
-		ss.shardTaskOff[ss.taskShard[j]+1]++
-	}
-	for s := 0; s < ss.nShards; s++ {
-		ss.shardTaskOff[s+1] += ss.shardTaskOff[s]
-	}
-}
-
-// buildTaskLists fills shardTasks, the CSR (with buildTaskOffsets'
-// offsets) listing each shard's tasks in ascending task ID. Ascending
+// buildTaskLists fills shardTasks, the CSR (with the shardTaskOff
+// offsets: shard s owns tasks [shardTaskOff[s], shardTaskOff[s+1]) of
+// any shard-grouped task list) listing each shard's tasks in ascending task ID. Ascending
 // IDs matter to the open engine: arrival times are indexed by task ID
 // and non-decreasing, so each shard's slice is already its arrival
 // stream. The parent prefix is recycled as the fill cursor (the
 // union-find is never consulted again after partition).
-func (ss *shardSet) buildTaskLists(n int) {
+func (ss *shardSet) buildTaskLists(p *placement.Placement) {
 	cur := growZero(ss.parent, ss.nShards)
 	ss.parent = cur[:0]
-	ss.shardTasks = grow(ss.shardTasks, n)
-	for j := 0; j < n; j++ {
-		s := ss.taskShard[j]
+	ss.shardTasks = grow(ss.shardTasks, p.N())
+	for j, set := range p.Sets {
+		s := ss.shardOf[set[0]] // a replica set lies inside one shard
 		ss.shardTasks[ss.shardTaskOff[s]+cur[s]] = int32(j)
 		cur[s]++
 	}

@@ -9,18 +9,20 @@
 // index), ties toward the lower index, the usual List Scheduling
 // convention.
 //
-// There is one simulator, with two entry points that share a shard
-// decomposition (shard.go) and fixed-point time (internal/tick):
+// There is one simulator, Runner (flat.go), with two entry points over
+// one shard decomposition (shard.go), one set of pending structures
+// (rankset.go), one general event loop (spans.go) and fixed-point time
+// (internal/tick):
 //
-//   - FlatRunner (flat.go, spans.go): the batch model, every task
-//     released at time zero. FlatOptions attaches what a caller may
-//     vary — an execution trace, a per-(task, machine) duration hook,
+//   - RunSharded: the batch model, every task released at time zero.
+//     FlatOptions attaches what a caller may vary — an execution trace,
 //     fail-stop crashes with loss and retry, remote execution at a
 //     fetch penalty — as values on the one event loop;
-//   - FlatOpenRunner (flatopen.go): the open system, tasks
-//     arriving over time, response times instead of makespan, replicas
-//     racing under a CancelPolicy. Batch is its corner with every
-//     arrival at zero and CancelOnStart (TestFlatOpenMatchesBatch).
+//   - RunOpenSharded (flatopen.go holds what only it needs): the open
+//     system, tasks arriving over time, response times instead of
+//     makespan, replicas racing under a CancelPolicy. Batch is its
+//     corner with every arrival at zero and CancelOnStart
+//     (TestFlatOpenMatchesBatch).
 //
 // This file holds what both share: result and option types and the
 // replica-set predicates. The engines are checked against the oracle in
@@ -214,9 +216,9 @@ type OpenOptions struct {
 	Duration func(taskID, machine int) float64
 }
 
-// OpenResult bundles the outcome of an open-system run. A
-// FlatOpenRunner owns the result it returns (valid until its next
-// call); the package-level entry points return caller-owned state.
+// OpenResult bundles the outcome of an open-system run. A Runner owns
+// the result it returns (valid until its next call); the package-level
+// entry points return caller-owned state.
 type OpenResult struct {
 	// Schedule records the winning replica of every task (the copy
 	// whose completion defined the task's response time). Cancelled

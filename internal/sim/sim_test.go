@@ -209,7 +209,7 @@ func TestGroupPlacementStaysInGroup(t *testing.T) {
 	if err := p.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFlatSharded(in, p, identityOrder(40), FlatOptions{}, 2)
+	res, err := RunFlatSharded(in, p, identityOrder(40), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

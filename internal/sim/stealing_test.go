@@ -108,11 +108,9 @@ func TestStealingRejectsBadPenalty(t *testing.T) {
 		{"infinite", "fetch penalty", FlatOptions{FetchPenalty: math.Inf(1)}},
 		{"with Failures", "cannot be combined", FlatOptions{FetchPenalty: 2, Failures: []Failure{{Machine: 0, Time: 1}}}},
 	} {
-		for _, workers := range []int{1, 2} {
-			_, err := RunFlatSharded(in, p, identityOrder(2), c.opts, workers)
-			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantSub)
-			}
+		_, err := RunFlatSharded(in, p, identityOrder(2), c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantSub)
 		}
 	}
 }
@@ -122,7 +120,7 @@ func TestStealingRejectsBadPenalty(t *testing.T) {
 // flat engine runs every task on the oracle's machine — byte for byte,
 // trace included, on whole-second durations (exact in ticks under
 // every φ of the sweep), within the quantization bound on continuous
-// ones — at every worker count, and its schedule verifies under the
+// ones — sharded, and its schedule verifies under the
 // penalized durations.
 func TestStealingMatchesOracle(t *testing.T) {
 	whole := openExactInstance(t, 48, 6, 71)
@@ -139,26 +137,24 @@ func TestStealingMatchesOracle(t *testing.T) {
 			label := c.name + "/phi=" + strconv.FormatFloat(phi, 'g', -1, 64)
 			opts := FlatOptions{Trace: true, FetchPenalty: phi}
 			want := oracleRun(c.in, c.p, c.order, opts)
-			for _, w := range flatWorkerCounts() {
-				got, err := RunFlatSharded(c.in, c.p, c.order, opts, w)
-				if err != nil {
-					t.Fatalf("%s/workers=%d: %v", label, w, err)
+			got, err := RunFlatSharded(c.in, c.p, c.order, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if ci < len(exact) {
+				requireSameResult(t, label, got, want)
+			} else {
+				requireCloseSchedule(t, label, c.in.N(), got.Schedule, want.Schedule)
+			}
+			in, p := c.in, c.p
+			penalized := func(j, i int) float64 {
+				if machineEligible(p, j, i) {
+					return in.Tasks[j].Actual
 				}
-				if ci < len(exact) {
-					requireSameResult(t, label+"/workers="+itoa(w), got, want)
-				} else {
-					requireCloseSchedule(t, label+"/workers="+itoa(w), c.in.N(), got.Schedule, want.Schedule)
-				}
-				in, p := c.in, c.p
-				penalized := func(j, i int) float64 {
-					if machineEligible(p, j, i) {
-						return in.Tasks[j].Actual
-					}
-					return in.Tasks[j].Actual * phi
-				}
-				if err := got.Schedule.VerifyDurations(in, p, penalized); err != nil {
-					t.Fatalf("%s/workers=%d: schedule fails VerifyDurations: %v", label, w, err)
-				}
+				return in.Tasks[j].Actual * phi
+			}
+			if err := got.Schedule.VerifyDurations(in, p, penalized); err != nil {
+				t.Fatalf("%s: schedule fails VerifyDurations: %v", label, err)
 			}
 		}
 	}

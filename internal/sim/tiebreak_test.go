@@ -49,7 +49,7 @@ func TestEventQueueTiedPopOrder(t *testing.T) {
 
 // TestTickHeapTiedPopOrder audits the batch engine's event tree
 // (loadheap.Tree over ticks, leaves in machine order) the way
-// runSpanTree and failureLoop use it: 24 machines whose ticks tie in
+// replayGeneral and failureLoop use it: 24 machines whose ticks tie in
 // blocks (int64 equality, no float fuzz), set in shuffled order, must
 // come out in the total (tick, machine) order as each winner retires
 // to tick.Max; and two retired machines re-set into the block still
@@ -143,7 +143,7 @@ func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	}
 
 	// Survivable same-instant ties: schedules must match exactly too,
-	// in the oracle and in the engine at several worker counts.
+	// in the oracle and in the sharded engine.
 	sfwd := []Failure{{Machine: 1, Time: 2}, {Machine: 3, Time: 2}}
 	srev := []Failure{{Machine: 3, Time: 2}, {Machine: 1, Time: 2}}
 	wantSched, err := oracleRunFailures(in, p, order, sfwd)
@@ -157,15 +157,13 @@ func TestFailureCrashOrderIndependentOfInput(t *testing.T) {
 	if !reflect.DeepEqual(gotSched.Assignments, wantSched.Assignments) {
 		t.Fatal("oracle schedule depends on crash input order")
 	}
-	for _, w := range []int{1, 2, 8} {
-		for _, fs := range [][]Failure{sfwd, srev} {
-			res, err := RunFlatSharded(in, p, order, FlatOptions{Failures: fs}, w)
-			if err != nil {
-				t.Fatalf("flat workers=%d: %v", w, err)
-			}
-			if !reflect.DeepEqual(res.Schedule.Assignments, wantSched.Assignments) {
-				t.Fatalf("flat workers=%d: schedule depends on crash input order", w)
-			}
+	for _, fs := range [][]Failure{sfwd, srev} {
+		res, err := RunFlatSharded(in, p, order, FlatOptions{Failures: fs})
+		if err != nil {
+			t.Fatalf("flat: %v", err)
+		}
+		if !reflect.DeepEqual(res.Schedule.Assignments, wantSched.Assignments) {
+			t.Fatalf("flat: schedule depends on crash input order")
 		}
 	}
 }

@@ -133,20 +133,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g±%.2g std=%.3g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
 		s.N, s.Mean, s.CI95(), s.Std, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
-
-// GeoMean returns the geometric mean of positive xs (0 for an empty
-// sample). Non-positive entries cause a panic: competitive ratios are
-// always positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}

@@ -161,24 +161,6 @@ func TestQuantileBoundaryValuesAccepted(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); got != 2 {
-		t.Fatalf("GeoMean = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %v", got)
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 func TestSummaryOrderingProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {

@@ -1,7 +1,7 @@
 // Package tick fixes simulated time to int64 nanoticks so the
 // simulator's event queue compares integers instead of floats.
 //
-// One tick is 1e-9 simulated seconds. The simulator (sim.FlatRunner)
+// One tick is 1e-9 simulated seconds. The simulator (sim.Runner)
 // converts every duration to ticks once at the edge, runs the whole
 // event loop on int64 arithmetic — total ordering, no NaN, no negative
 // zero, associative addition — and writes ticks into the schedule,

@@ -22,11 +22,8 @@ var surfaceKeep = map[string]string{
 	"Placement.UnmarshalJSON": "encoding/json calls it through json.Unmarshaler",
 	"Schedule.MarshalJSON":    "encoding/json calls it through json.Marshaler",
 	"Schedule.UnmarshalJSON":  "encoding/json calls it through json.Unmarshaler",
-	// Only tests call these four; see ROADMAP 18.
-	"Source.Perm":    "the algo and sim tests draw permutations from it, and a _test.go file cannot export it to them",
-	"Source.Int63":   "kept with TestInt63NonNegative until rng's test-only draws go together",
-	"Source.Shuffle": "kept with TestShuffleKeepsElements until rng's test-only draws go together",
-	"GeoMean":        "kept with TestGeoMean and TestGeoMeanPanicsOnNonPositive; cmd/bench has its own geomean",
+	// Only tests call this one; see ROADMAP 18.
+	"Source.Perm": "the algo and sim tests draw permutations from it, and a _test.go file cannot export it to them",
 }
 
 // TestEveryExportedFuncHasANonTestCaller holds the internal packages to
