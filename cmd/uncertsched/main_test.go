@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestRunGeneratedWorkload(t *testing.T) {
-	err := run("ls-group:2", "uniform", "", 20, 4, 1.5, 0, 1, "uniform", false, true, "", 0)
+	err := run(io.Discard, "ls-group:2", "uniform", "", 20, 4, 1.5, 0, 1, "uniform", false, true, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +17,7 @@ func TestRunGeneratedWorkload(t *testing.T) {
 
 func TestRunWithGanttAndSVG(t *testing.T) {
 	svg := filepath.Join(t.TempDir(), "out.svg")
-	err := run("lpt-norestriction", "zipf", "", 15, 3, 2, 0, 2, "extremes", true, false, svg, 5)
+	err := run(io.Discard, "lpt-norestriction", "zipf", "", 15, 3, 2, 0, 2, "extremes", true, false, svg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,34 +36,34 @@ func TestRunFromInstanceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("lpt-nochoice", "", path, 0, 0, 0, 0, 0, "", false, true, "", 0); err != nil {
+	if err := run(io.Discard, "lpt-nochoice", "", path, 0, 0, 0, 0, 0, "", false, true, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCompare(t *testing.T) {
-	if err := runCompare("uniform", "", 24, 6, 1.5, 0, 1, "uniform"); err != nil {
+	if err := runCompare(io.Discard, "uniform", "", 24, 6, 1.5, 0, 1, "uniform"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCompareErrors(t *testing.T) {
-	if err := runCompare("bogus", "", 10, 2, 1.5, 0, 1, "uniform"); err == nil {
+	if err := runCompare(io.Discard, "bogus", "", 10, 2, 1.5, 0, 1, "uniform"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("bogus", "uniform", "", 10, 2, 1.5, 0, 1, "uniform", false, true, "", 0); err == nil {
+	if err := run(io.Discard, "bogus", "uniform", "", 10, 2, 1.5, 0, 1, "uniform", false, true, "", 0); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run("lpt-nochoice", "bogus", "", 10, 2, 1.5, 0, 1, "uniform", false, true, "", 0); err == nil {
+	if err := run(io.Discard, "lpt-nochoice", "bogus", "", 10, 2, 1.5, 0, 1, "uniform", false, true, "", 0); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := run("lpt-nochoice", "uniform", "", 10, 2, 1.5, 0, 1, "bogus", false, true, "", 0); err == nil {
+	if err := run(io.Discard, "lpt-nochoice", "uniform", "", 10, 2, 1.5, 0, 1, "bogus", false, true, "", 0); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := run("lpt-nochoice", "", "/nonexistent.json", 0, 0, 0, 0, 0, "", false, true, "", 0); err == nil {
+	if err := run(io.Discard, "lpt-nochoice", "", "/nonexistent.json", 0, 0, 0, 0, 0, "", false, true, "", 0); err == nil {
 		t.Error("missing instance file accepted")
 	}
 }
