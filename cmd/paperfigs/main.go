@@ -25,8 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/experiments"
@@ -46,46 +44,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperfigs:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "paperfigs:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs: cpuprofile:", err)
-			}
-		}()
-	}
-
 	opts := experiments.Options{Quick: *quick, Seed: *seed, Workers: *workers}
-	err := run(*exp, *outDir, opts)
-
-	if *memprofile != "" {
-		if f, ferr := os.Create(*memprofile); ferr == nil {
-			runtime.GC()
-			if werr := pprof.WriteHeapProfile(f); werr != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs: memprofile:", werr)
-			}
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs: memprofile:", cerr)
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "paperfigs: memprofile:", ferr)
-		}
-	}
-	if *stats {
-		fmt.Fprintln(os.Stderr, "--- paperfigs internal stats ---")
-		if werr := obs.Write(os.Stderr); werr != nil {
-			fmt.Fprintln(os.Stderr, "paperfigs: stats:", werr)
-		}
-	}
+	prof := obs.Profile{Prog: "paperfigs", CPU: *cpuprofile, Mem: *memprofile, Stats: *stats}
+	err := prof.Run(os.Stderr, func() error { return run(*exp, *outDir, opts) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)

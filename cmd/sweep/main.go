@@ -26,8 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -61,45 +59,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep: cpuprofile:", err)
-			}
-		}()
-	}
-
-	err := run(*mode, *m, *n, *alphas, *alpha2, *rho, *trials, *seed, *wl, *workers)
-
-	if *memprofile != "" {
-		if f, ferr := os.Create(*memprofile); ferr == nil {
-			runtime.GC()
-			if werr := pprof.WriteHeapProfile(f); werr != nil {
-				fmt.Fprintln(os.Stderr, "sweep: memprofile:", werr)
-			}
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "sweep: memprofile:", cerr)
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "sweep: memprofile:", ferr)
-		}
-	}
-	if *statsFlag {
-		fmt.Fprintln(os.Stderr, "--- sweep internal stats ---")
-		if werr := obs.Write(os.Stderr); werr != nil {
-			fmt.Fprintln(os.Stderr, "sweep: stats:", werr)
-		}
-	}
+	prof := obs.Profile{Prog: "sweep", CPU: *cpuprofile, Mem: *memprofile, Stats: *statsFlag}
+	err := prof.Run(os.Stderr, func() error {
+		return run(*mode, *m, *n, *alphas, *alpha2, *rho, *trials, *seed, *wl, *workers)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)

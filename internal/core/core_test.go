@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/adversary"
+	"repro/internal/algo"
 	"repro/internal/bounds"
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -25,26 +26,31 @@ func TestRunAllStrategies(t *testing.T) {
 		{Strategy: NoReplication},
 		{Strategy: ReplicateEverywhere},
 		{Strategy: Groups, Groups: 2},
-		{Strategy: Groups, Groups: 3, UseLPTWithinGroups: true},
 		{Strategy: BaselineLS},
 		{Strategy: Oracle},
 	}
-	for _, cfg := range cfgs {
-		out, err := Run(in, cfg)
+	check := func(name string, out *Outcome, err error) {
 		if err != nil {
-			t.Fatalf("%v: %v", cfg.Strategy, err)
+			t.Fatalf("%v: %v", name, err)
 		}
 		if out.Makespan <= 0 {
-			t.Errorf("%v: non-positive makespan", cfg.Strategy)
+			t.Errorf("%v: non-positive makespan", name)
 		}
 		if out.RatioLower > out.RatioUpper+1e-12 {
 			t.Errorf("%v: ratio bracket inverted: [%v, %v]",
-				cfg.Strategy, out.RatioLower, out.RatioUpper)
+				name, out.RatioLower, out.RatioUpper)
 		}
 		if out.RatioLower < 1-1e-9 {
-			t.Errorf("%v: ratio lower %v below 1", cfg.Strategy, out.RatioLower)
+			t.Errorf("%v: ratio lower %v below 1", name, out.RatioLower)
 		}
 	}
+	for _, cfg := range cfgs {
+		out, err := Run(in, cfg)
+		check(cfg.Strategy.String(), out, err)
+	}
+	// LPT-Group has no Strategy: the algorithm-keyed entry runs it.
+	out, err := new(Runner).RunAlgorithm(in, algo.LPTGroup(3), 0)
+	check("lpt-group:3", out, err)
 }
 
 func TestReplicasPerTaskByStrategy(t *testing.T) {
@@ -152,38 +158,6 @@ func TestRatioNeverExceedsGuaranteeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompareMatchesIndividualRuns(t *testing.T) {
-	in := sampleInstance(7)
-	cfgs := []Config{
-		{Strategy: NoReplication},
-		{Strategy: Groups, Groups: 3},
-		{Strategy: ReplicateEverywhere},
-	}
-	outs, err := Compare(in, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(cfgs) {
-		t.Fatalf("got %d outcomes", len(outs))
-	}
-	for i, cfg := range cfgs {
-		want, err := Run(in, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if outs[i].Makespan != want.Makespan {
-			t.Errorf("config %d: Compare %v != Run %v", i, outs[i].Makespan, want.Makespan)
-		}
-	}
-}
-
-func TestCompareSurfacesErrors(t *testing.T) {
-	in := sampleInstance(8)
-	if _, err := Compare(in, []Config{{Strategy: Groups, Groups: 5}}); err == nil {
-		t.Fatal("bad config accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -29,7 +30,7 @@ func referencePlan(t *testing.T, in *task.Instance, cfg Config) (*placement.Plac
 }
 
 // TestOpenSystemEngines holds the open-system pipeline to the engine it
-// wires: RunOpenSystem's result is sim.RunFlatOpenSharded's on one
+// wires: RunOpenSystem's result is sim.Runner.RunOpenSharded's on one
 // worker over the plan's placement and order, bit for bit, across
 // strategies and cancellation policies. (That the engine is right is internal/sim's
 // differential suite against its oracle; worker-count invariance is
@@ -51,7 +52,8 @@ func TestOpenSystemEngines(t *testing.T) {
 	}
 	for _, cfg := range cfgs {
 		p, order := referencePlan(t, in, cfg.Config)
-		want, err := sim.RunFlatOpenSharded(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost})
+		var r sim.Runner
+		want, err := r.RunOpenSharded(in, p, order, arrive, sim.OpenOptions{Policy: cfg.Policy, CancelCost: cfg.CancelCost})
 		if err != nil {
 			t.Fatalf("%v/%v: engine: %v", cfg.Strategy, cfg.Policy, err)
 		}
@@ -73,34 +75,38 @@ func TestOpenSystemEngines(t *testing.T) {
 }
 
 // TestFlatEngineMatchesEventEngine holds the batch pipeline to the
-// engine it wires, the same way: Run's schedule is the unsharded
-// sim.RunFlat's over the plan's placement and order, bit for bit, for
-// every strategy.
+// engine it wires, the same way: RunAlgorithm's schedule — the one Run
+// resolves every Strategy onto — is the unsharded sim.RunFlat's over
+// the algorithm's placement and order, bit for bit, for every strategy.
 func TestFlatEngineMatchesEventEngine(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "zipf", N: 80, M: 12, Alpha: 1.8, Seed: 5})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(55))
-	cfgs := []Config{
-		{Strategy: NoReplication},
-		{Strategy: ReplicateEverywhere},
-		{Strategy: Groups, Groups: 4},
-		{Strategy: Groups, Groups: 4, UseLPTWithinGroups: true},
-		{Strategy: BaselineLS},
+	algs := []algo.Algorithm{
+		algo.LPTNoChoice(),
+		algo.LPTNoRestriction(),
+		algo.LSGroup(4),
+		algo.LPTGroup(4),
+		algo.LSNoRestriction(),
 	}
-	for _, cfg := range cfgs {
-		p, order := referencePlan(t, in, cfg)
-		want, err := sim.RunFlat(in, p, order, sim.FlatOptions{})
+	var r Runner
+	for _, a := range algs {
+		p, err := a.Place(in)
 		if err != nil {
-			t.Fatalf("%v: unsharded engine: %v", cfg.Strategy, err)
+			t.Fatal(err)
 		}
-		got, err := Run(in, cfg)
+		want, err := sim.RunFlat(in, p, a.Order(in), sim.FlatOptions{})
 		if err != nil {
-			t.Fatalf("%v: %v", cfg.Strategy, err)
+			t.Fatalf("%v: unsharded engine: %v", a.Name(), err)
+		}
+		got, err := r.RunAlgorithm(in, a, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", a.Name(), err)
 		}
 		if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
-			t.Fatalf("%v: schedule differs from the unsharded engine's", cfg.Strategy)
+			t.Fatalf("%v: schedule differs from the unsharded engine's", a.Name())
 		}
 		if wm := want.Schedule.Makespan(); got.Makespan != wm {
-			t.Fatalf("%v: makespan %v, unsharded engine %v", cfg.Strategy, got.Makespan, wm)
+			t.Fatalf("%v: makespan %v, unsharded engine %v", a.Name(), got.Makespan, wm)
 		}
 	}
 }

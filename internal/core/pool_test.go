@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -18,7 +19,6 @@ func poolConfigs() []Config {
 		{Strategy: NoReplication},
 		{Strategy: Groups, Groups: 3},
 		{Strategy: ReplicateEverywhere},
-		{Strategy: Groups, Groups: 2, UseLPTWithinGroups: true},
 		{Strategy: Oracle},
 	}
 }
@@ -75,6 +75,17 @@ func TestRunnerMatchesPackageRun(t *testing.T) {
 			}
 			outcomesEqual(t, got, want)
 		}
+		// LPT-Group has no Strategy: the algorithm-keyed entry runs it,
+		// between one seed's Oracle run and the next seed's first.
+		got, err := reused.RunAlgorithm(sampleInstance(seed), algo.LPTGroup(2), 0)
+		if err != nil {
+			t.Fatalf("seed %d lpt-group:2: reused: %v", seed, err)
+		}
+		want, err := new(Runner).RunAlgorithm(sampleInstance(seed), algo.LPTGroup(2), 0)
+		if err != nil {
+			t.Fatalf("seed %d lpt-group:2: fresh: %v", seed, err)
+		}
+		outcomesEqual(t, got, want)
 	}
 }
 

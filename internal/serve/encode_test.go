@@ -6,7 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/algo"
+	"repro/internal/core"
 	"repro/internal/placement"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -110,7 +110,7 @@ func TestAppendResponseMatchesTheEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := s.runSchedule(req, new(algo.Scratch))
+		resp, err := s.runSchedule(req, new(core.Runner))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,34 +2,30 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
-	"repro/internal/opt"
-	"repro/internal/sim"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
-// scratchPool recycles solver state — radix, queue and placement
-// buffers, 318 KB of an n=2,000 request when built fresh — across the
-// requests of a schedd. A response built on one is the scratch's until
-// its next Execute, so every taker encodes before it puts back; and
-// puts back inline, not by defer, so the state a panic interrupted is
-// dropped rather than handed to the next request.
-var scratchPool = sync.Pool{New: func() any { return new(algo.Scratch) }}
+// runnerPool recycles solver state — radix, queue, placement and
+// scoring buffers, 318 KB of an n=2,000 request when built fresh —
+// across the requests of a schedd. A response built on one is the
+// runner's until its next run, so every taker encodes before it puts
+// back; and puts back inline, not by defer, so the state a panic
+// interrupted is dropped rather than handed to the next request.
+var runnerPool = sync.Pool{New: func() any { return new(core.Runner) }}
 
-// runSchedule is the core of /v1/schedule: resolve the algorithm,
-// execute both phases on the caller's solver state, score against the
-// optimum bracket, and check the analytic guarantee. The solver state
-// owns the response's placement and schedule.
-func (s *Server) runSchedule(req *ScheduleRequest, sc *algo.Scratch) (*ScheduleResponse, error) {
+// runSchedule is the core of /v1/schedule: resolve the algorithm, run
+// and score it on the caller's solver state (core.Runner), and check
+// the analytic guarantee. The solver state owns the response's
+// placement and schedule.
+func (s *Server) runSchedule(req *ScheduleRequest, r *core.Runner) (*ScheduleResponse, error) {
 	a, err := algo.New(req.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sc.Execute(req.Instance, a)
 	if err != nil {
 		return nil, err
 	}
@@ -42,58 +38,46 @@ func (s *Server) runSchedule(req *ScheduleRequest, sc *algo.Scratch) (*ScheduleR
 	if req.ExactLimit > 0 && req.ExactLimit < exactLimit {
 		exactLimit = req.ExactLimit
 	}
-	optimum := opt.Estimate(req.Instance.Actuals(), req.Instance.M, exactLimit)
+	out, err := r.RunAlgorithm(req.Instance, a, exactLimit)
+	if err != nil {
+		return nil, err
+	}
 	resp := &ScheduleResponse{
-		Algorithm: res.Algorithm,
+		Algorithm: out.Algorithm,
 		N:         req.Instance.N(),
 		M:         req.Instance.M,
 		Alpha:     req.Instance.Alpha,
-		Makespan:  res.Makespan,
-		Placement: res.Placement,
-		Schedule:  res.Schedule,
+		Makespan:  out.Makespan,
+		Placement: out.Placement,
+		Schedule:  out.Schedule,
 		Optimum: OptimumInfo{
-			Lower:  optimum.Lower,
-			Upper:  optimum.Upper,
-			Exact:  optimum.Exact,
-			Method: optimum.Method,
+			Lower:  out.Optimum.Lower,
+			Upper:  out.Optimum.Upper,
+			Exact:  out.Optimum.Exact,
+			Method: out.Optimum.Method,
 		},
+		RatioLower: out.RatioLower,
+		RatioUpper: out.RatioUpper,
 	}
-	if optimum.Upper > 0 {
-		resp.RatioLower = res.Makespan / optimum.Upper
-	}
-	if optimum.Lower > 0 {
-		resp.RatioUpper = res.Makespan / optimum.Lower
-	}
-	if g, ok := a.Guarantee(req.Instance.M, req.Instance.Alpha); ok {
+	if g := out.Guarantee; !math.IsNaN(g) {
 		resp.Guarantee = &g
-		ok := bounds.Holds(res.Makespan, g, optimum.Upper)
+		ok := bounds.Holds(out.Makespan, g, out.Optimum.Upper)
 		resp.BoundOK = &ok
 	}
 	return resp, nil
 }
 
-// RunSimulate is the pure core of /v1/simulate: a traced
-// semi-clairvoyant replay, with the flat event trace regrouped into
-// per-machine timelines.
+// RunSimulate is the pure core of /v1/simulate: the traced run of
+// algo.Scratch, with the flat event trace regrouped into per-machine
+// timelines.
 func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 	a, err := algo.New(req.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	p, err := a.Place(req.Instance)
+	var sc algo.Scratch // fresh state: the response is the caller's
+	res, err := sc.Trace(req.Instance, a)
 	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(req.Instance); err != nil {
-		return nil, err
-	}
-	// The same engine, order and shard layout as runSchedule's
-	// algo.Execute, so the two endpoints agree bit for bit.
-	res, err := sim.RunFlatSharded(req.Instance, p, a.Order(req.Instance), sim.FlatOptions{Trace: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Schedule.Verify(req.Instance, p); err != nil {
 		return nil, err
 	}
 	machines := make([]MachineTrace, req.Instance.M)
@@ -105,9 +89,9 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 			TraceEvent{Time: ev.Time.Seconds(), Task: ev.Task, Kind: ev.Kind})
 	}
 	return &SimulateResponse{
-		Algorithm: a.Name(),
-		Makespan:  res.Schedule.Makespan(),
-		Placement: p,
+		Algorithm: res.Algorithm,
+		Makespan:  res.Makespan,
+		Placement: res.Placement,
 		Schedule:  res.Schedule,
 		Machines:  machines,
 	}, nil
@@ -117,14 +101,14 @@ func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
 // run on pooled solver state and the response encoded before the state
 // goes back.
 func (s *Server) solveItem(idx int, req *ScheduleRequest) BatchItem {
-	sc := scratchPool.Get().(*algo.Scratch)
+	r := runnerPool.Get().(*core.Runner)
 	var item BatchItem
-	if resp, err := s.runSchedule(req, sc); err != nil {
+	if resp, err := s.runSchedule(req, r); err != nil {
 		item = wire.Failed(idx, err.Error())
 	} else {
 		item = wire.Answer(idx, resp)
 	}
-	scratchPool.Put(sc)
+	runnerPool.Put(r)
 	return item
 }
 
@@ -154,17 +138,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.BadRequest(w, err)
 		return
 	}
-	sc := scratchPool.Get().(*algo.Scratch)
-	resp, err := s.runSchedule(req, sc)
+	rn := runnerPool.Get().(*core.Runner)
+	resp, err := s.runSchedule(req, rn)
 	if err != nil {
 		// The request was well-formed JSON but the solver pipeline
 		// rejected it (unknown algorithm, k not dividing m, ...).
-		scratchPool.Put(sc)
+		runnerPool.Put(rn)
 		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, resp)
-	scratchPool.Put(sc) // after the write: resp is sc's
+	runnerPool.Put(rn) // after the write: resp is rn's
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

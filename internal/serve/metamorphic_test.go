@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/tick"
@@ -102,7 +103,7 @@ func TestPropertyScheduleMatchesDirectExecute(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, got)
 		}
 
-		want, err := s.runSchedule(req, new(algo.Scratch))
+		want, err := s.runSchedule(req, new(core.Runner))
 		if err != nil {
 			t.Fatalf("%s: direct run: %v", name, err)
 		}
@@ -180,7 +181,7 @@ func TestPropertyScheduleMakespanBounds(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for seed := uint64(1); seed <= 10; seed++ {
 		in := randomInstance(t, seed*7, 70, 5, 2)
-		resp, err := s.runSchedule(&ScheduleRequest{Algorithm: "ls-group:5", Instance: in}, new(algo.Scratch))
+		resp, err := s.runSchedule(&ScheduleRequest{Algorithm: "ls-group:5", Instance: in}, new(core.Runner))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestPropertySimulateAgreesWithSchedule(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	for seed := uint64(1); seed <= 6; seed++ {
 		in := randomInstance(t, seed*13, 66, 4, 1.5)
-		schedResp, err := s.runSchedule(&ScheduleRequest{Algorithm: "lpt-norestriction", Instance: in}, new(algo.Scratch))
+		schedResp, err := s.runSchedule(&ScheduleRequest{Algorithm: "lpt-norestriction", Instance: in}, new(core.Runner))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,8 +90,9 @@ type SimulateOpenResponse struct {
 type StreamItem = BatchItem
 
 // RunSimulateOpen is the pure core of /v1/simulate-open: generate (or
-// validate) the arrival stream, run the open-system simulator with the
-// requested cancellation policy, and summarize the response times.
+// validate) the arrival stream, run the algorithm in open mode
+// (algo.ExecuteOpen) under the requested cancellation policy, and
+// summarize the response times.
 func (s *Server) RunSimulateOpen(req *SimulateOpenRequest) (*SimulateOpenResponse, error) {
 	a, err := algo.New(req.Algorithm)
 	if err != nil {
@@ -105,23 +106,17 @@ func (s *Server) RunSimulateOpen(req *SimulateOpenRequest) (*SimulateOpenRespons
 	if err != nil {
 		return nil, err
 	}
-	p, err := a.Place(req.Instance)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(req.Instance); err != nil {
-		return nil, err
-	}
-	out, err := sim.RunFlatOpenSharded(req.Instance, p, a.Order(req.Instance), arrive, sim.OpenOptions{
+	res, err := algo.ExecuteOpen(req.Instance, a, arrive, sim.OpenOptions{
 		Policy:     policy,
 		CancelCost: req.CancelCost,
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := res.Open
 	sum := stats.Summarize(out.Responses)
 	return &SimulateOpenResponse{
-		Algorithm: a.Name(),
+		Algorithm: res.Algorithm,
 		Policy:    policy.String(),
 		End:       out.End,
 		ResponseStats: ResponseStats{

@@ -24,3 +24,11 @@ func (r *Runner) RunOpen(in *task.Instance, p *placement.Placement, order []int,
 	arrive []float64, opts OpenOptions) (*OpenResult, error) {
 	return r.runOpen(in, p, order, arrive, opts, false)
 }
+
+// RunFlatOpenSharded is an open-system run on fresh state, the tests'
+// shorthand for Runner.RunOpenSharded.
+func RunFlatOpenSharded(in *task.Instance, p *placement.Placement, order []int,
+	arrive []float64, opts OpenOptions) (*OpenResult, error) {
+	var r Runner
+	return r.RunOpenSharded(in, p, order, arrive, opts)
+}

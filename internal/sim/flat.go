@@ -184,15 +184,6 @@ func RunFlatSharded(in *task.Instance, p *placement.Placement, order []int,
 	return r.RunSharded(in, p, order, opts)
 }
 
-// RunFlatOpenSharded executes an open-system run and returns
-// caller-owned state; see Runner.RunOpenSharded. Hot loops should reuse
-// a Runner.
-func RunFlatOpenSharded(in *task.Instance, p *placement.Placement, order []int,
-	arrive []float64, opts OpenOptions) (*OpenResult, error) {
-	var r Runner
-	return r.RunOpenSharded(in, p, order, arrive, opts)
-}
-
 // RunSharded executes list scheduling over the placement and priority
 // order, every task released at time zero: it partitions the instance
 // into independent shards (the connected components of machines linked

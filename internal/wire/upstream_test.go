@@ -207,12 +207,37 @@ func TestPostClassifies(t *testing.T) {
 	}
 }
 
+// probeTrip counts probes where the prober sends them: started on
+// entry, answered once a response came back.
+type probeTrip struct {
+	rt                http.RoundTripper
+	closed            atomic.Bool
+	started, answered atomic.Int64
+	afterClose        atomic.Int64
+}
+
+func (c *probeTrip) RoundTrip(req *http.Request) (*http.Response, error) {
+	if c.closed.Load() {
+		c.afterClose.Add(1)
+	}
+	c.started.Add(1)
+	resp, err := c.rt.RoundTrip(req)
+	if err == nil {
+		c.answered.Add(1)
+	}
+	return resp, err
+}
+
 // TestPoolProbesReadmit: the probers open the breaker of an upstream
 // whose /healthz fails (non-200, or a body that is not JSON), close it
-// again when the daemon recovers, and stop on Close.
+// again when the daemon recovers, and stop on Close: no probe starts
+// once Close has returned. A probe already sent may still reach the
+// server after that, so the server's count only has to account for
+// every probe sent: each answered one arrived, and none arrived that
+// was not sent.
 func TestPoolProbesReadmit(t *testing.T) {
-	var mode atomic.Int32 // 0 healthy, 1 500, 2 garbage body
-	var probes atomic.Int64
+	var mode atomic.Int32   // 0 healthy, 1 500, 2 garbage body
+	var probes atomic.Int64 // arrived at the server
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet || r.URL.Path != "/healthz" {
 			t.Errorf("probe sent %s %s", r.Method, r.URL.Path)
@@ -228,7 +253,8 @@ func TestPoolProbesReadmit(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	pool := NewPool([]string{ts.URL}, ts.Client().Transport, UpstreamConfig{
+	trip := &probeTrip{rt: ts.Client().Transport}
+	pool := NewPool([]string{ts.URL}, trip, UpstreamConfig{
 		Threshold:     1,
 		BaseBackoff:   time.Hour, // only a probe can close it in time
 		MaxBackoff:    time.Hour,
@@ -256,11 +282,14 @@ func TestPoolProbesReadmit(t *testing.T) {
 		waitState(StateClosed)
 	}
 	pool.Close()
+	trip.closed.Store(true)
 	pool.Close() // idempotent
-	seen := probes.Load()
 	time.Sleep(20 * time.Millisecond)
-	if got := probes.Load(); got != seen {
-		t.Fatalf("%d probes arrived after Close", got-seen)
+	if n := trip.afterClose.Load(); n != 0 {
+		t.Fatalf("%d probes started after Close", n)
+	}
+	if sent, answered, arrived := trip.started.Load(), trip.answered.Load(), probes.Load(); arrived < answered || arrived > sent {
+		t.Fatalf("server saw %d probes; %d were sent, %d answered", arrived, sent, answered)
 	}
 	// Close leaves the pool restartable; cancelling the Start context
 	// stops the probers just as well.
