@@ -115,7 +115,8 @@ FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel sim:F
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
 	sched:FuzzVerifyOrder sched:FuzzScheduleJSON loadheap:FuzzTree \
-	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch
+	cluster:FuzzDecodeBatch front:FuzzRing front:FuzzDecodeFrontBatch \
+	memaware:FuzzReuse
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
@@ -366,8 +367,15 @@ type MemoryAwareOutcome struct {
 	OptMakespan, OptMemory opt.Result
 }
 
+// optimumColumns recycles RunMemoryAware's two optimum inputs, the
+// actual times and the sizes: the memo copies the keys it keeps, so
+// neither column outlives the call.
+var optimumColumns = sync.Pool{New: func() any { return new([2][]float64) }}
+
 // RunMemoryAware executes SABO_Δ or ABO_Δ and scores it against both
-// single-objective optima and the paper's Table 2 guarantees.
+// single-objective optima and the paper's Table 2 guarantees. The
+// returned outcome is the caller's; the algorithm's working state and
+// the optimum inputs are pooled (see package memaware).
 func RunMemoryAware(in *task.Instance, cfg MemoryAwareConfig) (*MemoryAwareOutcome, error) {
 	mc := memaware.Config{Delta: cfg.Delta}
 	rho := bounds.LPTOffline(in.M)
@@ -387,9 +395,13 @@ func RunMemoryAware(in *task.Instance, cfg MemoryAwareConfig) (*MemoryAwareOutco
 	}
 	// Makespan and memory optima are independent; batch the solver
 	// calls so they run concurrently within the trial.
+	cols := optimumColumns.Get().(*[2][]float64)
+	defer optimumColumns.Put(cols)
+	cols[0] = in.AppendActuals(cols[0][:0])
+	cols[1] = in.AppendSizes(cols[1][:0])
 	optima := opt.EstimateBatch([]opt.Job{
-		{Times: in.Actuals(), M: in.M},
-		{Times: in.Sizes(), M: in.M},
+		{Times: cols[0], M: in.M},
+		{Times: cols[1], M: in.M},
 	}, 2)
 	out := &MemoryAwareOutcome{
 		Result:      res,

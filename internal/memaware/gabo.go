@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/loadheap"
 	"repro/internal/placement"
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -25,11 +24,17 @@ import (
 // (k=m, fully pinned per π1 would be) and ABO_Δ (k=1). With k=1 GABO
 // coincides with ABO_Δ.
 func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.gabo(in, cfg, k)
+}
+
+func (sc *scratch) gabo(in *task.Instance, cfg Config, k int) (*Result, error) {
 	groups, err := placement.PartitionGroups(in.M, k)
 	if err != nil {
 		return nil, err
 	}
-	_, pi2, cmax1, mem2, inS2, err := split(in, cfg)
+	_, pi2, cmax1, mem2, inS2, err := sc.split(in, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -50,18 +55,15 @@ func GABO(in *task.Instance, cfg Config, k int) (*Result, error) {
 
 	// Phase 2: pinned memory tasks first, then the group-replicated
 	// time-intensive tasks in list order.
-	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
+	s, err := sc.execute(in, p, order)
 	if err != nil {
-		return nil, err
-	}
-	if err := res.Schedule.Verify(in, p); err != nil {
 		return nil, err
 	}
 	return &Result{
 		Algorithm:       fmt.Sprintf("GABO(Δ=%.3g,k=%d)", cfg.Delta, k),
 		Placement:       p,
-		Schedule:        res.Schedule,
-		Makespan:        res.Schedule.Makespan(),
+		Schedule:        s,
+		Makespan:        s.Makespan(),
 		MemMax:          p.MaxMemory(in),
 		TimeIntensive:   s1,
 		MemoryIntensive: s2,

@@ -21,11 +21,21 @@
 // (ρ1 = ρ2 = 4/3 − 1/(3m)), and are pluggable so experiments can use
 // exact single-objective schedules (ρ = 1) as the paper's Figure 6(b)
 // assumes.
+//
+// What a call builds and drops is pooled, as package opt pools its
+// solve scratch: the phase-2 simulator (sim.Runner), the estimate and
+// size columns the reference schedules read, the default π1/π2
+// mappings (LPT written into a reused buffer, through opt's own pooled
+// sort), and the per-machine loads and S2 membership of the Δ test. The
+// caller owns everything in the returned Result — the Placement, the
+// Schedule (handed over by the simulator, not copied) and the S1/S2
+// lists — and nothing in it aliases the pool.
 package memaware
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/keysort"
 	"repro/internal/opt"
@@ -37,6 +47,9 @@ import (
 
 // MappingFunc produces a task→machine assignment optimizing one
 // objective over the given weights (estimates for π1, sizes for π2).
+// weights is a pooled column, valid only during the call: a MappingFunc
+// must not keep it. The returned mapping is read before the call that
+// asked for it returns.
 type MappingFunc func(weights []float64, m int) []int
 
 // LPTMapping is the default single-objective scheduler: LPT over the
@@ -135,28 +148,46 @@ type Result struct {
 	PlannedMemory float64
 }
 
+// scratch is one call's working state, recycled through scratchPool
+// (see the package comment for what is pooled and what the caller
+// owns).
+type scratch struct {
+	runner         sim.Runner
+	weights        []float64 // the column a reference schedule reads
+	pi1, pi2       []int     // default mappings; a custom one is its own
+	loads1, loads2 []float64
+	inS2           []bool
+	mapping        []int // SABO's pinned machine per task
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reference builds one reference schedule over sc.weights: f's
+// mapping, or when f is nil LPT's, written into *buf.
+func (sc *scratch) reference(f MappingFunc, m int, buf *[]int) []int {
+	if f != nil {
+		return f(sc.weights, m)
+	}
+	_, *buf = opt.LPTInto(sc.weights, m, *buf)
+	return *buf
+}
+
 // split computes S1/S2 and the reference schedules. It returns the
 // π1 and π2 mappings, the planned C̃^π1_max and Mem^π2_max, and the
-// membership of S2 (memory-intensive).
-func split(in *task.Instance, cfg Config) (pi1, pi2 []int, cmax1, mem2 float64, inS2 []bool, err error) {
+// membership of S2 (memory-intensive), all in sc's buffers.
+func (sc *scratch) split(in *task.Instance, cfg Config) (pi1, pi2 []int, cmax1, mem2 float64, inS2 []bool, err error) {
 	if !(cfg.Delta > 0) {
 		return nil, nil, 0, 0, nil, fmt.Errorf("%w: got %v", ErrBadDelta, cfg.Delta)
 	}
-	p1 := cfg.Pi1
-	if p1 == nil {
-		p1 = LPTMapping
-	}
-	p2 := cfg.Pi2
-	if p2 == nil {
-		p2 = LPTMapping
-	}
-	pi1 = p1(in.Estimates(), in.M)
-	pi2 = p2(in.Sizes(), in.M)
+	sc.weights = in.AppendEstimates(sc.weights[:0])
+	pi1 = sc.reference(cfg.Pi1, in.M, &sc.pi1)
+	sc.weights = in.AppendSizes(sc.weights[:0])
+	pi2 = sc.reference(cfg.Pi2, in.M, &sc.pi2)
 	if len(pi1) != in.N() || len(pi2) != in.N() {
 		return nil, nil, 0, 0, nil, fmt.Errorf("memaware: mapping length mismatch")
 	}
-	loads1 := make([]float64, in.M)
-	loads2 := make([]float64, in.M)
+	sc.loads1, sc.loads2 = zeroed(sc.loads1, in.M), zeroed(sc.loads2, in.M)
+	loads1, loads2 := sc.loads1, sc.loads2
 	for j, t := range in.Tasks {
 		loads1[pi1[j]] += t.Estimate
 		loads2[pi2[j]] += t.Size
@@ -172,7 +203,8 @@ func split(in *task.Instance, cfg Config) (pi1, pi2 []int, cmax1, mem2 float64, 
 	if cmax1 <= 0 {
 		return nil, nil, 0, 0, nil, fmt.Errorf("memaware: degenerate π1 makespan")
 	}
-	inS2 = make([]bool, in.N())
+	sc.inS2 = zeroed(sc.inS2, in.N())
+	inS2 = sc.inS2
 	for j, t := range in.Tasks {
 		// p̃_j / C̃^π1 ≤ Δ·s_j / Mem^π2 → memory-intensive (S2).
 		lhs := t.Estimate / cmax1
@@ -183,6 +215,30 @@ func split(in *task.Instance, cfg Config) (pi1, pi2 []int, cmax1, mem2 float64, 
 		inS2[j] = lhs <= rhs
 	}
 	return pi1, pi2, cmax1, mem2, inS2, nil
+}
+
+// zeroed returns buf resized to n zero values, reallocated only when it
+// is too short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// execute runs phase 2 of p in the given priority order on sc's
+// simulator, verifies the schedule and hands it to the caller.
+func (sc *scratch) execute(in *task.Instance, p *placement.Placement, order []int) (*sched.Schedule, error) {
+	if _, err := sc.runner.RunSharded(in, p, order, sim.FlatOptions{}); err != nil {
+		return nil, err
+	}
+	s := sc.runner.TakeSchedule()
+	if err := s.Verify(in, p); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // sides lists the tasks of S2 and then of S1, each in task order, in one
@@ -215,11 +271,18 @@ func sides(inS2 []bool) (order, s1, s2 []int) {
 // its π1 or π2 machine according to the Δ test; phase 2 just executes
 // the pinned assignment with actual times.
 func SABO(in *task.Instance, cfg Config) (*Result, error) {
-	pi1, pi2, cmax1, mem2, inS2, err := split(in, cfg)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.sabo(in, cfg)
+}
+
+func (sc *scratch) sabo(in *task.Instance, cfg Config) (*Result, error) {
+	pi1, pi2, cmax1, mem2, inS2, err := sc.split(in, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mapping := make([]int, in.N())
+	sc.mapping = zeroed(sc.mapping, in.N())
+	mapping := sc.mapping
 	for j := range mapping {
 		if inS2[j] {
 			mapping[j] = pi2[j]
@@ -254,7 +317,13 @@ func SABO(in *task.Instance, cfg Config) (*Result, error) {
 // dispatched online with Graham's List Scheduling once a machine has
 // drained its pinned queue.
 func ABO(in *task.Instance, cfg Config) (*Result, error) {
-	_, pi2, cmax1, mem2, inS2, err := split(in, cfg)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.abo(in, cfg)
+}
+
+func (sc *scratch) abo(in *task.Instance, cfg Config) (*Result, error) {
+	_, pi2, cmax1, mem2, inS2, err := sc.split(in, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -273,18 +342,15 @@ func ABO(in *task.Instance, cfg Config) (*Result, error) {
 	for _, j := range s1 {
 		p.Sets[j] = all
 	}
-	res, err := sim.RunFlatSharded(in, p, order, sim.FlatOptions{})
+	s, err := sc.execute(in, p, order)
 	if err != nil {
-		return nil, err
-	}
-	if err := res.Schedule.Verify(in, p); err != nil {
 		return nil, err
 	}
 	return &Result{
 		Algorithm:       fmt.Sprintf("ABO(Δ=%.3g)", cfg.Delta),
 		Placement:       p,
-		Schedule:        res.Schedule,
-		Makespan:        res.Schedule.Makespan(),
+		Schedule:        s,
+		Makespan:        s.Makespan(),
 		MemMax:          p.MaxMemory(in),
 		TimeIntensive:   s1,
 		MemoryIntensive: s2,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // DualApprox implements the Hochbaum–Shmoys dual-approximation scheme
@@ -134,8 +132,12 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 
 	// minMachines: fewest capacity-t machines packing the rounded
 	// residual vector exactly. Memoized exhaustive DFS over machine
-	// configurations; -1 signals budget exhaustion.
+	// configurations; -1 signals budget exhaustion. The memo is keyed by
+	// the residual counts in fixed-width binary, written into one reused
+	// buffer: a lookup through memo[string(key)] allocates nothing.
 	memo := map[string]int{}
+	width := keyWidth(nBig)
+	var key []byte
 	var minMachines func(res []int) int
 	minMachines = func(res []int) int {
 		empty := true
@@ -148,8 +150,8 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 		if empty {
 			return 0
 		}
-		key := intsKey(res)
-		if v, ok := memo[key]; ok {
+		key = appendKey(key[:0], res, width)
+		if v, ok := memo[string(key)]; ok {
 			return v
 		}
 		*used++
@@ -158,6 +160,7 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 		}
 		best := math.MaxInt32
 		cfg := make([]int, len(res))
+		next := make([]int, len(res)) // each leaf's residual, dead once minMachines(next) returns
 		var fill func(ci, capLeft int, any bool)
 		fill = func(ci, capLeft int, any bool) {
 			*used++
@@ -171,7 +174,6 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 				if !any {
 					return
 				}
-				next := make([]int, len(res))
 				for i := range res {
 					next[i] = res[i] - cfg[i]
 				}
@@ -201,7 +203,9 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 			cfg[ci] = 0
 		}
 		fill(0, capUnits, false)
-		memo[key] = best
+		// The recursion rewrote key; res is still this call's residual.
+		key = appendKey(key[:0], res, width)
+		memo[string(key)] = best
 		return best
 	}
 
@@ -282,6 +286,7 @@ func dualFeasible(desc []float64, m int, t, eps float64, budget int, used *int) 
 func findConfig(res, classes []int, capUnits, target int,
 	minMachines func([]int) int, budget int, used *int) ([]int, bool) {
 	cfg := make([]int, len(res))
+	next := make([]int, len(res))
 	var found []int
 	var dfs func(ci, capLeft int, any bool) bool
 	dfs = func(ci, capLeft int, any bool) bool {
@@ -293,7 +298,6 @@ func findConfig(res, classes []int, capUnits, target int,
 			if !any {
 				return false
 			}
-			next := make([]int, len(res))
 			for i := range res {
 				next[i] = res[i] - cfg[i]
 			}
@@ -324,13 +328,24 @@ func findConfig(res, classes []int, capUnits, target int,
 	return found, true
 }
 
-func intsKey(xs []int) string {
-	var b strings.Builder
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(x))
+// keyWidth is the bytes a count up to n takes in appendKey: one below
+// 256 tasks, as every vector Estimate asks about is.
+func keyWidth(n int) int {
+	w := 1
+	for w < 8 && n>>(8*w) > 0 {
+		w++
 	}
-	return b.String()
+	return w
+}
+
+// appendKey appends xs, non-negative and each below 256^width, to buf
+// as width little-endian bytes apiece: equal keys are equal vectors of
+// one length.
+func appendKey(buf []byte, xs []int, width int) []byte {
+	for _, x := range xs {
+		for b := 0; b < width; b++ {
+			buf = append(buf, byte(x>>(8*b)))
+		}
+	}
+	return buf
 }

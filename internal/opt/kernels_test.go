@@ -21,7 +21,7 @@ func sameBits(t *testing.T, what string, got, want float64) {
 }
 
 // checkKernels compares every rewritten kernel with its oracle on one
-// instance. exactLimit bounds the branch and bound the same way on
+// instance, and the estimate also with fullBracketEstimate. exactLimit bounds the branch and bound the same way on
 // both sides. With dual false the whole-estimate comparison is skipped
 // where it would reach DualApprox (exactLimit < n ≤ 60): that solver is
 // unchanged, runs on both sides and takes up to a second a call, which
@@ -47,11 +47,13 @@ func checkKernels(t *testing.T, times []float64, m, exactLimit int, dual bool) {
 	if n := len(times); n <= m || (!dual && n > exactLimit && n <= 60) {
 		return // n ≤ m: Estimate answers these without a solve
 	}
-	got, want := estimateUncached(times, m, exactLimit), oracleEstimate(times, m, exactLimit)
-	sameBits(t, "estimate lower", got.Lower, want.Lower)
-	sameBits(t, "estimate upper", got.Upper, want.Upper)
-	if got.Exact != want.Exact || got.Method != want.Method {
-		t.Fatalf("estimate = %+v, oracle %+v", got, want)
+	got := estimateUncached(times, m, exactLimit)
+	sameResult(t, got, oracleEstimate(times, m, exactLimit))
+	if len(times) > exactLimit {
+		// MULTIFIT's early stop against its 24 steps on the same kernels;
+		// up to exactLimit it takes them all, which the oracle holds.
+		full, _ := fullBracketEstimate(times, m, exactLimit)
+		sameResult(t, got, full)
 	}
 	if len(times) <= exactLimit {
 		gv, gok := Exact(times, m, 200_000)

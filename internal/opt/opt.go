@@ -12,7 +12,13 @@
 //   - the LPT upper bound (4/3 − 1/(3m)).
 //
 // Estimate combines them into a bracketing interval and reports
-// whether the value is exact.
+// whether the value is exact. Its upper end is the least of LPT, the
+// Karmarkar–Karp differencing method and MULTIFIT, taken in that order:
+// above the exact-search size MULTIFIT's bisection stops as soon as its
+// lower end reaches min(LPT, KK), because from there its answer, never
+// below that lower end, cannot lower the bracket — so the reported
+// bracket is the one a full 24-step MULTIFIT gives, for fewer
+// first-fit passes.
 package opt
 
 import (
@@ -62,7 +68,7 @@ func (s *solveScratch) bracket(times []float64, m int) (lb, ub float64) {
 	s.sortDesc(times)
 	lb = lowerBoundDesc(times, s.desc, m)
 	ub = lptMakespanDesc(s.desc, m, &s.loads)
-	if mf := multiFitDesc(s.desc, m, 24, lb, ub, &s.ffd); mf < ub {
+	if mf := multiFitDesc(s.desc, m, 24, lb, ub, math.Inf(1), &s.ffd); mf < ub {
 		ub = mf
 	}
 	return lb, ub
@@ -174,11 +180,22 @@ func lowerBoundDesc(times, desc []float64, m int) float64 {
 // (4/3 − 1/(3m))-approximation, so its makespan is a certified upper
 // bound on C*.
 func LPT(times []float64, m int) (float64, []int) {
+	return LPTInto(times, m, nil)
+}
+
+// LPTInto is LPT writing the mapping into buf, regrown to len(times)
+// when it is too short, and returning it: a caller that schedules many
+// instances keeps one mapping buffer instead of allocating one a call.
+func LPTInto(times []float64, m int, buf []int) (float64, []int) {
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
 	s.order = s.sort.OrderDesc(times, s.order) // time descending, index ascending
 	s.loads.Reset(m)
-	mapping := make([]int, len(times))
+	mapping := buf[:0]
+	if cap(mapping) < len(times) {
+		mapping = make([]int, len(times))
+	}
+	mapping = mapping[:len(times)]
 	for _, j := range s.order {
 		mapping[j] = s.loads.MinID()
 		s.loads.AddToMin(times[j])
@@ -292,19 +309,23 @@ func MultiFit(times []float64, m int, iterations int) float64 {
 	s.sortDesc(times)
 	lo := lowerBoundDesc(times, s.desc, m)
 	hi := lptMakespanDesc(s.desc, m, &s.loads)
-	return multiFitDesc(s.desc, m, iterations, lo, hi, &s.ffd)
+	return multiFitDesc(s.desc, m, iterations, lo, hi, math.Inf(1), &s.ffd)
 }
 
 // multiFitDesc is MultiFit over descending-sorted times, given the
 // lower bound to start the search from and the LPT makespan to end it
-// at.
-func multiFitDesc(desc []float64, m int, iterations int, lo, hi float64, x *ffdIndex) float64 {
+// at. The bisection stops early once lo reaches stop: lo only rises and
+// hi never falls below it, so every answer still to come is at least
+// stop, and a caller that only wants one below stop has none coming.
+// It gets hi, which is at least stop too. An infinite stop runs every
+// iteration.
+func multiFitDesc(desc []float64, m int, iterations int, lo, hi, stop float64, x *ffdIndex) float64 {
 	multifitRuns.Inc()
 	if ffdFits(desc, m, lo, x) {
 		return lo
 	}
 	// Invariant: FFD fits at hi, does not fit at lo.
-	for it := 0; it < iterations; it++ {
+	for it := 0; it < iterations && lo < stop; it++ {
 		mid := (lo + hi) / 2
 		if ffdFits(desc, m, mid, x) {
 			hi = mid
@@ -331,11 +352,14 @@ type Result struct {
 // C*_max experiments divide by.
 func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 
-// Estimate brackets C*_max by [LowerBound, min(LPT, MultiFit,
-// Karmarkar–Karp)] after quick trivial checks. When the ends do not
-// meet, instances with n ≤ exactLimit tasks are solved exactly by
-// branch-and-bound, and up to n = 60 DualApprox tightens the upper
-// end. exactLimit ≤ 0 selects the default of 20.
+// Estimate brackets C*_max by [LowerBound, min(LPT, Karmarkar–Karp,
+// MultiFit)] after quick trivial checks, the upper bounds taken in
+// that order: above exactLimit MULTIFIT stops bisecting once its lower
+// end reaches min(LPT, KK), where it can no longer lower the bracket,
+// so Upper is the full 24-step bracket's (see estimateUncached). When
+// the ends do not meet, instances with n ≤ exactLimit tasks are solved
+// exactly by branch-and-bound, and up to n = 60 DualApprox tightens the
+// upper end. exactLimit ≤ 0 selects the default of 20.
 //
 // Results for non-trivial instances are memoized in a concurrency-safe
 // content-addressed cache (Estimate is a pure function of its inputs),
@@ -374,18 +398,42 @@ func Estimate(times []float64, m int, exactLimit int) Result {
 }
 
 // estimateUncached is the actual solve behind Estimate's memo cache,
-// for n > m ≥ 2. It sorts the times once; the pair bound, LPT,
-// MULTIFIT, the differencing method and the exact search all read that
-// one descending copy.
+// for n > m ≥ 2. It sorts the times once; the pair bound, LPT, the
+// differencing method, MULTIFIT and the exact search all read that one
+// descending copy.
+//
+// MULTIFIT runs last. Above exactLimit only the bracket's upper end
+// min(LPT, KK, MULTIFIT) is wanted, so its bisection stops once the
+// lower end reaches min(LPT, KK): nothing it returns from there on is
+// below that (multiFitDesc), and Upper is what the full 24 steps give.
+// On large instances KK lands within about 1e-8 of the lower bound, so
+// most of MULTIFIT's first-fit passes go. Up to exactLimit the exact
+// search is seeded with min(LPT, MULTIFIT) — KK does not seed it — so
+// MULTIFIT takes every step there.
 func estimateUncached(times []float64, m int, exactLimit int) Result {
 	defer solveTimer.Start()()
 	n := len(times)
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
 	s.ffd.probes = 0
-	lb, seed := s.bracket(times, m) // the exact search starts from LPT and MULTIFIT alone
-	desc, ub := s.desc, seed
-	if kk := s.kk.run(desc, m); kk < ub {
+	s.sortDesc(times)
+	desc := s.desc
+	lb := lowerBoundDesc(times, desc, m)
+	lpt := lptMakespanDesc(desc, m, &s.loads)
+	kk := s.kk.run(desc, m)
+	stop := math.Inf(1)
+	if n > exactLimit {
+		stop = lpt
+		if kk < stop {
+			stop = kk
+		}
+	}
+	seed := lpt
+	if mf := multiFitDesc(desc, m, 24, lb, lpt, stop, &s.ffd); mf < seed {
+		seed = mf
+	}
+	ub := seed
+	if kk < ub {
 		ub = kk
 	}
 	ffdProbes.Add(s.ffd.probes)

@@ -196,6 +196,17 @@ func (r *Runner) RunSharded(in *task.Instance, p *placement.Placement, order []i
 	return r.runBatch(in, p, order, opts, true)
 }
 
+// TakeSchedule hands the schedule of the Runner's last run over to the
+// caller, who owns it from then on: the Runner forgets it, its next run
+// grows a new one, and the Result or OpenResult that carried it is
+// stale. A pooled Runner whose caller keeps each schedule thus keeps
+// the rest of its state warm without cloning the schedule beside it.
+func (r *Runner) TakeSchedule() *sched.Schedule {
+	s := new(sched.Schedule)
+	*s, r.sched = r.sched, sched.Schedule{}
+	return s
+}
+
 // RunOpenSharded executes an open-system simulation through the shard
 // decomposition. Tasks arrive at the given times (indexed by task ID,
 // non-decreasing, non-negative and finite); replica sets must satisfy

@@ -94,6 +94,42 @@ func TestRunnerResultInvalidatedByNextRun(t *testing.T) {
 	}
 }
 
+// TestTakeScheduleHandsItOver: a schedule taken from the runner is the
+// caller's. Every later run — the same shape, a larger and a smaller one
+// — leaves it as it was taken, and each of those runs still matches a
+// fresh one.
+func TestTakeScheduleHandsItOver(t *testing.T) {
+	ins := poolCases(t)
+	var r Runner
+	var taken []*sched.Schedule
+	var kept []sched.Schedule
+	for ci, in := range append(ins, ins[0]) {
+		p, order := everywhereLPT(in)
+		got, err := r.RunSharded(in, p, order, FlatOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunFlatSharded(in, p, order, FlatOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, "case "+itoa(ci), got, want)
+		s := r.TakeSchedule()
+		if s == got.Schedule {
+			t.Fatalf("case %d: TakeSchedule returned the runner's own schedule", ci)
+		}
+		taken = append(taken, s)
+		kept = append(kept, sched.Schedule{M: s.M,
+			Assignments: append([]sched.Assignment(nil), s.Assignments...),
+			Dispatched:  append([]int32(nil), s.Dispatched...)})
+	}
+	for i, s := range taken {
+		if !reflect.DeepEqual(*s, kept[i]) {
+			t.Fatalf("schedule %d changed after the runner ran again", i)
+		}
+	}
+}
+
 // TestRunnerPoolSharedAcrossGoroutines hammers one sync.Pool of runners
 // from many goroutines under -race: every goroutine runs the full case
 // list through pooled runners and checks each makespan against the

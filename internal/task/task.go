@@ -253,11 +253,17 @@ func (in *Instance) AppendActuals(buf []float64) []float64 {
 
 // Sizes returns a fresh slice of the task memory sizes.
 func (in *Instance) Sizes() []float64 {
-	out := make([]float64, len(in.Tasks))
-	for i, t := range in.Tasks {
-		out[i] = t.Size
+	return in.AppendSizes(make([]float64, 0, len(in.Tasks)))
+}
+
+// AppendSizes appends the task memory sizes to buf and returns it, as
+// AppendActuals does for the actual times.
+func (in *Instance) AppendSizes(buf []float64) []float64 {
+	buf = slices.Grow(buf, len(in.Tasks))
+	for _, t := range in.Tasks {
+		buf = append(buf, t.Size)
 	}
-	return out
+	return buf
 }
 
 // SetSizes assigns memory sizes to the tasks. It returns an error if
