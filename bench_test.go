@@ -533,14 +533,17 @@ func steadyAllocs(run func()) (allocs, bytes uint64) {
 // MemoryAware/abo is core.RunMemoryAware with ABO_Δ at Δ=1, warm memo,
 // what pipeline-fresh's `abo` op runs bar the cold solve of the sizes.
 // The simulator, the reference schedules' columns and mappings and the
-// optimum inputs are pooled, so what a call allocates is what it hands
-// the caller: the placement's replica sets and the slab S2's are carved
-// from (240,000 + 80,000 B at n=10k), the S2-then-S1 order the two
-// lists are views of (80,000 B) and the schedule with its dispatch
-// record (240,000 + 40,000 B) — 680,000 B, which the allocator's size
-// classes round to about 698 KB in 22 allocations. The caps sit 3 %
-// and two allocations over that; before the pooling a call read 51 allocations and
-// 1,404,784 B. FreshRun/abo is the package-level batch entry point, a
+// optimum inputs are pooled, and both optima are memo hits that start
+// no goroutine, so what a call allocates is what it hands the caller:
+// the placement's replica sets and the slab of m + |S2| machines they
+// are carved from (240,000 + about 40,000 B at n=10k), the S2-then-S1
+// order the two lists are views of (80,000 B) and the schedule with its
+// dispatch record (240,000 + 40,000 B) — about 640,000 B, which the
+// allocator's size classes round to 656,320 B in 12 allocations. The
+// caps sit two allocations and 21,680 B over that. Before the pooling
+// a call read 51 allocations and 1,404,784 B; before the slab was sized
+// to S2 and the two optima were solved through a fan-out helper, 22
+// and 698,304 B. FreshRun/abo is the package-level batch entry point, a
 // fresh runner per call, on the same ABO_Δ shape: the footprint the
 // pooled runner no longer pays per call. Its caps are the footprint
 // before the batch and open engines merged (23 allocations, 525,696 B)
@@ -559,7 +562,7 @@ func TestKernelAllocations(t *testing.T) {
 			}
 		},
 	}, kernel{
-		name: "MemoryAware/abo/n=10k,m=64", n: 10_000, allocs: 24, bytes: 720_000, pooled: true,
+		name: "MemoryAware/abo/n=10k,m=64", n: 10_000, allocs: 14, bytes: 678_000, pooled: true,
 		setup: func(tb testing.TB, n int) func() {
 			in := uniformInstance(n, 64)
 			return func() {

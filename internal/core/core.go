@@ -216,6 +216,11 @@ func Run(in *task.Instance, cfg Config) (*Outcome, error) {
 // ratios) or copy retained structures before reusing the Runner. A
 // Runner is not safe for concurrent use; pool Runners to share across
 // goroutines. Results are identical to the package-level Run.
+//
+// A scored call solves the optimum of the actual times beside the run
+// it scores (see RunAlgorithm): a memo miss solves on a goroutine of
+// its own, joined before the call returns, so no goroutine outlives the
+// call and the Runner itself stays single-goroutine state.
 type Runner struct {
 	scratch algo.Scratch
 	actuals []float64
@@ -242,12 +247,22 @@ func (r *Runner) Execute(pl *Plan, in *task.Instance) (*Outcome, error) {
 // algo.New registry's included — and scores the run, reusing the
 // Runner's buffers. exactLimit caps the instance size for which the
 // optimum is solved exactly; 0 selects the default (20 tasks).
+//
+// The optimum of the actual times is started before the run
+// (opt.StartEstimate) and joined after it, on every exit — an error or
+// a panic of the run too — so a cold solve runs beside both phases
+// instead of after them; a memo hit starts nothing. The instance's
+// actual times must not change during the call. The Outcome is the one
+// Score gives on the same run.
 func (r *Runner) RunAlgorithm(in *task.Instance, a algo.Algorithm, exactLimit int) (*Outcome, error) {
+	r.actuals = in.AppendActuals(r.actuals[:0])
+	optimum := opt.StartEstimate(r.actuals, in.M, exactLimit)
+	defer optimum.Wait()
 	res, err := r.scratch.Execute(in, a)
 	if err != nil {
 		return nil, err
 	}
-	return r.score(in, a, exactLimit, res), nil
+	return r.score(in, a, res, optimum.Wait()), nil
 }
 
 // Score scores a run already executed on in — an algo.Scratch Execute
@@ -256,14 +271,12 @@ func (r *Runner) RunAlgorithm(in *task.Instance, a algo.Algorithm, exactLimit in
 // res's placement and schedule.
 func Score(in *task.Instance, a algo.Algorithm, res *algo.Result) *Outcome {
 	var r Runner
-	return r.score(in, a, 0, res)
+	return r.score(in, a, res, opt.Estimate(in.Actuals(), in.M, 0))
 }
 
-// score is the one scoring of a run: the optimum bracket of the actual
-// times, the ratios against it and a's stated guarantee.
-func (r *Runner) score(in *task.Instance, a algo.Algorithm, exactLimit int, res *algo.Result) *Outcome {
-	r.actuals = in.AppendActuals(r.actuals[:0])
-	optimum := opt.Estimate(r.actuals, in.M, exactLimit)
+// score is the one scoring of a run: the ratios against the optimum
+// bracket of the actual times and a's stated guarantee.
+func (r *Runner) score(in *task.Instance, a algo.Algorithm, res *algo.Result, optimum opt.Result) *Outcome {
 	r.out = Outcome{
 		Algorithm:       res.Algorithm,
 		Placement:       res.Placement,
@@ -376,6 +389,14 @@ var optimumColumns = sync.Pool{New: func() any { return new([2][]float64) }}
 // single-objective optima and the paper's Table 2 guarantees. The
 // returned outcome is the caller's; the algorithm's working state and
 // the optimum inputs are pooled (see package memaware).
+//
+// The optimum of the sizes, new to the memo on every instance, is
+// started before the algorithm (opt.StartEstimate) and solves beside
+// it; the optimum of the actual times is solved on the caller after
+// the algorithm (a memo hit when a replication-bound run scored the
+// instance first), and then the sizes' solve is joined — on every exit,
+// an error of the algorithm too. The instance's actual times and sizes
+// must not change during the call.
 func RunMemoryAware(in *task.Instance, cfg MemoryAwareConfig) (*MemoryAwareOutcome, error) {
 	mc := memaware.Config{Delta: cfg.Delta}
 	rho := bounds.LPTOffline(in.M)
@@ -383,6 +404,11 @@ func RunMemoryAware(in *task.Instance, cfg MemoryAwareConfig) (*MemoryAwareOutco
 		mc.Pi1, mc.Pi2 = memaware.ExactMapping, memaware.ExactMapping
 		rho = 1
 	}
+	cols := optimumColumns.Get().(*[2][]float64)
+	defer optimumColumns.Put(cols) // deferred first, so it runs after the join
+	cols[1] = in.AppendSizes(cols[1][:0])
+	memory := opt.StartEstimate(cols[1], in.M, 0)
+	defer memory.Wait()
 	var res *memaware.Result
 	var err error
 	if cfg.Replicate {
@@ -393,20 +419,11 @@ func RunMemoryAware(in *task.Instance, cfg MemoryAwareConfig) (*MemoryAwareOutco
 	if err != nil {
 		return nil, err
 	}
-	// Makespan and memory optima are independent; batch the solver
-	// calls so they run concurrently within the trial.
-	cols := optimumColumns.Get().(*[2][]float64)
-	defer optimumColumns.Put(cols)
 	cols[0] = in.AppendActuals(cols[0][:0])
-	cols[1] = in.AppendSizes(cols[1][:0])
-	optima := opt.EstimateBatch([]opt.Job{
-		{Times: cols[0], M: in.M},
-		{Times: cols[1], M: in.M},
-	}, 2)
 	out := &MemoryAwareOutcome{
 		Result:      res,
-		OptMakespan: optima[0],
-		OptMemory:   optima[1],
+		OptMakespan: opt.Estimate(cols[0], in.M, 0),
+		OptMemory:   memory.Wait(),
 	}
 	if cfg.Replicate {
 		out.MakespanRatioBound = bounds.ABOMakespan(in.M, in.Alpha, cfg.Delta, rho)

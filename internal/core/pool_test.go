@@ -23,8 +23,11 @@ func poolConfigs() []Config {
 	}
 }
 
-// outcomesEqual compares every field of two Outcomes, treating NaN
-// guarantees (Oracle) as equal.
+// sameBits reports whether two floats have one bit pattern: a NaN
+// guarantee (Oracle) equals itself, and no rounding passes unseen.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// outcomesEqual compares every field of two Outcomes, floats by bits.
 func outcomesEqual(t *testing.T, got, want *Outcome) {
 	t.Helper()
 	if got.Algorithm != want.Algorithm {
@@ -36,18 +39,17 @@ func outcomesEqual(t *testing.T, got, want *Outcome) {
 	if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
 		t.Error("Schedule.Assignments diverge")
 	}
-	if got.Makespan != want.Makespan {
+	if !sameBits(got.Makespan, want.Makespan) {
 		t.Errorf("Makespan = %v, want %v", got.Makespan, want.Makespan)
 	}
-	if got.Optimum != want.Optimum {
+	if !optimaEqual(got.Optimum, want.Optimum) {
 		t.Errorf("Optimum = %+v, want %+v", got.Optimum, want.Optimum)
 	}
-	if got.RatioLower != want.RatioLower || got.RatioUpper != want.RatioUpper {
+	if !sameBits(got.RatioLower, want.RatioLower) || !sameBits(got.RatioUpper, want.RatioUpper) {
 		t.Errorf("ratios = (%v, %v), want (%v, %v)",
 			got.RatioLower, got.RatioUpper, want.RatioLower, want.RatioUpper)
 	}
-	gNaN, wNaN := math.IsNaN(got.Guarantee), math.IsNaN(want.Guarantee)
-	if gNaN != wNaN || (!gNaN && got.Guarantee != want.Guarantee) {
+	if !sameBits(got.Guarantee, want.Guarantee) {
 		t.Errorf("Guarantee = %v, want %v", got.Guarantee, want.Guarantee)
 	}
 	if got.ReplicasPerTask != want.ReplicasPerTask {

@@ -62,13 +62,12 @@ func runE3(w *Sink, opts Options) error {
 			Name: "spmv", N: n, M: m, Alpha: alpha, Seed: t.seeds[0],
 		})
 		uncertainty.Extremes{}.Perturb(in, nil, rng.New(t.seeds[1]))
-		// The two single-objective optima are independent solver calls;
-		// batch them so the exact/KK work overlaps inside one trial.
-		optima := opt.EstimateBatch([]opt.Job{
-			{Times: in.Actuals(), M: m},
-			{Times: in.Sizes(), M: m},
-		}, 2)
-		optMakespan, optMemory := optima[0], optima[1]
+		// The two single-objective optima are independent solver calls:
+		// the memory one solves beside the makespan one.
+		memory := opt.StartEstimate(in.Sizes(), m, 0)
+		defer memory.Wait()
+		optMakespan := opt.Estimate(in.Actuals(), m, 0)
+		optMemory := memory.Wait()
 		res := make([][]point, len(deltas))
 		for di, d := range deltas {
 			res[di] = make([]point, len(variants))

@@ -29,7 +29,10 @@
 // sort), and the per-machine loads and S2 membership of the Δ test. The
 // caller owns everything in the returned Result — the Placement, the
 // Schedule (handed over by the simulator, not copied) and the S1/S2
-// lists — and nothing in it aliases the pool.
+// lists — and nothing in it aliases the pool. ABO's replica sets come
+// from one slab sized to what they hold, m machines shared by S1 and
+// one machine per task of S2, so the caller's Placement keeps no slab
+// tail alive.
 package memaware
 
 import (
@@ -328,19 +331,25 @@ func (sc *scratch) abo(in *task.Instance, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	p := placement.New(in.N(), in.M)
+	order, s1, s2 := sides(inS2)
+	// Every replica set is carved from one slab of m + |S2| machines.
 	// Every replicated task shares the one all-machines set, as
 	// placement.EverywhereInto's tasks do: replica sets are read-only, and
-	// a shared slice lets placement.SameSet skip the repeats.
-	all := make([]int, in.M)
+	// a shared slice lets placement.SameSet skip the repeats. Each pinned
+	// task gets a one-machine set of its own; Placement.Assign would grow
+	// its slab to all n tasks, of which only |S2| are pinned.
+	slab := make([]int, in.M+len(s2))
+	all := slab[:in.M:in.M]
 	for i := range all {
 		all[i] = i
 	}
-	order, s1, s2 := sides(inS2)
-	for _, j := range s2 {
-		p.Assign(j, pi2[j])
-	}
 	for _, j := range s1 {
 		p.Sets[j] = all
+	}
+	pinned := slab[in.M:]
+	for k, j := range s2 {
+		pinned[k] = pi2[j]
+		p.Sets[j] = pinned[k : k+1 : k+1]
 	}
 	s, err := sc.execute(in, p, order)
 	if err != nil {

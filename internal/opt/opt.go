@@ -19,6 +19,11 @@
 // below that lower end, cannot lower the bracket — so the reported
 // bracket is the one a full 24-step MULTIFIT gives, for fewer
 // first-fit passes.
+//
+// StartEstimate is Estimate begun beside other work: the memo is read
+// on the caller's goroutine and only a miss solves on a goroutine of
+// its own, so a run can be scored while it executes. Its times slice is
+// read until Pending.Wait returns.
 package opt
 
 import (
@@ -368,33 +373,42 @@ func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 // The opt.cache_hits and opt.cache_misses counters report the hits and
 // misses.
 func Estimate(times []float64, m int, exactLimit int) Result {
+	res, key, ok := lookup(times, m, exactLimit)
+	if !ok {
+		res = estimateUncached(times, m, key.exactLimit)
+		cacheStore(key, times, res)
+	}
+	return res
+}
+
+// lookup is what Estimate and StartEstimate do before a solve: it
+// counts the call, answers the trivial instances and looks the rest up
+// in the memo. On a miss it returns the memo key the solve stores
+// under, exactLimit's default resolved in it.
+func lookup(times []float64, m int, exactLimit int) (Result, cacheKey, bool) {
 	estimateCalls.Inc()
 	if exactLimit <= 0 {
 		exactLimit = 20
 	}
 	n := len(times)
 	if n == 0 {
-		return Result{Method: "trivial", Exact: true}
+		return Result{Method: "trivial", Exact: true}, cacheKey{}, true
 	}
 	if m == 1 {
 		s := 0.0
 		for _, p := range times {
 			s += p
 		}
-		return Result{Lower: s, Upper: s, Exact: true, Method: "trivial"}
+		return Result{Lower: s, Upper: s, Exact: true, Method: "trivial"}, cacheKey{}, true
 	}
 	if n <= m {
 		v := MaxLowerBound(times)
-		return Result{Lower: v, Upper: v, Exact: true, Method: "trivial"}
+		return Result{Lower: v, Upper: v, Exact: true, Method: "trivial"}, cacheKey{}, true
 	}
 	// Only the non-trivial path is worth memoizing.
 	key := cacheKey{hash: hashTimes(times), n: n, m: m, exactLimit: exactLimit}
-	if res, ok := cacheLookup(key, times); ok {
-		return res
-	}
-	res := estimateUncached(times, m, exactLimit)
-	cacheStore(key, times, res)
-	return res
+	res, ok := cacheLookup(key, times)
+	return res, key, ok
 }
 
 // estimateUncached is the actual solve behind Estimate's memo cache,

@@ -1,0 +1,165 @@
+package opt
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// startShapes covers every way Estimate answers: without the memo (no
+// tasks, m = 1, n ≤ m) and through it on the exact search, the dual
+// approximation and the bounds alone.
+var startShapes = []struct {
+	name    string
+	n, m    int
+	trivial bool
+}{
+	{"empty", 0, 3, true},
+	{"m=1", 5, 1, true},
+	{"n<=m", 4, 6, true},
+	{"exact", 12, 3, false},
+	{"dual", 36, 12, false},
+	{"bounds", 300, 8, false},
+}
+
+// settle waits for the goroutine count to come back to base: a joined
+// solve has signalled its waiter but may still be returning.
+func settle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the call", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStartEstimateMatchesEstimate holds StartEstimate's Wait to
+// Estimate bit for bit, cold and warm, and to Estimate's counting: one
+// call, and on the memo one miss (cold) or one hit (warm). A hit and a
+// trivial instance are answered at once, with no goroutine to join; a
+// second Wait gives the first one's Result.
+func TestStartEstimateMatchesEstimate(t *testing.T) {
+	for i, sh := range startShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			times := randomTimes(sh.n, uint64(40+i))
+			ResetCache()
+			want := Estimate(times, sh.m, 0)
+			ResetCache()
+			for _, memo := range []string{"cold", "warm"} {
+				calls, hits, misses := estimateCalls.Load(), cacheHits.Load(), cacheMisses.Load()
+				base := runtime.NumGoroutine()
+				p := StartEstimate(times, sh.m, 0)
+				if solving := p.call != nil; solving != (memo == "cold" && !sh.trivial) {
+					t.Errorf("%s: a solve started = %v", memo, solving)
+				}
+				sameResult(t, p.Wait(), want)
+				sameResult(t, p.Wait(), want)
+				settle(t, base)
+				wantHits, wantMisses := int64(0), int64(0)
+				switch {
+				case sh.trivial:
+				case memo == "cold":
+					wantMisses = 1
+				default:
+					wantHits = 1
+				}
+				if d := estimateCalls.Load() - calls; d != 1 {
+					t.Errorf("%s: %d estimate calls counted, want 1", memo, d)
+				}
+				if h, m := cacheHits.Load()-hits, cacheMisses.Load()-misses; h != wantHits || m != wantMisses {
+					t.Errorf("%s: %d hits, %d misses counted, want %d, %d", memo, h, m, wantHits, wantMisses)
+				}
+			}
+		})
+	}
+}
+
+// TestStartEstimateHitAllocatesNothing: a memo hit is answered on the
+// caller's goroutine from the memo, so warm scoring loops keep their
+// zero allocations.
+func TestStartEstimateHitAllocatesNothing(t *testing.T) {
+	ResetCache()
+	times := randomTimes(300, 5)
+	Estimate(times, 8, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		p := StartEstimate(times, 8, 0)
+		p.Wait()
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per warm StartEstimate, want 0", allocs)
+	}
+}
+
+// TestStartEstimateRaisesThePanic: a solve that panics (no machines)
+// panics again in Wait, with Estimate's value, and leaves no goroutine
+// behind; a Wait after that returns the zero Result.
+func TestStartEstimateRaisesThePanic(t *testing.T) {
+	times := randomTimes(3, 1)
+	recovered := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	want := recovered(func() { Estimate(times, 0, 0) })
+	if want == nil {
+		t.Fatal("Estimate did not panic on m = 0")
+	}
+	ResetCache()
+	base := runtime.NumGoroutine()
+	p := StartEstimate(times, 0, 0)
+	got := recovered(func() { p.Wait() })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Wait raised %v, Estimate %v", got, want)
+	}
+	settle(t, base)
+	if res := p.Wait(); res != (Result{}) {
+		t.Fatalf("Wait after the panic = %+v, want the zero Result", res)
+	}
+}
+
+// TestStartEstimateConcurrent starts the same cold solves from several
+// goroutines at once, each waiting on its own Pending: every Wait gives
+// Estimate's Result and the memo ends up answering them.
+func TestStartEstimateConcurrent(t *testing.T) {
+	inputs := [][]float64{randomTimes(300, 11), randomTimes(36, 12), randomTimes(2000, 13)}
+	ms := []int{8, 12, 64}
+	want := make([]Result, len(inputs))
+	ResetCache()
+	for i, times := range inputs {
+		want[i] = Estimate(times, ms[i], 0)
+	}
+	ResetCache()
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	got := make([][]Result, 6)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pending := make([]Pending, len(inputs))
+			for i, times := range inputs {
+				pending[i] = StartEstimate(times, ms[i], 0)
+			}
+			for i := range pending {
+				got[g] = append(got[g], pending[i].Wait())
+			}
+		}()
+	}
+	wg.Wait()
+	settle(t, base)
+	for g := range got {
+		for i := range inputs {
+			sameResult(t, got[g][i], want[i])
+		}
+	}
+	hits := cacheHits.Load()
+	for i, times := range inputs {
+		sameResult(t, Estimate(times, ms[i], 0), want[i])
+	}
+	if d := cacheHits.Load() - hits; d != int64(len(inputs)) {
+		t.Fatalf("%d of %d solves were in the memo after their Waits", d, len(inputs))
+	}
+}

@@ -214,11 +214,10 @@ func New(m int, alpha float64, estimates, actuals []float64) (*Instance, error) 
 
 // NewEstimated builds an instance whose actual times equal the
 // estimates (a perfectly clairvoyant instance); perturbation models can
-// rewrite the actuals afterwards.
+// rewrite the actuals afterwards. New copies both columns into the
+// tasks, so the estimates serve as the actuals without a copy.
 func NewEstimated(m int, alpha float64, estimates []float64) (*Instance, error) {
-	actuals := make([]float64, len(estimates))
-	copy(actuals, estimates)
-	return New(m, alpha, estimates, actuals)
+	return New(m, alpha, estimates, estimates)
 }
 
 // Estimates returns a fresh slice of the estimated processing times.
