@@ -20,8 +20,8 @@ import (
 
 // overlapShapes covers every way opt.Estimate answers: the trivial
 // checks (m = 1, n ≤ m), which never reach the memo, the exact search
-// (n ≤ 20), the dual approximation (21–60) and the bounds alone
-// (n ≥ 61).
+// (n ≤ 20) and the bounds alone, at a mid size just above the exact
+// search and at a large one.
 var overlapShapes = []struct {
 	name    string
 	n, m    int
@@ -30,7 +30,7 @@ var overlapShapes = []struct {
 	{"trivial/m=1", 5, 1, true},
 	{"trivial/n<=m", 4, 6, true},
 	{"exact", 12, 3, false},
-	{"dual", 36, 12, false},
+	{"mid", 36, 12, false},
 	{"bounds", 300, 8, false},
 }
 

@@ -27,11 +27,6 @@ func fullBracketEstimate(times []float64, m int, exactLimit int) (Result, int64)
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}, s.ffd.probes
 		}
 	}
-	if n <= 60 {
-		if v, ok := DualApprox(times, m, 0.1); ok && v < ub {
-			ub = v
-		}
-	}
 	return Result{Lower: lb, Upper: ub, Method: "bounds"}, s.ffd.probes
 }
 
@@ -50,8 +45,8 @@ func sameResult(t *testing.T, got, want Result) {
 // treats differently: n ≫ m, where KK beats MULTIFIT and the stop cuts
 // most first-fit passes; serve-solve's n=2k, m=512, where MULTIFIT
 // wins and must run to the end; n ≤ 20, the exact path, which keeps
-// the full bracket as its seed; and 20 < n ≤ 60, the dual path, which
-// stops like n ≫ m and then tightens. Where MULTIFIT wins its lower end
+// the full bracket as its seed; and a mid size just above the exact
+// path, which stops like n ≫ m. Where MULTIFIT wins its lower end
 // never reaches the stop, so it makes every probe the full bracket
 // makes. Each shape first checks it is
 // the case it names, so a change of instance cannot quietly test
@@ -70,7 +65,7 @@ func TestBracketStopMatchesFullBracket(t *testing.T) {
 		{"kk-wins/n=1k,m=16", 1_000, 16, []uint64{4, 5}, "kk", "bounds", true},
 		{"multifit-wins/n=2k,m=512", 2_000, 512, []uint64{6, 7}, "multifit", "bounds", false},
 		{"exact/n=15,m=4", 15, 4, []uint64{8, 9, 10}, "", "exact", false},
-		{"dual/n=30,m=4", 30, 4, []uint64{11}, "kk", "bounds", true},
+		{"mid/n=30,m=4", 30, 4, []uint64{11}, "kk", "bounds", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -21,18 +21,15 @@ func sameBits(t *testing.T, what string, got, want float64) {
 }
 
 // checkKernels compares every rewritten kernel with its oracle on one
-// instance, and the estimate also with fullBracketEstimate. exactLimit bounds the branch and bound the same way on
-// both sides. With dual false the whole-estimate comparison is skipped
-// where it would reach DualApprox (exactLimit < n ≤ 60): that solver is
-// unchanged, runs on both sides and takes up to a second a call, which
-// starves a fuzzer; everything that feeds it is compared on its own.
-func checkKernels(t *testing.T, times []float64, m, exactLimit int, dual bool) {
+// instance, and the estimate also with fullBracketEstimate. exactLimit
+// bounds the branch and bound the same way on both sides.
+func checkKernels(t *testing.T, times []float64, m, exactLimit int) {
 	t.Helper()
 	sameBits(t, "KarmarkarKarp", karmarkarKarp(times, m), oracleKarmarkarKarp(times, m))
 	if len(times) == 0 {
 		return
 	}
-	sameBits(t, "MultiFit", MultiFit(times, m, 24), oracleMultiFit(times, m, 24))
+	sameBits(t, "MultiFit", multiFit(times, m, 24), oracleMultiFit(times, m, 24))
 
 	desc := appendDesc(times, nil)
 	lo, hi := LowerBound(times, m), oracleLPT(times, m)
@@ -44,8 +41,8 @@ func checkKernels(t *testing.T, times []float64, m, exactLimit int, dual bool) {
 		}
 	}
 
-	if n := len(times); n <= m || (!dual && n > exactLimit && n <= 60) {
-		return // n ≤ m: Estimate answers these without a solve
+	if len(times) <= m {
+		return // Estimate answers these without a solve
 	}
 	got := estimateUncached(times, m, exactLimit)
 	sameResult(t, got, oracleEstimate(times, m, exactLimit))
@@ -72,7 +69,8 @@ func checkKernels(t *testing.T, times []float64, m, exactLimit int, dual bool) {
 // representations differ most — ties (many short vectors alive at
 // once), zeros (stored loads that are zero), n ≤ m and m > n/2 (no or
 // few full vectors), n = m+1 (the first overlap is the last merge),
-// m = 2 (every merged vector is full) — and the benchmark's shapes.
+// m = 2 (every merged vector is full) — mid sizes just above the exact
+// search, and the benchmark's shapes.
 func TestEstimateKernelsMatchOracle(t *testing.T) {
 	src := rng.New(14)
 	type gen struct {
@@ -88,12 +86,11 @@ func TestEstimateKernelsMatchOracle(t *testing.T) {
 		{"skewed", func() float64 { return math.Exp(src.Uniform(-8, 8)) }},
 		{"equal", func() float64 { return 7.25 }},
 	}
-	// Few shapes sit in 12 < n ≤ 60: there both sides also run the
-	// (unchanged, slow) dual approximation.
 	shapes := [][2]int{
 		{1, 2}, {2, 2}, {3, 2}, {9, 2}, {70, 2}, // m = 2
 		{3, 5}, {5, 5}, {6, 5}, {7, 6}, {17, 16}, // n ≤ m, n = m+1
 		{12, 7}, {66, 34}, {90, 46}, {100, 64}, // m > n/2
+		{24, 6}, {40, 5}, {60, 6}, // just above the exact search
 		{11, 3}, {61, 4}, {64, 5}, {97, 8}, {300, 7}, {257, 16}, {1000, 33},
 	}
 	for _, g := range gens {
@@ -105,7 +102,7 @@ func TestEstimateKernelsMatchOracle(t *testing.T) {
 					for i := range times {
 						times[i] = g.draw()
 					}
-					checkKernels(t, times, m, 12, true)
+					checkKernels(t, times, m, 12)
 				}
 			})
 		}
@@ -118,7 +115,7 @@ func TestEstimateKernelsMatchOracle(t *testing.T) {
 				for i := range times {
 					times[i] = g.draw()
 				}
-				checkKernels(t, times, m, 12, true)
+				checkKernels(t, times, m, 12)
 			}
 		})
 	}
@@ -160,12 +157,13 @@ func fuzzTimes(data []byte, shape uint8) []float64 {
 // FuzzEstimateKernels searches for an instance on which a cold-solve
 // kernel and its oracle disagree in any bit. The committed corpus under
 // testdata/fuzz seeds it with the differential test's corners (m = 2,
-// n ≤ m, n = m+1, m > n/2, zeros, duplicate-heavy and all-equal times)
-// and TestKarmarkarKarpTieOrderStable's instance.
+// n ≤ m, n = m+1, m > n/2, zeros, duplicate-heavy and all-equal times),
+// an open bracket at n = 36, m = 12, just above the exact search, and
+// TestKarmarkarKarpTieOrderStable's instance.
 func FuzzEstimateKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, mRaw uint16, shape uint8) {
 		m := 2 + int(mRaw%640)
-		checkKernels(t, fuzzTimes(data, shape), m, 10, false)
+		checkKernels(t, fuzzTimes(data, shape), m, 10)
 	})
 }
 

@@ -43,6 +43,11 @@ var (
 	exactSolves   = obs.GetCounter("opt.exact_solves")
 	multifitRuns  = obs.GetCounter("opt.multifit_runs")
 
+	// Exact searches in estimateUncached that ran out of nodes before
+	// proving an optimum: opt.exact_solves counts the attempts, this
+	// the attempts that left the bracket open.
+	budgetExhausted = obs.GetCounter("opt.budget_exhausted")
+
 	// What a memo miss costs and which kernel steps did the work; the
 	// counters are added once per solve from the scratch's own tallies.
 	solveTimer      = obs.GetTimer("opt.solve")
@@ -301,29 +306,15 @@ func ffdFits(desc []float64, m int, capacity float64, x *ffdIndex) bool {
 	return fits
 }
 
-// MultiFit runs the MULTIFIT algorithm with the given number of
-// binary-search iterations (13 suffices for ~1e-4 relative precision)
-// and returns a makespan achievable by FFD packing, which is an upper
-// bound on C* within a factor 13/11.
-func MultiFit(times []float64, m int, iterations int) float64 {
-	if iterations <= 0 {
-		iterations = 20
-	}
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
-	s.sortDesc(times)
-	lo := lowerBoundDesc(times, s.desc, m)
-	hi := lptMakespanDesc(s.desc, m, &s.loads)
-	return multiFitDesc(s.desc, m, iterations, lo, hi, math.Inf(1), &s.ffd)
-}
-
-// multiFitDesc is MultiFit over descending-sorted times, given the
-// lower bound to start the search from and the LPT makespan to end it
-// at. The bisection stops early once lo reaches stop: lo only rises and
-// hi never falls below it, so every answer still to come is at least
-// stop, and a caller that only wants one below stop has none coming.
-// It gets hi, which is at least stop too. An infinite stop runs every
-// iteration.
+// multiFitDesc runs MULTIFIT over descending-sorted times: a bisection
+// of at most iterations steps (13 suffice for ~1e-4 relative precision)
+// for the least capacity FFD packing fits in m bins, which is an upper
+// bound on C* within a factor 13/11. It starts from the lower bound lo
+// and ends at the LPT makespan hi. The bisection stops early once lo
+// reaches stop: lo only rises and hi never falls below it, so every
+// answer still to come is at least stop, and a caller that only wants
+// one below stop has none coming. It gets hi, which is at least stop
+// too. An infinite stop runs every iteration.
 func multiFitDesc(desc []float64, m int, iterations int, lo, hi, stop float64, x *ffdIndex) float64 {
 	multifitRuns.Inc()
 	if ffdFits(desc, m, lo, x) {
@@ -358,13 +349,13 @@ type Result struct {
 func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 
 // Estimate brackets C*_max by [LowerBound, min(LPT, Karmarkar–Karp,
-// MultiFit)] after quick trivial checks, the upper bounds taken in
+// MULTIFIT)] after quick trivial checks, the upper bounds taken in
 // that order: above exactLimit MULTIFIT stops bisecting once its lower
 // end reaches min(LPT, KK), where it can no longer lower the bracket,
 // so Upper is the full 24-step bracket's (see estimateUncached). When
 // the ends do not meet, instances with n ≤ exactLimit tasks are solved
-// exactly by branch-and-bound, and up to n = 60 DualApprox tightens the
-// upper end. exactLimit ≤ 0 selects the default of 20.
+// exactly by branch-and-bound; a search that runs out of nodes leaves
+// the bracket as it was. exactLimit ≤ 0 selects the default of 20.
 //
 // Results for non-trivial instances are memoized in a concurrency-safe
 // content-addressed cache (Estimate is a pure function of its inputs),
@@ -461,13 +452,7 @@ func estimateUncached(times []float64, m int, exactLimit int) Result {
 		if v, ok := exactDesc(desc, m, lb, seed, 20_000_000); ok {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}
 		}
-	}
-	// Mid-size instances: tighten the upper bound with the
-	// Hochbaum–Shmoys dual approximation (certified 1+eps factor).
-	if n <= 60 {
-		if v, ok := DualApprox(times, m, 0.1); ok && v < ub {
-			ub = v
-		}
+		budgetExhausted.Inc()
 	}
 	return Result{Lower: lb, Upper: ub, Method: "bounds"}
 }

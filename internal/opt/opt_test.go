@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -97,9 +98,19 @@ func TestExactBeatsLPTWhenPossible(t *testing.T) {
 	}
 }
 
+// multiFit is MULTIFIT on unsorted times with every bisection step
+// taken: the sort-then-call entry the tests reach multiFitDesc by.
+func multiFit(times []float64, m int, iterations int) float64 {
+	var s solveScratch
+	s.sortDesc(times)
+	lo := lowerBoundDesc(times, s.desc, m)
+	hi := lptMakespanDesc(s.desc, m, &s.loads)
+	return multiFitDesc(s.desc, m, iterations, lo, hi, math.Inf(1), &s.ffd)
+}
+
 func TestMultiFitUpperBound(t *testing.T) {
 	times := []float64{3, 3, 2, 2, 2}
-	mf := MultiFit(times, 2, 30)
+	mf := multiFit(times, 2, 30)
 	if mf < 6-1e-9 {
 		t.Fatalf("MultiFit = %v below optimum 6", mf)
 	}
@@ -203,7 +214,7 @@ func TestBoundsSandwichProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		mf := MultiFit(times, m, 30)
+		mf := multiFit(times, m, 30)
 		lpt, _ := LPT(times, m)
 		const tol = 1e-9
 		return lb <= exact+tol && exact <= mf+tol && mf <= lpt+tol
@@ -228,6 +239,35 @@ func TestExactBudgetExhaustion(t *testing.T) {
 	if v < LowerBound(times, 5)-1e-9 {
 		t.Fatalf("exhausted incumbent %v below lower bound", v)
 	}
+
+	// Estimate's own search counts each attempt in opt.exact_solves and
+	// each one that runs out of nodes, leaving the bracket open, in
+	// opt.budget_exhausted; a memo hit counts neither.
+	exhausted := obs.GetCounter("opt.budget_exhausted")
+	for _, c := range []struct {
+		n, m   int
+		seed   uint64
+		method string
+		runOut int64
+	}{
+		{12, 3, 43, "exact", 0}, // proved within the budget
+		{20, 4, 5, "bounds", 1}, // runs out of its 20M nodes (about 1 s)
+	} {
+		times := randomTimes(c.n, c.seed)
+		ResetCache()
+		solves, runOut := exactSolves.Load(), exhausted.Load()
+		for range 2 {
+			if r := Estimate(times, c.m, 0); r.Method != c.method {
+				t.Fatalf("n=%d, m=%d: answered by %q, want %q", c.n, c.m, r.Method, c.method)
+			}
+		}
+		if d := exactSolves.Load() - solves; d != 1 {
+			t.Errorf("n=%d, m=%d: opt.exact_solves moved by %d, want 1", c.n, c.m, d)
+		}
+		if d := exhausted.Load() - runOut; d != c.runOut {
+			t.Errorf("n=%d, m=%d: opt.budget_exhausted moved by %d, want %d", c.n, c.m, d, c.runOut)
+		}
+	}
 }
 
 func BenchmarkLPT1000(b *testing.B) {
@@ -250,7 +290,7 @@ func BenchmarkMultiFit1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MultiFit(times, 16, 20)
+		multiFit(times, 16, 20)
 	}
 }
 

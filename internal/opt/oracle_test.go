@@ -299,10 +299,5 @@ func oracleEstimate(times []float64, m int, exactLimit int) Result {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}
 		}
 	}
-	if n <= 60 {
-		if v, ok := DualApprox(times, m, 0.1); ok && v < ub {
-			ub = v
-		}
-	}
 	return Result{Lower: lb, Upper: ub, Method: "bounds"}
 }

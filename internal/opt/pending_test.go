@@ -9,8 +9,9 @@ import (
 )
 
 // startShapes covers every way Estimate answers: without the memo (no
-// tasks, m = 1, n ≤ m) and through it on the exact search, the dual
-// approximation and the bounds alone.
+// tasks, m = 1, n ≤ m) and through it on the exact search and on the
+// bounds alone, at a mid size just above the exact search and at a
+// large one.
 var startShapes = []struct {
 	name    string
 	n, m    int
@@ -20,7 +21,7 @@ var startShapes = []struct {
 	{"m=1", 5, 1, true},
 	{"n<=m", 4, 6, true},
 	{"exact", 12, 3, false},
-	{"dual", 36, 12, false},
+	{"mid", 36, 12, false},
 	{"bounds", 300, 8, false},
 }
 
