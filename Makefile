@@ -110,7 +110,7 @@ figs-check:
 # FUZZ_TIME each. The one list: CI's fuzz smoke is `make fuzz`, so a new
 # target is one word here.
 FUZZ_TIME    := 30s
-FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel sim:FuzzRankSet \
+FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel sim:FuzzRankSet sim:FuzzFailures \
 	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \

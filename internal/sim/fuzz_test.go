@@ -431,3 +431,89 @@ func TestFlatOpenTieHeavyDifferential(t *testing.T) {
 		checkOpenTies(t, 1+int(seed*37%90), seed)
 	}
 }
+
+// fuzzFailureRunner is FuzzFailures' pooled runner: it carries its state
+// from input to input within a fuzzing process, as a pooled runner in
+// production carries it from request to request.
+var fuzzFailureRunner Runner
+
+// FuzzFailures holds fail-stop runs to oracleRunFailures. An input is a
+// placement — pseudo-random overlapping replica sets (fuzzPlacement) or,
+// with crashByte's high bit set, one machine per task (nonePlacement),
+// whose crashes mostly strand a task — a random priority order, actual
+// times on a half-second grid and zero to six crashes on the same grid,
+// a third of them at the time of an earlier crash and a sixth a copy of
+// one. A fresh sharded run must end in the oracle's error, word for word,
+// or its schedule, byte for byte. The input is then run on the pooled
+// runner twice: with the crashes, against the oracle again, and without
+// them, against a fresh crash-free run, record included, so that state a
+// fail-stop run leaves behind (dead machines, completed flags, the retry
+// list) cannot leak into the next run.
+func FuzzFailures(f *testing.F) {
+	f.Add(uint8(12), uint8(4), uint8(2), uint64(1))
+	f.Add(uint8(40), uint8(8), uint8(6), uint64(2))
+	f.Add(uint8(1), uint8(1), uint8(1), uint64(3))
+	f.Add(uint8(30), uint8(6), uint8(0x80|3), uint64(4)) // none placement: strands
+	f.Add(uint8(24), uint8(3), uint8(5), uint64(0xfeed))
+	f.Fuzz(func(t *testing.T, nRaw, mRaw, crashByte uint8, seed uint64) {
+		n := 1 + int(nRaw)%40
+		m := 1 + int(mRaw)%8
+		p := fuzzPlacement(n, m, seed)
+		if crashByte&0x80 != 0 {
+			p = nonePlacement(n, m, seed)
+		}
+		r := rng.New(seed ^ 0xfa11)
+		act := make([]float64, n)
+		halves := 0 // total work in half seconds
+		for j := range act {
+			h := 1 + r.Intn(12)
+			act[j] = 0.5 * float64(h)
+			halves += h
+		}
+		in, err := task.New(m, 1, act, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := r.Perm(n)
+		failures := make([]Failure, 0, 6)
+		for len(failures) < int(crashByte&0x7f)%7 {
+			c := Failure{Machine: r.Intn(m), Time: 0.5 * float64(r.Intn(2+halves/m))}
+			switch k := r.Intn(6); {
+			case len(failures) > 0 && k < 2:
+				c.Time = failures[r.Intn(len(failures))].Time // a tie
+			case len(failures) > 0 && k == 2:
+				c = failures[r.Intn(len(failures))] // a duplicate
+			}
+			failures = append(failures, c)
+		}
+		label := fmt.Sprintf("n=%d m=%d crashes=%v seed=%d", n, m, failures, seed)
+		want, wantErr := oracleRunFailures(in, p, order, failures)
+		check := func(run string, got *Result, err error) {
+			t.Helper()
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Fatalf("%s/%s: err = %v, oracle err = %v", label, run, err, wantErr)
+			case err != nil && err.Error() != wantErr.Error():
+				t.Fatalf("%s/%s: err %q, oracle %q", label, run, err, wantErr)
+			case err == nil && !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments):
+				t.Fatalf("%s/%s: schedule diverges from the oracle", label, run)
+			}
+		}
+		got, err := RunFlatSharded(in, p, order, FlatOptions{Failures: failures})
+		check("fresh", got, err)
+		got, err = fuzzFailureRunner.RunSharded(in, p, order, FlatOptions{Failures: failures})
+		check("pooled", got, err)
+
+		healthy, err := RunFlatSharded(in, p, order, FlatOptions{})
+		if err != nil {
+			t.Fatalf("%s: crash-free run: %v", label, err)
+		}
+		pooled, err := fuzzFailureRunner.RunSharded(in, p, order, FlatOptions{})
+		if err != nil {
+			t.Fatalf("%s: pooled crash-free run: %v", label, err)
+		}
+		if !reflect.DeepEqual(pooled.Schedule, healthy.Schedule) {
+			t.Fatalf("%s: pooled crash-free run diverges from a fresh one", label)
+		}
+	})
+}
