@@ -3,11 +3,16 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/task"
 	"repro/internal/uncertainty"
 	"repro/internal/workload"
 )
@@ -94,5 +99,39 @@ func TestTrialsCatchPlantedViolation(t *testing.T) {
 	in := workload.MustNew(workload.Spec{Name: "uniform", N: 8, M: 2, Alpha: 1.5, Seed: 1})
 	if err := (trial{}).bounded(algo.ReplicateTail(3), in, in.Alpha, 1e9, 1); err != nil {
 		t.Errorf("unbounded strategy checked: %v", err)
+	}
+}
+
+// TestFailStoppedCatchesWorkAfterTheCrash: e10's fail-stop check passes
+// the engine's crashed run and fails, naming the trial's seeds, a
+// schedule with work on the dead machine past its crash and one that
+// does not verify.
+func TestFailStoppedCatchesWorkAfterTheCrash(t *testing.T) {
+	est := []float64{4, 4, 4}
+	in, err := task.New(2, 1, est, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := placement.Everywhere(3, 2)
+	crash := sim.Failure{Machine: 0, Time: 2}
+	tr := trial{index: 3, seeds: []uint64{7, 8, 9}}
+	res, err := sim.RunFlatSharded(in, p, []int{0, 1, 2}, sim.FlatOptions{Failures: []sim.Failure{crash}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.failStopped(res.Schedule, in, p, crash); err != nil {
+		t.Fatalf("engine's crashed run: %v", err)
+	}
+	healthy, err := sim.RunFlatSharded(in, p, []int{0, 1, 2}, sim.FlatOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.failStopped(healthy.Schedule, in, p, crash); err == nil || !strings.Contains(err.Error(), "seeds [7 8 9]") {
+		t.Errorf("healthy schedule against a crash at 2: %v, want work past the crash", err)
+	}
+	broken := &sched.Schedule{M: 2, Assignments: slices.Clone(res.Schedule.Assignments)}
+	broken.Assignments[1].End++
+	if err := tr.failStopped(broken, in, p, crash); err == nil || !strings.Contains(err.Error(), "seeds [7 8 9]") {
+		t.Errorf("invalid schedule: %v, want a Verify error", err)
 	}
 }

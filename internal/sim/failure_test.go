@@ -27,7 +27,8 @@ func runWithFailures(in *task.Instance, p *placement.Placement, order []int,
 
 func TestFailureNoFailuresMatchesPlainRun(t *testing.T) {
 	// A crash after the last completion sends the run through the
-	// fail-stop loop with nothing to lose: the plain run's schedule.
+	// general loop's fail-stop mode with nothing to lose: the plain
+	// run's schedule.
 	in := workload.MustNew(workload.Spec{Name: "uniform", N: 30, M: 4, Alpha: 1.5, Seed: 3})
 	uncertainty.Uniform{}.Perturb(in, nil, rng.New(4))
 	p := placement.Everywhere(30, 4)

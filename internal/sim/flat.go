@@ -90,9 +90,9 @@ type FlatOptions struct {
 // allocations across same-shaped runs, and is not safe for concurrent
 // use.
 type Runner struct {
-	// Shard decomposition (shardOf, shardMachines, shardTasks, …). shardTasks, built for open and fail-stop runs,
-	// doubles as the per-shard arrival stream: task IDs ascend within a
-	// shard and arrival times ascend with task ID.
+	// Shard decomposition (shardOf, shardMachines, shardTasks, …).
+	// shardTasks, built for open and fail-stop runs, holds each shard's
+	// tasks by ID, an open shard's arrival stream (arrivals ascend by ID).
 	shardSet
 
 	// SoA task state (see Layout).
@@ -115,7 +115,7 @@ type Runner struct {
 	// for a wide task), which an arrival pushes and a completion under
 	// CancelOnCompletion drops, and the machine-to-slot map (a machine's
 	// index in shardMachines) they are built with; the replica each
-	// machine runs (also the fail-stop loop's) and its start.
+	// machine runs (a fail-stop run's too) and its start.
 	arrTick    []tick.Tick
 	slot       []int32
 	narrowOff  []int32
@@ -131,15 +131,12 @@ type Runner struct {
 
 	// Fail-stop state, sized only when Failures are present.
 	dead      []bool
-	dormant   []bool
-	dormantAt []tick.Tick
-	runEnd    []tick.Tick
 	completed []bool
 	crashes   []mEvent
 
 	// Event-loop scratch, reused shard after shard: the shard's machines
-	// by next event tick, race-collapse cohorts, the fail-stop retry
-	// list, and the tally for the run's counters.
+	// by next event tick, race-collapse cohorts, the lost tasks a
+	// fail-stop shard offers again, and the tally for the run's counters.
 	tree  loadheap.Tree[tick.Tick]
 	parks parkSet
 	retry []int32
@@ -395,10 +392,6 @@ func (r *Runner) prepare(in *task.Instance, p *placement.Placement, order []int,
 		if r.raceOK {
 			r.raceEnd = grow(r.raceEnd, n) // written at race start before any read
 		}
-		r.runTask = grow(r.runTask, m)
-		for i := range r.runTask {
-			r.runTask[i] = -1
-		}
 		r.runStart = growZero(r.runStart, m)
 		r.openRes.Responses = growZero(r.openRes.Responses, n)
 	}
@@ -450,6 +443,10 @@ func (r *Runner) prepare(in *task.Instance, p *placement.Placement, order []int,
 	}
 	if r.openRun || len(r.batch.Failures) > 0 {
 		r.buildTaskLists(p)
+		r.runTask = grow(r.runTask, m)
+		for i := range r.runTask {
+			r.runTask[i] = -1
+		}
 	}
 
 	// One pass over the priority order numbers each shard's tasks in the
@@ -503,8 +500,8 @@ func (r *Runner) prepare(in *task.Instance, p *placement.Placement, order []int,
 			r.res.Trace = grow(r.res.Trace, 2*n)
 		}
 		// Sized on a fail-stop run too, which hands out no record (runBatch
-		// truncates it): 4 B per task there buys crash-free shards a writer
-		// with no test in its dispatch loop.
+		// truncates it): its crash-free shards write one as any batch run's
+		// do, and its fail-stop shards none.
 		r.sched.Dispatched = grow(r.sched.Dispatched, n)
 		if len(r.batch.Failures) > 0 {
 			return r.prepareFailures(in)
@@ -586,13 +583,6 @@ func (r *Runner) prepareFailures(in *task.Instance) error {
 	sort.Slice(r.crashes, func(a, b int) bool { return mLess(r.crashes[a], r.crashes[b]) })
 
 	r.dead = growZero(r.dead, m)
-	r.dormant = growZero(r.dormant, m)
-	r.dormantAt = growZero(r.dormantAt, m)
-	r.runTask = grow(r.runTask, m)
-	for i := range r.runTask {
-		r.runTask[i] = -1
-	}
-	r.runEnd = growZero(r.runEnd, m)
 	r.completed = growZero(r.completed, n)
 	return nil
 }

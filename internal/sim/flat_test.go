@@ -584,8 +584,9 @@ func itoa(v int) string { return strconv.Itoa(v) }
 // TestFlatSaturationIsAnError pins the tick-range edge of the batch
 // engine: in-range durations whose completion time clamps at tick.Max
 // — or whose fetch-penalized duration is itself past the range — fail
-// with the overflow error on the linear, heap and fail-stop paths
-// alike, at the same error sharded as in one global loop.
+// with the overflow error on the linear path and in the general loop,
+// its fail-stop mode included, at the same error sharded as in one
+// global loop.
 func TestFlatSaturationIsAnError(t *testing.T) {
 	near := tick.Max.Seconds() * 0.75
 	in := &task.Instance{M: 2, Alpha: 1, Tasks: []task.Task{

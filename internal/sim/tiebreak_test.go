@@ -49,8 +49,8 @@ func TestEventQueueTiedPopOrder(t *testing.T) {
 
 // TestTickHeapTiedPopOrder audits the batch engine's event tree
 // (loadheap.Tree over ticks, leaves in machine order) the way
-// replayGeneral and failureLoop use it: 24 machines whose ticks tie in
-// blocks (int64 equality, no float fuzz), set in shuffled order, must
+// replayGeneral uses it, in fail-stop mode too: 24 machines whose ticks
+// tie in blocks (int64 equality, no float fuzz), set in shuffled order, must
 // come out in the total (tick, machine) order as each winner retires
 // to tick.Max; and two retired machines re-set into the block still
 // pending, as a dormant machine is woken, must take their places in
