@@ -138,12 +138,14 @@ stress:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 ./internal/cluster/ ./internal/front/
 
-# Sustained-load smoke: boot the full in-process tier (frontd over two
-# clusterd shards over two schedds) and drive it with cmd/loadgen's
-# closed loop. Fails on any non-shed error. (The open-loop measurement
-# is cmd/bench's serve-open workload, over this same stack.)
+# Checked load smoke: cmd/bench -smoke boots the full tier in-process on
+# loopback TCP (frontd over two clusterd shards over two schedds, every
+# knob at its default), drives every workload, library and serving,
+# closed and open loop, traced and untraced, at toy sizes, checks every
+# answer (re-solving a sample) and fails on any wrong, shed or errored
+# one.
 loadtest:
-	$(GO) run ./cmd/loadgen -selftest -requests 200 -workers 8
+	$(GO) run ./cmd/bench -smoke
 
 # Removes only what the tree ignores (.gitignore); out/ is tracked.
 clean:

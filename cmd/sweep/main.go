@@ -9,10 +9,11 @@
 //	emp    — measured makespan of each strategy as α sweeps, on a
 //	         random workload (end-to-end pipeline)
 //
-// In emp mode the trials of each (α, strategy) cell run concurrently
-// with pre-drawn seeds, so the CSV is byte-identical regardless of
-// -workers. Profiling flags mirror cmd/paperfigs: -cpuprofile,
-// -memprofile, and -stats (internal counters to stderr).
+// In emp mode the trials of each (α, strategy) cell fan out through
+// experiments.Trials, the seed → fan-out helper every experiment uses,
+// so the CSV is byte-identical regardless of -workers. Profiling flags
+// mirror cmd/paperfigs: -cpuprofile, -memprofile, and -stats (internal
+// counters to stderr).
 //
 // Examples:
 //
@@ -25,14 +26,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -61,7 +63,7 @@ func main() {
 
 	prof := obs.Profile{Prog: "sweep", CPU: *cpuprofile, Mem: *memprofile, Stats: *statsFlag}
 	err := prof.Run(os.Stderr, func() error {
-		return run(*mode, *m, *n, *alphas, *alpha2, *rho, *trials, *seed, *wl, *workers)
+		return run(os.Stdout, *mode, *m, *n, *alphas, *alpha2, *rho, *trials, *seed, *wl, *workers)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
@@ -88,7 +90,7 @@ func parseAlphas(s string) ([]float64, error) {
 	return out, nil
 }
 
-func run(mode string, m, n int, alphaList string, alpha2, rho float64,
+func run(w io.Writer, mode string, m, n int, alphaList string, alpha2, rho float64,
 	trials int, seed uint64, wl string, workers int) error {
 	switch mode {
 	case "ratio":
@@ -107,7 +109,7 @@ func run(mode string, m, n int, alphaList string, alpha2, rho float64,
 				}
 			}
 		}
-		return tb.WriteCSV(os.Stdout)
+		return tb.WriteCSV(w)
 
 	case "memory":
 		tb := report.NewTable("series", "memory_guarantee", "makespan_guarantee")
@@ -117,7 +119,7 @@ func run(mode string, m, n int, alphaList string, alpha2, rho float64,
 				tb.AddRow(s.Name, pt.X, pt.Y)
 			}
 		}
-		return tb.WriteCSV(os.Stdout)
+		return tb.WriteCSV(w)
 
 	case "emp":
 		alphas, err := parseAlphas(alphaList)
@@ -140,51 +142,41 @@ func run(mode string, m, n int, alphaList string, alpha2, rho float64,
 		src := rng.New(seed)
 		for _, alpha := range alphas {
 			for _, c := range cfgs {
-				trialSrc := rng.New(src.Uint64())
-				// Pre-draw each trial's (workload, perturb) seed pair in
-				// the sequential draw order, then fan the trials out; the
-				// CSV stays byte-identical for any worker count.
-				type trialSeeds struct{ base, perturb uint64 }
-				seeds := make([]trialSeeds, trials)
-				for t := range seeds {
-					seeds[t].base = trialSrc.Uint64()
-					seeds[t].perturb = trialSrc.Uint64()
-				}
-				type trialOut struct {
-					makespan, ratio float64
-					err             error
-				}
-				outs := par.Map(trials, workers, func(t int) trialOut {
+				// Each trial's seeds are the workload's and the
+				// perturbation's, drawn in trial order from the cell's
+				// stream; the CSV stays byte-identical for any worker count.
+				type trialOut struct{ makespan, ratio float64 }
+				outs, err := experiments.Trials(rng.New(src.Uint64()), trials, 2, workers, func(_ int, seeds []uint64) (trialOut, error) {
 					in, err := workload.New(workload.Spec{
-						Name: wl, N: n, M: m, Alpha: alpha, Seed: seeds[t].base,
+						Name: wl, N: n, M: m, Alpha: alpha, Seed: seeds[0],
 					})
 					if err != nil {
-						return trialOut{err: err}
+						return trialOut{}, err
 					}
-					uncertainty.Uniform{}.Perturb(in, nil, rng.New(seeds[t].perturb))
+					uncertainty.Uniform{}.Perturb(in, nil, rng.New(seeds[1]))
 					// Centralized instance validation between perturbation
 					// and the solvers, mirroring the serving layer.
 					if err := in.Validate(true); err != nil {
-						return trialOut{err: err}
+						return trialOut{}, err
 					}
 					out, err := core.Run(in, c.cfg)
 					if err != nil {
-						return trialOut{err: err}
+						return trialOut{}, err
 					}
-					return trialOut{makespan: out.Makespan, ratio: out.RatioUpper}
+					return trialOut{makespan: out.Makespan, ratio: out.RatioUpper}, nil
 				})
+				if err != nil {
+					return err
+				}
 				var mk, ratio []float64
-				for _, res := range outs {
-					if res.err != nil {
-						return res.err
-					}
-					mk = append(mk, res.makespan)
-					ratio = append(ratio, res.ratio)
+				for _, o := range outs {
+					mk = append(mk, o.makespan)
+					ratio = append(ratio, o.ratio)
 				}
 				tb.AddRow(alpha, c.label, stats.Summarize(mk).Mean, stats.Summarize(ratio).Mean)
 			}
 		}
-		return tb.WriteCSV(os.Stdout)
+		return tb.WriteCSV(w)
 
 	default:
 		return fmt.Errorf("unknown mode %q (want ratio, memory or emp)", mode)

@@ -10,14 +10,15 @@
 // The harness is parallel at two levels: RunList renders independent
 // experiments concurrently into private buffers and stitches them in
 // list order, and each empirical experiment fans its independent
-// trials out through the one helper, trials (trials.go). Reports are
-// nevertheless byte-identical to a fully sequential run
-// (Options.Workers = 1) for the same Options, and trials is the whole
-// implementation of why: it pre-draws every trial's RNG seeds from the
-// cell's stream in the exact sequential draw order before fanning out,
-// lands results at their trial index, and hands them back for
-// aggregation in index order (column is the scalar fold). Wall-clock
-// text (e5) is the only intentionally non-deterministic output.
+// trials out through the one helper, Trials (trials.go; cmd/sweep's
+// emp mode uses it too). Reports are nevertheless byte-identical to a
+// fully sequential run (Options.Workers = 1) for the same Options, and
+// Trials is the whole implementation of why: it pre-draws every
+// trial's RNG seeds from the cell's stream in the exact sequential draw
+// order before fanning out, lands results at their trial index, and
+// hands them back for aggregation in index order (column is the scalar
+// fold). Wall-clock text (e5) is the only intentionally
+// non-deterministic output.
 //
 // # The paper's bounds as an oracle
 //

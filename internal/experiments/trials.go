@@ -22,20 +22,21 @@ type trial struct {
 	seeds []uint64
 }
 
-// trials is the one seed → fan-out → fold of the package, the
+// Trials is the one seed → fan-out → fold of the repository, the
 // determinism contract of the package comment in code: it draws every
 // trial's seeds (draws each) from src in trial order before anything
-// runs, runs the n trials on opts.Workers workers, and returns their
-// results at their trial index — or the error of the first failing
-// trial in that order, whichever trial failed first on the clock.
-func trials[T any](src *rng.Source, n, draws int, opts Options, run func(t trial) (T, error)) ([]T, error) {
+// runs, runs the n trials on workers workers (0 = GOMAXPROCS), and
+// returns their results at their trial index — or the error of the
+// first failing trial in that order, whichever trial failed first on
+// the clock. The output is the same for every worker count.
+func Trials[T any](src *rng.Source, n, draws, workers int, run func(index int, seeds []uint64) (T, error)) ([]T, error) {
 	seeds := make([]uint64, n*draws)
 	for i := range seeds {
 		seeds[i] = src.Uint64()
 	}
 	errs := make([]error, n)
-	outs := par.Map(n, opts.Workers, func(i int) T {
-		out, err := run(trial{index: i, seeds: seeds[i*draws : (i+1)*draws]})
+	outs := par.Map(n, workers, func(i int) T {
+		out, err := run(i, seeds[i*draws:(i+1)*draws])
 		errs[i] = err
 		return out
 	})
@@ -45,6 +46,13 @@ func trials[T any](src *rng.Source, n, draws int, opts Options, run func(t trial
 		}
 	}
 	return outs, nil
+}
+
+// trials is Trials on opts.Workers, each trial handed as a trial.
+func trials[T any](src *rng.Source, n, draws int, opts Options, run func(t trial) (T, error)) ([]T, error) {
+	return Trials(src, n, draws, opts.Workers, func(index int, seeds []uint64) (T, error) {
+		return run(trial{index: index, seeds: seeds})
+	})
 }
 
 // column folds one scalar per trial, in trial order, into a summary.

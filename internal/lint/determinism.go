@@ -8,10 +8,9 @@ import (
 // nondetAllowlist names the packages (by final import-path element)
 // that are allowed to observe wall-clock time and to select over
 // channels: the serving and dispatch layers (the proxy tier, its front
-// and cluster policies, and the wire substrate they share), the observability layer (timers are write-only and never feed
-// back into results), the fork-join engine, and the load generator
-// (whose measurements are wall-clock by definition; its request stream
-// stays seed-deterministic via internal/rng). Everything else in the repo — in particular algo,
+// and cluster policies, and the wire substrate they share), the
+// observability layer (timers are write-only and never feed back into
+// results) and the fork-join engine. Everything else in the repo — in particular algo,
 // sim, opt, bounds, adversary, placement, experiments, and stats —
 // is deterministic by default: its output must be a pure function of
 // inputs and explicit seeds so paper tables regenerate byte-identically.
@@ -21,7 +20,6 @@ var nondetAllowlist = map[string]bool{
 	"front":   true,
 	"proxy":   true,
 	"wire":    true,
-	"loadgen": true,
 	"obs":     true,
 	"par":     true,
 }
