@@ -111,7 +111,7 @@ figs-check:
 # target is one word here.
 FUZZ_TIME    := 30s
 FUZZ_TARGETS := tick:FuzzTimeConv sim:FuzzGroupPartition sim:FuzzOpenWheel sim:FuzzRankSet sim:FuzzFailures \
-	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON \
+	opt:FuzzEstimateKernels workload:FuzzReadCSV task:FuzzInstanceJSON task:FuzzNumber \
 	wire:FuzzScanItem wire:FuzzEncodeResults wire:FuzzCheckCompact \
 	serve:FuzzDecodeInstance serve:FuzzAppendResponse algo:FuzzExecute \
 	sched:FuzzVerifyOrder sched:FuzzScheduleJSON loadheap:FuzzTree \

@@ -155,10 +155,12 @@ type kernel struct {
 //     the optimum, a memo hit and the solve behind a miss, the latter at
 //     the shapes pipeline-fresh (n=10k, m=64), serve-solve (n=2k, m=512)
 //     and serve-fanout (n=200, m=8) solve. A cold solve keeps the memo's
-//     private copy of its key (8 bytes a task) under a bucket header, 2
-//     allocations and 82 KB at n=10k; the caps leave room for a map
-//     bucket beside them and sit an order of magnitude under the
-//     5.5–8.3 MB of the dense kernels PR 14 replaced.
+//     private copy of its key (8 bytes a task) in a one-entry bucket, 2
+//     allocations and 81,984 B at n=10k, and allocates nothing else; the
+//     caps are those readings. They held 8 allocations and 512 KB while
+//     setup left the shards' maps to the first lap, where most calls
+//     also built one; the odd reading of 4 allocations and 16,760 B at
+//     n=2k was a collection in the one call of ten that did not.
 //   - WireScan, WireSplice: the two passes a serve-solve request makes
 //     over its bytes at each proxy tier. The scan (task.Scanner.floats
 //     under wire.ScanItem) allocates what it returns — the task slice,
@@ -187,9 +189,9 @@ var kernels = []kernel{
 	{name: "OpenSimLoop/general", n: 10_000, setup: openSimLoop(64, aboShape, openRace)},
 	{name: "OpenSimLoop/tail", n: 10_000, setup: openSimLoop(64, tailShape, openRace)},
 	{name: "EstimateCache/warm", setup: estimateWarm},
-	{name: "EstimateCold/n=10k,m=64", n: 10_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(64)},
-	{name: "EstimateCold/n=2k,m=512", n: 2_000, allocs: 8, bytes: 512 << 10, setup: estimateCold(512)},
-	{name: "EstimateCold/n=200,m=8", n: 200, allocs: 8, bytes: 512 << 10, setup: estimateCold(8)},
+	{name: "EstimateCold/n=10k,m=64", n: 10_000, allocs: 2, bytes: 81_984, setup: estimateCold(64)},
+	{name: "EstimateCold/n=2k,m=512", n: 2_000, allocs: 2, bytes: 16_448, setup: estimateCold(512)},
+	{name: "EstimateCold/n=200,m=8", n: 200, allocs: 2, bytes: 1_856, setup: estimateCold(8)},
 	{name: "WireScan/n=2k", n: 2_000, allocs: 4, bytes: 72 << 10, setup: wireScan},
 	{name: "WireSplice/68KB", setup: wireSplice},
 	{name: "WireEncode/n=2k,m=512", n: 2_000, setup: wireEncode("lpt-nochoice", 512)},
@@ -352,8 +354,11 @@ func estimateWarm(testing.TB, int) func() {
 
 // estimateCold makes every call a miss: a ring of distinct instances,
 // the memo emptied once per lap. The reset rides inside the closure —
-// sixteen empty maps every sixteenth call, under a thousandth of the
-// smallest solve — so no timer is stopped mid-run.
+// sixteen cleared maps every sixteenth call, under a thousandth of the
+// smallest solve — so no timer is stopped mid-run. Setup solves one lap
+// first, so that every shard the ring stores to has its map and every
+// call, the first lap's included, allocates what a cold solve keeps:
+// the memo's copy of its key and the bucket it sits in.
 func estimateCold(m int) func(testing.TB, int) func() {
 	return func(_ testing.TB, n int) func() {
 		src := rng.New(14)
@@ -363,6 +368,9 @@ func estimateCold(m int) func(testing.TB, int) func() {
 			for i := range ring[k] {
 				ring[k][i] = src.Uniform(1, 100)
 			}
+		}
+		for _, times := range ring {
+			opt.Estimate(times, m, 0)
 		}
 		opt.ResetCache()
 		i := 0
@@ -499,14 +507,16 @@ func BenchmarkEstimateCache(b *testing.B) {
 
 // steadyAllocs reports what a warm call of run allocates, in whole
 // allocations and bytes, as the least over ten calls each measured
-// alone. A loop that allocates does so on every pass, so the least
-// call still shows it; what varies between calls is not the loop's: a
-// sync.Pool refilled because the race detector dropped the last Put (one
-// call in four, 17 allocations and 800 KB at EstimateCold's n=10k) or a
-// collection emptied it, a map growing, a runtime goroutine's stray
-// block. A mean over a window would have to absorb those in its caps,
-// and then an exact zero is no longer exact.
-func steadyAllocs(run func()) (allocs, bytes uint64) {
+// alone, and how many of the ten a garbage collection finished in. A
+// loop that allocates does so on every pass, so the least call still
+// shows it; what varies between calls is not the loop's: a sync.Pool
+// refilled because the race detector dropped the last Put (one call in
+// four, 17 allocations and 800 KB at EstimateCold's n=10k) or a
+// collection emptied it, a collection's own bookkeeping (4 allocations
+// and 312 B inside an EstimateCold/n=2k,m=512 call), a map growing, a
+// runtime goroutine's stray block. A mean over a window would have to
+// absorb those in its caps, and then an exact zero is no longer exact.
+func steadyAllocs(run func()) (allocs, bytes uint64, collected int) {
 	run() // grow every pooled buffer to size
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	var before, after runtime.MemStats
@@ -516,8 +526,11 @@ func steadyAllocs(run func()) (allocs, bytes uint64) {
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		if after.NumGC != before.NumGC {
+			collected++
+		}
 	}
-	return allocs, bytes
+	return allocs, bytes, collected
 }
 
 // TestKernelAllocations is the allocation gate, run live by `go test
@@ -588,8 +601,8 @@ func TestKernelAllocations(t *testing.T) {
 	})
 	for _, k := range gated {
 		t.Run(k.name, func(t *testing.T) {
-			allocs, bytes := steadyAllocs(k.setup(t, k.n))
-			t.Logf("%d allocs, %d B per call", allocs, bytes)
+			allocs, bytes, collected := steadyAllocs(k.setup(t, k.n))
+			t.Logf("%d allocs, %d B per call; a collection ran in %d of 10 calls", allocs, bytes, collected)
 			if k.pooled && raceDetector {
 				return
 			}

@@ -29,7 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -153,21 +153,24 @@ func noneLive(set []int) string {
 
 // latencyWindow is a fixed-size ring of recent successful dispatch
 // latencies, and the cluster's wire.Hedger: the duplicate-dispatch
-// delay is the window's q-quantile clamped to [floor, ceil].
+// delay is the window's q-quantile clamped to [floor, ceil]. Beside the
+// ring it keeps the same samples sorted, so a hedgeable dispatch reads
+// the quantile without sorting a copy.
 type latencyWindow struct {
 	q           float64
 	floor, ceil time.Duration
 
-	mu   sync.Mutex
-	buf  []float64 // seconds
-	next int
-	full bool
+	mu     sync.Mutex
+	buf    []float64 // seconds, in arrival order
+	next   int
+	sorted []float64 // buf's samples ascending; full when len(sorted) == len(buf)
 }
 
 // newLatencyWindow sizes the window and takes the hedge settings of
 // cfg, defaulted.
 func newLatencyWindow(size int, cfg Config) *latencyWindow {
-	w := &latencyWindow{q: cfg.HedgeQuantile, floor: cfg.HedgeMinDelay, ceil: cfg.HedgeMaxDelay, buf: make([]float64, size)}
+	w := &latencyWindow{q: cfg.HedgeQuantile, floor: cfg.HedgeMinDelay, ceil: cfg.HedgeMaxDelay,
+		buf: make([]float64, size), sorted: make([]float64, 0, size)}
 	if w.q <= 0 || w.q >= 1 {
 		w.q = 0.9
 	}
@@ -186,31 +189,30 @@ func (w *latencyWindow) Delay() time.Duration {
 	return min(max(w.quantile(w.q), w.floor), w.ceil)
 }
 
+// Observe puts d in the ring and in the sorted copy, evicting the
+// oldest sample once the ring is full: two binary searches and two
+// block moves.
 func (w *latencyWindow) Observe(d time.Duration) {
+	v := d.Seconds()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf[w.next] = d.Seconds()
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
+	if len(w.sorted) == len(w.buf) {
+		i, _ := slices.BinarySearch(w.sorted, w.buf[w.next])
+		w.sorted = slices.Delete(w.sorted, i, i+1)
 	}
+	i, _ := slices.BinarySearch(w.sorted, v)
+	w.sorted = slices.Insert(w.sorted, i, v)
+	w.buf[w.next] = v
+	w.next = (w.next + 1) % len(w.buf)
 }
 
 // quantile returns the q-quantile of the window, or 0 with no
 // observations yet.
 func (w *latencyWindow) quantile(q float64) time.Duration {
 	w.mu.Lock()
-	n := w.next
-	if w.full {
-		n = len(w.buf)
-	}
-	sorted := make([]float64, n)
-	copy(sorted, w.buf[:n])
-	w.mu.Unlock()
-	if n == 0 {
+	defer w.mu.Unlock()
+	if len(w.sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(sorted)
-	return time.Duration(stats.Quantile(sorted, q) * float64(time.Second))
+	return time.Duration(stats.Quantile(w.sorted, q) * float64(time.Second))
 }

@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/proxy"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -773,5 +776,28 @@ func TestLatencyWindowQuantile(t *testing.T) {
 	// The hedge delay is the configured quantile, clamped.
 	if got := w.Delay(); got != 32*time.Millisecond {
 		t.Fatalf("hedge delay = %v, want the 35ms median of 20..50ms cut to the 32ms cap", got)
+	}
+
+	// The sorted copy kept beside the ring answers what sorting the
+	// window's samples answers, at every step of three laps of the ring,
+	// duplicates and evictions of equal values included.
+	w = newLatencyWindow(8, Config{})
+	src := rand.New(rand.NewPCG(46, 3))
+	var seen []float64
+	for k := range 24 {
+		d := time.Duration(1+src.IntN(6)) * time.Millisecond
+		if k%5 == 0 {
+			d += time.Duration(src.IntN(1000)) * time.Microsecond
+		}
+		w.Observe(d)
+		seen = append(seen, d.Seconds())
+		window := slices.Clone(seen[max(0, len(seen)-8):])
+		slices.Sort(window)
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			want := time.Duration(stats.Quantile(window, q) * float64(time.Second))
+			if got := w.quantile(q); got != want {
+				t.Fatalf("after %d samples the %v-quantile reads %v, sorting the window gives %v", k+1, q, got, want)
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ func fullBracketEstimate(times []float64, m int, exactLimit int) (Result, int64)
 		return Result{Lower: lb, Upper: lb, Exact: true, Method: "bounds"}, s.ffd.probes
 	}
 	if n <= exactLimit {
-		if v, ok := exactDesc(s.desc, m, lb, seed, 20_000_000); ok {
+		if v, ok := s.exact(m, lb, seed, exactBudget(m)); ok {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}, s.ffd.probes
 		}
 	}

@@ -179,11 +179,17 @@ func cacheStore(key cacheKey, times []float64, res Result) {
 }
 
 // ResetCache empties the memo cache and zeroes its counters (tests).
+// The tables are cleared, not dropped: a shard that held an entry takes
+// the next store into the map it has, so a cold solve after a reset
+// allocates what a cold solve allocates and not a map besides.
 func ResetCache() {
 	for i := range cache {
 		s := &cache[i]
 		s.Lock()
-		s.young, s.old = generation{}, generation{}
+		for _, g := range []*generation{&s.young, &s.old} {
+			clear(g.entries)
+			g.size, g.floats = 0, 0
+		}
 		s.Unlock()
 	}
 	cacheHits.Add(-cacheHits.Load())

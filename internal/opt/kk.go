@@ -187,9 +187,30 @@ func (s *ldm) alloc(k int) []float64 {
 // mergeDesc writes the non-increasing merge of the non-increasing runs
 // x and y into out, len(out) == len(x)+len(y), filling from the back so
 // that out may share its first len(x) elements with x: once y is spent
-// the rest of x is already in place.
+// the rest of x is already in place. A single load of y that lands
+// inside x — a full vector absorbing a time, most of KK's merges at
+// large m — goes in by a binary search for its slot and one block move;
+// one that lands at the end takes the loop's single step.
 func mergeDesc(out, x, y []float64) {
 	i, j := len(x)-1, len(y)-1
+	if j == 0 && i >= 0 && x[i] < y[0] {
+		v := y[0]
+		lo, hi := 0, i // the slot is the first k with x[k] < v, and x[i] < v
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if x[mid] < v {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		copy(out[lo+1:], x[lo:])
+		out[lo] = v
+		if &out[0] != &x[0] {
+			copy(out, x[:lo])
+		}
+		return
+	}
 	for t := len(out) - 1; j >= 0; t-- {
 		if i >= 0 && x[i] < y[j] {
 			out[t] = x[i]

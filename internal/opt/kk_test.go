@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,5 +141,33 @@ func BenchmarkKarmarkarKarp1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		karmarkarKarp(times, 16)
+	}
+}
+
+// TestMergeDescInsertsOneLoad holds mergeDesc's one-load insert to the
+// sorted union, at every slot of runs with ties, into an output that
+// shares x's storage (a vector growing in place) and into a fresh one
+// (a vector copied out): a differencing run takes the second rarely.
+func TestMergeDescInsertsOneLoad(t *testing.T) {
+	src := rng.New(46)
+	for trial := 0; trial < 2000; trial++ {
+		x := make([]float64, 1+src.Intn(12))
+		for i := range x {
+			x[i] = float64(src.Intn(8))
+		}
+		slices.Sort(x)
+		slices.Reverse(x)
+		v := float64(src.Intn(9)) - 0.5*float64(src.Intn(2))
+		want := append([]float64{v}, x...)
+		slices.Sort(want)
+		slices.Reverse(want)
+
+		fresh := make([]float64, len(x)+1)
+		mergeDesc(fresh, x, []float64{v})
+		shared := append(slices.Clip(slices.Clone(x)), 0)
+		mergeDesc(shared, shared[:len(x)], []float64{v})
+		if !slices.Equal(fresh, want) || !slices.Equal(shared, want) {
+			t.Fatalf("inserting %v into %v: fresh %v, in place %v, want %v", v, x, fresh, shared, want)
+		}
 	}
 }

@@ -61,12 +61,13 @@ var (
 // pooling, each miss re-allocates an n-sized copy of the times, the
 // first-fit index and the differencing slab, all dead on return.
 type solveScratch struct {
-	desc  []float64
-	order []int // LPT's visiting order
-	sort  keysort.Scratch
-	loads loadheap.Tree[float64]
-	ffd   ffdIndex
-	kk    ldm
+	desc   []float64
+	order  []int // LPT's visiting order
+	sort   keysort.Scratch
+	loads  loadheap.Tree[float64]
+	ffd    ffdIndex
+	kk     ldm
+	search exactSearch
 }
 
 var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
@@ -354,8 +355,9 @@ func (r Result) Value() float64 { return (r.Lower + r.Upper) / 2 }
 // end reaches min(LPT, KK), where it can no longer lower the bracket,
 // so Upper is the full 24-step bracket's (see estimateUncached). When
 // the ends do not meet, instances with n ≤ exactLimit tasks are solved
-// exactly by branch-and-bound; a search that runs out of nodes leaves
-// the bracket as it was. exactLimit ≤ 0 selects the default of 20.
+// exactly by branch-and-bound within exactBudget(m) nodes; a search
+// that runs out of them leaves the bracket as it was. exactLimit ≤ 0
+// selects the default of 20.
 //
 // Results for non-trivial instances are memoized in a concurrency-safe
 // content-addressed cache (Estimate is a pure function of its inputs),
@@ -449,7 +451,7 @@ func estimateUncached(times []float64, m int, exactLimit int) Result {
 	}
 	if n <= exactLimit {
 		exactSolves.Inc()
-		if v, ok := exactDesc(desc, m, lb, seed, 20_000_000); ok {
+		if v, ok := s.exact(m, lb, seed, exactBudget(m)); ok {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}
 		}
 		budgetExhausted.Inc()
@@ -477,108 +479,111 @@ func Exact(times []float64, m int, maxNodes int) (float64, bool) {
 	s := solvePool.Get().(*solveScratch)
 	defer solvePool.Put(s)
 	lb, best := s.bracket(times, m)
-	return exactDesc(s.desc, m, lb, best, maxNodes)
+	return s.exact(m, lb, best, maxNodes)
 }
 
-// exactDesc is Exact's search over descending-sorted times, n > m,
-// given the lower bound that proves optimality and the incumbent
-// min(LPT, MULTIFIT) to improve on.
-func exactDesc(desc []float64, m int, lb, best float64, maxNodes int) (float64, bool) {
+// exactBudget is the node budget of Estimate's exact search on m
+// machines. A node costs more as m grows, so 4M/m nodes (1M at m = 4,
+// 500k at m = 8) bounds every search to about the same few tens of
+// milliseconds. It is a count, never derived from a deadline: an answer
+// that depended on the host's speed would not be a function of the
+// instance.
+func exactBudget(m int) int { return 4_000_000 / m }
+
+// exactSearch is the state of one depth-first branch-and-bound run,
+// kept on the solve's scratch so that a search allocates nothing once
+// its loads have grown to m.
+type exactSearch struct {
+	desc, loads     []float64
+	lb, best        float64
+	nodes, maxNodes int
+	exhausted       bool
+}
+
+// exact is Exact's search over s.desc (descending, n > m), given the
+// lower bound that proves optimality and the incumbent min(LPT,
+// MULTIFIT) to improve on.
+func (s *solveScratch) exact(m int, lb, best float64, maxNodes int) (float64, bool) {
 	if nearlyEqual(best, lb) {
 		return best, true
 	}
-	n := len(desc)
-	// Suffix sums let the search bound the remaining work.
-	suffix := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + desc[i]
+	x := &s.search
+	if cap(x.loads) < m {
+		x.loads = make([]float64, m)
 	}
-
-	loads := make([]float64, m)
-	nodes := 0
-	exhausted := false
-
-	var dfs func(j int)
-	dfs = func(j int) {
-		if exhausted {
-			return
-		}
-		nodes++
-		if nodes > maxNodes {
-			exhausted = true
-			return
-		}
-		if j == n {
-			max := 0.0
-			for _, l := range loads {
-				if l > max {
-					max = l
-				}
-			}
-			if max < best {
-				best = max
-			}
-			return
-		}
-		// Bound: even spreading the remaining work perfectly cannot beat
-		// the current best if the smallest load is already too high.
-		minLoad := loads[0]
-		for _, l := range loads[1:] {
-			if l < minLoad {
-				minLoad = l
-			}
-		}
-		if minLoad+desc[j] >= best-1e-12 {
-			return // every continuation exceeds the incumbent
-		}
-		if (suffix[j]+sum(loads))/float64(m) >= best-1e-12 && minLoad >= best-1e-12 {
-			return
-		}
-		seenEmpty := false
-		for i := 0; i < m; i++ {
-			if loads[i] == 0 {
-				if seenEmpty {
-					continue // machines are identical: one empty machine suffices
-				}
-				seenEmpty = true
-			}
-			if loads[i]+desc[j] >= best-1e-12 {
-				continue
-			}
-			// Symmetry: skip machines with the same load as an earlier one.
-			dup := false
-			for i2 := 0; i2 < i; i2++ {
-				//lint:ignore floatcmp symmetry pruning wants bit-identical loads; near-equal machines are legitimately distinct
-				if loads[i2] == loads[i] {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			loads[i] += desc[j]
-			dfs(j + 1)
-			loads[i] -= desc[j]
-			if exhausted {
-				return
-			}
-			if nearlyEqual(best, lb) {
-				return // proved optimal
-			}
-		}
-	}
-	dfs(0)
-	if exhausted {
-		return best, false
-	}
-	return best, true
+	x.loads = x.loads[:m]
+	clear(x.loads)
+	x.desc, x.lb, x.best, x.nodes, x.maxNodes, x.exhausted = s.desc, lb, best, 0, maxNodes, false
+	x.dfs(0)
+	return x.best, !x.exhausted
 }
 
-func sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
+// dfs places desc[j] on every machine that can still beat the
+// incumbent, symmetric machines once, and recurses.
+func (x *exactSearch) dfs(j int) {
+	if x.exhausted {
+		return
 	}
-	return s
+	x.nodes++
+	if x.nodes > x.maxNodes {
+		x.exhausted = true
+		return
+	}
+	loads, desc := x.loads, x.desc
+	if j == len(desc) {
+		max := 0.0
+		for _, l := range loads {
+			if l > max {
+				max = l
+			}
+		}
+		if max < x.best {
+			x.best = max
+		}
+		return
+	}
+	// Bound: desc[j] must go somewhere, and the least loaded machine is
+	// the cheapest place for it.
+	minLoad := loads[0]
+	for _, l := range loads[1:] {
+		if l < minLoad {
+			minLoad = l
+		}
+	}
+	if minLoad+desc[j] >= x.best-1e-12 {
+		return // every continuation exceeds the incumbent
+	}
+	seenEmpty := false
+	for i := range loads {
+		if loads[i] == 0 {
+			if seenEmpty {
+				continue // machines are identical: one empty machine suffices
+			}
+			seenEmpty = true
+		}
+		if loads[i]+desc[j] >= x.best-1e-12 {
+			continue
+		}
+		// Symmetry: skip machines with the same load as an earlier one.
+		dup := false
+		for i2 := 0; i2 < i; i2++ {
+			//lint:ignore floatcmp symmetry pruning wants bit-identical loads; near-equal machines are legitimately distinct
+			if loads[i2] == loads[i] {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		loads[i] += desc[j]
+		x.dfs(j + 1)
+		loads[i] -= desc[j]
+		if x.exhausted {
+			return
+		}
+		if nearlyEqual(x.best, x.lb) {
+			return // proved optimal
+		}
+	}
 }

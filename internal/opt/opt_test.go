@@ -251,7 +251,8 @@ func TestExactBudgetExhaustion(t *testing.T) {
 		runOut int64
 	}{
 		{12, 3, 43, "exact", 0}, // proved within the budget
-		{20, 4, 5, "bounds", 1}, // runs out of its 20M nodes (about 1 s)
+		{20, 4, 5, "bounds", 1}, // runs out of its 1M nodes
+		{20, 8, 5, "bounds", 1}, // the costliest shape per node: out of its 500k
 	} {
 		times := randomTimes(c.n, c.seed)
 		ResetCache()

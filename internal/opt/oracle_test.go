@@ -295,9 +295,17 @@ func oracleEstimate(times []float64, m int, exactLimit int) Result {
 		return Result{Lower: lb, Upper: lb, Exact: true, Method: "bounds"}
 	}
 	if n <= exactLimit {
-		if v, ok := oracleExact(times, m, 20_000_000); ok {
+		if v, ok := oracleExact(times, m, exactBudget(m)); ok {
 			return Result{Lower: v, Upper: v, Exact: true, Method: "exact"}
 		}
 	}
 	return Result{Lower: lb, Upper: ub, Method: "bounds"}
+}
+
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -48,10 +48,41 @@ func (s *Schedule) AppendJSON(dst []byte) []byte {
 			if col == 1 {
 				v = s.Assignments[j].End
 			}
-			dst, _ = task.AppendFloat(dst, v.Seconds()) // false only for NaN and ±Inf
+			dst = appendTick(dst, v)
 		}
 	}
 	return append(dst, "]}"...)
+}
+
+// appendTick appends t as seconds, the bytes task.AppendFloat prints
+// for t.Seconds(). From 1000 ticks (1e-6 s, where the encoder stops
+// using an exponent) to 10^15 it writes the decimal t/10^9 from the
+// integer, trailing zeros trimmed: Seconds rounds that quotient once
+// (float64(t) is exact below 2^53), and a decimal of at most 15
+// significant digits is the only one of that length rounding to its
+// double, so it is the shortest round trip the encoder prints.
+func appendTick(dst []byte, t tick.Tick) []byte {
+	if t < 1000 || t >= 1e15 {
+		dst, _ = task.AppendFloat(dst, t.Seconds()) // false only for NaN and ±Inf
+		return dst
+	}
+	dst = strconv.AppendInt(dst, int64(t/tick.PerSecond), 10)
+	frac := uint32(t % tick.PerSecond)
+	if frac == 0 {
+		return dst
+	}
+	n := 9
+	for frac%10 == 0 {
+		frac /= 10
+		n--
+	}
+	var buf [10]byte
+	buf[0] = '.'
+	for i := n; i > 0; i-- {
+		buf[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(dst, buf[:n+1]...)
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Times convert to ticks by

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/task"
 	"repro/internal/tick"
 )
 
@@ -41,6 +43,27 @@ func TestAppendJSONMatchesTheEncoder(t *testing.T) {
 		}
 		if got, err := json.Marshal(s); err != nil || string(got) != string(want) {
 			t.Errorf("json.Marshal wrote %s (%v), want %s", got, err, want)
+		}
+	}
+}
+
+// TestAppendTickMatchesAppendFloat holds appendTick to
+// task.AppendFloat(t.Seconds()) at the edges of its integer path (999,
+// 1000, 10^15−1, 10^15), at every power of ten and its neighbours, and
+// at random ticks of every length in between.
+func TestAppendTickMatchesAppendFloat(t *testing.T) {
+	ticks := []tick.Tick{0, 1, -1, 999, 1000, 1001, 1e15 - 1, 1e15, 1e15 + 1, 1 << 53, tick.Max, -tick.Max}
+	for p := tick.Tick(1); p <= 1e18; p *= 10 {
+		ticks = append(ticks, p-1, p, p+1, 5*p, 3*p+p/2)
+	}
+	src := rand.New(rand.NewPCG(46, 2))
+	for range 200_000 {
+		ticks = append(ticks, tick.Tick(src.Int64N(1<<(1+src.IntN(50)))))
+	}
+	for _, tk := range ticks {
+		want, _ := task.AppendFloat([]byte("x"), tk.Seconds())
+		if got := appendTick([]byte("x"), tk); string(got) != string(want) {
+			t.Fatalf("appendTick(%d) = %s, AppendFloat(Seconds) prints %s", tk, got, want)
 		}
 	}
 }

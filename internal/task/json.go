@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -27,8 +28,11 @@ type instanceJSON struct {
 // definition: every method reports false — bails — on anything else,
 // malformed or merely unusual, and the caller hands the same bytes to
 // encoding/json, which alone decides what is accepted and words every
-// error. Instance.UnmarshalJSON tries it first; internal/wire reads the
-// item object and the batch envelope around it with the same methods.
+// error. A number costs one pass over its bytes, which checks the
+// grammar and gathers the digits the value is converted from, to the
+// float64 the decoder would produce, bit for bit (Float).
+// Instance.UnmarshalJSON tries it first; internal/wire reads the item
+// object and the batch envelope around it with the same methods.
 type Scanner struct {
 	Data []byte
 	Pos  int
@@ -105,38 +109,48 @@ func (s *Scanner) Object(keys []string, member func(k int) bool) (seen uint, ok 
 	}
 }
 
-// number consumes a number token (NumberEnd) and reports whether it
-// has neither fraction nor exponent; nil for anything else, and for a
-// token past 32 bytes (Go prints a float64 in 24): strconv takes a
-// string, and a conversion that does not escape stays on the stack up
-// to that size.
-func (s *Scanner) number() (tok []byte, integer bool) {
-	s.Peek()
-	end, integer := NumberEnd(s.Data, s.Pos)
-	if end < 0 || end-s.Pos > 32 {
-		return nil, false
-	}
-	tok, s.Pos = s.Data[s.Pos:end], end
-	return tok, integer
-}
-
 // NumberEnd returns the index past the token of JSON's number grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that starts at d[i],
 // and whether it has neither fraction nor exponent; -1 where none does.
-// It is the one statement of that grammar for the codec's readers: the
-// Scanner here, and internal/wire's check of an answer.
+// It is scanNumber without the digits: the codec's readers, the Scanner
+// here and internal/wire's check of an answer, share that one statement
+// of the grammar.
 func NumberEnd(d []byte, i int) (end int, integer bool) {
+	end, integer, _, _, _ = scanNumber(d, i, false)
+	return end, integer
+}
+
+// scanNumber reads the token of JSON's number grammar that starts at
+// d[i] in one pass: the grammar's one statement (NumberEnd) and, with
+// gather set, the first half of a float's conversion, each run of
+// digits gathered as the pass leaves it. Where exact is set the token's
+// magnitude is w·10^q: no exponent part and at most 19 significant
+// digits (10^19 < 2^64), leading zeros dropped; q ≤ 0. A check that
+// wants the end alone leaves gather unset and pays for no
+// multiplication.
+func scanNumber(d []byte, i int, gather bool) (end int, integer bool, w uint64, q int, exact bool) {
 	if i < len(d) && d[i] == '-' {
 		i++
 	}
 	j := digits(d, i)
 	if j == i || d[i] == '0' && j > i+1 {
-		return -1, false
+		return -1, false, 0, 0, false // no digit, or a leading zero not alone
+	}
+	nd := 0 // significant digits; past 19, w has wrapped
+	if gather && d[i] != '0' {
+		w, nd = appendDigits(0, d[i:j]), j-i
 	}
 	i, integer = j, true
 	if i < len(d) && d[i] == '.' {
 		if j = digits(d, i+1); j == i+1 {
-			return -1, false
+			return -1, false, 0, 0, false
+		}
+		if gather {
+			k := i + 1
+			for nd == 0 && k < j && d[k] == '0' {
+				k++ // a fraction's leading zeros are no significant digits
+			}
+			w, nd, q = appendDigits(w, d[k:j]), nd+j-k, i+1-j
 		}
 		i, integer = j, false
 	}
@@ -144,11 +158,12 @@ func NumberEnd(d []byte, i int) (end int, integer bool) {
 		if j = i + 1; j < len(d) && (d[j] == '+' || d[j] == '-') {
 			j++
 		}
-		if i, integer = digits(d, j), false; i == j {
-			return -1, false
+		if i = digits(d, j); i == j {
+			return -1, false, 0, 0, false
 		}
+		return i, false, w, q, false
 	}
-	return i, integer
+	return i, integer, w, q, nd <= 19
 }
 
 // digits returns the index of the first non-digit at or after i.
@@ -159,20 +174,106 @@ func digits(d []byte, i int) int {
 	return i
 }
 
-// Int consumes an integer as the decoder reads an int field: a
-// fraction, an exponent or a value out of range is its error to word.
-func (s *Scanner) Int() (int, bool) {
-	tok, integer := s.number()
-	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	return int(v), integer && err == nil
+// appendDigits returns w·10^len(run) plus the decimal digits of run.
+func appendDigits(w uint64, run []byte) uint64 {
+	for _, c := range run {
+		w = w*10 + uint64(c-'0')
+	}
+	return w
 }
 
-// Float consumes a number with the decoder's own conversion; one out
-// of float64's range is the decoder's error.
+// pow10 holds the powers of ten a float64 stores exactly, 10^0..10^22.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// pow10u holds 10^0..10^19, the powers of ten a uint64 holds.
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalFloat returns w·10^q (q ≤ 0) with one correct rounding, the
+// float64 strconv.ParseFloat returns for it, or false where it leaves
+// that to ParseFloat: digits too many or too small for the two paths
+// below.
+func decimalFloat(w uint64, q int) (float64, bool) {
+	switch {
+	case w == 0:
+		return 0, true
+	case w <= 1<<53 && q >= -22:
+		// Clinger's fast path: w and 10^-q are exact doubles, so the
+		// quotient is rounded once.
+		return float64(w) / pow10[-q], true
+	case q < 0 && q >= -19:
+		return divPow10(w, -q), true
+	}
+	return 0, false
+}
+
+// divPow10 returns w/10^k rounded to nearest, ties to even, for w > 0
+// and 1 ≤ k ≤ 19: w·2^s divided by 10^k in 128 bits, s set so the
+// quotient has 63 or 64 bits, is cut to 53 with the rest and the
+// remainder deciding the rounding. The result is far inside float64's
+// normal range (10^-19 ≤ w/10^k < 10^19), so Ldexp scales it exactly.
+func divPow10(w uint64, k int) float64 {
+	d := pow10u[k]
+	s := 63 - bits.Len64(w) + bits.Len64(d) // 3 ≤ s ≤ 126
+	var hi, lo uint64
+	if s >= 64 {
+		hi = w << (s - 64)
+	} else {
+		hi, lo = w>>(64-s), w<<s
+	}
+	quo, rem := bits.Div64(hi, lo, d) // hi < d: the quotient is below 2^64
+	shift := bits.Len64(quo) - 53
+	mant, rest, half := quo>>shift, quo&(1<<shift-1), uint64(1)<<(shift-1)
+	if rest > half || rest == half && (rem != 0 || mant&1 == 1) {
+		mant++ // 2^53 at most, still exact
+	}
+	return math.Ldexp(float64(mant), shift-s)
+}
+
+// Int consumes an integer as the decoder reads an int field: a
+// fraction, an exponent or a value out of range is its error to word.
+// A token past 32 bytes bails (Go prints a float64 in 24): strconv
+// takes a string, and a conversion that does not escape stays on the
+// stack up to that size.
+func (s *Scanner) Int() (int, bool) {
+	s.Peek()
+	end, integer := NumberEnd(s.Data, s.Pos)
+	if !integer || end-s.Pos > 32 {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(s.Data[s.Pos:end]), 10, strconv.IntSize)
+	s.Pos = end
+	return int(v), err == nil
+}
+
+// Float consumes a number as the decoder converts it, bit for bit. The
+// token is scanned once, and most are converted from the digits that
+// scan gathered (decimalFloat); one with an exponent part or more than
+// 19 significant digits, or too small a scale, goes to
+// strconv.ParseFloat, the decoder's own conversion. Like Int it bails
+// past 32 bytes, and on a number out of float64's range, the decoder's
+// error.
 func (s *Scanner) Float() (float64, bool) {
-	tok, _ := s.number()
-	v, err := strconv.ParseFloat(string(tok), 64)
-	return v, err == nil
+	s.Peek()
+	end, _, w, q, exact := scanNumber(s.Data, s.Pos, true)
+	if end < 0 || end-s.Pos > 32 {
+		return 0, false
+	}
+	v, ok := 0.0, false
+	if exact {
+		v, ok = decimalFloat(w, q)
+	}
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(string(s.Data[s.Pos:end]), 64); err != nil {
+			return 0, false
+		}
+	} else if s.Data[s.Pos] == '-' {
+		v = -v
+	}
+	s.Pos = end
+	return v, true
 }
 
 // floats reads the len(tasks) numbers of an array, its '[' consumed,

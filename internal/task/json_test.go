@@ -3,6 +3,9 @@ package task
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -44,6 +47,52 @@ func TestAppendersMatchTheEncoder(t *testing.T) {
 		want, _ := json.Marshal(a)
 		if got := AppendInts(nil, a); string(got) != string(want) {
 			t.Errorf("AppendInts(%v) = %q; the encoder prints %q", a, got, want)
+		}
+	}
+}
+
+// TestFloatMatchesParseFloat holds Scanner.Float to strconv.ParseFloat
+// bit for bit on random tokens shaped like the codec's traffic and its
+// edges: 1 to 20 digits with the point anywhere, runs of leading
+// zeros, and the shortest spellings of random doubles, which is what
+// every writer prints.
+func TestFloatMatchesParseFloat(t *testing.T) {
+	src := rand.New(rand.NewPCG(46, 1))
+	var buf []byte
+	for k := 0; k < 200_000; k++ {
+		buf = buf[:0]
+		switch k % 3 {
+		case 0:
+			f := math.Float64frombits(src.Uint64() >> 2) // finite, 1e-300..1e77
+			if src.IntN(2) == 0 {
+				f = src.Float64() * math.Pow(10, float64(src.IntN(24)-12))
+			}
+			buf, _ = AppendFloat(buf, f)
+		default:
+			digits := make([]byte, 1+src.IntN(20))
+			for i := range digits {
+				digits[i] = byte('0' + src.IntN(10))
+			}
+			p := src.IntN(len(digits) + 1) // the point goes before digits[p]
+			whole := strings.TrimLeft(string(digits[:p]), "0")
+			if whole == "" {
+				whole = "0"
+			}
+			buf = append(buf, whole...)
+			if p < len(digits) {
+				buf = append(buf, '.')
+				buf = append(buf, strings.Repeat("0", src.IntN(4)*src.IntN(2))...)
+				buf = append(buf, digits[p:]...)
+			}
+		}
+		if src.IntN(4) == 0 {
+			buf = append([]byte{'-'}, buf...)
+		}
+		want, err := strconv.ParseFloat(string(buf), 64)
+		s := Scanner{Data: buf}
+		got, ok := s.Float()
+		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) || !s.End() {
+			t.Fatalf("Float(%q) = %v, %v; ParseFloat reads %v, %v", buf, got, ok, want, err)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // ServeUntil listens on addr and serves h until ctx is cancelled, then
 // drains in-flight requests for at most drain. When ready is non-nil
-// the bound address is sent on it once the listener is up (tests and
-// the loadgen selftest listen on port 0).
+// the bound address is sent on it once the listener is up (tests, the
+// daemons' included, listen on port 0).
 func ServeUntil(ctx context.Context, addr string, h http.Handler, drain time.Duration, ready chan<- net.Addr) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
