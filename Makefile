@@ -48,7 +48,7 @@ check:
 # Per-package statement-coverage floors, one loop for the Makefile and
 # CI alike: every package on the list must test at COVER_FLOOR% or
 # better.
-COVER_PKGS  := cluster front proxy sim lint wire experiments loadheap opt core memaware
+COVER_PKGS  := cluster front proxy sim lint wire experiments loadheap opt core memaware serve algo
 COVER_FLOOR := 80.0
 
 cover-floors:

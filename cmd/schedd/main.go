@@ -9,17 +9,14 @@
 //	schedd -addr 127.0.0.1:0 -max-inflight 8 -timeout 10s
 //
 //	curl -s localhost:8080/healthz
-//	curl -s localhost:8080/v1/algorithms
 //	curl -s -X POST localhost:8080/v1/schedule -d '{
 //	  "algorithm": "lpt-norestriction",
 //	  "instance": {"m": 4, "alpha": 1.5, "estimates": [5,3,8,2,7,4]}
 //	}'
 //
 // Streaming: POST /v1/stream takes newline-delimited schedule requests
-// and answers one NDJSON result line per item as each is computed, and
-// POST /v1/simulate-open replays an instance under an arrival process
-// (poisson, mmpp, trace) with replica cancellation, reporting the
-// response-time distribution.
+// and answers one NDJSON result line per item as each is computed.
+// POST /v1/batch takes many in one body.
 //
 // The daemon drains in-flight requests on SIGINT/SIGTERM (bounded by
 // -drain) before exiting.

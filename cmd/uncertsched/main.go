@@ -147,11 +147,7 @@ func run(w io.Writer, algoName, wlName, inFile string, n, m int, alpha, param fl
 	}
 
 	var sc algo.Scratch
-	execute := sc.Execute
-	if traceN > 0 && !quiet {
-		execute = sc.Trace
-	}
-	res, err := execute(in, a)
+	res, err := sc.Execute(in, a)
 	if err != nil {
 		return err
 	}
@@ -177,12 +173,12 @@ func run(w io.Writer, algoName, wlName, inFile string, n, m int, alpha, param fl
 		fmt.Fprint(w, res.Schedule.Gantt(72))
 	}
 	if traceN > 0 {
-		printTrace(w, res.Trace, traceN)
+		printTrace(w, sim.TraceOf(res.Schedule), traceN)
 	}
 	return writeSVG(w, res, in, svgFile, false)
 }
 
-// printTrace prints the first limit events of a traced run.
+// printTrace prints the first limit events of a run's trace.
 func printTrace(w io.Writer, trace []sim.Event, limit int) {
 	fmt.Fprintf(w, "\ntrace (%d of %d events):\n", min(limit, len(trace)), len(trace))
 	for _, ev := range trace[:min(limit, len(trace))] {

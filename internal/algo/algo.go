@@ -64,9 +64,6 @@ type Result struct {
 	Schedule *sched.Schedule
 	// Makespan is Schedule.Makespan().
 	Makespan float64
-	// Trace holds phase 2's start/finish events in time order after
-	// Scratch.Trace; it is empty after Execute.
-	Trace []sim.Event
 }
 
 // OpenResult is the outcome of executing an algorithm's placement in
@@ -90,16 +87,6 @@ type OpenResult struct {
 func Execute(in *task.Instance, a Algorithm) (*Result, error) {
 	var s Scratch // fresh state: the returned buffers are caller-owned
 	return s.Execute(in, a)
-}
-
-// ExecuteOpen runs phase 1 of the algorithm and serves the arrival
-// stream through the open-system simulator. The returned OpenResult is
-// freshly allocated and caller-owned; trial loops should reuse a
-// Scratch.
-func ExecuteOpen(in *task.Instance, a Algorithm, arrive []float64,
-	opts sim.OpenOptions) (*OpenResult, error) {
-	var s Scratch // fresh state: the returned buffers are caller-owned
-	return s.ExecuteOpen(in, a, arrive, opts)
 }
 
 // Scratch is reusable two-phase execution state: the phase-1 placement,
@@ -193,24 +180,14 @@ func (s *Scratch) plan(in *task.Instance, a Algorithm) (*placement.Placement, er
 // buffers; semantics match the package-level Execute. Phase 2 runs on
 // the flat simulator (sim.Runner), so reported times are
 // nanotick-quantized: ≤ 0.5e-9 s per duration, the quantization Verify
-// checks exactly (tick.FromSeconds of each actual time).
+// checks exactly (tick.FromSeconds of each actual time). Phase 2's event
+// trace is sim.TraceOf(Result.Schedule).
 func (s *Scratch) Execute(in *task.Instance, a Algorithm) (*Result, error) {
-	return s.execute(in, a, false)
-}
-
-// Trace is Execute with phase 2's event trace recorded in
-// Result.Trace: the same placement, order, engine and verification, so
-// its schedule is Execute's bit for bit. Ownership matches Execute.
-func (s *Scratch) Trace(in *task.Instance, a Algorithm) (*Result, error) {
-	return s.execute(in, a, true)
-}
-
-func (s *Scratch) execute(in *task.Instance, a Algorithm, trace bool) (*Result, error) {
 	p, err := s.plan(in, a)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runner.RunSharded(in, p, s.order, sim.FlatOptions{Trace: trace})
+	res, err := s.runner.RunSharded(in, p, s.order, sim.FlatOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", a.Name(), err)
 	}
@@ -222,7 +199,6 @@ func (s *Scratch) execute(in *task.Instance, a Algorithm, trace bool) (*Result, 
 		Placement: p,
 		Schedule:  res.Schedule,
 		Makespan:  res.Schedule.Makespan(),
-		Trace:     res.Trace,
 	}
 	return &s.res, nil
 }

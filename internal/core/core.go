@@ -266,8 +266,8 @@ func (r *Runner) RunAlgorithm(in *task.Instance, a algo.Algorithm, exactLimit in
 }
 
 // Score scores a run already executed on in — an algo.Scratch Execute
-// or Trace result of a — exactly as RunAlgorithm scores its own, at
-// the default exact limit. The Outcome is freshly allocated and shares
+// result of a — exactly as RunAlgorithm scores its own, at the default
+// exact limit. The Outcome is freshly allocated and shares
 // res's placement and schedule.
 func Score(in *task.Instance, a algo.Algorithm, res *algo.Result) *Outcome {
 	var r Runner

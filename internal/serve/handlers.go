@@ -67,36 +67,6 @@ func (s *Server) runSchedule(req *ScheduleRequest, r *core.Runner) (*ScheduleRes
 	return resp, nil
 }
 
-// RunSimulate is the pure core of /v1/simulate: the traced run of
-// algo.Scratch, with the flat event trace regrouped into per-machine
-// timelines.
-func (s *Server) RunSimulate(req *SimulateRequest) (*SimulateResponse, error) {
-	a, err := algo.New(req.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	var sc algo.Scratch // fresh state: the response is the caller's
-	res, err := sc.Trace(req.Instance, a)
-	if err != nil {
-		return nil, err
-	}
-	machines := make([]MachineTrace, req.Instance.M)
-	for i := range machines {
-		machines[i].Machine = i
-	}
-	for _, ev := range res.Trace {
-		machines[ev.Machine].Events = append(machines[ev.Machine].Events,
-			TraceEvent{Time: ev.Time.Seconds(), Task: ev.Task, Kind: ev.Kind})
-	}
-	return &SimulateResponse{
-		Algorithm: res.Algorithm,
-		Makespan:  res.Makespan,
-		Placement: res.Placement,
-		Schedule:  res.Schedule,
-		Machines:  machines,
-	}, nil
-}
-
 // solveItem is one batch entry or stream line: the validated request
 // run on pooled solver state and the response encoded before the state
 // goes back.
@@ -151,20 +121,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	runnerPool.Put(rn) // after the write: resp is rn's
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeSimulateRequest(r.Body)
-	if err != nil {
-		wire.BadRequest(w, err)
-		return
-	}
-	resp, err := s.RunSimulate(req)
-	if err != nil {
-		wire.WriteError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 	var req BatchRequest
@@ -176,8 +132,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, s.RunBatch(r.Context(), &req, 0))
-}
-
-func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, AlgorithmsResponse{Algorithms: algo.Names()})
 }

@@ -4,18 +4,14 @@
 // submit problem instances and receive placements, executed schedules,
 // makespans, and analytic-bound checks.
 //
-// Endpoints:
+// Endpoints, each one a tier, cmd/bench or a CLI calls:
 //
-//	POST /v1/schedule       run one named algorithm on one instance
-//	POST /v1/simulate       semi-clairvoyant replay with per-machine trace
-//	POST /v1/simulate-open  open-system replay: arrivals over time,
-//	                        replica cancellation, response-time stats
-//	POST /v1/batch          many schedule requests, bounded fan-out
-//	POST /v1/stream         NDJSON: one schedule request per line in, one
-//	                        result line out per item, flushed as computed
-//	GET  /v1/algorithms     the algorithm registry
-//	GET  /healthz           liveness and saturation
-//	GET  /metrics           internal/obs counters, gauges and timers
+//	POST /v1/schedule  run one named algorithm on one instance
+//	POST /v1/batch     many schedule requests, bounded fan-out
+//	POST /v1/stream    NDJSON: one schedule request per line in, one
+//	                   result line out per item, flushed as computed
+//	GET  /healthz      liveness and saturation
+//	GET  /metrics      internal/obs counters, gauges and timers
 //
 // The server is built to take hostile, concurrent traffic without
 // falling over:
@@ -60,17 +56,15 @@ var (
 	mStreamItem = obs.GetCounter("serve.stream_items")
 	mInflight   = obs.GetGauge("serve.inflight")
 	tSchedule   = obs.GetTimer("serve.schedule")
-	tSimulate   = obs.GetTimer("serve.simulate")
 	tBatch      = obs.GetTimer("serve.batch")
 	tStream     = obs.GetTimer("serve.stream")
-	tSimOpen    = obs.GetTimer("serve.simulate_open")
 )
 
 // Config bounds the server. The zero value selects the defaults
 // documented on each field.
 type Config struct {
 	// MaxInflight is the semaphore size shared by the solver-heavy
-	// endpoints (/v1/schedule, /v1/simulate, /v1/batch). Requests
+	// endpoints (/v1/schedule, /v1/batch, /v1/stream). Requests
 	// beyond it receive 429. Default: 2·GOMAXPROCS.
 	MaxInflight int
 	// Workers bounds the fan-out of one /v1/batch request.
@@ -167,10 +161,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", obs.Handler())
-	mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
 	mux.HandleFunc("POST /v1/schedule", s.gated(tSchedule, s.handleSchedule))
-	mux.HandleFunc("POST /v1/simulate", s.gated(tSimulate, s.handleSimulate))
-	mux.HandleFunc("POST /v1/simulate-open", s.gated(tSimOpen, s.handleSimulateOpen))
 	mux.HandleFunc("POST /v1/batch", s.gated(tBatch, s.handleBatch))
 	mux.HandleFunc("POST /v1/stream", s.gatedFor(tStream, s.cfg.StreamTimeout, s.handleStream))
 	return s.instrument(mux)

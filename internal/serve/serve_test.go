@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -136,64 +135,6 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-func TestSimulateEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body := `{"algorithm":"ls-group:2","instance":{"m":4,"alpha":2,"estimates":[3,1,4,1,5,9,2,6]}}`
-	resp, data := post(t, ts, "/v1/simulate", body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out SimulateResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(out.Machines) != 4 {
-		t.Fatalf("want 4 machine traces, got %d", len(out.Machines))
-	}
-	// Every task must appear exactly once as a start and once as a
-	// finish across the machine timelines, in non-decreasing time per
-	// machine.
-	starts, finishes := map[int]int{}, map[int]int{}
-	for _, mt := range out.Machines {
-		last := math.Inf(-1)
-		for _, ev := range mt.Events {
-			if ev.Time < last {
-				t.Fatalf("machine %d trace not time-ordered", mt.Machine)
-			}
-			last = ev.Time
-			switch ev.Kind {
-			case "start":
-				starts[ev.Task]++
-			case "finish":
-				finishes[ev.Task]++
-			default:
-				t.Fatalf("bad event kind %q", ev.Kind)
-			}
-		}
-	}
-	for j := 0; j < 8; j++ {
-		if starts[j] != 1 || finishes[j] != 1 {
-			t.Fatalf("task %d: %d starts, %d finishes", j, starts[j], finishes[j])
-		}
-	}
-}
-
-func TestAlgorithmsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/algorithms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out AlgorithmsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Algorithms) == 0 {
-		t.Fatal("no algorithms listed")
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInflight: 7})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -212,7 +153,7 @@ func TestHealthz(t *testing.T) {
 
 // TestSaturatedReturns429 is the acceptance check for backpressure: a
 // server whose only solver slot is occupied answers 429 immediately on
-// /v1/batch (and /v1/schedule) rather than queueing.
+// /v1/batch (and /v1/schedule and /v1/stream) rather than queueing.
 func TestSaturatedReturns429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	// Occupy the single slot deterministically.
@@ -222,7 +163,7 @@ func TestSaturatedReturns429(t *testing.T) {
 	defer s.slots.Sub(1)
 
 	batch := `{"requests":[` + validSchedule + `]}`
-	for _, path := range []string{"/v1/batch", "/v1/schedule", "/v1/simulate"} {
+	for _, path := range []string{"/v1/batch", "/v1/schedule", "/v1/stream"} {
 		body := validSchedule
 		if path == "/v1/batch" {
 			body = batch
@@ -237,7 +178,7 @@ func TestSaturatedReturns429(t *testing.T) {
 	}
 
 	// Health and metrics must stay reachable while saturated.
-	for _, path := range []string{"/healthz", "/metrics", "/v1/algorithms"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // postNDJSON submits body to path and returns the decoded result
@@ -120,94 +118,6 @@ func TestStreamItemCap(t *testing.T) {
 	}
 	if !strings.Contains(items[2].Error, "exceeds 2 items") {
 		t.Fatalf("cap error missing: %+v", items[2])
-	}
-}
-
-const validSimulateOpen = `{"algorithm":"lpt-norestriction",` +
-	`"instance":{"m":3,"alpha":1.5,"estimates":[4,2,6,1,5],"actuals":[4.4,1.8,6.6,1.1,4.5]},` +
-	`"arrivals":{"process":"poisson","rate":2,"seed":7}}`
-
-func TestSimulateOpenEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, data := post(t, ts, "/v1/simulate-open", validSimulateOpen)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out SimulateOpenResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Algorithm != "LPT-NoRestriction" || out.Policy != "cancel-on-start" {
-		t.Fatalf("shape: %+v", out)
-	}
-	if out.ResponseStats.N != 5 || len(out.Responses) != 5 {
-		t.Fatalf("response count: %+v", out.ResponseStats)
-	}
-	if out.ResponseStats.Mean <= 0 || out.ResponseStats.P999 < out.ResponseStats.P50 ||
-		out.ResponseStats.Max < out.ResponseStats.P999 {
-		t.Fatalf("stats not a distribution: %+v", out.ResponseStats)
-	}
-	if out.End <= 0 || out.Schedule == nil {
-		t.Fatalf("missing schedule/end: %+v", out)
-	}
-	if out.CancelledReplicas != 0 || out.WastedTime != 0 {
-		t.Fatalf("cancel-on-start must not waste: %+v", out)
-	}
-}
-
-// TestSimulateOpenPolicyDivergence exercises the acceptance criterion
-// on the wire: with replicate-everywhere placement, cancel-on-completion
-// races replicas (cancellations and waste observable in the response)
-// while cancel-on-start stays waste-free on the same input.
-func TestSimulateOpenPolicyDivergence(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	const base = `{"algorithm":"lpt-norestriction",` +
-		`"instance":{"m":4,"alpha":1.5,"estimates":[4,2,6,1,5,3,7,2],"actuals":[4.4,1.8,6.6,1.1,4.5,3.3,7.7,1.8]},` +
-		`"arrivals":{"process":"batch"},"cancel_cost":0.25`
-	var outs [2]SimulateOpenResponse
-	for i, policy := range []string{"cancel-on-start", "cancel-on-completion"} {
-		resp, data := post(t, ts, "/v1/simulate-open", base+`,"policy":"`+policy+`"}`)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d: %s", policy, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, &outs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if outs[0].CancelledReplicas != 0 || outs[0].WastedTime != 0 {
-		t.Fatalf("cancel-on-start wasted: %+v", outs[0])
-	}
-	if outs[1].CancelledReplicas == 0 || outs[1].WastedTime <= 0 {
-		t.Fatalf("cancel-on-completion never raced: %+v", outs[1])
-	}
-}
-
-func TestSimulateOpenRejections(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, body string
-		status     int
-	}{
-		{"invalid json", `{`, 400},
-		{"missing algorithm", `{"instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"batch"}}`, 400},
-		{"missing instance", `{"algorithm":"oracle-lpt","arrivals":{"process":"batch"}}`, 400},
-		{"unknown algorithm", `{"algorithm":"nope","instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"batch"}}`, 422},
-		{"unknown process", `{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"nope"}}`, 422},
-		{"poisson without rate", `{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"poisson"}}`, 422},
-		{"unknown policy", `{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"batch"},"policy":"nope"}`, 422},
-		{"negative cancel cost", `{"algorithm":"oracle-lpt","instance":{"m":1,"alpha":1,"estimates":[1]},"arrivals":{"process":"batch"},"cancel_cost":-1}`, 422},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, data := post(t, ts, "/v1/simulate-open", tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
-			}
-			var e wire.ErrorResponse
-			if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
-				t.Fatalf("error envelope missing: %s", data)
-			}
-		})
 	}
 }
 

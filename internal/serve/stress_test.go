@@ -73,7 +73,7 @@ func TestStressConcurrentTraffic(t *testing.T) {
 		{"POST", "/v1/schedule", `{"algorithm":"who-knows","instance":{"m":1,"alpha":1,"estimates":[1]}}`},
 		{"GET", "/v1/schedule", ""},
 		{"POST", "/v1/schedule", oversized},
-		{"POST", "/v1/simulate", `{"algorithm":"ls-norestriction","instance":{"m":3,"alpha":1.5,"estimates":[2,4,6,8,1,3,5]}}`},
+		{"POST", "/v1/stream", validSchedule + "\n" + `{"algorithm":"ls-norestriction","instance":{"m":3,"alpha":1.5,"estimates":[2,4,6,8,1,3,5]}}`},
 		{"GET", "/healthz", ""},
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/obs"
@@ -18,7 +17,7 @@ import (
 // ScheduleRequest asks for one algorithm run on one instance.
 type ScheduleRequest struct {
 	// Algorithm is a name accepted by the algo registry (see
-	// GET /v1/algorithms).
+	// uncertsched -list).
 	Algorithm string `json:"algorithm"`
 	// Instance is the problem instance. Actual times default to the
 	// estimates when omitted (the perfectly-estimated case).
@@ -124,34 +123,6 @@ func appendFloats(dst []byte, k1 string, v1 float64, k2 string, v2 float64) ([]b
 	return dst, ok1 && ok2
 }
 
-// SimulateRequest asks for a traced semi-clairvoyant replay.
-type SimulateRequest struct {
-	Algorithm string         `json:"algorithm"`
-	Instance  *task.Instance `json:"instance"`
-}
-
-// TraceEvent is one start/finish event of a machine's timeline.
-type TraceEvent struct {
-	Time float64 `json:"time"`
-	Task int     `json:"task"`
-	Kind string  `json:"kind"`
-}
-
-// MachineTrace is the executed timeline of one machine.
-type MachineTrace struct {
-	Machine int          `json:"machine"`
-	Events  []TraceEvent `json:"events"`
-}
-
-// SimulateResponse reports a traced replay.
-type SimulateResponse struct {
-	Algorithm string               `json:"algorithm"`
-	Makespan  float64              `json:"makespan"`
-	Placement *placement.Placement `json:"placement"`
-	Schedule  *sched.Schedule      `json:"schedule"`
-	Machines  []MachineTrace       `json:"machines"`
-}
-
 // BatchRequest bundles many schedule requests.
 type BatchRequest struct {
 	Requests []ScheduleRequest `json:"requests"`
@@ -164,11 +135,6 @@ type BatchItem = wire.Result
 
 // BatchResponse reports a whole batch.
 type BatchResponse = wire.Results
-
-// AlgorithmsResponse lists the registry's accepted name patterns.
-type AlgorithmsResponse struct {
-	Algorithms []string `json:"algorithms"`
-}
 
 // HealthResponse is the /healthz payload.
 type HealthResponse struct {
@@ -254,16 +220,4 @@ func DecodeBatch(data []byte, lim wire.Limits, strict any, reqs *[]ScheduleReque
 		}
 	}
 	return CheckBatch(*reqs, lim)
-}
-
-// decodeSimulateRequest decodes and validates a /v1/simulate body.
-func (s *Server) decodeSimulateRequest(r io.Reader) (*SimulateRequest, error) {
-	var req SimulateRequest
-	if err := wire.DecodeStrict(r, &req); err != nil {
-		return nil, err
-	}
-	if err := s.limits.CheckItem(req.Algorithm, req.Instance); err != nil {
-		return nil, err
-	}
-	return &req, nil
 }

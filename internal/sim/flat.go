@@ -23,13 +23,12 @@ var (
 // FlatOptions configures a batch run: the policies a caller may attach
 // to the one list-scheduling event loop.
 type FlatOptions struct {
-	// Trace records start/finish events when true.
-	Trace bool
 	// Failures injects fail-stop machine crashes: a task running across
 	// a crash is lost and re-offered, ahead of the pending sets, to the
 	// other machines holding a replica; the schedule records each task's
 	// final execution, and a crash that strands a task fails the run with
-	// ErrUnsurvivable. Incompatible with Trace.
+	// ErrUnsurvivable. Such a run hands out no dispatch record, so
+	// TraceOf finds no events in its schedule.
 	Failures []Failure
 	// FetchPenalty, when non-zero, lets a machine run tasks it holds no
 	// replica of — the alternative to replication the paper dismisses as
@@ -77,8 +76,8 @@ type FlatOptions struct {
 //	                               priority order
 //	         narrow[i]             pending set over that list
 //
-// Because tasks never cross shards, every Assignment, trace, record
-// region and started flag a shard writes is disjoint from every other
+// Because tasks never cross shards, every Assignment, record region
+// and started flag a shard writes is disjoint from every other
 // shard's, and shards replay one after another on the calling
 // goroutine; int64 time makes completion times exact sums, so the
 // sharded output is byte-identical to one global loop over all
@@ -185,9 +184,10 @@ func RunFlatSharded(in *task.Instance, p *placement.Placement, order []int,
 // order, every task released at time zero: it partitions the instance
 // into independent shards (the connected components of machines linked
 // by shared replica sets), replays each, and merges the results. The
-// Schedule, Trace and error are byte-identical to one global event
-// loop: shards share no tasks, int64 tick sums are exact, and
-// equal-key trace events are same-machine and therefore same-shard.
+// Schedule and error are byte-identical to one global event loop, and
+// so is the trace TraceOf derives: shards share no tasks, int64 tick
+// sums are exact, and equal-key trace events are same-machine and
+// therefore same-shard.
 func (r *Runner) RunSharded(in *task.Instance, p *placement.Placement, order []int,
 	opts FlatOptions) (*Result, error) {
 	return r.runBatch(in, p, order, opts, true)
@@ -228,9 +228,6 @@ func (r *Runner) runBatch(in *task.Instance, p *placement.Placement, order []int
 	r.batch = o
 	if err := r.run(in, p, order, nil, sharded); err != nil {
 		return nil, err
-	}
-	if r.batch.Trace {
-		sortTrace(r.res.Trace)
 	}
 	if len(r.batch.Failures) > 0 {
 		// No dispatch record: a shard that met a crash erases lost tasks
@@ -324,7 +321,7 @@ func (r *Runner) reset(n, m int) {
 	r.release()
 	r.openRun, r.raceOK = false, false
 	r.sched.Reset(n, m)
-	r.res = Result{Schedule: &r.sched, Trace: r.res.Trace[:0]}
+	r.res = Result{Schedule: &r.sched}
 	r.openRes = OpenResult{Schedule: &r.sched, Responses: r.openRes.Responses[:0]}
 }
 
@@ -496,9 +493,6 @@ func (r *Runner) prepare(in *task.Instance, p *placement.Placement, order []int,
 	r.pend = growZero(r.pend, int(words))
 
 	if !r.openRun {
-		if r.batch.Trace {
-			r.res.Trace = grow(r.res.Trace, 2*n)
-		}
 		// Sized on a fail-stop run too, which hands out no record (runBatch
 		// truncates it): its crash-free shards write one as any batch run's
 		// do, and its fail-stop shards none.
@@ -547,9 +541,6 @@ func (r *Runner) prepareArrivals(arrive []float64) error {
 // checkBatch validates a batch run's options.
 func (r *Runner) checkBatch() error {
 	o := &r.batch
-	if len(o.Failures) > 0 && o.Trace {
-		return fmt.Errorf("sim: failures cannot be combined with Trace")
-	}
 	if o.FetchPenalty == 0 {
 		return nil
 	}

@@ -261,20 +261,25 @@ func drift(a, b tick.Tick) int {
 	return int(a - b)
 }
 
-func requireSameResult(t *testing.T, label string, got, want *Result) {
+// requireSameResult holds a run to want, assignment by assignment, and
+// the trace TraceOf derives from it to wantTrace, event by event: the
+// trace derived from another engine run's schedule, or the one the
+// oracle records.
+func requireSameResult(t *testing.T, label string, got *Result, want *sched.Schedule, wantTrace []Event) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Schedule.Assignments, want.Schedule.Assignments) {
+	if !reflect.DeepEqual(got.Schedule.Assignments, want.Assignments) {
 		t.Errorf("%s: schedule diverges", label)
 	}
-	if got.Schedule.M != want.Schedule.M {
-		t.Errorf("%s: M = %d, want %d", label, got.Schedule.M, want.Schedule.M)
+	if got.Schedule.M != want.M {
+		t.Errorf("%s: M = %d, want %d", label, got.Schedule.M, want.M)
 	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("%s: trace length %d, want %d", label, len(got.Trace), len(want.Trace))
+	trace := TraceOf(got.Schedule)
+	if len(trace) != len(wantTrace) {
+		t.Fatalf("%s: trace length %d, want %d", label, len(trace), len(wantTrace))
 	}
-	for i := range got.Trace {
-		if got.Trace[i] != want.Trace[i] {
-			t.Fatalf("%s: trace[%d] = %+v, want %+v", label, i, got.Trace[i], want.Trace[i])
+	for i := range trace {
+		if trace[i] != wantTrace[i] {
+			t.Fatalf("%s: trace[%d] = %+v, want %+v", label, i, trace[i], wantTrace[i])
 		}
 	}
 }
@@ -285,18 +290,18 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // across all placement families.
 func TestFlatShardedMatchesRun(t *testing.T) {
 	for _, c := range flatCases(t) {
-		want, err := RunFlat(c.in, c.p, c.order, FlatOptions{Trace: true})
+		want, err := RunFlat(c.in, c.p, c.order, FlatOptions{})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", c.name, err)
 		}
 		if err := want.Schedule.Verify(c.in, c.p); err != nil {
 			t.Fatalf("%s: sequential flat schedule invalid: %v", c.name, err)
 		}
-		got, err := RunFlatSharded(c.in, c.p, c.order, FlatOptions{Trace: true})
+		got, err := RunFlatSharded(c.in, c.p, c.order, FlatOptions{})
 		if err != nil {
 			t.Fatalf("%s: RunSharded: %v", c.name, err)
 		}
-		requireSameResult(t, c.name, got, want)
+		requireSameResult(t, c.name, got, want.Schedule, TraceOf(want.Schedule))
 	}
 }
 
@@ -327,12 +332,12 @@ func TestFlatMatchesEventEngineExact(t *testing.T) {
 			{"group", in, groupPlacement(t, s.n, s.m, s.k, s.seed), order},
 			{"all", in, placement.Everywhere(s.n, s.m), order},
 		}, sharedCases(t, in, s.k, s.seed)...) {
-			want := oracleRun(in, c.p, c.order, FlatOptions{Trace: true})
-			got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{Trace: true})
+			want := oracleRun(in, c.p, c.order, FlatOptions{})
+			got, err := RunFlatSharded(in, c.p, c.order, FlatOptions{})
 			if err != nil {
 				t.Fatalf("%s: flat: %v", c.name, err)
 			}
-			requireSameResult(t, c.name+"/cross-engine", got, want)
+			requireSameResult(t, c.name+"/cross-engine", got, want.Schedule, want.Trace)
 		}
 	}
 }
@@ -521,7 +526,7 @@ func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 			sharedCases(t, in, 2, seed)...) // lists and queues both shrink and grow between runs
 		crashes := []Failure{{Machine: 0, Time: 1}, {Machine: in.M / 2, Time: 3}}
 		for _, c := range cases {
-			for _, opts := range []FlatOptions{{Trace: true}, {Trace: true, FetchPenalty: 2}, {Failures: crashes}} {
+			for _, opts := range []FlatOptions{{}, {FetchPenalty: 2}, {Failures: crashes}} {
 				label := "reuse case " + itoa(ci) + " " + c.name
 				got, gotErr := reused.RunSharded(in, c.p, c.order, opts)
 				want, wantErr := RunFlatSharded(in, c.p, c.order, opts)
@@ -531,7 +536,7 @@ func TestFlatRunnerReuseMatchesFresh(t *testing.T) {
 					}
 					continue
 				}
-				requireSameResult(t, label, got, want)
+				requireSameResult(t, label, got, want.Schedule, TraceOf(want.Schedule))
 			}
 		}
 	}
@@ -551,8 +556,6 @@ func TestFlatValidation(t *testing.T) {
 	check("not a permutation", p, []int{0, 1, 1}, FlatOptions{}, in)
 	check("not a permutation", p, []int{0, 1, 5}, FlatOptions{}, in)
 	check("does not match instance", placement.Everywhere(2, 2), identityOrder(3), FlatOptions{}, in)
-	check("failures cannot be combined", p, identityOrder(3),
-		FlatOptions{Trace: true, Failures: []Failure{{Machine: 0, Time: 1}}}, in)
 	check("invalid machine", p, identityOrder(3),
 		FlatOptions{Failures: []Failure{{Machine: 9, Time: 1}}}, in)
 	check("negative time", p, identityOrder(3),
@@ -564,19 +567,6 @@ func TestFlatValidation(t *testing.T) {
 	neg := inst(t, 2, 1, 2, 3)
 	neg.Tasks[2].Actual = -3
 	check("negative actual", p, identityOrder(3), FlatOptions{}, neg)
-}
-
-// TestFlatNoTraceByDefault: an untraced run through a placement with
-// two shards records no event.
-func TestFlatNoTraceByDefault(t *testing.T) {
-	in := inst(t, 2, 1, 2)
-	res, err := RunFlat(in, placement.Everywhere(2, 2), identityOrder(2), FlatOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 0 {
-		t.Errorf("trace has %d events without Trace option", len(res.Trace))
-	}
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }

@@ -403,33 +403,3 @@ func TestCancelPolicyString(t *testing.T) {
 		t.Fatalf("unknown policy String = %q", got)
 	}
 }
-
-func TestParseCancelPolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want sim.CancelPolicy
-		ok   bool
-	}{
-		{"", sim.CancelOnStart, true},
-		{"cancel-on-start", sim.CancelOnStart, true},
-		{"cancel-on-completion", sim.CancelOnCompletion, true},
-		{"CANCEL-ON-START", 0, false},
-		{"nope", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := sim.ParseCancelPolicy(tc.in)
-		if tc.ok != (err == nil) {
-			t.Fatalf("ParseCancelPolicy(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
-		}
-		if tc.ok && got != tc.want {
-			t.Fatalf("ParseCancelPolicy(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	// Round trip: every policy's String parses back to itself.
-	for _, p := range []sim.CancelPolicy{sim.CancelOnStart, sim.CancelOnCompletion} {
-		got, err := sim.ParseCancelPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v, err %v", p, got, err)
-		}
-	}
-}

@@ -59,16 +59,24 @@ func firstLeft(p *placement.Placement, order []int, started []bool, machine int)
 	return -1
 }
 
+// oracleResult is oracleRun's outcome: the schedule and the trace.
+type oracleResult struct {
+	Schedule *sched.Schedule
+	Trace    []Event
+}
+
 // oracleRun is the batch model: every task released at time zero, each
 // machine a clock. Repeatedly, the machine that becomes available first
 // takes the highest-priority unstarted task it holds a replica of; with
 // a fetch penalty, a machine that has none left takes the
 // highest-priority unstarted task of all and runs it FetchPenalty times
 // slower. A machine that finds nothing retires: no work appears later.
-// opts.Failures is not read; that is oracleRunFailures.
-func oracleRun(in *task.Instance, p *placement.Placement, order []int, opts FlatOptions) *Result {
+// Every start and finish is recorded as it happens, the trace TraceOf
+// must derive from an engine's schedule. opts.Failures is not read;
+// that is oracleRunFailures.
+func oracleRun(in *task.Instance, p *placement.Placement, order []int, opts FlatOptions) *oracleResult {
 	n, m := in.N(), in.M
-	res := &Result{Schedule: sched.New(n, m)}
+	res := &oracleResult{Schedule: sched.New(n, m)}
 	started := make([]bool, n)
 	clock := make([]float64, m)
 	working := make([]bool, m)
@@ -95,11 +103,9 @@ func oracleRun(in *task.Instance, p *placement.Placement, order []int, opts Flat
 		}
 		start, end := clock[i], clock[i]+executed
 		res.Schedule.Assignments[j] = ran(i, start, end)
-		if opts.Trace {
-			res.Trace = append(res.Trace,
-				Event{Time: sec(start), Machine: i, Task: j, Kind: "start"},
-				Event{Time: sec(end), Machine: i, Task: j, Kind: "finish"})
-		}
+		res.Trace = append(res.Trace,
+			Event{Time: sec(start), Machine: i, Task: j, Kind: "start"},
+			Event{Time: sec(end), Machine: i, Task: j, Kind: "finish"})
 		clock[i] = end
 	}
 	sortTrace(res.Trace)

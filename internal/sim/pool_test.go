@@ -58,15 +58,15 @@ func TestRunnerReuseMatchesFreshRun(t *testing.T) {
 	var reused Runner
 	for ci, in := range poolCases(t) {
 		p, order := everywhereLPT(in)
-		got, err := reused.Run(in, p, order, FlatOptions{Trace: true})
+		got, err := reused.Run(in, p, order, FlatOptions{})
 		if err != nil {
 			t.Fatalf("case %d: reused runner: %v", ci, err)
 		}
-		want, err := RunFlat(in, p, order, FlatOptions{Trace: true})
+		want, err := RunFlat(in, p, order, FlatOptions{})
 		if err != nil {
 			t.Fatalf("case %d: fresh run: %v", ci, err)
 		}
-		requireSameResult(t, "case "+itoa(ci), got, want)
+		requireSameResult(t, "case "+itoa(ci), got, want.Schedule, TraceOf(want.Schedule))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestTakeScheduleHandsItOver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, "case "+itoa(ci), got, want)
+		requireSameResult(t, "case "+itoa(ci), got, want.Schedule, TraceOf(want.Schedule))
 		s := r.TakeSchedule()
 		if s == got.Schedule {
 			t.Fatalf("case %d: TakeSchedule returned the runner's own schedule", ci)
@@ -184,20 +184,17 @@ func TestRunnerPoolSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestRunnerResetZeroesSchedule locks the reset contract: after
-// reset(n, m), no assignment, trace event or mode (the stealing run's
+// reset(n, m), no assignment or mode (the stealing run's
 // fetch penalty) from a previous, larger run is visible; the slices
 // prepare regrows are TestRunnerReuseMatchesFreshRun's to hold.
 func TestRunnerResetZeroesSchedule(t *testing.T) {
 	var r Runner
 	in := poolCases(t)[0]
 	p, order := everywhereLPT(in)
-	if _, err := r.Run(in, p, order, FlatOptions{Trace: true, FetchPenalty: 2}); err != nil {
+	if _, err := r.Run(in, p, order, FlatOptions{FetchPenalty: 2}); err != nil {
 		t.Fatal(err)
 	}
 	r.reset(3, 2)
-	if len(r.res.Trace) != 0 {
-		t.Errorf("reset left %d trace events", len(r.res.Trace))
-	}
 	if len(r.sched.Assignments) != 3 || r.sched.M != 2 {
 		t.Fatalf("reset shaped schedule as (%d tasks, M=%d), want (3, 2)",
 			len(r.sched.Assignments), r.sched.M)

@@ -81,7 +81,7 @@ type shardSet struct {
 // the sharded runners exploit and the differential suites verify.
 //
 // Shard IDs are assigned in order of each component's lowest machine
-// index, so the decomposition (and everything downstream: trace
+// index, so the decomposition (and everything downstream: record
 // regions, merge order) is a deterministic function of the placement
 // alone. Within a shard, shardMachines is ascending.
 func (ss *shardSet) partition(p *placement.Placement) {

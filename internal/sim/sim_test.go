@@ -101,37 +101,27 @@ func TestTieBreakTowardLowerMachine(t *testing.T) {
 
 func TestTraceOrdering(t *testing.T) {
 	in := inst(t, 2, 2, 1, 1)
-	res, err := RunFlat(in, placement.Everywhere(3, 2), identityOrder(3), FlatOptions{Trace: true})
+	res, err := RunFlat(in, placement.Everywhere(3, 2), identityOrder(3), FlatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 6 {
-		t.Fatalf("trace has %d events, want 6", len(res.Trace))
+	trace := TraceOf(res.Schedule)
+	if len(trace) != 6 {
+		t.Fatalf("trace has %d events, want 6", len(trace))
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].Time < res.Trace[i-1].Time {
-			t.Fatalf("trace out of order at %d: %+v", i, res.Trace)
+	for i := 1; i < len(trace); i++ {
+		if trace[i].Time < trace[i-1].Time {
+			t.Fatalf("trace out of order at %d: %+v", i, trace)
 		}
 	}
 	starts := 0
-	for _, ev := range res.Trace {
+	for _, ev := range trace {
 		if ev.Kind == "start" {
 			starts++
 		}
 	}
 	if starts != 3 {
 		t.Fatalf("trace has %d starts, want 3", starts)
-	}
-}
-
-func TestNoTraceByDefault(t *testing.T) {
-	in := inst(t, 1, 1)
-	res, err := RunFlat(in, placement.Everywhere(1, 1), identityOrder(1), FlatOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Fatal("trace recorded without FlatOptions.Trace")
 	}
 }
 

@@ -171,8 +171,8 @@ func (r *Runner) take(s int, i int32, onStart bool) (j int32, shared bool) {
 // host; CHANGES.md, the pending-set entry).
 //
 // A batch run has no arrivals (tasks is nil), every set filled and
-// every machine idle at zero; it writes the trace and the dispatch
-// record where an open run writes responses.
+// every machine idle at zero; it writes the dispatch record where an
+// open run writes responses.
 //
 // A batch shard some crash reaches runs in fail-stop mode (failing), the
 // semantics oracleRunFailures states without shards: its crashes are a
@@ -180,8 +180,8 @@ func (r *Runner) take(s int, i int32, onStart bool) (j int32, shared bool) {
 // the machine events of its tick (crash). A dead machine's event retires
 // it, a busy one's is its task completing (the tally counts completions),
 // and a lost task on r.retry goes ahead of the pending sets. prepare
-// rejects Trace and FetchPenalty with Failures, and runBatch drops the
-// dispatch record, so this mode writes none of the three.
+// rejects FetchPenalty with Failures, and runBatch drops the dispatch
+// record, so this mode writes neither.
 func (r *Runner) replayGeneral(in *task.Instance, p *placement.Placement, s int, ms, tasks []int32, crashes []mEvent) {
 	t := &r.tree
 	onStart, open := r.open.Policy == CancelOnStart, r.openRun
@@ -191,12 +191,8 @@ func (r *Runner) replayGeneral(in *task.Instance, p *placement.Placement, s int,
 	ti := 0
 	dormant := len(ms) // open: machines whose leaf is tick.Max
 	var rec []int32
-	var trace []Event
 	if !open {
 		rec = r.sched.Dispatched[r.shardTaskOff[s]:]
-		if r.batch.Trace {
-			trace = r.res.Trace[2*r.shardTaskOff[s]:]
-		}
 	}
 	nrec := 0 // tasks started under CancelOnStart, outside fail-stop mode
 	var out openTally
@@ -290,10 +286,6 @@ events:
 				r.runTask[i] = j // completes at end unless its machine crashes first
 			default:
 				rec[nrec] = j
-				if trace != nil {
-					trace[2*nrec] = Event{Time: now, Machine: int(i), Task: int(j), Kind: "start"}
-					trace[2*nrec+1] = Event{Time: end, Machine: int(i), Task: int(j), Kind: "finish"}
-				}
 				nrec++
 			}
 		} else {
@@ -447,13 +439,7 @@ func (r *Runner) pricedTicks(in *task.Instance, j, i int32, now tick.Tick, remot
 // 17).
 func (r *Runner) replayLinear(s int, mach int32) {
 	q := r.rankTask[r.shardTaskOff[s]:r.shardTaskOff[s+1]]
-	var trace []Event
-	tr := 0
-	if r.batch.Trace {
-		trace = r.res.Trace[2*r.shardTaskOff[s]:]
-	}
 	now := tick.Tick(0)
-	mi := int(mach)
 	for k, j := range q {
 		end := tick.SatAdd(now, r.durTick[j])
 		if end == tick.Max {
@@ -461,12 +447,7 @@ func (r *Runner) replayLinear(s int, mach int32) {
 			r.stats.shared += int64(k)
 			return
 		}
-		r.sched.Assignments[j] = sched.Assignment{Machine: mi, Start: now, End: end}
-		if r.batch.Trace {
-			trace[tr] = Event{Time: now, Machine: mi, Task: int(j), Kind: "start"}
-			trace[tr+1] = Event{Time: end, Machine: mi, Task: int(j), Kind: "finish"}
-			tr += 2
-		}
+		r.sched.Assignments[j] = sched.Assignment{Machine: int(mach), Start: now, End: end}
 		now = end
 	}
 	copy(r.sched.Dispatched[r.shardTaskOff[s]:], q) // started in rank order
