@@ -133,10 +133,13 @@ stress:
 
 # The fault-injection tests under the race detector: clusterd backends
 # and whole frontd shards killed and restarted mid-batch/mid-stream,
-# and the metamorphic relations of both policies. The one statement of
-# it: check and CI run this target.
+# the metamorphic relations of both policies, and the ownership of the
+# bytes a tier reads: the body clusterd forwards outlives a cancelled
+# hedge, and no answer reads a buffer after its release. The one
+# statement of it: check and CI run this target.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestMetamorphic' -count=2 ./internal/cluster/ ./internal/front/
+	$(GO) test -race -run 'TestChaos|TestMetamorphic|TestForwardedBytesOutliveACancelledHedge|TestNoAnswerReadsAReleasedBuffer' \
+	  -count=2 ./internal/cluster/ ./internal/front/
 
 # Checked load smoke: cmd/bench -smoke boots the full tier in-process on
 # loopback TCP (frontd over two clusterd shards over two schedds, every

@@ -168,6 +168,9 @@ type kernel struct {
 //     splice is the answer checked once on receipt (wire.SoleResult, the
 //     one-pass checker, aliasing the body) and copied at write
 //     (wire.Encode) into the writer's reused buffer.
+//   - ReadBody: a tier reading the request body WireScan scans, 109 KB
+//     (wire.ReadBody under its declared length), and releasing it once
+//     answered: the pooled buffer is warm, so the read allocates nothing.
 //   - WireEncode: schedd printing its answer (ScheduleResponse.AppendJSON
 //     under wire.Encode, over sched's and placement's appenders) into a
 //     warm buffer, at serve-solve's shape and serve-fanout's.
@@ -194,6 +197,7 @@ var kernels = []kernel{
 	{name: "EstimateCold/n=200,m=8", n: 200, allocs: 2, bytes: 1_856, setup: estimateCold(8)},
 	{name: "WireScan/n=2k", n: 2_000, allocs: 4, bytes: 72 << 10, setup: wireScan},
 	{name: "WireSplice/68KB", setup: wireSplice},
+	{name: "ReadBody/n=2k", n: 2_000, pooled: true, setup: readBody},
 	{name: "WireEncode/n=2k,m=512", n: 2_000, setup: wireEncode("lpt-nochoice", 512)},
 	{name: "WireEncode/n=200,m=8", n: 200, setup: wireEncode("ls-group:2", 8)},
 }
@@ -443,6 +447,22 @@ func wireSplice(tb testing.TB, _ int) func() {
 	}
 }
 
+// readBody is the read a tier makes of a serve-solve request: the body
+// in a pooled buffer sized from the declared length, released once the
+// answer is written.
+func readBody(tb testing.TB, n int) func() {
+	item := serveItem(tb, "lpt-nochoice", n, 512)
+	r := bytes.NewReader(item)
+	return func() {
+		r.Reset(item)
+		body, err := wire.ReadBody(r, int64(len(item)), 8<<20)
+		if err != nil || len(body.Bytes()) != len(item) {
+			tb.Fatalf("read %d of %d bytes: %v", len(body.Bytes()), len(item), err)
+		}
+		body.Release()
+	}
+}
+
 func wireEncode(algorithm string, m int) func(testing.TB, int) func() {
 	return func(tb testing.TB, n int) func() {
 		resp := serveAnswer(tb, algorithm, n, m)
@@ -489,6 +509,7 @@ func BenchmarkEstimateCold(b *testing.B) { benchKernels(b, "EstimateCold") }
 func BenchmarkWireScan(b *testing.B)     { benchKernels(b, "WireScan") }
 func BenchmarkWireSplice(b *testing.B)   { benchKernels(b, "WireSplice") }
 func BenchmarkWireEncode(b *testing.B)   { benchKernels(b, "WireEncode") }
+func BenchmarkReadBody(b *testing.B)     { benchKernels(b, "ReadBody") }
 
 // BenchmarkEstimateCache measures opt.Estimate on one instance under
 // repetition: cold pays for an exact solve (exact limit n) every

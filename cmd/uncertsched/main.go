@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,7 @@ func main() {
 		gantt    = flag.Bool("gantt", false, "render an ASCII Gantt chart")
 		svgFile  = flag.String("svg", "", "write the schedule as an SVG Gantt chart to this file")
 		list     = flag.Bool("list", false, "list algorithms, workloads and models")
-		quiet    = flag.Bool("q", false, "print only the makespan")
+		quiet    = flag.Bool("q", false, "print only the makespan (not with -gantt or -trace)")
 		compare  = flag.Bool("compare", false, "run every replication strategy and print a comparison table")
 		traceN   = flag.Int("trace", 0, "print the first N simulation events")
 	)
@@ -137,6 +138,14 @@ func runCompare(w io.Writer, wlName, inFile string, n, m int, alpha, param float
 
 func run(w io.Writer, algoName, wlName, inFile string, n, m int, alpha, param float64,
 	seed uint64, model string, gantt, quiet bool, svgFile string, traceN int) error {
+	// -q prints the makespan alone, so a flag asking for more output
+	// contradicts it; -svg writes a file and stays legal.
+	switch {
+	case quiet && gantt:
+		return errors.New("-q and -gantt contradict: -q prints only the makespan")
+	case quiet && traceN > 0:
+		return errors.New("-q and -trace contradict: -q prints only the makespan")
+	}
 	a, err := algo.New(algoName)
 	if err != nil {
 		return err

@@ -22,8 +22,8 @@ func karmarkarKarp(times []float64, m int) float64 {
 		}
 		return s
 	}
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
+	s := solvePool.get()
+	defer solvePool.put(s)
 	s.sortDesc(times)
 	return s.kk.run(s.desc, m)
 }

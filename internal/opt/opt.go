@@ -28,6 +28,7 @@ package opt
 
 import (
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/keysort"
@@ -70,7 +71,47 @@ type solveScratch struct {
 	search exactSearch
 }
 
-var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
+// solvePool is where every solve takes its scratch from and hands it
+// back to. A sync.Pool alone lost them to the collector: it drops what
+// sat idle through two collections, and a serving process collects
+// every few solves; on a 2-core host, 79 of 2,438 cold solves of
+// cmd/bench's serve-solve rebuilt their scratch (~198 KB at n=2k,
+// m=512). The free list survives collections and is shared by every P;
+// it holds GOMAXPROCS scratches, the solves that can run at once, and
+// what does not fit goes to the sync.Pool, as before.
+var solvePool = scratchPool{free: make([]*solveScratch, 0, runtime.GOMAXPROCS(0))}
+
+type scratchPool struct {
+	mu       sync.Mutex
+	free     []*solveScratch // never past its capacity
+	overflow sync.Pool
+}
+
+func (p *scratchPool) get() *solveScratch {
+	p.mu.Lock()
+	if n := len(p.free) - 1; n >= 0 {
+		s := p.free[n]
+		p.free[n], p.free = nil, p.free[:n]
+		p.mu.Unlock()
+		return s
+	}
+	p.mu.Unlock()
+	if s, ok := p.overflow.Get().(*solveScratch); ok {
+		return s
+	}
+	return new(solveScratch)
+}
+
+func (p *scratchPool) put(s *solveScratch) {
+	p.mu.Lock()
+	if len(p.free) < cap(p.free) {
+		p.free = append(p.free, s)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	p.overflow.Put(s)
+}
 
 // bracket sorts times into s.desc and returns the combinatorial lower
 // bound with the better of LPT and 24-step MULTIFIT: the interval the
@@ -133,8 +174,8 @@ func PairLowerBound(times []float64, m int) float64 {
 	if len(times) <= m {
 		return 0
 	}
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
+	s := solvePool.get()
+	defer solvePool.put(s)
 	s.sortDesc(times)
 	return pairLowerBoundDesc(s.desc, m)
 }
@@ -198,8 +239,8 @@ func LPT(times []float64, m int) (float64, []int) {
 // when it is too short, and returning it: a caller that schedules many
 // instances keeps one mapping buffer instead of allocating one a call.
 func LPTInto(times []float64, m int, buf []int) (float64, []int) {
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
+	s := solvePool.get()
+	defer solvePool.put(s)
 	s.order = s.sort.OrderDesc(times, s.order) // time descending, index ascending
 	s.loads.Reset(m)
 	mapping := buf[:0]
@@ -420,8 +461,8 @@ func lookup(times []float64, m int, exactLimit int) (Result, cacheKey, bool) {
 func estimateUncached(times []float64, m int, exactLimit int) Result {
 	defer solveTimer.Start()()
 	n := len(times)
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
+	s := solvePool.get()
+	defer solvePool.put(s)
 	s.ffd.probes = 0
 	s.sortDesc(times)
 	desc := s.desc
@@ -476,8 +517,8 @@ func Exact(times []float64, m int, maxNodes int) (float64, bool) {
 	if m >= n {
 		return MaxLowerBound(times), true
 	}
-	s := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(s)
+	s := solvePool.get()
+	defer solvePool.put(s)
 	lb, best := s.bracket(times, m)
 	return s.exact(m, lb, best, maxNodes)
 }

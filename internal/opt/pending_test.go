@@ -164,3 +164,49 @@ func TestStartEstimateConcurrent(t *testing.T) {
 		t.Fatalf("%d of %d solves were in the memo after their Waits", d, len(inputs))
 	}
 }
+
+// TestColdStartEstimateFindsAScratch: a cold solve started from a new
+// goroutine, with two collections before it — a serving process
+// collects every few solves, which a sync.Pool alone does not survive —
+// still finds a scratch. Each call allocates what the steady
+// EstimateCold/n=2k,m=512 kernel does (2 allocations, 16,448 B: the
+// memo's copy of its key) plus the call's own: the channel, the
+// Pending's record and the two goroutines, 4 allocations and 304 B, and
+// now and then a thread the runtime starts to run them (runtime.allocm
+// and its goroutines, 7 allocations and about 6 KB). A rebuilt scratch
+// is ~198 KB in about 20 allocations.
+func TestColdStartEstimateFindsAScratch(t *testing.T) {
+	const n, m, calls = 2_000, 512, 16
+	ring := make([][]float64, calls)
+	for i := range ring {
+		ring[i] = randomTimes(n, uint64(100+i))
+	}
+	// One cold solve of each from a new goroutine, every call as the
+	// measured ones make it: the memo's shard maps grown, a scratch sized,
+	// the runtime's goroutines built.
+	solve := func(times []float64) {
+		done := make(chan struct{})
+		go func() {
+			p := StartEstimate(times, m, 0)
+			p.Wait()
+			close(done)
+		}()
+		<-done
+	}
+	for _, times := range ring {
+		solve(times)
+	}
+	ResetCache()
+	var before, after runtime.MemStats
+	for i, times := range ring {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		solve(times)
+		runtime.ReadMemStats(&after)
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if allocs > 2+4+7 || bytes > 16_448+8<<10 {
+			t.Errorf("cold solve %d: %d allocs, %d B; want the kernel's 2 and 16,448 B plus the call's", i, allocs, bytes)
+		}
+	}
+}

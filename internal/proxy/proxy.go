@@ -238,8 +238,9 @@ func (t *Tier) Handler() http.Handler {
 // Decode decodes and fully validates a /v1/batch body: serve.DecodeBatch
 // under the tier's limits, and a placement override Place accepts.
 // What it accepts is safe to dispatch and stable under re-encoding (the
-// fuzz targets enforce that). Items are forwarded by sub-slice of body,
-// so body must be the tier's to keep (wire.ReadBody).
+// fuzz targets enforce that). Items alias body, and a tier whose route
+// is not Sole forwards them by sub-slice of it, so body must then be
+// the tier's to keep (wire.Body).
 func (t *Tier) Decode(body []byte) (*BatchRequest, error) {
 	req := new(BatchRequest)
 	var err error
@@ -292,9 +293,12 @@ func (t *Tier) RunBatch(ctx context.Context, req *BatchRequest) (*wire.Results, 
 }
 
 // dispatch runs one placed item to completion on the dispatch loop. A
-// copy posts the item's own bytes or, where the route is Sole, the
-// one-item batch that wraps them: a slice of its own, never pooled
-// (wire.ReadBody says why).
+// copy posts the item's own bytes — a sub-slice of the request body, so
+// a tier that posts them (clusterd) keeps that body past its answer,
+// since a cancelled hedge may still be writing it (wire.Body.Keep) —
+// or, where the route is Sole (frontd), the one-item batch that wraps
+// them: a slice of its own, never pooled, which leaves the request body
+// free to go back once the answer is written.
 func (t *Tier) dispatch(ctx context.Context, idx int, req *serve.ScheduleRequest, set []int) wire.Result {
 	body, err := req.Body()
 	if err != nil {
@@ -313,9 +317,20 @@ func (t *Tier) handleBatch(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, t.cfg.MaxBodyBytes)
 	}
 	body, err := wire.ReadBody(r.Body, r.ContentLength, t.cfg.MaxBodyBytes)
+	data := body.Bytes()
+	if t.p.Route.Sole {
+		// Every copy posts a batch of its own (dispatch) and RunBatch
+		// joins every dispatch, so nothing reads the body once the answer
+		// is written.
+		defer body.Release()
+	} else {
+		// Copies post sub-slices of it, which a cancelled hedge may still
+		// be writing after the answer.
+		data = body.Keep()
+	}
 	var req *BatchRequest
 	if err == nil {
-		req, err = t.Decode(body)
+		req, err = t.Decode(data)
 	}
 	if err != nil {
 		wire.BadRequest(w, err)
@@ -339,13 +354,17 @@ func (t *Tier) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, resp)
+	resp.Release() // the replies the answer copied
 }
 
 // handleStream serves POST /v1/stream on wire.Pump (which states the
 // ordering and backpressure contract; the window is Workers): each line
-// is decoded, admitted and placed as it arrives and dispatched
-// concurrently. ?strategy= is a stream's placement override; explicit
-// replica sets need the whole batch up front, so a stream has none.
+// is copied out of the pump's pooled buffer, then decoded, admitted and
+// placed as it arrives and dispatched concurrently. The copy is what
+// gets forwarded, and is never pooled; the pump releases each answered
+// reply once its line is written. ?strategy= is a stream's placement
+// override; explicit replica sets need the whole batch up front, so a
+// stream has none.
 func (t *Tier) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer t.p.Stream.Start()()
 	if r.Body != nil {
@@ -369,8 +388,7 @@ func (t *Tier) handleStream(w http.ResponseWriter, r *http.Request) {
 		wire.Stream{MaxLineBytes: t.cfg.MaxBodyBytes, MaxItems: t.cfg.MaxStreamItems, Window: t.cfg.Workers},
 		func(ctx context.Context, idx int, line []byte) (wire.Result, func() wire.Result) {
 			t.p.StreamItems.Inc()
-			// The pump reuses line; the copy is what gets forwarded, and
-			// like a body wire.ReadBody made it is never pooled.
+			// The pump reuses line; the copy is what gets forwarded.
 			req, err := serve.DecodeItem(bytes.Clone(line), t.limits)
 			if err != nil {
 				return wire.Failed(idx, err.Error()), nil

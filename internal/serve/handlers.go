@@ -98,11 +98,15 @@ func (s *Server) RunBatch(ctx context.Context, req *BatchRequest, workers int) *
 	})
 }
 
+// Both handlers release the body they read once the answer is written
+// (defers run after it): the request aliases it until then, and schedd
+// forwards nothing.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	body, err := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	defer body.Release()
 	var req *ScheduleRequest
 	if err == nil {
-		req, err = DecodeItem(body, s.limits)
+		req, err = DecodeItem(body.Bytes(), s.limits)
 	}
 	if err != nil {
 		wire.BadRequest(w, err)
@@ -123,9 +127,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := wire.ReadBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	defer body.Release()
 	var req BatchRequest
 	if err == nil {
-		err = DecodeBatch(body, s.limits, &req, &req.Requests, nil)
+		err = DecodeBatch(body.Bytes(), s.limits, &req, &req.Requests, nil)
 	}
 	if err != nil {
 		wire.BadRequest(w, err)

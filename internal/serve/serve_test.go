@@ -30,7 +30,7 @@ func (s *Server) decodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeItem(body, s.limits)
+	return DecodeItem(body.Bytes(), s.limits) // never released: the request aliases it
 }
 
 func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {

@@ -27,8 +27,8 @@ type ScheduleRequest struct {
 	ExactLimit int `json:"exact_limit,omitempty"`
 	// raw is the item's own bytes in the request it was scanned from
 	// (DecodeItem, DecodeBatch): a sub-slice of a body wire.ReadBody
-	// made, so nobody's to recycle. Nil for a request built in code or
-	// decoded by DecodeStrict.
+	// read, valid until its reader releases it (wire.Body). Nil for a
+	// request built in code or decoded by DecodeStrict.
 	raw []byte
 }
 

@@ -134,12 +134,16 @@ func (r *Route) post(ctx context.Context, u *Upstream, idx int, body []byte) (Re
 		}
 		var ok bool
 		if r.Sole {
-			res, ok = SoleResult(reply.Body)
+			res, ok = SoleResult(reply.Body.Bytes())
 		} else {
-			res, ok = received(bytes.TrimSuffix(reply.Body, newline))
+			res, ok = received(bytes.TrimSuffix(reply.Body.Bytes(), newline))
 		}
+		// The result owns the reply it may alias, to the writer of the
+		// answer (Results.Release, Pump); the malformed one is nobody's.
+		res.body, reply.Body = reply.Body, Body{}
 		if !ok {
-			reply = Reply{Kind: ReplyUpstreamErr}
+			res.body.Release()
+			res, reply = Result{}, Reply{Kind: ReplyUpstreamErr}
 		}
 	}
 	switch reply.Kind {

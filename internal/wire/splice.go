@@ -25,6 +25,11 @@ type Result struct {
 	// encoding (Answer), or an upstream's that passed checkCompact on
 	// receipt (received). The writer copies it.
 	checked bool
+	// body is the upstream reply Response may alias (Route.post): the
+	// writer of the answer releases it once the answer is written
+	// (Results.Release, Pump), and a result nobody writes leaves it to
+	// the garbage collector.
+	body Body
 }
 
 // Failed is the Result of an item that was never served.
@@ -33,6 +38,14 @@ func Failed(idx int, msg string) Result { return Result{Index: idx, Error: msg} 
 // Results is the /v1/batch answer of every tier, in input order.
 type Results struct {
 	Results []Result `json:"results"`
+}
+
+// Release hands back the upstream replies the results alias, once the
+// answer that copies them has been written. Call it once.
+func (rs *Results) Release() {
+	for i := range rs.Results {
+		rs.Results[i].body.Release()
+	}
 }
 
 // RunBatch fans n items out over workers and returns their results in
@@ -167,10 +180,11 @@ var (
 
 // received is the Result carrying val, the value an upstream answered a
 // 200 with, validated once, here: every tier checks every answer it
-// forwards. Where checkCompact passes it the Response aliases val —
-// ReadBody's slice, nobody's to recycle — marked checked. The rest
-// encoding/json judges: valid JSON is carried unchecked, for the writer
-// to compact; anything else is refused, the upstream's fault.
+// forwards. Where checkCompact passes it the Response aliases val — a
+// reply's pooled buffer, which the result then owns (Route.post) —
+// marked checked. The rest encoding/json judges: valid JSON is carried
+// unchecked, for the writer to compact; anything else is refused, the
+// upstream's fault.
 func received(val []byte) (r Result, ok bool) {
 	if checkCompact(val) {
 		mChecked.Inc()

@@ -248,33 +248,37 @@ func TestWriteJSONDeclaresItsLength(t *testing.T) {
 	}
 }
 
-// TestReadBodySizesFromTheDeclaredLength: the declared length sizes the
-// slice in one allocation, and a length declared far above what is
-// sent — or above the tier's cap — preallocates no more than the cap.
+// TestReadBodySizesFromTheDeclaredLength: the declared length sizes a
+// buffer grown from nothing to about the body, and a length declared
+// far above what is sent — or above the tier's cap — preallocates no
+// more than the cap. The reading is the buffer's capacity, what the
+// body pins while it is held.
 func TestReadBodySizesFromTheDeclaredLength(t *testing.T) {
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 4<<10) // 64 KiB
-	allocated := func(length, limit int64, r io.Reader) (int, uint64) {
+	allocated := func(length, limit int64, r io.Reader) (int, int) {
 		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		// Two collections empty bodyPools: the reading is of a new buffer,
+		// not of whatever size an earlier test left in the pool.
+		runtime.GC()
+		runtime.GC()
 		body, err := ReadBody(r, length, limit)
-		runtime.ReadMemStats(&after)
-		if err != nil || !bytes.Equal(body, payload[:len(body)]) {
-			t.Fatalf("ReadBody: %d bytes, err %v", len(body), err)
+		defer body.Release()
+		if n := len(body.Bytes()); err != nil || !bytes.Equal(body.Bytes(), payload[:n]) {
+			t.Fatalf("ReadBody: %d bytes, err %v", n, err)
 		}
-		return len(body), after.TotalAlloc - before.TotalAlloc
+		return len(body.Bytes()), cap(body.Bytes())
 	}
 	// Honest length: the whole body, in about its own size.
-	if n, got := allocated(int64(len(payload)), 8<<20, bytes.NewReader(payload)); n != len(payload) || got > uint64(len(payload))+16<<10 {
-		t.Errorf("honest length: read %d bytes allocating %d", n, got)
+	if n, got := allocated(int64(len(payload)), 8<<20, bytes.NewReader(payload)); n != len(payload) || got > len(payload)+16<<10 {
+		t.Errorf("honest length: read %d bytes into %d", n, got)
 	}
 	// A gigabyte declared, a kilobyte sent: bounded by bufMax.
 	if n, got := allocated(1<<30, 8<<20, bytes.NewReader(payload[:1<<10])); n != 1<<10 || got > bufMax+16<<10 {
-		t.Errorf("1 GiB declared: read %d bytes allocating %d, cap %d", n, got, bufMax)
+		t.Errorf("1 GiB declared: read %d bytes into %d, cap %d", n, got, bufMax)
 	}
 	// The tier's own cap binds when it is the smaller.
 	if n, got := allocated(1<<30, 4<<10, bytes.NewReader(payload[:1<<10])); n != 1<<10 || got > 4<<10+16<<10 {
-		t.Errorf("1 GiB declared under a 4 KiB cap: read %d bytes allocating %d", n, got)
+		t.Errorf("1 GiB declared under a 4 KiB cap: read %d bytes into %d", n, got)
 	}
 	// Unknown length and a body past the preallocation both still read whole.
 	if n, _ := allocated(-1, 8<<20, bytes.NewReader(payload)); n != len(payload) {
@@ -289,4 +293,27 @@ func TestReadBodySizesFromTheDeclaredLength(t *testing.T) {
 	if !errors.As(err, &tooLarge) {
 		t.Errorf("over the cap: err = %v, want http.MaxBytesError", err)
 	}
+}
+
+// TestBodyKeepOutlivesTheRelease: Keep hands the buffer back — under
+// Scribble it is overwritten at once — and returns a copy that still
+// reads the body; the handle is empty after, and releasing it again
+// puts nothing back twice.
+func TestBodyKeepOutlivesTheRelease(t *testing.T) {
+	Scribble.Store(true)
+	defer Scribble.Store(false)
+	payload := []byte(`{"requests":[]}`)
+	body, err := ReadBody(bytes.NewReader(payload), int64(len(payload)), 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := body.Bytes()
+	kept := body.Keep()
+	if !bytes.Equal(kept, payload) || body.Bytes() != nil {
+		t.Fatalf("kept %q, handle %q; want the body and an empty handle", kept, body.Bytes())
+	}
+	if !bytes.Equal(pooled, bytes.Repeat([]byte("#"), len(payload))) {
+		t.Fatalf("released buffer reads %q, want it scribbled over", pooled)
+	}
+	body.Release()
 }

@@ -30,9 +30,10 @@ type Stream struct {
 // goroutine. It either resolves the line on the spot (dispatch nil:
 // decode and validation failures, shed items, and schedd's sequential
 // solve) or returns a dispatch func that Pump runs on its own
-// goroutine. dispatch must return promptly once ctx is done; that is
-// what lets the in-order drain terminate when the deadline cuts a
-// stream short.
+// goroutine. line is the pump's, reused once handle returns: handle
+// decodes it there or copies it. dispatch must return promptly once ctx
+// is done; that is what lets the in-order drain terminate when the
+// deadline cuts a stream short.
 //
 // The bounded futures queue is the backpressure: with Window results
 // pending the reader stops consuming the body, so a fast client is
@@ -64,8 +65,14 @@ func Pump(ctx context.Context, w http.ResponseWriter, body io.Reader, s Stream,
 			fut <- item
 			futures <- fut
 		}
+		// The line buffer is pooled: no line outlives handle, which
+		// decodes it or copies it first. Its 64 KB cap is the scanner's
+		// starting size, and with MaxLineBytes its token limit.
+		lines := getBuf()
+		defer putBuf(lines)
+		lines.Grow(64 << 10)
 		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64<<10), int(s.MaxLineBytes))
+		sc.Buffer(lines.AvailableBuffer()[:0:64<<10], int(s.MaxLineBytes))
 		idx := 0
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
@@ -104,6 +111,7 @@ func Pump(ctx context.Context, w http.ResponseWriter, body io.Reader, s Stream,
 		item.appendLine(buf)
 		_, _ = w.Write(buf.Bytes())
 		putBuf(buf)
+		item.body.Release()
 		// Flush per line so the client observes each item before the
 		// next is computed.
 		_ = rc.Flush()

@@ -207,7 +207,7 @@ const (
 // Reply is the classified outcome of one Post.
 type Reply struct {
 	Kind       int
-	Body       []byte        // ReplyOK
+	Body       Body          // ReplyOK: the caller's to release
 	ErrMsg     string        // ReplyItemErr
 	RetryAfter time.Duration // ReplyThrottled; 0 when the header is absent
 }
@@ -217,7 +217,9 @@ type Reply struct {
 // index travels in the named header — purely observational (chaos
 // tests use it to count executions per item); the daemons ignore
 // unknown headers. Post does not touch the breaker: Route.post settles
-// it, where a hedge's cancelled loser is told from a failure.
+// it, where a hedge's cancelled loser is told from a failure. A 200's
+// body is read into a pooled buffer and handed on in the Reply; every
+// other answer's is read, taken apart and released here.
 func (u *Upstream) Post(ctx context.Context, path, itemHeader string, idx int, body []byte) Reply {
 	u.inflight.Add(1)
 	u.gInflight.Inc()
@@ -240,9 +242,11 @@ func (u *Upstream) Post(ctx context.Context, path, itemHeader string, idx int, b
 	if err != nil {
 		return transportReply(ctx)
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	if resp.StatusCode == http.StatusOK {
 		return Reply{Kind: ReplyOK, Body: data}
+	}
+	defer data.Release()
+	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return Reply{Kind: ReplyThrottled, RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After"))}
 	case resp.StatusCode >= 500:
@@ -250,9 +254,9 @@ func (u *Upstream) Post(ctx context.Context, path, itemHeader string, idx int, b
 	default:
 		// Deterministic 4xx: surface the upstream's error envelope
 		// verbatim so proxied errors match direct ones.
-		msg := string(bytes.TrimSpace(data))
+		msg := string(bytes.TrimSpace(data.Bytes()))
 		var e ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		if json.Unmarshal(data.Bytes(), &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
 		return Reply{Kind: ReplyItemErr, ErrMsg: msg}
